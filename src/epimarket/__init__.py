@@ -21,6 +21,7 @@ from .epidemic import (
     EpidemicState,
     EpidemicTrajectory,
     InfectionPeak,
+    epidemic_pass,
     first_integral_I,
     first_integral_R,
     infection_peak,

@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .epidemic import EpidemicParams, InfectionPeak, infection_peak
+from .epidemic import (
+    EpidemicParams,
+    EpidemicTrajectory,
+    InfectionPeak,
+    epidemic_pass,
+    infection_peak,
+)
 from .errors import (
     BoundaryExtremumError,
     ConfigError,
@@ -356,17 +362,10 @@ def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
             for combo in itertools.product(*(axes[n] for n in names))]
 
 
-def _point_result(base_params, base_curve, grid, index, overrides,
-                  scenarios, tol) -> SweepResult:
-    pkw = {k: v for k, v in overrides.items() if k in ("beta", "gamma", "n1")}
-    ckw = {k: v for k, v in overrides.items() if k == "kappa"}
-    try:
-        params = replace(base_params, **pkw)
-        curve = replace(base_curve, **ckw)
-    except ConfigError as exc:
-        return SweepResult(index, overrides, base_params, base_curve,
-                           None, None, error=str(exc), dt_used=grid.dt)
-
+def _point_result(params, curve, grid, index, overrides, scenarios, tol,
+                  epidemic: EpidemicTrajectory | None) -> SweepResult:
+    """Row of one point; epidemic is the SIR pass of params on grid (None
+    when the point has no boom)."""
     if params.n2 == 0 or params.n1 <= params.threshold:
         timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
         return SweepResult(index, overrides, params, curve,
@@ -376,9 +375,9 @@ def _point_result(base_params, base_curve, grid, index, overrides,
     refinements = 0
     try:
         while True:
-            myopic = simulate_myopic(params, curve, g)
-            peak = infection_peak(params, myopic.epidemic_view())
-            rational = (re_price_path(params, curve, g, tol)
+            myopic = simulate_myopic(params, curve, g, epidemic)
+            peak = infection_peak(params, epidemic)
+            rational = (re_price_path(params, curve, g, tol, epidemic)
                         if "rational" in scenarios else None)
             timeline = build_timeline(myopic, rational, peak)
             undecided = any(v is None for v in timeline.ordering_ok.values())
@@ -386,6 +385,7 @@ def _point_result(base_params, base_curve, grid, index, overrides,
                 break
             # inconclusive gap below grid resolution: halve dt and retry
             g = Grid(g.t_start, g.t_end, g.dt / 2.0)
+            epidemic = epidemic_pass(params, g)
             refinements += 1
         claims = check_propositions(myopic, rational, timeline).claims
     except SimulationError as exc:
@@ -393,6 +393,35 @@ def _point_result(base_params, base_curve, grid, index, overrides,
                            error=str(exc), refinements=refinements, dt_used=g.dt)
     return SweepResult(index, overrides, params, curve, timeline, claims,
                        refinements=refinements, dt_used=g.dt)
+
+
+def _epidemic_rows(base_params, base_curve, grid, items, scenarios,
+                   tol) -> list[SweepResult]:
+    """Rows of points that share one epidemic, so one SIR pass serves all.
+
+    items are (index, overrides) pairs with equal beta, gamma and n1.
+    """
+    pkw = {k: v for k, v in items[0][1].items() if k in ("beta", "gamma", "n1")}
+    try:
+        params = replace(base_params, **pkw)
+    except ConfigError as exc:
+        return [SweepResult(idx, ov, base_params, base_curve, None, None,
+                            error=str(exc), dt_used=grid.dt)
+                for idx, ov in items]
+    epidemic = None
+    if params.n2 != 0 and params.n1 > params.threshold:
+        epidemic = epidemic_pass(params, grid)
+    rows = []
+    for idx, ov in items:
+        try:
+            curve = replace(base_curve, **{k: v for k, v in ov.items() if k == "kappa"})
+        except ConfigError as exc:
+            rows.append(SweepResult(idx, ov, base_params, base_curve, None, None,
+                                    error=str(exc), dt_used=grid.dt))
+            continue
+        rows.append(_point_result(params, curve, grid, idx, ov, scenarios, tol,
+                                  epidemic))
+    return rows
 
 
 def parameter_sweep(
@@ -406,9 +435,11 @@ def parameter_sweep(
 ) -> list[SweepResult]:
     """Verdicts over the Cartesian product of the given parameter axes.
 
-    Points are independent; with workers > 1 they run on a thread pool and
-    results are merged back in grid order, so output is identical for any
-    worker count. Per-point failures land in the row's error field.
+    Points with the same epidemic (beta, gamma, n1) form one job that
+    integrates the SIR pass once; with workers > 1 the jobs run on a
+    thread pool and rows are merged back in grid order, so output is
+    identical for any worker count. Per-point failures land in the row's
+    error field.
     """
     if axes is None:
         axes = default_sweep_axes()
@@ -427,18 +458,20 @@ def parameter_sweep(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
 
-    points = _grid_points(axes)
+    groups: dict[tuple, list[tuple[int, dict[str, float]]]] = {}
+    for idx, ov in enumerate(_grid_points(axes)):
+        key = tuple(ov.get(k) for k in ("beta", "gamma", "n1"))
+        groups.setdefault(key, []).append((idx, ov))
 
-    def job(item: tuple[int, dict[str, float]]) -> SweepResult:
-        idx, ov = item
-        return _point_result(base_params, base_curve, grid, idx, ov,
-                             scenarios, tol)
+    def job(items: list[tuple[int, dict[str, float]]]) -> list[SweepResult]:
+        return _epidemic_rows(base_params, base_curve, grid, items, scenarios, tol)
 
     if workers == 1:
-        rows = [job(item) for item in enumerate(points)]
+        parts = [job(items) for items in groups.values()]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, enumerate(points)))
+            parts = list(pool.map(job, groups.values()))
+    rows = [row for part in parts for row in part]
     rows.sort(key=lambda r: r.index)
     return rows
 

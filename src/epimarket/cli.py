@@ -21,7 +21,7 @@ from .analysis import (
     summarize_sweep,
 )
 from .config import ScenarioConfig, parse_config, serialize_config, with_overrides
-from .epidemic import infection_peak
+from .epidemic import epidemic_pass, infection_peak
 from .errors import ConfigError, SimulationError
 from .market import simulate_depression, simulate_myopic
 from .output import (
@@ -104,17 +104,20 @@ def _cmd_simulate(args) -> int:
     manifest: list[str] = []
     error: str | None = None
 
-    myopic = simulate_myopic(params, curve, grid)
-    peak = infection_peak(params, myopic.epidemic_view())
+    # one SIR pass drives every leg; a blow-up in it surfaces as the
+    # myopic leg's own error, at the step where that leg fails
+    epi = epidemic_pass(params, grid)
+    myopic = simulate_myopic(params, curve, grid, epi)
+    peak = infection_peak(params, epi)
     rational = None
     if cfg.scenario in ("rational", "all"):
-        rational = re_price_path(params, curve, grid)
+        rational = re_price_path(params, curve, grid, epidemic=epi)
     depression = None
     if cfg.scenario == "depression":
-        depression = simulate_depression(params, curve, grid)
+        depression = simulate_depression(params, curve, grid, epi)
     elif cfg.scenario == "all":
         try:
-            depression = simulate_depression(params, curve, grid)
+            depression = simulate_depression(params, curve, grid, epi)
         except SimulationError as exc:
             # record the failed leg but keep the artifacts that exist
             error = str(exc)

@@ -5,11 +5,29 @@ and drop out at rate gamma. The module carries the two conserved
 combinations of the flow equations (the infected and recovered first
 integrals), the implicit final-size equation for the long-run recovered
 mass, and sub-grid refinement of the infection peak.
+
+The market never feeds back into the contagion, so S, I and R are
+integrated once per (params, grid). That pass keeps a drive table: for
+every RK4 step, the drive beta*I*S at each of the four stages. Every
+market pass on the same grid (market, rational) replays those drives as
+a scalar RK4 pass of its own holdings and never steps S, I and R again.
+Only the rational paths from a sell-start time t1 step the full state
+again: their steps run from t1 to each node, so they are not the grid's
+steps. They go through the same kernel, `SirPath`, along their own
+steps.
+
+The kernel is rk4_step's arithmetic on the SIR field, written out on
+plain floats, so every value matches a fixed-step RK4 run bit for bit.
+Non-finite values are not checked stage by stage: a step whose result
+is non-finite is replayed through rk4_step on the full coupled field,
+which raises exactly what the coupled step raises.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -19,13 +37,14 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     DomainError,
+    IntegrationError,
 )
 from .numerics import (
     Bracket,
     Grid,
     find_root_bracketed,
-    integrate_fixed_step,
     parabolic_vertex,
+    rk4_step,
 )
 
 
@@ -59,6 +78,10 @@ class EpidemicParams:
             raise ConfigError(f"n3 must be >= 0, got {self.n3}")
         if not (self.endowment > 0):
             raise ConfigError(f"endowment must be > 0, got {self.endowment}")
+        for name in ("beta", "gamma", "n1", "n2", "n3", "endowment"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
     @property
     def total(self) -> float:
@@ -81,15 +104,43 @@ class EpidemicState:
 
 @dataclass(frozen=True, eq=False)
 class EpidemicTrajectory:
+    """S, I and R at the grid's nodes.
+
+    drives is the (n_steps, 4) table of beta*I*S at the four RK4 stages of
+    each step; it is None on views assembled from a market run. A pass
+    from `epidemic_pass` that met a blow-up ends at the first node of the
+    failing step, so its arrays are shorter than the grid.
+    """
+
     params: EpidemicParams
     grid: Grid
     times: np.ndarray
     s: np.ndarray
     i: np.ndarray
     r: np.ndarray
+    drives: np.ndarray | None = None
 
     def state_at(self, k: int) -> EpidemicState:
         return EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k]))
+
+    def steps(self, k: int = 0):
+        """The RK4 steps from node k to the end of the grid, as `SirPath.steps`
+        tuples replayed from the drive table.
+
+        A pass that ended at a blow-up steps on live from its last node, so
+        that a market pass driven by it meets the failing step.
+        """
+        m = len(self.drives)
+        drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
+        stored = zip(memoryview(self.times)[k:m], repeat(self.grid.dt),
+                     drives, drives, drives, drives,
+                     memoryview(self.s)[k + 1:], memoryview(self.i)[k + 1:],
+                     memoryview(self.r)[k + 1:])
+        if m == self.grid.n_steps:
+            return stored
+        st = self.state_at(m)
+        tail = SirPath(self.params, st.s, st.i, st.r, self.grid.n_steps - m)
+        return chain(stored, tail.steps(_grid_steps(self.grid, m)))
 
 
 @dataclass(frozen=True)
@@ -109,24 +160,139 @@ def sir_derivatives(state: EpidemicState, params: EpidemicParams) -> tuple[float
     return (-inf, inf - rec, rec)
 
 
-def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
-    beta, gamma = params.beta, params.gamma
+def _sir_field(params: EpidemicParams):
+    """sir_derivatives as a field for rk4_step."""
+    return lambda t, y: sir_derivatives(EpidemicState(*y), params)
 
-    def field(t, y):
-        s, i, r = y
-        inf = beta * i * s
-        rec = gamma * i
-        return (-inf, inf - rec, rec)
 
-    rows = integrate_fixed_step(field, (params.n1, params.n2, params.n3), grid)
+class SirPath:
+    """S, I and R at the nodes of a run of up to n RK4 steps.
+
+    The arrays hold the initial state and one entry per step taken by
+    `steps`; they are allocated at full size up front.
+    """
+
+    def __init__(self, params: EpidemicParams, s: float, i: float, r: float,
+                 n: int):
+        self.beta, self.gamma = params.beta, params.gamma
+        self.s = array("d", [s]) * (n + 1)
+        self.i = array("d", [i]) * (n + 1)
+        self.r = array("d", [r]) * (n + 1)
+
+    def steps(self, schedule):
+        """Step on from the initial state over schedule, an iterable of at
+        most n (t, h) pairs.
+
+        Yields (t, h, d1, d2, d3, d4, s, i, r) for each step: its start time
+        and size, the drives beta*I*S at its four stages, and the state it
+        ends at. A step is recorded once the consumer asks for the next one,
+        so a consumer that raises on a step leaves it out of the arrays.
+        """
+        beta, gamma = self.beta, self.gamma
+        s_arr, i_arr, r_arr = self.s, self.i, self.r
+        s, i, r = s_arr[0], i_arr[0], r_arr[0]
+        for k, (t, h) in enumerate(schedule, 1):
+            half = 0.5 * h
+            d1 = beta * i * s
+            c1 = gamma * i
+            s2 = s - half * d1
+            i2 = i + half * (d1 - c1)
+            d2 = beta * i2 * s2
+            c2 = gamma * i2
+            s3 = s - half * d2
+            i3 = i + half * (d2 - c2)
+            d3 = beta * i3 * s3
+            c3 = gamma * i3
+            s4 = s - h * d3
+            i4 = i + h * (d3 - c3)
+            d4 = beta * i4 * s4
+            c4 = gamma * i4
+            sixth = h / 6.0
+            s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
+            i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
+            r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+            yield t, h, d1, d2, d3, d4, s, i, r
+            s_arr[k] = s
+            i_arr[k] = i
+            r_arr[k] = r
+
+
+def _grid_steps(grid: Grid, k: int):
+    """(t, h) of the grid's steps from node k, as integrate_fixed_step takes them."""
+    return zip(memoryview(grid.times())[k:-1], repeat(grid.dt))
+
+
+def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
+    """The SIR pass with its drive table, for market passes to run on.
+
+    Same as simulate_epidemic, except that a step whose stage derivatives
+    are non-finite ends the pass instead of raising. A market pass driven
+    by it then replays that step through its own coupled field and raises
+    what the coupled step raises, which may be an earlier error of its own.
+    """
+    n = grid.n_steps
+    path = SirPath(params, params.n1, params.n2, params.n3, n)
+    field = _sir_field(params)
+    # allocated at full size: growing it step by step fragments the heap
+    drives = array("d", [0.0]) * (4 * n)
+    s, i, r = path.s[0], path.i[0], path.r[0]
+    m = 0
+    for t, h, d1, d2, d3, d4, s1, i1, r1 in path.steps(_grid_steps(grid, 0)):
+        chk = s1 + i1 + r1
+        if chk - chk != 0.0:
+            try:
+                rk4_step(field, t, (s, i, r), h)
+            except IntegrationError:
+                break
+        j = 4 * m
+        drives[j] = d1
+        drives[j + 1] = d2
+        drives[j + 2] = d3
+        drives[j + 3] = d4
+        m += 1
+        s, i, r = s1, i1, r1
     return EpidemicTrajectory(
         params=params,
         grid=grid,
-        times=grid.times(),
-        s=rows[:, 0],
-        i=rows[:, 1],
-        r=rows[:, 2],
+        times=grid.times()[:m + 1],
+        s=np.frombuffer(path.s)[:m + 1],
+        i=np.frombuffer(path.i)[:m + 1],
+        r=np.frombuffer(path.r)[:m + 1],
+        drives=np.frombuffer(drives).reshape(-1, 4)[:m],
     )
+
+
+def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
+    """S, I and R over the grid with the drive table.
+
+    Raises IntegrationError with the stage time if a stage derivative is
+    non-finite.
+    """
+    epi = epidemic_pass(params, grid)
+    k = len(epi.drives)
+    if k < grid.n_steps:
+        st = epi.state_at(k)
+        rk4_step(_sir_field(params), grid.node(k), (st.s, st.i, st.r), grid.dt)
+    return epi
+
+
+def driving_pass(
+    params: EpidemicParams, grid: Grid, epidemic: EpidemicTrajectory | None = None
+) -> EpidemicTrajectory:
+    """The SIR pass a market run on the grid is driven by.
+
+    A given pass is checked against params and grid; without one, a new
+    epidemic_pass is integrated.
+    """
+    if epidemic is None:
+        return epidemic_pass(params, grid)
+    if epidemic.params != params or epidemic.grid != grid:
+        raise ConsistencyError(
+            "epidemic pass was produced with different parameters or grid"
+        )
+    if epidemic.drives is None:
+        raise ConsistencyError("epidemic trajectory carries no drive table")
+    return epidemic
 
 
 # ---------------------------------------------------------------------------

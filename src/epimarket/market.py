@@ -7,18 +7,31 @@ closed-form function of x. The euphoric scenario integrates the holdings
 ODE directly; the depressive scenario is its exact sign-mirror; a
 trapezoid quadrature of the underlying cohort integral serves as an
 independent oracle for the state variable.
+
+Both scenarios run x alone, as a scalar RK4 pass over the stage drives
+of an SIR pass (see epidemic); S, I and R are that pass's arrays. The
+coupled (S, I, R, x) fields remain as the definition of each scenario:
+a step that reaches the price floor at a stage, or ends non-finite, is
+replayed through rk4_step on them, so errors carry the coupled step's
+stage time and message.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicState, EpidemicTrajectory
+from .epidemic import (
+    EpidemicParams,
+    EpidemicState,
+    EpidemicTrajectory,
+    driving_pass,
+)
 from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
-from .numerics import Grid, integrate_fixed_step
+from .numerics import Grid, rk4_step
 
 
 @dataclass(frozen=True)
@@ -37,6 +50,10 @@ class SupplyCurve:
             raise ConfigError(f"kappa must be > 0, got {self.kappa}")
         if self.form != "linear":
             raise ConfigError(f"unsupported supply curve form '{self.form}'")
+        for name in ("p0", "kappa"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def excess_supply(p: float, curve: SupplyCurve) -> float:
@@ -140,13 +157,8 @@ class MarketTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def simulate_myopic(params: EpidemicParams, curve: SupplyCurve, grid: Grid) -> MarketTrajectory:
-    """Euphoria with immediate liquidation on recovery.
-
-    State equation for holdings: dx = beta*I*S*w/P - gamma*x, the
-    exponential-kernel reduction of the cohort integral, with
-    P = p0 + x/kappa evaluated at every integration stage.
-    """
+def _holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool):
+    """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump."""
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     floor = -kappa * p0
@@ -157,51 +169,103 @@ def simulate_myopic(params: EpidemicParams, curve: SupplyCurve, grid: Grid) -> M
             raise PriceFloorError(
                 f"clearing price hit zero at t={t} (x={x})", time=t
             )
-        p = p0 + x / kappa
         inf = beta * i * s
         rec = gamma * i
+        if mirror:
+            mirrored = 2.0 * p0 - (p0 + x / kappa)
+            return (-inf, inf - rec, rec, -inf * w / mirrored - gamma * x)
+        p = p0 + x / kappa
         return (-inf, inf - rec, rec, inf * w / p - gamma * x)
 
-    rows = integrate_fixed_step(field, (params.n1, params.n2, params.n3, 0.0), grid)
-    x = rows[:, 3]
+    return field
+
+
+def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,
+                  field, floor: float, mirror: bool = False) -> array:
+    """x at the start of steps and at each node after, from y = (s, i, r, x).
+
+    Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
+    stage drives of steps (`SirPath.steps` tuples); mirror=True divides
+    minus the drive by the reflected price 2*p0 - P instead. A stage state
+    at or below floor, or a non-finite step, is replayed through rk4_step
+    on field, the coupled field of the same equation, which raises what
+    the coupled step raises; if it raises nothing, the step stands.
+    """
+    w, gamma = params.endowment, params.gamma
+    p0, kappa = curve.p0, curve.kappa
+    s, i, r, x = y
+    out = array("d", [x])
+    add = out.append
+    for t, h, d1, d2, d3, d4, s1, i1, r1 in steps:
+        half = 0.5 * h
+        if x <= floor:
+            rk4_step(field, t, (s, i, r, x), h)
+        p = p0 + x / kappa
+        k1 = (-d1 * w / (2.0 * p0 - p) if mirror else d1 * w / p) - gamma * x
+        x2 = x + half * k1
+        if x2 <= floor:
+            rk4_step(field, t, (s, i, r, x), h)
+        p = p0 + x2 / kappa
+        k2 = (-d2 * w / (2.0 * p0 - p) if mirror else d2 * w / p) - gamma * x2
+        x3 = x + half * k2
+        if x3 <= floor:
+            rk4_step(field, t, (s, i, r, x), h)
+        p = p0 + x3 / kappa
+        k3 = (-d3 * w / (2.0 * p0 - p) if mirror else d3 * w / p) - gamma * x3
+        x4 = x + h * k3
+        if x4 <= floor:
+            rk4_step(field, t, (s, i, r, x), h)
+        p = p0 + x4 / kappa
+        k4 = (-d4 * w / (2.0 * p0 - p) if mirror else d4 * w / p) - gamma * x4
+        x1 = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        chk = s1 + i1 + r1 + x1
+        if chk - chk != 0.0:
+            rk4_step(field, t, (s, i, r, x), h)
+        s, i, r, x = s1, i1, r1, x1
+        add(x)
+    return out
+
+
+def _scenario(params, curve, grid, epidemic, mirror: bool) -> MarketTrajectory:
+    epi = driving_pass(params, grid, epidemic)
+    st = epi.state_at(0)
+    x = np.frombuffer(holdings_pass(
+        params, curve, epi.steps(), (st.s, st.i, st.r, 0.0),
+        _holdings_field(params, curve, mirror), -curve.kappa * curve.p0, mirror,
+    ))
     return MarketTrajectory(
-        params=params, curve=curve, grid=grid, scenario="myopic",
-        times=grid.times(), s=rows[:, 0], i=rows[:, 1], r=rows[:, 2],
-        x=x, p=p0 + x / kappa,
+        params=params, curve=curve, grid=grid,
+        scenario="depression" if mirror else "myopic",
+        times=epi.times, s=epi.s, i=epi.i, r=epi.r,
+        x=x, p=curve.p0 + x / curve.kappa,
     )
 
 
-def simulate_depression(params: EpidemicParams, curve: SupplyCurve, grid: Grid) -> MarketTrajectory:
+def simulate_myopic(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
+                    epidemic: EpidemicTrajectory | None = None) -> MarketTrajectory:
+    """Euphoria with immediate liquidation on recovery.
+
+    State equation for holdings: dx = beta*I*S*w/P - gamma*x, the
+    exponential-kernel reduction of the cohort integral, with
+    P = p0 + x/kappa evaluated at every integration stage. epidemic is
+    the SIR pass to drive it (`epidemic_pass` on the same params and
+    grid); without one, a new pass is integrated.
+    """
+    return _scenario(params, curve, grid, epidemic, False)
+
+
+def simulate_depression(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
+                        epidemic: EpidemicTrajectory | None = None) -> MarketTrajectory:
     """Pessimism spreading: infected agents short, recovered agents cover.
 
     The drive term divides by the reflected price 2*p0 - P rather than P,
     which makes the run the exact sign-mirror of the euphoric one:
     x(t) = -x_boom(t) and P(t) = 2*p0 - P_boom(t) node for node. The price
     floor therefore binds exactly when the mirrored boom would have peaked
-    at or above 2*p0; that is a hard error, not a clamp.
+    at or above 2*p0; that is a hard error, not a clamp. epidemic is as in
+    simulate_myopic.
     """
-    beta, gamma, w = params.beta, params.gamma, params.endowment
-    p0, kappa = curve.p0, curve.kappa
-    floor = -kappa * p0
-
-    def field(t, y):
-        s, i, r, x = y
-        if x <= floor:
-            raise PriceFloorError(
-                f"clearing price hit zero at t={t} (x={x})", time=t
-            )
-        mirrored = 2.0 * p0 - (p0 + x / kappa)
-        inf = beta * i * s
-        rec = gamma * i
-        return (-inf, inf - rec, rec, -inf * w / mirrored - gamma * x)
-
-    rows = integrate_fixed_step(field, (params.n1, params.n2, params.n3, 0.0), grid)
-    x = rows[:, 3]
-    return MarketTrajectory(
-        params=params, curve=curve, grid=grid, scenario="depression",
-        times=grid.times(), s=rows[:, 0], i=rows[:, 1], r=rows[:, 2],
-        x=x, p=p0 + x / kappa,
-    )
+    return _scenario(params, curve, grid, epidemic, True)
 
 
 # ---------------------------------------------------------------------------

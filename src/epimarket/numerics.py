@@ -53,6 +53,10 @@ class Grid:
             raise ConfigError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
+        for name in ("t_start", "t_end", "dt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         span = (self.t_end - self.t_start) / self.dt
         if abs(span - round(span)) > 1e-9 * max(1.0, abs(span)):
             raise ConfigError(

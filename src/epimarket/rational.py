@@ -10,16 +10,34 @@ closing events coincide: a node-level bisection on the event order,
 followed by a continuous bisection inside the final one-node bracket on
 the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
+
+Two passes run over the drive table of the grid's SIR pass (see
+epidemic): the accumulation phase (z, h) from t=0, and every stage-one
+node diagnosis, which starts on a node and steps exactly dt.
+
+Every path from a sell-start time t1 steps S, I and R again. One
+rk4_step takes an off-node t1's state from the node below. From t1 each
+step runs to the next node, node(j) - t_prev long. That is not dt to
+the bit, so S and I along the path differ from the grid's in the last
+bits. The stage-two closure scans, and the plateau with its
+continuation in simulate_re_given_t1, therefore step S, I and R through
+`SirPath` along their own steps. z (and h) are scalar passes over its
+drives.
+
+The phase fields remain the definition of each phase: partial steps and
+replays of non-finite steps go through them.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
-from .epidemic import EpidemicParams
+from .epidemic import EpidemicParams, EpidemicTrajectory, SirPath, driving_pass
 from .errors import DomainError, GridTooCoarseError, NoPlateauError
-from .market import MarketTrajectory, SupplyCurve, clearing_price
+from .market import MarketTrajectory, SupplyCurve, clearing_price, holdings_pass
 from .numerics import Grid, rk4_step
 
 
@@ -108,30 +126,103 @@ def _phase3_field(params: EpidemicParams, curve: SupplyCurve):
     return field
 
 
-def _integrate_phase1(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
-                      upto: int, field) -> list[tuple]:
-    """Accumulation-phase states at nodes 0..upto as (s, i, r, z, h)."""
-    y = (params.n1, params.n2, params.n3, 0.0, 0.0)
-    nodes = [y]
-    t0, h = grid.t_start, grid.dt
-    for k in range(upto):
-        y = rk4_step(field, t0 + k * h, y, h)
-        nodes.append(y)
-    return nodes
+# ---------------------------------------------------------------------------
+# scalar passes over stage drives
+# ---------------------------------------------------------------------------
 
 
-def _state_at(field1, nodes: list[tuple], grid: Grid, t1: float) -> tuple[int, tuple]:
-    """Phase-1 state at (possibly off-node) time t1 via one partial step."""
-    k = int((t1 - grid.t_start) / grid.dt)
-    if t1 - grid.node(k) < 0.0:
+def _accumulate(params: EpidemicParams, curve: SupplyCurve,
+                epi: EpidemicTrajectory, upto: int) -> tuple[array, array]:
+    """Accumulation-phase z and h at nodes 0..upto, over the grid's drives."""
+    gamma, w = params.gamma, params.endowment
+    p0, kappa = curve.p0, curve.kappa
+    field = _phase1_field(params, curve)
+    st = epi.state_at(0)
+    s, i, r, z, h = st.s, st.i, st.r, 0.0, 0.0
+    zs, hs = array("d", [z]), array("d", [h])
+    add_z, add_h = zs.append, hs.append
+    for t, dt, d1, d2, d3, d4, s1, i1, r1 in islice(epi.steps(), upto):
+        half = 0.5 * dt
+        cure1 = gamma * z
+        kz1 = d1 * w / (p0 + (z + h) / kappa) - cure1
+        z2, h2 = z + half * kz1, h + half * cure1
+        cure2 = gamma * z2
+        kz2 = d2 * w / (p0 + (z2 + h2) / kappa) - cure2
+        z3, h3 = z + half * kz2, h + half * cure2
+        cure3 = gamma * z3
+        kz3 = d3 * w / (p0 + (z3 + h3) / kappa) - cure3
+        z4, h4 = z + dt * kz3, h + dt * cure3
+        cure4 = gamma * z4
+        kz4 = d4 * w / (p0 + (z4 + h4) / kappa) - cure4
+        sixth = dt / 6.0
+        z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
+        h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
+        chk = s1 + i1 + r1 + z1 + h1
+        if chk - chk != 0.0:
+            rk4_step(field, t, (s, i, r, z, h), dt)
+        s, i, r, z, h = s1, i1, r1, z1, h1
+        add_z(z)
+        add_h(h)
+    return zs, hs
+
+
+def _plateau(params: EpidemicParams, p_star: float, steps, y: tuple):
+    """The plateau at pinned price p_star from state y = (s, i, r, z, h).
+
+    Scalar RK4 of z and h over the drives of steps. Yields
+    (t, dt, state, flow) for each node reached: the step's start time and
+    size, the state at its end, and the net flow beta*I*S*w/P* - gamma*z
+    there.
+    """
+    beta, gamma, w = params.beta, params.gamma, params.endowment
+    field = _phase2_field(params, p_star)
+    s, i, r, z, h = y
+    for t, dt, d1, d2, d3, d4, s1, i1, r1 in steps:
+        half = 0.5 * dt
+        f1 = d1 * w / p_star - gamma * z
+        z2 = z + half * f1
+        f2 = d2 * w / p_star - gamma * z2
+        z3 = z + half * f2
+        f3 = d3 * w / p_star - gamma * z3
+        z4 = z + dt * f3
+        f4 = d4 * w / p_star - gamma * z4
+        # h's stage rates are -f, so its increment is exactly z's, negated
+        dz = dt / 6.0 * (f1 + 2.0 * (f2 + f3) + f4)
+        z1, h1 = z + dz, h - dz
+        chk = s1 + i1 + r1 + z1 + h1
+        if chk - chk != 0.0:
+            rk4_step(field, t, (s, i, r, z, h), dt)
+        s, i, r, z, h = s1, i1, r1, z1, h1
+        yield t, dt, (s, i, r, z, h), beta * i * s * w / p_star - gamma * z
+
+
+def _node_below(grid: Grid, t: float) -> int:
+    k = int((t - grid.t_start) / grid.dt)
+    if t - grid.node(k) < 0.0:
         k -= 1
-    if k >= len(nodes):
+    return k
+
+
+def _to_nodes(grid: Grid, t: float, k: int):
+    """(t, h) steps from time t, in [node(k), node(k+1)), to each later node."""
+    for tj in memoryview(grid.times())[k + 1:]:
+        yield t, tj - t
+        t = tj
+
+
+def _state_at(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
+              zs: array, hs: array, t1: float) -> tuple[int, tuple]:
+    """Phase-1 state at (possibly off-node) time t1 via one partial step."""
+    grid = epi.grid
+    k = _node_below(grid, t1)
+    if k >= len(zs):
         raise DomainError(f"t1={t1} beyond integrated phase-1 range")
+    st = epi.state_at(k)
+    y = (st.s, st.i, st.r, zs[k], hs[k])
     rem = t1 - grid.node(k)
-    st = nodes[k]
     if rem > 0.0:
-        st = rk4_step(field1, grid.node(k), st, rem)
-    return k, st
+        y = rk4_step(_phase1_field(params, curve), grid.node(k), y, rem)
+    return k, y
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +231,8 @@ def _state_at(field1, nodes: list[tuple], grid: Grid, t1: float) -> tuple[int, t
 
 
 def simulate_re_given_t1(
-    params: EpidemicParams, curve: SupplyCurve, t1: float, grid: Grid
+    params: EpidemicParams, curve: SupplyCurve, t1: float, grid: Grid,
+    epidemic: EpidemicTrajectory | None = None,
 ) -> tuple[MarketTrajectory, PlateauDiagnosis]:
     """Three-phase trajectory for a trial sell-start time t1.
 
@@ -148,35 +240,20 @@ def simulate_re_given_t1(
     t1 is generically sub-node) and handled with partial realignment
     steps. The plateau phase ends at the first node where h <= 0 or where
     net flow at P* is <= 0, whichever fires first; from that node h is
-    frozen at zero and the price clears on z alone.
+    frozen at zero and the price clears on z alone. epidemic is the
+    grid's SIR pass (`epidemic_pass`); without one, a new pass is
+    integrated.
     """
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
+    epi = driving_pass(params, grid, epidemic)
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
-    n = grid.n_steps
-    dt = grid.dt
 
-    field1 = _phase1_field(params, curve)
-    k_guess = int((t1 - grid.t_start) / dt)
-    if t1 - grid.node(k_guess) < 0.0:
-        k_guess -= 1
-    nodes1 = _integrate_phase1(params, curve, grid, k_guess, field1)
-    k1, st1 = _state_at(field1, nodes1, grid, t1)
+    zs, hs = _accumulate(params, curve, epi, _node_below(grid, t1))
+    k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
     p_star = clearing_price(st1[3] + st1[4], curve)
 
-    size = n + 1
-    s = np.empty(size)
-    i_arr = np.empty(size)
-    r = np.empty(size)
-    z = np.empty(size)
-    h = np.empty(size)
-    p = np.empty(size)
-    for j, st in enumerate(nodes1):
-        s[j], i_arr[j], r[j], z[j], h[j] = st
-        p[j] = p0 + (st[3] + st[4]) / kappa
-
-    f2 = _phase2_field(params, p_star)
     flow1 = beta * st1[1] * st1[0] * w / p_star - gamma * st1[3]
     diag: PlateauDiagnosis | None = None
     if st1[4] <= 0.0:
@@ -184,63 +261,56 @@ def simulate_re_given_t1(
     elif flow1 <= 0.0:
         diag = PlateauDiagnosis("flow-reversed", t1, st1[4], flow1)
 
-    plateau_start = k1 + 1
+    # from t1 on, S, I and R step along their own path: to each later node
+    path = SirPath(params, st1[0], st1[1], st1[2], grid.n_steps - k1)
+    sir = path.steps(_to_nodes(grid, t1, k1))
+    field3 = _phase3_field(params, curve)
+    z_plateau, h_plateau = array("d"), array("d")
+    z_post = array("d")
     post_start: int | None = None
-    event_state = None
-    event_node = None
-
     if diag is None:
-        t_prev, st_prev = t1, st1
-        j = k1 + 1
-        while j <= n:
-            st = rk4_step(f2, t_prev, st_prev, grid.node(j) - t_prev)
-            flow = beta * st[1] * st[0] * w / p_star - gamma * st[3]
-            if st[4] <= 0.0:
-                diag = PlateauDiagnosis("absorbed", grid.node(j), st[4], flow)
-                event_state, event_node = st, j
-                break
-            if flow <= 0.0:
-                diag = PlateauDiagnosis("flow-reversed", grid.node(j), st[4], flow)
-                event_state, event_node = st, j
-                break
-            s[j], i_arr[j], r[j], z[j], h[j] = st
-            p[j] = p_star
-            t_prev, st_prev = grid.node(j), st
+        j, last = k1, st1
+        for _t, _dt, y, flow in _plateau(params, p_star, sir, st1):
             j += 1
+            if y[4] > 0.0 and flow > 0.0:
+                z_plateau.append(y[3])
+                h_plateau.append(y[4])
+                last = y
+                continue
+            kind = "absorbed" if y[4] <= 0.0 else "flow-reversed"
+            diag = PlateauDiagnosis(kind, grid.node(j), y[4], flow)
+            # the closing node clears on z alone and starts phase 3
+            post_start = j
+            z_post = holdings_pass(params, curve, sir, y[:4], field3, -np.inf)
+            break
         else:
-            diag = PlateauDiagnosis("open", grid.t_end, st_prev[4],
-                                    beta * st_prev[1] * st_prev[0] * w / p_star
-                                    - gamma * st_prev[3])
+            diag = PlateauDiagnosis("open", grid.t_end, last[4],
+                                    beta * last[1] * last[0] * w / p_star
+                                    - gamma * last[3])
+    else:
+        # plateau collapsed at t1 itself; unwind from there
+        post_start = k1 + 1
+        z_post = holdings_pass(params, curve, sir, st1[:4], field3, -np.inf)[1:]
 
-    f3 = _phase3_field(params, curve)
-    if diag.kind != "open":
-        if event_node is None:
-            # plateau collapsed at t1 itself; unwind from there
-            st3 = (st1[0], st1[1], st1[2], st1[3])
-            t_cur = t1
-            post_start = k1 + 1
-            start_j = k1 + 1
-        else:
-            st3 = (event_state[0], event_state[1], event_state[2], event_state[3])
-            s[event_node], i_arr[event_node], r[event_node] = st3[0], st3[1], st3[2]
-            z[event_node] = st3[3]
-            h[event_node] = 0.0
-            p[event_node] = clearing_price(st3[3], curve)
-            t_cur = grid.node(event_node)
-            post_start = event_node
-            start_j = event_node + 1
-        for j in range(start_j, n + 1):
-            st3 = rk4_step(f3, t_cur, st3, grid.node(j) - t_cur)
-            s[j], i_arr[j], r[j], z[j] = st3
-            h[j] = 0.0
-            p[j] = clearing_price(st3[3], curve)
-            t_cur = grid.node(j)
-
+    z1, h1 = np.frombuffer(zs), np.frombuffer(hs)
+    zp = np.frombuffer(z_plateau)
+    z3 = np.frombuffer(z_post)
+    below = np.flatnonzero(z3 <= -kappa * p0)
+    if below.size:
+        clearing_price(float(z3[below[0]]), curve)
+    z = np.concatenate((z1, zp, z3))
+    h = np.concatenate((h1, np.frombuffer(h_plateau), np.zeros(len(z3))))
+    p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
+                        p0 + z3 / kappa))
     traj = MarketTrajectory(
         params=params, curve=curve, grid=grid, scenario="rational",
-        times=grid.times(), s=s, i=i_arr, r=r, x=z + h, p=p, z=z, h=h,
+        times=epi.times,
+        s=np.concatenate((epi.s[:k1 + 1], np.frombuffer(path.s)[1:])),
+        i=np.concatenate((epi.i[:k1 + 1], np.frombuffer(path.i)[1:])),
+        r=np.concatenate((epi.r[:k1 + 1], np.frombuffer(path.r)[1:])),
+        x=z + h, p=p, z=z, h=h,
         t1=t1, t2=diag.time, p_star=p_star,
-        plateau_start=plateau_start, post_start=post_start,
+        plateau_start=k1 + 1, post_start=post_start,
     )
     return traj, diag
 
@@ -250,28 +320,25 @@ def simulate_re_given_t1(
 # ---------------------------------------------------------------------------
 
 
-def _node_diagnosis(params, curve, grid, nodes, k1) -> str:
+def _node_diagnosis(params, curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1; stops at the first event."""
     beta, gamma, w = params.beta, params.gamma, params.endowment
-    st1 = nodes[k1]
+    st = epi.state_at(k1)
+    st1 = (st.s, st.i, st.r, zs[k1], hs[k1])
     if st1[4] <= 0.0:
         return "absorbed"
     p_star = clearing_price(st1[3] + st1[4], curve)
     if beta * st1[1] * st1[0] * w / p_star - gamma * st1[3] <= 0.0:
         return "flow-reversed"
-    f2 = _phase2_field(params, p_star)
-    st = st1
-    n = grid.n_steps
-    for j in range(k1 + 1, n + 1):
-        st = rk4_step(f2, grid.node(j - 1), st, grid.dt)
-        if st[4] <= 0.0:
+    for _t, _dt, y, flow in _plateau(params, p_star, epi.steps(k1), st1):
+        if y[4] <= 0.0:
             return "absorbed"
-        if beta * st[1] * st[0] * w / p_star - gamma * st[3] <= 0.0:
+        if flow <= 0.0:
             return "flow-reversed"
     return "open"
 
 
-def _closure_at(params, curve, grid, field1, nodes, t1: float) -> _Closure:
+def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     """Integrate the plateau from t1 to the net-flow zero crossing.
 
     The (s, i, z) dynamics at pinned P* do not depend on h, so the scan
@@ -280,34 +347,34 @@ def _closure_at(params, curve, grid, field1, nodes, t1: float) -> _Closure:
     positive: inventory left over, lower t1).
     """
     beta, gamma, w = params.beta, params.gamma, params.endowment
-    k1, st1 = _state_at(field1, nodes, grid, t1)
+    grid = epi.grid
+    k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
     phi_star = st1[3] + st1[4]
     p_star = clearing_price(phi_star, curve)
-    f2 = _phase2_field(params, p_star)
 
-    t_prev, st_prev = t1, st1
+    st_prev = st1
     flow_prev = beta * st1[1] * st1[0] * w / p_star - gamma * st1[3]
     if flow_prev <= 0.0:
         return _Closure(True, t1, p_star, phi_star, flow_prev, st1[4])
-    n = grid.n_steps
-    for j in range(k1 + 1, n + 1):
-        tj = grid.node(j)
-        st = rk4_step(f2, t_prev, st_prev, tj - t_prev)
-        flow = beta * st[1] * st[0] * w / p_star - gamma * st[3]
+    path = SirPath(params, st1[0], st1[1], st1[2], grid.n_steps - k1)
+    sir = path.steps(_to_nodes(grid, t1, k1))
+    for t_prev, dt, st, flow in _plateau(params, p_star, sir, st1):
         if flow <= 0.0:
             frac = flow_prev / (flow_prev - flow)
-            t2 = t_prev + frac * (tj - t_prev)
+            t2 = t_prev + frac * dt
             st2 = st_prev
             if t2 > t_prev:
-                st2 = rk4_step(f2, t_prev, st_prev, t2 - t_prev)
+                st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
+                               t2 - t_prev)
             resid_flow = beta * st2[1] * st2[0] * w / p_star - gamma * st2[3]
             return _Closure(True, t2, p_star, phi_star, resid_flow, st2[4])
-        t_prev, st_prev, flow_prev = tj, st, flow
+        st_prev, flow_prev = st, flow
     return _Closure(False, grid.t_end, p_star, phi_star, flow_prev, st_prev[4])
 
 
 def solve_plateau(
-    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4
+    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
+    epidemic: EpidemicTrajectory | None = None,
 ) -> PlateauSolution:
     """Shoot on the sell-start time until the plateau closes cleanly.
 
@@ -315,21 +382,22 @@ def solve_plateau(
     plateau scan. Stage two bisects continuously inside the final one-node
     bracket on the leftover-inventory defect until both closure residuals
     sit within half the requested tolerance: |h(t2)| <= 0.5*tol*phi(P*)
-    and |flow(t2)| <= 0.5*tol*gamma*phi(P*).
+    and |flow(t2)| <= 0.5*tol*gamma*phi(P*). epidemic is as in
+    simulate_re_given_t1.
     """
     if params.n2 == 0 or params.n1 <= params.threshold:
         raise NoPlateauError(
             "no boom: the contagion never grows, so no plateau exists"
         )
-    field1 = _phase1_field(params, curve)
+    epi = driving_pass(params, grid, epidemic)
     n = grid.n_steps
-    nodes = _integrate_phase1(params, curve, grid, n, field1)
+    zs, hs = _accumulate(params, curve, epi, n)
     evals = 0
 
     def diag(k: int) -> str:
         nonlocal evals
         evals += 1
-        return _node_diagnosis(params, curve, grid, nodes, k)
+        return _node_diagnosis(params, curve, epi, zs, hs, k)
 
     lo_k, hi_k = 1, n - 1
     kind_lo, kind_hi = diag(lo_k), diag(hi_k)
@@ -358,7 +426,7 @@ def solve_plateau(
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        c = _closure_at(params, curve, grid, field1, nodes, t_mid)
+        c = _closure_at(params, curve, epi, zs, hs, t_mid)
         evals += 1
         if not c.found:
             raise GridTooCoarseError(
@@ -385,13 +453,16 @@ def solve_plateau(
 
 
 def re_price_path(
-    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4
+    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
+    epidemic: EpidemicTrajectory | None = None,
 ) -> MarketTrajectory:
     """Solved three-phase price path with t1, t2, P* attached as metadata.
 
     t2 in the metadata is the sub-node flow-reversal time from the solve;
-    the trajectory's phase column switches at whole nodes.
+    the trajectory's phase column switches at whole nodes. The solve and
+    the replay share one SIR pass, epidemic if given.
     """
-    sol = solve_plateau(params, curve, grid, tol)
-    traj, _diag = simulate_re_given_t1(params, curve, sol.t1, grid)
+    epi = driving_pass(params, grid, epidemic)
+    sol = solve_plateau(params, curve, grid, tol, epi)
+    traj, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
     return replace(traj, t2=sol.t2)

@@ -28,8 +28,7 @@ from .analysis import (
 )
 from .epidemic import (
     EpidemicParams,
-    first_integral_I,
-    first_integral_R,
+    epidemic_pass,
     infection_peak,
     simulate_epidemic,
     steady_state_recovered,
@@ -90,8 +89,7 @@ def _drifts(params: EpidemicParams, dt: float) -> tuple[float, float]:
             float(np.max(np.abs(fi_r - fi_r[0]))))
 
 
-def check_conservation(params, grid) -> CheckResult:
-    epi = simulate_epidemic(params, grid)
+def check_conservation(params, epi) -> CheckResult:
     total = params.total
     err = float(np.max(np.abs(epi.s + epi.i + epi.r - total)))
     tol = 1e-8 * total
@@ -157,8 +155,8 @@ def check_final_size(params, grid) -> CheckResult:
                        f"{worst:.3e}, tol 1e-05 (horizons up to t={horizon:.0f})")
 
 
-def check_infection_peak(params, grid) -> CheckResult:
-    epi = simulate_epidemic(params, grid)
+def check_infection_peak(params, epi) -> CheckResult:
+    grid = epi.grid
     peak = infection_peak(params, epi)
     th = params.threshold
     s_err = abs(peak.s_star - th)
@@ -266,7 +264,7 @@ def check_ordering_chain(timeline, rows) -> CheckResult:
     )
 
 
-def check_depression(params, grid) -> CheckResult:
+def check_depression(params, epi) -> CheckResult:
     """The depression mirror where it exists, and the floor where it cannot.
 
     simulate_depression admits a path only while the mirrored boom stays
@@ -275,10 +273,11 @@ def check_depression(params, grid) -> CheckResult:
     must raise.
     """
     p0 = 1.0
+    grid = epi.grid
     shallow = SupplyCurve(p0=p0, kappa=100.0)
-    boom_peak = float(np.max(simulate_myopic(params, shallow, grid).p)) / p0
+    boom_peak = float(np.max(simulate_myopic(params, shallow, grid, epi).p)) / p0
     try:
-        simulate_depression(params, shallow, grid)
+        simulate_depression(params, shallow, grid, epi)
         floors = False
     except PriceFloorError:
         floors = True
@@ -288,13 +287,13 @@ def check_depression(params, grid) -> CheckResult:
 
     deep = SupplyCurve(p0=p0, kappa=400.0)
     try:
-        dep = simulate_depression(params, deep, grid)
+        dep = simulate_depression(params, deep, grid, epi)
     except PriceFloorError as exc:
         return CheckResult(
             11, "depression_mirror", False,
             f"kappa=400: price path hit the floor: {exc}; {floor_text}",
         )
-    boom = simulate_myopic(params, deep, grid)
+    boom = simulate_myopic(params, deep, grid, epi)
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
     peak = infection_peak(params, dep.epidemic_view())
     report = check_propositions(dep, None, None)
@@ -318,9 +317,10 @@ def check_event_convergence(params, curve) -> CheckResult:
     t1 = []
     for dt in dts:
         g = Grid(0.0, 300.0, dt)
-        traj = simulate_myopic(params, curve, g)
+        epi = epidemic_pass(params, g)
+        traj = simulate_myopic(params, curve, g, epi)
         tp.append(refine_peak(traj.times, traj.p)[0])
-        t1.append(solve_plateau(params, curve, g).t1)
+        t1.append(solve_plateau(params, curve, g, epidemic=epi).t1)
     gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
     g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])
     # shrink-by->=2x; 0 -> 0 (fully grid-stable) satisfies this trivially
@@ -365,10 +365,11 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
     curve = SupplyCurve()
     grid = Grid(0.0, 300.0, 1e-2)
 
-    myopic = simulate_myopic(params, curve, grid)
-    peak = infection_peak(params, myopic.epidemic_view())
-    sol = solve_plateau(params, curve, grid)
-    rational, _diag = simulate_re_given_t1(params, curve, sol.t1, grid)
+    epi = epidemic_pass(params, grid)
+    myopic = simulate_myopic(params, curve, grid, epi)
+    peak = infection_peak(params, epi)
+    sol = solve_plateau(params, curve, grid, epidemic=epi)
+    rational, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
     rational = replace(rational, t2=sol.t2)
     timeline = build_timeline(myopic, rational, peak)
     claims = check_propositions(myopic, rational, timeline).claims
@@ -376,17 +377,17 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
                            axes=default_sweep_axes(), workers=workers)
 
     results = [
-        check_conservation(params, grid),
+        check_conservation(params, epi),
         check_first_integrals(params),
         check_final_size(params, grid),
-        check_infection_peak(params, grid),
+        check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
         check_quadrature(params, curve, myopic),
         check_plateau_closure(sol, claims, params, curve),
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, rows),
-        check_depression(params, grid),
+        check_depression(params, epi),
         check_event_convergence(params, curve),
         check_determinism(params, curve, grid, rows, out),
     ]

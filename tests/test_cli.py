@@ -105,6 +105,24 @@ def test_malformed_config_is_a_usage_error(tmp_path):
     assert run_cli("simulate", "--config", str(bad)) == 2
 
 
+@pytest.mark.parametrize("flag", ["--horizon", "--dt"])
+def test_infinite_grid_flag_is_a_usage_error(tmp_path, flag):
+    # inf used to overflow (horizon) or build a 0-step grid (dt)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--out", str(out), flag, "inf") == 2
+    assert not (out / "myopic.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["kappa=inf", "beta=inf"])
+def test_infinite_model_value_is_a_usage_error(tmp_path, line):
+    # these reached the engine and failed there with exit 3
+    cfgfile = tmp_path / "inf.cfg"
+    cfgfile.write_text(FAST + line + "\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(cfgfile), "--out", str(out)) == 2
+    assert not (out / "myopic.csv").exists()
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run_cli("explode") == 2
     assert run_cli() == 2

@@ -1,0 +1,339 @@
+"""The drive-table passes against the coupled-field formulation they replace.
+
+The oracle below integrates each scenario the direct way: S, I, R and the
+holdings together, as one 4- or 5-variable field through
+integrate_fixed_step / rk4_step. Every market pass of the package reuses
+the SIR stage drives instead, and must agree with it bit for bit, and
+raise the same errors with the same stage time and message.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from epimarket import (
+    EpidemicParams,
+    Grid,
+    SupplyCurve,
+    epidemic_pass,
+    parameter_sweep,
+    simulate_depression,
+    simulate_epidemic,
+    simulate_myopic,
+    simulate_re_given_t1,
+    solve_plateau,
+    write_sweep_csv,
+)
+from epimarket.errors import IntegrationError, PriceFloorError
+from epimarket.market import clearing_price
+from epimarket.numerics import integrate_fixed_step, rk4_step
+
+# ---------------------------------------------------------------------------
+# oracle: the coupled fields
+# ---------------------------------------------------------------------------
+
+
+def _sir(params):
+    beta, gamma = params.beta, params.gamma
+
+    def field(t, y):
+        s, i, r = y[:3]
+        inf = beta * i * s
+        rec = gamma * i
+        return (-inf, inf - rec, rec)
+
+    return field
+
+
+def _boom_field(params, curve, mirror):
+    beta, gamma, w = params.beta, params.gamma, params.endowment
+    p0, kappa = curve.p0, curve.kappa
+    floor = -kappa * p0
+
+    def field(t, y):
+        s, i, r, x = y
+        if x <= floor:
+            raise PriceFloorError(
+                f"clearing price hit zero at t={t} (x={x})", time=t
+            )
+        inf = beta * i * s
+        rec = gamma * i
+        if mirror:
+            mirrored = 2.0 * p0 - (p0 + x / kappa)
+            return (-inf, inf - rec, rec, -inf * w / mirrored - gamma * x)
+        p = p0 + x / kappa
+        return (-inf, inf - rec, rec, inf * w / p - gamma * x)
+
+    return field
+
+
+def oracle_epidemic(params, grid):
+    return integrate_fixed_step(_sir(params), (params.n1, params.n2, params.n3), grid)
+
+
+def oracle_market(params, curve, grid, mirror=False):
+    rows = integrate_fixed_step(_boom_field(params, curve, mirror),
+                                (params.n1, params.n2, params.n3, 0.0), grid)
+    return rows, curve.p0 + rows[:, 3] / curve.kappa
+
+
+def _phase_fields(params, curve, p_star=None):
+    beta, gamma, w = params.beta, params.gamma, params.endowment
+    p0, kappa = curve.p0, curve.kappa
+
+    def phase1(t, y):
+        s, i, r, z, h = y
+        p = p0 + (z + h) / kappa
+        inf = beta * i * s
+        rec = gamma * i
+        cure = gamma * z
+        return (-inf, inf - rec, rec, inf * w / p - cure, cure)
+
+    def phase2(t, y):
+        s, i, r, z, h = y
+        inf = beta * i * s
+        rec = gamma * i
+        flow = inf * w / p_star - gamma * z
+        return (-inf, inf - rec, rec, flow, -flow)
+
+    def phase3(t, y):
+        s, i, r, z = y
+        p = p0 + z / kappa
+        inf = beta * i * s
+        rec = gamma * i
+        return (-inf, inf - rec, rec, inf * w / p - gamma * z)
+
+    return phase1, phase2, phase3
+
+
+def oracle_re_given_t1(params, curve, t1, grid):
+    """Columns (s, i, r, z, h, x, p) and the diagnosis kind, every phase
+    stepped as one 5- or 4-variable field."""
+    beta, gamma, w = params.beta, params.gamma, params.endowment
+    p0, kappa = curve.p0, curve.kappa
+    n, dt = grid.n_steps, grid.dt
+    f1, _, f3 = _phase_fields(params, curve)
+    k1 = int((t1 - grid.t_start) / dt)
+    if t1 - grid.node(k1) < 0.0:
+        k1 -= 1
+    y = (params.n1, params.n2, params.n3, 0.0, 0.0)
+    nodes = [y]
+    for k in range(k1):
+        y = rk4_step(f1, grid.node(k), y, dt)
+        nodes.append(y)
+    st1 = nodes[k1]
+    if t1 - grid.node(k1) > 0.0:
+        st1 = rk4_step(f1, grid.node(k1), st1, t1 - grid.node(k1))
+    p_star = clearing_price(st1[3] + st1[4], curve)
+    f2 = _phase_fields(params, curve, p_star)[1]
+
+    cols = np.empty((n + 1, 6))  # s, i, r, z, h, p
+    for j, st in enumerate(nodes):
+        cols[j, :5] = st
+        cols[j, 5] = p0 + (st[3] + st[4]) / kappa
+
+    def flow_at(st):
+        return beta * st[1] * st[0] * w / p_star - gamma * st[3]
+
+    kind = None
+    if st1[4] <= 0.0:
+        kind = "absorbed"
+    elif flow_at(st1) <= 0.0:
+        kind = "flow-reversed"
+    t_cur, st3, start = t1, st1[:4], k1 + 1
+    if kind is None:
+        t_prev, st_prev = t1, st1
+        for j in range(k1 + 1, n + 1):
+            st = rk4_step(f2, t_prev, st_prev, grid.node(j) - t_prev)
+            if st[4] <= 0.0 or flow_at(st) <= 0.0:
+                kind = "absorbed" if st[4] <= 0.0 else "flow-reversed"
+                cols[j, :4] = st[:4]
+                cols[j, 4] = 0.0
+                cols[j, 5] = clearing_price(st[3], curve)
+                t_cur, st3, start = grid.node(j), st[:4], j + 1
+                break
+            cols[j, :5] = st
+            cols[j, 5] = p_star
+            t_prev, st_prev = grid.node(j), st
+        else:
+            return cols, "open"
+    for j in range(start, n + 1):
+        st3 = rk4_step(f3, t_cur, st3, grid.node(j) - t_cur)
+        cols[j, :4] = st3
+        cols[j, 4] = 0.0
+        cols[j, 5] = clearing_price(st3[3], curve)
+        t_cur = grid.node(j)
+    return cols, kind
+
+
+# ---------------------------------------------------------------------------
+# bit parity
+# ---------------------------------------------------------------------------
+
+# (beta, gamma, kappa, grid): the defaults, two more epidemics, a finer
+# step, and a grid that starts off zero, as criterion 03's chained grids do
+POINTS = [
+    pytest.param(5e-4, 0.1, 10.0, (0.0, 300.0, 1e-2), id="defaults"),
+    pytest.param(1e-3, 0.05, 5.0, (0.0, 120.0, 1e-2), id="fast-epidemic"),
+    pytest.param(2.5e-4, 0.1, 20.0, (0.0, 120.0, 1e-2), id="slow-epidemic"),
+    pytest.param(5e-4, 0.1, 10.0, (0.0, 120.0, 5e-3), id="dt-5e-3"),
+    pytest.param(5e-4, 0.1, 10.0, (7.5, 127.5, 1e-2), id="t_start-7.5"),
+]
+
+
+def _case(beta, gamma, kappa, bounds):
+    return (EpidemicParams(beta=beta, gamma=gamma), SupplyCurve(kappa=kappa),
+            Grid(*bounds))
+
+
+@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
+def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds):
+    params, curve, grid = _case(beta, gamma, kappa, bounds)
+    epi = simulate_epidemic(params, grid)
+    rows = oracle_epidemic(params, grid)
+    for col, name in enumerate("sir"):
+        assert np.array_equal(getattr(epi, name), rows[:, col]), name
+    assert epi.drives.shape == (grid.n_steps, 4)
+
+    rows, p = oracle_market(params, curve, grid)
+    for traj in (simulate_myopic(params, curve, grid),
+                 simulate_myopic(params, curve, grid, epi)):
+        for col, name in enumerate("sirx"):
+            assert np.array_equal(getattr(traj, name), rows[:, col]), name
+        assert np.array_equal(traj.p, p)
+
+
+@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
+def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds):
+    params, _curve, grid = _case(beta, gamma, kappa, bounds)
+    deep = SupplyCurve(kappa=400.0)
+    if beta * params.n1 / gamma > 6.0:
+        # R0 near 20: the slump reaches the price floor even at this depth
+        want = _raised(oracle_market, params, deep, grid, True)
+        assert want[0] is PriceFloorError
+        assert _raised(simulate_depression, params, deep, grid) == want
+        return
+    rows, p = oracle_market(params, deep, grid, mirror=True)
+    traj = simulate_depression(params, deep, grid)
+    for col, name in enumerate("sirx"):
+        assert np.array_equal(getattr(traj, name), rows[:, col]), name
+    assert np.array_equal(traj.p, p)
+
+
+@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
+def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
+    params, curve, grid = _case(beta, gamma, kappa, bounds)
+    epi = epidemic_pass(params, grid)
+    t1 = solve_plateau(params, curve, grid, epidemic=epi).t1
+    k = int(round((t1 - grid.t_start) / grid.dt))
+    t_peak = float(epi.times[int(np.argmax(epi.i))])
+    trials = {
+        "solved": t1,  # off-node, the generic case
+        "on-node": grid.node(k),
+        "early": grid.node(k - 7) + 0.37 * grid.dt,  # inventory runs out first
+        "after": grid.node(k + 10) + 0.37 * grid.dt,  # flow reverses first
+        # past the infection peak the flow is already negative at t1
+        "late": grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt))),
+    }
+    closings = set()
+    for label, trial in trials.items():
+        cols, kind = oracle_re_given_t1(params, curve, trial, grid)
+        traj, diag = simulate_re_given_t1(params, curve, trial, grid, epi)
+        assert diag.kind == kind, label
+        closings.add((kind, diag.time == trial))
+        for col, name in enumerate("sirzh"):
+            assert np.array_equal(getattr(traj, name), cols[:, col]), (label, name)
+        assert np.array_equal(traj.x, cols[:, 3] + cols[:, 4]), label
+        assert np.array_equal(traj.p, cols[:, 5]), label
+    assert closings == {("absorbed", False), ("flow-reversed", False),
+                        ("flow-reversed", True)}
+
+
+def test_open_plateau_matches_the_coupled_fields():
+    # the horizon ends while the plateau is still open
+    params, curve, grid = EpidemicParams(), SupplyCurve(), Grid(0.0, 16.0, 1e-2)
+    cols, kind = oracle_re_given_t1(params, curve, 14.005, grid)
+    traj, diag = simulate_re_given_t1(params, curve, 14.005, grid)
+    assert kind == diag.kind == "open"
+    for col, name in enumerate("sirzhp"):
+        assert np.array_equal(getattr(traj, name), cols[:, col]), name
+
+
+# ---------------------------------------------------------------------------
+# error parity
+# ---------------------------------------------------------------------------
+
+
+def _raised(fn, *args):
+    with pytest.raises((IntegrationError, PriceFloorError)) as exc:
+        fn(*args)
+    return type(exc.value), exc.value.time, str(exc.value)
+
+
+def test_depression_floor_error_matches_the_coupled_field(params, grid):
+    shallow = SupplyCurve(kappa=100.0)
+    got = _raised(simulate_depression, params, shallow, grid)
+    want = _raised(oracle_market, params, shallow, grid, True)
+    assert got == want
+    assert got[0] is PriceFloorError
+
+
+def test_sir_blow_up_error_matches_the_coupled_fields(curve):
+    # beta*I*S overflows in the first step's second stage
+    params, grid = EpidemicParams(beta=1e300), Grid(0.0, 10.0, 1e-2)
+    want = _raised(oracle_epidemic, params, grid)
+    assert want[0] is IntegrationError
+    assert _raised(simulate_epidemic, params, grid) == want
+    # the market's own field reports its x derivative in the same message
+    want = _raised(oracle_market, params, curve, grid)
+    assert want[0] is IntegrationError and want != _raised(oracle_epidemic, params, grid)
+    assert _raised(simulate_myopic, params, curve, grid) == want
+    epi = epidemic_pass(params, grid)
+    assert len(epi.drives) < grid.n_steps
+    assert _raised(simulate_myopic, params, curve, grid, epi) == want
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])
+def test_floor_before_blow_up_matches_the_coupled_field(curve, mirror):
+    # beta*N*dt = 50: the price floor binds in the first steps, long before
+    # S and I overflow, and the coupled step reports the floor: at a node
+    # for the boom, at a mid-step stage (t=0.005) for the slump
+    params, grid = EpidemicParams(beta=5.0), Grid(0.0, 30.0, 1e-2)
+    simulate = simulate_depression if mirror else simulate_myopic
+    want = _raised(oracle_market, params, curve, grid, mirror)
+    assert want[0] is PriceFloorError
+    assert (want[1] == 0.005) is mirror
+    assert _raised(simulate, params, curve, grid) == want
+    assert _raised(simulate, params, curve, grid, epidemic_pass(params, grid)) == want
+
+
+# ---------------------------------------------------------------------------
+# sweep sharing
+# ---------------------------------------------------------------------------
+
+
+def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, params, curve, tmp_path):
+    from epimarket import analysis, epidemic
+
+    calls = []
+
+    def counting(p, g):
+        calls.append((p.beta, g.dt))
+        return epidemic_pass(p, g)
+
+    # the sweep's own binding, and the one every pass a market or rational
+    # function integrates for itself goes through
+    monkeypatch.setattr(analysis, "epidemic_pass", counting)
+    monkeypatch.setattr(epidemic, "epidemic_pass", counting)
+    grid = Grid(0.0, 100.0, 1e-2)
+    axes = {"beta": [5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
+    outputs = []
+    for workers in (1, 3):
+        calls.clear()
+        rows = parameter_sweep(params, curve, grid, axes=axes, workers=workers)
+        assert sorted(calls) == [(5e-4, 1e-2), (1e-3, 1e-2)]
+        assert all(r.error is None and r.refinements == 0 for r in rows)
+        path = tmp_path / f"sweep-{workers}.csv"
+        write_sweep_csv(rows, path)
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]

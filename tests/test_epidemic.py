@@ -47,6 +47,9 @@ def test_params_reject_bad_values():
         EpidemicParams(n2=-1.0)
     with pytest.raises(ConfigError):
         EpidemicParams(endowment=0.0)
+    for name in ("beta", "gamma", "n1", "n2", "n3", "endowment"):
+        with pytest.raises(ConfigError, match="finite"):
+            EpidemicParams(**{name: math.inf})
 
 
 def test_beta_zero_is_the_uncoupled_limit():

@@ -37,6 +37,9 @@ def test_curve_rejects_bad_values():
         SupplyCurve(kappa=-1.0)
     with pytest.raises(ConfigError):
         SupplyCurve(form="quadratic")
+    for name in ("p0", "kappa"):
+        with pytest.raises(ConfigError, match="finite"):
+            SupplyCurve(**{name: float("inf")})
 
 
 def test_excess_supply_linear_form(curve):

@@ -62,6 +62,9 @@ def test_grid_rejects_bad_construction():
         Grid(1.0, 1.0, 0.1)
     with pytest.raises(ConfigError):
         Grid(0.0, 1.0, 0.3)  # span is not an integer number of steps
+    for bad in ((0.0, math.inf, 0.1), (0.0, 1.0, math.inf), (-math.inf, 1.0, 0.1)):
+        with pytest.raises(ConfigError, match="finite"):
+            Grid(*bad)
 
 
 # ---------------------------------------------------------------------------
