@@ -33,7 +33,8 @@ from .market import MarketTrajectory, SupplyCurve, clearing_price, simulate_myop
 from .numerics import Grid, parabolic_vertex
 from .rational import re_price_path
 
-_ORDERING_KEYS = (
+# verdict keys of the event chain t1 < t_P* < t2 < t_I*, in table order
+ORDERING_KEYS = (
     "t1_lt_t_p_star_m",
     "t_p_star_m_lt_t2",
     "t2_lt_t_i_star",
@@ -164,10 +165,15 @@ class PropositionReport:
         return all(c.status == "pass" for c in self.claims.values())
 
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "inconclusive": 0}
-        for c in self.claims.values():
-            out[c.status] += 1
-        return out
+        return claim_counts(self.claims.values())
+
+
+def claim_counts(claims) -> dict[str, int]:
+    """Number of claims with each status, keyed pass, fail, inconclusive."""
+    out = {"pass": 0, "fail": 0, "inconclusive": 0}
+    for c in claims:
+        out[c.status] += 1
+    return out
 
 
 def _interior_extrema(p: np.ndarray, p0: float, mode: str) -> list[int]:
@@ -307,7 +313,7 @@ def _rational_claims(
     )
 
     # full event chain t1 < t_P* < t2 < t_I*, strict at grid resolution
-    verdicts = [timeline.ordering_ok[k] for k in _ORDERING_KEYS]
+    verdicts = [timeline.ordering_ok[k] for k in ORDERING_KEYS]
     if all(v is True for v in verdicts):
         status = "pass"
     elif any(v is False for v in verdicts):
@@ -356,6 +362,17 @@ def default_sweep_axes() -> dict[str, list[float]]:
     return {"beta": [2.5e-4, 5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
 
 
+def validate_sweep_axes(axes: dict[str, list[float]]) -> None:
+    """ConfigError unless each axis is a sweepable parameter with values."""
+    for name, values in axes.items():
+        if name not in _SWEEPABLE:
+            raise ConfigError(
+                f"cannot sweep {name!r}; sweepable axes: {', '.join(_SWEEPABLE)}"
+            )
+        if not values:
+            raise ConfigError(f"sweep axis {name!r} has no values")
+
+
 def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
     names = list(axes)
     return [dict(zip(names, combo))
@@ -388,7 +405,8 @@ def _point_result(params, curve, grid, index, overrides, scenarios, tol,
             epidemic = epidemic_pass(params, g)
             refinements += 1
         claims = check_propositions(myopic, rational, timeline).claims
-    except SimulationError as exc:
+    except (SimulationError, ConfigError) as exc:
+        # ConfigError: the halved grid would pass numerics.MAX_STEPS
         return SweepResult(index, overrides, params, curve, None, None,
                            error=str(exc), refinements=refinements, dt_used=g.dt)
     return SweepResult(index, overrides, params, curve, timeline, claims,
@@ -443,13 +461,7 @@ def parameter_sweep(
     """
     if axes is None:
         axes = default_sweep_axes()
-    for name, values in axes.items():
-        if name not in _SWEEPABLE:
-            raise ConfigError(
-                f"cannot sweep {name!r}; sweepable axes: {', '.join(_SWEEPABLE)}"
-            )
-        if not values:
-            raise ConfigError(f"sweep axis {name!r} has no values")
+    validate_sweep_axes(axes)
     for sc in scenarios:
         if sc not in ("myopic", "rational"):
             raise ConfigError(
@@ -477,14 +489,11 @@ def parameter_sweep(
 
 
 def summarize_sweep(rows: list[SweepResult]) -> dict[str, int]:
-    out = {"points": len(rows), "booms": 0, "errors": 0,
-           "claims_pass": 0, "claims_fail": 0, "claims_inconclusive": 0}
-    for row in rows:
-        if row.error is not None:
-            out["errors"] += 1
-            continue
-        if row.timeline is not None and row.timeline.boom:
-            out["booms"] += 1
-        for c in (row.claims or {}).values():
-            out[f"claims_{c.status}"] += 1
-    return out
+    ok = [row for row in rows if row.error is None]
+    tally = claim_counts(c for row in ok for c in (row.claims or {}).values())
+    return {
+        "points": len(rows),
+        "booms": sum(row.timeline is not None and row.timeline.boom for row in ok),
+        "errors": len(rows) - len(ok),
+        **{f"claims_{status}": n for status, n in tally.items()},
+    }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .analysis import _SWEEPABLE
+from .analysis import validate_sweep_axes
 from .epidemic import EpidemicParams
 from .errors import ConfigError
 from .market import SupplyCurve
@@ -51,13 +51,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"
             )
-        for name, values in self.sweep.items():
-            if name not in _SWEEPABLE:
-                raise ConfigError(
-                    f"cannot sweep {name!r}; sweepable: {', '.join(_SWEEPABLE)}"
-                )
-            if not values:
-                raise ConfigError(f"sweep axis {name!r} has no values")
+        validate_sweep_axes(self.sweep)
         # constructing the domain objects enforces every numeric invariant
         self.epidemic_params()
         self.supply_curve()

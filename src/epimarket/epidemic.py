@@ -1,10 +1,10 @@
 """SIR contagion core.
 
 Susceptible agents catch the sentiment from infected ones at rate beta*I*S
-and drop out at rate gamma. The module carries the two conserved
-combinations of the flow equations (the infected and recovered first
-integrals), the implicit final-size equation for the long-run recovered
-mass, and sub-grid refinement of the infection peak.
+and drop out at rate gamma. The module carries the implicit final-size
+equation for the long-run recovered mass, which follows from the
+recovered first integral R + (gamma/beta)*ln(S), and sub-grid refinement
+of the infection peak.
 
 The market never feeds back into the contagion, so S, I and R are
 integrated once per (params, grid). That pass keeps a drive table: for
@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     ConvergenceError,
-    DomainError,
     IntegrationError,
 )
 from .numerics import (
@@ -296,42 +295,8 @@ def driving_pass(
 
 
 # ---------------------------------------------------------------------------
-# conserved quantities and the final size
+# final size
 # ---------------------------------------------------------------------------
-
-
-def _c_infected(params: EpidemicParams) -> float:
-    gb = params.threshold
-    return params.n1 + params.n2 - gb * math.log(params.n1)
-
-
-def _c_recovered(params: EpidemicParams) -> float:
-    gb = params.threshold
-    return params.n3 + gb * math.log(params.n1)
-
-
-def first_integral_I(state: EpidemicState, params: EpidemicParams) -> float:
-    """The infected mass implied by S alone.
-
-    Equals I along any exact trajectory; the spread between this and the
-    integrated I measures accumulated integration error.
-    """
-    if state.s <= 0:
-        raise DomainError(f"susceptible mass must be positive, got {state.s}")
-    gb = params.threshold
-    if not math.isfinite(gb):
-        raise DomainError("conserved combination is undefined at beta=0")
-    return -state.s + gb * math.log(state.s) + _c_infected(params)
-
-
-def first_integral_R(state: EpidemicState, params: EpidemicParams) -> float:
-    """The recovered mass implied by S alone (mirror of first_integral_I)."""
-    if state.s <= 0:
-        raise DomainError(f"susceptible mass must be positive, got {state.s}")
-    gb = params.threshold
-    if not math.isfinite(gb):
-        raise DomainError("conserved combination is undefined at beta=0")
-    return -gb * math.log(state.s) + _c_recovered(params)
 
 
 def steady_state_recovered(params: EpidemicParams, tol: float = 1e-10) -> float:
@@ -354,7 +319,8 @@ def steady_state_recovered(params: EpidemicParams, tol: float = 1e-10) -> float:
         return params.n3 + params.n2
     n_total = params.total
     gb = params.threshold
-    c_r = _c_recovered(params)
+    # the recovered first integral R + (gamma/beta)*ln(S) at the initial state
+    c_r = params.n3 + gb * math.log(params.n1)
 
     def g(r: float) -> float:
         return r + gb * math.log(n_total - r) - c_r

@@ -34,10 +34,6 @@ class ConvergenceError(SimulationError):
         self.best = best
 
 
-class RangeError(SimulationError):
-    """Target value lies outside the range of the map being inverted."""
-
-
 class DomainError(SimulationError):
     """An argument lies outside the mathematical domain of an operation."""
 

@@ -20,16 +20,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .epidemic import (
-    EpidemicParams,
-    EpidemicState,
-    EpidemicTrajectory,
-    driving_pass,
-)
+from .epidemic import EpidemicParams, EpidemicTrajectory, driving_pass
 from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
 from .numerics import Grid, rk4_step
 
@@ -41,25 +35,16 @@ class SupplyCurve:
 
     p0: float = 1.0
     kappa: float = 10.0
-    form: str = "linear"
 
     def __post_init__(self):
         if not (self.p0 > 0):
             raise ConfigError(f"p0 must be > 0, got {self.p0}")
         if not (self.kappa > 0):
             raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        if self.form != "linear":
-            raise ConfigError(f"unsupported supply curve form '{self.form}'")
         for name in ("p0", "kappa"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-
-
-def excess_supply(p: float, curve: SupplyCurve) -> float:
-    if p <= 0:
-        raise DomainError(f"price must be positive, got {p}")
-    return curve.kappa * (p - curve.p0)
 
 
 def clearing_price(x: float, curve: SupplyCurve) -> float:
@@ -73,13 +58,6 @@ def clearing_price(x: float, curve: SupplyCurve) -> float:
             f"(floor at x={-curve.kappa * curve.p0})"
         )
     return curve.p0 + x / curve.kappa
-
-
-@dataclass(frozen=True)
-class MarketState:
-    epidemic: EpidemicState
-    x: float
-    p: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,17 +90,6 @@ class MarketTrajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state_at(self, k: int) -> MarketState:
-        return MarketState(
-            epidemic=EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k])),
-            x=float(self.x[k]),
-            p=float(self.p[k]),
-        )
-
-    def nodes(self) -> Iterator[tuple[float, MarketState]]:
-        for k in range(len(self.times)):
-            yield float(self.times[k]), self.state_at(k)
 
     def epidemic_view(self) -> EpidemicTrajectory:
         return EpidemicTrajectory(
@@ -273,52 +240,30 @@ def simulate_depression(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def _demand_integrand(trajectory: MarketTrajectory, params: EpidemicParams) -> np.ndarray:
-    """Per-node share-purchase rate of the freshly infected cohort."""
-    w = params.endowment
-    rate = params.beta * trajectory.i * trajectory.s * w
-    if trajectory.scenario == "myopic":
-        return rate / trajectory.p
-    if trajectory.scenario == "depression":
-        return -rate / (2.0 * trajectory.curve.p0 - trajectory.p)
-    raise DomainError(
-        f"cohort quadrature is defined for myopic and depression runs, "
-        f"not '{trajectory.scenario}'"
-    )
-
-
-def cohort_holdings_quadrature(
-    trajectory: MarketTrajectory, params: EpidemicParams, t: float
-) -> float:
-    """Trapezoid of the cohort integral at grid node t.
-
-    Integrates the purchase rate against the exp(-gamma*(t-v)) survival
-    kernel using the stored I, S, P history; an independent check on the
-    ODE state x, never used by the integrator itself.
-    """
-    if trajectory.params != params:
-        raise ConsistencyError("trajectory was produced with different parameters")
-    k = trajectory.grid.index_at(t)
-    if k == 0:
-        return 0.0
-    u = _demand_integrand(trajectory, params)[: k + 1]
-    tk = trajectory.times[k]
-    g = u * np.exp(-params.gamma * (tk - trajectory.times[: k + 1]))
-    return float(trajectory.grid.dt * (g.sum() - 0.5 * (g[0] + g[-1])))
-
-
 def cohort_holdings_profile(
     trajectory: MarketTrajectory, params: EpidemicParams
 ) -> np.ndarray:
-    """cohort_holdings_quadrature at every node in one O(n) pass.
+    """Trapezoid of the cohort integral at every node, in one O(n) pass.
 
-    Uses the recurrence X(t+dt) = exp(-gamma*dt)*X(t) + local trapezoid,
-    which reproduces the global trapezoid exactly (up to rounding) while
-    staying stable for any gamma*t.
+    Integrates the share-purchase rate of the freshly infected cohort
+    against the exp(-gamma*(t-v)) survival kernel, using the stored I, S
+    and P history; an independent check on the ODE state x, never used by
+    the integrator itself. The recurrence X(t+dt) = exp(-gamma*dt)*X(t) +
+    local trapezoid reproduces the global trapezoid exactly (up to
+    rounding) while staying stable for any gamma*t.
     """
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")
-    u = _demand_integrand(trajectory, params)
+    rate = params.beta * trajectory.i * trajectory.s * params.endowment
+    if trajectory.scenario == "myopic":
+        u = rate / trajectory.p
+    elif trajectory.scenario == "depression":
+        u = -rate / (2.0 * trajectory.curve.p0 - trajectory.p)
+    else:
+        raise DomainError(
+            f"cohort quadrature is defined for myopic and depression runs, "
+            f"not '{trajectory.scenario}'"
+        )
     dt = trajectory.grid.dt
     decay = math.exp(-params.gamma * dt)
     half = 0.5 * dt

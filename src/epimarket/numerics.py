@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Fixed-step classical RK4 over tuples of floats, bracketed scalar root
-finding (bisection with secant acceleration), inversion of monotone maps,
-and the three-point parabola used for sub-grid extremum refinement.
+finding (bisection with secant acceleration), and the three-point
+parabola used for sub-grid extremum refinement.
 
 Everything here is a pure function of its inputs and bit-deterministic:
 identical inputs give identical outputs, with no adaptivity and no hidden
@@ -22,10 +22,14 @@ from .errors import (
     ConvergenceError,
     DomainError,
     IntegrationError,
-    RangeError,
 )
 
 Field = Callable[[float, tuple], tuple]
+
+# Largest grid a run may build. A step costs about 60 bytes across the SIR
+# arrays and the drive table, so this bounds one pass near 600 MB; the
+# largest grid the package builds itself has 300,000 steps.
+MAX_STEPS = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +43,7 @@ class Grid:
 
     The span must be an integer number of steps to within 1e-9 relative;
     anything else is a configuration mistake, not a rounding problem to
-    paper over.
+    paper over. At most MAX_STEPS steps.
     """
 
     t_start: float
@@ -58,6 +62,11 @@ class Grid:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         span = (self.t_end - self.t_start) / self.dt
+        if not span <= MAX_STEPS:
+            raise ConfigError(
+                f"grid of {span:.10g} steps exceeds the limit of {MAX_STEPS}; "
+                f"use a larger dt or a shorter span"
+            )
         if abs(span - round(span)) > 1e-9 * max(1.0, abs(span)):
             raise ConfigError(
                 f"grid span {self.t_end - self.t_start} is not an integral "
@@ -73,15 +82,6 @@ class Grid:
 
     def node(self, k: int) -> float:
         return self.t_start + k * self.dt
-
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the grid node at time t; DomainError if t is off-grid."""
-        k = int(round((t - self.t_start) / self.dt))
-        if k < 0 or k > self.n_steps:
-            raise DomainError(f"t={t} lies outside the grid")
-        if abs(self.node(k) - t) > tol * max(1.0, abs(t)):
-            raise DomainError(f"t={t} is not a grid node (dt={self.dt})")
-        return k
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,6 @@ class Bracket:
                 f"no sign change on [{self.lo}, {self.hi}]: "
                 f"f(lo)={self.f_lo}, f(hi)={self.f_hi}"
             )
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -214,36 +210,6 @@ def find_root_bracketed(
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (bracket [{lo}, {hi}])",
         best=0.5 * (lo + hi),
-    )
-
-
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> float:
-    """Solve f(x) = target for strictly increasing f on [lo, hi].
-
-    Stops when |f(x) - target| <= tol * max(1, |target|), the artifact-wide
-    convention of relative tolerances above magnitude one.
-    """
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo > f_hi:
-        raise DomainError("map is not increasing on the given interval")
-    if not (f_lo <= target <= f_hi):
-        raise RangeError(
-            f"target {target} outside attainable range [{f_lo}, {f_hi}]"
-        )
-    if target == f_lo:
-        return lo
-    if target == f_hi:
-        return hi
-    scale = tol * max(1.0, abs(target))
-    bracket = Bracket(lo, hi, f_lo - target, f_hi - target)
-    return find_root_bracketed(
-        lambda x: f(x) - target, bracket, tol_x=0.0, max_iter=200, tol_f=scale
     )
 
 

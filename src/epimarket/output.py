@@ -13,17 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ClaimResult, EventTimeline, SweepResult
+from .analysis import (
+    ORDERING_KEYS,
+    ClaimResult,
+    EventTimeline,
+    SweepResult,
+    claim_counts,
+)
 from .errors import ConfigError
 from .market import MarketTrajectory
 
 _TS_COLUMNS = ("t", "S", "I", "R", "X", "P")
-_ORDERING_COLUMNS = (
-    "t1_lt_t_p_star_m",
-    "t_p_star_m_lt_t2",
-    "t2_lt_t_i_star",
-    "t_p_star_m_lt_t_i_star",
-)
 
 
 def _fmt(v) -> str:
@@ -141,7 +141,7 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
     header = (
         ["index", "beta", "gamma", "n1", "kappa", "boom",
          "t_i_star", "t_p_star_m", "p_star_m", "t1", "t2", "p_star_re"]
-        + list(_ORDERING_COLUMNS)
+        + list(ORDERING_KEYS)
         + ["claims_pass", "claims_fail", "claims_inconclusive",
            "refinements", "dt_used", "error"]
     )
@@ -154,19 +154,16 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
             _fmt(row.params.n1), _fmt(row.curve.kappa),
         ]
         if row.error is not None or tl is None:
-            cells += [""] * (7 + len(_ORDERING_COLUMNS))
+            cells += [""] * (7 + len(ORDERING_KEYS))
             cells += ["", "", ""]
         else:
             cells.append("true" if tl.boom else "false")
             cells += [_opt(tl.t_i_star), _opt(tl.t_p_star_m), _opt(tl.p_star_m),
                       _opt(tl.t1), _opt(tl.t2), _opt(tl.p_star_re)]
             cells += [_verdict_cell(tl.ordering_ok.get(k))
-                      for k in _ORDERING_COLUMNS]
-            counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-            for c in (row.claims or {}).values():
-                counts[c.status] += 1
-            cells += [str(counts["pass"]), str(counts["fail"]),
-                      str(counts["inconclusive"])]
+                      for k in ORDERING_KEYS]
+            counts = claim_counts((row.claims or {}).values())
+            cells += [str(n) for n in counts.values()]
         cells.append(str(row.refinements))
         cells.append(_fmt(row.dt_used))
         err = "" if row.error is None else row.error.replace(",", ";").replace("\n", " ")

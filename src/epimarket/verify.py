@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    ORDERING_KEYS,
     build_timeline,
     check_propositions,
     default_sweep_axes,
@@ -248,9 +249,7 @@ def check_re_lower_peak(claims, rows) -> CheckResult:
 
 def check_ordering_chain(timeline, rows) -> CheckResult:
     def chain_ok(tl):
-        keys = ("t1_lt_t_p_star_m", "t_p_star_m_lt_t2",
-                "t2_lt_t_i_star", "t_p_star_m_lt_t_i_star")
-        return all(tl.ordering_ok.get(k) is True for k in keys)
+        return all(tl.ordering_ok.get(k) is True for k in ORDERING_KEYS)
 
     default_ok = chain_ok(timeline)
     sweep_ok = all(chain_ok(r.timeline) for r in _boom_rows(rows))

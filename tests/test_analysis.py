@@ -18,6 +18,7 @@ from epimarket import (
     simulate_myopic,
     summarize_sweep,
 )
+from epimarket import numerics
 from epimarket.analysis import EventTimeline, _strict, default_sweep_axes
 from epimarket.epidemic import InfectionPeak
 from epimarket.errors import (
@@ -236,10 +237,16 @@ def test_sweep_marks_no_boom_points(params, curve, grid):
     assert rows[0].claims == {}
 
 
-def test_sweep_carries_per_point_errors_in_row(params, curve, grid):
+def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch):
     rows = parameter_sweep(params, curve, grid, axes={"gamma": [-1.0]})
     assert rows[0].timeline is None
     assert "gamma" in rows[0].error
+    # this point is inconclusive at dt=1e-2; halving dt would pass the cap
+    monkeypatch.setattr(numerics, "MAX_STEPS", 40_000)
+    rows = parameter_sweep(params, curve, grid,
+                           axes={"beta": [2.5e-4], "gamma": [0.2]})
+    assert rows[0].timeline is None
+    assert "limit of 40000" in rows[0].error
 
 
 def test_sweep_rejects_bad_requests(params, curve, grid):

@@ -113,6 +113,13 @@ def test_infinite_grid_flag_is_a_usage_error(tmp_path, flag):
     assert not (out / "myopic.csv").exists()
 
 
+def test_grid_above_the_step_cap_is_a_usage_error(tmp_path):
+    # 1e302 steps used to overflow while allocating the SIR arrays
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--out", str(out), "--horizon", "1e300") == 2
+    assert not (out / "myopic.csv").exists()
+
+
 @pytest.mark.parametrize("line", ["kappa=inf", "beta=inf"])
 def test_infinite_model_value_is_a_usage_error(tmp_path, line):
     # these reached the engine and failed there with exit 3

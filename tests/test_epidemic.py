@@ -9,8 +9,6 @@ import pytest
 from epimarket import (
     EpidemicParams,
     Grid,
-    first_integral_I,
-    first_integral_R,
     infection_peak,
     simulate_epidemic,
     steady_state_recovered,
@@ -20,8 +18,8 @@ from epimarket.errors import (
     BoundaryExtremumError,
     ConfigError,
     ConsistencyError,
-    DomainError,
 )
+from epimarket.verify import _drifts
 
 N_TOTAL = 1000.0
 
@@ -112,37 +110,19 @@ def test_beta_zero_decays_exponentially():
 # ---------------------------------------------------------------------------
 
 
-def test_first_integral_construction_at_seed(params):
-    st = EpidemicState(999.0, 1.0, 0.0)
-    assert first_integral_I(st, params) == pytest.approx(1.0, abs=1e-10)
-    assert first_integral_R(st, params) == pytest.approx(0.0, abs=1e-10)
+def test_first_integral_value_at_threshold(params, peak):
+    # I + S - (gamma/beta)*ln(S) is conserved, so at S = gamma/beta the
+    # infected mass peaks at N - g + g*ln(g/n1) = 478.3125...
+    g = params.threshold
+    i_max = params.n1 + params.n2 - g + g * math.log(g / params.n1)
+    assert i_max == pytest.approx(478.3125, abs=1e-4)
+    assert peak.i_star == pytest.approx(i_max, abs=1e-6)
 
 
-def test_first_integral_value_at_threshold(params):
-    st = EpidemicState(200.0, 0.0, 0.0)
-    assert first_integral_I(st, params) == pytest.approx(478.3125, abs=1e-3)
-
-
-def test_first_integrals_constant_along_trajectory(params, epidemic_run):
-    # evaluate through the public function on a thinned set of nodes
-    drift_i = max(
-        abs(first_integral_I(epidemic_run.state_at(k), params) - float(epidemic_run.i[k]))
-        for k in range(0, len(epidemic_run.times), 500)
-    )
-    drift_r = max(
-        abs(first_integral_R(epidemic_run.state_at(k), params) - float(epidemic_run.r[k]))
-        for k in range(0, len(epidemic_run.times), 500)
-    )
+def test_first_integrals_constant_along_trajectory(params):
+    drift_i, drift_r = _drifts(params, 1e-2)
     assert drift_i <= 1e-6 * N_TOTAL
     assert drift_r <= 1e-6 * N_TOTAL
-
-
-def test_first_integrals_undefined_at_beta_zero():
-    p = EpidemicParams(beta=0.0)
-    with pytest.raises(DomainError):
-        first_integral_I(EpidemicState(999.0, 1.0, 0.0), p)
-    with pytest.raises(DomainError):
-        first_integral_R(EpidemicState(999.0, 1.0, 0.0), p)
 
 
 # ---------------------------------------------------------------------------

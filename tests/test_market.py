@@ -10,8 +10,6 @@ from epimarket import (
     SupplyCurve,
     clearing_price,
     cohort_holdings_profile,
-    cohort_holdings_quadrature,
-    excess_supply,
     simulate_depression,
     simulate_epidemic,
     simulate_myopic,
@@ -20,7 +18,6 @@ from epimarket.analysis import refine_peak
 from epimarket.errors import (
     ConfigError,
     ConsistencyError,
-    DomainError,
     PriceFloorError,
 )
 
@@ -35,20 +32,9 @@ def test_curve_rejects_bad_values():
         SupplyCurve(p0=0.0)
     with pytest.raises(ConfigError):
         SupplyCurve(kappa=-1.0)
-    with pytest.raises(ConfigError):
-        SupplyCurve(form="quadratic")
     for name in ("p0", "kappa"):
         with pytest.raises(ConfigError, match="finite"):
             SupplyCurve(**{name: float("inf")})
-
-
-def test_excess_supply_linear_form(curve):
-    assert excess_supply(1.0, curve) == 0.0
-    assert excess_supply(1.5, curve) == pytest.approx(5.0, rel=1e-12)
-    with pytest.raises(DomainError):
-        excess_supply(0.0, curve)
-    with pytest.raises(DomainError):
-        excess_supply(-1.0, curve)
 
 
 def test_clearing_price_inverts_the_curve(curve):
@@ -56,7 +42,7 @@ def test_clearing_price_inverts_the_curve(curve):
     assert clearing_price(5.0, curve) == pytest.approx(1.5, rel=1e-12)
     assert clearing_price(-5.0, curve) == pytest.approx(0.5, rel=1e-12)
     for p in (0.2, 1.0, 3.7, 25.0):
-        assert clearing_price(excess_supply(p, curve), curve) == pytest.approx(
+        assert clearing_price(curve.kappa * (p - curve.p0), curve) == pytest.approx(
             p, rel=1e-9
         )
 
@@ -128,25 +114,20 @@ def test_myopic_peak_height_falls_with_deeper_markets(params, grid):
 
 
 def test_quadrature_empty_at_zero(params, myopic_run):
-    assert cohort_holdings_quadrature(myopic_run, params, 0.0) == 0.0
+    assert cohort_holdings_profile(myopic_run, params)[0] == 0.0
 
 
 def test_quadrature_matches_state_at_price_peak(params, grid, myopic_run):
     t_p, _ = refine_peak(myopic_run.times, myopic_run.p, mode="max")
     k = int(round(t_p / grid.dt))
-    q = cohort_holdings_quadrature(myopic_run, params, grid.node(k))
+    q = float(cohort_holdings_profile(myopic_run, params)[k])
     x = float(myopic_run.x[k])
     assert q == pytest.approx(x, rel=1e-4)
 
 
-def test_quadrature_rejects_off_grid_time(params, myopic_run):
-    with pytest.raises(DomainError):
-        cohort_holdings_quadrature(myopic_run, params, 0.005)
-
-
 def test_quadrature_rejects_mismatched_params(myopic_run):
     with pytest.raises(ConsistencyError):
-        cohort_holdings_quadrature(myopic_run, EpidemicParams(beta=6e-4), 1.0)
+        cohort_holdings_profile(myopic_run, EpidemicParams(beta=6e-4))
 
 
 def test_quadrature_no_recovery_limit(curve):
@@ -154,17 +135,21 @@ def test_quadrature_no_recovery_limit(curve):
     p = EpidemicParams(gamma=1e-9)
     g = Grid(0.0, 50.0, 1e-2)
     traj = simulate_myopic(p, curve, g)
+    prof = cohort_holdings_profile(traj, p)
     for k in (1000, 2500, 5000):
-        q = cohort_holdings_quadrature(traj, p, g.node(k))
+        q = float(prof[k])
         x = float(traj.x[k])
         assert q == pytest.approx(x, rel=1e-4)
 
 
 def test_profile_agrees_with_pointwise_quadrature(params, grid, myopic_run):
+    # the recurrence against a global trapezoid of the cohort integral
     prof = cohort_holdings_profile(myopic_run, params)
-    assert prof[0] == 0.0
+    t = myopic_run.times
+    u = params.beta * myopic_run.i * myopic_run.s * params.endowment / myopic_run.p
     for k in (1, 500, 2116, 10000, 30000):
-        q = cohort_holdings_quadrature(myopic_run, params, grid.node(k))
+        g = u[: k + 1] * np.exp(-params.gamma * (t[k] - t[: k + 1]))
+        q = float(grid.dt * (g.sum() - 0.5 * (g[0] + g[-1])))
         assert abs(prof[k] - q) <= 1e-9 * max(1.0, abs(q))
 
 

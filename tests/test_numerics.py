@@ -1,4 +1,4 @@
-"""Grid, RK4 stepper, bracketed root finding, monotone inversion."""
+"""Grid, RK4 stepper, bracketed root finding, parabolic vertex."""
 from __future__ import annotations
 
 import math
@@ -9,16 +9,14 @@ import pytest
 from epimarket.errors import (
     BracketError,
     ConfigError,
-    DomainError,
     IntegrationError,
-    RangeError,
 )
 from epimarket.numerics import (
+    MAX_STEPS,
     Bracket,
     Grid,
     find_root_bracketed,
     integrate_fixed_step,
-    invert_monotone,
     parabolic_vertex,
     rk4_step,
 )
@@ -37,22 +35,6 @@ def test_grid_basic_layout():
     assert g.node(0) == 0.0
 
 
-def test_grid_index_at_round_trip():
-    g = Grid(0.0, 300.0, 1e-2)
-    for k in (0, 1, 1987, 30000):
-        assert g.index_at(g.node(k)) == k
-
-
-def test_grid_index_at_rejects_off_grid_times():
-    g = Grid(0.0, 1.0, 0.1)
-    with pytest.raises(DomainError):
-        g.index_at(0.05)
-    with pytest.raises(DomainError):
-        g.index_at(1.2)
-    with pytest.raises(DomainError):
-        g.index_at(-0.1)
-
-
 def test_grid_rejects_bad_construction():
     with pytest.raises(ConfigError):
         Grid(0.0, 1.0, 0.0)
@@ -65,6 +47,12 @@ def test_grid_rejects_bad_construction():
     for bad in ((0.0, math.inf, 0.1), (0.0, 1.0, math.inf), (-math.inf, 1.0, 0.1)):
         with pytest.raises(ConfigError, match="finite"):
             Grid(*bad)
+    # above the step cap, including spans whose step count overflows
+    for bad in ((0.0, 1e300, 1e-2), (0.0, MAX_STEPS + 1.0, 1.0),
+                (-1e308, 1e308, 1.0)):
+        with pytest.raises(ConfigError, match="limit"):
+            Grid(*bad)
+    assert Grid(0.0, float(MAX_STEPS), 1.0).n_steps == MAX_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -116,26 +104,27 @@ def test_bracket_rejects_same_sign_and_bad_order():
         Bracket(0.0, 1.0, 1.0, 2.0)
     with pytest.raises(BracketError):
         Bracket(1.0, 0.0, -1.0, 1.0)
-    b = Bracket.from_function(lambda x: x - 0.5, 0.0, 1.0)
+    f = lambda x: x - 0.5
+    b = Bracket(0.0, 1.0, f(0.0), f(1.0))
     assert b.f_lo == -0.5 and b.f_hi == 0.5
 
 
 def test_find_root_quadratic():
     f = lambda x: x * x - 4.0
-    root = find_root_bracketed(f, Bracket.from_function(f, 0.0, 5.0), tol_x=1e-10)
+    root = find_root_bracketed(f, Bracket(0.0, 5.0, f(0.0), f(5.0)), tol_x=1e-10)
     assert root == pytest.approx(2.0, abs=1e-9)
 
 
 def test_find_root_hits_exact_zero_at_midpoint():
     f = lambda x: x
-    root = find_root_bracketed(f, Bracket.from_function(f, -1.0, 1.0))
+    root = find_root_bracketed(f, Bracket(-1.0, 1.0, f(-1.0), f(1.0)))
     assert root == 0.0
 
 
 def test_find_root_respects_residual_tolerance():
     f = lambda x: x * x * x - 8.0
     root = find_root_bracketed(
-        f, Bracket.from_function(f, 0.0, 5.0), tol_x=0.0, tol_f=1e-9
+        f, Bracket(0.0, 5.0, f(0.0), f(5.0)), tol_x=0.0, tol_f=1e-9
     )
     assert abs(f(root)) <= 1e-9
 
@@ -148,23 +137,6 @@ def test_find_root_survives_bracket_at_machine_resolution():
     f = lambda x: -2e-3 if x <= lo else 1e-3
     root = find_root_bracketed(f, Bracket(lo, hi, f(lo), f(hi)), tol_x=0.0, tol_f=1e-12)
     assert root == hi  # the endpoint with the smaller residual
-
-
-def test_invert_monotone_cube():
-    x = invert_monotone(lambda v: v**3, 8.0, 0.0, 3.0)
-    assert x == pytest.approx(2.0, abs=1e-8)
-
-
-def test_invert_monotone_returns_exact_endpoints():
-    assert invert_monotone(lambda v: v, 0.0, 0.0, 1.0) == 0.0
-    assert invert_monotone(lambda v: v, 1.0, 0.0, 1.0) == 1.0
-
-
-def test_invert_monotone_rejects_bad_inputs():
-    with pytest.raises(RangeError):
-        invert_monotone(lambda v: v, 5.0, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        invert_monotone(lambda v: -v, 0.5, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
