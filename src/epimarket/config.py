@@ -51,6 +51,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"
             )
+        # serialize_config writes it raw on a line that parsing strips
+        if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
+            raise ConfigError(
+                f"out_dir must be one line without leading or trailing "
+                f"whitespace, got {self.out_dir!r}"
+            )
         validate_sweep_axes(self.sweep)
         # constructing the domain objects enforces every numeric invariant
         self.epidemic_params()

@@ -18,16 +18,17 @@ steps.
 
 The kernel is rk4_step's arithmetic on the SIR field, written out on
 plain floats, so every value matches a fixed-step RK4 run bit for bit.
-Non-finite values are not checked stage by stage: a step whose result
-is non-finite is replayed through rk4_step on the full coupled field,
-which raises exactly what the coupled step raises.
+The pass runs to the grid's end unchecked. A reader replays a step whose
+result is non-finite through rk4_step on its own coupled field, which
+raises exactly what the coupled step raises. Every coupled field is
+`coupled_field`: sir_derivatives with the field's own rates appended.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     ConvergenceError,
-    IntegrationError,
 )
 from .numerics import (
     Bracket,
@@ -106,9 +106,7 @@ class EpidemicTrajectory:
     """S, I and R at the grid's nodes.
 
     drives is the (n_steps, 4) table of beta*I*S at the four RK4 stages of
-    each step; it is None on views assembled from a market run. A pass
-    from `epidemic_pass` that met a blow-up ends at the first node of the
-    failing step, so its arrays are shorter than the grid.
+    each step; it is None on views assembled from a market run.
     """
 
     params: EpidemicParams
@@ -124,22 +122,12 @@ class EpidemicTrajectory:
 
     def steps(self, k: int = 0):
         """The RK4 steps from node k to the end of the grid, as `SirPath.steps`
-        tuples replayed from the drive table.
-
-        A pass that ended at a blow-up steps on live from its last node, so
-        that a market pass driven by it meets the failing step.
-        """
-        m = len(self.drives)
+        tuples replayed from the drive table."""
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
-        stored = zip(memoryview(self.times)[k:m], repeat(self.grid.dt),
-                     drives, drives, drives, drives,
-                     memoryview(self.s)[k + 1:], memoryview(self.i)[k + 1:],
-                     memoryview(self.r)[k + 1:])
-        if m == self.grid.n_steps:
-            return stored
-        st = self.state_at(m)
-        tail = SirPath(self.params, st.s, st.i, st.r, self.grid.n_steps - m)
-        return chain(stored, tail.steps(_grid_steps(self.grid, m)))
+        return zip(memoryview(self.times)[k:-1], repeat(self.grid.dt),
+                   drives, drives, drives, drives,
+                   memoryview(self.s)[k + 1:], memoryview(self.i)[k + 1:],
+                   memoryview(self.r)[k + 1:])
 
 
 @dataclass(frozen=True)
@@ -159,9 +147,16 @@ def sir_derivatives(state: EpidemicState, params: EpidemicParams) -> tuple[float
     return (-inf, inf - rec, rec)
 
 
-def _sir_field(params: EpidemicParams):
-    """sir_derivatives as a field for rk4_step."""
-    return lambda t, y: sir_derivatives(EpidemicState(*y), params)
+def coupled_field(params: EpidemicParams, rate=None):
+    """sir_derivatives as an rk4_step field on y = (s, i, r, ...), with the
+    tuple rate(t, beta*I*S, y[3:]) of the variables after R appended."""
+    def field(t, y):
+        ds, di, dr = sir_derivatives(EpidemicState(y[0], y[1], y[2]), params)
+        if rate is None:
+            return (ds, di, dr)
+        return (ds, di, dr) + rate(t, -ds, y[3:])  # -ds is beta*I*S to the bit
+
+    return field
 
 
 class SirPath:
@@ -184,8 +179,7 @@ class SirPath:
 
         Yields (t, h, d1, d2, d3, d4, s, i, r) for each step: its start time
         and size, the drives beta*I*S at its four stages, and the state it
-        ends at. A step is recorded once the consumer asks for the next one,
-        so a consumer that raises on a step leaves it out of the arrays.
+        ends at, which is recorded before the step is yielded.
         """
         beta, gamma = self.beta, self.gamma
         s_arr, i_arr, r_arr = self.s, self.i, self.r
@@ -210,54 +204,40 @@ class SirPath:
             s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
             i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
             r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
-            yield t, h, d1, d2, d3, d4, s, i, r
             s_arr[k] = s
             i_arr[k] = i
             r_arr[k] = r
-
-
-def _grid_steps(grid: Grid, k: int):
-    """(t, h) of the grid's steps from node k, as integrate_fixed_step takes them."""
-    return zip(memoryview(grid.times())[k:-1], repeat(grid.dt))
+            yield t, h, d1, d2, d3, d4, s, i, r
 
 
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """The SIR pass with its drive table, for market passes to run on.
 
-    Same as simulate_epidemic, except that a step whose stage derivatives
-    are non-finite ends the pass instead of raising. A market pass driven
-    by it then replays that step through its own coupled field and raises
-    what the coupled step raises, which may be an earlier error of its own.
+    Same as simulate_epidemic, except that it never raises: a blow-up
+    leaves non-finite values from its step on. A market pass driven by it
+    replays that step through its own coupled field and raises what the
+    coupled step raises, which may be an earlier error of its own.
     """
     n = grid.n_steps
     path = SirPath(params, params.n1, params.n2, params.n3, n)
-    field = _sir_field(params)
     # allocated at full size: growing it step by step fragments the heap
     drives = array("d", [0.0]) * (4 * n)
-    s, i, r = path.s[0], path.i[0], path.r[0]
-    m = 0
-    for t, h, d1, d2, d3, d4, s1, i1, r1 in path.steps(_grid_steps(grid, 0)):
-        chk = s1 + i1 + r1
-        if chk - chk != 0.0:
-            try:
-                rk4_step(field, t, (s, i, r), h)
-            except IntegrationError:
-                break
-        j = 4 * m
+    schedule = zip(memoryview(grid.times())[:-1], repeat(grid.dt))
+    j = 0
+    for _t, _h, d1, d2, d3, d4, _s, _i, _r in path.steps(schedule):
         drives[j] = d1
         drives[j + 1] = d2
         drives[j + 2] = d3
         drives[j + 3] = d4
-        m += 1
-        s, i, r = s1, i1, r1
+        j += 4
     return EpidemicTrajectory(
         params=params,
         grid=grid,
-        times=grid.times()[:m + 1],
-        s=np.frombuffer(path.s)[:m + 1],
-        i=np.frombuffer(path.i)[:m + 1],
-        r=np.frombuffer(path.r)[:m + 1],
-        drives=np.frombuffer(drives).reshape(-1, 4)[:m],
+        times=grid.times(),
+        s=np.frombuffer(path.s),
+        i=np.frombuffer(path.i),
+        r=np.frombuffer(path.r),
+        drives=np.frombuffer(drives).reshape(-1, 4),
     )
 
 
@@ -265,13 +245,15 @@ def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """S, I and R over the grid with the drive table.
 
     Raises IntegrationError with the stage time if a stage derivative is
-    non-finite.
+    non-finite: each step that ends non-finite is replayed through
+    rk4_step until one raises.
     """
     epi = epidemic_pass(params, grid)
-    k = len(epi.drives)
-    if k < grid.n_steps:
+    field = coupled_field(params)
+    finite = np.isfinite(epi.s[1:]) & np.isfinite(epi.i[1:]) & np.isfinite(epi.r[1:])
+    for k in np.flatnonzero(~finite).tolist():
         st = epi.state_at(k)
-        rk4_step(_sir_field(params), grid.node(k), (st.s, st.i, st.r), grid.dt)
+        rk4_step(field, grid.node(k), (st.s, st.i, st.r), grid.dt)
     return epi
 
 

@@ -10,10 +10,11 @@ independent oracle for the state variable.
 
 Both scenarios run x alone, as a scalar RK4 pass over the stage drives
 of an SIR pass (see epidemic); S, I and R are that pass's arrays. The
-coupled (S, I, R, x) fields remain as the definition of each scenario:
-a step that reaches the price floor at a stage, or ends non-finite, is
-replayed through rk4_step on them, so errors carry the coupled step's
-stage time and message.
+coupled (S, I, R, x) field of each scenario, sir_derivatives with the x
+rate appended (`coupled_field`), remains its definition: a step that
+reaches the price floor at a stage, or ends non-finite, is replayed
+through rk4_step on it, so errors carry the coupled step's stage time
+and message.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, driving_pass
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
 from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
 from .numerics import Grid, rk4_step
 
@@ -107,16 +108,9 @@ class MarketTrajectory:
         n = len(self.times)
         if self.scenario != "rational" or self.plateau_start is None:
             return ["na"] * n
+        pre = self.plateau_start
         post = self.post_start if self.post_start is not None else n
-        labels = []
-        for k in range(n):
-            if k < self.plateau_start:
-                labels.append("pre")
-            elif k < post:
-                labels.append("plateau")
-            else:
-                labels.append("post")
-        return labels
+        return ["pre"] * pre + ["plateau"] * (post - pre) + ["post"] * (n - post)
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +120,20 @@ class MarketTrajectory:
 
 def _holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool):
     """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump."""
-    beta, gamma, w = params.beta, params.gamma, params.endowment
+    gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     floor = -kappa * p0
 
-    def field(t, y):
-        s, i, r, x = y
+    def rate(t, inf, y):
+        x = y[0]
         if x <= floor:
             raise PriceFloorError(
                 f"clearing price hit zero at t={t} (x={x})", time=t
             )
-        inf = beta * i * s
-        rec = gamma * i
-        if mirror:
-            mirrored = 2.0 * p0 - (p0 + x / kappa)
-            return (-inf, inf - rec, rec, -inf * w / mirrored - gamma * x)
         p = p0 + x / kappa
-        return (-inf, inf - rec, rec, inf * w / p - gamma * x)
+        return ((-inf * w / (2.0 * p0 - p) if mirror else inf * w / p) - gamma * x,)
 
-    return field
+    return coupled_field(params, rate)
 
 
 def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,

@@ -24,8 +24,8 @@ continuation in simulate_re_given_t1, therefore step S, I and R through
 `SirPath` along their own steps. z (and h) are scalar passes over its
 drives.
 
-The phase fields remain the definition of each phase: partial steps and
-replays of non-finite steps go through them.
+The phase fields (`coupled_field`) remain the definition of each phase:
+partial steps and replays of non-finite steps go through them.
 """
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ from itertools import islice
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, SirPath, driving_pass
+from .epidemic import (EpidemicParams, EpidemicTrajectory, SirPath, coupled_field,
+                       driving_pass)
 from .errors import DomainError, GridTooCoarseError, NoPlateauError
 from .market import MarketTrajectory, SupplyCurve, clearing_price, holdings_pass
 from .numerics import Grid, rk4_step
@@ -84,46 +85,42 @@ class _Closure:
 
 
 def _phase1_field(params: EpidemicParams, curve: SupplyCurve):
-    beta, gamma, w = params.beta, params.gamma, params.endowment
+    gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
 
-    def field(t, y):
-        s, i, r, z, h = y
-        p = p0 + (z + h) / kappa
-        inf = beta * i * s
-        rec = gamma * i
+    def rate(t, inf, y):
+        z, h = y
         cure = gamma * z
-        return (-inf, inf - rec, rec, inf * w / p - cure, cure)
+        return (inf * w / (p0 + (z + h) / kappa) - cure, cure)
 
-    return field
+    return coupled_field(params, rate)
 
 
 def _phase2_field(params: EpidemicParams, p_star: float):
-    beta, gamma, w = params.beta, params.gamma, params.endowment
+    gamma, w = params.gamma, params.endowment
 
-    def field(t, y):
-        s, i, r, z, h = y
-        inf = beta * i * s
-        rec = gamma * i
+    def rate(t, inf, y):
         # z and h exchange at exactly opposite rates: z+h is conserved
-        flow = inf * w / p_star - gamma * z
-        return (-inf, inf - rec, rec, flow, -flow)
+        flow = inf * w / p_star - gamma * y[0]
+        return (flow, -flow)
 
-    return field
+    return coupled_field(params, rate)
 
 
 def _phase3_field(params: EpidemicParams, curve: SupplyCurve):
-    beta, gamma, w = params.beta, params.gamma, params.endowment
+    gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
 
-    def field(t, y):
-        s, i, r, z = y
-        p = p0 + z / kappa
-        inf = beta * i * s
-        rec = gamma * i
-        return (-inf, inf - rec, rec, inf * w / p - gamma * z)
+    def rate(t, inf, y):
+        return (inf * w / (p0 + y[0] / kappa) - gamma * y[0],)
 
-    return field
+    return coupled_field(params, rate)
+
+
+def _flow(params: EpidemicParams, p_star: float, y: tuple) -> float:
+    """Net buying beta*I*S*w/P* - gamma*z at y = (s, i, r, z, ...)."""
+    return (params.beta * y[1] * y[0] * params.endowment / p_star
+            - params.gamma * y[3])
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +244,13 @@ def simulate_re_given_t1(
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
     epi = driving_pass(params, grid, epidemic)
-    beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
 
     zs, hs = _accumulate(params, curve, epi, _node_below(grid, t1))
     k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
     p_star = clearing_price(st1[3] + st1[4], curve)
 
-    flow1 = beta * st1[1] * st1[0] * w / p_star - gamma * st1[3]
+    flow1 = _flow(params, p_star, st1)
     diag: PlateauDiagnosis | None = None
     if st1[4] <= 0.0:
         diag = PlateauDiagnosis("absorbed", t1, st1[4], flow1)
@@ -285,8 +281,7 @@ def simulate_re_given_t1(
             break
         else:
             diag = PlateauDiagnosis("open", grid.t_end, last[4],
-                                    beta * last[1] * last[0] * w / p_star
-                                    - gamma * last[3])
+                                    _flow(params, p_star, last))
     else:
         # plateau collapsed at t1 itself; unwind from there
         post_start = k1 + 1
@@ -322,13 +317,12 @@ def simulate_re_given_t1(
 
 def _node_diagnosis(params, curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1; stops at the first event."""
-    beta, gamma, w = params.beta, params.gamma, params.endowment
     st = epi.state_at(k1)
     st1 = (st.s, st.i, st.r, zs[k1], hs[k1])
     if st1[4] <= 0.0:
         return "absorbed"
     p_star = clearing_price(st1[3] + st1[4], curve)
-    if beta * st1[1] * st1[0] * w / p_star - gamma * st1[3] <= 0.0:
+    if _flow(params, p_star, st1) <= 0.0:
         return "flow-reversed"
     for _t, _dt, y, flow in _plateau(params, p_star, epi.steps(k1), st1):
         if y[4] <= 0.0:
@@ -346,14 +340,13 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     the shooting defect (negative: inventory ran out early, raise t1;
     positive: inventory left over, lower t1).
     """
-    beta, gamma, w = params.beta, params.gamma, params.endowment
     grid = epi.grid
     k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
     phi_star = st1[3] + st1[4]
     p_star = clearing_price(phi_star, curve)
 
     st_prev = st1
-    flow_prev = beta * st1[1] * st1[0] * w / p_star - gamma * st1[3]
+    flow_prev = _flow(params, p_star, st1)
     if flow_prev <= 0.0:
         return _Closure(True, t1, p_star, phi_star, flow_prev, st1[4])
     path = SirPath(params, st1[0], st1[1], st1[2], grid.n_steps - k1)
@@ -366,8 +359,8 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
             if t2 > t_prev:
                 st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
                                t2 - t_prev)
-            resid_flow = beta * st2[1] * st2[0] * w / p_star - gamma * st2[3]
-            return _Closure(True, t2, p_star, phi_star, resid_flow, st2[4])
+            return _Closure(True, t2, p_star, phi_star, _flow(params, p_star, st2),
+                            st2[4])
         st_prev, flow_prev = st, flow
     return _Closure(False, grid.t_end, p_star, phi_star, flow_prev, st_prev[4])
 

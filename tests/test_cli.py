@@ -120,6 +120,14 @@ def test_grid_above_the_step_cap_is_a_usage_error(tmp_path):
     assert not (out / "myopic.csv").exists()
 
 
+@pytest.mark.parametrize("out", [" x", "x ", "a\nb"])
+def test_out_dir_that_would_not_round_trip_is_a_usage_error(tmp_path, monkeypatch, out):
+    # the report echoes the config, whose key=value form must parse back
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--out", out) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("line", ["kappa=inf", "beta=inf"])
 def test_infinite_model_value_is_a_usage_error(tmp_path, line):
     # these reached the engine and failed there with exit 3

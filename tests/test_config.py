@@ -132,6 +132,20 @@ def test_serialize_parse_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+@pytest.mark.parametrize("out_dir", [" x", "x ", "\tq", "a\nb", "\x85", "a\x85b",
+                                     "a\rb", "a\u2028b"])
+def test_out_dir_that_would_not_round_trip_is_rejected(out_dir):
+    # parsing strips each line and splits the text with str.splitlines
+    with pytest.raises(ConfigError, match="out_dir"):
+        ScenarioConfig(out_dir=out_dir)
+
+
+@pytest.mark.parametrize("out_dir", ["", "runs/a b", "#x", "a=b", "é"])
+def test_out_dir_round_trips(out_dir):
+    cfg = ScenarioConfig(out_dir=out_dir)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_serialized_floats_survive_exactly():
     cfg = ScenarioConfig(beta=1.0000000000000002e-3)
     again = parse_config(serialize_config(cfg))

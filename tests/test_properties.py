@@ -1,0 +1,123 @@
+"""Property tests: config round trips, pass sharing and SIR conservation.
+
+Every property runs derandomized and without an example database, so a
+run draws the same examples each time.
+"""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from epimarket import (
+    EpidemicParams,
+    Grid,
+    SupplyCurve,
+    epidemic_pass,
+    simulate_depression,
+    simulate_epidemic,
+    simulate_myopic,
+)
+from epimarket.config import ScenarioConfig, parse_config, serialize_config
+from epimarket.errors import ConfigError, SimulationError
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+# ---------------------------------------------------------------------------
+# config round trip
+# ---------------------------------------------------------------------------
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def _configs(draw):
+    dt = draw(st.floats(min_value=1e-3, max_value=1.0))
+    kwargs = dict(
+        beta=draw(st.floats(min_value=0.0, max_value=1e6)),
+        gamma=draw(_positive),
+        n1=draw(_positive),
+        n2=draw(st.floats(min_value=0.0, max_value=1e6)),
+        n3=draw(st.floats(min_value=0.0, max_value=1e6)),
+        endowment=draw(_positive),
+        p0=draw(_positive),
+        kappa=draw(_positive),
+        t_end=draw(st.integers(1, 10_000)) * dt,
+        dt=dt,
+        scenario=draw(st.sampled_from(("myopic", "rational", "depression", "all"))),
+        out_dir=draw(st.text(max_size=12)),
+        format=draw(st.sampled_from(("csv", "json"))),
+        sweep=draw(st.dictionaries(
+            st.sampled_from(("beta", "gamma", "n1", "kappa")),
+            st.lists(_finite, min_size=1, max_size=4),
+        )),
+    )
+    try:
+        return ScenarioConfig(**kwargs)
+    except ConfigError:
+        assume(False)
+
+
+@DETERMINISTIC
+@given(_configs())
+def test_config_survives_serialize_and_parse(cfg):
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# a shared SIR pass changes nothing, blow-ups included
+# ---------------------------------------------------------------------------
+
+_SHORT = Grid(0.0, 20.0, 1e-2)
+
+
+def _outcome(fn, *args):
+    """The bytes of a run's arrays, or (type, time, message) of what it raised."""
+    try:
+        traj = fn(*args)
+    except SimulationError as exc:
+        return type(exc), exc.time, str(exc)
+    return tuple(getattr(traj, name).tobytes() for name in "sirxp")
+
+
+@DETERMINISTIC
+@given(
+    log_beta=st.floats(min_value=-5.0, max_value=300.0),
+    gamma=st.floats(min_value=1e-3, max_value=10.0),
+    kappa=st.floats(min_value=1.0, max_value=1e4),
+    mirror=st.booleans(),
+)
+def test_shared_pass_gives_the_same_run_or_error(log_beta, gamma, kappa, mirror):
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=kappa)
+    epi = epidemic_pass(params, _SHORT)
+    assert epi.drives.shape == (_SHORT.n_steps, 4)
+    assert len(epi.s) == len(epi.i) == len(epi.r) == _SHORT.n_steps + 1
+    simulate = simulate_depression if mirror else simulate_myopic
+    own = _outcome(simulate, params, curve, _SHORT)
+    shared = _outcome(simulate, params, curve, _SHORT, epi)
+    assert own == shared
+
+
+# ---------------------------------------------------------------------------
+# S + I + R
+# ---------------------------------------------------------------------------
+
+
+@DETERMINISTIC
+@given(
+    n=st.tuples(st.floats(1.0, 1e4), st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+    rate=st.floats(min_value=0.0, max_value=0.5),
+    gamma=st.floats(min_value=1e-3, max_value=5.0),
+    dt=st.sampled_from((1e-2, 2e-2, 5e-2)),
+)
+def test_population_is_conserved_on_stable_epidemics(n, rate, gamma, dt):
+    # rate = beta*N*dt, inside RK4's stability interval
+    total = sum(n)
+    params = EpidemicParams(beta=rate / (total * dt), gamma=gamma,
+                            n1=n[0], n2=n[1], n3=n[2])
+    epi = simulate_epidemic(params, Grid(0.0, 20.0, dt))
+    drift = np.abs(epi.s + epi.i + epi.r - params.total)
+    assert float(drift.max()) <= 1e-8 * params.total
+
