@@ -26,11 +26,11 @@ from .errors import ConfigError, SimulationError
 from .market import simulate_depression, simulate_myopic
 from .output import (
     RunReport,
-    write_plot_dat,
+    prepare_out_dir,
+    write_legs,
     write_report,
     write_sweep_csv,
     write_timeline_json,
-    write_timeseries,
 )
 from .rational import re_price_path
 from .verify import run_verification
@@ -96,12 +96,9 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = prepare_out_dir(cfg.out_dir)
     params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
-    ext = cfg.format
     started = time.perf_counter()
-    manifest: list[str] = []
     error: str | None = None
 
     # one SIR pass drives every leg; a blow-up in it surfaces as the
@@ -123,14 +120,10 @@ def _cmd_simulate(args) -> int:
             error = str(exc)
             log.error("depression leg failed: %s", exc)
 
-    manifest.append(write_timeseries(myopic, ext, out / f"myopic.{ext}"))
-    manifest.append(write_plot_dat(myopic, out / "myopic.dat"))
-    if rational is not None:
-        manifest.append(write_timeseries(rational, ext, out / f"rational.{ext}"))
-        manifest.append(write_plot_dat(rational, out / "rational.dat"))
-    if depression is not None:
-        manifest.append(write_timeseries(depression, ext, out / f"depression.{ext}"))
-        manifest.append(write_plot_dat(depression, out / "depression.dat"))
+    legs = [("myopic", myopic), ("rational", rational), ("depression", depression)]
+    series, plots = write_legs([leg for leg in legs if leg[1] is not None],
+                               cfg.format, out)
+    manifest = [path for pair in zip(series, plots) for path in pair]
 
     if cfg.scenario == "depression":
         timeline = build_timeline(depression, None, peak)
@@ -171,8 +164,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = prepare_out_dir(cfg.out_dir)
     if cfg.scenario == "depression":
         raise ConfigError("sweep supports the myopic and rational scenarios")
     scenarios = ("myopic",) if cfg.scenario == "myopic" else ("myopic", "rational")

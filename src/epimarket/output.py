@@ -4,10 +4,20 @@ All numbers are written with shortest round-trip precision (repr of the
 Python float), so a write-then-read cycle is bit-exact and two runs with
 the same config produce byte-identical data files. Wall-clock timing
 lives only in the run report, which is excluded from that guarantee.
+
+The CSV time series and `.dat` plot files of a run are written in one
+streamed pass of BLOCK_ROWS-row blocks. In each block every distinct
+column array is formatted once, and that text feeds every file that has
+the column: the grid times go to all files, S, I and R of a shared SIR
+pass to every leg that shares it, and t, P and I to both files of a leg.
+Only one block's text is held at a time, so memory is bounded by the
+block, not by the run's length.
 """
 from __future__ import annotations
 
 import json
+from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +35,10 @@ from .market import MarketTrajectory
 
 _TS_COLUMNS = ("t", "S", "I", "R", "X", "P")
 
+# rows per streamed block: per-block overhead already vanishes against
+# formatting here, and a block's text stays well under a megabyte
+BLOCK_ROWS = 1024
+
 
 def _fmt(v) -> str:
     return repr(float(v))
@@ -40,6 +54,72 @@ def _verdict_cell(v: bool | None) -> str:
     return "true" if v else "false"
 
 
+def prepare_out_dir(path) -> Path:
+    """Create the output directory path (and its parents) if missing."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use {out} as output directory: {exc}") from exc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# streamed text tables
+# ---------------------------------------------------------------------------
+
+
+def _series_table(trajectory: MarketTrajectory, path) -> tuple:
+    cols = (trajectory.times, trajectory.s, trajectory.i, trajectory.r,
+            trajectory.x, trajectory.p)
+    return (Path(path), ",".join(_TS_COLUMNS + ("phase",)), ",",
+            tuple(np.asarray(c, dtype=float) for c in cols) + (trajectory.phases(),))
+
+
+def _plot_table(trajectory: MarketTrajectory, path) -> tuple:
+    cols = (trajectory.times, trajectory.p, trajectory.i)
+    return (Path(path), "# t P I", " ",
+            tuple(np.asarray(c, dtype=float) for c in cols))
+
+
+def _write_tables(tables: list[tuple]) -> None:
+    """Write every table in one pass over BLOCK_ROWS-row blocks.
+
+    A table is one text file, (path, header line, cell separator,
+    columns), with one row per index; a column is a float array or a list
+    of cell strings written as they are. Within a block each distinct
+    array (by identity) is formatted once and its text reused by every
+    table that holds it; the cache lives for that block only. Every file
+    opened is closed, also when a write raises.
+    """
+    n = max((len(c) for *_, cols in tables for c in cols), default=0)
+    with ExitStack() as stack:
+        files = []
+        for path, header, _sep, _cols in tables:
+            try:
+                fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+            fh.write(header + "\n")
+            files.append(fh)
+        for lo in range(0, n, BLOCK_ROWS):
+            hi = lo + BLOCK_ROWS
+            text: dict[int, list[str]] = {}
+            for fh, (_path, _header, sep, cols) in zip(files, tables):
+                cells = []
+                for col in cols:
+                    if isinstance(col, np.ndarray):
+                        block = text.get(id(col))
+                        if block is None:
+                            block = text[id(col)] = list(map(repr, col[lo:hi].tolist()))
+                    else:
+                        block = col[lo:hi]
+                    cells.append(block)
+                rows = "\n".join(map(sep.join, zip(*cells)))
+                if rows:
+                    fh.write(rows + "\n")
+
+
 # ---------------------------------------------------------------------------
 # time series
 # ---------------------------------------------------------------------------
@@ -48,20 +128,14 @@ def _verdict_cell(v: bool | None) -> str:
 def write_timeseries(trajectory: MarketTrajectory, fmt: str, path) -> str:
     """One row per grid node with columns t, S, I, R, X, P, phase."""
     path = Path(path)
-    phases = trajectory.phases()
-    cols = (trajectory.times, trajectory.s, trajectory.i, trajectory.r,
-            trajectory.x, trajectory.p)
     if fmt == "csv":
-        lines = [",".join(_TS_COLUMNS + ("phase",))]
-        for k in range(len(trajectory)):
-            lines.append(
-                ",".join(_fmt(c[k]) for c in cols) + f",{phases[k]}"
-            )
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_tables([_series_table(trajectory, path)])
     elif fmt == "json":
+        cols = (trajectory.times, trajectory.s, trajectory.i, trajectory.r,
+                trajectory.x, trajectory.p)
         payload = {name: [float(v) for v in col]
                    for name, col in zip(_TS_COLUMNS, cols)}
-        payload["phase"] = phases
+        payload["phase"] = trajectory.phases()
         with path.open("w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -71,20 +145,26 @@ def write_timeseries(trajectory: MarketTrajectory, fmt: str, path) -> str:
 
 
 def read_timeseries_csv(path) -> dict[str, object]:
-    """Inverse of the CSV writer; numeric columns come back as arrays."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    header = tuple(lines[0].split(","))
-    if header != _TS_COLUMNS + ("phase",):
-        raise ConfigError(f"unexpected time-series header: {lines[0]!r}")
-    numeric: dict[str, list[float]] = {name: [] for name in _TS_COLUMNS}
+    """Inverse of the CSV writer; numeric columns come back as arrays.
+
+    Reads line by line into packed float buffers, so memory stays near
+    the size of the returned arrays, not of the file's text.
+    """
+    numeric = {name: array("d") for name in _TS_COLUMNS}
     phase: list[str] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        for name, cell in zip(_TS_COLUMNS, parts):
-            numeric[name].append(float(cell))
-        phase.append(parts[-1])
-    out: dict[str, object] = {name: np.asarray(vals)
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if tuple(header.split(",")) != _TS_COLUMNS + ("phase",):
+            raise ConfigError(f"unexpected time-series header: {header!r}")
+        appends = [numeric[name].append for name in _TS_COLUMNS]
+        for ln in fh:
+            parts = ln.rstrip("\n").split(",")
+            if parts == [""]:
+                continue
+            for add, cell in zip(appends, parts):
+                add(float(cell))
+            phase.append(parts[-1])
+    out: dict[str, object] = {name: np.array(vals)
                               for name, vals in numeric.items()}
     out["phase"] = phase
     return out
@@ -92,15 +172,31 @@ def read_timeseries_csv(path) -> dict[str, object]:
 
 def write_plot_dat(trajectory: MarketTrajectory, path) -> str:
     """Whitespace-separated t P I columns for external plotting tools."""
-    path = Path(path)
-    lines = ["# t P I"]
-    for k in range(len(trajectory)):
-        lines.append(
-            f"{_fmt(trajectory.times[k])} {_fmt(trajectory.p[k])} "
-            f"{_fmt(trajectory.i[k])}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_tables([_plot_table(trajectory, path)])
     return str(path)
+
+
+def write_legs(legs, fmt: str, out_dir) -> tuple[list[str], list[str]]:
+    """Time series and plot file of every (name, trajectory) leg of a run.
+
+    Writes `<name>.<fmt>` and `<name>.dat` into out_dir, every CSV and
+    `.dat` file in one streamed pass, so columns the legs share are
+    formatted once. Returns the series paths and the plot paths, each in
+    leg order.
+    """
+    out = Path(out_dir)
+    tables, series, plots = [], [], []
+    for name, trajectory in legs:
+        path = out / f"{name}.{fmt}"
+        if fmt == "csv":
+            tables.append(_series_table(trajectory, path))
+            series.append(str(path))
+        else:
+            series.append(write_timeseries(trajectory, fmt, path))
+        tables.append(_plot_table(trajectory, out / f"{name}.dat"))
+        plots.append(str(out / f"{name}.dat"))
+    _write_tables(tables)
+    return series, plots
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,10 @@ from .market import (
 )
 from .numerics import Grid
 from .output import (
-    write_plot_dat,
+    prepare_out_dir,
+    write_legs,
     write_sweep_csv,
     write_timeline_json,
-    write_timeseries,
 )
 from .rational import simulate_re_given_t1, solve_plateau
 
@@ -358,8 +358,7 @@ def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
 
 def run_verification(out_dir, workers: int = 1) -> VerificationReport:
     """Run all thirteen checks at defaults and write the artifact set."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = prepare_out_dir(out_dir)
     params = EpidemicParams()
     curve = SupplyCurve()
     grid = Grid(0.0, 300.0, 1e-2)
@@ -391,11 +390,11 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
         check_determinism(params, curve, grid, rows, out),
     ]
 
+    series, plots = write_legs([("myopic", myopic), ("rational", rational)],
+                               "csv", out)
     artifacts = [
-        write_timeseries(myopic, "csv", out / "myopic.csv"),
-        write_timeseries(rational, "csv", out / "rational.csv"),
-        write_plot_dat(myopic, out / "myopic.dat"),
-        write_plot_dat(rational, out / "rational.dat"),
+        *series,
+        *plots,
         write_timeline_json(timeline, claims, out / "timeline.json"),
         str(out / "sweep.csv"),
         str(out / "sweep_recheck.csv"),

@@ -143,6 +143,26 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run_cli() == 2
 
 
+@pytest.mark.parametrize("command,sub", [
+    ("simulate", ""), ("sweep", "sub"), ("verify", ""),
+])
+def test_out_path_that_is_a_file_is_a_usage_error(tmp_path, fast_config, caplog,
+                                                  command, sub):
+    # mkdir used to escape as FileExistsError / NotADirectoryError
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / sub if sub else blocker
+    argv = [command, "--out", str(out)]
+    if command != "verify":
+        argv += ["--config", str(fast_config)]
+    caplog.clear()
+    assert run_cli(*argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert str(out) in errors[0].getMessage()
+    assert blocker.read_text() == "keep\n"
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

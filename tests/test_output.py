@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,17 +11,25 @@ import pytest
 from epimarket import (
     EpidemicParams,
     Grid,
+    SupplyCurve,
     build_timeline,
     check_propositions,
+    epidemic_pass,
     infection_peak,
     parameter_sweep,
+    re_price_path,
+    simulate_depression,
     simulate_myopic,
 )
+from epimarket import output
 from epimarket.errors import ConfigError
 from epimarket.output import (
+    BLOCK_ROWS,
     RunReport,
+    prepare_out_dir,
     read_timeseries_csv,
     timeline_payload,
+    write_legs,
     write_plot_dat,
     write_report,
     write_sweep_csv,
@@ -161,3 +171,126 @@ def test_report_payload(tmp_path):
     assert payload["timeline"] is None
     assert payload["manifest"] == ["myopic.csv"]
     assert payload["error"] is None
+
+
+# ---------------------------------------------------------------------------
+# streamed writer against the per-row reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_fmt(v) -> str:
+    return repr(float(v))
+
+
+def _reference_csv(traj) -> bytes:
+    """The per-row CSV formatting the streamed writer must reproduce."""
+    cols = (traj.times, traj.s, traj.i, traj.r, traj.x, traj.p)
+    phases = traj.phases()
+    lines = ["t,S,I,R,X,P,phase"]
+    for k in range(len(traj)):
+        lines.append(",".join(_ref_fmt(c[k]) for c in cols) + f",{phases[k]}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_dat(traj) -> bytes:
+    lines = ["# t P I"]
+    for k in range(len(traj)):
+        lines.append(f"{_ref_fmt(traj.times[k])} {_ref_fmt(traj.p[k])} "
+                     f"{_ref_fmt(traj.i[k])}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _reference_json(traj) -> bytes:
+    cols = (traj.times, traj.s, traj.i, traj.r, traj.x, traj.p)
+    payload = {name: [float(v) for v in col]
+               for name, col in zip(("t", "S", "I", "R", "X", "P"), cols)}
+    payload["phase"] = traj.phases()
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def shared_legs(params, curve, grid):
+    """myopic, rational and depression over one SIR pass, at the defaults
+    except depression's curve, which sits above the price floor."""
+    epi = epidemic_pass(params, grid)
+    return [
+        ("myopic", simulate_myopic(params, curve, grid, epi)),
+        ("rational", re_price_path(params, curve, grid, epidemic=epi)),
+        ("depression", simulate_depression(params, SupplyCurve(kappa=700.0),
+                                           grid, epi)),
+    ]
+
+
+def _check_legs(out, legs, fmt="csv"):
+    series, plots = write_legs(legs, fmt, out)
+    assert series == [str(out / f"{name}.{fmt}") for name, _ in legs]
+    assert plots == [str(out / f"{name}.dat") for name, _ in legs]
+    ref = _reference_csv if fmt == "csv" else _reference_json
+    for (_name, traj), s_path, d_path in zip(legs, series, plots):
+        assert Path(s_path).read_bytes() == ref(traj)
+        assert Path(d_path).read_bytes() == _reference_dat(traj)
+
+
+def _cut_legs(shared_legs, rows):
+    """The myopic and depression legs cut to their first rows nodes."""
+    (_, myopic), _, (_, depression) = shared_legs
+    # cut the shared SIR columns once, so both legs still hold the same arrays
+    cut = {name: getattr(myopic, name)[:rows] for name in ("times", "s", "i", "r")}
+    legs = [(name, replace(traj, **cut, x=traj.x[:rows], p=traj.p[:rows]))
+            for name, traj in (("myopic", myopic), ("depression", depression))]
+    assert legs[0][1].s is legs[1][1].s
+    return legs
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 1])
+def test_streamed_files_match_the_row_reference_at_block_edges(
+        tmp_path, shared_legs, rows):
+    legs = _cut_legs(shared_legs, rows)
+    _check_legs(tmp_path, legs)
+    # the single-file entry points write the same bytes
+    for name, traj in legs:
+        write_timeseries(traj, "csv", tmp_path / f"one_{name}.csv")
+        write_plot_dat(traj, tmp_path / f"one_{name}.dat")
+        assert (tmp_path / f"one_{name}.csv").read_bytes() == _reference_csv(traj)
+        assert (tmp_path / f"one_{name}.dat").read_bytes() == _reference_dat(traj)
+
+
+def test_full_run_with_shared_columns_matches_the_row_reference(tmp_path, shared_legs):
+    (_, myopic), (_, rational), (_, depression) = shared_legs
+    assert myopic.times is rational.times is depression.times
+    assert myopic.s is depression.s and myopic.i is depression.i
+    assert len(myopic) == 30_001
+    assert set(rational.phases()) == {"pre", "plateau", "post"}
+    _check_legs(tmp_path, shared_legs)
+
+
+def test_json_legs_are_unchanged(tmp_path, shared_legs):
+    _check_legs(tmp_path, _cut_legs(shared_legs, 2 * BLOCK_ROWS + 1), fmt="json")
+
+
+def test_streamed_writer_closes_every_file_when_it_raises(tmp_path, monkeypatch,
+                                                          tiny_run):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(output, "open", recording_open, raising=False)
+    (tmp_path / "b.csv").mkdir()  # the second leg's series cannot be opened
+    with pytest.raises(ConfigError, match="b.csv"):
+        write_legs([("a", tiny_run), ("b", tiny_run)], "csv", tmp_path)
+    assert len(opened) == 2
+    assert all(fh.closed for fh in opened)
+
+
+def test_unusable_out_dir_is_a_config_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    for bad in (blocker, blocker / "sub"):
+        with pytest.raises(ConfigError, match=str(bad)):
+            prepare_out_dir(bad)
+    assert blocker.read_text() == "keep\n"
+    assert prepare_out_dir(tmp_path / "new" / "dir").is_dir()

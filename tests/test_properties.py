@@ -1,4 +1,5 @@
-"""Property tests: config round trips, pass sharing and SIR conservation.
+"""Property tests: config round trips, pass sharing, SIR conservation,
+the depression mirror and sweep determinism.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time.
@@ -14,12 +15,14 @@ from epimarket import (
     Grid,
     SupplyCurve,
     epidemic_pass,
+    parameter_sweep,
     simulate_depression,
     simulate_epidemic,
     simulate_myopic,
+    write_sweep_csv,
 )
 from epimarket.config import ScenarioConfig, parse_config, serialize_config
-from epimarket.errors import ConfigError, SimulationError
+from epimarket.errors import ConfigError, PriceFloorError, SimulationError
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -121,3 +124,59 @@ def test_population_is_conserved_on_stable_epidemics(n, rate, gamma, dt):
     drift = np.abs(epi.s + epi.i + epi.r - params.total)
     assert float(drift.max()) <= 1e-8 * params.total
 
+
+# ---------------------------------------------------------------------------
+# the depression mirrors the boom
+# ---------------------------------------------------------------------------
+
+_MIRROR = Grid(0.0, 40.0, 2e-2)
+
+
+@DETERMINISTIC
+@given(
+    log_beta=st.floats(min_value=-3.6, max_value=-2.7),
+    gamma=st.floats(min_value=0.05, max_value=0.5),
+    log_kappa=st.floats(min_value=1.0, max_value=4.0),
+)
+def test_depression_price_mirrors_the_boom_off_the_floor(log_beta, gamma, log_kappa):
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=10.0 ** log_kappa)
+    epi = epidemic_pass(params, _MIRROR)
+    try:
+        dep = simulate_depression(params, curve, _MIRROR, epi)
+    except PriceFloorError:
+        assume(False)
+    boom = simulate_myopic(params, curve, _MIRROR, epi)
+    mirror_err = np.abs(dep.p - (2.0 * curve.p0 - boom.p))
+    assert float(mirror_err.max()) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# sweep bytes do not depend on the worker count
+# ---------------------------------------------------------------------------
+
+_SWEEP = Grid(0.0, 80.0, 2e-2)
+_AXIS_VALUES = {
+    "beta": st.floats(min_value=2.5e-4, max_value=1e-3),
+    "gamma": st.floats(min_value=0.05, max_value=0.2),
+    "kappa": st.floats(min_value=5.0, max_value=400.0),
+}
+
+
+@st.composite
+def _small_axes(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_AXIS_VALUES)),
+                          min_size=1, max_size=2, unique=True))
+    return {name: draw(st.lists(_AXIS_VALUES[name], min_size=1, max_size=2))
+            for name in names}
+
+
+@settings(DETERMINISTIC, max_examples=6)
+@given(axes=_small_axes())
+def test_sweep_csv_bytes_do_not_depend_on_workers(tmp_path_factory, axes):
+    out = tmp_path_factory.mktemp("sweep")
+    params, curve = EpidemicParams(), SupplyCurve()
+    for workers in (1, 3):
+        rows = parameter_sweep(params, curve, _SWEEP, axes=axes, workers=workers)
+        write_sweep_csv(rows, out / f"w{workers}.csv")
+    assert (out / "w1.csv").read_bytes() == (out / "w3.csv").read_bytes()
