@@ -13,7 +13,9 @@ from single partial RK4 steps, so the whole solve stays deterministic.
 
 Two passes run over the drive table of the grid's SIR pass (see
 epidemic): the accumulation phase (z, h) from t=0, and every stage-one
-node diagnosis, which starts on a node and steps exactly dt.
+node diagnosis, which starts on a node and steps exactly dt. The solve's
+accumulation stops at k_f, the first node flow-reversed before any scan
+(h > 0, net flow at its own P* <= 0), and its replay reuses those arrays.
 
 Every path from a sell-start time t1 steps S, I and R again. One
 rk4_step takes an off-node t1's state from the node below. From t1 each
@@ -128,9 +130,10 @@ def _flow(params: EpidemicParams, p_star: float, y: tuple) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(params: EpidemicParams, curve: SupplyCurve,
-                epi: EpidemicTrajectory, upto: int) -> tuple[array, array]:
-    """Accumulation-phase z and h at nodes 0..upto, over the grid's drives."""
+def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
+                upto: int, stop_at_reversal: bool = False) -> tuple[array, array]:
+    """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
+    stop_at_reversal and k_f < upto)."""
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     field = _phase1_field(params, curve)
@@ -142,6 +145,9 @@ def _accumulate(params: EpidemicParams, curve: SupplyCurve,
         half = 0.5 * dt
         cure1 = gamma * z
         kz1 = d1 * w / (p0 + (z + h) / kappa) - cure1
+        # kz1 is _flow at this node's own P*, to the bit
+        if kz1 <= 0.0 and h > 0.0 and stop_at_reversal:
+            break
         z2, h2 = z + half * kz1, h + half * cure1
         cure2 = gamma * z2
         kz2 = d2 * w / (p0 + (z2 + h2) / kappa) - cure2
@@ -244,9 +250,14 @@ def simulate_re_given_t1(
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
     epi = driving_pass(params, grid, epidemic)
-    p0, kappa = curve.p0, curve.kappa
-
     zs, hs = _accumulate(params, curve, epi, _node_below(grid, t1))
+    return _replay(params, curve, t1, epi, zs, hs)
+
+
+def _replay(params, curve, t1: float, epi, zs, hs):
+    """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond."""
+    grid = epi.grid
+    p0, kappa = curve.p0, curve.kappa
     k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
     p_star = clearing_price(st1[3] + st1[4], curve)
 
@@ -287,7 +298,7 @@ def simulate_re_given_t1(
         post_start = k1 + 1
         z_post = holdings_pass(params, curve, sir, st1[:4], field3, -np.inf)[1:]
 
-    z1, h1 = np.frombuffer(zs), np.frombuffer(hs)
+    z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
     zp = np.frombuffer(z_plateau)
     z3 = np.frombuffer(z_post)
     below = np.flatnonzero(z3 <= -kappa * p0)
@@ -371,20 +382,27 @@ def solve_plateau(
 ) -> PlateauSolution:
     """Shoot on the sell-start time until the plateau closes cleanly.
 
-    Stage one bisects t1 over grid nodes on the event-order sign from the
-    plateau scan. Stage two bisects continuously inside the final one-node
-    bracket on the leftover-inventory defect until both closure residuals
-    sit within half the requested tolerance: |h(t2)| <= 0.5*tol*phi(P*)
-    and |flow(t2)| <= 0.5*tol*gamma*phi(P*). epidemic is as in
-    simulate_re_given_t1.
+    Stage one bisects t1 over grid nodes in [1, k_f] ([1, n-1] if there is
+    no k_f; past z's one peak every node is flow-reversed) on the
+    event-order sign from the plateau scan. Stage two bisects continuously
+    inside the final one-node bracket on the leftover-inventory defect
+    until both closure residuals sit within half the requested tolerance:
+    |h(t2)| <= 0.5*tol*phi(P*) and |flow(t2)| <= 0.5*tol*gamma*phi(P*).
+    iterations counts stage-one diagnoses plus stage-two closures.
+    epidemic is as in simulate_re_given_t1.
     """
+    return _solve(params, curve, grid, tol, epidemic)[0]
+
+
+def _solve(params, curve, grid, tol, epidemic):
+    """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f)."""
     if params.n2 == 0 or params.n1 <= params.threshold:
         raise NoPlateauError(
             "no boom: the contagion never grows, so no plateau exists"
         )
     epi = driving_pass(params, grid, epidemic)
     n = grid.n_steps
-    zs, hs = _accumulate(params, curve, epi, n)
+    zs, hs = _accumulate(params, curve, epi, n, stop_at_reversal=True)
     evals = 0
 
     def diag(k: int) -> str:
@@ -392,7 +410,7 @@ def solve_plateau(
         evals += 1
         return _node_diagnosis(params, curve, epi, zs, hs, k)
 
-    lo_k, hi_k = 1, n - 1
+    lo_k, hi_k = 1, min(len(zs), n) - 1
     kind_lo, kind_hi = diag(lo_k), diag(hi_k)
     if kind_lo == kind_hi:
         raise NoPlateauError(
@@ -432,7 +450,7 @@ def solve_plateau(
                 residual_flow=c.residual_flow,
                 residual_absorption=c.residual_absorption,
                 iterations=evals,
-            )
+            ), zs, hs
         if c.residual_absorption > 0.0:
             t_hi = t_mid
         else:
@@ -453,9 +471,9 @@ def re_price_path(
 
     t2 in the metadata is the sub-node flow-reversal time from the solve;
     the trajectory's phase column switches at whole nodes. The solve and
-    the replay share one SIR pass, epidemic if given.
+    the replay share one SIR pass, epidemic if given, and its phase 1.
     """
     epi = driving_pass(params, grid, epidemic)
-    sol = solve_plateau(params, curve, grid, tol, epi)
-    traj, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
+    sol, zs, hs = _solve(params, curve, grid, tol, epi)
+    traj, _diag = _replay(params, curve, sol.t1, epi, zs, hs)
     return replace(traj, t2=sol.t2)

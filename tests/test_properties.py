@@ -1,5 +1,5 @@
 """Property tests: config round trips, pass sharing, SIR conservation,
-the depression mirror and sweep determinism.
+the depression mirror, sweep determinism and CLI exit codes.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time.
@@ -21,6 +21,7 @@ from epimarket import (
     simulate_myopic,
     write_sweep_csv,
 )
+from epimarket import cli
 from epimarket.config import ScenarioConfig, parse_config, serialize_config
 from epimarket.errors import ConfigError, PriceFloorError, SimulationError
 
@@ -180,3 +181,68 @@ def test_sweep_csv_bytes_do_not_depend_on_workers(tmp_path_factory, axes):
         rows = parameter_sweep(params, curve, _SWEEP, axes=axes, workers=workers)
         write_sweep_csv(rows, out / f"w{workers}.csv")
     assert (out / "w1.csv").read_bytes() == (out / "w3.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the CLI returns a documented exit code on any arguments
+# ---------------------------------------------------------------------------
+
+# verify is left out: one well-formed call runs the whole battery
+_GOOD_CONFIGS = {
+    "kappa400.cfg": "kappa=400\n",
+    "unstable.cfg": "beta=5\n",
+    "noboom.cfg": "gamma=0.6\n",
+    "axes.cfg": "sweep.kappa=5,400\nsweep.beta=5e-4\n",
+    "json.cfg": '{"kappa": 20, "scenario": "all"}',
+}
+_BAD_CONFIGS = {
+    "badaxis.cfg": "sweep.n2=1,2\n",
+    "broken.cfg": "{",
+    "unknown.cfg": "colour=blue\n",
+}
+
+
+def _mostly(valid, invalid):
+    """A value from valid about two draws in three, else one from invalid."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid),
+                     st.sampled_from(invalid))
+
+
+_PAIRS = {
+    "--scenario": _mostly(("myopic", "rational", "depression", "all"), ("none",)),
+    "--format": _mostly(("csv", "json"), ("xml",)),
+    "--workers": _mostly(("1", "2", "3", "4"), ("0", "two")),
+    "--config": _mostly(tuple(_GOOD_CONFIGS), tuple(_BAD_CONFIGS) + ("missing.cfg",)),
+}
+_LONE = ("--dt", "--bogus", "stray", "-h")
+# the last --dt and --horizon win, so a well-formed run takes at most
+# 40 / 1e-2 = 4000 steps (16000 after a sweep point's two dt halvings)
+_DT = _mostly(("0.02", "0.01", "0.5"), ("0", "-0.01", "nan", "abc"))
+_HORIZON = _mostly(("40", "5", "0.5"), ("0", "-5", "inf", "1e300"))
+
+
+@st.composite
+def _cli_argv(draw):
+    argv = [draw(_mostly(("simulate", "sweep"), ("frobnicate", "--bogus")))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 4)):
+            flag = draw(st.sampled_from(sorted(_PAIRS)))
+            argv += [flag, draw(_PAIRS[flag])]
+        else:
+            argv.append(draw(st.sampled_from(_LONE)))
+    argv += ["--dt", draw(_DT), "--horizon", draw(_HORIZON)]
+    return argv, draw(_mostly(("dir",), ("file", "under-file")))
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(drawn=_cli_argv())
+def test_cli_returns_a_documented_exit_code(tmp_path_factory, drawn):
+    argv, out_kind = drawn
+    base = tmp_path_factory.mktemp("cli")
+    for name, text in {**_GOOD_CONFIGS, **_BAD_CONFIGS}.items():
+        (base / name).write_text(text, encoding="utf-8")
+    (base / "file").write_text("", encoding="utf-8")
+    out = {"dir": base / "out", "file": base / "file",
+           "under-file": base / "file" / "out"}[out_kind]
+    argv = [str(base / a) if a.endswith(".cfg") else a for a in argv]
+    assert cli.main(argv + ["--out", str(out)]) in (0, 1, 2, 3)

@@ -8,11 +8,15 @@ from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
+    epidemic_pass,
     re_price_path,
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket.errors import DomainError, GridTooCoarseError, NoPlateauError
+from epimarket import rational
+from epimarket.errors import (DomainError, GridTooCoarseError, NoPlateauError,
+                              SimulationError)
+from epimarket.market import clearing_price
 
 
 # ---------------------------------------------------------------------------
@@ -154,3 +158,139 @@ def test_phase_labels_partition_the_path(rational_run):
         (a, b) for a, b in zip(labels, labels[1:]) if a != b
     ]
     assert changes == [("pre", "plateau"), ("plateau", "post")]
+
+
+# ---------------------------------------------------------------------------
+# the accumulation scan that stops at k_f against a full-grid oracle
+# ---------------------------------------------------------------------------
+
+
+def _full_grid_solve(params, curve, grid, tol, epi):
+    """The solve with phase 1 accumulated over all n steps and stage one
+    bracketed on [1, n-1]: (t1, t2, P*, residual_flow, residual_absorption)."""
+    n = grid.n_steps
+    zs, hs = rational._accumulate(params, curve, epi, n)
+    assert len(zs) == n + 1
+
+    def diag(k):
+        return rational._node_diagnosis(params, curve, epi, zs, hs, k)
+
+    lo_k, hi_k = 1, n - 1
+    kind_lo, kind_hi = diag(lo_k), diag(hi_k)
+    if kind_lo == kind_hi:
+        raise NoPlateauError(
+            f"plateau diagnosis is '{kind_lo}' across (0, {grid.t_end}): "
+            f"no sign change to shoot on"
+        )
+    if kind_lo != "absorbed" or kind_hi != "flow-reversed":
+        raise GridTooCoarseError(
+            "event order is not monotone in t1 at this resolution; retry with dt/2"
+        )
+    while hi_k - lo_k > 1:
+        mid = (lo_k + hi_k) // 2
+        kind = diag(mid)
+        if kind == "absorbed":
+            lo_k = mid
+        elif kind == "flow-reversed":
+            hi_k = mid
+        else:
+            raise GridTooCoarseError(
+                "plateau never closed before the horizon end; retry with dt/2 "
+                "or extend the horizon"
+            )
+    t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        c = rational._closure_at(params, curve, epi, zs, hs, t_mid)
+        if not c.found:
+            raise GridTooCoarseError(
+                "flow never reversed before the horizon end; retry with dt/2"
+            )
+        if (abs(c.residual_absorption) <= 0.5 * tol * c.phi_star
+                and abs(c.residual_flow) <= 0.5 * tol * params.gamma * c.phi_star):
+            return (t_mid, c.t2, c.p_star, c.residual_flow, c.residual_absorption)
+        if c.residual_absorption > 0.0:
+            t_hi = t_mid
+        else:
+            t_lo = t_mid
+        if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
+            break
+    raise GridTooCoarseError(
+        f"plateau closure residuals did not reach tol={tol} at dt={grid.dt}; "
+        f"retry with dt/2"
+    )
+
+
+def _first_reversed_node(params, curve, epi, zs, hs):
+    """k_f by _node_diagnosis's own pre-scan check, or None."""
+    for k in range(1, epi.grid.n_steps):
+        st = epi.state_at(k)
+        y = (st.s, st.i, st.r, zs[k], hs[k])
+        if y[4] > 0.0:
+            p_star = clearing_price(y[3] + y[4], curve)
+            if rational._flow(params, p_star, y) <= 0.0:
+                return k
+    return None
+
+
+def _solved(params, curve, grid, tol, epi):
+    sol = solve_plateau(params, curve, grid, tol, epi)
+    return sol.t1, sol.t2, sol.p_star, sol.residual_flow, sol.residual_absorption
+
+
+def _outcome(fn, *args):
+    """fn's result, or (type, message) of the SimulationError it raised."""
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+# one SIR pass per row: (dt, t_end, beta, gamma, [(kappa, tol), ...]). The
+# first point is the README default. The short horizons (all but t_end=21),
+# tol=1e-9 and beta=2e-3 at dt=2e-2 end in the solve's errors.
+_ORACLE_ROWS = [
+    (1e-2, 300.0, 5e-4, 0.1, [(10.0, 1e-4), (5.0, 1e-4), (50.0, 1e-4), (400.0, 1e-4)]),
+    (1e-2, 300.0, 2.5e-4, 0.05, [(5.0, 1e-4), (20.0, 1e-4), (400.0, 1e-4)]),
+    (2e-2, 300.0, 5e-4, 0.1, [(10.0, 1e-4), (400.0, 1e-4), (10.0, 1e-9)]),
+    (2e-2, 300.0, 1e-3, 0.2, [(5.0, 1e-4), (50.0, 1e-4), (400.0, 1e-4)]),
+    (2e-2, 300.0, 2e-3, 0.1, [(10.0, 1e-4)]),
+    (5e-3, 300.0, 5e-4, 0.1, [(10.0, 1e-4), (100.0, 1e-4), (400.0, 1e-4)]),
+    (1e-2, 0.05, 5e-4, 0.1, [(10.0, 1e-4)]),
+    (1e-2, 12.0, 5e-4, 0.1, [(10.0, 1e-4)]),
+    (1e-2, 20.0, 5e-4, 0.1, [(10.0, 1e-4)]),
+    (1e-2, 21.0, 5e-4, 0.1, [(10.0, 1e-4)]),
+    (2e-2, 60.0, 1.5e-4, 0.1, [(10.0, 1e-4)]),
+]
+
+
+@pytest.mark.parametrize("dt, t_end, beta, gamma, row", _ORACLE_ROWS)
+def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
+    params = EpidemicParams(beta=beta, gamma=gamma)
+    grid = Grid(0.0, t_end, dt)
+    epi = epidemic_pass(params, grid)
+    for kappa, tol in row:
+        curve = SupplyCurve(kappa=kappa)
+        expected = _outcome(_full_grid_solve, params, curve, grid, tol, epi)
+        assert _outcome(_solved, params, curve, grid, tol, epi) == expected, (kappa, tol)
+        # the solve's scan is the full scan's prefix up to k_f
+        zs, hs = rational._accumulate(params, curve, epi, grid.n_steps,
+                                      stop_at_reversal=True)
+        full_z, full_h = rational._accumulate(params, curve, epi, grid.n_steps)
+        k_f = _first_reversed_node(params, curve, epi, full_z, full_h)
+        assert len(zs) - 1 == (grid.n_steps if k_f is None else k_f), (kappa, tol)
+        assert zs == full_z[:len(zs)] and hs == full_h[:len(hs)]
+
+
+@pytest.mark.parametrize("kappa, dt", [(10.0, 1e-2), (400.0, 1e-2), (5.0, 2e-2)])
+def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
+    curve = SupplyCurve(kappa=kappa)
+    grid = Grid(0.0, 300.0, dt)
+    epi = epidemic_pass(params, grid)
+    sol = solve_plateau(params, curve, grid, epidemic=epi)
+    traj = re_price_path(params, curve, grid, epidemic=epi)
+    own, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
+    for name in ("s", "i", "r", "z", "h", "p"):
+        assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
+    assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
+    assert (traj.t1, traj.t2, traj.p_star) == (own.t1, sol.t2, own.p_star)
