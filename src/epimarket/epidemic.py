@@ -10,17 +10,17 @@ The market never feeds back into the contagion, so S, I and R are
 integrated once per (params, grid). That pass keeps a drive table: for
 every RK4 step, the drive beta*I*S at each of the four stages. Every
 market pass on the same grid (market, rational) replays those drives as
-a scalar RK4 pass of its own holdings and never steps S, I and R again.
-Only the rational paths from a sell-start time t1 step the full state
-again: their steps run from t1 to each node, so they are not the grid's
-steps. They go through the same kernel, `SirPath`, along their own
-steps.
+a scalar RK4 pass of its own holdings, and its S, I and R are this
+pass's arrays. A rational path leaves the nodes only around its
+sell-start time t1: the steps to t1 and on to the next node go through
+its coupled fields, and from that node on it reads the grid's S, I and
+R again.
 
-The kernel is rk4_step's arithmetic on the SIR field, written out on
-plain floats, so every value matches a fixed-step RK4 run bit for bit.
-The pass runs to the grid's end unchecked. A reader replays a step whose
-result is non-finite through rk4_step on its own coupled field, which
-raises exactly what the coupled step raises. Every coupled field is
+The pass is rk4_step's arithmetic on the SIR field, written out on plain
+floats, so every value matches a fixed-step RK4 run bit for bit. It runs
+to the grid's end unchecked. A reader replays a step whose result is
+non-finite through rk4_step on its own coupled field, which raises
+exactly what the coupled step raises. Every coupled field is
 `coupled_field`: sir_derivatives with the field's own rates appended.
 """
 from __future__ import annotations
@@ -121,8 +121,13 @@ class EpidemicTrajectory:
         return EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k]))
 
     def steps(self, k: int = 0):
-        """The RK4 steps from node k to the end of the grid, as `SirPath.steps`
-        tuples replayed from the drive table."""
+        """The RK4 steps from node k to the end of the grid, replayed from
+        the drive table.
+
+        Yields (t, h, d1, d2, d3, d4, s, i, r) for each step: its start
+        time and size, the drives beta*I*S at its four stages, and the
+        state it ends at.
+        """
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
         return zip(memoryview(self.times)[k:-1], repeat(self.grid.dt),
                    drives, drives, drives, drives,
@@ -159,57 +164,6 @@ def coupled_field(params: EpidemicParams, rate=None):
     return field
 
 
-class SirPath:
-    """S, I and R at the nodes of a run of up to n RK4 steps.
-
-    The arrays hold the initial state and one entry per step taken by
-    `steps`; they are allocated at full size up front.
-    """
-
-    def __init__(self, params: EpidemicParams, s: float, i: float, r: float,
-                 n: int):
-        self.beta, self.gamma = params.beta, params.gamma
-        self.s = array("d", [s]) * (n + 1)
-        self.i = array("d", [i]) * (n + 1)
-        self.r = array("d", [r]) * (n + 1)
-
-    def steps(self, schedule):
-        """Step on from the initial state over schedule, an iterable of at
-        most n (t, h) pairs.
-
-        Yields (t, h, d1, d2, d3, d4, s, i, r) for each step: its start time
-        and size, the drives beta*I*S at its four stages, and the state it
-        ends at, which is recorded before the step is yielded.
-        """
-        beta, gamma = self.beta, self.gamma
-        s_arr, i_arr, r_arr = self.s, self.i, self.r
-        s, i, r = s_arr[0], i_arr[0], r_arr[0]
-        for k, (t, h) in enumerate(schedule, 1):
-            half = 0.5 * h
-            d1 = beta * i * s
-            c1 = gamma * i
-            s2 = s - half * d1
-            i2 = i + half * (d1 - c1)
-            d2 = beta * i2 * s2
-            c2 = gamma * i2
-            s3 = s - half * d2
-            i3 = i + half * (d2 - c2)
-            d3 = beta * i3 * s3
-            c3 = gamma * i3
-            s4 = s - h * d3
-            i4 = i + h * (d3 - c3)
-            d4 = beta * i4 * s4
-            c4 = gamma * i4
-            sixth = h / 6.0
-            s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
-            i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
-            r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
-            s_arr[k] = s
-            i_arr[k] = i
-            r_arr[k] = r
-            yield t, h, d1, d2, d3, d4, s, i, r
-
-
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """The SIR pass with its drive table, for market passes to run on.
 
@@ -219,12 +173,36 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     coupled step raises, which may be an earlier error of its own.
     """
     n = grid.n_steps
-    path = SirPath(params, params.n1, params.n2, params.n3, n)
-    # allocated at full size: growing it step by step fragments the heap
+    beta, gamma, h = params.beta, params.gamma, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    s, i, r = params.n1, params.n2, params.n3
+    # allocated at full size: growing them step by step fragments the heap
+    s_arr = array("d", [s]) * (n + 1)
+    i_arr = array("d", [i]) * (n + 1)
+    r_arr = array("d", [r]) * (n + 1)
     drives = array("d", [0.0]) * (4 * n)
-    schedule = zip(memoryview(grid.times())[:-1], repeat(grid.dt))
     j = 0
-    for _t, _h, d1, d2, d3, d4, _s, _i, _r in path.steps(schedule):
+    for k in range(1, n + 1):
+        d1 = beta * i * s
+        c1 = gamma * i
+        s2 = s - half * d1
+        i2 = i + half * (d1 - c1)
+        d2 = beta * i2 * s2
+        c2 = gamma * i2
+        s3 = s - half * d2
+        i3 = i + half * (d2 - c2)
+        d3 = beta * i3 * s3
+        c3 = gamma * i3
+        s4 = s - h * d3
+        i4 = i + h * (d3 - c3)
+        d4 = beta * i4 * s4
+        c4 = gamma * i4
+        s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
+        r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        s_arr[k] = s
+        i_arr[k] = i
+        r_arr[k] = r
         drives[j] = d1
         drives[j + 1] = d2
         drives[j + 2] = d3
@@ -234,9 +212,9 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         params=params,
         grid=grid,
         times=grid.times(),
-        s=np.frombuffer(path.s),
-        i=np.frombuffer(path.i),
-        r=np.frombuffer(path.r),
+        s=np.frombuffer(s_arr),
+        i=np.frombuffer(i_arr),
+        r=np.frombuffer(r_arr),
         drives=np.frombuffer(drives).reshape(-1, 4),
     )
 

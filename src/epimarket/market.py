@@ -141,11 +141,12 @@ def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,
     """x at the start of steps and at each node after, from y = (s, i, r, x).
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
-    stage drives of steps (`SirPath.steps` tuples); mirror=True divides
-    minus the drive by the reflected price 2*p0 - P instead. A stage state
-    at or below floor, or a non-finite step, is replayed through rk4_step
-    on field, the coupled field of the same equation, which raises what
-    the coupled step raises; if it raises nothing, the step stands.
+    stage drives of steps (`EpidemicTrajectory.steps` tuples); mirror=True
+    divides minus the drive by the reflected price 2*p0 - P instead. A
+    stage state at or below floor, or a non-finite step, is replayed
+    through rk4_step on field, the coupled field of the same equation,
+    which raises what the coupled step raises; if it raises nothing, the
+    step stands.
     """
     w, gamma = params.endowment, params.gamma
     p0, kappa = curve.p0, curve.kappa

@@ -11,20 +11,18 @@ followed by a continuous bisection inside the final one-node bracket on
 the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
-Two passes run over the drive table of the grid's SIR pass (see
-epidemic): the accumulation phase (z, h) from t=0, and every stage-one
-node diagnosis, which starts on a node and steps exactly dt. The solve's
-accumulation stops at k_f, the first node flow-reversed before any scan
-(h > 0, net flow at its own P* <= 0), and its replay reuses those arrays.
+Every pass runs over the drive table of the grid's SIR pass (see
+epidemic): the accumulation phase (z, h) from t=0, every stage-one node
+diagnosis, which starts on a node and steps exactly dt, and every path
+from a trial t1. The solve's accumulation stops at k_f, the first node
+flow-reversed before any scan (h > 0, net flow at its own P* <= 0), and
+its replay reuses those arrays.
 
-Every path from a sell-start time t1 steps S, I and R again. One
-rk4_step takes an off-node t1's state from the node below. From t1 each
-step runs to the next node, node(j) - t_prev long. That is not dt to
-the bit, so S and I along the path differ from the grid's in the last
-bits. The stage-two closure scans, and the plateau with its
-continuation in simulate_re_given_t1, therefore step S, I and R through
-`SirPath` along their own steps. z (and h) are scalar passes over its
-drives.
+A path from t1 in [node(k1), node(k1+1)) reaches an off-node t1 by one
+rk4_step on the phase-1 field from node k1. One rk4_step on the phase-2
+field (phase 3, if the plateau collapses at t1) carries it on to node
+k1+1. From there z and h run over the grid's drives, and S, I and R
+along the whole path are the grid's arrays.
 
 The phase fields (`coupled_field`) remain the definition of each phase:
 partial steps and replays of non-finite steps go through them.
@@ -37,8 +35,7 @@ from itertools import islice
 
 import numpy as np
 
-from .epidemic import (EpidemicParams, EpidemicTrajectory, SirPath, coupled_field,
-                       driving_pass)
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
 from .errors import DomainError, GridTooCoarseError, NoPlateauError
 from .market import MarketTrajectory, SupplyCurve, clearing_price, holdings_pass
 from .numerics import Grid, rk4_step
@@ -200,17 +197,33 @@ def _plateau(params: EpidemicParams, p_star: float, steps, y: tuple):
 
 
 def _node_below(grid: Grid, t: float) -> int:
-    k = int((t - grid.t_start) / grid.dt)
-    if t - grid.node(k) < 0.0:
+    """The k with node(k) <= t < node(k+1), capped at n_steps."""
+    n = grid.n_steps
+    k = min(int((t - grid.t_start) / grid.dt), n)
+    if t < grid.node(k):
         k -= 1
+    elif k < n and grid.node(k + 1) <= t:
+        k += 1
     return k
 
 
-def _to_nodes(grid: Grid, t: float, k: int):
-    """(t, h) steps from time t, in [node(k), node(k+1)), to each later node."""
-    for tj in memoryview(grid.times())[k + 1:]:
-        yield t, tj - t
-        t = tj
+def _to_node(epi: EpidemicTrajectory, field, t1: float, k1: int, y: tuple) -> tuple:
+    """y = (s, i, r, ...) at t1 in [node(k1), node(k1+1)) carried to node
+    k1+1 by one rk4_step on field; S, I and R there are the grid's."""
+    st = epi.state_at(k1 + 1)
+    return (st.s, st.i, st.r) + rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
+
+
+def _plateau_from(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
+                  t1: float, k1: int, y: tuple, steps):
+    """_plateau from y at t1 in [node(k1), node(k1+1)): its first node
+    comes from _to_node, the rest over steps, the grid's from node k1+1.
+    Nothing is yielded if node k1 is the grid's last."""
+    if k1 < epi.grid.n_steps:
+        dt = epi.grid.node(k1 + 1) - t1
+        y = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
+        yield t1, dt, y, _flow(params, p_star, y)
+        yield from _plateau(params, p_star, steps, y)
 
 
 def _state_at(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
@@ -245,7 +258,7 @@ def simulate_re_given_t1(
     net flow at P* is <= 0, whichever fires first; from that node h is
     frozen at zero and the price clears on z alone. epidemic is the
     grid's SIR pass (`epidemic_pass`); without one, a new pass is
-    integrated.
+    integrated. The trajectory's S, I and R are that pass's arrays.
     """
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
@@ -268,16 +281,14 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     elif flow1 <= 0.0:
         diag = PlateauDiagnosis("flow-reversed", t1, st1[4], flow1)
 
-    # from t1 on, S, I and R step along their own path: to each later node
-    path = SirPath(params, st1[0], st1[1], st1[2], grid.n_steps - k1)
-    sir = path.steps(_to_nodes(grid, t1, k1))
+    steps = epi.steps(k1 + 1)
     field3 = _phase3_field(params, curve)
     z_plateau, h_plateau = array("d"), array("d")
     z_post = array("d")
     post_start: int | None = None
     if diag is None:
         j, last = k1, st1
-        for _t, _dt, y, flow in _plateau(params, p_star, sir, st1):
+        for _t, _dt, y, flow in _plateau_from(params, p_star, epi, t1, k1, st1, steps):
             j += 1
             if y[4] > 0.0 and flow > 0.0:
                 z_plateau.append(y[3])
@@ -288,7 +299,7 @@ def _replay(params, curve, t1: float, epi, zs, hs):
             diag = PlateauDiagnosis(kind, grid.node(j), y[4], flow)
             # the closing node clears on z alone and starts phase 3
             post_start = j
-            z_post = holdings_pass(params, curve, sir, y[:4], field3, -np.inf)
+            z_post = holdings_pass(params, curve, steps, y[:4], field3, -np.inf)
             break
         else:
             diag = PlateauDiagnosis("open", grid.t_end, last[4],
@@ -296,7 +307,9 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     else:
         # plateau collapsed at t1 itself; unwind from there
         post_start = k1 + 1
-        z_post = holdings_pass(params, curve, sir, st1[:4], field3, -np.inf)[1:]
+        if k1 < grid.n_steps:
+            y = _to_node(epi, field3, t1, k1, st1[:4])
+            z_post = holdings_pass(params, curve, steps, y, field3, -np.inf)
 
     z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
     zp = np.frombuffer(z_plateau)
@@ -311,9 +324,7 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     traj = MarketTrajectory(
         params=params, curve=curve, grid=grid, scenario="rational",
         times=epi.times,
-        s=np.concatenate((epi.s[:k1 + 1], np.frombuffer(path.s)[1:])),
-        i=np.concatenate((epi.i[:k1 + 1], np.frombuffer(path.i)[1:])),
-        r=np.concatenate((epi.r[:k1 + 1], np.frombuffer(path.r)[1:])),
+        s=epi.s, i=epi.i, r=epi.r,
         x=z + h, p=p, z=z, h=h,
         t1=t1, t2=diag.time, p_star=p_star,
         plateau_start=k1 + 1, post_start=post_start,
@@ -360,9 +371,8 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     flow_prev = _flow(params, p_star, st1)
     if flow_prev <= 0.0:
         return _Closure(True, t1, p_star, phi_star, flow_prev, st1[4])
-    path = SirPath(params, st1[0], st1[1], st1[2], grid.n_steps - k1)
-    sir = path.steps(_to_nodes(grid, t1, k1))
-    for t_prev, dt, st, flow in _plateau(params, p_star, sir, st1):
+    for t_prev, dt, st, flow in _plateau_from(params, p_star, epi, t1, k1, st1,
+                                              epi.steps(k1 + 1)):
         if flow <= 0.0:
             frac = flow_prev / (flow_prev - flow)
             t2 = t_prev + frac * dt

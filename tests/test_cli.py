@@ -72,6 +72,24 @@ def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):
     assert "price" in report["error"]
 
 
+def test_simulate_all_writes_one_sir_history_for_every_leg(tmp_path):
+    # S, I and R are one pass per (params, grid); the rational leg reads it
+    # as the myopic leg does, so the t, S, I, R columns match byte for byte
+    cfgfile = tmp_path / "k400.cfg"
+    cfgfile.write_text("kappa=400\n")
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--config", str(cfgfile),
+                   "--scenario", "all", "--out", str(out))
+    assert code == 0
+
+    def sir_columns(name):
+        lines = (out / name).read_text().splitlines()
+        return [line.split(",")[:4] for line in lines]
+
+    assert sir_columns("rational.csv") == sir_columns("myopic.csv")
+    assert sir_columns("depression.csv") == sir_columns("myopic.csv")
+
+
 def test_cli_flags_override_the_config_file(tmp_path, fast_config):
     out = tmp_path / "out"
     code = run_cli(

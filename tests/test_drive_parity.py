@@ -107,15 +107,19 @@ def _phase_fields(params, curve, p_star=None):
 
 
 def oracle_re_given_t1(params, curve, t1, grid):
-    """Columns (s, i, r, z, h, x, p) and the diagnosis kind, every phase
-    stepped as one 5- or 4-variable field."""
+    """Columns (s, i, r, z, h, p) and the diagnosis kind, every phase
+    stepped as one 5- or 4-variable field.
+
+    Phase 1 runs node to node up to k1, node(k1) <= t1 < node(k1+1), and
+    one step on to t1. One step carries the state from t1 to node k1+1,
+    where S, I and R are set to the grid's coupled SIR values; every later
+    step is exactly dt long.
+    """
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     n, dt = grid.n_steps, grid.dt
     f1, _, f3 = _phase_fields(params, curve)
-    k1 = int((t1 - grid.t_start) / dt)
-    if t1 - grid.node(k1) < 0.0:
-        k1 -= 1
+    k1 = max(k for k in range(n + 1) if grid.node(k) <= t1)
     y = (params.n1, params.n2, params.n3, 0.0, 0.0)
     nodes = [y]
     for k in range(k1):
@@ -126,6 +130,14 @@ def oracle_re_given_t1(params, curve, t1, grid):
         st1 = rk4_step(f1, grid.node(k1), st1, t1 - grid.node(k1))
     p_star = clearing_price(st1[3] + st1[4], curve)
     f2 = _phase_fields(params, curve, p_star)[1]
+    sir = oracle_epidemic(params, grid)
+
+    def step(field, j, st):
+        """The state at node j from st at the previous node, or at t1."""
+        if j > k1 + 1:
+            return rk4_step(field, grid.node(j - 1), st, dt)
+        st = rk4_step(field, t1, st, grid.node(j) - t1)
+        return tuple(sir[j]) + st[3:]
 
     cols = np.empty((n + 1, 6))  # s, i, r, z, h, p
     for j, st in enumerate(nodes):
@@ -140,29 +152,27 @@ def oracle_re_given_t1(params, curve, t1, grid):
         kind = "absorbed"
     elif flow_at(st1) <= 0.0:
         kind = "flow-reversed"
-    t_cur, st3, start = t1, st1[:4], k1 + 1
+    st3, start = st1[:4], k1 + 1
     if kind is None:
-        t_prev, st_prev = t1, st1
+        st = st1
         for j in range(k1 + 1, n + 1):
-            st = rk4_step(f2, t_prev, st_prev, grid.node(j) - t_prev)
+            st = step(f2, j, st)
             if st[4] <= 0.0 or flow_at(st) <= 0.0:
                 kind = "absorbed" if st[4] <= 0.0 else "flow-reversed"
                 cols[j, :4] = st[:4]
                 cols[j, 4] = 0.0
                 cols[j, 5] = clearing_price(st[3], curve)
-                t_cur, st3, start = grid.node(j), st[:4], j + 1
+                st3, start = st[:4], j + 1
                 break
             cols[j, :5] = st
             cols[j, 5] = p_star
-            t_prev, st_prev = grid.node(j), st
         else:
             return cols, "open"
     for j in range(start, n + 1):
-        st3 = rk4_step(f3, t_cur, st3, grid.node(j) - t_cur)
+        st3 = step(f3, j, st3)
         cols[j, :4] = st3
         cols[j, 4] = 0.0
         cols[j, 5] = clearing_price(st3[3], curve)
-        t_cur = grid.node(j)
     return cols, kind
 
 

@@ -1,6 +1,8 @@
 """Three-phase price path with a sell-start time solved by shooting."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from epimarket import (
     SupplyCurve,
     epidemic_pass,
     re_price_path,
+    simulate_myopic,
     simulate_re_given_t1,
     solve_plateau,
 )
@@ -110,6 +113,58 @@ def test_off_grid_start_is_rejected(params, curve, grid):
         simulate_re_given_t1(params, curve, -1.0, grid)
     with pytest.raises(DomainError):
         simulate_re_given_t1(params, curve, grid.t_end, grid)
+
+
+def test_node_below_places_every_node_on_itself(grid):
+    for k in range(grid.n_steps):
+        assert rational._node_below(grid, grid.node(k)) == k
+        assert rational._node_below(grid, math.nextafter(grid.node(k + 1), 0.0)) == k
+    assert rational._node_below(grid, grid.node(grid.n_steps)) == grid.n_steps
+
+
+@pytest.mark.parametrize("beta, kind", [(5e-4, "flow-reversed"), (1.2e-4, "open")])
+def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
+    # node(96) rounds to just below t_end: a t1 in between has no later node
+    grid = Grid(45.605, 112.805, 0.7)
+    n = grid.n_steps
+    t1 = math.nextafter(grid.t_end, 0.0)
+    assert grid.node(n) < t1 < grid.t_end
+    assert rational._node_below(grid, t1) == n
+    traj, diag = simulate_re_given_t1(EpidemicParams(beta=beta), curve, t1, grid)
+    assert diag.kind == kind
+    assert traj.phases() == ["pre"] * (n + 1)
+    assert len(traj.z) == len(traj.h) == len(traj.p) == n + 1
+
+
+# ---------------------------------------------------------------------------
+# S, I and R of a rational path are the driving pass's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 300.0, 1e-2), (7.5, 127.5, 1e-2)],
+                         ids=["defaults", "t_start-7.5"])
+def test_rational_sir_is_the_driving_pass(params, curve, bounds):
+    grid = Grid(*bounds)
+    epi = epidemic_pass(params, grid)
+    myopic = simulate_myopic(params, curve, grid, epi)
+    solved = re_price_path(params, curve, grid, epidemic=epi)
+    k = rational._node_below(grid, solved.t1)
+    t_peak = float(epi.times[int(np.argmax(epi.i))])
+    late = grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt)))
+    trials = {"on-node": grid.node(k), "off-node": grid.node(k) + 0.37 * grid.dt,
+              "collapse": late}
+    runs = {"solved": solved}
+    for label, t1 in trials.items():
+        runs[label], diag = simulate_re_given_t1(params, curve, t1, grid, epi)
+        assert (diag.time == t1) is (label == "collapse"), label
+    for label, traj in runs.items():
+        for name in "sir":
+            assert getattr(traj, name) is getattr(epi, name), (label, name)
+            assert np.array_equal(getattr(traj, name), getattr(myopic, name)), (label, name)
+    # without a given pass, the path's own pass gives the same arrays
+    own = re_price_path(params, curve, grid)
+    for name in "sir":
+        assert np.array_equal(getattr(own, name), getattr(myopic, name)), name
 
 
 # ---------------------------------------------------------------------------
