@@ -379,7 +379,7 @@ def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
             for combo in itertools.product(*(axes[n] for n in names))]
 
 
-def _point_result(params, curve, grid, index, overrides, scenarios, tol,
+def _point_result(params, curve, grid, index, overrides, scenarios,
                   epidemic: EpidemicTrajectory | None) -> SweepResult:
     """Row of one point; epidemic is the SIR pass of params on grid (None
     when the point has no boom)."""
@@ -394,7 +394,7 @@ def _point_result(params, curve, grid, index, overrides, scenarios, tol,
         while True:
             myopic = simulate_myopic(params, curve, g, epidemic)
             peak = infection_peak(params, epidemic)
-            rational = (re_price_path(params, curve, g, tol, epidemic)
+            rational = (re_price_path(params, curve, g, epidemic=epidemic)
                         if "rational" in scenarios else None)
             timeline = build_timeline(myopic, rational, peak)
             undecided = any(v is None for v in timeline.ordering_ok.values())
@@ -413,8 +413,7 @@ def _point_result(params, curve, grid, index, overrides, scenarios, tol,
                        refinements=refinements, dt_used=g.dt)
 
 
-def _epidemic_rows(base_params, base_curve, grid, items, scenarios,
-                   tol) -> list[SweepResult]:
+def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[SweepResult]:
     """Rows of points that share one epidemic, so one SIR pass serves all.
 
     items are (index, overrides) pairs with equal beta, gamma and n1.
@@ -437,8 +436,7 @@ def _epidemic_rows(base_params, base_curve, grid, items, scenarios,
             rows.append(SweepResult(idx, ov, base_params, base_curve, None, None,
                                     error=str(exc), dt_used=grid.dt))
             continue
-        rows.append(_point_result(params, curve, grid, idx, ov, scenarios, tol,
-                                  epidemic))
+        rows.append(_point_result(params, curve, grid, idx, ov, scenarios, epidemic))
     return rows
 
 
@@ -449,7 +447,6 @@ def parameter_sweep(
     axes: dict[str, list[float]] | None = None,
     scenarios: tuple[str, ...] = ("myopic", "rational"),
     workers: int = 1,
-    tol: float = 1e-4,
 ) -> list[SweepResult]:
     """Verdicts over the Cartesian product of the given parameter axes.
 
@@ -476,7 +473,7 @@ def parameter_sweep(
         groups.setdefault(key, []).append((idx, ov))
 
     def job(items: list[tuple[int, dict[str, float]]]) -> list[SweepResult]:
-        return _epidemic_rows(base_params, base_curve, grid, items, scenarios, tol)
+        return _epidemic_rows(base_params, base_curve, grid, items, scenarios)
 
     if workers == 1:
         parts = [job(items) for items in groups.values()]

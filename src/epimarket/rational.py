@@ -12,17 +12,18 @@ the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
 Every pass runs over the drive table of the grid's SIR pass (see
-epidemic): the accumulation phase (z, h) from t=0, every stage-one node
-diagnosis, which starts on a node and steps exactly dt, and every path
-from a trial t1. The solve's accumulation stops at k_f, the first node
-flow-reversed before any scan (h > 0, net flow at its own P* <= 0), and
-its replay reuses those arrays.
+epidemic). The accumulation phase (z, h) runs from t=0; the solve's stops
+at k_f, the first node flow-reversed before any scan (h > 0, net flow at
+its own P* <= 0), and its replay reuses those arrays.
 
-A path from t1 in [node(k1), node(k1+1)) reaches an off-node t1 by one
-rk4_step on the phase-1 field from node k1. One rk4_step on the phase-2
-field (phase 3, if the plateau collapses at t1) carries it on to node
-k1+1. From there z and h run over the grid's drives, and S, I and R
-along the whole path are the grid's arrays.
+From a trial t1 in [node(k1), node(k1+1)) the plateau is one scan: an
+rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
+the phase-2 field carries it to node k1+1, and z and h run on over the
+grid's drives, so S, I and R are the grid's arrays. Stage one's node
+diagnosis stops the scan at its first event, stage two's closure runs it
+to the flow reversal, and the three-phase path unwinds from the closing
+node (or, after one phase-3 step, from node k1+1 if the plateau collapses
+at t1 itself).
 
 The phase fields (`coupled_field`) remain the definition of each phase:
 partial steps and replays of non-finite steps go through them.
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -214,31 +215,37 @@ def _to_node(epi: EpidemicTrajectory, field, t1: float, k1: int, y: tuple) -> tu
     return (st.s, st.i, st.r) + rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
 
 
-def _plateau_from(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
-                  t1: float, k1: int, y: tuple, steps):
-    """_plateau from y at t1 in [node(k1), node(k1+1)): its first node
-    comes from _to_node, the rest over steps, the grid's from node k1+1.
-    Nothing is yielded if node k1 is the grid's last."""
-    if k1 < epi.grid.n_steps:
-        dt = epi.grid.node(k1 + 1) - t1
-        y = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
-        yield t1, dt, y, _flow(params, p_star, y)
-        yield from _plateau(params, p_star, steps, y)
+def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
+          zs: array, hs: array, t1: float):
+    """The plateau from t1 at its pinned price: (k1, P*, nodes).
 
-
-def _state_at(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
-              zs: array, hs: array, t1: float) -> tuple[int, tuple]:
-    """Phase-1 state at (possibly off-node) time t1 via one partial step."""
+    t1 lies in [node(k1), node(k1+1)); its phase-1 state comes from one
+    partial step from node k1. nodes yields (t, dt, state, flow) as
+    _plateau does: first for t1 itself (dt 0.0), then for node k1+1,
+    reached by _to_node on the phase-2 field, then for every later node
+    over the grid's drives. Only t1 is yielded if node k1 is the last.
+    """
     grid = epi.grid
-    k = _node_below(grid, t1)
-    if k >= len(zs):
+    k1 = _node_below(grid, t1)
+    if k1 >= len(zs):
         raise DomainError(f"t1={t1} beyond integrated phase-1 range")
-    st = epi.state_at(k)
-    y = (st.s, st.i, st.r, zs[k], hs[k])
-    rem = t1 - grid.node(k)
+    st = epi.state_at(k1)
+    y = (st.s, st.i, st.r, zs[k1], hs[k1])
+    rem = t1 - grid.node(k1)
     if rem > 0.0:
-        y = rk4_step(_phase1_field(params, curve), grid.node(k), y, rem)
-    return k, y
+        y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
+    p_star = clearing_price(y[3] + y[4], curve)
+    head = [(t1, 0.0, y, _flow(params, p_star, y))]
+    if k1 < grid.n_steps:
+        y = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
+        head.append((t1, grid.node(k1 + 1) - t1, y, _flow(params, p_star, y)))
+    return k1, p_star, chain(head, _plateau(params, p_star, epi.steps(k1 + 1), y))
+
+
+def _closing_kind(h: float) -> str:
+    """The event that closed the plateau at a scan entry where h <= 0 or
+    the net flow is <= 0."""
+    return "absorbed" if h <= 0.0 else "flow-reversed"
 
 
 # ---------------------------------------------------------------------------
@@ -271,54 +278,42 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond."""
     grid = epi.grid
     p0, kappa = curve.p0, curve.kappa
-    k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
-    p_star = clearing_price(st1[3] + st1[4], curve)
-
-    flow1 = _flow(params, p_star, st1)
-    diag: PlateauDiagnosis | None = None
-    if st1[4] <= 0.0:
-        diag = PlateauDiagnosis("absorbed", t1, st1[4], flow1)
-    elif flow1 <= 0.0:
-        diag = PlateauDiagnosis("flow-reversed", t1, st1[4], flow1)
-
-    steps = epi.steps(k1 + 1)
+    k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
     field3 = _phase3_field(params, curve)
+    # the scan's first entry is t1 itself, not a node: dropped below
     z_plateau, h_plateau = array("d"), array("d")
     z_post = array("d")
     post_start: int | None = None
-    if diag is None:
-        j, last = k1, st1
-        for _t, _dt, y, flow in _plateau_from(params, p_star, epi, t1, k1, st1, steps):
-            j += 1
-            if y[4] > 0.0 and flow > 0.0:
-                z_plateau.append(y[3])
-                h_plateau.append(y[4])
-                last = y
-                continue
-            kind = "absorbed" if y[4] <= 0.0 else "flow-reversed"
-            diag = PlateauDiagnosis(kind, grid.node(j), y[4], flow)
+    j = k1 - 1
+    for _t, _dt, y, flow in nodes:
+        j += 1
+        if y[4] > 0.0 and flow > 0.0:
+            z_plateau.append(y[3])
+            h_plateau.append(y[4])
+            continue
+        if j > k1:
             # the closing node clears on z alone and starts phase 3
-            post_start = j
-            z_post = holdings_pass(params, curve, steps, y[:4], field3, -np.inf)
-            break
+            post_start, t2, y3 = j, grid.node(j), y[:4]
         else:
-            diag = PlateauDiagnosis("open", grid.t_end, last[4],
-                                    _flow(params, p_star, last))
+            # the plateau collapsed at t1 itself; unwind from node k1+1
+            post_start, t2 = k1 + 1, t1
+            y3 = _to_node(epi, field3, t1, k1, y[:4]) if k1 < grid.n_steps else None
+        diag = PlateauDiagnosis(_closing_kind(y[4]), t2, y[4], flow)
+        if y3 is not None:
+            z_post = holdings_pass(params, curve, epi.steps(post_start), y3,
+                                   field3, -np.inf)
+        break
     else:
-        # plateau collapsed at t1 itself; unwind from there
-        post_start = k1 + 1
-        if k1 < grid.n_steps:
-            y = _to_node(epi, field3, t1, k1, st1[:4])
-            z_post = holdings_pass(params, curve, steps, y, field3, -np.inf)
+        diag = PlateauDiagnosis("open", grid.t_end, y[4], flow)
 
     z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
-    zp = np.frombuffer(z_plateau)
+    zp = np.frombuffer(z_plateau)[1:]
     z3 = np.frombuffer(z_post)
     below = np.flatnonzero(z3 <= -kappa * p0)
     if below.size:
         clearing_price(float(z3[below[0]]), curve)
     z = np.concatenate((z1, zp, z3))
-    h = np.concatenate((h1, np.frombuffer(h_plateau), np.zeros(len(z3))))
+    h = np.concatenate((h1, np.frombuffer(h_plateau)[1:], np.zeros(len(z3))))
     p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
                         p0 + z3 / kappa))
     traj = MarketTrajectory(
@@ -338,19 +333,12 @@ def _replay(params, curve, t1: float, epi, zs, hs):
 
 
 def _node_diagnosis(params, curve, epi, zs, hs, k1) -> str:
-    """Event order for t1 at grid node k1; stops at the first event."""
-    st = epi.state_at(k1)
-    st1 = (st.s, st.i, st.r, zs[k1], hs[k1])
-    if st1[4] <= 0.0:
-        return "absorbed"
-    p_star = clearing_price(st1[3] + st1[4], curve)
-    if _flow(params, p_star, st1) <= 0.0:
-        return "flow-reversed"
-    for _t, _dt, y, flow in _plateau(params, p_star, epi.steps(k1), st1):
-        if y[4] <= 0.0:
-            return "absorbed"
-        if flow <= 0.0:
-            return "flow-reversed"
+    """Event order for t1 at grid node k1: the first event of the path
+    simulate_re_given_t1 takes from there, or 'open'."""
+    _k1, _p_star, nodes = _scan(params, curve, epi, zs, hs, epi.grid.node(k1))
+    for _t, _dt, y, flow in nodes:
+        if y[4] <= 0.0 or flow <= 0.0:
+            return _closing_kind(y[4])
     return "open"
 
 
@@ -362,28 +350,23 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     the shooting defect (negative: inventory ran out early, raise t1;
     positive: inventory left over, lower t1).
     """
-    grid = epi.grid
-    k1, st1 = _state_at(params, curve, epi, zs, hs, t1)
-    phi_star = st1[3] + st1[4]
-    p_star = clearing_price(phi_star, curve)
-
-    st_prev = st1
-    flow_prev = _flow(params, p_star, st1)
-    if flow_prev <= 0.0:
-        return _Closure(True, t1, p_star, phi_star, flow_prev, st1[4])
-    for t_prev, dt, st, flow in _plateau_from(params, p_star, epi, t1, k1, st1,
-                                              epi.steps(k1 + 1)):
+    _k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
+    first = next(nodes)
+    phi_star = first[2][3] + first[2][4]
+    for t_prev, dt, st, flow in chain((first,), nodes):
         if flow <= 0.0:
-            frac = flow_prev / (flow_prev - flow)
-            t2 = t_prev + frac * dt
-            st2 = st_prev
-            if t2 > t_prev:
-                st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
-                               t2 - t_prev)
+            # dt 0.0: reversed at t1 itself; else the crossing is placed
+            # linearly in flow inside the step
+            t2, st2 = t_prev, st
+            if dt > 0.0:
+                t2, st2 = t_prev + flow_prev / (flow_prev - flow) * dt, st_prev
+                if t2 > t_prev:
+                    st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
+                                   t2 - t_prev)
             return _Closure(True, t2, p_star, phi_star, _flow(params, p_star, st2),
                             st2[4])
         st_prev, flow_prev = st, flow
-    return _Closure(False, grid.t_end, p_star, phi_star, flow_prev, st_prev[4])
+    return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, st_prev[4])
 
 
 def solve_plateau(

@@ -48,7 +48,7 @@ from .output import (
     write_sweep_csv,
     write_timeline_json,
 )
-from .rational import simulate_re_given_t1, solve_plateau
+from .rational import re_price_path, solve_plateau
 
 
 @dataclass(frozen=True)
@@ -366,9 +366,7 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(params, curve, grid, epi)
     peak = infection_peak(params, epi)
-    sol = solve_plateau(params, curve, grid, epidemic=epi)
-    rational, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
-    rational = replace(rational, t2=sol.t2)
+    rational = re_price_path(params, curve, grid, epidemic=epi)
     timeline = build_timeline(myopic, rational, peak)
     claims = check_propositions(myopic, rational, timeline).claims
     rows = parameter_sweep(params, curve, grid,
@@ -381,7 +379,8 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
         check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
         check_quadrature(params, curve, myopic),
-        check_plateau_closure(sol, claims, params, curve),
+        check_plateau_closure(solve_plateau(params, curve, grid, epidemic=epi),
+                              claims, params, curve),
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, rows),

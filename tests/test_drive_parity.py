@@ -237,13 +237,17 @@ def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
     t1 = solve_plateau(params, curve, grid, epidemic=epi).t1
     k = int(round((t1 - grid.t_start) / grid.dt))
     t_peak = float(epi.times[int(np.argmax(epi.i))])
+    late = grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt)))
     trials = {
         "solved": t1,  # off-node, the generic case
         "on-node": grid.node(k),
         "early": grid.node(k - 7) + 0.37 * grid.dt,  # inventory runs out first
         "after": grid.node(k + 10) + 0.37 * grid.dt,  # flow reverses first
         # past the infection peak the flow is already negative at t1
-        "late": grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt))),
+        "late": late,
+        "late-off": late + 0.37 * grid.dt,
+        # nothing is held yet: absorbed at t1 itself
+        "start": grid.t_start,
     }
     closings = set()
     for label, trial in trials.items():
@@ -256,7 +260,7 @@ def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
         assert np.array_equal(traj.x, cols[:, 3] + cols[:, 4]), label
         assert np.array_equal(traj.p, cols[:, 5]), label
     assert closings == {("absorbed", False), ("flow-reversed", False),
-                        ("flow-reversed", True)}
+                        ("flow-reversed", True), ("absorbed", True)}
 
 
 def test_open_plateau_matches_the_coupled_fields():

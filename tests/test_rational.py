@@ -337,6 +337,24 @@ def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
         assert zs == full_z[:len(zs)] and hs == full_h[:len(hs)]
 
 
+@pytest.mark.parametrize("beta, gamma, kappa", [(5e-4, 0.1, 10.0), (1e-3, 0.2, 50.0)],
+                         ids=["defaults", "fast-epidemic"])
+def test_stage_one_reads_the_written_path(beta, gamma, kappa):
+    # each node diagnosis the bisection reads is the closing event of the
+    # path simulate_re_given_t1 writes from that node
+    params, curve = EpidemicParams(beta=beta, gamma=gamma), SupplyCurve(kappa=kappa)
+    grid = Grid(0.0, 300.0, 0.1)
+    epi = epidemic_pass(params, grid)
+    zs, hs = rational._accumulate(params, curve, epi, grid.n_steps, stop_at_reversal=True)
+    k_f = len(zs) - 1
+    kinds = set()
+    for k in range(1, k_f + 1):
+        _traj, diag = rational._replay(params, curve, grid.node(k), epi, zs, hs)
+        assert rational._node_diagnosis(params, curve, epi, zs, hs, k) == diag.kind, k
+        kinds.add(diag.kind)
+    assert kinds == {"absorbed", "flow-reversed"}
+
+
 @pytest.mark.parametrize("kappa, dt", [(10.0, 1e-2), (400.0, 1e-2), (5.0, 2e-2)])
 def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
     curve = SupplyCurve(kappa=kappa)
