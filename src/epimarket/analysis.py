@@ -383,7 +383,7 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
                   epidemic: EpidemicTrajectory | None) -> SweepResult:
     """Row of one point; epidemic is the SIR pass of params on grid (None
     when the point has no boom)."""
-    if params.n2 == 0 or params.n1 <= params.threshold:
+    if not params.booms:
         timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
         return SweepResult(index, overrides, params, curve,
                            timeline, {}, dt_used=grid.dt)
@@ -426,7 +426,7 @@ def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[Swee
                             error=str(exc), dt_used=grid.dt)
                 for idx, ov in items]
     epidemic = None
-    if params.n2 != 0 and params.n1 > params.threshold:
+    if params.booms:
         epidemic = epidemic_pass(params, grid)
     rows = []
     for idx, ov in items:

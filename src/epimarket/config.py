@@ -26,14 +26,14 @@ _FORMATS = ("csv", "json")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    beta: float = 5e-4
-    gamma: float = 0.1
-    n1: float = 999.0
-    n2: float = 1.0
-    n3: float = 0.0
-    endowment: float = 1.0
-    p0: float = 1.0
-    kappa: float = 10.0
+    beta: float = EpidemicParams.beta
+    gamma: float = EpidemicParams.gamma
+    n1: float = EpidemicParams.n1
+    n2: float = EpidemicParams.n2
+    n3: float = EpidemicParams.n3
+    endowment: float = EpidemicParams.endowment
+    p0: float = SupplyCurve.p0
+    kappa: float = SupplyCurve.kappa
     t_end: float = 300.0
     dt: float = 1e-2
     scenario: str = "myopic"

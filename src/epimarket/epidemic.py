@@ -93,6 +93,11 @@ class EpidemicParams:
             return math.inf
         return self.gamma / self.beta
 
+    @property
+    def booms(self) -> bool:
+        """Whether the contagion grows: seeded, with n1 above the threshold."""
+        return self.n2 != 0 and self.n1 > self.threshold
+
 
 @dataclass(frozen=True)
 class EpidemicState:
@@ -327,7 +332,7 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     """
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")
-    if params.n1 <= params.threshold or params.n2 == 0:
+    if not params.booms:
         return InfectionPeak(t_star=None, s_star=None, i_star=None, exists=False)
 
     i_arr = trajectory.i

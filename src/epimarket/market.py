@@ -11,22 +11,27 @@ independent oracle for the state variable.
 Both scenarios run x alone, as a scalar RK4 pass over the stage drives
 of an SIR pass (see epidemic); S, I and R are that pass's arrays. The
 coupled (S, I, R, x) field of each scenario, sir_derivatives with the x
-rate appended (`coupled_field`), remains its definition: a step that
+rate appended (`holdings_field`), remains its definition: a step that
 reaches the price floor at a stage, or ends non-finite, is replayed
 through rk4_step on it, so errors carry the coupled step's stage time
-and message.
+and message. The rational unwind after the plateau is the euphoric pass
+restarted from the closing node (see rational).
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
 from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
 from .numerics import Grid, rk4_step
+
+if TYPE_CHECKING:
+    from .rational import PlateauSolution
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ class MarketTrajectory:
     x is total speculative holdings; for the rational scenario it splits
     into z (held by the currently infected) and h (held by cured agents
     waiting out the plateau), and the plateau metadata t1/t2/p_star plus
-    the two phase-boundary node indices are populated.
+    the two phase-boundary node indices are populated; a solved path
+    (`re_price_path`) also carries its PlateauSolution as solution.
     """
 
     params: EpidemicParams
@@ -88,6 +94,7 @@ class MarketTrajectory:
     p_star: float | None = None
     plateau_start: int | None = None
     post_start: int | None = None
+    solution: PlateauSolution | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -118,7 +125,7 @@ class MarketTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def _holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool):
+def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = False):
     """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump."""
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
@@ -137,19 +144,20 @@ def _holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool):
 
 
 def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,
-                  field, floor: float, mirror: bool = False) -> array:
+                  mirror: bool = False) -> array:
     """x at the start of steps and at each node after, from y = (s, i, r, x).
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
     stage drives of steps (`EpidemicTrajectory.steps` tuples); mirror=True
     divides minus the drive by the reflected price 2*p0 - P instead. A
-    stage state at or below floor, or a non-finite step, is replayed
-    through rk4_step on field, the coupled field of the same equation,
-    which raises what the coupled step raises; if it raises nothing, the
-    step stands.
+    stage state at or below the floor -kappa*p0, or a non-finite step, is
+    replayed through rk4_step on holdings_field, the coupled field of the
+    same equation, which raises what the coupled step raises; if it raises
+    nothing, the step stands.
     """
     w, gamma = params.endowment, params.gamma
     p0, kappa = curve.p0, curve.kappa
+    field, floor = holdings_field(params, curve, mirror), -kappa * p0
     s, i, r, x = y
     out = array("d", [x])
     add = out.append
@@ -186,10 +194,8 @@ def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,
 def _scenario(params, curve, grid, epidemic, mirror: bool) -> MarketTrajectory:
     epi = driving_pass(params, grid, epidemic)
     st = epi.state_at(0)
-    x = np.frombuffer(holdings_pass(
-        params, curve, epi.steps(), (st.s, st.i, st.r, 0.0),
-        _holdings_field(params, curve, mirror), -curve.kappa * curve.p0, mirror,
-    ))
+    x = np.frombuffer(holdings_pass(params, curve, epi.steps(),
+                                    (st.s, st.i, st.r, 0.0), mirror))
     return MarketTrajectory(
         params=params, curve=curve, grid=grid,
         scenario="depression" if mirror else "myopic",

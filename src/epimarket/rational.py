@@ -21,11 +21,12 @@ rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
 the phase-2 field carries it to node k1+1, and z and h run on over the
 grid's drives, so S, I and R are the grid's arrays. Stage one's node
 diagnosis stops the scan at its first event, stage two's closure runs it
-to the flow reversal, and the three-phase path unwinds from the closing
-node (or, after one phase-3 step, from node k1+1 if the plateau collapses
-at t1 itself).
+to the flow reversal, and the unwind starts at the closing node: h is
+gone, the price clears on z alone, and `market.holdings_pass` runs the
+myopic market on from there (from node k1+1, after one step on
+`market.holdings_field`, if the plateau collapses at t1 itself).
 
-The phase fields (`coupled_field`) remain the definition of each phase:
+The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps and replays of non-finite steps go through them.
 """
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 
 from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
 from .errors import DomainError, GridTooCoarseError, NoPlateauError
-from .market import MarketTrajectory, SupplyCurve, clearing_price, holdings_pass
+from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
+                     holdings_pass)
 from .numerics import Grid, rk4_step
 
 
@@ -103,16 +105,6 @@ def _phase2_field(params: EpidemicParams, p_star: float):
         # z and h exchange at exactly opposite rates: z+h is conserved
         flow = inf * w / p_star - gamma * y[0]
         return (flow, -flow)
-
-    return coupled_field(params, rate)
-
-
-def _phase3_field(params: EpidemicParams, curve: SupplyCurve):
-    gamma, w = params.gamma, params.endowment
-    p0, kappa = curve.p0, curve.kappa
-
-    def rate(t, inf, y):
-        return (inf * w / (p0 + y[0] / kappa) - gamma * y[0],)
 
     return coupled_field(params, rate)
 
@@ -279,7 +271,6 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     grid = epi.grid
     p0, kappa = curve.p0, curve.kappa
     k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
-    field3 = _phase3_field(params, curve)
     # the scan's first entry is t1 itself, not a node: dropped below
     z_plateau, h_plateau = array("d"), array("d")
     z_post = array("d")
@@ -297,11 +288,11 @@ def _replay(params, curve, t1: float, epi, zs, hs):
         else:
             # the plateau collapsed at t1 itself; unwind from node k1+1
             post_start, t2 = k1 + 1, t1
-            y3 = _to_node(epi, field3, t1, k1, y[:4]) if k1 < grid.n_steps else None
+            y3 = (_to_node(epi, holdings_field(params, curve), t1, k1, y[:4])
+                  if k1 < grid.n_steps else None)
         diag = PlateauDiagnosis(_closing_kind(y[4]), t2, y[4], flow)
         if y3 is not None:
-            z_post = holdings_pass(params, curve, epi.steps(post_start), y3,
-                                   field3, -np.inf)
+            z_post = holdings_pass(params, curve, epi.steps(post_start), y3)
         break
     else:
         diag = PlateauDiagnosis("open", grid.t_end, y[4], flow)
@@ -309,9 +300,6 @@ def _replay(params, curve, t1: float, epi, zs, hs):
     z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
     zp = np.frombuffer(z_plateau)[1:]
     z3 = np.frombuffer(z_post)
-    below = np.flatnonzero(z3 <= -kappa * p0)
-    if below.size:
-        clearing_price(float(z3[below[0]]), curve)
     z = np.concatenate((z1, zp, z3))
     h = np.concatenate((h1, np.frombuffer(h_plateau)[1:], np.zeros(len(z3))))
     p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
@@ -389,7 +377,7 @@ def solve_plateau(
 
 def _solve(params, curve, grid, tol, epidemic):
     """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f)."""
-    if params.n2 == 0 or params.n1 <= params.threshold:
+    if not params.booms:
         raise NoPlateauError(
             "no boom: the contagion never grows, so no plateau exists"
         )
@@ -462,11 +450,12 @@ def re_price_path(
 ) -> MarketTrajectory:
     """Solved three-phase price path with t1, t2, P* attached as metadata.
 
-    t2 in the metadata is the sub-node flow-reversal time from the solve;
-    the trajectory's phase column switches at whole nodes. The solve and
-    the replay share one SIR pass, epidemic if given, and its phase 1.
+    t2 in the metadata is the sub-node flow-reversal time from the solve,
+    whose PlateauSolution is attached as solution; the phase column
+    switches at whole nodes. The solve and the replay share one SIR pass,
+    epidemic if given, and its phase 1.
     """
     epi = driving_pass(params, grid, epidemic)
     sol, zs, hs = _solve(params, curve, grid, tol, epi)
     traj, _diag = _replay(params, curve, sol.t1, epi, zs, hs)
-    return replace(traj, t2=sol.t2)
+    return replace(traj, t2=sol.t2, solution=sol)

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    ORDERING_KEYS,
     build_timeline,
     check_propositions,
     default_sweep_axes,
@@ -247,12 +246,10 @@ def check_re_lower_peak(claims, rows) -> CheckResult:
     )
 
 
-def check_ordering_chain(timeline, rows) -> CheckResult:
-    def chain_ok(tl):
-        return all(tl.ordering_ok.get(k) is True for k in ORDERING_KEYS)
-
-    default_ok = chain_ok(timeline)
-    sweep_ok = all(chain_ok(r.timeline) for r in _boom_rows(rows))
+def check_ordering_chain(timeline, claims, rows) -> CheckResult:
+    default_ok = claims["event_ordering_chain"].status == "pass"
+    sweep_ok = all(r.claims["event_ordering_chain"].status == "pass"
+                   for r in _boom_rows(rows))
     gaps = (timeline.t_p_star_m - timeline.t1,
             timeline.t2 - timeline.t_p_star_m,
             timeline.t_i_star - timeline.t2)
@@ -379,11 +376,10 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
         check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
         check_quadrature(params, curve, myopic),
-        check_plateau_closure(solve_plateau(params, curve, grid, epidemic=epi),
-                              claims, params, curve),
+        check_plateau_closure(rational.solution, claims, params, curve),
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
-        check_ordering_chain(timeline, rows),
+        check_ordering_chain(timeline, claims, rows),
         check_depression(params, epi),
         check_event_convergence(params, curve),
         check_determinism(params, curve, grid, rows, out),

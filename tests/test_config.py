@@ -9,7 +9,9 @@ from epimarket.config import (
     serialize_config,
     with_overrides,
 )
+from epimarket.epidemic import EpidemicParams
 from epimarket.errors import ConfigError
+from epimarket.market import SupplyCurve
 
 
 # ---------------------------------------------------------------------------
@@ -29,6 +31,8 @@ def test_defaults_are_the_reference_point():
     assert (c.p0, c.kappa) == (1.0, 10.0)
     g = cfg.grid()
     assert (g.t_start, g.t_end, g.dt) == (0.0, 300.0, 1e-2)
+    assert cfg.epidemic_params() == EpidemicParams()
+    assert cfg.supply_curve() == SupplyCurve()
 
 
 def test_validation_happens_at_construction():

@@ -34,6 +34,18 @@ def test_params_defaults_and_threshold(params):
     assert params.threshold == pytest.approx(200.0)
 
 
+@pytest.mark.parametrize("overrides, booms", [
+    ({}, True),
+    ({"n2": 0.0}, False),
+    ({"beta": 0.0}, False),
+    # n1 == gamma/beta exactly: S never starts above the threshold
+    ({"beta": 0.5, "gamma": 499.5}, False),
+])
+def test_booms_truth_table(overrides, booms):
+    p = EpidemicParams(**overrides)
+    assert p.booms is booms
+
+
 def test_params_reject_bad_values():
     with pytest.raises(ConfigError):
         EpidemicParams(beta=-1e-4)

@@ -10,6 +10,7 @@ from epimarket import (
     SupplyCurve,
     clearing_price,
     cohort_holdings_profile,
+    epidemic_pass,
     simulate_depression,
     simulate_epidemic,
     simulate_myopic,
@@ -20,6 +21,7 @@ from epimarket.errors import (
     ConsistencyError,
     PriceFloorError,
 )
+from epimarket.market import holdings_pass
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,17 @@ def test_depression_floors_in_shallow_markets(params, grid):
         simulate_depression(params, SupplyCurve(kappa=1.0), grid)
     with pytest.raises(PriceFloorError):
         simulate_depression(params, SupplyCurve(kappa=100.0), grid)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_holdings_pass_raises_at_the_floor(params, curve, mirror):
+    g = Grid(5.0, 6.0, 0.1)
+    epi = epidemic_pass(params, g)
+    st = epi.state_at(0)
+    y = (st.s, st.i, st.r, -curve.kappa * curve.p0)
+    with pytest.raises(PriceFloorError) as info:
+        holdings_pass(params, curve, epi.steps(), y, mirror)
+    assert info.value.time == g.t_start
 
 
 def test_depression_without_seed_is_flat(curve):

@@ -48,6 +48,15 @@ def test_path_metadata_matches_solution(plateau, rational_run):
     assert rational_run.p_star == plateau.p_star
 
 
+def test_solved_path_carries_its_solution(plateau, rational_run):
+    assert rational_run.solution == plateau
+
+
+def test_trial_path_carries_no_solution(params, curve, grid, plateau):
+    traj, _diag = simulate_re_given_t1(params, curve, plateau.t1, grid)
+    assert traj.solution is None
+
+
 def test_plateau_price_is_flat(curve, rational_run):
     k1, k2 = rational_run.plateau_start, rational_run.post_start
     assert k1 is not None and k2 is not None and k2 > k1
@@ -165,6 +174,26 @@ def test_rational_sir_is_the_driving_pass(params, curve, bounds):
     own = re_price_path(params, curve, grid)
     for name in "sir":
         assert np.array_equal(getattr(own, name), getattr(myopic, name)), name
+
+
+@pytest.mark.parametrize("beta", [5e-4, 1.0], ids=["defaults", "unstable"])
+def test_collapse_at_the_start_unwinds_as_the_myopic_market(curve, beta):
+    # no inventory waits at t_start, so the plateau closes at t1 and the
+    # unwind is the myopic holdings pass, price floor included: at beta=1
+    # the SIR step is unstable and the floor binds at a stage
+    params, grid = EpidemicParams(beta=beta), Grid(0.0, 30.0, 1e-2)
+
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except SimulationError as exc:
+            return type(exc), getattr(exc, "time", None), str(exc)
+        traj = out[0] if isinstance(out, tuple) else out
+        return traj.p.tobytes()
+
+    want = outcome(simulate_myopic, params, curve, grid)
+    assert outcome(simulate_re_given_t1, params, curve, grid.t_start, grid) == want
+    assert isinstance(want, bytes) is (beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
