@@ -31,7 +31,7 @@ from .errors import (
 )
 from .market import MarketTrajectory, SupplyCurve, clearing_price, simulate_myopic
 from .numerics import Grid, parabolic_vertex
-from .rational import re_price_path
+from .rational import re_price_head
 
 # verdict keys of the event chain t1 < t_P* < t2 < t_I*, in table order
 ORDERING_KEYS = (
@@ -292,7 +292,8 @@ def _rational_claims(
     times = rational.times
     in_window = (times > 0.0) & (times <= t1)
     strict_w = (times > 10.0 * dt) & (times <= t1)
-    diff = rational.p - myopic.p
+    # a sweep's rational path may end at its closing node (re_price_head)
+    diff = rational.p - myopic.p[:len(rational.p)]
     weak_ok = bool(np.all(diff[in_window] >= 0.0))
     strict_margin = float(np.min(diff[strict_w])) if np.any(strict_w) else float("nan")
     strict_ok = bool(np.all(diff[strict_w] > 0.0)) if np.any(strict_w) else False
@@ -382,7 +383,7 @@ def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
 def _point_result(params, curve, grid, index, overrides, scenarios,
                   epidemic: EpidemicTrajectory | None) -> SweepResult:
     """Row of one point; epidemic is the SIR pass of params on grid (None
-    when the point has no boom)."""
+    when the point has no boom). The rational leg is `re_price_head`."""
     if not params.booms:
         timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
         return SweepResult(index, overrides, params, curve,
@@ -394,7 +395,7 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
         while True:
             myopic = simulate_myopic(params, curve, g, epidemic)
             peak = infection_peak(params, epidemic)
-            rational = (re_price_path(params, curve, g, epidemic=epidemic)
+            rational = (re_price_head(params, curve, g, epidemic=epidemic)
                         if "rational" in scenarios else None)
             timeline = build_timeline(myopic, rational, peak)
             undecided = any(v is None for v in timeline.ordering_ok.values())

@@ -26,11 +26,19 @@ gone, the price clears on z alone, and `market.holdings_pass` runs the
 myopic market on from there (from node k1+1, after one step on
 `market.holdings_field`, if the plateau collapses at t1 itself).
 
+A sweep judges a point on `re_price_head`, the solved path up to its
+closing node: the event timeline and the plateau claims read nothing
+after it. Its unwind runs only for the legs that are written
+(`re_price_path`), or where a test on the drives after the closing node
+cannot rule out that the unwind raises, so a head fails as its full path.
+
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
-partial steps and replays of non-finite steps go through them.
+partial steps, replays of non-finite steps and, in phase 1, of stages at
+the price floor go through them.
 """
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -38,7 +46,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
-from .errors import DomainError, GridTooCoarseError, NoPlateauError
+from .errors import DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError
 from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
                      holdings_pass)
 from .numerics import Grid, rk4_step
@@ -89,11 +97,17 @@ class _Closure:
 def _phase1_field(params: EpidemicParams, curve: SupplyCurve):
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
+    floor = -kappa * p0
 
     def rate(t, inf, y):
         z, h = y
+        x = z + h
+        if x <= floor:
+            raise PriceFloorError(
+                f"clearing price hit zero at t={t} (x={x})", time=t
+            )
         cure = gamma * z
-        return (inf * w / (p0 + (z + h) / kappa) - cure, cure)
+        return (inf * w / (p0 + x / kappa) - cure, cure)
 
     return coupled_field(params, rate)
 
@@ -123,30 +137,47 @@ def _flow(params: EpidemicParams, p_star: float, y: tuple) -> float:
 def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
                 upto: int, stop_at_reversal: bool = False) -> tuple[array, array]:
     """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
-    stop_at_reversal and k_f < upto)."""
+    stop_at_reversal and k_f < upto).
+
+    A stage with z+h at or below the floor -kappa*p0, or a non-finite
+    step, is replayed through rk4_step on the phase-1 field, which raises
+    what the coupled step raises, as in `market.holdings_pass`.
+    """
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
-    field = _phase1_field(params, curve)
+    field, floor = _phase1_field(params, curve), -kappa * p0
     st = epi.state_at(0)
     s, i, r, z, h = st.s, st.i, st.r, 0.0, 0.0
     zs, hs = array("d", [z]), array("d", [h])
     add_z, add_h = zs.append, hs.append
     for t, dt, d1, d2, d3, d4, s1, i1, r1 in islice(epi.steps(), upto):
         half = 0.5 * dt
+        x = z + h
+        if x <= floor:
+            rk4_step(field, t, (s, i, r, z, h), dt)
         cure1 = gamma * z
-        kz1 = d1 * w / (p0 + (z + h) / kappa) - cure1
+        kz1 = d1 * w / (p0 + x / kappa) - cure1
         # kz1 is _flow at this node's own P*, to the bit
         if kz1 <= 0.0 and h > 0.0 and stop_at_reversal:
             break
         z2, h2 = z + half * kz1, h + half * cure1
+        x = z2 + h2
+        if x <= floor:
+            rk4_step(field, t, (s, i, r, z, h), dt)
         cure2 = gamma * z2
-        kz2 = d2 * w / (p0 + (z2 + h2) / kappa) - cure2
+        kz2 = d2 * w / (p0 + x / kappa) - cure2
         z3, h3 = z + half * kz2, h + half * cure2
+        x = z3 + h3
+        if x <= floor:
+            rk4_step(field, t, (s, i, r, z, h), dt)
         cure3 = gamma * z3
-        kz3 = d3 * w / (p0 + (z3 + h3) / kappa) - cure3
+        kz3 = d3 * w / (p0 + x / kappa) - cure3
         z4, h4 = z + dt * kz3, h + dt * cure3
+        x = z4 + h4
+        if x <= floor:
+            rk4_step(field, t, (s, i, r, z, h), dt)
         cure4 = gamma * z4
-        kz4 = d4 * w / (p0 + (z4 + h4) / kappa) - cure4
+        kz4 = d4 * w / (p0 + x / kappa) - cure4
         sixth = dt / 6.0
         z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
@@ -266,8 +297,49 @@ def simulate_re_given_t1(
     return _replay(params, curve, t1, epi, zs, hs)
 
 
-def _replay(params, curve, t1: float, epi, zs, hs):
-    """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond."""
+def _unwind_cannot_raise(params, curve, epi, k: int, x: float) -> bool:
+    """True if holdings_pass from holdings x at node k, over the grid's
+    drives from there, can neither reach the price floor nor go non-finite.
+
+    Write a = gamma*dt, D = d*w/P for a stage's drive d and price P, and
+    top = max(d)*w/p0 over the steps. RK4 on dx = D - gamma*x is affine
+    in x and the four D's:
+        x2 = (1 - a/2)*x + dt/2*D1
+        x3 = (1 - a/2 + a^2/4)*x - a*dt/4*D1 + dt/2*D2
+        x4 = (1 - a + a^2/2 - a^3/4)*x + a^2*dt/4*D1 - a*dt/2*D2 + dt*D3
+        next node = R(a)*x + dt/6*(c1*D1 + c2*D2 + c3*D3 + D4),
+    with R(a) = 1 - a + a^2/2 - a^3/6 + a^4/24 and, for a <= 1, every
+    coefficient of x and c1..c3 in (0, 2]. So from x >= 0 with every
+    d >= 0: x2 >= 0, so P1, P2 >= p0 and D1, D2 <= top; then
+    x3 >= -a*dt*top/4 and x4 >= -a*dt*top/2, both above -kappa*p0/2 once
+    a*dt*top <= kappa*p0, so every stage clears at P >= p0/2 > 0 and every
+    D is in [0, 2*top]; then the next node is >= 0 again, and at most
+    1.5*dt*top above x. Every stage thus stays in [-kappa*p0/2,
+    x + 3*top*span] over the span left, half the floor's distance inside
+    it, which rounding does not close, and every rate D - gamma*x is
+    finite when (1 + gamma) times that bound is. S, I and R stay finite
+    too: a non-finite S or I at a node before the last makes that node's
+    first drive non-finite, and none of the three turns finite again, so
+    finite drives and a finite last node cover every node. (Overflow of
+    sums of finite S, I and R past 1e308 is left out.)
+    """
+    d = epi.drives[k:]
+    dt, gamma = epi.grid.dt, params.gamma
+    top = float(np.max(d, initial=0.0)) * params.endowment / curve.p0
+    bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
+    return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
+                and gamma * dt * dt * top <= curve.kappa * curve.p0
+                and math.isfinite((1.0 + gamma) * bound
+                                  + epi.s[-1] + epi.i[-1] + epi.r[-1]))
+
+
+def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
+    """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond.
+
+    With unwind=False the path ends at the closing node post_start, unless
+    the unwind after it could raise (see _unwind_cannot_raise): then it
+    runs, so the head fails exactly where the full path does.
+    """
     grid = epi.grid
     p0, kappa = curve.p0, curve.kappa
     k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
@@ -292,7 +364,10 @@ def _replay(params, curve, t1: float, epi, zs, hs):
                   if k1 < grid.n_steps else None)
         diag = PlateauDiagnosis(_closing_kind(y[4]), t2, y[4], flow)
         if y3 is not None:
-            z_post = holdings_pass(params, curve, epi.steps(post_start), y3)
+            head = not unwind and _unwind_cannot_raise(params, curve, epi,
+                                                       post_start, y3[3])
+            z_post = (array("d", [y3[3]]) if head
+                      else holdings_pass(params, curve, epi.steps(post_start), y3))
         break
     else:
         diag = PlateauDiagnosis("open", grid.t_end, y[4], flow)
@@ -455,7 +530,28 @@ def re_price_path(
     switches at whole nodes. The solve and the replay share one SIR pass,
     epidemic if given, and its phase 1.
     """
+    return _solved_path(params, curve, grid, tol, epidemic, True)
+
+
+def re_price_head(
+    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
+    epidemic: EpidemicTrajectory | None = None,
+) -> MarketTrajectory:
+    """re_price_path up to its closing node post_start: phase 1, the
+    plateau and the node that closed it, or the whole path when the
+    plateau stays open or the unwind could raise.
+
+    Every array is cut to that length; it is all that the event timeline
+    and the plateau claims read. Raises what re_price_path raises.
+    """
+    traj = _solved_path(params, curve, grid, tol, epidemic, False)
+    n = len(traj.p)
+    return replace(traj, times=traj.times[:n], s=traj.s[:n], i=traj.i[:n],
+                   r=traj.r[:n])
+
+
+def _solved_path(params, curve, grid, tol, epidemic, unwind: bool):
     epi = driving_pass(params, grid, epidemic)
     sol, zs, hs = _solve(params, curve, grid, tol, epi)
-    traj, _diag = _replay(params, curve, sol.t1, epi, zs, hs)
+    traj, _diag = _replay(params, curve, sol.t1, epi, zs, hs, unwind)
     return replace(traj, t2=sol.t2, solution=sol)

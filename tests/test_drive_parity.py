@@ -71,6 +71,21 @@ def oracle_epidemic(params, grid):
     return integrate_fixed_step(_sir(params), (params.n1, params.n2, params.n3), grid)
 
 
+def _sir_node(params, grid, j):
+    """S, I and R at node j: rk4_step's arithmetic on the SIR field, without
+    its finiteness check, since epidemic_pass runs on through a blow-up."""
+    field, y, h = _sir(params), (params.n1, params.n2, params.n3), grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(j):
+        k1 = field(0.0, y)
+        k2 = field(0.0, tuple(a + half * b for a, b in zip(y, k1)))
+        k3 = field(0.0, tuple(a + half * b for a, b in zip(y, k2)))
+        k4 = field(0.0, tuple(a + h * b for a, b in zip(y, k3)))
+        y = tuple(a + sixth * (b + 2.0 * (c + d) + e)
+                  for a, b, c, d, e in zip(y, k1, k2, k3, k4))
+    return y
+
+
 def oracle_market(params, curve, grid, mirror=False):
     rows = integrate_fixed_step(_boom_field(params, curve, mirror),
                                 (params.n1, params.n2, params.n3, 0.0), grid)
@@ -80,9 +95,14 @@ def oracle_market(params, curve, grid, mirror=False):
 def _phase_fields(params, curve, p_star=None):
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
+    floor = -kappa * p0
 
     def phase1(t, y):
         s, i, r, z, h = y
+        if z + h <= floor:
+            raise PriceFloorError(
+                f"clearing price hit zero at t={t} (x={z + h})", time=t
+            )
         p = p0 + (z + h) / kappa
         inf = beta * i * s
         rec = gamma * i
@@ -96,14 +116,8 @@ def _phase_fields(params, curve, p_star=None):
         flow = inf * w / p_star - gamma * z
         return (-inf, inf - rec, rec, flow, -flow)
 
-    def phase3(t, y):
-        s, i, r, z = y
-        p = p0 + z / kappa
-        inf = beta * i * s
-        rec = gamma * i
-        return (-inf, inf - rec, rec, inf * w / p - gamma * z)
-
-    return phase1, phase2, phase3
+    # after the plateau: the boom on z alone
+    return phase1, phase2, _boom_field(params, curve, False)
 
 
 def oracle_re_given_t1(params, curve, t1, grid):
@@ -113,7 +127,8 @@ def oracle_re_given_t1(params, curve, t1, grid):
     Phase 1 runs node to node up to k1, node(k1) <= t1 < node(k1+1), and
     one step on to t1. One step carries the state from t1 to node k1+1,
     where S, I and R are set to the grid's coupled SIR values; every later
-    step is exactly dt long.
+    step is exactly dt long. Phases 1 and 3 raise PriceFloorError at the
+    first stage whose holdings reach -kappa*p0, as the boom field does.
     """
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
@@ -130,14 +145,13 @@ def oracle_re_given_t1(params, curve, t1, grid):
         st1 = rk4_step(f1, grid.node(k1), st1, t1 - grid.node(k1))
     p_star = clearing_price(st1[3] + st1[4], curve)
     f2 = _phase_fields(params, curve, p_star)[1]
-    sir = oracle_epidemic(params, grid)
 
     def step(field, j, st):
         """The state at node j from st at the previous node, or at t1."""
         if j > k1 + 1:
             return rk4_step(field, grid.node(j - 1), st, dt)
         st = rk4_step(field, t1, st, grid.node(j) - t1)
-        return tuple(sir[j]) + st[3:]
+        return _sir_node(params, grid, j) + st[3:]
 
     cols = np.empty((n + 1, 6))  # s, i, r, z, h, p
     for j, st in enumerate(nodes):
@@ -161,7 +175,7 @@ def oracle_re_given_t1(params, curve, t1, grid):
                 kind = "absorbed" if st[4] <= 0.0 else "flow-reversed"
                 cols[j, :4] = st[:4]
                 cols[j, 4] = 0.0
-                cols[j, 5] = clearing_price(st[3], curve)
+                cols[j, 5] = p0 + st[3] / kappa
                 st3, start = st[:4], j + 1
                 break
             cols[j, :5] = st
@@ -172,7 +186,7 @@ def oracle_re_given_t1(params, curve, t1, grid):
         st3 = step(f3, j, st3)
         cols[j, :4] = st3
         cols[j, 4] = 0.0
-        cols[j, 5] = clearing_price(st3[3], curve)
+        cols[j, 5] = p0 + st3[3] / kappa
     return cols, kind
 
 
@@ -321,6 +335,32 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, mirror):
     assert (want[1] == 0.005) is mirror
     assert _raised(simulate, params, curve, grid) == want
     assert _raised(simulate, params, curve, grid, epidemic_pass(params, grid)) == want
+
+
+# beta*N*dt = 5 and 10, far beyond RK4's stability interval: the SIR drives
+# turn negative within a few steps, and every leg reaches the price floor.
+# The rational leg does so in phase 1 (before t1), or in the unwind: after
+# a plateau absorbed at t=0.05, or after one that collapsed at t1 itself
+FLOOR_POINTS = [
+    pytest.param(0.5, 0.5, (0.0, 20.0, 1e-2), True, id="phase-1"),
+    pytest.param(0.5, 0.02, (0.0, 30.0, 1e-2), False, id="unwind-after-plateau"),
+    pytest.param(1.0, 0.0, (0.0, 30.0, 1e-2), False, id="unwind-after-collapse"),
+]
+
+
+@pytest.mark.parametrize("beta,t1,bounds,in_phase_1", FLOOR_POINTS)
+def test_floor_errors_match_the_coupled_fields(curve, beta, t1, bounds, in_phase_1):
+    params, grid = EpidemicParams(beta=beta), Grid(*bounds)
+    epi = epidemic_pass(params, grid)
+    for mirror, simulate in ((False, simulate_myopic), (True, simulate_depression)):
+        want = _raised(oracle_market, params, curve, grid, mirror)
+        assert want[0] is PriceFloorError
+        assert _raised(simulate, params, curve, grid, epi) == want
+    want = _raised(oracle_re_given_t1, params, curve, t1, grid)
+    assert want[0] is PriceFloorError
+    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
+    assert _raised(simulate_re_given_t1, params, curve, t1, grid) == want
+    assert (want[1] < t1) is in_phase_1
 
 
 # ---------------------------------------------------------------------------

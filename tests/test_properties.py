@@ -1,13 +1,17 @@
 """Property tests: config round trips, pass sharing, SIR conservation,
-the depression mirror, sweep determinism and CLI exit codes.
+the depression mirror, sweep determinism, the rational head against the
+full rational path, and CLI exit codes.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+from unittest import mock
+
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epimarket import (
@@ -16,12 +20,14 @@ from epimarket import (
     SupplyCurve,
     epidemic_pass,
     parameter_sweep,
+    re_price_path,
     simulate_depression,
     simulate_epidemic,
     simulate_myopic,
+    simulate_re_given_t1,
     write_sweep_csv,
 )
-from epimarket import cli
+from epimarket import analysis, cli, rational
 from epimarket.config import ScenarioConfig, parse_config, serialize_config
 from epimarket.errors import ConfigError, PriceFloorError, SimulationError
 
@@ -181,6 +187,69 @@ def test_sweep_csv_bytes_do_not_depend_on_workers(tmp_path_factory, axes):
         rows = parameter_sweep(params, curve, _SWEEP, axes=axes, workers=workers)
         write_sweep_csv(rows, out / f"w{workers}.csv")
     assert (out / "w1.csv").read_bytes() == (out / "w3.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the rational head gives what the full path gives, errors included
+# ---------------------------------------------------------------------------
+
+# about half the draws of beta lie in the sweep's range; the rest reach 1,
+# where beta*N*dt is up to 20, far beyond RK4's stability interval: there
+# the drives turn negative and legs reach the price floor
+_HEAD_GRIDS = (Grid(0.0, 20.0, 1e-2), _SWEEP)
+_HEAD_LOG_BETA = st.one_of(st.floats(min_value=-3.6, max_value=-3.0),
+                           st.floats(min_value=-3.0, max_value=0.0))
+
+
+def _run(fn, *args):
+    """What fn returns, or (type, time, message) of what it raised."""
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return type(exc), getattr(exc, "time", None), str(exc)
+
+
+def _head_at(params, curve, t1, grid, epi):
+    """simulate_re_given_t1's path up to its closing node."""
+    zs, hs = rational._accumulate(params, curve, epi, rational._node_below(grid, t1))
+    return rational._replay(params, curve, t1, epi, zs, hs, unwind=False)[0]
+
+
+@settings(DETERMINISTIC, max_examples=25)
+# the plateau collapses at t1 and the unwind reaches the floor at t=0.015
+@example(log_beta=0.0, gamma=0.1, kappa=10.0, grid=_HEAD_GRIDS[0], frac=0.0)
+@given(
+    log_beta=_HEAD_LOG_BETA,
+    gamma=st.floats(min_value=0.05, max_value=0.2),
+    kappa=st.floats(min_value=1.0, max_value=400.0),
+    grid=st.sampled_from(_HEAD_GRIDS),
+    frac=st.floats(min_value=0.0, max_value=0.05),
+)
+def test_the_rational_head_gives_what_the_full_path_gives(log_beta, gamma, kappa,
+                                                          grid, frac):
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=kappa)
+    # sweep rows judged on the head and on the full re_price_path
+    axes = {"beta": [params.beta], "gamma": [gamma], "kappa": [kappa]}
+    head_rows = parameter_sweep(EpidemicParams(), SupplyCurve(), grid, axes=axes)
+    with mock.patch.object(analysis, "re_price_head", re_price_path):
+        full_rows = parameter_sweep(EpidemicParams(), SupplyCurve(), grid, axes=axes)
+    for head, full in zip(head_rows, full_rows, strict=True):
+        for f in fields(head):
+            assert repr(getattr(head, f.name)) == repr(getattr(full, f.name)), f.name
+    # the head at any t1 fails as the full path does, or is its start
+    epi = epidemic_pass(params, grid)
+    t1 = grid.t_start + frac * (grid.t_end - grid.t_start)
+    head = _run(_head_at, params, curve, t1, grid, epi)
+    full = _run(lambda: simulate_re_given_t1(params, curve, t1, grid, epi)[0])
+    if isinstance(full, tuple):
+        assert head == full
+        return
+    n = len(head.p)
+    assert n == len(full.p) or n == full.post_start + 1
+    assert (head.t2, head.post_start) == (full.t2, full.post_start)
+    for name in "zhxp":
+        assert getattr(head, name).tobytes() == getattr(full, name)[:n].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
