@@ -4,13 +4,11 @@ Everything here is read-only over trajectories: refine discrete extrema,
 assemble the event timeline (t1 < t_P* < t2 < t_I*), judge the headline
 claims (long-run reversion, unimodal price, peak ordering, plateau
 constancy, pre-plateau dominance, lower rational peak), and sweep those
-verdicts over a parameter grid with deterministic, order-independent
-merging.
+verdicts serially over a parameter grid, rows in grid order.
 """
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -374,7 +372,8 @@ def validate_sweep_axes(axes: dict[str, list[float]]) -> None:
             raise ConfigError(f"sweep axis {name!r} has no values")
 
 
-def _grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
+def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
+    """Points of the Cartesian product of axes, in sweep-row (index) order."""
     names = list(axes)
     return [dict(zip(names, combo))
             for combo in itertools.product(*(axes[n] for n in names))]
@@ -447,14 +446,12 @@ def parameter_sweep(
     grid: Grid,
     axes: dict[str, list[float]] | None = None,
     scenarios: tuple[str, ...] = ("myopic", "rational"),
-    workers: int = 1,
 ) -> list[SweepResult]:
     """Verdicts over the Cartesian product of the given parameter axes.
 
-    Points with the same epidemic (beta, gamma, n1) form one job that
-    integrates the SIR pass once; with workers > 1 the jobs run on a
-    thread pool and rows are merged back in grid order, so output is
-    identical for any worker count. Per-point failures land in the row's
+    Points with the same epidemic (beta, gamma, n1) form one group that
+    integrates the SIR pass once; the groups run one after another and
+    rows come back in grid order. Per-point failures land in the row's
     error field.
     """
     if axes is None:
@@ -465,23 +462,14 @@ def parameter_sweep(
             raise ConfigError(
                 f"sweep supports scenarios 'myopic' and 'rational', got {sc!r}"
             )
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
 
     groups: dict[tuple, list[tuple[int, dict[str, float]]]] = {}
-    for idx, ov in enumerate(_grid_points(axes)):
+    for idx, ov in enumerate(grid_points(axes)):
         key = tuple(ov.get(k) for k in ("beta", "gamma", "n1"))
         groups.setdefault(key, []).append((idx, ov))
 
-    def job(items: list[tuple[int, dict[str, float]]]) -> list[SweepResult]:
-        return _epidemic_rows(base_params, base_curve, grid, items, scenarios)
-
-    if workers == 1:
-        parts = [job(items) for items in groups.values()]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, groups.values()))
-    rows = [row for part in parts for row in part]
+    rows = [row for items in groups.values()
+            for row in _epidemic_rows(base_params, base_curve, grid, items, scenarios)]
     rows.sort(key=lambda r: r.index)
     return rows
 

@@ -1,8 +1,8 @@
 """Command-line entry points: simulate, sweep, verify.
 
 Logs go to standard error only; data goes to files. Exit codes separate
-failure classes: 0 success, 1 failed verification, 2 usage or config
-errors, 3 numerical failures (the engine error is surfaced verbatim).
+failure classes: 0 success, 1 failed verification, 2 usage, config and
+file-write errors, 3 numerical failures (engine errors surfaced verbatim).
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run the parameter sweep and write verdict rows")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="thread count for sweep points (default 1)")
+                         help="kept for compatibility; sweeps run serially")
     p_verify = sub.add_parser("verify",
                               help="run the full acceptance battery on defaults")
     p_verify.add_argument("--out", metavar="DIR", default="verification",
@@ -163,6 +163,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {args.workers}")
     cfg = _load_config(args)
     out = prepare_out_dir(cfg.out_dir)
     if cfg.scenario == "depression":
@@ -172,7 +174,7 @@ def _cmd_sweep(args) -> int:
     started = time.perf_counter()
 
     rows = parameter_sweep(cfg.epidemic_params(), cfg.supply_curve(), cfg.grid(),
-                           axes=axes, scenarios=scenarios, workers=args.workers)
+                           axes=axes, scenarios=scenarios)
     manifest = [write_sweep_csv(rows, out / "sweep.csv")]
     summary = summarize_sweep(rows)
     summary_path = out / "sweep_summary.csv"
@@ -230,6 +232,9 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         log.error("%s", exc)
         return 3
+    except OSError as exc:  # e.g. a directory where a data file goes
+        log.error("%s", exc)
+        return 2
 
 
 if __name__ == "__main__":

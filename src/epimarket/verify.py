@@ -4,9 +4,9 @@ Thirteen independent checks cover conservation, the two first integrals,
 the final-size equation, the infection peak, the boom peak lead, the
 kernel-vs-state oracle, plateau closure, pre-plateau dominance, the lower
 rational peak, the event ordering chain, the depression mirror, event-time
-convergence under grid refinement, and determinism. Each check returns a
-pass/fail verdict with measured numbers; nothing is asserted here, so
-callers (CLI and tests) decide how to surface failures.
+convergence under grid refinement, and determinism (the sweep against
+each point swept alone). Each check returns a verdict with measured
+numbers and asserts nothing; callers (CLI and tests) surface failures.
 
 All artifacts written by a verification run are deterministic byte-for-
 byte: numbers use shortest round-trip formatting and no timestamps are
@@ -23,6 +23,7 @@ from .analysis import (
     build_timeline,
     check_propositions,
     default_sweep_axes,
+    grid_points,
     parameter_sweep,
     refine_peak,
 )
@@ -335,16 +336,22 @@ def check_event_convergence(params, curve) -> CheckResult:
 
 
 def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
-    rows_alt = parameter_sweep(params, curve, grid,
-                               axes=default_sweep_axes(), workers=3)
+    """The sweep against each point swept alone on its own SIR pass, which
+    a point leaking into the pass its epidemic group shares fails."""
+    alone = [
+        replace(parameter_sweep(params, curve, grid,
+                                axes={k: [v] for k, v in point.items()})[0],
+                index=index)
+        for index, point in enumerate(grid_points(default_sweep_axes()))
+    ]
     p1 = out / "sweep.csv"
     p2 = out / "sweep_recheck.csv"
     write_sweep_csv(rows, p1)
-    write_sweep_csv(rows_alt, p2)
+    write_sweep_csv(alone, p2)
     same = p1.read_bytes() == p2.read_bytes()
     return CheckResult(
         13, "determinism", same,
-        f"sweep rows identical across worker counts: {same}",
+        f"sweep rows identical to each of {len(alone)} points swept alone: {same}",
     )
 
 
@@ -353,7 +360,7 @@ def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(out_dir, workers: int = 1) -> VerificationReport:
+def run_verification(out_dir) -> VerificationReport:
     """Run all thirteen checks at defaults and write the artifact set."""
     out = prepare_out_dir(out_dir)
     params = EpidemicParams()
@@ -366,8 +373,7 @@ def run_verification(out_dir, workers: int = 1) -> VerificationReport:
     rational = re_price_path(params, curve, grid, epidemic=epi)
     timeline = build_timeline(myopic, rational, peak)
     claims = check_propositions(myopic, rational, timeline).claims
-    rows = parameter_sweep(params, curve, grid,
-                           axes=default_sweep_axes(), workers=workers)
+    rows = parameter_sweep(params, curve, grid)
 
     results = [
         check_conservation(params, epi),

@@ -1,9 +1,10 @@
 """Acceptance battery: the thirteen verification criteria, one per test.
 
-The battery runs twice at module scope (serial, then with three sweep
-workers) so the determinism criterion can compare complete artifact sets
-byte for byte. Every test prints the criterion's pass/fail line and then
-asserts it.
+The battery runs twice at module scope, in two directories, so that the
+determinism test can compare the two runs' verdicts and complete artifact
+sets byte for byte; criterion 13 itself compares the sweep with each of its
+points swept alone. Every test prints the criterion's pass/fail line and
+then asserts it.
 
 Two criteria test a property only where the numbers can show it:
 
@@ -30,12 +31,12 @@ from epimarket.verify import run_verification
 
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
-    return run_verification(tmp_path_factory.mktemp("verify_a"), workers=1)
+    return run_verification(tmp_path_factory.mktemp("verify_a"))
 
 
 @pytest.fixture(scope="module")
 def second_run(tmp_path_factory):
-    return run_verification(tmp_path_factory.mktemp("verify_b"), workers=3)
+    return run_verification(tmp_path_factory.mktemp("verify_b"))
 
 
 def _criterion(report, number: int):

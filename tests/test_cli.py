@@ -161,15 +161,28 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run_cli() == 2
 
 
-@pytest.mark.parametrize("command,sub", [
-    ("simulate", ""), ("sweep", "sub"), ("verify", ""),
+@pytest.mark.parametrize("command,sub,data_file", [
+    pytest.param("simulate", "", None, id="simulate-"),
+    pytest.param("sweep", "sub", None, id="sweep-sub"),
+    pytest.param("verify", "", None, id="verify-"),
+    pytest.param("simulate", "", "timeline.json", id="simulate-timeline.json"),
+    pytest.param("simulate", "", "report.json", id="simulate-report.json"),
+    pytest.param("sweep", "", "sweep.csv", id="sweep-sweep.csv"),
+    pytest.param("verify", "", "sweep.csv", id="verify-sweep.csv"),
 ])
 def test_out_path_that_is_a_file_is_a_usage_error(tmp_path, fast_config, caplog,
-                                                  command, sub):
-    # mkdir used to escape as FileExistsError / NotADirectoryError
-    blocker = tmp_path / "taken"
-    blocker.write_text("keep\n")
-    out = blocker / sub if sub else blocker
+                                                  command, sub, data_file):
+    # mkdir used to escape as FileExistsError / NotADirectoryError, and a
+    # directory in place of a data file as IsADirectoryError
+    if data_file is None:
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker / sub if sub else blocker
+        named = out
+    else:
+        out = tmp_path / "out"
+        blocker = named = out / data_file
+        blocker.mkdir(parents=True)
     argv = [command, "--out", str(out)]
     if command != "verify":
         argv += ["--config", str(fast_config)]
@@ -177,8 +190,11 @@ def test_out_path_that_is_a_file_is_a_usage_error(tmp_path, fast_config, caplog,
     assert run_cli(*argv) == 2
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1
-    assert str(out) in errors[0].getMessage()
-    assert blocker.read_text() == "keep\n"
+    assert str(named) in errors[0].getMessage()
+    if data_file is None:
+        assert blocker.read_text() == "keep\n"
+    else:
+        assert blocker.is_dir() and not any(blocker.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +219,18 @@ def test_sweep_writes_table_and_summary(tmp_path):
     )
     assert summary["points"] == "2"
     assert summary["errors"] == "0"
+
+
+def test_sweep_checks_workers_and_runs_serially(tmp_path, fast_config):
+    # --workers is kept for compatibility: checked, and without effect
+    out = {w: tmp_path / f"w{w}" for w in ("0", "1", "2")}
+    for w, path in out.items():
+        code = run_cli("sweep", "--config", str(fast_config),
+                       "--out", str(path), "--workers", w)
+        assert code == (2 if w == "0" else 0)
+    assert not out["0"].exists()
+    assert ((out["1"] / "sweep.csv").read_bytes()
+            == (out["2"] / "sweep.csv").read_bytes())
 
 
 def test_sweep_rejects_the_depression_scenario(tmp_path, fast_config):

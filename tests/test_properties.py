@@ -7,7 +7,7 @@ run draws the same examples each time.
 """
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -159,7 +159,7 @@ def test_depression_price_mirrors_the_boom_off_the_floor(log_beta, gamma, log_ka
 
 
 # ---------------------------------------------------------------------------
-# sweep bytes do not depend on the worker count
+# sweep bytes equal those of each point swept alone
 # ---------------------------------------------------------------------------
 
 _SWEEP = Grid(0.0, 80.0, 2e-2)
@@ -180,13 +180,22 @@ def _small_axes(draw):
 
 @settings(DETERMINISTIC, max_examples=6)
 @given(axes=_small_axes())
-def test_sweep_csv_bytes_do_not_depend_on_workers(tmp_path_factory, axes):
+@example(axes={"kappa": [5.0, 400.0]})
+def test_sweep_csv_bytes_match_each_point_swept_alone(tmp_path_factory, axes):
+    # points of one epidemic share its SIR pass in the sweep; swept alone,
+    # each has its own, so a point leaking into the shared pass shows here
     out = tmp_path_factory.mktemp("sweep")
     params, curve = EpidemicParams(), SupplyCurve()
-    for workers in (1, 3):
-        rows = parameter_sweep(params, curve, _SWEEP, axes=axes, workers=workers)
-        write_sweep_csv(rows, out / f"w{workers}.csv")
-    assert (out / "w1.csv").read_bytes() == (out / "w3.csv").read_bytes()
+    write_sweep_csv(parameter_sweep(params, curve, _SWEEP, axes=axes),
+                    out / "sweep.csv")
+    alone = [
+        replace(parameter_sweep(params, curve, _SWEEP,
+                                axes={k: [v] for k, v in point.items()})[0],
+                index=index)
+        for index, point in enumerate(analysis.grid_points(axes))
+    ]
+    write_sweep_csv(alone, out / "alone.csv")
+    assert (out / "sweep.csv").read_bytes() == (out / "alone.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
