@@ -10,17 +10,24 @@ The market never feeds back into the contagion, so S, I and R are
 integrated once per (params, grid). That pass keeps a drive table: for
 every RK4 step, the drive beta*I*S at each of the four stages. Every
 market pass on the same grid (market, rational) replays those drives as
-a scalar RK4 pass of its own holdings, and its S, I and R are this
-pass's arrays. A rational path leaves the nodes only around its
-sell-start time t1: the steps to t1 and on to the next node go through
-its coupled fields, and from that node on it reads the grid's S, I and
-R again.
+a scalar RK4 pass of its own holdings (`EpidemicTrajectory.steps`), and
+its S, I and R are this pass's arrays. A rational path leaves the nodes
+only around its sell-start time t1: the steps to t1 and on to the next
+node go through its coupled fields, and from that node on it reads the
+grid's S, I and R again.
 
 The pass is rk4_step's arithmetic on the SIR field, written out on plain
-floats, so every value matches a fixed-step RK4 run bit for bit. It runs
-to the grid's end unchecked. A reader replays a step whose result is
-non-finite through rk4_step on its own coupled field, which raises
-exactly what the coupled step raises. Every coupled field is
+floats, so every value matches a fixed-step RK4 run bit for bit. Its
+Python loop steps only S and I, since no stage of a step reads R. Every
+stage of step k depends only on S and I at node k, so afterwards numpy
+rebuilds the drive table, the recovery terms gamma*I and R from the
+stored nodes, with the same operations in the same order; R is
+np.add.accumulate over its increments, which adds strictly left to
+right, as the loop did. The pass runs to the grid's end unchecked. A
+reader replays a step whose result is non-finite through rk4_step on its
+own coupled field (`EpidemicTrajectory.replay`), which raises exactly
+what the coupled step raises, or GridTooCoarseError from it where dt
+lies beyond RK4's stability interval. Every coupled field is
 `coupled_field`: sir_derivatives with the field's own rates appended.
 """
 from __future__ import annotations
@@ -28,7 +35,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -37,6 +45,9 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     ConvergenceError,
+    GridTooCoarseError,
+    IntegrationError,
+    PriceFloorError,
 )
 from .numerics import (
     Bracket,
@@ -106,6 +117,12 @@ class EpidemicState:
     r: float
 
 
+# RK4's stability interval on the negative real axis (Hairer, Norsett and
+# Wanner, Solving ODEs I): a step of size dt is stable on a decay rate
+# lambda only while lambda*dt stays below it
+RK4_STABILITY = 2.785
+
+
 @dataclass(frozen=True, eq=False)
 class EpidemicTrajectory:
     """S, I and R at the grid's nodes.
@@ -125,19 +142,48 @@ class EpidemicTrajectory:
     def state_at(self, k: int) -> EpidemicState:
         return EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k]))
 
-    def steps(self, k: int = 0):
-        """The RK4 steps from node k to the end of the grid, replayed from
-        the drive table.
+    @cached_property
+    def _totals(self) -> np.ndarray:
+        """(S+I)+R at every node, the first sums of a step's finiteness check."""
+        with np.errstate(all="ignore"):  # a blow-up stays silent
+            return (self.s + self.i) + self.r
 
-        Yields (t, h, d1, d2, d3, d4, s, i, r) for each step: its start
-        time and size, the drives beta*I*S at its four stages, and the
-        state it ends at.
+    def steps(self, k: int = 0):
+        """The RK4 steps from node k to the end of the grid, for a scalar
+        pass over the drive table.
+
+        Yields (j, d1, d2, d3, d4, total) for each step j: the drives
+        beta*I*S at its four stages, and (S+I)+R at the node it ends at.
+        A pass replays step j through `replay`.
         """
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
-        return zip(memoryview(self.times)[k:-1], repeat(self.grid.dt),
-                   drives, drives, drives, drives,
-                   memoryview(self.s)[k + 1:], memoryview(self.i)[k + 1:],
-                   memoryview(self.r)[k + 1:])
+        return zip(count(k), drives, drives, drives, drives,
+                   memoryview(self._totals)[k + 1:])
+
+    def replay(self, field, k: int, y: tuple) -> tuple:
+        """rk4_step on a coupled field over step k, from the grid's t, S, I
+        and R at node k and the field's own variables y.
+
+        A pass replays a step that reached the price floor or ended
+        non-finite, so the coupled step raises what it raises. On a grid
+        beyond RK4's stability interval, (beta*N + gamma)*dt above
+        RK4_STABILITY, that is GridTooCoarseError from the coupled step's
+        error: the step size, not the model, is at fault.
+        """
+        t, dt, st = float(self.times[k]), self.grid.dt, self.state_at(k)
+        try:
+            return rk4_step(field, t, (st.s, st.i, st.r) + y, dt)
+        except (IntegrationError, PriceFloorError) as exc:
+            rate = self.params.beta * self.params.total + self.params.gamma
+            if rate * dt > RK4_STABILITY:
+                raise GridTooCoarseError(
+                    f"dt={dt} is too coarse for RK4: (beta*N + gamma)*dt = "
+                    f"{rate * dt:.4g} lies beyond its stability interval of "
+                    f"about {RK4_STABILITY}, and the step from t={t} failed "
+                    f"({exc}); use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
+                    f"{RK4_STABILITY / rate:.4g}", time=exc.time,
+                ) from exc
+            raise
 
 
 @dataclass(frozen=True)
@@ -169,6 +215,11 @@ def coupled_field(params: EpidemicParams, rate=None):
     return field
 
 
+# steps per block of the numpy rebuild after the SIR loop: bounds its
+# temporaries, so a pass's peak memory stays that of its arrays
+_BLOCK = 4096
+
+
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """The SIR pass with its drive table, for market passes to run on.
 
@@ -180,13 +231,10 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     n = grid.n_steps
     beta, gamma, h = params.beta, params.gamma, grid.dt
     half, sixth = 0.5 * h, h / 6.0
-    s, i, r = params.n1, params.n2, params.n3
+    s, i = params.n1, params.n2
     # allocated at full size: growing them step by step fragments the heap
     s_arr = array("d", [s]) * (n + 1)
     i_arr = array("d", [i]) * (n + 1)
-    r_arr = array("d", [r]) * (n + 1)
-    drives = array("d", [0.0]) * (4 * n)
-    j = 0
     for k in range(1, n + 1):
         d1 = beta * i * s
         c1 = gamma * i
@@ -204,23 +252,47 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         c4 = gamma * i4
         s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
         i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
-        r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
         s_arr[k] = s
         i_arr[k] = i
-        r_arr[k] = r
-        drives[j] = d1
-        drives[j + 1] = d2
-        drives[j + 2] = d3
-        drives[j + 3] = d4
-        j += 4
+    s_nodes, i_nodes = np.frombuffer(s_arr), np.frombuffer(i_arr)
+    drives = np.empty((n, 4))
+    r_nodes = np.empty(n + 1)
+    r_nodes[0] = params.n3
+    # the loop's stage arithmetic again, on the stored S and I; a blow-up
+    # stays silent, as it is on plain floats
+    with np.errstate(all="ignore"):
+        for a in range(0, n, _BLOCK):
+            b = min(a + _BLOCK, n)
+            s, i = s_nodes[a:b], i_nodes[a:b]
+            d1 = beta * i * s
+            c1 = gamma * i
+            s2 = s - half * d1
+            i2 = i + half * (d1 - c1)
+            d2 = beta * i2 * s2
+            c2 = gamma * i2
+            s3 = s - half * d2
+            i3 = i + half * (d2 - c2)
+            d3 = beta * i3 * s3
+            c3 = gamma * i3
+            s4 = s - h * d3
+            i4 = i + h * (d3 - c3)
+            d4 = beta * i4 * s4
+            c4 = gamma * i4
+            block = drives[a:b]
+            block[:, 0], block[:, 1], block[:, 2], block[:, 3] = d1, d2, d3, d4
+            # R(k+1) = R(k) + increment, strictly left to right
+            r_inc = np.empty(b - a + 1)
+            r_inc[0] = r_nodes[a]
+            r_inc[1:] = sixth * (c1 + 2.0 * (c2 + c3) + c4)
+            np.add.accumulate(r_inc, out=r_nodes[a:b + 1])
     return EpidemicTrajectory(
         params=params,
         grid=grid,
         times=grid.times(),
-        s=np.frombuffer(s_arr),
-        i=np.frombuffer(i_arr),
-        r=np.frombuffer(r_arr),
-        drives=np.frombuffer(drives).reshape(-1, 4),
+        s=s_nodes,
+        i=i_nodes,
+        r=r_nodes,
+        drives=drives,
     )
 
 
@@ -229,14 +301,14 @@ def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
 
     Raises IntegrationError with the stage time if a stage derivative is
     non-finite: each step that ends non-finite is replayed through
-    rk4_step until one raises.
+    rk4_step until one raises (GridTooCoarseError from it on a grid
+    beyond RK4's stability interval; see EpidemicTrajectory.replay).
     """
     epi = epidemic_pass(params, grid)
     field = coupled_field(params)
     finite = np.isfinite(epi.s[1:]) & np.isfinite(epi.i[1:]) & np.isfinite(epi.r[1:])
     for k in np.flatnonzero(~finite).tolist():
-        st = epi.state_at(k)
-        rk4_step(field, grid.node(k), (st.s, st.i, st.r), grid.dt)
+        epi.replay(field, k, ())
     return epi
 
 

@@ -59,10 +59,15 @@ class NoPlateauError(SimulationError):
 
 
 class GridTooCoarseError(SimulationError):
-    """The shooting solve cannot meet tolerance at this step size.
+    """The step size is too coarse: the shooting solve cannot meet
+    tolerance at it, or an RK4 step failed beyond RK4's stability interval.
 
-    Retry with dt/2.
+    Retry with a smaller dt. ``time`` is the failed stage's time, or None.
     """
+
+    def __init__(self, message: str, time: float | None = None):
+        super().__init__(message)
+        self.time = time
 
 
 class BoundaryExtremumError(SimulationError):

@@ -9,13 +9,16 @@ trapezoid quadrature of the underlying cohort integral serves as an
 independent oracle for the state variable.
 
 Both scenarios run x alone, as a scalar RK4 pass over the stage drives
-of an SIR pass (see epidemic); S, I and R are that pass's arrays. The
-coupled (S, I, R, x) field of each scenario, sir_derivatives with the x
-rate appended (`holdings_field`), remains its definition: a step that
-reaches the price floor at a stage, or ends non-finite, is replayed
-through rk4_step on it, so errors carry the coupled step's stage time
-and message. The rational unwind after the plateau is the euphoric pass
-restarted from the closing node (see rational).
+of an SIR pass (see epidemic): `EpidemicTrajectory.steps` streams each
+step's four drives and (S+I)+R at its end node, and S, I and R are that
+pass's arrays. The coupled (S, I, R, x) field of each scenario,
+sir_derivatives with the x rate appended (`holdings_field`), remains its
+definition: a step that reaches the price floor at a stage, or ends
+non-finite, is replayed through rk4_step on it from the grid's state at
+its start node (`EpidemicTrajectory.replay`), so errors carry the
+coupled step's stage time and message. The rational unwind after the
+plateau is the euphoric pass restarted from the closing node (see
+rational).
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
 from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
-from .numerics import Grid, rk4_step
+from .numerics import Grid
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -143,59 +146,57 @@ def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = Fa
     return coupled_field(params, rate)
 
 
-def holdings_pass(params: EpidemicParams, curve: SupplyCurve, steps, y: tuple,
-                  mirror: bool = False) -> array:
-    """x at the start of steps and at each node after, from y = (s, i, r, x).
+def holdings_pass(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
+                  k: int, x: float, mirror: bool = False) -> array:
+    """x at node k and at each node after, from holdings x at node k.
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
-    stage drives of steps (`EpidemicTrajectory.steps` tuples); mirror=True
-    divides minus the drive by the reflected price 2*p0 - P instead. A
-    stage state at or below the floor -kappa*p0, or a non-finite step, is
-    replayed through rk4_step on holdings_field, the coupled field of the
-    same equation, which raises what the coupled step raises; if it raises
-    nothing, the step stands.
+    stage drives of epi's steps from node k (`EpidemicTrajectory.steps`);
+    mirror=True divides minus the drive by the reflected price 2*p0 - P
+    instead. A stage state at or below the floor -kappa*p0, or a
+    non-finite step, is replayed (`EpidemicTrajectory.replay`) on
+    holdings_field, the coupled field of the same equation, which raises
+    what the coupled step raises; if it raises nothing, the step stands.
     """
     w, gamma = params.endowment, params.gamma
     p0, kappa = curve.p0, curve.kappa
     field, floor = holdings_field(params, curve, mirror), -kappa * p0
-    s, i, r, x = y
+    dt = epi.grid.dt
+    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
     out = array("d", [x])
     add = out.append
-    for t, h, d1, d2, d3, d4, s1, i1, r1 in steps:
-        half = 0.5 * h
+    for j, d1, d2, d3, d4, total in epi.steps(k):
         if x <= floor:
-            rk4_step(field, t, (s, i, r, x), h)
+            epi.replay(field, j, (x,))
         p = p0 + x / kappa
-        k1 = (-d1 * w / (2.0 * p0 - p) if mirror else d1 * w / p) - gamma * x
+        k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
         x2 = x + half * k1
         if x2 <= floor:
-            rk4_step(field, t, (s, i, r, x), h)
+            epi.replay(field, j, (x,))
         p = p0 + x2 / kappa
-        k2 = (-d2 * w / (2.0 * p0 - p) if mirror else d2 * w / p) - gamma * x2
+        k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
         x3 = x + half * k2
         if x3 <= floor:
-            rk4_step(field, t, (s, i, r, x), h)
+            epi.replay(field, j, (x,))
         p = p0 + x3 / kappa
-        k3 = (-d3 * w / (2.0 * p0 - p) if mirror else d3 * w / p) - gamma * x3
-        x4 = x + h * k3
+        k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
+        x4 = x + dt * k3
         if x4 <= floor:
-            rk4_step(field, t, (s, i, r, x), h)
+            epi.replay(field, j, (x,))
         p = p0 + x4 / kappa
-        k4 = (-d4 * w / (2.0 * p0 - p) if mirror else d4 * w / p) - gamma * x4
-        x1 = x + h / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        chk = s1 + i1 + r1 + x1
+        k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
+        x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        chk = total + x1
         if chk - chk != 0.0:
-            rk4_step(field, t, (s, i, r, x), h)
-        s, i, r, x = s1, i1, r1, x1
+            epi.replay(field, j, (x,))
+        x = x1
         add(x)
     return out
 
 
 def _scenario(params, curve, grid, epidemic, mirror: bool) -> MarketTrajectory:
     epi = driving_pass(params, grid, epidemic)
-    st = epi.state_at(0)
-    x = np.frombuffer(holdings_pass(params, curve, epi.steps(),
-                                    (st.s, st.i, st.r, 0.0), mirror))
+    x = np.frombuffer(holdings_pass(params, curve, epi, 0, 0.0, mirror))
     return MarketTrajectory(
         params=params, curve=curve, grid=grid,
         scenario="depression" if mirror else "myopic",

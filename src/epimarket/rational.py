@@ -12,14 +12,19 @@ the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
 Every pass runs over the drive table of the grid's SIR pass (see
-epidemic). The accumulation phase (z, h) runs from t=0; the solve's stops
-at k_f, the first node flow-reversed before any scan (h > 0, net flow at
-its own P* <= 0), and its replay reuses those arrays.
+epidemic), streamed by `EpidemicTrajectory.steps` as each step's four
+drives and (S+I)+R at its end node; S, I and R are never carried, and a
+replay reads the grid's state at the step's start node
+(`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
+t=0; the solve's stops at k_f, the first node flow-reversed before any
+scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
+arrays.
 
 From a trial t1 in [node(k1), node(k1+1)) the plateau is one scan: an
 rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
 the phase-2 field carries it to node k1+1, and z and h run on over the
-grid's drives, so S, I and R are the grid's arrays. Stage one's node
+grid's drives, so S, I and R are the grid's arrays; the net flow at a
+node is the first stage rate of the step from it. Stage one's node
 diagnosis stops the scan at its first event, stage two's closure runs it
 to the flow reversal, and the unwind starts at the closing node: h is
 gone, the price clears on z alone, and `market.holdings_pass` runs the
@@ -140,21 +145,21 @@ def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraject
     stop_at_reversal and k_f < upto).
 
     A stage with z+h at or below the floor -kappa*p0, or a non-finite
-    step, is replayed through rk4_step on the phase-1 field, which raises
-    what the coupled step raises, as in `market.holdings_pass`.
+    step, is replayed on the phase-1 field (`EpidemicTrajectory.replay`),
+    which raises what the coupled step raises, as in `market.holdings_pass`.
     """
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     field, floor = _phase1_field(params, curve), -kappa * p0
-    st = epi.state_at(0)
-    s, i, r, z, h = st.s, st.i, st.r, 0.0, 0.0
+    dt = epi.grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    z, h = 0.0, 0.0
     zs, hs = array("d", [z]), array("d", [h])
     add_z, add_h = zs.append, hs.append
-    for t, dt, d1, d2, d3, d4, s1, i1, r1 in islice(epi.steps(), upto):
-        half = 0.5 * dt
+    for k, d1, d2, d3, d4, total in islice(epi.steps(), upto):
         x = z + h
         if x <= floor:
-            rk4_step(field, t, (s, i, r, z, h), dt)
+            epi.replay(field, k, (z, h))
         cure1 = gamma * z
         kz1 = d1 * w / (p0 + x / kappa) - cure1
         # kz1 is _flow at this node's own P*, to the bit
@@ -163,47 +168,48 @@ def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraject
         z2, h2 = z + half * kz1, h + half * cure1
         x = z2 + h2
         if x <= floor:
-            rk4_step(field, t, (s, i, r, z, h), dt)
+            epi.replay(field, k, (z, h))
         cure2 = gamma * z2
         kz2 = d2 * w / (p0 + x / kappa) - cure2
         z3, h3 = z + half * kz2, h + half * cure2
         x = z3 + h3
         if x <= floor:
-            rk4_step(field, t, (s, i, r, z, h), dt)
+            epi.replay(field, k, (z, h))
         cure3 = gamma * z3
         kz3 = d3 * w / (p0 + x / kappa) - cure3
         z4, h4 = z + dt * kz3, h + dt * cure3
         x = z4 + h4
         if x <= floor:
-            rk4_step(field, t, (s, i, r, z, h), dt)
+            epi.replay(field, k, (z, h))
         cure4 = gamma * z4
         kz4 = d4 * w / (p0 + x / kappa) - cure4
-        sixth = dt / 6.0
         z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
-        chk = s1 + i1 + r1 + z1 + h1
+        chk = total + z1 + h1
         if chk - chk != 0.0:
-            rk4_step(field, t, (s, i, r, z, h), dt)
-        s, i, r, z, h = s1, i1, r1, z1, h1
+            epi.replay(field, k, (z, h))
+        z, h = z1, h1
         add_z(z)
         add_h(h)
     return zs, hs
 
 
-def _plateau(params: EpidemicParams, p_star: float, steps, y: tuple):
-    """The plateau at pinned price p_star from state y = (s, i, r, z, h).
+def _plateau(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
+             k: int, z: float, h: float):
+    """The plateau at pinned price p_star from z and h at node k.
 
-    Scalar RK4 of z and h over the drives of steps. Yields
-    (t, dt, state, flow) for each node reached: the step's start time and
-    size, the state at its end, and the net flow beta*I*S*w/P* - gamma*z
-    there.
+    Scalar RK4 of z and h over the drives of epi's steps from node k.
+    Yields (j, z, h, flow) for each node j from k to the grid's end, with
+    the net flow beta*I*S*w/P* - gamma*z there, before stepping on from it:
+    a step's first stage rate is the flow at its start node, to the bit.
     """
-    beta, gamma, w = params.beta, params.gamma, params.endowment
+    gamma, w = params.gamma, params.endowment
     field = _phase2_field(params, p_star)
-    s, i, r, z, h = y
-    for t, dt, d1, d2, d3, d4, s1, i1, r1 in steps:
-        half = 0.5 * dt
+    dt = epi.grid.dt
+    half, sixth = 0.5 * dt, dt / 6.0
+    for j, d1, d2, d3, d4, total in epi.steps(k):
         f1 = d1 * w / p_star - gamma * z
+        yield j, z, h, f1
         z2 = z + half * f1
         f2 = d2 * w / p_star - gamma * z2
         z3 = z + half * f2
@@ -211,13 +217,15 @@ def _plateau(params: EpidemicParams, p_star: float, steps, y: tuple):
         z4 = z + dt * f3
         f4 = d4 * w / p_star - gamma * z4
         # h's stage rates are -f, so its increment is exactly z's, negated
-        dz = dt / 6.0 * (f1 + 2.0 * (f2 + f3) + f4)
+        dz = sixth * (f1 + 2.0 * (f2 + f3) + f4)
         z1, h1 = z + dz, h - dz
-        chk = s1 + i1 + r1 + z1 + h1
+        chk = total + z1 + h1
         if chk - chk != 0.0:
-            rk4_step(field, t, (s, i, r, z, h), dt)
-        s, i, r, z, h = s1, i1, r1, z1, h1
-        yield t, dt, (s, i, r, z, h), beta * i * s * w / p_star - gamma * z
+            epi.replay(field, j, (z, h))
+        z, h = z1, h1
+    n = epi.grid.n_steps
+    st = epi.state_at(n)
+    yield n, z, h, _flow(params, p_star, (st.s, st.i, st.r, z))
 
 
 def _node_below(grid: Grid, t: float) -> int:
@@ -232,20 +240,20 @@ def _node_below(grid: Grid, t: float) -> int:
 
 
 def _to_node(epi: EpidemicTrajectory, field, t1: float, k1: int, y: tuple) -> tuple:
-    """y = (s, i, r, ...) at t1 in [node(k1), node(k1+1)) carried to node
-    k1+1 by one rk4_step on field; S, I and R there are the grid's."""
-    st = epi.state_at(k1 + 1)
-    return (st.s, st.i, st.r) + rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
+    """The field's own variables (after S, I and R) at node k1+1, from y =
+    (s, i, r, ...) at t1 in [node(k1), node(k1+1)), by one rk4_step on
+    field; S, I and R there are the grid's."""
+    return rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
 
 
 def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
           zs: array, hs: array, t1: float):
-    """The plateau from t1 at its pinned price: (k1, P*, nodes).
+    """The plateau from t1 at its pinned price: (k1, P*, y, nodes).
 
-    t1 lies in [node(k1), node(k1+1)); its phase-1 state comes from one
-    partial step from node k1. nodes yields (t, dt, state, flow) as
-    _plateau does: first for t1 itself (dt 0.0), then for node k1+1,
-    reached by _to_node on the phase-2 field, then for every later node
+    t1 lies in [node(k1), node(k1+1)); its phase-1 state y = (s, i, r, z,
+    h) comes from one partial step from node k1. nodes yields (j, z, h,
+    flow) as _plateau does: first for t1 itself, as j = k1, then for node
+    k1+1, reached by _to_node on the phase-2 field, and every later node
     over the grid's drives. Only t1 is yielded if node k1 is the last.
     """
     grid = epi.grid
@@ -258,11 +266,11 @@ def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
     if rem > 0.0:
         y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
     p_star = clearing_price(y[3] + y[4], curve)
-    head = [(t1, 0.0, y, _flow(params, p_star, y))]
-    if k1 < grid.n_steps:
-        y = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
-        head.append((t1, grid.node(k1 + 1) - t1, y, _flow(params, p_star, y)))
-    return k1, p_star, chain(head, _plateau(params, p_star, epi.steps(k1 + 1), y))
+    head = [(k1, y[3], y[4], _flow(params, p_star, y))]
+    if k1 == grid.n_steps:
+        return k1, p_star, y, iter(head)
+    z, h = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
+    return k1, p_star, y, chain(head, _plateau(params, p_star, epi, k1 + 1, z, h))
 
 
 def _closing_kind(h: float) -> str:
@@ -342,35 +350,33 @@ def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
     """
     grid = epi.grid
     p0, kappa = curve.p0, curve.kappa
-    k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
+    k1, p_star, y, nodes = _scan(params, curve, epi, zs, hs, t1)
     # the scan's first entry is t1 itself, not a node: dropped below
     z_plateau, h_plateau = array("d"), array("d")
     z_post = array("d")
     post_start: int | None = None
-    j = k1 - 1
-    for _t, _dt, y, flow in nodes:
-        j += 1
-        if y[4] > 0.0 and flow > 0.0:
-            z_plateau.append(y[3])
-            h_plateau.append(y[4])
+    for j, z, h, flow in nodes:
+        if h > 0.0 and flow > 0.0:
+            z_plateau.append(z)
+            h_plateau.append(h)
             continue
         if j > k1:
             # the closing node clears on z alone and starts phase 3
-            post_start, t2, y3 = j, grid.node(j), y[:4]
+            post_start, t2, x = j, grid.node(j), z
         else:
             # the plateau collapsed at t1 itself; unwind from node k1+1
             post_start, t2 = k1 + 1, t1
-            y3 = (_to_node(epi, holdings_field(params, curve), t1, k1, y[:4])
-                  if k1 < grid.n_steps else None)
-        diag = PlateauDiagnosis(_closing_kind(y[4]), t2, y[4], flow)
-        if y3 is not None:
+            x = (_to_node(epi, holdings_field(params, curve), t1, k1, y[:4])[0]
+                 if k1 < grid.n_steps else None)
+        diag = PlateauDiagnosis(_closing_kind(h), t2, h, flow)
+        if x is not None:
             head = not unwind and _unwind_cannot_raise(params, curve, epi,
-                                                       post_start, y3[3])
-            z_post = (array("d", [y3[3]]) if head
-                      else holdings_pass(params, curve, epi.steps(post_start), y3))
+                                                       post_start, x)
+            z_post = (array("d", [x]) if head
+                      else holdings_pass(params, curve, epi, post_start, x))
         break
     else:
-        diag = PlateauDiagnosis("open", grid.t_end, y[4], flow)
+        diag = PlateauDiagnosis("open", grid.t_end, h, flow)
 
     z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
     zp = np.frombuffer(z_plateau)[1:]
@@ -398,10 +404,10 @@ def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
 def _node_diagnosis(params, curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1: the first event of the path
     simulate_re_given_t1 takes from there, or 'open'."""
-    _k1, _p_star, nodes = _scan(params, curve, epi, zs, hs, epi.grid.node(k1))
-    for _t, _dt, y, flow in nodes:
-        if y[4] <= 0.0 or flow <= 0.0:
-            return _closing_kind(y[4])
+    _k1, _p_star, _y, nodes = _scan(params, curve, epi, zs, hs, epi.grid.node(k1))
+    for _j, _z, h, flow in nodes:
+        if h <= 0.0 or flow <= 0.0:
+            return _closing_kind(h)
     return "open"
 
 
@@ -413,23 +419,28 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     the shooting defect (negative: inventory ran out early, raise t1;
     positive: inventory left over, lower t1).
     """
-    _k1, p_star, nodes = _scan(params, curve, epi, zs, hs, t1)
-    first = next(nodes)
-    phi_star = first[2][3] + first[2][4]
-    for t_prev, dt, st, flow in chain((first,), nodes):
+    k1, p_star, y, nodes = _scan(params, curve, epi, zs, hs, t1)
+    phi_star = y[3] + y[4]
+    for j, z, h, flow in nodes:
         if flow <= 0.0:
-            # dt 0.0: reversed at t1 itself; else the crossing is placed
-            # linearly in flow inside the step
-            t2, st2 = t_prev, st
-            if dt > 0.0:
+            # reversed at t1 itself, or the crossing is placed linearly in
+            # flow inside the step to node j, from t1 or from node j-1
+            t2, st2 = t1, y
+            if j > k1:
+                if j == k1 + 1:
+                    t_prev, dt, st_prev = t1, epi.grid.node(j) - t1, y
+                else:
+                    st = epi.state_at(j - 1)
+                    t_prev, dt = float(epi.times[j - 1]), epi.grid.dt
+                    st_prev = (st.s, st.i, st.r, z_prev, h_prev)
                 t2, st2 = t_prev + flow_prev / (flow_prev - flow) * dt, st_prev
                 if t2 > t_prev:
                     st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
                                    t2 - t_prev)
             return _Closure(True, t2, p_star, phi_star, _flow(params, p_star, st2),
                             st2[4])
-        st_prev, flow_prev = st, flow
-    return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, st_prev[4])
+        z_prev, h_prev, flow_prev = z, h, flow
+    return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, h_prev)
 
 
 def solve_plateau(

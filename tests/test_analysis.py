@@ -250,6 +250,10 @@ def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch)
                            axes={"beta": [2.5e-4], "gamma": [0.2]})
     assert rows[0].timeline is None
     assert "limit of 40000" in rows[0].error
+    # a grid beyond RK4's stability interval names the step bound
+    rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2), axes={"beta": [5.0]})
+    assert rows[0].timeline is None
+    assert "dt <= 2.785/(beta*N + gamma)" in rows[0].error
 
 
 def test_sweep_rejects_bad_requests(params, curve, grid):

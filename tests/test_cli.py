@@ -1,6 +1,7 @@
 """Command line entry points: exit codes, artifacts, config precedence."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,36 @@ def test_simulate_rational_adds_the_second_leg(tmp_path, fast_config):
     assert timeline["t1"] is not None
     assert timeline["t1"] < timeline["t_p_star_m"] < timeline["t2"]
     assert timeline["verdicts"]["re_peak_lower"] == "pass"
+
+
+# sha256 of the data files `simulate --scenario rational` writes at the
+# defaults; the engine's passes are rewritten only byte for byte
+RATIONAL_DEFAULT_SHA256 = "d726e476899d3264413b2b9c5426011744fe49220f7ec4c6feda322cd50ac670"
+
+
+def test_simulate_rational_defaults_write_the_pinned_bytes(tmp_path):
+    cfg = tmp_path / "rational.cfg"
+    cfg.write_text("scenario=rational\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    digest = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        if path.name != "report.json":  # holds the wall-clock duration
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == RATIONAL_DEFAULT_SHA256
+
+
+def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
+    # (beta*N + gamma)*dt = 50, far beyond RK4's stability interval: the
+    # myopic leg's first steps reach the price floor, and the error says
+    # the step, not the price, is at fault
+    cfg = tmp_path / "b5.cfg"
+    cfg.write_text("beta=5\n")
+    code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 3
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "dt <= 2.785/(beta*N + gamma) = 0.000557" in err
+    assert "clearing price hit zero at t=0.01" in err
 
 
 def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):

@@ -4,7 +4,8 @@ The oracle below integrates each scenario the direct way: S, I, R and the
 holdings together, as one 4- or 5-variable field through
 integrate_fixed_step / rk4_step. Every market pass of the package reuses
 the SIR stage drives instead, and must agree with it bit for bit, and
-raise the same errors with the same stage time and message.
+raise the same errors with the same stage time and message: on a grid
+beyond RK4's stability interval, as the cause of a GridTooCoarseError.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket.errors import IntegrationError, PriceFloorError
+from epimarket.errors import GridTooCoarseError, IntegrationError, PriceFloorError
 from epimarket.market import clearing_price
 from epimarket.numerics import integrate_fixed_step, rk4_step
 
@@ -297,6 +298,18 @@ def _raised(fn, *args):
     return type(exc.value), exc.value.time, str(exc.value)
 
 
+def _stiff_cause(fn, *args):
+    """_raised of the coupled step's error on a grid beyond RK4's stability
+    interval, where the package raises it as a GridTooCoarseError's cause."""
+    with pytest.raises(GridTooCoarseError) as exc:
+        fn(*args)
+    cause = exc.value.__cause__
+    assert isinstance(cause, (IntegrationError, PriceFloorError))
+    assert exc.value.time == cause.time
+    assert str(cause) in str(exc.value)
+    return type(cause), cause.time, str(cause)
+
+
 def test_depression_floor_error_matches_the_coupled_field(params, grid):
     shallow = SupplyCurve(kappa=100.0)
     got = _raised(simulate_depression, params, shallow, grid)
@@ -310,30 +323,31 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve):
     params, grid = EpidemicParams(beta=1e300), Grid(0.0, 10.0, 1e-2)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
-    assert _raised(simulate_epidemic, params, grid) == want
+    assert _stiff_cause(simulate_epidemic, params, grid) == want
     # the market's own field reports its x derivative in the same message
     want = _raised(oracle_market, params, curve, grid)
     assert want[0] is IntegrationError and want != _raised(oracle_epidemic, params, grid)
-    assert _raised(simulate_myopic, params, curve, grid) == want
+    assert _stiff_cause(simulate_myopic, params, curve, grid) == want
     epi = epidemic_pass(params, grid)
     # the pass runs to the grid's end; the blow-up leaves non-finite values
     assert epi.drives.shape == (grid.n_steps, 4)
     assert not np.isfinite(epi.drives).all()
-    assert _raised(simulate_myopic, params, curve, grid, epi) == want
+    assert _stiff_cause(simulate_myopic, params, curve, grid, epi) == want
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])
 def test_floor_before_blow_up_matches_the_coupled_field(curve, mirror):
     # beta*N*dt = 50: the price floor binds in the first steps, long before
     # S and I overflow, and the coupled step reports the floor: at a node
-    # for the boom, at a mid-step stage (t=0.005) for the slump
+    # for the boom, at a mid-step stage (t=0.005) for the slump. The grid
+    # is the fault, so the package raises that as GridTooCoarseError's cause
     params, grid = EpidemicParams(beta=5.0), Grid(0.0, 30.0, 1e-2)
     simulate = simulate_depression if mirror else simulate_myopic
     want = _raised(oracle_market, params, curve, grid, mirror)
     assert want[0] is PriceFloorError
     assert (want[1] == 0.005) is mirror
-    assert _raised(simulate, params, curve, grid) == want
-    assert _raised(simulate, params, curve, grid, epidemic_pass(params, grid)) == want
+    assert _stiff_cause(simulate, params, curve, grid) == want
+    assert _stiff_cause(simulate, params, curve, grid, epidemic_pass(params, grid)) == want
 
 
 # beta*N*dt = 5 and 10, far beyond RK4's stability interval: the SIR drives
@@ -354,11 +368,11 @@ def test_floor_errors_match_the_coupled_fields(curve, beta, t1, bounds, in_phase
     for mirror, simulate in ((False, simulate_myopic), (True, simulate_depression)):
         want = _raised(oracle_market, params, curve, grid, mirror)
         assert want[0] is PriceFloorError
-        assert _raised(simulate, params, curve, grid, epi) == want
+        assert _stiff_cause(simulate, params, curve, grid, epi) == want
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is PriceFloorError
-    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
-    assert _raised(simulate_re_given_t1, params, curve, t1, grid) == want
+    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid, epi) == want
+    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid) == want
     assert (want[1] < t1) is in_phase_1
 
 

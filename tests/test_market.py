@@ -21,7 +21,8 @@ from epimarket.errors import (
     ConsistencyError,
     PriceFloorError,
 )
-from epimarket.market import holdings_pass
+from epimarket.market import holdings_field, holdings_pass
+from epimarket.numerics import rk4_step
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +189,44 @@ def test_depression_floors_in_shallow_markets(params, grid):
         simulate_depression(params, SupplyCurve(kappa=100.0), grid)
 
 
+def _floor_error(fn, *args):
+    with pytest.raises(PriceFloorError) as info:
+        fn(*args)
+    return info.value.time, str(info.value)
+
+
+def _coupled_holdings(params, curve, epi, k, x, mirror):
+    """The coupled (s, i, r, x) steps of holdings_field from node k, each
+    from the grid's S, I and R at its start node, to the end of the grid."""
+    field = holdings_field(params, curve, mirror)
+    for j in range(k, epi.grid.n_steps):
+        st = epi.state_at(j)
+        x = rk4_step(field, float(epi.times[j]), (st.s, st.i, st.r, x), epi.grid.dt)[3]
+    return x
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 def test_holdings_pass_raises_at_the_floor(params, curve, mirror):
+    # from the floor at node k the replay is of step k itself, at its time
     g = Grid(5.0, 6.0, 0.1)
     epi = epidemic_pass(params, g)
-    st = epi.state_at(0)
-    y = (st.s, st.i, st.r, -curve.kappa * curve.p0)
-    with pytest.raises(PriceFloorError) as info:
-        holdings_pass(params, curve, epi.steps(), y, mirror)
-    assert info.value.time == g.t_start
+    floor = -curve.kappa * curve.p0
+    for k in (0, 4):
+        got = _floor_error(holdings_pass, params, curve, epi, k, floor, mirror)
+        assert got == _floor_error(_coupled_holdings, params, curve, epi, k, floor, mirror)
+        assert got[0] == epi.times[k]
+    assert epi.times[0] == g.t_start
+
+
+def test_holdings_pass_from_a_later_node_raises_steps_on(params, curve):
+    # the slump from x=-4 at node 100 reaches the floor four steps on, at a
+    # mid-step stage: the replayed stage state, and so the message, is
+    # built from that step's own start node's S, I and R
+    g = Grid(0.0, 20.0, 0.1)
+    epi = epidemic_pass(params, g)
+    got = _floor_error(holdings_pass, params, curve, epi, 100, -4.0, True)
+    assert got == _floor_error(_coupled_holdings, params, curve, epi, 100, -4.0, True)
+    assert epi.times[104] < got[0] < epi.times[105]
 
 
 def test_depression_without_seed_is_flat(curve):
