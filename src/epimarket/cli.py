@@ -62,7 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", parents=[common],
                              help="run the parameter sweep and write verdict rows")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="kept for compatibility; sweeps run serially")
+                         help="kept for compatibility, must be >= 1; a sweep "
+                              "runs on every usable CPU")
     p_verify = sub.add_parser("verify",
                               help="run the full acceptance battery on defaults")
     p_verify.add_argument("--out", metavar="DIR", default="verification",

@@ -27,8 +27,10 @@ right, as the loop did. The pass runs to the grid's end unchecked. A
 reader replays a step whose result is non-finite through rk4_step on its
 own coupled field (`EpidemicTrajectory.replay`), which raises exactly
 what the coupled step raises, or GridTooCoarseError from it where dt
-lies beyond RK4's stability interval. Every coupled field is
-`coupled_field`: sir_derivatives with the field's own rates appended.
+lies beyond RK4's stability interval; a partial step off the nodes goes
+through the same check (`EpidemicTrajectory.coupled_step`). Every
+coupled field is `coupled_field`: sir_derivatives with the field's own
+rates appended.
 """
 from __future__ import annotations
 
@@ -160,20 +162,18 @@ class EpidemicTrajectory:
         return zip(count(k), drives, drives, drives, drives,
                    memoryview(self._totals)[k + 1:])
 
-    def replay(self, field, k: int, y: tuple) -> tuple:
-        """rk4_step on a coupled field over step k, from the grid's t, S, I
-        and R at node k and the field's own variables y.
+    def coupled_step(self, field, t: float, y: tuple, h: float) -> tuple:
+        """rk4_step by h on a coupled field from y = (s, i, r, ...) at t.
 
-        A pass replays a step that reached the price floor or ended
-        non-finite, so the coupled step raises what it raises. On a grid
-        beyond RK4's stability interval, (beta*N + gamma)*dt above
-        RK4_STABILITY, that is GridTooCoarseError from the coupled step's
-        error: the step size, not the model, is at fault.
+        It raises what the coupled step raises. On a grid beyond RK4's
+        stability interval, (beta*N + gamma)*dt above RK4_STABILITY, that
+        is GridTooCoarseError from the step's error: the grid's step size,
+        not the model, is at fault, also for a partial step off the nodes.
         """
-        t, dt, st = float(self.times[k]), self.grid.dt, self.state_at(k)
         try:
-            return rk4_step(field, t, (st.s, st.i, st.r) + y, dt)
+            return rk4_step(field, t, y, h)
         except (IntegrationError, PriceFloorError) as exc:
+            dt = self.grid.dt
             rate = self.params.beta * self.params.total + self.params.gamma
             if rate * dt > RK4_STABILITY:
                 raise GridTooCoarseError(
@@ -184,6 +184,17 @@ class EpidemicTrajectory:
                     f"{RK4_STABILITY / rate:.4g}", time=exc.time,
                 ) from exc
             raise
+
+    def replay(self, field, k: int, y: tuple) -> tuple:
+        """coupled_step over step k, from the grid's t, S, I and R at node
+        k and the field's own variables y.
+
+        A pass replays a step that reached the price floor or ended
+        non-finite, so the coupled step raises what it raises.
+        """
+        st = self.state_at(k)
+        return self.coupled_step(field, float(self.times[k]), (st.s, st.i, st.r) + y,
+                                 self.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -236,22 +247,23 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     s_arr = array("d", [s]) * (n + 1)
     i_arr = array("d", [i]) * (n + 1)
     for k in range(1, n + 1):
+        # e is each stage's dI = beta*I*S - gamma*I, computed once
         d1 = beta * i * s
-        c1 = gamma * i
+        e1 = d1 - gamma * i
         s2 = s - half * d1
-        i2 = i + half * (d1 - c1)
+        i2 = i + half * e1
         d2 = beta * i2 * s2
-        c2 = gamma * i2
+        e2 = d2 - gamma * i2
         s3 = s - half * d2
-        i3 = i + half * (d2 - c2)
+        i3 = i + half * e2
         d3 = beta * i3 * s3
-        c3 = gamma * i3
+        e3 = d3 - gamma * i3
         s4 = s - h * d3
-        i4 = i + h * (d3 - c3)
+        i4 = i + h * e3
         d4 = beta * i4 * s4
-        c4 = gamma * i4
+        e4 = d4 - gamma * i4
         s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
-        i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
+        i = i + sixth * (e1 + 2.0 * (e2 + e3) + e4)
         s_arr[k] = s
         i_arr[k] = i
     s_nodes, i_nodes = np.frombuffer(s_arr), np.frombuffer(i_arr)

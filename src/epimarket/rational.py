@@ -39,7 +39,9 @@ cannot rule out that the unwind raises, so a head fails as its full path.
 
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
-the price floor go through them.
+the price floor go through them, all by `EpidemicTrajectory.coupled_step`,
+so a failed step on a grid beyond RK4's stability interval raises
+GridTooCoarseError wherever it lies.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving
 from .errors import DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError
 from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
                      holdings_pass)
-from .numerics import Grid, rk4_step
+from .numerics import Grid
 
 
 @dataclass(frozen=True)
@@ -241,9 +243,9 @@ def _node_below(grid: Grid, t: float) -> int:
 
 def _to_node(epi: EpidemicTrajectory, field, t1: float, k1: int, y: tuple) -> tuple:
     """The field's own variables (after S, I and R) at node k1+1, from y =
-    (s, i, r, ...) at t1 in [node(k1), node(k1+1)), by one rk4_step on
-    field; S, I and R there are the grid's."""
-    return rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
+    (s, i, r, ...) at t1 in [node(k1), node(k1+1)), by one coupled_step
+    on field; S, I and R there are the grid's."""
+    return epi.coupled_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
 
 
 def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
@@ -264,7 +266,7 @@ def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
     y = (st.s, st.i, st.r, zs[k1], hs[k1])
     rem = t1 - grid.node(k1)
     if rem > 0.0:
-        y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
+        y = epi.coupled_step(_phase1_field(params, curve), grid.node(k1), y, rem)
     p_star = clearing_price(y[3] + y[4], curve)
     head = [(k1, y[3], y[4], _flow(params, p_star, y))]
     if k1 == grid.n_steps:
@@ -435,8 +437,8 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
                     st_prev = (st.s, st.i, st.r, z_prev, h_prev)
                 t2, st2 = t_prev + flow_prev / (flow_prev - flow) * dt, st_prev
                 if t2 > t_prev:
-                    st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
-                                   t2 - t_prev)
+                    st2 = epi.coupled_step(_phase2_field(params, p_star), t_prev,
+                                           st_prev, t2 - t_prev)
             return _Closure(True, t2, p_star, phi_star, _flow(params, p_star, st2),
                             st2[4])
         z_prev, h_prev, flow_prev = z, h, flow

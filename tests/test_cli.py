@@ -252,7 +252,7 @@ def test_sweep_writes_table_and_summary(tmp_path):
     assert summary["errors"] == "0"
 
 
-def test_sweep_checks_workers_and_runs_serially(tmp_path, fast_config):
+def test_sweep_checks_workers_and_ignores_them(tmp_path, fast_config):
     # --workers is kept for compatibility: checked, and without effect
     out = {w: tmp_path / f"w{w}" for w in ("0", "1", "2")}
     for w, path in out.items():

@@ -352,10 +352,12 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, mirror):
 
 # beta*N*dt = 5 and 10, far beyond RK4's stability interval: the SIR drives
 # turn negative within a few steps, and every leg reaches the price floor.
-# The rational leg does so in phase 1 (before t1), or in the unwind: after
-# a plateau absorbed at t=0.05, or after one that collapsed at t1 itself
+# The rational leg does so in phase 1 (before t1; at t=0.0625 inside the
+# partial step from node 6 to an off-node t1=0.065), or in the unwind:
+# after a plateau absorbed at t=0.05, or after one that collapsed at t1
 FLOOR_POINTS = [
     pytest.param(0.5, 0.5, (0.0, 20.0, 1e-2), True, id="phase-1"),
+    pytest.param(0.5, 0.065, (0.0, 20.0, 1e-2), True, id="partial-step-to-t1"),
     pytest.param(0.5, 0.02, (0.0, 30.0, 1e-2), False, id="unwind-after-plateau"),
     pytest.param(1.0, 0.0, (0.0, 30.0, 1e-2), False, id="unwind-after-collapse"),
 ]
@@ -394,6 +396,8 @@ def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, params, curve):
     # function integrates for itself goes through
     monkeypatch.setattr(analysis, "epidemic_pass", counting)
     monkeypatch.setattr(epidemic, "epidemic_pass", counting)
+    # one process, so a pass integrated for a single point is counted too
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
     grid = Grid(0.0, 100.0, 1e-2)
     axes = {"beta": [5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
     rows = parameter_sweep(params, curve, grid, axes=axes)
