@@ -466,12 +466,14 @@ def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[Swee
 
 def _forked(fn, shares: list) -> list:
     """[fn(share) for share in shares], fn of each share after the first
-    run in a forked child process.
+    run in a forked child process. The sweep's point shares and the
+    writer's row ranges (`output._write_tables`) run on it.
 
     A child pickles its result, or the exception fn raised, into a pipe
-    and leaves by os._exit, so it never flushes the parent's stdio or runs
-    its atexit handlers. An exception from a child is raised here, and so
-    is a RuntimeError naming the exit status of a child that sent nothing.
+    and leaves by os._exit, so it never flushes the parent's stdio or
+    buffered files, or runs its atexit handlers. An exception from a
+    child is raised here, and so is a RuntimeError naming the exit status
+    of a child that sent nothing.
     Every child is reaped before this returns or raises; on an error it is
     killed first.
     """
@@ -498,7 +500,7 @@ def _forked(fn, shares: list) -> list:
     for (pid, _pipe), data, status in zip(children, sent, statuses):
         if not data:
             raise RuntimeError(
-                f"sweep process {pid} ended without sending rows "
+                f"forked process {pid} ended without sending its result "
                 f"(exit status {os.waitstatus_to_exitcode(status)})"
             )
         raised, value = pickle.loads(data)

@@ -173,17 +173,24 @@ class EpidemicTrajectory:
         try:
             return rk4_step(field, t, y, h)
         except (IntegrationError, PriceFloorError) as exc:
-            dt = self.grid.dt
-            rate = self.params.beta * self.params.total + self.params.gamma
-            if rate * dt > RK4_STABILITY:
-                raise GridTooCoarseError(
-                    f"dt={dt} is too coarse for RK4: (beta*N + gamma)*dt = "
-                    f"{rate * dt:.4g} lies beyond its stability interval of "
-                    f"about {RK4_STABILITY}, and the step from t={t} failed "
-                    f"({exc}); use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
-                    f"{RK4_STABILITY / rate:.4g}", time=exc.time,
-                ) from exc
+            self.diagnose_step(exc, t)
             raise
+
+    def diagnose_step(self, exc: IntegrationError | PriceFloorError, t: float) -> None:
+        """Raise GridTooCoarseError from exc, the failure of a step from t
+        or of a price its end state clears, if the grid lies beyond RK4's
+        stability interval; return otherwise, so the caller re-raises exc.
+        """
+        dt = self.grid.dt
+        rate = self.params.beta * self.params.total + self.params.gamma
+        if rate * dt > RK4_STABILITY:
+            raise GridTooCoarseError(
+                f"dt={dt} is too coarse for RK4: (beta*N + gamma)*dt = "
+                f"{rate * dt:.4g} lies beyond its stability interval of "
+                f"about {RK4_STABILITY}, and the step from t={t} failed "
+                f"({exc}); use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
+                f"{RK4_STABILITY / rate:.4g}", time=exc.time,
+            ) from exc
 
     def replay(self, field, k: int, y: tuple) -> tuple:
         """coupled_step over step k, from the grid's t, S, I and R at node

@@ -10,12 +10,23 @@ streamed pass of BLOCK_ROWS-row blocks. In each block every distinct
 column array is formatted once, and that text feeds every file that has
 the column: the grid times go to all files, S, I and R of a shared SIR
 pass to every leg that shares it, and t, P and I to both files of a leg.
-Only one block's text is held at a time, so memory is bounded by the
-block, not by the run's length.
+Only one block's text is held at a time in each process, so memory is
+bounded by the block, not by the run's length.
+
+The blocks are cut into one contiguous range per usable CPU. The calling
+process writes the first range straight into the files; each later range
+is written by a forked child (`analysis._forked`) into one unlinked
+temporary file per table, in the table's directory, and the caller then
+appends those parts in range order, so no text passes back through a
+pipe. Every cell is ASCII and the files are written as its bytes, so
+they do not depend on the number of processes.
 """
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -28,6 +39,8 @@ from .analysis import (
     ClaimResult,
     EventTimeline,
     SweepResult,
+    _forked,
+    _usable_cpus,
     claim_counts,
 )
 from .errors import ConfigError
@@ -83,41 +96,64 @@ def _plot_table(trajectory: MarketTrajectory, path) -> tuple:
 
 
 def _write_tables(tables: list[tuple]) -> None:
-    """Write every table in one pass over BLOCK_ROWS-row blocks.
+    """Write every table in one pass over BLOCK_ROWS-row blocks, cut into
+    one contiguous range per usable CPU as the module docstring describes.
 
     A table is one text file, (path, header line, cell separator,
     columns), with one row per index; a column is a float array or a list
-    of cell strings written as they are. Within a block each distinct
-    array (by identity) is formatted once and its text reused by every
-    table that holds it; the cache lives for that block only. Every file
+    of cell strings written as they are. One CPU, a table shorter than two
+    blocks or no os.fork leaves one range, written here. Every file
     opened is closed, also when a write raises.
     """
     n = max((len(c) for *_, cols in tables for c in cols), default=0)
+    blocks = -(-n // BLOCK_ROWS)
+    procs = max(1, min(_usable_cpus(), blocks)) if hasattr(os, "fork") else 1
+    cuts = [blocks * c // procs * BLOCK_ROWS for c in range(procs + 1)]
     with ExitStack() as stack:
         files = []
         for path, header, _sep, _cols in tables:
             try:
-                fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+                fh = stack.enter_context(open(path, "wb"))
             except OSError as exc:
                 raise ConfigError(f"cannot write {path}: {exc}") from exc
-            fh.write(header + "\n")
+            fh.write(f"{header}\n".encode())
             files.append(fh)
-        for lo in range(0, n, BLOCK_ROWS):
-            hi = lo + BLOCK_ROWS
-            text: dict[int, list[str]] = {}
-            for fh, (_path, _header, sep, cols) in zip(files, tables):
-                cells = []
-                for col in cols:
-                    if isinstance(col, np.ndarray):
-                        block = text.get(id(col))
-                        if block is None:
-                            block = text[id(col)] = list(map(repr, col[lo:hi].tolist()))
-                    else:
-                        block = col[lo:hi]
-                    cells.append(block)
-                rows = "\n".join(map(sep.join, zip(*cells)))
-                if rows:
-                    fh.write(rows + "\n")
+        parts = [[stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
+                  for path, *_ in tables] for _c in range(1, procs)]
+        _forked(lambda share: _write_rows(tables, *share),
+                [(out, cuts[c], cuts[c + 1]) for c, out in enumerate([files] + parts)])
+        for part in parts:
+            for fh, tmp in zip(files, part):
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+
+
+def _write_rows(tables: list[tuple], files, lo: int, hi: int) -> None:
+    """Rows [lo, hi) of every table into its file in files, block by block.
+
+    Within a block each distinct array (by identity) is formatted once
+    and its text reused by every table that holds it; the cache lives for
+    that block only. Every cell is ASCII, so the encoded text is the file's
+    bytes.
+    """
+    for start in range(lo, hi, BLOCK_ROWS):
+        end = start + BLOCK_ROWS
+        text: dict[int, list[str]] = {}
+        for fh, (_path, _header, sep, cols) in zip(files, tables):
+            cells = []
+            for col in cols:
+                if isinstance(col, np.ndarray):
+                    block = text.get(id(col))
+                    if block is None:
+                        block = text[id(col)] = list(map(repr, col[start:end].tolist()))
+                else:
+                    block = col[start:end]
+                cells.append(block)
+            rows = "\n".join(map(sep.join, zip(*cells)))
+            if rows:
+                fh.write(f"{rows}\n".encode())
+    for fh in files:
+        fh.flush()  # a forked child leaves by os._exit, which flushes nothing
 
 
 # ---------------------------------------------------------------------------

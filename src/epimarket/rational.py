@@ -41,7 +41,9 @@ The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
 the price floor go through them, all by `EpidemicTrajectory.coupled_step`,
 so a failed step on a grid beyond RK4's stability interval raises
-GridTooCoarseError wherever it lies.
+GridTooCoarseError wherever it lies; so does a price at t1 that cannot
+clear because the partial step to it ended below the floor
+(`EpidemicTrajectory.diagnose_step`).
 """
 from __future__ import annotations
 
@@ -267,7 +269,12 @@ def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
     rem = t1 - grid.node(k1)
     if rem > 0.0:
         y = epi.coupled_step(_phase1_field(params, curve), grid.node(k1), y, rem)
-    p_star = clearing_price(y[3] + y[4], curve)
+    try:
+        # the step checks the floor at its stages, not at its end state
+        p_star = clearing_price(y[3] + y[4], curve)
+    except PriceFloorError as exc:
+        epi.diagnose_step(exc, grid.node(k1))
+        raise
     head = [(k1, y[3], y[4], _flow(params, p_star, y))]
     if k1 == grid.n_steps:
         return k1, p_star, y, iter(head)

@@ -5,13 +5,17 @@ mutates a trajectory (they build modified copies via dataclasses.replace).
 """
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
+    analysis,
     infection_peak,
+    output,
     re_price_path,
     simulate_epidemic,
     simulate_myopic,
@@ -57,3 +61,29 @@ def plateau(params, curve, grid):
 @pytest.fixture(scope="session")
 def rational_run(params, curve, grid):
     return re_price_path(params, curve, grid)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """at(procs) sets the process count of the sweep's and the writer's
+    pools (`_usable_cpus`) and returns the pids os.fork gives this process
+    from then on. Afterwards no child process may be left unreaped."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+    def at(procs):
+        made.clear()
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: procs)
+        monkeypatch.setattr(output, "_usable_cpus", lambda: procs)
+        return made
+
+    yield at
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

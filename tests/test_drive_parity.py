@@ -307,6 +307,7 @@ def _stiff_cause(fn, *args):
     assert isinstance(cause, (IntegrationError, PriceFloorError))
     assert exc.value.time == cause.time
     assert str(cause) in str(exc.value)
+    assert "use dt <= 2.785/(beta*N + gamma)" in str(exc.value)
     return type(cause), cause.time, str(cause)
 
 
@@ -376,6 +377,21 @@ def test_floor_errors_match_the_coupled_fields(curve, beta, t1, bounds, in_phase
     assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid, epi) == want
     assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid) == want
     assert (want[1] < t1) is in_phase_1
+
+
+# beta*N*dt = 50 and 40: the partial step from node 0 to an off-node t1
+# passes its stages' floor checks but ends below the floor, so the price
+# at t1 cannot clear; that error carries no time
+@pytest.mark.parametrize("beta,t1,dt,kappa", [
+    pytest.param(5.0, 0.005, 1e-2, 10.0, id="beta-5"),
+    *(pytest.param(2.0, 0.015, 2e-2, kappa, id=f"beta-2-kappa-{kappa:g}")
+      for kappa in (5.0, 10.0, 400.0)),
+])
+def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(beta, t1, dt, kappa):
+    params, curve, grid = EpidemicParams(beta=beta), SupplyCurve(kappa=kappa), Grid(0.0, 20.0, dt)
+    want = _raised(oracle_re_given_t1, params, curve, t1, grid)
+    assert want[0] is PriceFloorError and want[1] is None
+    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid) == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """File writers: time series, plot data, timeline, sweep table, run report."""
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from epimarket import (
     simulate_depression,
     simulate_myopic,
 )
-from epimarket import output
+from epimarket import cli, output
 from epimarket.errors import ConfigError
 from epimarket.output import (
     BLOCK_ROWS,
@@ -284,6 +286,90 @@ def test_streamed_writer_closes_every_file_when_it_raises(tmp_path, monkeypatch,
         write_legs([("a", tiny_run), ("b", tiny_run)], "csv", tmp_path)
     assert len(opened) == 2
     assert all(fh.closed for fh in opened)
+
+
+# ---------------------------------------------------------------------------
+# row ranges on several processes
+# ---------------------------------------------------------------------------
+
+
+def _leg_files(legs):
+    return sorted(f"{name}.{ext}" for name, _ in legs for ext in ("csv", "dat"))
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 1])
+def test_tables_do_not_depend_on_the_process_count(tmp_path, shared_legs, forks,
+                                                   monkeypatch, rows):
+    legs = _cut_legs(shared_legs, rows)
+    blocks = -(-rows // BLOCK_ROWS)
+    for procs in (1, 2, 3, None):  # None: three CPUs, no os.fork
+        made = forks(procs or 3)
+        if procs is None:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / f"procs-{procs}"
+        out.mkdir()
+        _check_legs(out, legs)
+        assert len(made) == (min(procs, blocks) - 1 if procs else 0)
+        # the children's parts went to unlinked temporary files
+        assert sorted(p.name for p in out.iterdir()) == _leg_files(legs)
+
+
+def _failing_later_ranges(monkeypatch, exc):
+    """Make every row range but the first, the forked children's, raise."""
+    write_rows = output._write_rows
+
+    def failing(tables, files, lo, hi):
+        if lo > 0:
+            raise exc(os.getpid())
+        write_rows(tables, files, lo, hi)
+
+    monkeypatch.setattr(output, "_write_rows", failing)
+
+
+def test_an_exception_in_a_child_reaches_the_caller(tmp_path, shared_legs, forks,
+                                                    monkeypatch):
+    forks(3)
+    opened = []
+
+    def recording(open_file):
+        def opener(*args, **kwargs):
+            fh = open_file(*args, **kwargs)
+            opened.append(fh)
+            return fh
+        return opener
+
+    monkeypatch.setattr(output, "open", recording(open), raising=False)
+    monkeypatch.setattr(output.tempfile, "TemporaryFile",
+                        recording(output.tempfile.TemporaryFile))
+    _failing_later_ranges(monkeypatch, lambda pid: RuntimeError(f"bug in process {pid}"))
+    legs = _cut_legs(shared_legs, 3 * BLOCK_ROWS)
+    with pytest.raises(RuntimeError, match="bug in process") as info:
+        write_legs(legs, "csv", tmp_path)
+    assert str(info.value) != f"bug in process {os.getpid()}"
+    assert len(opened) == 3 * 4  # the four files and two children's parts of each
+    assert all(fh.closed for fh in opened)
+    assert sorted(p.name for p in tmp_path.iterdir()) == _leg_files(legs)
+
+
+@pytest.mark.parametrize("where", ["here", "in-a-child"])
+def test_simulate_exits_2_when_a_data_file_cannot_be_written(tmp_path, forks,
+                                                             monkeypatch, caplog, where):
+    forks(2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_end=80\ndt=0.02\n")  # 4,001 rows: four blocks
+    out = tmp_path / "out"
+    if where == "here":
+        (out / "myopic.dat").mkdir(parents=True)
+    else:
+        _failing_later_ranges(
+            monkeypatch, lambda pid: OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+    caplog.clear()
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    named = "myopic.dat" if where == "here" else os.strerror(errno.ENOSPC)
+    assert named in errors[0].getMessage()
+    assert sorted(p.name for p in out.iterdir()) == ["myopic.csv", "myopic.dat"]
 
 
 def test_unusable_out_dir_is_a_config_error(tmp_path):

@@ -1,7 +1,7 @@
 """The sweep's process pool: one strided share of a group's points per CPU.
 
-`analysis._usable_cpus` is patched to set the number of processes. Every
-test checks afterwards that no child process is left unreaped.
+The `forks` fixture (conftest.py) sets the number of processes and
+checks afterwards that no child process is left unreaped.
 """
 from __future__ import annotations
 
@@ -20,33 +20,6 @@ GRID = Grid(0.0, 100.0, 0.05)
 AXES = {"beta": [2e-3], "kappa": [-1.0, 80.0, 10.0]}
 
 
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids os.fork returns in this process, with the pool at procs."""
-    made = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-
-    def at(procs):
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: procs)
-        return made
-
-    return at
-
-
 def _sweep_csv(tmp_path, name, axes=AXES):
     rows = parameter_sweep(EpidemicParams(), SupplyCurve(), GRID, axes=axes)
     path = tmp_path / name
@@ -62,7 +35,6 @@ def test_group_rows_do_not_depend_on_the_process_count(tmp_path, forks):
     assert rows[1].error is None and rows[1].refinements == 1
     assert rows[2].error is not None
     for procs in (2, 3):
-        made.clear()
         forks(procs)
         _rows, pooled = _sweep_csv(tmp_path, f"pooled-{procs}.csv")
         assert len(made) == procs - 1
@@ -111,7 +83,7 @@ def test_a_child_that_sends_nothing_names_its_exit_status(forks, monkeypatch):
         return point_result(params, curve, grid, index, *args)
 
     monkeypatch.setattr(analysis, "_point_result", dying)
-    with pytest.raises(RuntimeError, match=r"without sending rows \(exit status 7\)"):
+    with pytest.raises(RuntimeError, match=r"without sending its result \(exit status 7\)"):
         parameter_sweep(EpidemicParams(), SupplyCurve(), GRID, axes=AXES)
 
 
