@@ -13,9 +13,6 @@ back. The rows do not depend on the number of processes.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,10 +29,12 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DomainError,
+    GridTooCoarseError,
     SimulationError,
 )
 from .market import MarketTrajectory, SupplyCurve, clearing_price, simulate_myopic
 from .numerics import Grid, parabolic_vertex
+from .pool import forked, usable_cpus
 from .rational import re_price_head
 
 # verdict keys of the event chain t1 < t_P* < t2 < t_I*, in table order
@@ -420,21 +419,15 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
                        refinements=refinements, dt_used=g.dt)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[SweepResult]:
     """Rows of points that share one epidemic, so one SIR pass serves all.
 
     items are (index, overrides) pairs with equal beta, gamma and n1. The
     SIR pass runs here; the points then split into one strided share per
-    usable CPU, each share after the first in a forked process (`_forked`)
-    that reads the pass copy-on-write. One CPU, one point or no os.fork
-    leaves one share, run here.
+    usable CPU, each share after the first in a forked process
+    (`pool.forked`) that reads the pass copy-on-write. One usable CPU or
+    one point leaves one share, run here. A grid the pass refuses
+    (GridTooCoarseError) is the error of every point's row.
     """
     pkw = {k: v for k, v in items[0][1].items() if k in ("beta", "gamma", "n1")}
     try:
@@ -443,9 +436,12 @@ def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[Swee
         return [SweepResult(idx, ov, base_params, base_curve, None, None,
                             error=str(exc), dt_used=grid.dt)
                 for idx, ov in items]
-    epidemic = None
+    epidemic, refused = None, None
     if params.booms:
-        epidemic = epidemic_pass(params, grid)
+        try:
+            epidemic = epidemic_pass(params, grid)
+        except GridTooCoarseError as exc:
+            refused = str(exc)
 
     def rows_of(share):
         rows = []
@@ -456,73 +452,16 @@ def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[Swee
                 rows.append(SweepResult(idx, ov, base_params, base_curve, None, None,
                                         error=str(exc), dt_used=grid.dt))
                 continue
+            if refused is not None:
+                rows.append(SweepResult(idx, ov, params, curve, None, None,
+                                        error=refused, dt_used=grid.dt))
+                continue
             rows.append(_point_result(params, curve, grid, idx, ov, scenarios, epidemic))
         return rows
 
-    procs = min(len(items), _usable_cpus()) if hasattr(os, "fork") else 1
-    return [row for rows in _forked(rows_of, [items[c::procs] for c in range(procs)])
+    procs = min(len(items), usable_cpus())
+    return [row for rows in forked(rows_of, [items[c::procs] for c in range(procs)])
             for row in rows]
-
-
-def _forked(fn, shares: list) -> list:
-    """[fn(share) for share in shares], fn of each share after the first
-    run in a forked child process. The sweep's point shares and the
-    writer's row ranges (`output._write_tables`) run on it.
-
-    A child pickles its result, or the exception fn raised, into a pipe
-    and leaves by os._exit, so it never flushes the parent's stdio or
-    buffered files, or runs its atexit handlers. An exception from a
-    child is raised here, and so is a RuntimeError naming the exit status
-    of a child that sent nothing.
-    Every child is reaped before this returns or raises; on an error it is
-    killed first.
-    """
-    children = []  # (pid, read end of its pipe)
-    sent: list[bytes] = []
-    try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(fn, share, w)
-            children.append((pid, open(r, "rb")))
-            os.close(w)
-        results = [fn(shares[0])]
-        sent = [pipe.read() for _pid, pipe in children]
-    finally:
-        failed = len(sent) < len(children)
-        statuses = []
-        for pid, pipe in children:
-            pipe.close()
-            if failed:
-                os.kill(pid, signal.SIGKILL)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for (pid, _pipe), data, status in zip(children, sent, statuses):
-        if not data:
-            raise RuntimeError(
-                f"forked process {pid} ended without sending its result "
-                f"(exit status {os.waitstatus_to_exitcode(status)})"
-            )
-        raised, value = pickle.loads(data)
-        if raised:
-            raise value
-        results.append(value)
-    return results
-
-
-def _child(fn, share, w: int):
-    """The forked side of `_forked`: never returns."""
-    code = 1
-    try:
-        try:
-            data = pickle.dumps((False, fn(share)))
-        except BaseException as exc:  # raised again in the parent
-            data = pickle.dumps((True, exc))
-        with open(w, "wb") as fh:
-            fh.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def parameter_sweep(

@@ -23,14 +23,16 @@ stage of step k depends only on S and I at node k, so afterwards numpy
 rebuilds the drive table, the recovery terms gamma*I and R from the
 stored nodes, with the same operations in the same order; R is
 np.add.accumulate over its increments, which adds strictly left to
-right, as the loop did. The pass runs to the grid's end unchecked. A
-reader replays a step whose result is non-finite through rk4_step on its
-own coupled field (`EpidemicTrajectory.replay`), which raises exactly
-what the coupled step raises, or GridTooCoarseError from it where dt
-lies beyond RK4's stability interval; a partial step off the nodes goes
-through the same check (`EpidemicTrajectory.coupled_step`). Every
-coupled field is `coupled_field`: sir_derivatives with the field's own
-rates appended.
+right, as the loop did.
+
+The pass refuses a grid beyond RK4's real-axis stability interval,
+(beta*N + gamma)*dt above RK4_STABILITY, with GridTooCoarseError before
+any step runs; every market and rational pass is driven by it, so none
+steps on such a grid. Inside the interval the pass runs to the grid's
+end unchecked. A reader replays a step whose result is non-finite
+through rk4_step on its own coupled field (`EpidemicTrajectory.replay`),
+which raises exactly what the coupled step raises. Every coupled field
+is `coupled_field`: sir_derivatives with the field's own rates appended.
 """
 from __future__ import annotations
 
@@ -48,8 +50,6 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     GridTooCoarseError,
-    IntegrationError,
-    PriceFloorError,
 )
 from .numerics import (
     Bracket,
@@ -162,46 +162,15 @@ class EpidemicTrajectory:
         return zip(count(k), drives, drives, drives, drives,
                    memoryview(self._totals)[k + 1:])
 
-    def coupled_step(self, field, t: float, y: tuple, h: float) -> tuple:
-        """rk4_step by h on a coupled field from y = (s, i, r, ...) at t.
-
-        It raises what the coupled step raises. On a grid beyond RK4's
-        stability interval, (beta*N + gamma)*dt above RK4_STABILITY, that
-        is GridTooCoarseError from the step's error: the grid's step size,
-        not the model, is at fault, also for a partial step off the nodes.
-        """
-        try:
-            return rk4_step(field, t, y, h)
-        except (IntegrationError, PriceFloorError) as exc:
-            self.diagnose_step(exc, t)
-            raise
-
-    def diagnose_step(self, exc: IntegrationError | PriceFloorError, t: float) -> None:
-        """Raise GridTooCoarseError from exc, the failure of a step from t
-        or of a price its end state clears, if the grid lies beyond RK4's
-        stability interval; return otherwise, so the caller re-raises exc.
-        """
-        dt = self.grid.dt
-        rate = self.params.beta * self.params.total + self.params.gamma
-        if rate * dt > RK4_STABILITY:
-            raise GridTooCoarseError(
-                f"dt={dt} is too coarse for RK4: (beta*N + gamma)*dt = "
-                f"{rate * dt:.4g} lies beyond its stability interval of "
-                f"about {RK4_STABILITY}, and the step from t={t} failed "
-                f"({exc}); use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
-                f"{RK4_STABILITY / rate:.4g}", time=exc.time,
-            ) from exc
-
     def replay(self, field, k: int, y: tuple) -> tuple:
-        """coupled_step over step k, from the grid's t, S, I and R at node
-        k and the field's own variables y.
+        """rk4_step over step k on a coupled field, from the grid's t, S, I
+        and R at node k and the field's own variables y.
 
         A pass replays a step that reached the price floor or ended
         non-finite, so the coupled step raises what it raises.
         """
         st = self.state_at(k)
-        return self.coupled_step(field, float(self.times[k]), (st.s, st.i, st.r) + y,
-                                 self.grid.dt)
+        return rk4_step(field, float(self.times[k]), (st.s, st.i, st.r) + y, self.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -241,13 +210,23 @@ _BLOCK = 4096
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """The SIR pass with its drive table, for market passes to run on.
 
-    Same as simulate_epidemic, except that it never raises: a blow-up
-    leaves non-finite values from its step on. A market pass driven by it
-    replays that step through its own coupled field and raises what the
-    coupled step raises, which may be an earlier error of its own.
+    Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
+    beyond RK4_STABILITY. Otherwise it is simulate_epidemic, except that
+    it never raises: a blow-up leaves non-finite values from its step on.
+    A market pass driven by it replays that step through its own coupled
+    field and raises what the coupled step raises, which may be an
+    earlier error of its own.
     """
     n = grid.n_steps
     beta, gamma, h = params.beta, params.gamma, grid.dt
+    rate = beta * params.total + gamma
+    if rate * h > RK4_STABILITY:
+        raise GridTooCoarseError(
+            f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = "
+            f"{rate * h:.4g} lies beyond its stability interval of about "
+            f"{RK4_STABILITY}; use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
+            f"{RK4_STABILITY / rate:.4g}"
+        )
     half, sixth = 0.5 * h, h / 6.0
     s, i = params.n1, params.n2
     # allocated at full size: growing them step by step fragments the heap
@@ -318,10 +297,11 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
 def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     """S, I and R over the grid with the drive table.
 
-    Raises IntegrationError with the stage time if a stage derivative is
-    non-finite: each step that ends non-finite is replayed through
-    rk4_step until one raises (GridTooCoarseError from it on a grid
-    beyond RK4's stability interval; see EpidemicTrajectory.replay).
+    Raises GridTooCoarseError before any step on a grid beyond RK4's
+    stability interval (see epidemic_pass), and IntegrationError with the
+    stage time if a stage derivative is non-finite: each step that ends
+    non-finite is replayed through rk4_step until one raises
+    (EpidemicTrajectory.replay).
     """
     epi = epidemic_pass(params, grid)
     field = coupled_field(params)

@@ -59,15 +59,9 @@ class NoPlateauError(SimulationError):
 
 
 class GridTooCoarseError(SimulationError):
-    """The step size is too coarse: the shooting solve cannot meet
-    tolerance at it, or an RK4 step failed beyond RK4's stability interval.
-
-    Retry with a smaller dt. ``time`` is the failed stage's time, or None.
-    """
-
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
+    """The step size is too coarse: the grid lies beyond RK4's stability
+    interval, which the SIR pass refuses before any step runs, or the
+    shooting solve cannot meet tolerance at it. Retry with a smaller dt."""
 
 
 class BoundaryExtremumError(SimulationError):

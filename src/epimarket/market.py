@@ -11,14 +11,15 @@ independent oracle for the state variable.
 Both scenarios run x alone, as a scalar RK4 pass over the stage drives
 of an SIR pass (see epidemic): `EpidemicTrajectory.steps` streams each
 step's four drives and (S+I)+R at its end node, and S, I and R are that
-pass's arrays. The coupled (S, I, R, x) field of each scenario,
-sir_derivatives with the x rate appended (`holdings_field`), remains its
-definition: a step that reaches the price floor at a stage, or ends
-non-finite, is replayed through rk4_step on it from the grid's state at
-its start node (`EpidemicTrajectory.replay`), so errors carry the
-coupled step's stage time and message. The rational unwind after the
-plateau is the euphoric pass restarted from the closing node (see
-rational).
+pass's arrays, so a grid beyond RK4's stability interval is refused
+before any step runs (see epidemic). The coupled (S, I, R, x) field of
+each scenario, sir_derivatives with the x rate appended
+(`holdings_field`), remains its definition: a step that reaches the
+price floor at a stage, or ends non-finite, is replayed through rk4_step
+on it from the grid's state at its start node
+(`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
+time and message. The rational unwind after the plateau is the euphoric
+pass restarted from the closing node (see rational).
 """
 from __future__ import annotations
 

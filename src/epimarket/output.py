@@ -15,7 +15,7 @@ bounded by the block, not by the run's length.
 
 The blocks are cut into one contiguous range per usable CPU. The calling
 process writes the first range straight into the files; each later range
-is written by a forked child (`analysis._forked`) into one unlinked
+is written by a forked child (`pool.forked`) into one unlinked
 temporary file per table, in the table's directory, and the caller then
 appends those parts in range order, so no text passes back through a
 pipe. Every cell is ASCII and the files are written as its bytes, so
@@ -24,7 +24,6 @@ they do not depend on the number of processes.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from array import array
@@ -39,12 +38,11 @@ from .analysis import (
     ClaimResult,
     EventTimeline,
     SweepResult,
-    _forked,
-    _usable_cpus,
     claim_counts,
 )
 from .errors import ConfigError
 from .market import MarketTrajectory
+from .pool import forked, usable_cpus
 
 _TS_COLUMNS = ("t", "S", "I", "R", "X", "P")
 
@@ -101,13 +99,13 @@ def _write_tables(tables: list[tuple]) -> None:
 
     A table is one text file, (path, header line, cell separator,
     columns), with one row per index; a column is a float array or a list
-    of cell strings written as they are. One CPU, a table shorter than two
-    blocks or no os.fork leaves one range, written here. Every file
-    opened is closed, also when a write raises.
+    of cell strings written as they are. One usable CPU (`usable_cpus`)
+    or a table shorter than two blocks leaves one range, written here.
+    Every file opened is closed, also when a write raises.
     """
     n = max((len(c) for *_, cols in tables for c in cols), default=0)
     blocks = -(-n // BLOCK_ROWS)
-    procs = max(1, min(_usable_cpus(), blocks)) if hasattr(os, "fork") else 1
+    procs = max(1, min(usable_cpus(), blocks))
     cuts = [blocks * c // procs * BLOCK_ROWS for c in range(procs + 1)]
     with ExitStack() as stack:
         files = []
@@ -120,8 +118,8 @@ def _write_tables(tables: list[tuple]) -> None:
             files.append(fh)
         parts = [[stack.enter_context(tempfile.TemporaryFile(dir=path.parent))
                   for path, *_ in tables] for _c in range(1, procs)]
-        _forked(lambda share: _write_rows(tables, *share),
-                [(out, cuts[c], cuts[c + 1]) for c, out in enumerate([files] + parts)])
+        forked(lambda share: _write_rows(tables, *share),
+               [(out, cuts[c], cuts[c + 1]) for c, out in enumerate([files] + parts)])
         for part in parts:
             for fh, tmp in zip(files, part):
                 tmp.seek(0)

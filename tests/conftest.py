@@ -6,21 +6,22 @@ mutates a trajectory (they build modified copies via dataclasses.replace).
 from __future__ import annotations
 
 import os
+from array import array
 
+import numpy as np
 import pytest
 
 from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
-    analysis,
     infection_peak,
-    output,
     re_price_path,
     simulate_epidemic,
     simulate_myopic,
     solve_plateau,
 )
+from epimarket.epidemic import EpidemicTrajectory
 
 
 @pytest.fixture(scope="session")
@@ -63,11 +64,66 @@ def rational_run(params, curve, grid):
     return re_price_path(params, curve, grid)
 
 
+def _unchecked_pass(params, grid):
+    """The SIR pass as one Python loop that also writes the drive table and
+    steps R, with no stability check and no finiteness check."""
+    n = grid.n_steps
+    beta, gamma, h = params.beta, params.gamma, grid.dt
+    half, sixth = 0.5 * h, h / 6.0
+    s, i, r = params.n1, params.n2, params.n3
+    s_arr = array("d", [s]) * (n + 1)
+    i_arr = array("d", [i]) * (n + 1)
+    r_arr = array("d", [r]) * (n + 1)
+    drives = array("d", [0.0]) * (4 * n)
+    j = 0
+    for k in range(1, n + 1):
+        d1 = beta * i * s
+        c1 = gamma * i
+        s2 = s - half * d1
+        i2 = i + half * (d1 - c1)
+        d2 = beta * i2 * s2
+        c2 = gamma * i2
+        s3 = s - half * d2
+        i3 = i + half * (d2 - c2)
+        d3 = beta * i3 * s3
+        c3 = gamma * i3
+        s4 = s - h * d3
+        i4 = i + h * (d3 - c3)
+        d4 = beta * i4 * s4
+        c4 = gamma * i4
+        s = s - sixth * (d1 + 2.0 * (d2 + d3) + d4)
+        i = i + sixth * ((d1 - c1) + 2.0 * ((d2 - c2) + (d3 - c3)) + (d4 - c4))
+        r = r + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        s_arr[k] = s
+        i_arr[k] = i
+        r_arr[k] = r
+        drives[j] = d1
+        drives[j + 1] = d2
+        drives[j + 2] = d3
+        drives[j + 3] = d4
+        j += 4
+    return EpidemicTrajectory(
+        params=params, grid=grid, times=grid.times(), s=np.frombuffer(s_arr),
+        i=np.frombuffer(i_arr), r=np.frombuffer(r_arr),
+        drives=np.frombuffer(drives).reshape(n, 4),
+    )
+
+
+@pytest.fixture(scope="session")
+def unchecked_pass():
+    """unchecked_pass(params, grid): epidemic_pass's values as one plain
+    loop, its oracle. It also runs on a grid beyond RK4's stability
+    interval, which epidemic_pass refuses, so a test can drive the market
+    passes' floor and blow-up replays there."""
+    return _unchecked_pass
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """at(procs) sets the process count of the sweep's and the writer's
-    pools (`_usable_cpus`) and returns the pids os.fork gives this process
-    from then on. Afterwards no child process may be left unreaped."""
+    """at(procs) gives this process procs usable CPUs, the process count
+    of the sweep's and the writer's pools (`pool.usable_cpus`), and
+    returns the pids os.fork gives this process from then on. Afterwards
+    no child process may be left unreaped."""
     made = []
     real = os.fork
 
@@ -80,8 +136,8 @@ def forks(monkeypatch):
 
     def at(procs):
         made.clear()
-        monkeypatch.setattr(analysis, "_usable_cpus", lambda: procs)
-        monkeypatch.setattr(output, "_usable_cpus", lambda: procs)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(procs)),
+                            raising=False)
         return made
 
     yield at

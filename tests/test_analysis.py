@@ -254,6 +254,16 @@ def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch)
     rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2), axes={"beta": [5.0]})
     assert rows[0].timeline is None
     assert "dt <= 2.785/(beta*N + gamma)" in rows[0].error
+    # also at (beta*N + gamma)*dt = 3.0 and 4.0, where every step would
+    # succeed and the beta=0.4 row would fail the peak-lead claims; each
+    # row keeps its point's parameters
+    rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2),
+                           axes={"beta": [0.3, 0.4], "kappa": [10.0]},
+                           scenarios=("myopic",))
+    assert [(r.params.beta, r.curve.kappa) for r in rows] == [(0.3, 10.0), (0.4, 10.0)]
+    for row in rows:
+        assert row.timeline is None
+        assert "dt <= 2.785/(beta*N + gamma)" in row.error
 
 
 def test_sweep_rejects_bad_requests(params, curve, grid):

@@ -74,16 +74,20 @@ def test_simulate_rational_defaults_write_the_pinned_bytes(tmp_path):
 
 
 def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
-    # (beta*N + gamma)*dt = 50, far beyond RK4's stability interval: the
-    # myopic leg's first steps reach the price floor, and the error says
-    # the step, not the price, is at fault
-    cfg = tmp_path / "b5.cfg"
-    cfg.write_text("beta=5\n")
-    code = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
-    assert code == 3
-    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert "dt <= 2.785/(beta*N + gamma) = 0.000557" in err
-    assert "clearing price hit zero at t=0.01" in err
+    # (beta*N + gamma)*dt beyond RK4's stability interval is refused before
+    # any step: at 50, and at 4.0, where every step of the myopic run would
+    # succeed, with a peak price 2.6 times the converged one
+    for text, argv, bound in (("beta=5\n", [], "0.000557"),
+                              ("beta=0.4\nt_end=50\n", ["--scenario", "myopic"],
+                               "0.006961")):
+        cfg = tmp_path / "stiff.cfg"
+        cfg.write_text(text)
+        caplog.clear()
+        code = run_cli("simulate", "--config", str(cfg), *argv,
+                       "--out", str(tmp_path / "out"))
+        assert code == 3
+        [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert f"dt <= 2.785/(beta*N + gamma) = {bound}" in err
 
 
 def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):

@@ -4,8 +4,11 @@ The oracle below integrates each scenario the direct way: S, I, R and the
 holdings together, as one 4- or 5-variable field through
 integrate_fixed_step / rk4_step. Every market pass of the package reuses
 the SIR stage drives instead, and must agree with it bit for bit, and
-raise the same errors with the same stage time and message: on a grid
-beyond RK4's stability interval, as the cause of a GridTooCoarseError.
+raise the same errors with the same stage time and message. The package
+refuses a grid beyond RK4's stability interval before any step; there
+the market passes run on a drive table built without that check (the
+`unchecked_pass` fixture), so their floor and blow-up replays still face
+the oracle.
 """
 from __future__ import annotations
 
@@ -298,17 +301,10 @@ def _raised(fn, *args):
     return type(exc.value), exc.value.time, str(exc.value)
 
 
-def _stiff_cause(fn, *args):
-    """_raised of the coupled step's error on a grid beyond RK4's stability
-    interval, where the package raises it as a GridTooCoarseError's cause."""
-    with pytest.raises(GridTooCoarseError) as exc:
+def _refused(fn, *args):
+    """fn refuses the grid before any step, naming the step bound."""
+    with pytest.raises(GridTooCoarseError, match=r"use dt <= 2\.785/\(beta\*N \+ gamma\)"):
         fn(*args)
-    cause = exc.value.__cause__
-    assert isinstance(cause, (IntegrationError, PriceFloorError))
-    assert exc.value.time == cause.time
-    assert str(cause) in str(exc.value)
-    assert "use dt <= 2.785/(beta*N + gamma)" in str(exc.value)
-    return type(cause), cause.time, str(cause)
 
 
 def test_depression_floor_error_matches_the_coupled_field(params, grid):
@@ -319,40 +315,49 @@ def test_depression_floor_error_matches_the_coupled_field(params, grid):
     assert got[0] is PriceFloorError
 
 
-def test_sir_blow_up_error_matches_the_coupled_fields(curve):
-    # beta*I*S overflows in the first step's second stage
+def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
+    # beta*I*S overflows in the first step's second stage, on a grid far
+    # beyond RK4's stability interval
     params, grid = EpidemicParams(beta=1e300), Grid(0.0, 10.0, 1e-2)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
-    assert _stiff_cause(simulate_epidemic, params, grid) == want
+    _refused(simulate_epidemic, params, grid)
+    _refused(simulate_myopic, params, curve, grid)
     # the market's own field reports its x derivative in the same message
-    want = _raised(oracle_market, params, curve, grid)
-    assert want[0] is IntegrationError and want != _raised(oracle_epidemic, params, grid)
-    assert _stiff_cause(simulate_myopic, params, curve, grid) == want
-    epi = epidemic_pass(params, grid)
-    # the pass runs to the grid's end; the blow-up leaves non-finite values
-    assert epi.drives.shape == (grid.n_steps, 4)
+    epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.drives).all()
-    assert _stiff_cause(simulate_myopic, params, curve, grid, epi) == want
+    want_x = _raised(oracle_market, params, curve, grid)
+    assert want_x[0] is IntegrationError and want_x != want
+    assert _raised(simulate_myopic, params, curve, grid, epi) == want_x
+    # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
+    # the float range still overflows, at t=3.62
+    params = EpidemicParams(beta=2e-306, n1=1e308)
+    want = _raised(oracle_epidemic, params, grid)
+    assert want[0] is IntegrationError
+    assert _raised(simulate_epidemic, params, grid) == want
+    want_x = _raised(oracle_market, params, curve, grid)
+    assert want_x[0] is IntegrationError and want_x != want
+    assert _raised(simulate_myopic, params, curve, grid) == want_x
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])
-def test_floor_before_blow_up_matches_the_coupled_field(curve, mirror):
+def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, mirror):
     # beta*N*dt = 50: the price floor binds in the first steps, long before
     # S and I overflow, and the coupled step reports the floor: at a node
-    # for the boom, at a mid-step stage (t=0.005) for the slump. The grid
-    # is the fault, so the package raises that as GridTooCoarseError's cause
+    # for the boom, at a mid-step stage (t=0.005) for the slump. The
+    # package refuses the grid; on the unchecked drives it replays the floor
     params, grid = EpidemicParams(beta=5.0), Grid(0.0, 30.0, 1e-2)
     simulate = simulate_depression if mirror else simulate_myopic
     want = _raised(oracle_market, params, curve, grid, mirror)
     assert want[0] is PriceFloorError
     assert (want[1] == 0.005) is mirror
-    assert _stiff_cause(simulate, params, curve, grid) == want
-    assert _stiff_cause(simulate, params, curve, grid, epidemic_pass(params, grid)) == want
+    _refused(simulate, params, curve, grid)
+    assert _raised(simulate, params, curve, grid, unchecked_pass(params, grid)) == want
 
 
-# beta*N*dt = 5 and 10, far beyond RK4's stability interval: the SIR drives
-# turn negative within a few steps, and every leg reaches the price floor.
+# beta*N*dt = 5 and 10, far beyond RK4's stability interval: the package
+# refuses the grid, and on the unchecked drives, which turn negative
+# within a few steps, every leg reaches the price floor.
 # The rational leg does so in phase 1 (before t1; at t=0.0625 inside the
 # partial step from node 6 to an off-node t1=0.065), or in the unwind:
 # after a plateau absorbed at t=0.05, or after one that collapsed at t1
@@ -365,33 +370,38 @@ FLOOR_POINTS = [
 
 
 @pytest.mark.parametrize("beta,t1,bounds,in_phase_1", FLOOR_POINTS)
-def test_floor_errors_match_the_coupled_fields(curve, beta, t1, bounds, in_phase_1):
+def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, bounds,
+                                              in_phase_1):
     params, grid = EpidemicParams(beta=beta), Grid(*bounds)
-    epi = epidemic_pass(params, grid)
+    epi = unchecked_pass(params, grid)
     for mirror, simulate in ((False, simulate_myopic), (True, simulate_depression)):
         want = _raised(oracle_market, params, curve, grid, mirror)
         assert want[0] is PriceFloorError
-        assert _stiff_cause(simulate, params, curve, grid, epi) == want
+        assert _raised(simulate, params, curve, grid, epi) == want
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is PriceFloorError
-    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid, epi) == want
-    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid) == want
+    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
+    _refused(simulate_re_given_t1, params, curve, t1, grid)
     assert (want[1] < t1) is in_phase_1
 
 
 # beta*N*dt = 50 and 40: the partial step from node 0 to an off-node t1
 # passes its stages' floor checks but ends below the floor, so the price
-# at t1 cannot clear; that error carries no time
+# at t1 cannot clear; that error carries no time. The package refuses the
+# grid; on the unchecked drives the price at t1 fails as the oracle's
 @pytest.mark.parametrize("beta,t1,dt,kappa", [
     pytest.param(5.0, 0.005, 1e-2, 10.0, id="beta-5"),
     *(pytest.param(2.0, 0.015, 2e-2, kappa, id=f"beta-2-kappa-{kappa:g}")
       for kappa in (5.0, 10.0, 400.0)),
 ])
-def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(beta, t1, dt, kappa):
+def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(unchecked_pass, beta,
+                                                                 t1, dt, kappa):
     params, curve, grid = EpidemicParams(beta=beta), SupplyCurve(kappa=kappa), Grid(0.0, 20.0, dt)
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is PriceFloorError and want[1] is None
-    assert _stiff_cause(simulate_re_given_t1, params, curve, t1, grid) == want
+    _refused(simulate_re_given_t1, params, curve, t1, grid)
+    epi = unchecked_pass(params, grid)
+    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +409,7 @@ def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(beta, t1, dt, 
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, params, curve):
+def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, forks, params, curve):
     from epimarket import analysis, epidemic
 
     calls = []
@@ -413,7 +423,7 @@ def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, params, curve):
     monkeypatch.setattr(analysis, "epidemic_pass", counting)
     monkeypatch.setattr(epidemic, "epidemic_pass", counting)
     # one process, so a pass integrated for a single point is counted too
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 1)
+    forks(1)
     grid = Grid(0.0, 100.0, 1e-2)
     axes = {"beta": [5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
     rows = parameter_sweep(params, curve, grid, axes=axes)

@@ -1,6 +1,6 @@
-"""Property tests: config round trips, pass sharing, SIR conservation,
-the depression mirror, sweep determinism, the rational head against the
-full rational path, and CLI exit codes.
+"""Property tests: config round trips, pass sharing and the step bound,
+SIR conservation, the depression mirror, sweep determinism, the rational
+head against the full rational path, and CLI exit codes.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time.
@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,8 @@ from epimarket import (
 )
 from epimarket import analysis, cli, rational
 from epimarket.config import ScenarioConfig, parse_config, serialize_config
-from epimarket.errors import ConfigError, PriceFloorError, SimulationError
+from epimarket.epidemic import RK4_STABILITY
+from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError, SimulationError
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -76,10 +78,11 @@ def test_config_survives_serialize_and_parse(cfg):
 
 
 # ---------------------------------------------------------------------------
-# a shared SIR pass changes nothing, blow-ups included
+# a shared SIR pass changes nothing, and a grid is refused if and only if it
+# lies beyond RK4's stability interval
 # ---------------------------------------------------------------------------
 
-_SHORT = Grid(0.0, 20.0, 1e-2)
+_STEPS = 2000
 
 
 def _outcome(fn, *args):
@@ -87,26 +90,37 @@ def _outcome(fn, *args):
     try:
         traj = fn(*args)
     except SimulationError as exc:
-        return type(exc), exc.time, str(exc)
+        return type(exc), getattr(exc, "time", None), str(exc)
     return tuple(getattr(traj, name).tobytes() for name in "sirxp")
 
 
 @DETERMINISTIC
+# (beta*N + gamma)*dt = 2.801 is refused, 2.001 runs
+@example(beta=0.28, gamma=0.1, dt=1e-2, kappa=10.0, mirror=False)
+@example(beta=0.2, gamma=0.1, dt=1e-2, kappa=10.0, mirror=False)
 @given(
-    log_beta=st.floats(min_value=-5.0, max_value=300.0),
+    beta=st.floats(min_value=-5.0, max_value=1.0).map(lambda e: 10.0 ** e),
     gamma=st.floats(min_value=1e-3, max_value=10.0),
+    dt=st.sampled_from((1e-3, 1e-2, 5e-2)),
     kappa=st.floats(min_value=1.0, max_value=1e4),
     mirror=st.booleans(),
 )
-def test_shared_pass_gives_the_same_run_or_error(log_beta, gamma, kappa, mirror):
-    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+def test_shared_pass_gives_the_same_run_or_error(beta, gamma, dt, kappa, mirror):
+    params = EpidemicParams(beta=beta, gamma=gamma)
     curve = SupplyCurve(kappa=kappa)
-    epi = epidemic_pass(params, _SHORT)
-    assert epi.drives.shape == (_SHORT.n_steps, 4)
-    assert len(epi.s) == len(epi.i) == len(epi.r) == _SHORT.n_steps + 1
+    grid = Grid(0.0, _STEPS * dt, dt)
     simulate = simulate_depression if mirror else simulate_myopic
-    own = _outcome(simulate, params, curve, _SHORT)
-    shared = _outcome(simulate, params, curve, _SHORT, epi)
+    own = _outcome(simulate, params, curve, grid)
+    if (beta * params.total + gamma) * dt > RK4_STABILITY:
+        assert own[0] is GridTooCoarseError
+        assert "use dt <= 2.785/(beta*N + gamma)" in own[2]
+        with pytest.raises(GridTooCoarseError):
+            epidemic_pass(params, grid)
+        return
+    epi = epidemic_pass(params, grid)
+    assert epi.drives.shape == (_STEPS, 4)
+    assert len(epi.s) == len(epi.i) == len(epi.r) == _STEPS + 1
+    shared = _outcome(simulate, params, curve, grid, epi)
     assert own == shared
 
 
@@ -203,8 +217,9 @@ def test_sweep_csv_bytes_match_each_point_swept_alone(tmp_path_factory, axes):
 # ---------------------------------------------------------------------------
 
 # about half the draws of beta lie in the sweep's range; the rest reach 1,
-# where beta*N*dt is up to 20, far beyond RK4's stability interval: there
-# the drives turn negative and legs reach the price floor
+# where beta*N*dt is up to 20, far beyond RK4's stability interval: the
+# package refuses those grids, and on their unchecked drives, which turn
+# negative, legs reach the price floor
 _HEAD_GRIDS = (Grid(0.0, 20.0, 1e-2), _SWEEP)
 _HEAD_LOG_BETA = st.one_of(st.floats(min_value=-3.6, max_value=-3.0),
                            st.floats(min_value=-3.0, max_value=0.0))
@@ -234,8 +249,8 @@ def _head_at(params, curve, t1, grid, epi):
     grid=st.sampled_from(_HEAD_GRIDS),
     frac=st.floats(min_value=0.0, max_value=0.05),
 )
-def test_the_rational_head_gives_what_the_full_path_gives(log_beta, gamma, kappa,
-                                                          grid, frac):
+def test_the_rational_head_gives_what_the_full_path_gives(unchecked_pass, log_beta,
+                                                          gamma, kappa, grid, frac):
     params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
     curve = SupplyCurve(kappa=kappa)
     # sweep rows judged on the head and on the full re_price_path
@@ -247,7 +262,10 @@ def test_the_rational_head_gives_what_the_full_path_gives(log_beta, gamma, kappa
         for f in fields(head):
             assert repr(getattr(head, f.name)) == repr(getattr(full, f.name)), f.name
     # the head at any t1 fails as the full path does, or is its start
-    epi = epidemic_pass(params, grid)
+    try:
+        epi = epidemic_pass(params, grid)
+    except GridTooCoarseError:
+        epi = unchecked_pass(params, grid)
     t1 = grid.t_start + frac * (grid.t_end - grid.t_start)
     head = _run(_head_at, params, curve, t1, grid, epi)
     full = _run(lambda: simulate_re_given_t1(params, curve, t1, grid, epi)[0])
