@@ -213,7 +213,7 @@ def check_propositions(
             "trajectories were produced under different params or grids"
         )
     if timeline is None:
-        peak = infection_peak(params, myopic.epidemic_view())
+        peak = infection_peak(params, myopic)
         timeline = build_timeline(myopic, rational, peak)
 
     p0 = curve.p0
@@ -350,7 +350,8 @@ _SWEEPABLE = ("beta", "gamma", "n1", "kappa")
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Outcome at one grid point; errors are carried in-row, never raised."""
+    """Outcome at one grid point; a run's errors are carried in-row, never
+    raised."""
 
     index: int
     overrides: dict[str, float]
@@ -367,8 +368,13 @@ def default_sweep_axes() -> dict[str, list[float]]:
     return {"beta": [2.5e-4, 5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
 
 
-def validate_sweep_axes(axes: dict[str, list[float]]) -> None:
-    """ConfigError unless each axis is a sweepable parameter with values."""
+def validate_sweep_axes(axes: dict[str, list[float]], params: EpidemicParams,
+                        curve: SupplyCurve) -> None:
+    """ConfigError unless each axis is a sweepable parameter with values,
+    each of which its key's own object accepts: `replace(params, gamma=v)`,
+    or `replace(curve, kappa=v)` for kappa. A bad value is refused here,
+    with the domain's message, as the same value given as a plain key is.
+    """
     for name, values in axes.items():
         if name not in _SWEEPABLE:
             raise ConfigError(
@@ -376,6 +382,9 @@ def validate_sweep_axes(axes: dict[str, list[float]]) -> None:
             )
         if not values:
             raise ConfigError(f"sweep axis {name!r} has no values")
+        owner = curve if name == "kappa" else params
+        for value in values:
+            replace(owner, **{name: value})
 
 
 def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
@@ -419,45 +428,29 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
                        refinements=refinements, dt_used=g.dt)
 
 
-def _epidemic_rows(base_params, base_curve, grid, items, scenarios) -> list[SweepResult]:
-    """Rows of points that share one epidemic, so one SIR pass serves all.
+def _epidemic_rows(params, grid, items, scenarios) -> list[SweepResult]:
+    """Rows of the points of one epidemic, so one SIR pass serves all.
 
-    items are (index, overrides) pairs with equal beta, gamma and n1. The
-    SIR pass runs here; the points then split into one strided share per
-    usable CPU, each share after the first in a forked process
-    (`pool.forked`) that reads the pass copy-on-write. One usable CPU or
-    one point leaves one share, run here. A grid the pass refuses
-    (GridTooCoarseError) is the error of every point's row.
+    items are the (index, overrides, curve) triples of the points whose
+    resolved parameters are params. The SIR pass runs here; the points
+    then split into one strided share per usable CPU, each share after the
+    first in a forked process (`pool.forked`) that reads the pass
+    copy-on-write. One usable CPU or one point leaves one share, run here.
+    A grid the pass refuses (GridTooCoarseError) is the error of every
+    point's row; a point's own run failures are its row's (`_point_result`).
     """
-    pkw = {k: v for k, v in items[0][1].items() if k in ("beta", "gamma", "n1")}
-    try:
-        params = replace(base_params, **pkw)
-    except ConfigError as exc:
-        return [SweepResult(idx, ov, base_params, base_curve, None, None,
-                            error=str(exc), dt_used=grid.dt)
-                for idx, ov in items]
-    epidemic, refused = None, None
+    epidemic = None
     if params.booms:
         try:
             epidemic = epidemic_pass(params, grid)
         except GridTooCoarseError as exc:
-            refused = str(exc)
+            return [SweepResult(idx, ov, params, curve, None, None,
+                                error=str(exc), dt_used=grid.dt)
+                    for idx, ov, curve in items]
 
     def rows_of(share):
-        rows = []
-        for idx, ov in share:
-            try:
-                curve = replace(base_curve, **{k: v for k, v in ov.items() if k == "kappa"})
-            except ConfigError as exc:
-                rows.append(SweepResult(idx, ov, base_params, base_curve, None, None,
-                                        error=str(exc), dt_used=grid.dt))
-                continue
-            if refused is not None:
-                rows.append(SweepResult(idx, ov, params, curve, None, None,
-                                        error=refused, dt_used=grid.dt))
-                continue
-            rows.append(_point_result(params, curve, grid, idx, ov, scenarios, epidemic))
-        return rows
+        return [_point_result(params, curve, grid, idx, ov, scenarios, epidemic)
+                for idx, ov, curve in share]
 
     procs = min(len(items), usable_cpus())
     return [row for rows in forked(rows_of, [items[c::procs] for c in range(procs)])
@@ -473,27 +466,32 @@ def parameter_sweep(
 ) -> list[SweepResult]:
     """Verdicts over the Cartesian product of the given parameter axes.
 
-    Points with the same epidemic (beta, gamma, n1) form one group that
-    integrates the SIR pass once; the groups run one after another, each
-    group's points on every usable CPU (`_epidemic_rows`), and rows come
-    back in grid order. Per-point failures land in the row's error field.
+    Every axis value is checked against its key's bounds first
+    (`validate_sweep_axes`), so a bad one raises ConfigError before any
+    pass runs. Points with the same resolved epidemic parameters form one
+    group that integrates the SIR pass once; the groups run one after
+    another, each group's points on every usable CPU (`_epidemic_rows`),
+    and rows come back in grid order. What only a run can find (a grid
+    the SIR pass refuses, a failed solve, a refinement past
+    `numerics.MAX_STEPS`) lands in the row's error field.
     """
     if axes is None:
         axes = default_sweep_axes()
-    validate_sweep_axes(axes)
+    validate_sweep_axes(axes, base_params, base_curve)
     for sc in scenarios:
         if sc not in ("myopic", "rational"):
             raise ConfigError(
                 f"sweep supports scenarios 'myopic' and 'rational', got {sc!r}"
             )
 
-    groups: dict[tuple, list[tuple[int, dict[str, float]]]] = {}
+    groups: dict[EpidemicParams, list[tuple[int, dict[str, float], SupplyCurve]]] = {}
     for idx, ov in enumerate(grid_points(axes)):
-        key = tuple(ov.get(k) for k in ("beta", "gamma", "n1"))
-        groups.setdefault(key, []).append((idx, ov))
+        params = replace(base_params, **{k: v for k, v in ov.items() if k != "kappa"})
+        curve = replace(base_curve, **{k: v for k, v in ov.items() if k == "kappa"})
+        groups.setdefault(params, []).append((idx, ov, curve))
 
-    rows = [row for items in groups.values()
-            for row in _epidemic_rows(base_params, base_curve, grid, items, scenarios)]
+    rows = [row for params, items in groups.items()
+            for row in _epidemic_rows(params, grid, items, scenarios)]
     rows.sort(key=lambda r: r.index)
     return rows
 

@@ -5,6 +5,8 @@ lines and ``#`` comments allowed) or a single JSON object. Sweep axes are
 ``sweep.<param>=v1,v2,...`` lines, or a nested ``"sweep"`` object in JSON.
 Unknown keys, duplicates, bad numbers, and out-of-range values all raise
 ConfigError; line/column positions are reported where the syntax has them.
+A sweep axis value obeys the bounds of its key, so ``sweep.gamma=-1,0.1``
+is refused with the same message as ``gamma=-1``, before any run.
 """
 from __future__ import annotations
 
@@ -57,10 +59,9 @@ class ScenarioConfig:
                 f"out_dir must be one line without leading or trailing "
                 f"whitespace, got {self.out_dir!r}"
             )
-        validate_sweep_axes(self.sweep)
-        # constructing the domain objects enforces every numeric invariant
-        self.epidemic_params()
-        self.supply_curve()
+        # constructing the domain objects enforces every numeric invariant,
+        # and each sweep axis value is held to its own key's
+        validate_sweep_axes(self.sweep, self.epidemic_params(), self.supply_curve())
         self.grid()
 
     def epidemic_params(self) -> EpidemicParams:

@@ -130,7 +130,7 @@ class EpidemicTrajectory:
     """S, I and R at the grid's nodes.
 
     drives is the (n_steps, 4) table of beta*I*S at the four RK4 stages of
-    each step; it is None on views assembled from a market run.
+    each step.
     """
 
     params: EpidemicParams
@@ -139,7 +139,7 @@ class EpidemicTrajectory:
     s: np.ndarray
     i: np.ndarray
     r: np.ndarray
-    drives: np.ndarray | None = None
+    drives: np.ndarray
 
     def state_at(self, k: int) -> EpidemicState:
         return EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k]))
@@ -325,8 +325,6 @@ def driving_pass(
         raise ConsistencyError(
             "epidemic pass was produced with different parameters or grid"
         )
-    if epidemic.drives is None:
-        raise ConsistencyError("epidemic trajectory carries no drive table")
     return epidemic
 
 
@@ -400,6 +398,7 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     A peak exists only when the initial susceptible mass exceeds
     gamma/beta and some infection is seeded (n2 > 0); otherwise I never
     grows and the detector reports no peak rather than a boundary value.
+    Only params, times, s and i are read, so a market run serves too.
     """
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")

@@ -103,12 +103,6 @@ class MarketTrajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def epidemic_view(self) -> EpidemicTrajectory:
-        return EpidemicTrajectory(
-            params=self.params, grid=self.grid, times=self.times,
-            s=self.s, i=self.i, r=self.r,
-        )
-
     def phases(self) -> list[str]:
         """Per-node phase labels for serialization.
 

@@ -292,7 +292,7 @@ def check_depression(params, epi) -> CheckResult:
         )
     boom = simulate_myopic(params, deep, grid, epi)
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
-    peak = infection_peak(params, dep.epidemic_view())
+    peak = infection_peak(params, epi)
     report = check_propositions(dep, None, None)
     trough_leads = report.claims["price_peak_leads_infection_peak"].status == "pass"
     reverts = report.claims["long_run_price_returns"].status == "pass"

@@ -181,14 +181,27 @@ def test_out_dir_that_would_not_round_trip_is_a_usage_error(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("line", ["kappa=inf", "beta=inf"])
-def test_infinite_model_value_is_a_usage_error(tmp_path, line):
-    # these reached the engine and failed there with exit 3
+# each config line, and the one ERROR line it gives
+BAD_VALUES = {
+    "kappa=inf": "kappa must be finite, got inf",
+    "beta=inf": "beta must be finite, got inf",
+    "sweep.kappa=inf": "kappa must be finite, got inf",
+    "sweep.gamma=-1,0.1": "gamma must be > 0, got -1.0",
+}
+
+
+@pytest.mark.parametrize("line", list(BAD_VALUES))
+def test_infinite_model_value_is_a_usage_error(tmp_path, caplog, line):
+    # refused while the config is parsed, so no pass runs and no file is written
     cfgfile = tmp_path / "inf.cfg"
     cfgfile.write_text(FAST + line + "\n")
     out = tmp_path / "o"
-    assert run_cli("simulate", "--config", str(cfgfile), "--out", str(out)) == 2
-    assert not (out / "myopic.csv").exists()
+    for command, data_file in (("simulate", "myopic.csv"), ("sweep", "sweep.csv")):
+        caplog.clear()
+        assert run_cli(command, "--config", str(cfgfile), "--out", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [BAD_VALUES[line]]
+        assert not (out / data_file).exists()
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -1,6 +1,8 @@
 """Run configuration: parsing, validation, serialization round trips."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from epimarket.config import (
@@ -46,6 +48,13 @@ def test_validation_happens_at_construction():
         ScenarioConfig(format="xml")
     with pytest.raises(ConfigError):
         ScenarioConfig(sweep={"t_end": [1.0, 2.0]})
+    # an axis value is held to its key's own bounds
+    with pytest.raises(ConfigError, match="gamma must be > 0, got -1.0"):
+        ScenarioConfig(sweep={"gamma": [-1.0]})
+    with pytest.raises(ConfigError, match="kappa must be finite, got inf"):
+        ScenarioConfig(sweep={"kappa": [math.inf]})
+    with pytest.raises(ConfigError, match="n1 must be > 0, got 0.0"):
+        ScenarioConfig(sweep={"n1": [0.0]})
 
 
 def test_sweep_axes_returns_a_copy():

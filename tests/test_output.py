@@ -131,21 +131,28 @@ def test_timeline_json_payload(tmp_path, myopic_run, rational_run, peak):
 
 def test_sweep_csv_layout(tmp_path, params, curve, grid):
     rows = parameter_sweep(params, curve, grid, axes={"n1": [100.0]})
-    rows += parameter_sweep(params, curve, grid, axes={"gamma": [-1.0]})
+    # a grid the SIR pass refuses
+    rows += parameter_sweep(params, curve, grid, axes={"beta": [5.0]})
+    # an in-bound overflow: "non-finite derivative [inf, -inf, ...]"
+    rows += parameter_sweep(params, curve, grid,
+                            axes={"beta": [2e-306], "n1": [1e308]})
+    assert "," in rows[2].error
     write_sweep_csv(rows, tmp_path / "sweep.csv")
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     header = lines[0].split(",")
     assert header[:6] == ["index", "beta", "gamma", "n1", "kappa", "boom"]
     assert header[-3:] == ["refinements", "dt_used", "error"]
     assert len(header) == 22
-    assert len(lines) == 3
+    assert len(lines) == 4
     for ln in lines[1:]:
         assert len(ln.split(",")) == 22
     no_boom = lines[1].split(",")
     assert no_boom[5] == "false"
-    error_row = lines[2].split(",")
-    assert "gamma" in error_row[-1]
-    assert "," not in error_row[-1]
+    refused = lines[2].split(",")
+    assert refused[1] == "5.0"
+    assert "dt <= 2.785/(beta*N + gamma)" in refused[-1]
+    overflow = lines[3].split(",")
+    assert overflow[-1] == rows[2].error.replace(",", ";")
 
 
 # ---------------------------------------------------------------------------

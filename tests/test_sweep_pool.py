@@ -13,11 +13,10 @@ import pytest
 from epimarket import EpidemicParams, Grid, SupplyCurve, analysis, parameter_sweep
 from epimarket.output import write_sweep_csv
 
-# one epidemic group of three points on a coarse grid: kappa=-1 is a
-# config-error row, kappa=80 refines dt once and kappa=10 carries the
-# solve's error in its row
+# one epidemic group of three points on a coarse grid: kappa=80 refines dt
+# once, and kappa=40 and kappa=10 carry the solve's error in their rows
 GRID = Grid(0.0, 100.0, 0.05)
-AXES = {"beta": [2e-3], "kappa": [-1.0, 80.0, 10.0]}
+AXES = {"beta": [2e-3], "kappa": [40.0, 80.0, 10.0]}
 
 
 def _sweep_csv(tmp_path, name, axes=AXES):
@@ -31,7 +30,7 @@ def test_group_rows_do_not_depend_on_the_process_count(tmp_path, forks):
     made = forks(1)
     rows, serial = _sweep_csv(tmp_path, "serial.csv")
     assert made == []
-    assert "kappa must be > 0" in rows[0].error
+    assert "did not reach tol" in rows[0].error
     assert rows[1].error is None and rows[1].refinements == 1
     assert rows[2].error is not None
     for procs in (2, 3):
