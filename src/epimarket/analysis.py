@@ -395,9 +395,9 @@ def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
 
 
 def _point_result(params, curve, grid, index, overrides, scenarios,
-                  epidemic: EpidemicTrajectory | None) -> SweepResult:
-    """Row of one point; epidemic is the SIR pass of params on grid (None
-    when the point has no boom). The rational leg is `re_price_head`."""
+                  epi: EpidemicTrajectory | None) -> SweepResult:
+    """Row of one point; epi is the SIR pass of params on grid (None when
+    the point has no boom). The rational leg is `re_price_head`."""
     if not params.booms:
         timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
         return SweepResult(index, overrides, params, curve,
@@ -407,9 +407,9 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
     refinements = 0
     try:
         while True:
-            myopic = simulate_myopic(params, curve, g, epidemic)
-            peak = infection_peak(params, epidemic)
-            rational = (re_price_head(params, curve, g, epidemic=epidemic)
+            myopic = simulate_myopic(curve, epi)
+            peak = infection_peak(params, epi)
+            rational = (re_price_head(curve, epi)
                         if "rational" in scenarios else None)
             timeline = build_timeline(myopic, rational, peak)
             undecided = any(v is None for v in timeline.ordering_ok.values())
@@ -417,7 +417,7 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
                 break
             # inconclusive gap below grid resolution: halve dt and retry
             g = Grid(g.t_start, g.t_end, g.dt / 2.0)
-            epidemic = epidemic_pass(params, g)
+            epi = epidemic_pass(params, g)
             refinements += 1
         claims = check_propositions(myopic, rational, timeline).claims
     except (SimulationError, ConfigError) as exc:

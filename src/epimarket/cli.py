@@ -105,17 +105,17 @@ def _cmd_simulate(args) -> int:
     # one SIR pass drives every leg; a blow-up in it surfaces as the
     # myopic leg's own error, at the step where that leg fails
     epi = epidemic_pass(params, grid)
-    myopic = simulate_myopic(params, curve, grid, epi)
+    myopic = simulate_myopic(curve, epi)
     peak = infection_peak(params, epi)
     rational = None
     if cfg.scenario in ("rational", "all"):
-        rational = re_price_path(params, curve, grid, epidemic=epi)
+        rational = re_price_path(curve, epi)
     depression = None
     if cfg.scenario == "depression":
-        depression = simulate_depression(params, curve, grid, epi)
+        depression = simulate_depression(curve, epi)
     elif cfg.scenario == "all":
         try:
-            depression = simulate_depression(params, curve, grid, epi)
+            depression = simulate_depression(curve, epi)
         except SimulationError as exc:
             # record the failed leg but keep the artifacts that exist
             error = str(exc)
@@ -167,9 +167,9 @@ def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
     cfg = _load_config(args)
-    out = prepare_out_dir(cfg.out_dir)
     if cfg.scenario == "depression":
         raise ConfigError("sweep supports the myopic and rational scenarios")
+    out = prepare_out_dir(cfg.out_dir)
     scenarios = ("myopic",) if cfg.scenario == "myopic" else ("myopic", "rational")
     axes = cfg.sweep_axes() or default_sweep_axes()
     started = time.perf_counter()

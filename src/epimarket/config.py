@@ -99,9 +99,19 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _from_json(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}"
@@ -115,9 +125,9 @@ def _from_json(text: str) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError('"sweep" must be an object of param -> list')
             for param, vals in value.items():
-                sweep[param] = _number_list(param, vals)
+                _add_axis(sweep, param, _number_list(param, vals))
         elif key.startswith("sweep."):
-            sweep[key[len("sweep."):]] = _number_list(key, value)
+            _add_axis(sweep, key[len("sweep."):], _number_list(key, value))
         elif key in _FLOAT_KEYS:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
@@ -131,6 +141,14 @@ def _from_json(text: str) -> dict:
     if sweep:
         data["sweep"] = sweep
     return data
+
+
+def _add_axis(sweep: dict[str, list[float]], param: str, vals: list[float]) -> None:
+    if param in sweep:
+        raise ConfigError(
+            f'sweep axis {param!r} is given both in "sweep" and as "sweep.{param}"'
+        )
+    sweep[param] = vals
 
 
 def _number_list(key: str, value) -> list[float]:
@@ -175,10 +193,6 @@ def _from_lines(text: str) -> dict:
                         f"line {ln}, column {vcol}: sweep axis {param!r} "
                         f"expects comma-separated numbers, got {part!r}"
                     ) from None
-            if not vals:
-                raise ConfigError(
-                    f"line {ln}, column {vcol}: sweep axis {param!r} has no values"
-                )
             sweep[param] = vals
         elif key in _FLOAT_KEYS:
             try:

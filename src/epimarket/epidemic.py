@@ -311,23 +311,6 @@ def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     return epi
 
 
-def driving_pass(
-    params: EpidemicParams, grid: Grid, epidemic: EpidemicTrajectory | None = None
-) -> EpidemicTrajectory:
-    """The SIR pass a market run on the grid is driven by.
-
-    A given pass is checked against params and grid; without one, a new
-    epidemic_pass is integrated.
-    """
-    if epidemic is None:
-        return epidemic_pass(params, grid)
-    if epidemic.params != params or epidemic.grid != grid:
-        raise ConsistencyError(
-            "epidemic pass was produced with different parameters or grid"
-        )
-    return epidemic
-
-
 # ---------------------------------------------------------------------------
 # final size
 # ---------------------------------------------------------------------------

@@ -8,15 +8,15 @@ ODE directly; the depressive scenario is its exact sign-mirror; a
 trapezoid quadrature of the underlying cohort integral serves as an
 independent oracle for the state variable.
 
-Both scenarios run x alone, as a scalar RK4 pass over the stage drives
-of an SIR pass (see epidemic): `EpidemicTrajectory.steps` streams each
-step's four drives and (S+I)+R at its end node, and S, I and R are that
-pass's arrays, so a grid beyond RK4's stability interval is refused
-before any step runs (see epidemic). The coupled (S, I, R, x) field of
-each scenario, sir_derivatives with the x rate appended
-(`holdings_field`), remains its definition: a step that reaches the
-price floor at a stage, or ends non-finite, is replayed through rk4_step
-on it from the grid's state at its start node
+Both scenarios take the SIR pass they run on (`epidemic_pass`), and
+with it their params and grid, and run x alone, as a scalar RK4 pass
+over its stage drives: `EpidemicTrajectory.steps` streams each step's
+four drives and (S+I)+R at its end node, and S, I and R are that pass's
+arrays (a grid beyond RK4's stability interval is refused there). The
+coupled (S, I, R, x) field of each scenario, sir_derivatives with the x
+rate appended (`holdings_field`), remains its definition: a step that
+reaches the price floor at a stage, or ends non-finite, is replayed
+through rk4_step on it from the grid's state at its start node
 (`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
 time and message. The rational unwind after the plateau is the euphoric
 pass restarted from the closing node (see rational).
@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
-from .errors import ConfigError, ConsistencyError, DomainError, PriceFloorError
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
+from .errors import ConfigError, DomainError, PriceFloorError
 from .numerics import Grid
 
 if TYPE_CHECKING:
@@ -189,42 +189,36 @@ def holdings_pass(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraje
     return out
 
 
-def _scenario(params, curve, grid, epidemic, mirror: bool) -> MarketTrajectory:
-    epi = driving_pass(params, grid, epidemic)
-    x = np.frombuffer(holdings_pass(params, curve, epi, 0, 0.0, mirror))
+def _scenario(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool) -> MarketTrajectory:
+    x = np.frombuffer(holdings_pass(epi.params, curve, epi, 0, 0.0, mirror))
     return MarketTrajectory(
-        params=params, curve=curve, grid=grid,
+        params=epi.params, curve=curve, grid=epi.grid,
         scenario="depression" if mirror else "myopic",
         times=epi.times, s=epi.s, i=epi.i, r=epi.r,
         x=x, p=curve.p0 + x / curve.kappa,
     )
 
 
-def simulate_myopic(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
-                    epidemic: EpidemicTrajectory | None = None) -> MarketTrajectory:
-    """Euphoria with immediate liquidation on recovery.
+def simulate_myopic(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:
+    """Euphoria with immediate liquidation on recovery, on the SIR pass epi.
 
     State equation for holdings: dx = beta*I*S*w/P - gamma*x, the
     exponential-kernel reduction of the cohort integral, with
-    P = p0 + x/kappa evaluated at every integration stage. epidemic is
-    the SIR pass to drive it (`epidemic_pass` on the same params and
-    grid); without one, a new pass is integrated.
+    P = p0 + x/kappa evaluated at every integration stage.
     """
-    return _scenario(params, curve, grid, epidemic, False)
+    return _scenario(curve, epi, False)
 
 
-def simulate_depression(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
-                        epidemic: EpidemicTrajectory | None = None) -> MarketTrajectory:
+def simulate_depression(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:
     """Pessimism spreading: infected agents short, recovered agents cover.
 
     The drive term divides by the reflected price 2*p0 - P rather than P,
-    which makes the run the exact sign-mirror of the euphoric one:
-    x(t) = -x_boom(t) and P(t) = 2*p0 - P_boom(t) node for node. The price
-    floor therefore binds exactly when the mirrored boom would have peaked
-    at or above 2*p0; that is a hard error, not a clamp. epidemic is as in
-    simulate_myopic.
+    which makes the run the exact sign-mirror of the euphoric one on the
+    same pass: x(t) = -x_boom(t) and P(t) = 2*p0 - P_boom(t) node for
+    node. The price floor therefore binds exactly when the mirrored boom
+    would have peaked at or above 2*p0; that is a hard error, not a clamp.
     """
-    return _scenario(params, curve, grid, epidemic, True)
+    return _scenario(curve, epi, True)
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +226,17 @@ def simulate_depression(params: EpidemicParams, curve: SupplyCurve, grid: Grid,
 # ---------------------------------------------------------------------------
 
 
-def cohort_holdings_profile(
-    trajectory: MarketTrajectory, params: EpidemicParams
-) -> np.ndarray:
+def cohort_holdings_profile(trajectory: MarketTrajectory) -> np.ndarray:
     """Trapezoid of the cohort integral at every node, in one O(n) pass.
 
     Integrates the share-purchase rate of the freshly infected cohort
-    against the exp(-gamma*(t-v)) survival kernel, using the stored I, S
-    and P history; an independent check on the ODE state x, never used by
-    the integrator itself. The recurrence X(t+dt) = exp(-gamma*dt)*X(t) +
-    local trapezoid reproduces the global trapezoid exactly (up to
-    rounding) while staying stable for any gamma*t.
+    against the exp(-gamma*(t-v)) survival kernel, using the run's params
+    and stored I, S and P; an independent check on the ODE state x, never
+    used by the integrator itself. The recurrence X(t+dt) =
+    exp(-gamma*dt)*X(t) + local trapezoid reproduces the global trapezoid
+    exactly (up to rounding) while staying stable for any gamma*t.
     """
-    if trajectory.params != params:
-        raise ConsistencyError("trajectory was produced with different parameters")
+    params = trajectory.params
     rate = params.beta * trajectory.i * trajectory.s * params.endowment
     if trajectory.scenario == "myopic":
         u = rate / trajectory.p

@@ -11,10 +11,11 @@ followed by a continuous bisection inside the final one-node bracket on
 the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
-Every pass runs over the drive table of the grid's SIR pass (see
-epidemic), streamed by `EpidemicTrajectory.steps` as each step's four
-drives and (S+I)+R at its end node; S, I and R are never carried, and a
-replay reads the grid's state at the step's start node
+Every public function takes the SIR pass it runs on (`epidemic_pass`),
+and with it the params and grid. Every pass runs over that pass's drive
+table (see epidemic), streamed by `EpidemicTrajectory.steps` as each
+step's four drives and (S+I)+R at its end node; S, I and R are never
+carried, and a replay reads the grid's state at the step's start node
 (`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
 t=0; the solve's stops at k_f, the first node flow-reversed before any
 scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
@@ -52,7 +53,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, driving_pass
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
 from .errors import DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError
 from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
                      holdings_pass)
@@ -287,24 +288,22 @@ def _closing_kind(h: float) -> str:
 
 
 def simulate_re_given_t1(
-    params: EpidemicParams, curve: SupplyCurve, t1: float, grid: Grid,
-    epidemic: EpidemicTrajectory | None = None,
+    curve: SupplyCurve, t1: float, epi: EpidemicTrajectory,
 ) -> tuple[MarketTrajectory, PlateauDiagnosis]:
-    """Three-phase trajectory for a trial sell-start time t1.
+    """Three-phase trajectory for a trial sell-start time t1, on the SIR pass epi.
 
     t1 is normally a grid node; off-node values are accepted (the solved
     t1 is generically sub-node) and handled with partial realignment
     steps. The plateau phase ends at the first node where h <= 0 or where
     net flow at P* is <= 0, whichever fires first; from that node h is
-    frozen at zero and the price clears on z alone. epidemic is the
-    grid's SIR pass (`epidemic_pass`); without one, a new pass is
-    integrated. The trajectory's S, I and R are that pass's arrays.
+    frozen at zero and the price clears on z alone. The trajectory's S, I
+    and R are epi's arrays.
     """
+    grid = epi.grid
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
-    epi = driving_pass(params, grid, epidemic)
-    zs, hs = _accumulate(params, curve, epi, _node_below(grid, t1))
-    return _replay(params, curve, t1, epi, zs, hs)
+    zs, hs = _accumulate(epi.params, curve, epi, _node_below(grid, t1))
+    return _replay(epi.params, curve, t1, epi, zs, hs)
 
 
 def _unwind_cannot_raise(params, curve, epi, k: int, x: float) -> bool:
@@ -445,11 +444,9 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, h_prev)
 
 
-def solve_plateau(
-    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
-    epidemic: EpidemicTrajectory | None = None,
-) -> PlateauSolution:
-    """Shoot on the sell-start time until the plateau closes cleanly.
+def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory,
+                  tol: float = 1e-4) -> PlateauSolution:
+    """Shoot on t1 over the SIR pass epi until the plateau closes cleanly.
 
     Stage one bisects t1 over grid nodes in [1, k_f] ([1, n-1] if there is
     no k_f; past z's one peak every node is flow-reversed) on the
@@ -458,18 +455,17 @@ def solve_plateau(
     until both closure residuals sit within half the requested tolerance:
     |h(t2)| <= 0.5*tol*phi(P*) and |flow(t2)| <= 0.5*tol*gamma*phi(P*).
     iterations counts stage-one diagnoses plus stage-two closures.
-    epidemic is as in simulate_re_given_t1.
     """
-    return _solve(params, curve, grid, tol, epidemic)[0]
+    return _solve(curve, epi, tol)[0]
 
 
-def _solve(params, curve, grid, tol, epidemic):
+def _solve(curve, epi, tol):
     """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f)."""
+    params, grid = epi.params, epi.grid
     if not params.booms:
         raise NoPlateauError(
             "no boom: the contagion never grows, so no plateau exists"
         )
-    epi = driving_pass(params, grid, epidemic)
     n = grid.n_steps
     zs, hs = _accumulate(params, curve, epi, n, stop_at_reversal=True)
     evals = 0
@@ -532,24 +528,20 @@ def _solve(params, curve, grid, tol, epidemic):
     )
 
 
-def re_price_path(
-    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
-    epidemic: EpidemicTrajectory | None = None,
-) -> MarketTrajectory:
+def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory,
+                  tol: float = 1e-4) -> MarketTrajectory:
     """Solved three-phase price path with t1, t2, P* attached as metadata.
 
     t2 in the metadata is the sub-node flow-reversal time from the solve,
     whose PlateauSolution is attached as solution; the phase column
-    switches at whole nodes. The solve and the replay share one SIR pass,
-    epidemic if given, and its phase 1.
+    switches at whole nodes. The solve and the replay share the SIR pass
+    epi and its phase 1.
     """
-    return _solved_path(params, curve, grid, tol, epidemic, True)
+    return _solved_path(curve, epi, tol, True)
 
 
-def re_price_head(
-    params: EpidemicParams, curve: SupplyCurve, grid: Grid, tol: float = 1e-4,
-    epidemic: EpidemicTrajectory | None = None,
-) -> MarketTrajectory:
+def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory,
+                  tol: float = 1e-4) -> MarketTrajectory:
     """re_price_path up to its closing node post_start: phase 1, the
     plateau and the node that closed it, or the whole path when the
     plateau stays open or the unwind could raise.
@@ -557,14 +549,13 @@ def re_price_head(
     Every array is cut to that length; it is all that the event timeline
     and the plateau claims read. Raises what re_price_path raises.
     """
-    traj = _solved_path(params, curve, grid, tol, epidemic, False)
+    traj = _solved_path(curve, epi, tol, False)
     n = len(traj.p)
     return replace(traj, times=traj.times[:n], s=traj.s[:n], i=traj.i[:n],
                    r=traj.r[:n])
 
 
-def _solved_path(params, curve, grid, tol, epidemic, unwind: bool):
-    epi = driving_pass(params, grid, epidemic)
-    sol, zs, hs = _solve(params, curve, grid, tol, epi)
-    traj, _diag = _replay(params, curve, sol.t1, epi, zs, hs, unwind)
+def _solved_path(curve, epi, tol, unwind: bool):
+    sol, zs, hs = _solve(curve, epi, tol)
+    traj, _diag = _replay(epi.params, curve, sol.t1, epi, zs, hs, unwind)
     return replace(traj, t2=sol.t2, solution=sol)

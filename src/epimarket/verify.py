@@ -196,13 +196,13 @@ def check_peak_lead_sweep(rows) -> CheckResult:
 
 def check_quadrature(params, curve, myopic) -> CheckResult:
     def max_rel(traj):
-        q = cohort_holdings_profile(traj, params)
+        q = cohort_holdings_profile(traj)
         x = traj.x
         err = np.abs(q[1:] - x[1:]) / np.abs(x[1:])
         return float(np.max(err))
 
     e1 = max_rel(myopic)
-    fine = simulate_myopic(params, curve, Grid(0.0, 300.0, 5e-3))
+    fine = simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 300.0, 5e-3)))
     e2 = max_rel(fine)
     ratio = e1 / e2 if e2 > 0 else float("inf")
     ok = e1 <= 1e-4 and ratio >= 2.0
@@ -270,11 +270,10 @@ def check_depression(params, epi) -> CheckResult:
     must raise.
     """
     p0 = 1.0
-    grid = epi.grid
     shallow = SupplyCurve(p0=p0, kappa=100.0)
-    boom_peak = float(np.max(simulate_myopic(params, shallow, grid, epi).p)) / p0
+    boom_peak = float(np.max(simulate_myopic(shallow, epi).p)) / p0
     try:
-        simulate_depression(params, shallow, grid, epi)
+        simulate_depression(shallow, epi)
         floors = False
     except PriceFloorError:
         floors = True
@@ -284,13 +283,13 @@ def check_depression(params, epi) -> CheckResult:
 
     deep = SupplyCurve(p0=p0, kappa=400.0)
     try:
-        dep = simulate_depression(params, deep, grid, epi)
+        dep = simulate_depression(deep, epi)
     except PriceFloorError as exc:
         return CheckResult(
             11, "depression_mirror", False,
             f"kappa=400: price path hit the floor: {exc}; {floor_text}",
         )
-    boom = simulate_myopic(params, deep, grid, epi)
+    boom = simulate_myopic(deep, epi)
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
     peak = infection_peak(params, epi)
     report = check_propositions(dep, None, None)
@@ -315,9 +314,9 @@ def check_event_convergence(params, curve) -> CheckResult:
     for dt in dts:
         g = Grid(0.0, 300.0, dt)
         epi = epidemic_pass(params, g)
-        traj = simulate_myopic(params, curve, g, epi)
+        traj = simulate_myopic(curve, epi)
         tp.append(refine_peak(traj.times, traj.p)[0])
-        t1.append(solve_plateau(params, curve, g, epidemic=epi).t1)
+        t1.append(solve_plateau(curve, epi).t1)
     gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
     g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])
     # shrink-by->=2x; 0 -> 0 (fully grid-stable) satisfies this trivially
@@ -368,9 +367,9 @@ def run_verification(out_dir) -> VerificationReport:
     grid = Grid(0.0, 300.0, 1e-2)
 
     epi = epidemic_pass(params, grid)
-    myopic = simulate_myopic(params, curve, grid, epi)
+    myopic = simulate_myopic(curve, epi)
     peak = infection_peak(params, epi)
-    rational = re_price_path(params, curve, grid, epidemic=epi)
+    rational = re_price_path(curve, epi)
     timeline = build_timeline(myopic, rational, peak)
     claims = check_propositions(myopic, rational, timeline).claims
     rows = parameter_sweep(params, curve, grid)

@@ -45,8 +45,8 @@ def epidemic_run(params, grid):
 
 
 @pytest.fixture(scope="session")
-def myopic_run(params, curve, grid):
-    return simulate_myopic(params, curve, grid)
+def myopic_run(curve, epidemic_run):
+    return simulate_myopic(curve, epidemic_run)
 
 
 @pytest.fixture(scope="session")
@@ -55,13 +55,13 @@ def peak(params, epidemic_run):
 
 
 @pytest.fixture(scope="session")
-def plateau(params, curve, grid):
-    return solve_plateau(params, curve, grid)
+def plateau(curve, epidemic_run):
+    return solve_plateau(curve, epidemic_run)
 
 
 @pytest.fixture(scope="session")
-def rational_run(params, curve, grid):
-    return re_price_path(params, curve, grid)
+def rational_run(curve, epidemic_run):
+    return re_price_path(curve, epidemic_run)
 
 
 def _unchecked_pass(params, grid):

@@ -123,14 +123,14 @@ def test_all_claims_pass_on_defaults(myopic_run, rational_run):
     assert report.counts() == {"pass": 7, "fail": 0, "inconclusive": 0}
 
 
-def test_depression_claims_mirror_the_boom(params, grid):
+def test_depression_claims_mirror_the_boom(epidemic_run):
     deep = SupplyCurve(kappa=400.0)
-    bust = simulate_depression(params, deep, grid)
+    bust = simulate_depression(deep, epidemic_run)
     report = check_propositions(bust)
     assert report.scenario == "depression"
     assert report.all_pass
     # the trough leads sentiment by exactly the boom's lead, by mirror symmetry
-    boom = simulate_myopic(params, deep, grid)
+    boom = simulate_myopic(deep, epidemic_run)
     t_trough, _ = refine_peak(bust.times, bust.p, mode="min")
     t_peak, _ = refine_peak(boom.times, boom.p, mode="max")
     assert abs(t_trough - t_peak) <= 1e-9

@@ -281,12 +281,15 @@ def test_sweep_checks_workers_and_ignores_them(tmp_path, fast_config):
             == (out["2"] / "sweep.csv").read_bytes())
 
 
-def test_sweep_rejects_the_depression_scenario(tmp_path, fast_config):
+def test_sweep_rejects_the_depression_scenario(tmp_path, fast_config, caplog):
     code = run_cli(
         "sweep", "--config", str(fast_config),
         "--scenario", "depression", "--out", str(tmp_path / "sw"),
     )
     assert code == 2
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert "myopic and rational" in err
+    assert not (tmp_path / "sw").exists()
 
 
 # ---------------------------------------------------------------------------

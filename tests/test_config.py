@@ -130,6 +130,14 @@ def test_json_rejects_bad_input():
         parse_config('{"sweep": {"kappa": []}}')
     with pytest.raises(ConfigError):
         parse_config('{"scenario": 3}')
+    # a key given twice is refused, as in the key=value form, also inside
+    # "sweep", and so is an axis given both in "sweep" and as "sweep.<name>"
+    with pytest.raises(ConfigError, match="duplicate key 'beta'"):
+        parse_config('{"beta": 1e-3, "beta": 5e-4, "t_end": 50, "scenario": "myopic"}')
+    with pytest.raises(ConfigError, match="duplicate key 'kappa'"):
+        parse_config('{"sweep": {"kappa": [5], "kappa": [20]}}')
+    with pytest.raises(ConfigError, match="sweep axis 'kappa' is given both"):
+        parse_config('{"sweep": {"kappa": [5]}, "sweep.kappa": [20]}')
 
 
 # ---------------------------------------------------------------------------

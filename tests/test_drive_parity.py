@@ -223,25 +223,25 @@ def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds
     assert epi.drives.shape == (grid.n_steps, 4)
 
     rows, p = oracle_market(params, curve, grid)
-    for traj in (simulate_myopic(params, curve, grid),
-                 simulate_myopic(params, curve, grid, epi)):
-        for col, name in enumerate("sirx"):
-            assert np.array_equal(getattr(traj, name), rows[:, col]), name
-        assert np.array_equal(traj.p, p)
+    traj = simulate_myopic(curve, epi)
+    for col, name in enumerate("sirx"):
+        assert np.array_equal(getattr(traj, name), rows[:, col]), name
+    assert np.array_equal(traj.p, p)
 
 
 @pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
 def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds):
     params, _curve, grid = _case(beta, gamma, kappa, bounds)
     deep = SupplyCurve(kappa=400.0)
+    epi = epidemic_pass(params, grid)
     if beta * params.n1 / gamma > 6.0:
         # R0 near 20: the slump reaches the price floor even at this depth
         want = _raised(oracle_market, params, deep, grid, True)
         assert want[0] is PriceFloorError
-        assert _raised(simulate_depression, params, deep, grid) == want
+        assert _raised(simulate_depression, deep, epi) == want
         return
     rows, p = oracle_market(params, deep, grid, mirror=True)
-    traj = simulate_depression(params, deep, grid)
+    traj = simulate_depression(deep, epi)
     for col, name in enumerate("sirx"):
         assert np.array_equal(getattr(traj, name), rows[:, col]), name
     assert np.array_equal(traj.p, p)
@@ -251,7 +251,7 @@ def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds):
 def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
     params, curve, grid = _case(beta, gamma, kappa, bounds)
     epi = epidemic_pass(params, grid)
-    t1 = solve_plateau(params, curve, grid, epidemic=epi).t1
+    t1 = solve_plateau(curve, epi).t1
     k = int(round((t1 - grid.t_start) / grid.dt))
     t_peak = float(epi.times[int(np.argmax(epi.i))])
     late = grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt)))
@@ -269,7 +269,7 @@ def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
     closings = set()
     for label, trial in trials.items():
         cols, kind = oracle_re_given_t1(params, curve, trial, grid)
-        traj, diag = simulate_re_given_t1(params, curve, trial, grid, epi)
+        traj, diag = simulate_re_given_t1(curve, trial, epi)
         assert diag.kind == kind, label
         closings.add((kind, diag.time == trial))
         for col, name in enumerate("sirzh"):
@@ -284,7 +284,7 @@ def test_open_plateau_matches_the_coupled_fields():
     # the horizon ends while the plateau is still open
     params, curve, grid = EpidemicParams(), SupplyCurve(), Grid(0.0, 16.0, 1e-2)
     cols, kind = oracle_re_given_t1(params, curve, 14.005, grid)
-    traj, diag = simulate_re_given_t1(params, curve, 14.005, grid)
+    traj, diag = simulate_re_given_t1(curve, 14.005, epidemic_pass(params, grid))
     assert kind == diag.kind == "open"
     for col, name in enumerate("sirzhp"):
         assert np.array_equal(getattr(traj, name), cols[:, col]), name
@@ -307,9 +307,9 @@ def _refused(fn, *args):
         fn(*args)
 
 
-def test_depression_floor_error_matches_the_coupled_field(params, grid):
+def test_depression_floor_error_matches_the_coupled_field(params, grid, epidemic_run):
     shallow = SupplyCurve(kappa=100.0)
-    got = _raised(simulate_depression, params, shallow, grid)
+    got = _raised(simulate_depression, shallow, epidemic_run)
     want = _raised(oracle_market, params, shallow, grid, True)
     assert got == want
     assert got[0] is PriceFloorError
@@ -322,13 +322,13 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
     _refused(simulate_epidemic, params, grid)
-    _refused(simulate_myopic, params, curve, grid)
+    _refused(epidemic_pass, params, grid)
     # the market's own field reports its x derivative in the same message
     epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.drives).all()
     want_x = _raised(oracle_market, params, curve, grid)
     assert want_x[0] is IntegrationError and want_x != want
-    assert _raised(simulate_myopic, params, curve, grid, epi) == want_x
+    assert _raised(simulate_myopic, curve, epi) == want_x
     # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
     # the float range still overflows, at t=3.62
     params = EpidemicParams(beta=2e-306, n1=1e308)
@@ -337,7 +337,7 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     assert _raised(simulate_epidemic, params, grid) == want
     want_x = _raised(oracle_market, params, curve, grid)
     assert want_x[0] is IntegrationError and want_x != want
-    assert _raised(simulate_myopic, params, curve, grid) == want_x
+    assert _raised(simulate_myopic, curve, epidemic_pass(params, grid)) == want_x
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])
@@ -351,8 +351,8 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
     want = _raised(oracle_market, params, curve, grid, mirror)
     assert want[0] is PriceFloorError
     assert (want[1] == 0.005) is mirror
-    _refused(simulate, params, curve, grid)
-    assert _raised(simulate, params, curve, grid, unchecked_pass(params, grid)) == want
+    _refused(epidemic_pass, params, grid)
+    assert _raised(simulate, curve, unchecked_pass(params, grid)) == want
 
 
 # beta*N*dt = 5 and 10, far beyond RK4's stability interval: the package
@@ -377,11 +377,11 @@ def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, 
     for mirror, simulate in ((False, simulate_myopic), (True, simulate_depression)):
         want = _raised(oracle_market, params, curve, grid, mirror)
         assert want[0] is PriceFloorError
-        assert _raised(simulate, params, curve, grid, epi) == want
+        assert _raised(simulate, curve, epi) == want
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is PriceFloorError
-    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
-    _refused(simulate_re_given_t1, params, curve, t1, grid)
+    assert _raised(simulate_re_given_t1, curve, t1, epi) == want
+    _refused(epidemic_pass, params, grid)
     assert (want[1] < t1) is in_phase_1
 
 
@@ -399,9 +399,9 @@ def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(unchecked_pass
     params, curve, grid = EpidemicParams(beta=beta), SupplyCurve(kappa=kappa), Grid(0.0, 20.0, dt)
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is PriceFloorError and want[1] is None
-    _refused(simulate_re_given_t1, params, curve, t1, grid)
+    _refused(epidemic_pass, params, grid)
     epi = unchecked_pass(params, grid)
-    assert _raised(simulate_re_given_t1, params, curve, t1, grid, epi) == want
+    assert _raised(simulate_re_given_t1, curve, t1, epi) == want
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(unchecked_pass
 
 
 def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, forks, params, curve):
-    from epimarket import analysis, epidemic
+    from epimarket import analysis
 
     calls = []
 
@@ -418,10 +418,7 @@ def test_sweep_runs_one_sir_pass_per_epidemic(monkeypatch, forks, params, curve)
         calls.append((p.beta, g.dt))
         return epidemic_pass(p, g)
 
-    # the sweep's own binding, and the one every pass a market or rational
-    # function integrates for itself goes through
     monkeypatch.setattr(analysis, "epidemic_pass", counting)
-    monkeypatch.setattr(epidemic, "epidemic_pass", counting)
     # one process, so a pass integrated for a single point is counted too
     forks(1)
     grid = Grid(0.0, 100.0, 1e-2)

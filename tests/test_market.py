@@ -12,15 +12,10 @@ from epimarket import (
     cohort_holdings_profile,
     epidemic_pass,
     simulate_depression,
-    simulate_epidemic,
     simulate_myopic,
 )
 from epimarket.analysis import refine_peak
-from epimarket.errors import (
-    ConfigError,
-    ConsistencyError,
-    PriceFloorError,
-)
+from epimarket.errors import ConfigError, PriceFloorError
 from epimarket.market import holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
 
@@ -81,32 +76,34 @@ def test_myopic_clearing_holds_at_every_node(curve, myopic_run):
     assert float((resid / scale).max()) <= 1e-9
 
 
-def test_myopic_embeds_the_pure_epidemic(params, grid, epidemic_run, myopic_run):
-    # the market never feeds back into the contagion, so the embedded
-    # S, I, R paths must be bit-identical to the standalone integration
-    assert np.array_equal(myopic_run.s, epidemic_run.s)
-    assert np.array_equal(myopic_run.i, epidemic_run.i)
-    assert np.array_equal(myopic_run.r, epidemic_run.r)
+def test_myopic_embeds_the_pure_epidemic(epidemic_run, myopic_run):
+    # the market never feeds back into the contagion: a run takes its
+    # params and grid from the SIR pass it is given, and its S, I and R
+    # are that pass's arrays
+    assert myopic_run.params is epidemic_run.params
+    assert myopic_run.grid is epidemic_run.grid
+    for name in "sir":
+        assert getattr(myopic_run, name) is getattr(epidemic_run, name), name
 
 
 def test_myopic_without_seed_is_flat(curve):
     p = EpidemicParams(n2=0.0, n1=1000.0)
-    traj = simulate_myopic(p, curve, Grid(0.0, 50.0, 1e-2))
+    traj = simulate_myopic(curve, epidemic_pass(p, Grid(0.0, 50.0, 1e-2)))
     assert np.all(traj.p == curve.p0)
     assert np.all(traj.x == 0.0)
 
 
 def test_myopic_beta_zero_never_buys(curve):
     p = EpidemicParams(beta=0.0)
-    traj = simulate_myopic(p, curve, Grid(0.0, 50.0, 1e-2))
+    traj = simulate_myopic(curve, epidemic_pass(p, Grid(0.0, 50.0, 1e-2)))
     assert np.all(traj.x == 0.0)
     assert np.all(traj.p == curve.p0)
 
 
-def test_myopic_peak_height_falls_with_deeper_markets(params, grid):
+def test_myopic_peak_height_falls_with_deeper_markets(epidemic_run):
     peaks = []
     for kappa in (5.0, 10.0, 20.0):
-        traj = simulate_myopic(params, SupplyCurve(kappa=kappa), grid)
+        traj = simulate_myopic(SupplyCurve(kappa=kappa), epidemic_run)
         peaks.append(refine_peak(traj.times, traj.p, mode="max")[1])
     assert peaks[0] > peaks[1] > peaks[2]
 
@@ -116,29 +113,24 @@ def test_myopic_peak_height_falls_with_deeper_markets(params, grid):
 # ---------------------------------------------------------------------------
 
 
-def test_quadrature_empty_at_zero(params, myopic_run):
-    assert cohort_holdings_profile(myopic_run, params)[0] == 0.0
+def test_quadrature_empty_at_zero(myopic_run):
+    assert cohort_holdings_profile(myopic_run)[0] == 0.0
 
 
-def test_quadrature_matches_state_at_price_peak(params, grid, myopic_run):
+def test_quadrature_matches_state_at_price_peak(grid, myopic_run):
     t_p, _ = refine_peak(myopic_run.times, myopic_run.p, mode="max")
     k = int(round(t_p / grid.dt))
-    q = float(cohort_holdings_profile(myopic_run, params)[k])
+    q = float(cohort_holdings_profile(myopic_run)[k])
     x = float(myopic_run.x[k])
     assert q == pytest.approx(x, rel=1e-4)
-
-
-def test_quadrature_rejects_mismatched_params(myopic_run):
-    with pytest.raises(ConsistencyError):
-        cohort_holdings_profile(myopic_run, EpidemicParams(beta=6e-4))
 
 
 def test_quadrature_no_recovery_limit(curve):
     # with gamma ~ 0 the kernel is flat and holdings are cumulative buying
     p = EpidemicParams(gamma=1e-9)
     g = Grid(0.0, 50.0, 1e-2)
-    traj = simulate_myopic(p, curve, g)
-    prof = cohort_holdings_profile(traj, p)
+    traj = simulate_myopic(curve, epidemic_pass(p, g))
+    prof = cohort_holdings_profile(traj)
     for k in (1000, 2500, 5000):
         q = float(prof[k])
         x = float(traj.x[k])
@@ -147,7 +139,7 @@ def test_quadrature_no_recovery_limit(curve):
 
 def test_profile_agrees_with_pointwise_quadrature(params, grid, myopic_run):
     # the recurrence against a global trapezoid of the cohort integral
-    prof = cohort_holdings_profile(myopic_run, params)
+    prof = cohort_holdings_profile(myopic_run)
     t = myopic_run.times
     u = params.beta * myopic_run.i * myopic_run.s * params.endowment / myopic_run.p
     for k in (1, 500, 2116, 10000, 30000):
@@ -161,17 +153,17 @@ def test_profile_agrees_with_pointwise_quadrature(params, grid, myopic_run):
 # ---------------------------------------------------------------------------
 
 
-def test_depression_is_the_exact_mirror(params, grid):
+def test_depression_is_the_exact_mirror(epidemic_run):
     deep = SupplyCurve(kappa=400.0)
-    bust = simulate_depression(params, deep, grid)
-    boom = simulate_myopic(params, deep, grid)
+    bust = simulate_depression(deep, epidemic_run)
+    boom = simulate_myopic(deep, epidemic_run)
     assert float(np.abs(bust.x + boom.x).max()) <= 1e-12
     assert float(np.abs(bust.p - (2.0 * deep.p0 - boom.p)).max()) <= 1e-12
 
 
-def test_depression_trough_and_recovery(params, grid):
+def test_depression_trough_and_recovery(epidemic_run):
     deep = SupplyCurve(kappa=400.0)
-    bust = simulate_depression(params, deep, grid)
+    bust = simulate_depression(deep, epidemic_run)
     t_t, p_t = refine_peak(bust.times, bust.p, mode="min")
     assert t_t == pytest.approx(20.5475, abs=1e-3)
     assert p_t == pytest.approx(0.224340, abs=1e-4)
@@ -180,13 +172,13 @@ def test_depression_trough_and_recovery(params, grid):
     assert float(np.abs(deep.kappa * (bust.p - deep.p0) - bust.x).max()) <= 1e-6
 
 
-def test_depression_floors_in_shallow_markets(params, grid):
+def test_depression_floors_in_shallow_markets(epidemic_run):
     # the boom peak exceeds 2*p0 here, so the mirrored trough would need a
     # negative price; the guard must fire rather than clamp
     with pytest.raises(PriceFloorError):
-        simulate_depression(params, SupplyCurve(kappa=1.0), grid)
+        simulate_depression(SupplyCurve(kappa=1.0), epidemic_run)
     with pytest.raises(PriceFloorError):
-        simulate_depression(params, SupplyCurve(kappa=100.0), grid)
+        simulate_depression(SupplyCurve(kappa=100.0), epidemic_run)
 
 
 def _floor_error(fn, *args):
@@ -231,5 +223,5 @@ def test_holdings_pass_from_a_later_node_raises_steps_on(params, curve):
 
 def test_depression_without_seed_is_flat(curve):
     p = EpidemicParams(n2=0.0, n1=1000.0)
-    traj = simulate_depression(p, curve, Grid(0.0, 50.0, 1e-2))
+    traj = simulate_depression(curve, epidemic_pass(p, Grid(0.0, 50.0, 1e-2)))
     assert np.all(traj.p == curve.p0)

@@ -17,9 +17,7 @@ from epimarket import (
     build_timeline,
     check_propositions,
     epidemic_pass,
-    infection_peak,
     parameter_sweep,
-    re_price_path,
     simulate_depression,
     simulate_myopic,
 )
@@ -47,7 +45,7 @@ TIMELINE_KEYS = [
 
 @pytest.fixture(scope="module")
 def tiny_run(curve):
-    return simulate_myopic(EpidemicParams(), curve, Grid(0.0, 0.02, 0.01))
+    return simulate_myopic(curve, epidemic_pass(EpidemicParams(), Grid(0.0, 0.02, 0.01)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +216,13 @@ def _reference_json(traj) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def shared_legs(params, curve, grid):
+def shared_legs(epidemic_run, myopic_run, rational_run):
     """myopic, rational and depression over one SIR pass, at the defaults
     except depression's curve, which sits above the price floor."""
-    epi = epidemic_pass(params, grid)
     return [
-        ("myopic", simulate_myopic(params, curve, grid, epi)),
-        ("rational", re_price_path(params, curve, grid, epidemic=epi)),
-        ("depression", simulate_depression(params, SupplyCurve(kappa=700.0),
-                                           grid, epi)),
+        ("myopic", myopic_run),
+        ("rational", rational_run),
+        ("depression", simulate_depression(SupplyCurve(kappa=700.0), epidemic_run)),
     ]
 
 

@@ -52,8 +52,8 @@ def test_solved_path_carries_its_solution(plateau, rational_run):
     assert rational_run.solution == plateau
 
 
-def test_trial_path_carries_no_solution(params, curve, grid, plateau):
-    traj, _diag = simulate_re_given_t1(params, curve, plateau.t1, grid)
+def test_trial_path_carries_no_solution(curve, epidemic_run, plateau):
+    traj, _diag = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
     assert traj.solution is None
 
 
@@ -96,32 +96,32 @@ def test_split_holdings_stay_nonnegative(rational_run):
 # ---------------------------------------------------------------------------
 
 
-def test_early_start_absorbs_immediately(params, curve, grid):
-    traj, diag = simulate_re_given_t1(params, curve, grid.node(1), grid)
+def test_early_start_absorbs_immediately(curve, grid, epidemic_run):
+    traj, diag = simulate_re_given_t1(curve, grid.node(1), epidemic_run)
     assert diag.kind == "absorbed"
     assert diag.time <= grid.node(5)
     assert traj.scenario == "rational"
 
 
-def test_late_start_reverses_flow_with_inventory_left(params, curve, grid, peak):
+def test_late_start_reverses_flow_with_inventory_left(curve, grid, epidemic_run, peak):
     t1 = grid.node(int(round(2.0 * peak.t_star / grid.dt)))
-    _, diag = simulate_re_given_t1(params, curve, t1, grid)
+    _, diag = simulate_re_given_t1(curve, t1, epidemic_run)
     assert diag.kind == "flow-reversed"
     assert diag.h_value > 0.0
     assert diag.flow_value <= 0.0
 
 
-def test_solved_start_closes_both_events_together(params, curve, grid, plateau):
-    _, diag = simulate_re_given_t1(params, curve, plateau.t1, grid)
+def test_solved_start_closes_both_events_together(curve, grid, epidemic_run, plateau):
+    _, diag = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
     assert diag.kind in ("absorbed", "flow-reversed")
     assert abs(diag.time - plateau.t2) <= 5.0 * grid.dt
 
 
-def test_off_grid_start_is_rejected(params, curve, grid):
+def test_off_grid_start_is_rejected(curve, grid, epidemic_run):
     with pytest.raises(DomainError):
-        simulate_re_given_t1(params, curve, -1.0, grid)
+        simulate_re_given_t1(curve, -1.0, epidemic_run)
     with pytest.raises(DomainError):
-        simulate_re_given_t1(params, curve, grid.t_end, grid)
+        simulate_re_given_t1(curve, grid.t_end, epidemic_run)
 
 
 def test_node_below_places_every_node_on_itself(grid):
@@ -139,7 +139,8 @@ def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
     t1 = math.nextafter(grid.t_end, 0.0)
     assert grid.node(n) < t1 < grid.t_end
     assert rational._node_below(grid, t1) == n
-    traj, diag = simulate_re_given_t1(EpidemicParams(beta=beta), curve, t1, grid)
+    epi = epidemic_pass(EpidemicParams(beta=beta), grid)
+    traj, diag = simulate_re_given_t1(curve, t1, epi)
     assert diag.kind == kind
     assert traj.phases() == ["pre"] * (n + 1)
     assert len(traj.z) == len(traj.h) == len(traj.p) == n + 1
@@ -155,8 +156,8 @@ def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
 def test_rational_sir_is_the_driving_pass(params, curve, bounds):
     grid = Grid(*bounds)
     epi = epidemic_pass(params, grid)
-    myopic = simulate_myopic(params, curve, grid, epi)
-    solved = re_price_path(params, curve, grid, epidemic=epi)
+    myopic = simulate_myopic(curve, epi)
+    solved = re_price_path(curve, epi)
     k = rational._node_below(grid, solved.t1)
     t_peak = float(epi.times[int(np.argmax(epi.i))])
     late = grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt)))
@@ -164,35 +165,32 @@ def test_rational_sir_is_the_driving_pass(params, curve, bounds):
               "collapse": late}
     runs = {"solved": solved}
     for label, t1 in trials.items():
-        runs[label], diag = simulate_re_given_t1(params, curve, t1, grid, epi)
+        runs[label], diag = simulate_re_given_t1(curve, t1, epi)
         assert (diag.time == t1) is (label == "collapse"), label
     for label, traj in runs.items():
         for name in "sir":
             assert getattr(traj, name) is getattr(epi, name), (label, name)
             assert np.array_equal(getattr(traj, name), getattr(myopic, name)), (label, name)
-    # without a given pass, the path's own pass gives the same arrays
-    own = re_price_path(params, curve, grid)
-    for name in "sir":
-        assert np.array_equal(getattr(own, name), getattr(myopic, name)), name
 
 
 @pytest.mark.parametrize("beta", [5e-4, 1.0], ids=["defaults", "unstable"])
 def test_collapse_at_the_start_unwinds_as_the_myopic_market(curve, beta):
     # no inventory waits at t_start, so the plateau closes at t1 and the
-    # unwind is the myopic holdings pass, price floor included: at beta=1
-    # the SIR step is unstable and the floor binds at a stage
+    # unwind is the myopic holdings pass; at beta=1 the grid lies beyond
+    # RK4's stability interval, and both runs meet its pass's refusal
     params, grid = EpidemicParams(beta=beta), Grid(0.0, 30.0, 1e-2)
 
-    def outcome(fn, *args):
+    def outcome(run):
+        # the pass is built here, so a grid it refuses is the outcome too
         try:
-            out = fn(*args)
+            out = run(epidemic_pass(params, grid))
         except SimulationError as exc:
             return type(exc), getattr(exc, "time", None), str(exc)
         traj = out[0] if isinstance(out, tuple) else out
         return traj.p.tobytes()
 
-    want = outcome(simulate_myopic, params, curve, grid)
-    assert outcome(simulate_re_given_t1, params, curve, grid.t_start, grid) == want
+    want = outcome(lambda epi: simulate_myopic(curve, epi))
+    assert outcome(lambda epi: simulate_re_given_t1(curve, grid.t_start, epi)) == want
     assert isinstance(want, bytes) is (beta < 1.0)
 
 
@@ -203,18 +201,18 @@ def test_collapse_at_the_start_unwinds_as_the_myopic_market(curve, beta):
 
 def test_no_plateau_without_seed(curve, grid):
     with pytest.raises(NoPlateauError):
-        solve_plateau(EpidemicParams(n2=0.0, n1=1000.0), curve, grid)
+        solve_plateau(curve, epidemic_pass(EpidemicParams(n2=0.0, n1=1000.0), grid))
 
 
 def test_no_plateau_below_threshold(curve, grid):
     with pytest.raises(NoPlateauError):
-        solve_plateau(EpidemicParams(gamma=0.6), curve, grid)
+        solve_plateau(curve, epidemic_pass(EpidemicParams(gamma=0.6), grid))
 
 
 def test_unreachable_tolerance_blames_the_grid(params, curve):
-    coarse = Grid(0.0, 300.0, 2e-2)
+    epi = epidemic_pass(params, Grid(0.0, 300.0, 2e-2))
     with pytest.raises(GridTooCoarseError):
-        solve_plateau(params, curve, coarse, tol=1e-9)
+        solve_plateau(curve, epi, tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +315,8 @@ def _first_reversed_node(params, curve, epi, zs, hs):
     return None
 
 
-def _solved(params, curve, grid, tol, epi):
-    sol = solve_plateau(params, curve, grid, tol, epi)
+def _solved(curve, epi, tol):
+    sol = solve_plateau(curve, epi, tol)
     return sol.t1, sol.t2, sol.p_star, sol.residual_flow, sol.residual_absorption
 
 
@@ -356,7 +354,7 @@ def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
     for kappa, tol in row:
         curve = SupplyCurve(kappa=kappa)
         expected = _outcome(_full_grid_solve, params, curve, grid, tol, epi)
-        assert _outcome(_solved, params, curve, grid, tol, epi) == expected, (kappa, tol)
+        assert _outcome(_solved, curve, epi, tol) == expected, (kappa, tol)
         # the solve's scan is the full scan's prefix up to k_f
         zs, hs = rational._accumulate(params, curve, epi, grid.n_steps,
                                       stop_at_reversal=True)
@@ -389,9 +387,9 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
     curve = SupplyCurve(kappa=kappa)
     grid = Grid(0.0, 300.0, dt)
     epi = epidemic_pass(params, grid)
-    sol = solve_plateau(params, curve, grid, epidemic=epi)
-    traj = re_price_path(params, curve, grid, epidemic=epi)
-    own, _diag = simulate_re_given_t1(params, curve, sol.t1, grid, epi)
+    sol = solve_plateau(curve, epi)
+    traj = re_price_path(curve, epi)
+    own, _diag = simulate_re_given_t1(curve, sol.t1, epi)
     for name in ("s", "i", "r", "z", "h", "p"):
         assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
     assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
