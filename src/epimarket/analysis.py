@@ -20,7 +20,6 @@ import numpy as np
 from .epidemic import (
     EpidemicParams,
     EpidemicTrajectory,
-    InfectionPeak,
     epidemic_pass,
     infection_peak,
 )
@@ -112,19 +111,20 @@ def _strict(a: float, b: float, dt: float) -> bool | None:
 
 def build_timeline(
     myopic: MarketTrajectory,
-    rational: MarketTrajectory | None,
-    peak: InfectionPeak,
+    rational: MarketTrajectory | None = None,
 ) -> EventTimeline:
     """Assemble refined event times and judge the ordering chain.
 
-    With only the first trajectory the chain reduces to t_P* < t_I*.
-    A depression-mode trajectory is timed on its trough instead of a peak.
+    The infection peak is the one of myopic's own SIR columns. With only
+    the first trajectory the chain reduces to t_P* < t_I*. A
+    depression-mode trajectory is timed on its trough instead of a peak.
     """
     if rational is not None:
         if rational.params != myopic.params or rational.grid != myopic.grid:
             raise ConsistencyError(
                 "trajectories were produced under different params or grids"
             )
+    peak = infection_peak(myopic.params, myopic)
     if not peak.exists:
         return EventTimeline(None, None, None, None, None, None, {}, boom=False)
 
@@ -163,6 +163,7 @@ class ClaimResult:
 class PropositionReport:
     scenario: str
     claims: dict[str, ClaimResult]
+    timeline: EventTimeline
 
     @property
     def all_pass(self) -> bool:
@@ -198,26 +199,18 @@ def _claim(name, status, margin, detail=""):
 def check_propositions(
     myopic: MarketTrajectory,
     rational: MarketTrajectory | None = None,
-    timeline: EventTimeline | None = None,
 ) -> PropositionReport:
     """Pass/fail/inconclusive verdicts for the headline price claims.
 
     The first trajectory may be a boom or a depression run; depression
     claims are the mirror image (trough instead of peak). Plateau and
     comparison claims are judged only when a rational trajectory is given.
-    Inputs are never mutated.
+    The verdicts read the run's own event timeline (`build_timeline`),
+    which the report carries. Inputs are never mutated.
     """
-    params, curve, grid = myopic.params, myopic.curve, myopic.grid
-    if rational is not None and (rational.params != params or rational.grid != grid):
-        raise ConsistencyError(
-            "trajectories were produced under different params or grids"
-        )
-    if timeline is None:
-        peak = infection_peak(params, myopic)
-        timeline = build_timeline(myopic, rational, peak)
-
-    p0 = curve.p0
-    dt = grid.dt
+    timeline = build_timeline(myopic, rational)
+    p0 = myopic.curve.p0
+    dt = myopic.grid.dt
     depression = myopic.scenario == "depression"
     mode = "min" if depression else "max"
     claims: dict[str, ClaimResult] = {}
@@ -254,7 +247,8 @@ def check_propositions(
 
     if rational is not None:
         claims.update(_rational_claims(myopic, rational, timeline))
-    return PropositionReport(scenario=myopic.scenario, claims=claims)
+    return PropositionReport(scenario=myopic.scenario, claims=claims,
+                             timeline=timeline)
 
 
 def _rational_claims(
@@ -397,7 +391,9 @@ def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
 def _point_result(params, curve, grid, index, overrides, scenarios,
                   epi: EpidemicTrajectory | None) -> SweepResult:
     """Row of one point; epi is the SIR pass of params on grid (None when
-    the point has no boom). The rational leg is `re_price_head`."""
+    the point has no boom). The rational leg is `re_price_head`; each try
+    is judged by `check_propositions`, and dt halves, at most twice, while
+    its timeline leaves an ordering verdict undecided."""
     if not params.booms:
         timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
         return SweepResult(index, overrides, params, curve,
@@ -408,24 +404,22 @@ def _point_result(params, curve, grid, index, overrides, scenarios,
     try:
         while True:
             myopic = simulate_myopic(curve, epi)
-            peak = infection_peak(params, epi)
             rational = (re_price_head(curve, epi)
                         if "rational" in scenarios else None)
-            timeline = build_timeline(myopic, rational, peak)
-            undecided = any(v is None for v in timeline.ordering_ok.values())
+            report = check_propositions(myopic, rational)
+            undecided = any(v is None for v in report.timeline.ordering_ok.values())
             if not undecided or refinements >= 2:
                 break
             # inconclusive gap below grid resolution: halve dt and retry
             g = Grid(g.t_start, g.t_end, g.dt / 2.0)
             epi = epidemic_pass(params, g)
             refinements += 1
-        claims = check_propositions(myopic, rational, timeline).claims
     except (SimulationError, ConfigError) as exc:
         # ConfigError: the halved grid would pass numerics.MAX_STEPS
         return SweepResult(index, overrides, params, curve, None, None,
                            error=str(exc), refinements=refinements, dt_used=g.dt)
-    return SweepResult(index, overrides, params, curve, timeline, claims,
-                       refinements=refinements, dt_used=g.dt)
+    return SweepResult(index, overrides, params, curve, report.timeline,
+                       report.claims, refinements=refinements, dt_used=g.dt)
 
 
 def _epidemic_rows(params, grid, items, scenarios) -> list[SweepResult]:

@@ -14,14 +14,13 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    build_timeline,
     check_propositions,
     default_sweep_axes,
     parameter_sweep,
     summarize_sweep,
 )
 from .config import ScenarioConfig, parse_config, serialize_config, with_overrides
-from .epidemic import epidemic_pass, infection_peak
+from .epidemic import epidemic_pass
 from .errors import ConfigError, SimulationError
 from .market import simulate_depression, simulate_myopic
 from .output import (
@@ -106,13 +105,16 @@ def _cmd_simulate(args) -> int:
     # myopic leg's own error, at the step where that leg fails
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)
-    peak = infection_peak(params, epi)
     rational = None
     if cfg.scenario in ("rational", "all"):
         rational = re_price_path(curve, epi)
+    # judged before the depression leg runs and any file is written, so a
+    # horizon that ends before the infection peak fails on that alone
+    judged = check_propositions(myopic, rational)
     depression = None
     if cfg.scenario == "depression":
         depression = simulate_depression(curve, epi)
+        judged = check_propositions(depression)
     elif cfg.scenario == "all":
         try:
             depression = simulate_depression(curve, epi)
@@ -120,22 +122,15 @@ def _cmd_simulate(args) -> int:
             # record the failed leg but keep the artifacts that exist
             error = str(exc)
             log.error("depression leg failed: %s", exc)
+    timeline, verdicts = judged.timeline, dict(judged.claims)
+    if cfg.scenario == "all" and depression is not None:
+        for name, claim in check_propositions(depression).claims.items():
+            verdicts[f"depression_{name}"] = claim
 
     legs = [("myopic", myopic), ("rational", rational), ("depression", depression)]
     series, plots = write_legs([leg for leg in legs if leg[1] is not None],
                                cfg.format, out)
     manifest = [path for pair in zip(series, plots) for path in pair]
-
-    if cfg.scenario == "depression":
-        timeline = build_timeline(depression, None, peak)
-        verdicts = check_propositions(depression, None, timeline).claims
-    else:
-        timeline = build_timeline(myopic, rational, peak)
-        verdicts = dict(check_propositions(myopic, rational, timeline).claims)
-        if depression is not None:
-            dep_claims = check_propositions(depression, None, None).claims
-            for name, claim in dep_claims.items():
-                verdicts[f"depression_{name}"] = claim
     manifest.append(write_timeline_json(timeline, verdicts, out / "timeline.json"))
 
     report = RunReport(

@@ -27,11 +27,7 @@ class BracketError(SimulationError):
 
 
 class ConvergenceError(SimulationError):
-    """An iteration budget was exhausted; ``best`` holds the last iterate."""
-
-    def __init__(self, message: str, best: float | None = None):
-        super().__init__(message)
-        self.best = best
+    """An iteration budget was exhausted, or no root bracket was found."""
 
 
 class DomainError(SimulationError):

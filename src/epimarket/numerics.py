@@ -208,8 +208,7 @@ def find_root_bracketed(
         else:
             hi, f_hi = x, fx
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (bracket [{lo}, {hi}])",
-        best=0.5 * (lo + hi),
+        f"no convergence in {max_iter} iterations (bracket [{lo}, {hi}])"
     )
 
 

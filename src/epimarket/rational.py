@@ -53,8 +53,10 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
-from .errors import DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError
+from .epidemic import (EpidemicParams, EpidemicTrajectory, coupled_field,
+                       infection_peak)
+from .errors import (DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError,
+                     SimulationError)
 from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
                      holdings_pass)
 from .numerics import Grid, rk4_step
@@ -454,13 +456,27 @@ def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory,
     inside the final one-node bracket on the leftover-inventory defect
     until both closure residuals sit within half the requested tolerance:
     |h(t2)| <= 0.5*tol*phi(P*) and |flow(t2)| <= 0.5*tol*gamma*phi(P*).
-    iterations counts stage-one diagnoses plus stage-two closures.
+    iterations counts stage-one diagnoses plus stage-two closures. A
+    failed solve on a horizon that ends before the infection peak raises
+    infection_peak's BoundaryExtremumError.
     """
     return _solve(curve, epi, tol)[0]
 
 
 def _solve(curve, epi, tol):
-    """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f)."""
+    """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f).
+
+    No dt can help a solve on a horizon that ends before the infection
+    peak, so a failure there is infection_peak's.
+    """
+    try:
+        return _shoot(curve, epi, tol)
+    except SimulationError:
+        infection_peak(epi.params, epi)
+        raise
+
+
+def _shoot(curve, epi, tol):
     params, grid = epi.params, epi.grid
     if not params.booms:
         raise NoPlateauError(

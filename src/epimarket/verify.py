@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    build_timeline,
     check_propositions,
     default_sweep_axes,
     grid_points,
     parameter_sweep,
     refine_peak,
 )
+from .config import ScenarioConfig
 from .epidemic import (
     EpidemicParams,
     epidemic_pass,
@@ -261,7 +261,7 @@ def check_ordering_chain(timeline, claims, rows) -> CheckResult:
     )
 
 
-def check_depression(params, epi) -> CheckResult:
+def check_depression(epi) -> CheckResult:
     """The depression mirror where it exists, and the floor where it cannot.
 
     simulate_depression admits a path only while the mirrored boom stays
@@ -291,12 +291,11 @@ def check_depression(params, epi) -> CheckResult:
         )
     boom = simulate_myopic(deep, epi)
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
-    peak = infection_peak(params, epi)
-    report = check_propositions(dep, None, None)
+    report = check_propositions(dep)
     trough_leads = report.claims["price_peak_leads_infection_peak"].status == "pass"
     reverts = report.claims["long_run_price_returns"].status == "pass"
     u_shape = report.claims["price_unimodal"].status == "pass"
-    ok = (peak.exists and trough_leads and reverts and u_shape
+    ok = (report.timeline.boom and trough_leads and reverts and u_shape
           and mirror_err <= 1e-12 and floor_ok)
     return CheckResult(
         11, "depression_mirror", ok,
@@ -360,18 +359,17 @@ def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
 
 
 def run_verification(out_dir) -> VerificationReport:
-    """Run all thirteen checks at defaults and write the artifact set."""
+    """Run all thirteen checks at the CLI's defaults and write the
+    artifact set."""
     out = prepare_out_dir(out_dir)
-    params = EpidemicParams()
-    curve = SupplyCurve()
-    grid = Grid(0.0, 300.0, 1e-2)
+    cfg = ScenarioConfig()
+    params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
 
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)
-    peak = infection_peak(params, epi)
     rational = re_price_path(curve, epi)
-    timeline = build_timeline(myopic, rational, peak)
-    claims = check_propositions(myopic, rational, timeline).claims
+    judged = check_propositions(myopic, rational)
+    timeline, claims = judged.timeline, judged.claims
     rows = parameter_sweep(params, curve, grid)
 
     results = [
@@ -385,7 +383,7 @@ def run_verification(out_dir) -> VerificationReport:
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, claims, rows),
-        check_depression(params, epi),
+        check_depression(epi),
         check_event_convergence(params, curve),
         check_determinism(params, curve, grid, rows, out),
     ]

@@ -12,15 +12,15 @@ from epimarket import (
     SupplyCurve,
     build_timeline,
     check_propositions,
+    epidemic_pass,
     parameter_sweep,
     refine_peak,
     simulate_depression,
     simulate_myopic,
     summarize_sweep,
 )
-from epimarket import numerics
+from epimarket import analysis, numerics
 from epimarket.analysis import EventTimeline, _strict, default_sweep_axes
-from epimarket.epidemic import InfectionPeak
 from epimarket.errors import (
     BoundaryExtremumError,
     ConfigError,
@@ -69,8 +69,8 @@ def test_strict_verdict_trichotomy():
     assert _strict(1.0, 1.005, 0.01) is None
 
 
-def test_timeline_on_defaults(grid, myopic_run, rational_run, peak):
-    tl = build_timeline(myopic_run, rational_run, peak)
+def test_timeline_on_defaults(grid, myopic_run, rational_run):
+    tl = build_timeline(myopic_run, rational_run)
     assert tl.boom
     assert tl.t1 < tl.t_p_star_m < tl.t2 < tl.t_i_star
     assert set(tl.ordering_ok) == {
@@ -83,23 +83,25 @@ def test_timeline_on_defaults(grid, myopic_run, rational_run, peak):
     assert tl.p_star_re < tl.p_star_m
 
 
-def test_timeline_without_rational_leg(myopic_run, peak):
-    tl = build_timeline(myopic_run, None, peak)
+def test_timeline_without_rational_leg(myopic_run):
+    tl = build_timeline(myopic_run)
     assert tl.t1 is None and tl.t2 is None and tl.p_star_re is None
     assert list(tl.ordering_ok) == ["t_p_star_m_lt_t_i_star"]
 
 
-def test_timeline_without_boom(myopic_run):
-    no_peak = InfectionPeak(t_star=None, s_star=None, i_star=None, exists=False)
-    tl = build_timeline(myopic_run, None, no_peak)
+def test_timeline_without_boom(curve):
+    # gamma/beta = 1200 exceeds the 999 susceptibles: I never grows
+    no_boom = EpidemicParams(gamma=0.6)
+    tl = build_timeline(
+        simulate_myopic(curve, epidemic_pass(no_boom, Grid(0.0, 50.0, 1e-2))))
     assert not tl.boom
     assert tl.t_i_star is None and tl.ordering_ok == {}
 
 
-def test_timeline_rejects_mismatched_runs(myopic_run, rational_run, peak):
+def test_timeline_rejects_mismatched_runs(myopic_run, rational_run):
     other = replace(myopic_run, params=EpidemicParams(beta=6e-4))
     with pytest.raises(ConsistencyError):
-        build_timeline(other, rational_run, peak)
+        build_timeline(other, rational_run)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +123,7 @@ def test_all_claims_pass_on_defaults(myopic_run, rational_run):
     }
     assert report.all_pass
     assert report.counts() == {"pass": 7, "fail": 0, "inconclusive": 0}
+    assert report.timeline == build_timeline(myopic_run, rational_run)
 
 
 def test_depression_claims_mirror_the_boom(epidemic_run):
@@ -169,7 +172,8 @@ def test_dominance_checker_rejects_an_undercut(myopic_run, rational_run):
     assert report.claims["re_price_dominates_pre_plateau"].status == "fail"
 
 
-def test_timeline_driven_claims_follow_the_verdicts(myopic_run, rational_run):
+def test_timeline_driven_claims_follow_the_verdicts(monkeypatch, myopic_run,
+                                                    rational_run):
     fake = EventTimeline(
         t_i_star=21.0, t_p_star_m=19.9, p_star_m=7.0,
         t1=14.9, t2=20.5, p_star_re=8.0,  # "peak" above the myopic one
@@ -181,7 +185,9 @@ def test_timeline_driven_claims_follow_the_verdicts(myopic_run, rational_run):
         },
         boom=True,
     )
-    report = check_propositions(myopic_run, rational_run, timeline=fake)
+    monkeypatch.setattr(analysis, "build_timeline", lambda *legs: fake)
+    report = check_propositions(myopic_run, rational_run)
+    assert report.timeline is fake
     assert report.claims["price_peak_leads_infection_peak"].status == "inconclusive"
     assert report.claims["re_peak_lower"].status == "fail"
     assert report.claims["event_ordering_chain"].status == "fail"

@@ -1,6 +1,7 @@
 """Command line entry points: exit codes, artifacts, config precedence."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -123,6 +124,39 @@ def test_simulate_all_writes_one_sir_history_for_every_leg(tmp_path):
 
     assert sir_columns("rational.csv") == sir_columns("myopic.csv")
     assert sir_columns("depression.csv") == sir_columns("myopic.csv")
+
+
+SHORT_OF_PEAK = ("infected maximum sits on the grid boundary (node {}); "
+                 "the horizon is too short to contain the peak")
+
+
+@pytest.mark.parametrize("scenario, horizon", [
+    ("myopic", 10), ("rational", 10), ("depression", 10), ("all", 10), ("all", 21),
+])
+def test_horizon_short_of_the_infection_peak_fails_before_any_file(
+        tmp_path, caplog, scenario, horizon):
+    # at horizon 10 the kappa=10 depression leg would also hit the price
+    # floor (t=7.015); the legs are judged first, so the horizon is named
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--scenario", scenario, "--horizon", str(horizon),
+                   "--out", str(out))
+    assert code == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [SHORT_OF_PEAK.format(horizon * 100)]
+    assert not [p.name for p in out.glob("*")
+                if p.suffix in (".csv", ".dat") or p.name == "timeline.json"]
+
+
+def test_sweep_rows_short_of_the_infection_peak_carry_it(tmp_path):
+    # at horizon 21 only the beta=1e-3 rows (6-8) peak inside the grid
+    cfg = tmp_path / "rational.cfg"
+    cfg.write_text("scenario=rational\n")
+    out = tmp_path / "sw"
+    code = run_cli("sweep", "--config", str(cfg), "--horizon", "21", "--out", str(out))
+    assert code == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    assert errors == [SHORT_OF_PEAK.format(2100)] * 6 + [""] * 3
 
 
 def test_cli_flags_override_the_config_file(tmp_path, fast_config):

@@ -115,9 +115,9 @@ def test_plot_dat_layout(tmp_path, tiny_run):
 # ---------------------------------------------------------------------------
 
 
-def test_timeline_json_payload(tmp_path, myopic_run, rational_run, peak):
-    tl = build_timeline(myopic_run, rational_run, peak)
-    verdicts = check_propositions(myopic_run, rational_run, timeline=tl).claims
+def test_timeline_json_payload(tmp_path, myopic_run, rational_run):
+    report = check_propositions(myopic_run, rational_run)
+    tl, verdicts = report.timeline, report.claims
     write_timeline_json(tl, verdicts, tmp_path / "timeline.json")
     payload = json.loads((tmp_path / "timeline.json").read_text())
     assert list(payload) == TIMELINE_KEYS

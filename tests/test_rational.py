@@ -11,14 +11,15 @@ from epimarket import (
     Grid,
     SupplyCurve,
     epidemic_pass,
+    infection_peak,
     re_price_path,
     simulate_myopic,
     simulate_re_given_t1,
     solve_plateau,
 )
 from epimarket import rational
-from epimarket.errors import (DomainError, GridTooCoarseError, NoPlateauError,
-                              SimulationError)
+from epimarket.errors import (BoundaryExtremumError, DomainError, GridTooCoarseError,
+                              NoPlateauError, SimulationError)
 from epimarket.market import clearing_price
 
 
@@ -215,6 +216,24 @@ def test_unreachable_tolerance_blames_the_grid(params, curve):
         solve_plateau(curve, epi, tol=1e-9)
 
 
+@pytest.mark.parametrize("t_end", [10.0, 19.0, 20.0])
+def test_horizon_short_of_the_infection_peak_blames_the_horizon(params, curve, t_end):
+    # I still rises at the horizon end (its peak is at t = 21.159), so no
+    # dt can close the plateau: the failed solve names the horizon
+    epi = epidemic_pass(params, Grid(0.0, t_end, 1e-2))
+    for solve in (re_price_path, rational.re_price_head, solve_plateau):
+        with pytest.raises(BoundaryExtremumError, match="horizon is too short"):
+            solve(curve, epi)
+
+
+def test_solve_that_closes_before_the_infection_peak_is_kept(params, curve):
+    epi = epidemic_pass(params, Grid(0.0, 21.0, 1e-2))
+    with pytest.raises(BoundaryExtremumError):
+        infection_peak(params, epi)
+    for solve in (re_price_path, rational.re_price_head, solve_plateau):
+        assert solve(curve, epi).t1 == 14.8640625
+
+
 # ---------------------------------------------------------------------------
 # assembled path vs the myopic benchmark
 # ---------------------------------------------------------------------------
@@ -315,9 +334,17 @@ def _first_reversed_node(params, curve, epi, zs, hs):
     return None
 
 
-def _solved(curve, epi, tol):
-    sol = solve_plateau(curve, epi, tol)
+def _fields(sol):
     return sol.t1, sol.t2, sol.p_star, sol.residual_flow, sol.residual_absorption
+
+
+def _solved(curve, epi, tol):
+    return _fields(solve_plateau(curve, epi, tol))
+
+
+def _shot(curve, epi, tol):
+    """The shooting alone, before a failure is checked against the horizon."""
+    return _fields(rational._shoot(curve, epi, tol)[0])
 
 
 def _outcome(fn, *args):
@@ -330,7 +357,8 @@ def _outcome(fn, *args):
 
 # one SIR pass per row: (dt, t_end, beta, gamma, [(kappa, tol), ...]). The
 # first point is the README default. The short horizons (all but t_end=21),
-# tol=1e-9 and beta=2e-3 at dt=2e-2 end in the solve's errors.
+# tol=1e-9 and beta=2e-3 at dt=2e-2 end in the shooting's errors; the solve
+# names the short horizons' as infection_peak's.
 _ORACLE_ROWS = [
     (1e-2, 300.0, 5e-4, 0.1, [(10.0, 1e-4), (5.0, 1e-4), (50.0, 1e-4), (400.0, 1e-4)]),
     (1e-2, 300.0, 2.5e-4, 0.05, [(5.0, 1e-4), (20.0, 1e-4), (400.0, 1e-4)]),
@@ -354,6 +382,11 @@ def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
     for kappa, tol in row:
         curve = SupplyCurve(kappa=kappa)
         expected = _outcome(_full_grid_solve, params, curve, grid, tol, epi)
+        assert _outcome(_shot, curve, epi, tol) == expected, (kappa, tol)
+        # a failed solve raises infection_peak's error, if it has one
+        peak = _outcome(infection_peak, params, epi)
+        if isinstance(expected[0], type) and isinstance(peak, tuple):
+            expected = peak
         assert _outcome(_solved, curve, epi, tol) == expected, (kappa, tol)
         # the solve's scan is the full scan's prefix up to k_f
         zs, hs = rational._accumulate(params, curve, epi, grid.n_steps,
