@@ -101,6 +101,10 @@ class EventTimeline:
     boom: bool = True
 
 
+# the timeline of every point whose contagion never grows
+NO_BOOM = EventTimeline(None, None, None, None, None, None, {}, boom=False)
+
+
 def _strict(a: float, b: float, dt: float) -> bool | None:
     # verdict for a < b: inconclusive when the gap is below grid resolution
     gap = b - a
@@ -126,7 +130,7 @@ def build_timeline(
             )
     peak = infection_peak(myopic.params, myopic)
     if not peak.exists:
-        return EventTimeline(None, None, None, None, None, None, {}, boom=False)
+        return NO_BOOM
 
     dt = myopic.grid.dt
     mode = "min" if myopic.scenario == "depression" else "max"
@@ -345,7 +349,7 @@ _SWEEPABLE = ("beta", "gamma", "n1", "kappa")
 @dataclass(frozen=True)
 class SweepResult:
     """Outcome at one grid point; a run's errors are carried in-row, never
-    raised."""
+    raised. timeline and claims are None exactly when error is set."""
 
     index: int
     overrides: dict[str, float]
@@ -388,41 +392,35 @@ def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
             for combo in itertools.product(*(axes[n] for n in names))]
 
 
-def _point_result(params, curve, grid, index, overrides, scenarios,
-                  epi: EpidemicTrajectory | None) -> SweepResult:
-    """Row of one point; epi is the SIR pass of params on grid (None when
-    the point has no boom). The rational leg is `re_price_head`; each try
-    is judged by `check_propositions`, and dt halves, at most twice, while
-    its timeline leaves an ordering verdict undecided."""
-    if not params.booms:
-        timeline = EventTimeline(None, None, None, None, None, None, {}, boom=False)
-        return SweepResult(index, overrides, params, curve,
-                           timeline, {}, dt_used=grid.dt)
-
-    g = grid
+def _point_result(curve, epi: EpidemicTrajectory, index, overrides,
+                  rational: bool) -> SweepResult:
+    """Row of one point on epi, the SIR pass of its params and grid. The
+    rational leg is `re_price_head`; each try is judged by
+    `check_propositions`, and the pass is rerun on half its dt, at most
+    twice, while its timeline leaves an ordering verdict undecided."""
+    g = epi.grid
     refinements = 0
     try:
         while True:
             myopic = simulate_myopic(curve, epi)
-            rational = (re_price_head(curve, epi)
-                        if "rational" in scenarios else None)
-            report = check_propositions(myopic, rational)
+            head = re_price_head(curve, epi) if rational else None
+            report = check_propositions(myopic, head)
             undecided = any(v is None for v in report.timeline.ordering_ok.values())
             if not undecided or refinements >= 2:
                 break
             # inconclusive gap below grid resolution: halve dt and retry
             g = Grid(g.t_start, g.t_end, g.dt / 2.0)
-            epi = epidemic_pass(params, g)
+            epi = epidemic_pass(epi.params, g)
             refinements += 1
     except (SimulationError, ConfigError) as exc:
         # ConfigError: the halved grid would pass numerics.MAX_STEPS
-        return SweepResult(index, overrides, params, curve, None, None,
+        return SweepResult(index, overrides, epi.params, curve, None, None,
                            error=str(exc), refinements=refinements, dt_used=g.dt)
-    return SweepResult(index, overrides, params, curve, report.timeline,
+    return SweepResult(index, overrides, epi.params, curve, report.timeline,
                        report.claims, refinements=refinements, dt_used=g.dt)
 
 
-def _epidemic_rows(params, grid, items, scenarios) -> list[SweepResult]:
+def _epidemic_rows(params, grid, items, rational) -> list[SweepResult]:
     """Rows of the points of one epidemic, so one SIR pass serves all.
 
     items are the (index, overrides, curve) triples of the points whose
@@ -430,20 +428,22 @@ def _epidemic_rows(params, grid, items, scenarios) -> list[SweepResult]:
     then split into one strided share per usable CPU, each share after the
     first in a forked process (`pool.forked`) that reads the pass
     copy-on-write. One usable CPU or one point leaves one share, run here.
-    A grid the pass refuses (GridTooCoarseError) is the error of every
+    With no boom there is no pass: every row is NO_BOOM with no claims. A
+    grid the pass refuses (GridTooCoarseError) is the error of every
     point's row; a point's own run failures are its row's (`_point_result`).
     """
-    epidemic = None
-    if params.booms:
-        try:
-            epidemic = epidemic_pass(params, grid)
-        except GridTooCoarseError as exc:
-            return [SweepResult(idx, ov, params, curve, None, None,
-                                error=str(exc), dt_used=grid.dt)
-                    for idx, ov, curve in items]
+    if not params.booms:
+        return [SweepResult(idx, ov, params, curve, NO_BOOM, {}, dt_used=grid.dt)
+                for idx, ov, curve in items]
+    try:
+        epidemic = epidemic_pass(params, grid)
+    except GridTooCoarseError as exc:
+        return [SweepResult(idx, ov, params, curve, None, None,
+                            error=str(exc), dt_used=grid.dt)
+                for idx, ov, curve in items]
 
     def rows_of(share):
-        return [_point_result(params, curve, grid, idx, ov, scenarios, epidemic)
+        return [_point_result(curve, epidemic, idx, ov, rational)
                 for idx, ov, curve in share]
 
     procs = min(len(items), usable_cpus())
@@ -456,9 +456,10 @@ def parameter_sweep(
     base_curve: SupplyCurve,
     grid: Grid,
     axes: dict[str, list[float]] | None = None,
-    scenarios: tuple[str, ...] = ("myopic", "rational"),
+    rational: bool = True,
 ) -> list[SweepResult]:
-    """Verdicts over the Cartesian product of the given parameter axes.
+    """Verdicts of the myopic leg (and, if rational, the rational head)
+    over the Cartesian product of the given parameter axes.
 
     Every axis value is checked against its key's bounds first
     (`validate_sweep_axes`), so a bad one raises ConfigError before any
@@ -472,11 +473,6 @@ def parameter_sweep(
     if axes is None:
         axes = default_sweep_axes()
     validate_sweep_axes(axes, base_params, base_curve)
-    for sc in scenarios:
-        if sc not in ("myopic", "rational"):
-            raise ConfigError(
-                f"sweep supports scenarios 'myopic' and 'rational', got {sc!r}"
-            )
 
     groups: dict[EpidemicParams, list[tuple[int, dict[str, float], SupplyCurve]]] = {}
     for idx, ov in enumerate(grid_points(axes)):
@@ -485,17 +481,17 @@ def parameter_sweep(
         groups.setdefault(params, []).append((idx, ov, curve))
 
     rows = [row for params, items in groups.items()
-            for row in _epidemic_rows(params, grid, items, scenarios)]
+            for row in _epidemic_rows(params, grid, items, rational)]
     rows.sort(key=lambda r: r.index)
     return rows
 
 
 def summarize_sweep(rows: list[SweepResult]) -> dict[str, int]:
     ok = [row for row in rows if row.error is None]
-    tally = claim_counts(c for row in ok for c in (row.claims or {}).values())
+    tally = claim_counts(c for row in ok for c in row.claims.values())
     return {
         "points": len(rows),
-        "booms": sum(row.timeline is not None and row.timeline.boom for row in ok),
+        "booms": sum(row.timeline.boom for row in ok),
         "errors": len(rows) - len(ok),
         **{f"claims_{status}": n for status, n in tally.items()},
     }

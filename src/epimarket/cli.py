@@ -76,7 +76,7 @@ def _load_config(args) -> ScenarioConfig:
         path = Path(args.config)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     cfg = parse_config(text)
     return with_overrides(
@@ -165,12 +165,11 @@ def _cmd_sweep(args) -> int:
     if cfg.scenario == "depression":
         raise ConfigError("sweep supports the myopic and rational scenarios")
     out = prepare_out_dir(cfg.out_dir)
-    scenarios = ("myopic",) if cfg.scenario == "myopic" else ("myopic", "rational")
     axes = cfg.sweep_axes() or default_sweep_axes()
     started = time.perf_counter()
 
     rows = parameter_sweep(cfg.epidemic_params(), cfg.supply_curve(), cfg.grid(),
-                           axes=axes, scenarios=scenarios)
+                           axes=axes, rational=cfg.scenario != "myopic")
     manifest = [write_sweep_csv(rows, out / "sweep.csv")]
     summary = summarize_sweep(rows)
     summary_path = out / "sweep_summary.csv"

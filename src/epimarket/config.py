@@ -111,11 +111,15 @@ def _unique_keys(pairs: list) -> dict:
 
 def _from_json(text: str) -> dict:
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        # every JSON number reads as a float: a huge integer becomes inf,
+        # refused as any inf is, instead of escaping from int() or float()
+        obj = json.loads(text, object_pairs_hook=_unique_keys, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ConfigError("config JSON must be a single object")
     data: dict = {}

@@ -8,15 +8,16 @@ ODE directly; the depressive scenario is its exact sign-mirror; a
 trapezoid quadrature of the underlying cohort integral serves as an
 independent oracle for the state variable.
 
-Both scenarios take the SIR pass they run on (`epidemic_pass`), and
-with it their params and grid, and run x alone, as a scalar RK4 pass
-over its stage drives: `EpidemicTrajectory.steps` streams each step's
-four drives and (S+I)+R at its end node, and S, I and R are that pass's
-arrays (a grid beyond RK4's stability interval is refused there). The
-coupled (S, I, R, x) field of each scenario, sir_derivatives with the x
-rate appended (`holdings_field`), remains its definition: a step that
-reaches the price floor at a stage, or ends non-finite, is replayed
-through rk4_step on it from the grid's state at its start node
+Both scenarios, and holdings_pass under them, take the SIR pass they
+run on (`epidemic_pass`) and read their params and grid there. They run
+x alone, as a scalar RK4 pass over its stage drives:
+`EpidemicTrajectory.steps` streams each step's four drives and (S+I)+R
+at its end node, and S, I and R are that pass's arrays (a grid beyond
+RK4's stability interval is refused there). The coupled (S, I, R, x)
+field of each scenario, sir_derivatives with the x rate appended
+(`holdings_field`), remains its definition: a step that reaches the
+price floor at a stage, or ends non-finite, is replayed through rk4_step
+on it from the grid's state at its start node
 (`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
 time and message. The rational unwind after the plateau is the euphoric
 pass restarted from the closing node (see rational).
@@ -141,8 +142,8 @@ def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = Fa
     return coupled_field(params, rate)
 
 
-def holdings_pass(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
-                  k: int, x: float, mirror: bool = False) -> array:
+def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
+                  mirror: bool = False) -> array:
     """x at node k and at each node after, from holdings x at node k.
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
@@ -153,9 +154,9 @@ def holdings_pass(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraje
     holdings_field, the coupled field of the same equation, which raises
     what the coupled step raises; if it raises nothing, the step stands.
     """
-    w, gamma = params.endowment, params.gamma
+    w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
-    field, floor = holdings_field(params, curve, mirror), -kappa * p0
+    field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
     dt = epi.grid.dt
     half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
     out = array("d", [x])
@@ -190,7 +191,7 @@ def holdings_pass(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraje
 
 
 def _scenario(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool) -> MarketTrajectory:
-    x = np.frombuffer(holdings_pass(epi.params, curve, epi, 0, 0.0, mirror))
+    x = np.frombuffer(holdings_pass(curve, epi, 0, 0.0, mirror))
     return MarketTrajectory(
         params=epi.params, curve=curve, grid=epi.grid,
         scenario="depression" if mirror else "myopic",

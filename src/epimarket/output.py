@@ -70,7 +70,7 @@ def prepare_out_dir(path) -> Path:
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
         raise ConfigError(f"cannot use {out} as output directory: {exc}") from exc
     return out
 
@@ -283,7 +283,7 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
             _fmt(row.params.beta), _fmt(row.params.gamma),
             _fmt(row.params.n1), _fmt(row.curve.kappa),
         ]
-        if row.error is not None or tl is None:
+        if row.error is not None:
             cells += [""] * (7 + len(ORDERING_KEYS))
             cells += ["", "", ""]
         else:
@@ -292,7 +292,7 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
                       _opt(tl.t1), _opt(tl.t2), _opt(tl.p_star_re)]
             cells += [_verdict_cell(tl.ordering_ok.get(k))
                       for k in ORDERING_KEYS]
-            counts = claim_counts((row.claims or {}).values())
+            counts = claim_counts(row.claims.values())
             cells += [str(n) for n in counts.values()]
         cells.append(str(row.refinements))
         cells.append(_fmt(row.dt_used))

@@ -11,11 +11,12 @@ followed by a continuous bisection inside the final one-node bracket on
 the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
-Every public function takes the SIR pass it runs on (`epidemic_pass`),
-and with it the params and grid. Every pass runs over that pass's drive
-table (see epidemic), streamed by `EpidemicTrajectory.steps` as each
-step's four drives and (S+I)+R at its end node; S, I and R are never
-carried, and a replay reads the grid's state at the step's start node
+Every function that runs a pass takes the SIR pass it runs on
+(`epidemic_pass`) and reads its params and grid there; only the fields
+and `_flow`, which belong to no pass, take params. Every pass runs over
+that pass's drive table (see epidemic), streamed by
+`EpidemicTrajectory.steps` as each step's four drives and (S+I)+R at
+its end node; S, I and R are never carried, and a replay reads the grid's state at the step's start node
 (`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
 t=0; the solve's stops at k_f, the first node flow-reversed before any
 scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
@@ -144,8 +145,8 @@ def _flow(params: EpidemicParams, p_star: float, y: tuple) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
-                upto: int, stop_at_reversal: bool = False) -> tuple[array, array]:
+def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
+                stop_at_reversal: bool = False) -> tuple[array, array]:
     """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
     stop_at_reversal and k_f < upto).
 
@@ -153,9 +154,9 @@ def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraject
     step, is replayed on the phase-1 field (`EpidemicTrajectory.replay`),
     which raises what the coupled step raises, as in `market.holdings_pass`.
     """
-    gamma, w = params.gamma, params.endowment
+    gamma, w = epi.params.gamma, epi.params.endowment
     p0, kappa = curve.p0, curve.kappa
-    field, floor = _phase1_field(params, curve), -kappa * p0
+    field, floor = _phase1_field(epi.params, curve), -kappa * p0
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     z, h = 0.0, 0.0
@@ -199,8 +200,7 @@ def _accumulate(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTraject
     return zs, hs
 
 
-def _plateau(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
-             k: int, z: float, h: float):
+def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float):
     """The plateau at pinned price p_star from z and h at node k.
 
     Scalar RK4 of z and h over the drives of epi's steps from node k.
@@ -208,8 +208,8 @@ def _plateau(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
     the net flow beta*I*S*w/P* - gamma*z there, before stepping on from it:
     a step's first stage rate is the flow at its start node, to the bit.
     """
-    gamma, w = params.gamma, params.endowment
-    field = _phase2_field(params, p_star)
+    gamma, w = epi.params.gamma, epi.params.endowment
+    field = _phase2_field(epi.params, p_star)
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     for j, d1, d2, d3, d4, total in epi.steps(k):
@@ -230,7 +230,7 @@ def _plateau(params: EpidemicParams, p_star: float, epi: EpidemicTrajectory,
         z, h = z1, h1
     n = epi.grid.n_steps
     st = epi.state_at(n)
-    yield n, z, h, _flow(params, p_star, (st.s, st.i, st.r, z))
+    yield n, z, h, _flow(epi.params, p_star, (st.s, st.i, st.r, z))
 
 
 def _node_below(grid: Grid, t: float) -> int:
@@ -251,8 +251,7 @@ def _to_node(epi: EpidemicTrajectory, field, t1: float, k1: int, y: tuple) -> tu
     return rk4_step(field, t1, y, epi.grid.node(k1 + 1) - t1)[3:]
 
 
-def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
-          zs: array, hs: array, t1: float):
+def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1: float):
     """The plateau from t1 at its pinned price: (k1, P*, y, nodes).
 
     t1 lies in [node(k1), node(k1+1)); its phase-1 state y = (s, i, r, z,
@@ -261,7 +260,7 @@ def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
     k1+1, reached by _to_node on the phase-2 field, and every later node
     over the grid's drives. Only t1 is yielded if node k1 is the last.
     """
-    grid = epi.grid
+    params, grid = epi.params, epi.grid
     k1 = _node_below(grid, t1)
     if k1 >= len(zs):
         raise DomainError(f"t1={t1} beyond integrated phase-1 range")
@@ -275,7 +274,7 @@ def _scan(params: EpidemicParams, curve: SupplyCurve, epi: EpidemicTrajectory,
     if k1 == grid.n_steps:
         return k1, p_star, y, iter(head)
     z, h = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
-    return k1, p_star, y, chain(head, _plateau(params, p_star, epi, k1 + 1, z, h))
+    return k1, p_star, y, chain(head, _plateau(p_star, epi, k1 + 1, z, h))
 
 
 def _closing_kind(h: float) -> str:
@@ -304,11 +303,11 @@ def simulate_re_given_t1(
     grid = epi.grid
     if not (grid.t_start <= t1 < grid.t_end):
         raise DomainError(f"t1={t1} outside the grid [{grid.t_start}, {grid.t_end})")
-    zs, hs = _accumulate(epi.params, curve, epi, _node_below(grid, t1))
-    return _replay(epi.params, curve, t1, epi, zs, hs)
+    zs, hs = _accumulate(curve, epi, _node_below(grid, t1))
+    return _replay(curve, t1, epi, zs, hs)
 
 
-def _unwind_cannot_raise(params, curve, epi, k: int, x: float) -> bool:
+def _unwind_cannot_raise(curve, epi, k: int, x: float) -> bool:
     """True if holdings_pass from holdings x at node k, over the grid's
     drives from there, can neither reach the price floor nor go non-finite.
 
@@ -335,8 +334,8 @@ def _unwind_cannot_raise(params, curve, epi, k: int, x: float) -> bool:
     sums of finite S, I and R past 1e308 is left out.)
     """
     d = epi.drives[k:]
-    dt, gamma = epi.grid.dt, params.gamma
-    top = float(np.max(d, initial=0.0)) * params.endowment / curve.p0
+    dt, gamma = epi.grid.dt, epi.params.gamma
+    top = float(np.max(d, initial=0.0)) * epi.params.endowment / curve.p0
     bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
     return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
                 and gamma * dt * dt * top <= curve.kappa * curve.p0
@@ -344,16 +343,16 @@ def _unwind_cannot_raise(params, curve, epi, k: int, x: float) -> bool:
                                   + epi.s[-1] + epi.i[-1] + epi.r[-1]))
 
 
-def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
+def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond.
 
     With unwind=False the path ends at the closing node post_start, unless
     the unwind after it could raise (see _unwind_cannot_raise): then it
     runs, so the head fails exactly where the full path does.
     """
-    grid = epi.grid
+    params, grid = epi.params, epi.grid
     p0, kappa = curve.p0, curve.kappa
-    k1, p_star, y, nodes = _scan(params, curve, epi, zs, hs, t1)
+    k1, p_star, y, nodes = _scan(curve, epi, zs, hs, t1)
     # the scan's first entry is t1 itself, not a node: dropped below
     z_plateau, h_plateau = array("d"), array("d")
     z_post = array("d")
@@ -373,10 +372,9 @@ def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
                  if k1 < grid.n_steps else None)
         diag = PlateauDiagnosis(_closing_kind(h), t2, h, flow)
         if x is not None:
-            head = not unwind and _unwind_cannot_raise(params, curve, epi,
-                                                       post_start, x)
+            head = not unwind and _unwind_cannot_raise(curve, epi, post_start, x)
             z_post = (array("d", [x]) if head
-                      else holdings_pass(params, curve, epi, post_start, x))
+                      else holdings_pass(curve, epi, post_start, x))
         break
     else:
         diag = PlateauDiagnosis("open", grid.t_end, h, flow)
@@ -404,17 +402,17 @@ def _replay(params, curve, t1: float, epi, zs, hs, unwind: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def _node_diagnosis(params, curve, epi, zs, hs, k1) -> str:
+def _node_diagnosis(curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1: the first event of the path
     simulate_re_given_t1 takes from there, or 'open'."""
-    _k1, _p_star, _y, nodes = _scan(params, curve, epi, zs, hs, epi.grid.node(k1))
+    _k1, _p_star, _y, nodes = _scan(curve, epi, zs, hs, epi.grid.node(k1))
     for _j, _z, h, flow in nodes:
         if h <= 0.0 or flow <= 0.0:
             return _closing_kind(h)
     return "open"
 
 
-def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
+def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
     """Integrate the plateau from t1 to the net-flow zero crossing.
 
     The (s, i, z) dynamics at pinned P* do not depend on h, so the scan
@@ -422,7 +420,7 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
     the shooting defect (negative: inventory ran out early, raise t1;
     positive: inventory left over, lower t1).
     """
-    k1, p_star, y, nodes = _scan(params, curve, epi, zs, hs, t1)
+    k1, p_star, y, nodes = _scan(curve, epi, zs, hs, t1)
     phi_star = y[3] + y[4]
     for j, z, h, flow in nodes:
         if flow <= 0.0:
@@ -438,9 +436,9 @@ def _closure_at(params, curve, epi, zs, hs, t1: float) -> _Closure:
                     st_prev = (st.s, st.i, st.r, z_prev, h_prev)
                 t2, st2 = t_prev + flow_prev / (flow_prev - flow) * dt, st_prev
                 if t2 > t_prev:
-                    st2 = rk4_step(_phase2_field(params, p_star), t_prev, st_prev,
+                    st2 = rk4_step(_phase2_field(epi.params, p_star), t_prev, st_prev,
                                    t2 - t_prev)
-            return _Closure(True, t2, p_star, phi_star, _flow(params, p_star, st2),
+            return _Closure(True, t2, p_star, phi_star, _flow(epi.params, p_star, st2),
                             st2[4])
         z_prev, h_prev, flow_prev = z, h, flow
     return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, h_prev)
@@ -483,13 +481,13 @@ def _shoot(curve, epi, tol):
             "no boom: the contagion never grows, so no plateau exists"
         )
     n = grid.n_steps
-    zs, hs = _accumulate(params, curve, epi, n, stop_at_reversal=True)
+    zs, hs = _accumulate(curve, epi, n, stop_at_reversal=True)
     evals = 0
 
     def diag(k: int) -> str:
         nonlocal evals
         evals += 1
-        return _node_diagnosis(params, curve, epi, zs, hs, k)
+        return _node_diagnosis(curve, epi, zs, hs, k)
 
     lo_k, hi_k = 1, min(len(zs), n) - 1
     kind_lo, kind_hi = diag(lo_k), diag(hi_k)
@@ -518,7 +516,7 @@ def _shoot(curve, epi, tol):
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        c = _closure_at(params, curve, epi, zs, hs, t_mid)
+        c = _closure_at(curve, epi, zs, hs, t_mid)
         evals += 1
         if not c.found:
             raise GridTooCoarseError(
@@ -573,5 +571,5 @@ def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory,
 
 def _solved_path(curve, epi, tol, unwind: bool):
     sol, zs, hs = _solve(curve, epi, tol)
-    traj, _diag = _replay(epi.params, curve, sol.t1, epi, zs, hs, unwind)
+    traj, _diag = _replay(curve, sol.t1, epi, zs, hs, unwind)
     return replace(traj, t2=sol.t2, solution=sol)

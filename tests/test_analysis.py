@@ -262,7 +262,7 @@ def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch)
     # row keeps its point's parameters
     rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2),
                            axes={"beta": [0.3, 0.4], "kappa": [10.0]},
-                           scenarios=("myopic",))
+                           rational=False)
     assert [(r.params.beta, r.curve.kappa) for r in rows] == [(0.3, 10.0), (0.4, 10.0)]
     for row in rows:
         assert row.timeline is None
@@ -274,8 +274,6 @@ def test_sweep_rejects_bad_requests(params, curve, grid):
         parameter_sweep(params, curve, grid, axes={"t_end": [10.0]})
     with pytest.raises(ConfigError):
         parameter_sweep(params, curve, grid, axes={"kappa": []})
-    with pytest.raises(ConfigError):
-        parameter_sweep(params, curve, grid, scenarios=("depression",))
     # a value its key's own object refuses, before any pass runs
     with pytest.raises(ConfigError, match="gamma must be > 0, got -1.0"):
         parameter_sweep(params, curve, grid, axes={"gamma": [-1.0]})
@@ -286,7 +284,7 @@ def test_sweep_rejects_bad_requests(params, curve, grid):
 def test_sweep_myopic_only_has_no_plateau_columns(params, curve, grid):
     rows = parameter_sweep(
         params, curve, Grid(0.0, 100.0, 2e-2),
-        axes={"kappa": [10.0]}, scenarios=("myopic",),
+        axes={"kappa": [10.0]}, rational=False,
     )
     row = rows[0]
     assert row.timeline.t1 is None

@@ -192,6 +192,17 @@ def test_malformed_config_is_a_usage_error(tmp_path):
     assert run_cli("simulate", "--config", str(bad)) == 2
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, caplog):
+    # the decode error used to escape as a UnicodeDecodeError traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"beta=1e-3\n\xff\xfe\n")
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(bad), "--out", str(out)) == 2
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert err.startswith(f"cannot read config file {bad}: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--horizon", "--dt"])
 def test_infinite_grid_flag_is_a_usage_error(tmp_path, flag):
     # inf used to overflow (horizon) or build a 0-step grid (dt)
@@ -213,6 +224,19 @@ def test_out_dir_that_would_not_round_trip_is_a_usage_error(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     assert run_cli("simulate", "--out", out) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_out_dir_with_a_nul_byte_is_a_usage_error(tmp_path, monkeypatch, caplog,
+                                                  command):
+    # mkdir used to escape as ValueError: embedded null byte
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "nul.cfg"
+    cfgfile.write_text(FAST + "out_dir=a\0b\n")
+    assert run_cli(command, "--config", str(cfgfile)) == 2
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert err.startswith("cannot use a\0b as output directory: ")
+    assert list(tmp_path.iterdir()) == [cfgfile]
 
 
 # each config line, and the one ERROR line it gives

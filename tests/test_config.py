@@ -140,6 +140,25 @@ def test_json_rejects_bad_input():
         parse_config('{"sweep": {"kappa": [5]}, "sweep.kappa": [20]}')
 
 
+def test_json_nested_too_deeply_is_a_config_error():
+    # the decoder used to escape as a RecursionError traceback
+    depth = 200_000
+    with pytest.raises(ConfigError, match="nested too deeply"):
+        parse_config('{"beta": ' + "[" * depth + "]" * depth + "}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"beta": 1' + "0" * 5000 + "}", "beta must be finite, got inf"),
+    ('{"beta": 1' + "0" * 400 + "}", "beta must be finite, got inf"),
+    ('{"sweep": {"kappa": [1' + "0" * 400 + "]}}", "kappa must be finite, got inf"),
+], ids=["5000-digits", "401-digits", "sweep-axis"])
+def test_json_integer_beyond_float_range_is_inf(text, message):
+    # int() used to escape as ValueError past 4300 digits, float() as
+    # OverflowError past the float range
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
 # ---------------------------------------------------------------------------
 # serialization and overrides
 # ---------------------------------------------------------------------------

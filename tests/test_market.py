@@ -204,7 +204,7 @@ def test_holdings_pass_raises_at_the_floor(params, curve, mirror):
     epi = epidemic_pass(params, g)
     floor = -curve.kappa * curve.p0
     for k in (0, 4):
-        got = _floor_error(holdings_pass, params, curve, epi, k, floor, mirror)
+        got = _floor_error(holdings_pass, curve, epi, k, floor, mirror)
         assert got == _floor_error(_coupled_holdings, params, curve, epi, k, floor, mirror)
         assert got[0] == epi.times[k]
     assert epi.times[0] == g.t_start
@@ -216,7 +216,7 @@ def test_holdings_pass_from_a_later_node_raises_steps_on(params, curve):
     # built from that step's own start node's S, I and R
     g = Grid(0.0, 20.0, 0.1)
     epi = epidemic_pass(params, g)
-    got = _floor_error(holdings_pass, params, curve, epi, 100, -4.0, True)
+    got = _floor_error(holdings_pass, curve, epi, 100, -4.0, True)
     assert got == _floor_error(_coupled_holdings, params, curve, epi, 100, -4.0, True)
     assert epi.times[104] < got[0] < epi.times[105]
 

@@ -231,10 +231,10 @@ def _run(fn, *args):
         return type(exc), getattr(exc, "time", None), str(exc)
 
 
-def _head_at(params, curve, t1, grid, epi):
+def _head_at(curve, t1, grid, epi):
     """simulate_re_given_t1's path up to its closing node."""
-    zs, hs = rational._accumulate(params, curve, epi, rational._node_below(grid, t1))
-    return rational._replay(params, curve, t1, epi, zs, hs, unwind=False)[0]
+    zs, hs = rational._accumulate(curve, epi, rational._node_below(grid, t1))
+    return rational._replay(curve, t1, epi, zs, hs, unwind=False)[0]
 
 
 @settings(DETERMINISTIC, max_examples=25)
@@ -265,7 +265,7 @@ def test_the_rational_head_gives_what_the_full_path_gives(unchecked_pass, log_be
     except GridTooCoarseError:
         epi = unchecked_pass(params, grid)
     t1 = grid.t_start + frac * (grid.t_end - grid.t_start)
-    head = _run(_head_at, params, curve, t1, grid, epi)
+    head = _run(_head_at, curve, t1, grid, epi)
     full = _run(lambda: simulate_re_given_t1(curve, t1, epi)[0])
     if isinstance(full, tuple):
         assert head == full

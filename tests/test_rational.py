@@ -1,6 +1,7 @@
 """Three-phase price path with a sell-start time solved by shooting."""
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -17,10 +18,10 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket import rational
+from epimarket import analysis, rational
 from epimarket.errors import (BoundaryExtremumError, DomainError, GridTooCoarseError,
                               NoPlateauError, SimulationError)
-from epimarket.market import clearing_price
+from epimarket.market import clearing_price, holdings_pass
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +271,11 @@ def _full_grid_solve(params, curve, grid, tol, epi):
     """The solve with phase 1 accumulated over all n steps and stage one
     bracketed on [1, n-1]: (t1, t2, P*, residual_flow, residual_absorption)."""
     n = grid.n_steps
-    zs, hs = rational._accumulate(params, curve, epi, n)
+    zs, hs = rational._accumulate(curve, epi, n)
     assert len(zs) == n + 1
 
     def diag(k):
-        return rational._node_diagnosis(params, curve, epi, zs, hs, k)
+        return rational._node_diagnosis(curve, epi, zs, hs, k)
 
     lo_k, hi_k = 1, n - 1
     kind_lo, kind_hi = diag(lo_k), diag(hi_k)
@@ -302,7 +303,7 @@ def _full_grid_solve(params, curve, grid, tol, epi):
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        c = rational._closure_at(params, curve, epi, zs, hs, t_mid)
+        c = rational._closure_at(curve, epi, zs, hs, t_mid)
         if not c.found:
             raise GridTooCoarseError(
                 "flow never reversed before the horizon end; retry with dt/2"
@@ -389,9 +390,9 @@ def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
             expected = peak
         assert _outcome(_solved, curve, epi, tol) == expected, (kappa, tol)
         # the solve's scan is the full scan's prefix up to k_f
-        zs, hs = rational._accumulate(params, curve, epi, grid.n_steps,
+        zs, hs = rational._accumulate(curve, epi, grid.n_steps,
                                       stop_at_reversal=True)
-        full_z, full_h = rational._accumulate(params, curve, epi, grid.n_steps)
+        full_z, full_h = rational._accumulate(curve, epi, grid.n_steps)
         k_f = _first_reversed_node(params, curve, epi, full_z, full_h)
         assert len(zs) - 1 == (grid.n_steps if k_f is None else k_f), (kappa, tol)
         assert zs == full_z[:len(zs)] and hs == full_h[:len(hs)]
@@ -405,12 +406,12 @@ def test_stage_one_reads_the_written_path(beta, gamma, kappa):
     params, curve = EpidemicParams(beta=beta, gamma=gamma), SupplyCurve(kappa=kappa)
     grid = Grid(0.0, 300.0, 0.1)
     epi = epidemic_pass(params, grid)
-    zs, hs = rational._accumulate(params, curve, epi, grid.n_steps, stop_at_reversal=True)
+    zs, hs = rational._accumulate(curve, epi, grid.n_steps, stop_at_reversal=True)
     k_f = len(zs) - 1
     kinds = set()
     for k in range(1, k_f + 1):
-        _traj, diag = rational._replay(params, curve, grid.node(k), epi, zs, hs)
-        assert rational._node_diagnosis(params, curve, epi, zs, hs, k) == diag.kind, k
+        _traj, diag = rational._replay(curve, grid.node(k), epi, zs, hs)
+        assert rational._node_diagnosis(curve, epi, zs, hs, k) == diag.kind, k
         kinds.add(diag.kind)
     assert kinds == {"absorbed", "flow-reversed"}
 
@@ -427,3 +428,12 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
         assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
     assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
     assert (traj.t1, traj.t2, traj.p_star) == (own.t1, sol.t2, own.p_star)
+
+
+def test_every_pass_reads_its_params_and_grid_from_its_sir_pass():
+    # only the fields and _flow, which belong to no pass, take params
+    for fn in (holdings_pass, rational._accumulate, rational._plateau, rational._scan,
+               rational._unwind_cannot_raise, rational._replay,
+               rational._node_diagnosis, rational._closure_at, analysis._point_result):
+        names = inspect.signature(fn).parameters
+        assert "epi" in names and not {"params", "grid"} & set(names), fn.__name__

@@ -61,10 +61,10 @@ def test_an_exception_in_a_child_reaches_the_caller(forks, monkeypatch):
     parent = os.getpid()
     point_result = analysis._point_result
 
-    def failing(params, curve, grid, index, *args):
+    def failing(curve, epi, index, *args):
         if index == 1:  # the second share's point, run by the child
             raise RuntimeError(f"bug in process {os.getpid()}")
-        return point_result(params, curve, grid, index, *args)
+        return point_result(curve, epi, index, *args)
 
     monkeypatch.setattr(analysis, "_point_result", failing)
     with pytest.raises(RuntimeError, match="bug in process") as info:
@@ -76,10 +76,10 @@ def test_a_child_that_sends_nothing_names_its_exit_status(forks, monkeypatch):
     forks(2)
     point_result = analysis._point_result
 
-    def dying(params, curve, grid, index, *args):
+    def dying(curve, epi, index, *args):
         if index == 1:
             os._exit(7)
-        return point_result(params, curve, grid, index, *args)
+        return point_result(curve, epi, index, *args)
 
     monkeypatch.setattr(analysis, "_point_result", dying)
     with pytest.raises(RuntimeError, match=r"without sending its result \(exit status 7\)"):
@@ -90,11 +90,11 @@ def test_an_error_in_this_process_kills_and_reaps_the_children(forks, monkeypatc
     forks(3)
     point_result = analysis._point_result
 
-    def slow_children(params, curve, grid, index, *args):
+    def slow_children(curve, epi, index, *args):
         if index == 0:  # the first share stays in this process
             raise RuntimeError("parent share failed")
         time.sleep(60)  # unless killed
-        return point_result(params, curve, grid, index, *args)
+        return point_result(curve, epi, index, *args)
 
     monkeypatch.setattr(analysis, "_point_result", slow_children)
     started = time.monotonic()
