@@ -77,7 +77,7 @@ def _load_config(args) -> ScenarioConfig:
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {str(path)!r}: {exc}") from exc
     cfg = parse_config(text)
     return with_overrides(
         cfg,

@@ -10,11 +10,11 @@ The market never feeds back into the contagion, so S, I and R are
 integrated once per (params, grid). That pass keeps a drive table: for
 every RK4 step, the drive beta*I*S at each of the four stages. Every
 market pass on the same grid (market, rational) replays those drives as
-a scalar RK4 pass of its own holdings (`EpidemicTrajectory.steps`), and
-its S, I and R are this pass's arrays. A rational path leaves the nodes
-only around its sell-start time t1: the steps to t1 and on to the next
-node go through its coupled fields, and from that node on it reads the
-grid's S, I and R again.
+a scalar RK4 pass of its own holdings, and its S, I and R are this
+pass's arrays. A rational path leaves the nodes only around its
+sell-start time t1: the steps to t1 and on to the next node go through
+its coupled fields, and from that node on it reads the grid's S, I and
+R again.
 
 The pass is rk4_step's arithmetic on the SIR field, written out on plain
 floats, so every value matches a fixed-step RK4 run bit for bit. Its
@@ -156,7 +156,9 @@ class EpidemicTrajectory:
 
         Yields (j, d1, d2, d3, d4, total) for each step j: the drives
         beta*I*S at its four stages, and (S+I)+R at the node it ends at.
-        A pass replays step j through `replay`.
+        The rational passes check each step in their loops and replay
+        step j through `replay`; `market.holdings_pass` reads the drive
+        table itself, and checks after its loop, if at all.
         """
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
         return zip(count(k), drives, drives, drives, drives,
@@ -202,9 +204,10 @@ def coupled_field(params: EpidemicParams, rate=None):
     return field
 
 
-# steps per block of the numpy rebuild after the SIR loop: bounds its
-# temporaries, so a pass's peak memory stays that of its arrays
-_BLOCK = 4096
+# steps per block of the numpy rebuilds after the SIR loop and after a
+# holdings pass (market): bounds their temporaries, so a pass's peak
+# memory stays that of its arrays
+BLOCK = 4096
 
 
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
@@ -259,8 +262,8 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     # the loop's stage arithmetic again, on the stored S and I; a blow-up
     # stays silent, as it is on plain floats
     with np.errstate(all="ignore"):
-        for a in range(0, n, _BLOCK):
-            b = min(a + _BLOCK, n)
+        for a in range(0, n, BLOCK):
+            b = min(a + BLOCK, n)
             s, i = s_nodes[a:b], i_nodes[a:b]
             d1 = beta * i * s
             c1 = gamma * i

@@ -10,17 +10,20 @@ independent oracle for the state variable.
 
 Both scenarios, and holdings_pass under them, take the SIR pass they
 run on (`epidemic_pass`) and read their params and grid there. They run
-x alone, as a scalar RK4 pass over its stage drives:
-`EpidemicTrajectory.steps` streams each step's four drives and (S+I)+R
-at its end node, and S, I and R are that pass's arrays (a grid beyond
-RK4's stability interval is refused there). The coupled (S, I, R, x)
-field of each scenario, sir_derivatives with the x rate appended
-(`holdings_field`), remains its definition: a step that reaches the
-price floor at a stage, or ends non-finite, is replayed through rk4_step
-on it from the grid's state at its start node
-(`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
-time and message. The rational unwind after the plateau is the euphoric
-pass restarted from the closing node (see rational).
+x alone, as a scalar RK4 pass over the pass's drive table, four stage
+drives per step, and S, I and R are that pass's arrays (a grid beyond
+RK4's stability interval is refused there). The loop checks nothing.
+A boom that `holdings_cannot_raise` proves safe before the loop (the
+myopic leg and the rational unwind on a usual pass) is not checked at
+all; any other pass, every slump among them, is checked in numpy after
+the loop. The coupled (S, I, R, x) field of each scenario,
+sir_derivatives with the x rate appended (`holdings_field`), remains its
+definition: a step that reached the price floor at a stage, or ended
+non-finite, is replayed through rk4_step on it from the grid's state at
+its start node (`EpidemicTrajectory.replay`), so errors carry the
+coupled step's stage time and message. The rational unwind after the
+plateau is the euphoric pass restarted from the closing node (see
+rational).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
+from .epidemic import BLOCK, EpidemicParams, EpidemicTrajectory, coupled_field
 from .errors import ConfigError, DomainError, PriceFloorError
 from .numerics import Grid
 
@@ -142,52 +145,134 @@ def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = Fa
     return coupled_field(params, rate)
 
 
+def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
+                          x: float) -> bool:
+    """True if the boom's holdings_pass (mirror=False) from holdings x at
+    node k, over the grid's drives from there, can neither reach the price
+    floor nor go non-finite.
+
+    Write a = gamma*dt, D = d*w/P for a stage's drive d and price P, and
+    top = max(d)*w/p0 over the steps. RK4 on dx = D - gamma*x is affine
+    in x and the four D's:
+        x2 = (1 - a/2)*x + dt/2*D1
+        x3 = (1 - a/2 + a^2/4)*x - a*dt/4*D1 + dt/2*D2
+        x4 = (1 - a + a^2/2 - a^3/4)*x + a^2*dt/4*D1 - a*dt/2*D2 + dt*D3
+        next node = R(a)*x + dt/6*(c1*D1 + c2*D2 + c3*D3 + D4),
+    with R(a) = 1 - a + a^2/2 - a^3/6 + a^4/24 and, for a <= 1, every
+    coefficient of x and c1..c3 in (0, 2]. So from x >= 0 with every
+    d >= 0: x2 >= 0, so P1, P2 >= p0 and D1, D2 <= top; then
+    x3 >= -a*dt*top/4 and x4 >= -a*dt*top/2, both above -kappa*p0/2 once
+    a*dt*top <= kappa*p0, so every stage clears at P >= p0/2 > 0 and every
+    D is in [0, 2*top]; then the next node is >= 0 again, and at most
+    1.5*dt*top above x. Every stage thus stays in [-kappa*p0/2,
+    x + 3*top*span] over the span left, half the floor's distance inside
+    it, which rounding does not close, and every rate D - gamma*x is
+    finite when (1 + gamma) times that bound is. S, I and R stay finite
+    too: a non-finite S or I at a node before the last makes that node's
+    first drive non-finite, and none of the three turns finite again, so
+    finite drives and a finite last node cover every node. (Overflow of
+    sums of finite S, I and R past 1e308 is left out.)
+    """
+    d = epi.drives[k:]
+    dt, gamma = epi.grid.dt, epi.params.gamma
+    top = float(np.max(d, initial=0.0)) * epi.params.endowment / curve.p0
+    bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
+    return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
+                and gamma * dt * dt * top <= curve.kappa * curve.p0
+                and math.isfinite((1.0 + gamma) * bound
+                                  + epi.s[-1] + epi.i[-1] + epi.r[-1]))
+
+
 def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
                   mirror: bool = False) -> array:
     """x at node k and at each node after, from holdings x at node k.
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
-    stage drives of epi's steps from node k (`EpidemicTrajectory.steps`);
-    mirror=True divides minus the drive by the reflected price 2*p0 - P
-    instead. A stage state at or below the floor -kappa*p0, or a
-    non-finite step, is replayed (`EpidemicTrajectory.replay`) on
-    holdings_field, the coupled field of the same equation, which raises
-    what the coupled step raises; if it raises nothing, the step stands.
+    stage drives of epi's steps from node k, one loop with no check in
+    it; mirror=True divides minus the drive by the reflected price
+    2*p0 - P instead. Where holdings_cannot_raise proves the boom safe
+    before the loop, nothing is checked. Otherwise _replay_failed_steps
+    checks the steps after the loop, and replays each that reached the
+    price floor or ended non-finite on holdings_field, the coupled field
+    of the same equation, which raises what the coupled step raises. A
+    stage that divides by a price (or reflected price) of exactly zero
+    ends the loop; its step is replayed too, and if no replay raises, the
+    ZeroDivisionError does.
+    """
+    w, gamma = epi.params.endowment, epi.params.gamma
+    p0, kappa = curve.p0, curve.kappa
+    dt = epi.grid.dt
+    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
+    proven = not mirror and holdings_cannot_raise(curve, epi, k, x)
+    out = array("d", [x])
+    add = out.append
+    d = iter(memoryview(epi.drives.reshape(-1))[4 * k:])
+    try:
+        for d1, d2, d3, d4 in zip(d, d, d, d):
+            p = p0 + x / kappa
+            k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
+            x2 = x + half * k1
+            p = p0 + x2 / kappa
+            k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
+            x3 = x + half * k2
+            p = p0 + x3 / kappa
+            k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
+            x4 = x + dt * k3
+            p = p0 + x4 / kappa
+            k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
+            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            add(x)
+    except ZeroDivisionError:
+        _replay_failed_steps(curve, epi, k, out, mirror, cut=True)
+        raise
+    if not proven:
+        _replay_failed_steps(curve, epi, k, out, mirror, cut=False)
+    return out
+
+
+def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
+                         xs: array, mirror: bool, cut: bool) -> None:
+    """Replay, in order, each step of holdings_pass from node k that
+    reached the price floor or ended non-finite.
+
+    xs holds x at node k and at every node the pass reached. numpy
+    rebuilds each step's stage states x, x2, x3 and x4 from the drives
+    with the loop's operations in its order, so they are the loop's to
+    the bit, in blocks of BLOCK steps. A step is flagged if a stage is at
+    or below the floor -kappa*p0, or if (S+I)+R + x at its end node is
+    non-finite; with cut, the step from the last node in xs, which the
+    loop did not finish, is flagged too. Each flagged step is replayed on
+    holdings_field (`EpidemicTrajectory.replay`), which raises what the
+    coupled step raises; one that raises nothing stands.
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
     field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
     dt = epi.grid.dt
-    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
-    out = array("d", [x])
-    add = out.append
-    for j, d1, d2, d3, d4, total in epi.steps(k):
-        if x <= floor:
-            epi.replay(field, j, (x,))
+    half, two_p0 = 0.5 * dt, 2.0 * p0
+    nodes = np.frombuffer(xs)
+    done = len(xs) - 1
+
+    def rate(d, x):
         p = p0 + x / kappa
-        k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
-        x2 = x + half * k1
-        if x2 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x2 / kappa
-        k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
-        x3 = x + half * k2
-        if x3 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x3 / kappa
-        k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
-        x4 = x + dt * k3
-        if x4 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x4 / kappa
-        k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
-        x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        chk = total + x1
-        if chk - chk != 0.0:
-            epi.replay(field, j, (x,))
-        x = x1
-        add(x)
-    return out
+        return (-d * w / (two_p0 - p) if mirror else d * w / p) - gamma * x
+
+    for a in range(0, done, BLOCK):
+        b = min(a + BLOCK, done)
+        x, d = nodes[a:b], epi.drives[k + a:k + b]
+        e = slice(k + a + 1, k + b + 1)
+        # a blow-up stays silent, as it is on plain floats
+        with np.errstate(all="ignore"):
+            x2 = x + half * rate(d[:, 0], x)
+            x3 = x + half * rate(d[:, 1], x2)
+            x4 = x + dt * rate(d[:, 2], x3)
+            total = (epi.s[e] + epi.i[e]) + epi.r[e] + nodes[a + 1:b + 1]
+        bad = ((x <= floor) | (x2 <= floor) | (x3 <= floor) | (x4 <= floor)
+               | ~np.isfinite(total))
+        for j in (a + np.flatnonzero(bad)).tolist():
+            epi.replay(field, k + j, (xs[j],))
+    if cut:
+        epi.replay(field, k + done, (xs[done],))
 
 
 def _scenario(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool) -> MarketTrajectory:

@@ -71,7 +71,7 @@ def prepare_out_dir(path) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
-        raise ConfigError(f"cannot use {out} as output directory: {exc}") from exc
+        raise ConfigError(f"cannot use {str(out)!r} as output directory: {exc}") from exc
     return out
 
 
@@ -113,7 +113,7 @@ def _write_tables(tables: list[tuple]) -> None:
             try:
                 fh = stack.enter_context(open(path, "wb"))
             except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc}") from exc
+                raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
             fh.write(f"{header}\n".encode())
             files.append(fh)
         parts = [[stack.enter_context(tempfile.TemporaryFile(dir=path.parent))

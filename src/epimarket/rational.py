@@ -14,13 +14,14 @@ from single partial RK4 steps, so the whole solve stays deterministic.
 Every function that runs a pass takes the SIR pass it runs on
 (`epidemic_pass`) and reads its params and grid there; only the fields
 and `_flow`, which belong to no pass, take params. Every pass runs over
-that pass's drive table (see epidemic), streamed by
-`EpidemicTrajectory.steps` as each step's four drives and (S+I)+R at
-its end node; S, I and R are never carried, and a replay reads the grid's state at the step's start node
-(`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
-t=0; the solve's stops at k_f, the first node flow-reversed before any
-scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
-arrays.
+that pass's drive table (see epidemic); phase 1 and the plateau stream
+it through `EpidemicTrajectory.steps` as each step's four drives and
+(S+I)+R at its end node, and check each step inside their loops. S, I
+and R are never carried, and a replay reads the grid's state at the
+step's start node (`EpidemicTrajectory.replay`). The accumulation phase
+(z, h) runs from t=0; the solve's stops at k_f, the first node
+flow-reversed before any scan (h > 0, net flow at its own P* <= 0), and
+its replay reuses those arrays.
 
 From a trial t1 in [node(k1), node(k1+1)) the plateau is one scan: an
 rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
@@ -31,13 +32,15 @@ diagnosis stops the scan at its first event, stage two's closure runs it
 to the flow reversal, and the unwind starts at the closing node: h is
 gone, the price clears on z alone, and `market.holdings_pass` runs the
 myopic market on from there (from node k1+1, after one step on
-`market.holdings_field`, if the plateau collapses at t1 itself).
+`market.holdings_field`, if the plateau collapses at t1 itself), with
+its checks after its loop only where `market.holdings_cannot_raise`
+cannot rule them out.
 
 A sweep judges a point on `re_price_head`, the solved path up to its
 closing node: the event timeline and the plateau claims read nothing
 after it. Its unwind runs only for the legs that are written
-(`re_price_path`), or where a test on the drives after the closing node
-cannot rule out that the unwind raises, so a head fails as its full path.
+(`re_price_path`), or where `market.holdings_cannot_raise` cannot rule
+out that the unwind raises, so a head fails as its full path.
 
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
@@ -47,7 +50,6 @@ here: its SIR pass refuses it before any step (see epidemic).
 """
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -58,8 +60,8 @@ from .epidemic import (EpidemicParams, EpidemicTrajectory, coupled_field,
                        infection_peak)
 from .errors import (DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError,
                      SimulationError)
-from .market import (MarketTrajectory, SupplyCurve, clearing_price, holdings_field,
-                     holdings_pass)
+from .market import (MarketTrajectory, SupplyCurve, clearing_price,
+                     holdings_cannot_raise, holdings_field, holdings_pass)
 from .numerics import Grid, rk4_step
 
 
@@ -307,47 +309,11 @@ def simulate_re_given_t1(
     return _replay(curve, t1, epi, zs, hs)
 
 
-def _unwind_cannot_raise(curve, epi, k: int, x: float) -> bool:
-    """True if holdings_pass from holdings x at node k, over the grid's
-    drives from there, can neither reach the price floor nor go non-finite.
-
-    Write a = gamma*dt, D = d*w/P for a stage's drive d and price P, and
-    top = max(d)*w/p0 over the steps. RK4 on dx = D - gamma*x is affine
-    in x and the four D's:
-        x2 = (1 - a/2)*x + dt/2*D1
-        x3 = (1 - a/2 + a^2/4)*x - a*dt/4*D1 + dt/2*D2
-        x4 = (1 - a + a^2/2 - a^3/4)*x + a^2*dt/4*D1 - a*dt/2*D2 + dt*D3
-        next node = R(a)*x + dt/6*(c1*D1 + c2*D2 + c3*D3 + D4),
-    with R(a) = 1 - a + a^2/2 - a^3/6 + a^4/24 and, for a <= 1, every
-    coefficient of x and c1..c3 in (0, 2]. So from x >= 0 with every
-    d >= 0: x2 >= 0, so P1, P2 >= p0 and D1, D2 <= top; then
-    x3 >= -a*dt*top/4 and x4 >= -a*dt*top/2, both above -kappa*p0/2 once
-    a*dt*top <= kappa*p0, so every stage clears at P >= p0/2 > 0 and every
-    D is in [0, 2*top]; then the next node is >= 0 again, and at most
-    1.5*dt*top above x. Every stage thus stays in [-kappa*p0/2,
-    x + 3*top*span] over the span left, half the floor's distance inside
-    it, which rounding does not close, and every rate D - gamma*x is
-    finite when (1 + gamma) times that bound is. S, I and R stay finite
-    too: a non-finite S or I at a node before the last makes that node's
-    first drive non-finite, and none of the three turns finite again, so
-    finite drives and a finite last node cover every node. (Overflow of
-    sums of finite S, I and R past 1e308 is left out.)
-    """
-    d = epi.drives[k:]
-    dt, gamma = epi.grid.dt, epi.params.gamma
-    top = float(np.max(d, initial=0.0)) * epi.params.endowment / curve.p0
-    bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
-    return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
-                and gamma * dt * dt * top <= curve.kappa * curve.p0
-                and math.isfinite((1.0 + gamma) * bound
-                                  + epi.s[-1] + epi.i[-1] + epi.r[-1]))
-
-
 def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond.
 
     With unwind=False the path ends at the closing node post_start, unless
-    the unwind after it could raise (see _unwind_cannot_raise): then it
+    the unwind after it could raise (see market.holdings_cannot_raise): then it
     runs, so the head fails exactly where the full path does.
     """
     params, grid = epi.params, epi.grid
@@ -372,7 +338,7 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
                  if k1 < grid.n_steps else None)
         diag = PlateauDiagnosis(_closing_kind(h), t2, h, flow)
         if x is not None:
-            head = not unwind and _unwind_cannot_raise(curve, epi, post_start, x)
+            head = not unwind and holdings_cannot_raise(curve, epi, post_start, x)
             z_post = (array("d", [x]) if head
                       else holdings_pass(curve, epi, post_start, x))
         break

@@ -199,7 +199,7 @@ def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, caplog):
     out = tmp_path / "o"
     assert run_cli("simulate", "--config", str(bad), "--out", str(out)) == 2
     [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert err.startswith(f"cannot read config file {bad}: ")
+    assert err.startswith(f"cannot read config file {str(bad)!r}: ")
     assert not out.exists()
 
 
@@ -235,8 +235,22 @@ def test_out_dir_with_a_nul_byte_is_a_usage_error(tmp_path, monkeypatch, caplog,
     cfgfile.write_text(FAST + "out_dir=a\0b\n")
     assert run_cli(command, "--config", str(cfgfile)) == 2
     [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert err.startswith("cannot use a\0b as output directory: ")
+    assert err.startswith("cannot use 'a\\x00b' as output directory: ")
+    assert err.isprintable()
     assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+def test_a_path_in_an_error_line_is_quoted(tmp_path, monkeypatch, caplog):
+    # an ANSI escape in out_dir reaches the ERROR line as repr quotes it,
+    # never raw; here the table writer cannot open myopic.csv
+    monkeypatch.chdir(tmp_path)
+    out = "red\x1b[31m"
+    (tmp_path / out / "myopic.csv").mkdir(parents=True)
+    cfgfile = tmp_path / "fast.cfg"
+    cfgfile.write_text(FAST)
+    assert run_cli("simulate", "--config", str(cfgfile), "--out", out) == 2
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert err.startswith("cannot write 'red\\x1b[31m/myopic.csv': ")
 
 
 # each config line, and the one ERROR line it gives

@@ -1,0 +1,191 @@
+"""holdings_pass against the per-stage-checked loop it replaces.
+
+`checked_holdings_pass` below is the holdings pass with every check
+inside its RK4 loop: each stage state is tested against the price floor
+and each step's end node for finiteness, and a failing step is replayed
+on the coupled field at once. The package's pass runs the same loop with
+no check in it, and checks after it, only where `holdings_cannot_raise`
+cannot prove the pass safe. The two must give the same bytes, or raise
+the same exception with the same stage time and message.
+"""
+from __future__ import annotations
+
+import math
+import warnings
+from array import array
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from epimarket import (
+    EpidemicParams,
+    Grid,
+    SupplyCurve,
+    epidemic_pass,
+    parameter_sweep,
+    re_price_path,
+    simulate_myopic,
+)
+from epimarket import market
+from epimarket.errors import GridTooCoarseError, PriceFloorError, SimulationError
+from epimarket.market import holdings_cannot_raise, holdings_field, holdings_pass
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+
+def checked_holdings_pass(curve, epi, k, x, mirror=False):
+    """holdings_pass with the floor and finiteness checks inside its loop:
+    a stage state at or below -kappa*p0, or a step whose (S+I)+R + x at
+    its end node is non-finite, is replayed on holdings_field at once."""
+    w, gamma = epi.params.endowment, epi.params.gamma
+    p0, kappa = curve.p0, curve.kappa
+    field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
+    dt = epi.grid.dt
+    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
+    out = array("d", [x])
+    for j, d1, d2, d3, d4, total in epi.steps(k):
+        if x <= floor:
+            epi.replay(field, j, (x,))
+        p = p0 + x / kappa
+        k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
+        x2 = x + half * k1
+        if x2 <= floor:
+            epi.replay(field, j, (x,))
+        p = p0 + x2 / kappa
+        k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
+        x3 = x + half * k2
+        if x3 <= floor:
+            epi.replay(field, j, (x,))
+        p = p0 + x3 / kappa
+        k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
+        x4 = x + dt * k3
+        if x4 <= floor:
+            epi.replay(field, j, (x,))
+        p = p0 + x4 / kappa
+        k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
+        x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        chk = total + x1
+        if chk - chk != 0.0:
+            epi.replay(field, j, (x,))
+        x = x1
+        out.append(x)
+    return out
+
+
+def _outcome(fn, *args):
+    """The bytes fn returns, or (type, time, message) of what it raised;
+    a division by zero at a stage above the floor raises ZeroDivisionError
+    on both sides."""
+    try:
+        return fn(*args).tobytes()
+    except (SimulationError, ZeroDivisionError) as exc:
+        return type(exc), getattr(exc, "time", None), str(exc)
+
+
+# start holdings as a multiple of kappa*p0: on the floor (-1), a float
+# either side of it, inside the band, and at or above the slump's pole (1)
+_STARTS = st.one_of(
+    st.sampled_from((-1.0, "below", "above", 0.0, 1.0)),
+    st.floats(min_value=-1.5, max_value=1.5),
+)
+
+
+def _start(draw, curve):
+    floor = -curve.kappa * curve.p0
+    if draw == "below":
+        return math.nextafter(floor, -math.inf)
+    if draw == "above":
+        return math.nextafter(floor, math.inf)
+    return -draw * floor
+
+
+@settings(DETERMINISTIC, max_examples=300)
+# the slump floors at a mid-step stage, t=0.05
+@example(mirror=True, log_n=3.0, rate=0.5, gamma=0.1, dt=0.1, steps=200, log_kappa=-1.0,
+         p0=1.0, log_w=0.0, at=0.0, start=0.0)
+# beta=0: every drive is 0, the boom from the floor fails at its first stage
+@example(mirror=False, log_n=3.0, rate=0.0, gamma=0.1, dt=0.1, steps=50, log_kappa=1.0,
+         p0=1.0, log_w=0.0, at=0.0, start=-1.0)
+# a population of 1e300 on a stable grid: drives near 1e300 carry a
+# mid-step stage of the boom to the floor, which the bound does not rule out
+@example(mirror=False, log_n=300.0, rate=1.0, gamma=0.1, dt=0.1, steps=200,
+         log_kappa=1.0, p0=1.0, log_w=0.0, at=0.0, start=0.0)
+@given(
+    mirror=st.booleans(),
+    log_n=st.one_of(st.sampled_from((3.0, 300.0)), st.floats(0.0, 300.0)),
+    # beta*N*dt; 0 is beta=0, above 2.785 the grid needs the unchecked pass
+    rate=st.one_of(st.just(0.0), st.floats(1e-3, 8.0)),
+    gamma=st.floats(min_value=1e-2, max_value=2.0),
+    dt=st.sampled_from((1e-2, 0.1, 0.25)),
+    steps=st.integers(min_value=1, max_value=200),
+    # down to kappa=0.1, where any slump reaches the floor
+    log_kappa=st.floats(min_value=-1.0, max_value=3.0),
+    p0=st.floats(min_value=0.1, max_value=10.0),
+    log_w=st.floats(min_value=-3.0, max_value=3.0),
+    at=st.floats(min_value=0.0, max_value=1.0),
+    start=_STARTS,
+)
+def test_holdings_pass_matches_the_checked_loop(unchecked_pass, mirror, log_n, rate,
+                                                gamma, dt, steps, log_kappa, p0, log_w,
+                                                at, start):
+    n = 10.0 ** log_n
+    params = EpidemicParams(beta=rate / (n * dt), gamma=gamma, n1=n, n2=1e-3 * n,
+                            endowment=10.0 ** log_w)
+    curve = SupplyCurve(p0=p0, kappa=10.0 ** log_kappa)
+    grid = Grid(0.0, steps * dt, dt)
+    try:
+        epi = epidemic_pass(params, grid)
+    except GridTooCoarseError:
+        epi = unchecked_pass(params, grid)
+    k = round(at * steps)
+    x = _start(start, curve)
+    want = _outcome(checked_holdings_pass, curve, epi, k, x, mirror)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(holdings_pass, curve, epi, k, x, mirror) == want
+
+
+def test_a_stage_price_of_exactly_zero_replays_as_a_floor_error(params):
+    # p0 + floor/kappa is exactly 0 here, so the check-free loop divides
+    # by zero at the first stage; the replay reports the floor
+    curve = SupplyCurve(p0=1.0, kappa=10.0)
+    floor = -curve.kappa * curve.p0
+    assert curve.p0 + floor / curve.kappa == 0.0
+    epi = epidemic_pass(params, Grid(0.0, 1.0, 0.1))
+    for mirror in (False, True):
+        want = _outcome(checked_holdings_pass, curve, epi, 3, floor, mirror)
+        assert want[0] is PriceFloorError
+        assert _outcome(holdings_pass, curve, epi, 3, floor, mirror) == want
+
+
+def test_negative_drives_are_not_proven(params, curve):
+    # from x >= 0 the bound needs every drive >= 0: on negated drives the
+    # boom slumps to the floor, which the check after the loop must see
+    epi = epidemic_pass(params, Grid(0.0, 20.0, 0.1))
+    neg = replace(epi, drives=-epi.drives)
+    assert not holdings_cannot_raise(curve, neg, 0, 0.0)
+    want = _outcome(checked_holdings_pass, curve, neg, 0, 0.0)
+    assert want[0] is PriceFloorError
+    assert _outcome(holdings_pass, curve, neg, 0, 0.0) == want
+
+
+def test_proven_passes_run_no_check(params, curve, grid, epidemic_run, forks):
+    # the myopic leg, the rational unwind and every sweep point of the
+    # benchmark regime (beta 2.5e-4..1e-3, gamma 0.1, kappa 5..20) are
+    # proven up front; a depression pass is checked after its loop
+    forks(1)
+    assert holdings_cannot_raise(curve, epidemic_run, 0, 0.0)
+    with mock.patch.object(market, "_replay_failed_steps",
+                           wraps=market._replay_failed_steps) as check:
+        simulate_myopic(curve, epidemic_run)
+        re_price_path(curve, epidemic_run)
+        axes = {"beta": [2.5e-4, 5e-4, 1e-3], "kappa": [5.0, 20.0]}
+        rows = parameter_sweep(params, curve, grid, axes=axes)
+        assert all(row.error is None for row in rows)
+        assert check.call_count == 0
+        with pytest.raises(PriceFloorError):
+            holdings_pass(curve, epidemic_run, 0, 0.0, mirror=True)
+        assert check.call_count == 1

@@ -1,12 +1,14 @@
 """Property tests: config round trips, pass sharing and the step bound,
 SIR conservation, the depression mirror, sweep determinism, the rational
-head against the full rational path, and CLI exit codes.
+head against the full rational path, any parameters running or raising
+from errors.py, and CLI exit codes.
 
 Every property runs derandomized and without an example database, so a
 run draws the same examples each time.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -18,6 +20,7 @@ from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
+    check_propositions,
     epidemic_pass,
     parameter_sweep,
     re_price_path,
@@ -275,6 +278,58 @@ def test_the_rational_head_gives_what_the_full_path_gives(unchecked_pass, log_be
     assert (head.t2, head.post_start) == (full.t2, full.post_start)
     for name in "zhxp":
         assert getattr(head, name).tobytes() == getattr(full, name)[:n].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# any parameters run, or raise an exception from errors.py
+# ---------------------------------------------------------------------------
+
+# each draw sets up to two values to the smallest subnormal or near the
+# float range, and the rest log-uniform around the defaults
+_EXTREMES = (0.0, 5e-324, 1e300, 1.7e308)
+
+
+def _log(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+_USUAL = {
+    "beta": _log(-4.0, -2.5), "gamma": _log(-1.5, -0.5), "n1": _log(2.5, 3.5),
+    "n2": _log(-1.0, 1.0), "n3": _log(-1.0, 2.0), "endowment": _log(-1.0, 1.0),
+    "p0": _log(-1.0, 1.0), "kappa": _log(0.0, 3.0), "dt": st.sampled_from((1e-2, 0.05, 0.1)),
+}
+
+
+@st.composite
+def _any_parameters(draw):
+    odd = draw(st.sets(st.sampled_from(sorted(_USUAL)), max_size=2))
+    values = {name: draw(st.sampled_from(_EXTREMES) if name in odd else usual)
+              for name, usual in _USUAL.items()}
+    values["t_end"] = min(draw(st.integers(1, 5000)) * values["dt"], 50.0)
+    return values
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(values=_any_parameters())
+def test_any_parameters_run_or_raise_from_errors(values):
+    # every leg, the propositions on them and a one-point sweep, with numpy
+    # warnings as errors: nothing may escape as another exception, such as
+    # a ZeroDivisionError from a holdings pass, or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = ScenarioConfig(**values)
+            params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
+            epi = epidemic_pass(params, grid)
+        except (ConfigError, SimulationError):
+            return
+        myopic = _run(simulate_myopic, curve, epi)
+        rational = _run(re_price_path, curve, epi)
+        _run(simulate_depression, curve, epi)
+        if not isinstance(myopic, tuple):
+            _run(check_propositions, myopic,
+                 None if isinstance(rational, tuple) else rational)
+        _run(parameter_sweep, params, curve, grid, {"beta": [params.beta]})
 
 
 # ---------------------------------------------------------------------------

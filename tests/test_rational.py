@@ -21,7 +21,7 @@ from epimarket import (
 from epimarket import analysis, rational
 from epimarket.errors import (BoundaryExtremumError, DomainError, GridTooCoarseError,
                               NoPlateauError, SimulationError)
-from epimarket.market import clearing_price, holdings_pass
+from epimarket.market import clearing_price, holdings_cannot_raise, holdings_pass
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
 def test_every_pass_reads_its_params_and_grid_from_its_sir_pass():
     # only the fields and _flow, which belong to no pass, take params
     for fn in (holdings_pass, rational._accumulate, rational._plateau, rational._scan,
-               rational._unwind_cannot_raise, rational._replay,
+               holdings_cannot_raise, rational._replay,
                rational._node_diagnosis, rational._closure_at, analysis._point_result):
         names = inspect.signature(fn).parameters
         assert "epi" in names and not {"params", "grid"} & set(names), fn.__name__

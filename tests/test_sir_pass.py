@@ -3,7 +3,7 @@
 The oracle is the SIR pass as one Python loop that also writes the drive
 table and steps R (the `unchecked_pass` fixture, conftest.py). The
 package's loop steps only S and I, and numpy rebuilds the drives and R
-after it, in blocks of epidemic._BLOCK steps. The two must agree byte for
+after it, in blocks of epidemic.BLOCK steps. The two must agree byte for
 byte, also across block edges, off t=0, at a fine step and through a
 blow-up, and the rebuild must raise no floating-point warning. A grid
 beyond RK4's stability interval is refused before any step.
@@ -18,7 +18,7 @@ import pytest
 from epimarket import EpidemicParams, Grid, epidemic, epidemic_pass
 from epimarket.errors import GridTooCoarseError
 
-B = epidemic._BLOCK
+B = epidemic.BLOCK
 
 
 def _bytes(epi):
