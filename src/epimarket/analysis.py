@@ -1,7 +1,8 @@
 """Event extraction and property verdicts on simulated trajectories.
 
 Everything here is read-only over trajectories: refine discrete extrema,
-assemble the event timeline (t1 < t_P* < t2 < t_I*), judge the headline
+assemble the event timeline (t1 < t_P* < t2 < t_I*) from the legs and the
+SIR pass each holds (`MarketTrajectory.epi`), judge the headline
 claims (long-run reversion, unimodal price, peak ordering, plateau
 constancy, pre-plateau dominance, lower rational peak), and sweep those
 verdicts over a parameter grid, rows in grid order. A sweep integrates
@@ -119,22 +120,23 @@ def build_timeline(
 ) -> EventTimeline:
     """Assemble refined event times and judge the ordering chain.
 
-    The infection peak is the one of myopic's own SIR columns. With only
+    The infection peak is the one of myopic's own SIR pass. With only
     the first trajectory the chain reduces to t_P* < t_I*. A
     depression-mode trajectory is timed on its trough instead of a peak.
     """
+    epi = myopic.epi
     if rational is not None:
-        if rational.params != myopic.params or rational.grid != myopic.grid:
+        if rational.epi.params != epi.params or rational.epi.grid != epi.grid:
             raise ConsistencyError(
                 "trajectories were produced under different params or grids"
             )
-    peak = infection_peak(myopic.params, myopic)
+    peak = infection_peak(epi.params, epi)
     if not peak.exists:
         return NO_BOOM
 
-    dt = myopic.grid.dt
+    dt = epi.grid.dt
     mode = "min" if myopic.scenario == "depression" else "max"
-    t_p, p_p = refine_peak(myopic.times, myopic.p, mode)
+    t_p, p_p = refine_peak(epi.times, myopic.p, mode)
     verdicts: dict[str, bool | None] = {}
     t1 = t2 = p_star_re = None
     if rational is not None:
@@ -214,7 +216,7 @@ def check_propositions(
     """
     timeline = build_timeline(myopic, rational)
     p0 = myopic.curve.p0
-    dt = myopic.grid.dt
+    dt = myopic.epi.grid.dt
     depression = myopic.scenario == "depression"
     mode = "min" if depression else "max"
     claims: dict[str, ClaimResult] = {}
@@ -261,8 +263,7 @@ def _rational_claims(
     timeline: EventTimeline,
 ) -> dict[str, ClaimResult]:
     claims: dict[str, ClaimResult] = {}
-    grid = rational.grid
-    dt = grid.dt
+    dt = rational.epi.grid.dt
     p_star = rational.p_star
     lo = rational.plateau_start
     hi = rational.post_start if rational.post_start is not None else len(rational.p)
@@ -290,12 +291,13 @@ def _rational_claims(
 
     # early-path dominance: rational price at or above myopic up to t1,
     # strictly so once a short startup transient (10 steps) has passed
+    # a sweep's rational path may end at its closing node (re_price_head)
+    n = len(rational.p)
     t1 = rational.t1
-    times = rational.times
+    times = rational.epi.times[:n]
     in_window = (times > 0.0) & (times <= t1)
     strict_w = (times > 10.0 * dt) & (times <= t1)
-    # a sweep's rational path may end at its closing node (re_price_head)
-    diff = rational.p - myopic.p[:len(rational.p)]
+    diff = rational.p - myopic.p[:n]
     weak_ok = bool(np.all(diff[in_window] >= 0.0))
     strict_margin = float(np.min(diff[strict_w])) if np.any(strict_w) else float("nan")
     strict_ok = bool(np.all(diff[strict_w] > 0.0)) if np.any(strict_w) else False

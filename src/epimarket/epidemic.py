@@ -384,7 +384,6 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     A peak exists only when the initial susceptible mass exceeds
     gamma/beta and some infection is seeded (n2 > 0); otherwise I never
     grows and the detector reports no peak rather than a boundary value.
-    Only params, times, s and i are read, so a market run serves too.
     """
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")

@@ -39,7 +39,8 @@ class ConsistencyError(SimulationError):
 
 
 class PriceFloorError(SimulationError):
-    """Holdings drove the clearing price to zero or below.
+    """Holdings drove the clearing price (or a slump's reflected price
+    2*p0 - P) to zero or below.
 
     Signals parameter misconfiguration (the slump is too deep for the supply
     curve); the price is never clamped.

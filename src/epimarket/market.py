@@ -9,21 +9,21 @@ trapezoid quadrature of the underlying cohort integral serves as an
 independent oracle for the state variable.
 
 Both scenarios, and holdings_pass under them, take the SIR pass they
-run on (`epidemic_pass`) and read their params and grid there. They run
-x alone, as a scalar RK4 pass over the pass's drive table, four stage
-drives per step, and S, I and R are that pass's arrays (a grid beyond
-RK4's stability interval is refused there). The loop checks nothing.
-A boom that `holdings_cannot_raise` proves safe before the loop (the
-myopic leg and the rational unwind on a usual pass) is not checked at
-all; any other pass, every slump among them, is checked in numpy after
-the loop. The coupled (S, I, R, x) field of each scenario,
-sir_derivatives with the x rate appended (`holdings_field`), remains its
-definition: a step that reached the price floor at a stage, or ended
+run on (`epidemic_pass`) and read their params and grid there; the leg
+they return holds it (`MarketTrajectory.epi`), which is where its S, I
+and R are read, and keeps only x and p of its own. They run x alone, as
+a scalar RK4 pass over the pass's drive table, four stage drives per
+step, with no check in the loop. A boom that `holdings_cannot_raise`
+proves safe before the loop (the myopic leg and the rational unwind on
+a usual pass) is not checked at all; any other pass, every slump among
+them, is checked in numpy after the loop. The coupled (S, I, R, x)
+field of each scenario, sir_derivatives with the x rate appended
+(`holdings_field`), remains its definition: a step that reached the
+price floor or a price (reflected, in a slump) <= 0 at a stage, or ended
 non-finite, is replayed through rk4_step on it from the grid's state at
 its start node (`EpidemicTrajectory.replay`), so errors carry the
 coupled step's stage time and message. The rational unwind after the
-plateau is the euphoric pass restarted from the closing node (see
-rational).
+plateau is the euphoric pass restarted from the closing node.
 """
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ import numpy as np
 
 from .epidemic import BLOCK, EpidemicParams, EpidemicTrajectory, coupled_field
 from .errors import ConfigError, DomainError, PriceFloorError
-from .numerics import Grid
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -76,23 +75,20 @@ def clearing_price(x: float, curve: SupplyCurve) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MarketTrajectory:
-    """Node-aligned market history.
+    """Node-aligned market history on epi, the SIR pass it ran on, whose
+    params, grid, times, S, I and R it reads.
 
     x is total speculative holdings; for the rational scenario it splits
     into z (held by the currently infected) and h (held by cured agents
     waiting out the plateau), and the plateau metadata t1/t2/p_star plus
     the two phase-boundary node indices are populated; a solved path
-    (`re_price_path`) also carries its PlateauSolution as solution.
+    (`re_price_path`) also carries its PlateauSolution as solution. Its
+    length is that of p: a head (`re_price_head`) ends before epi does.
     """
 
-    params: EpidemicParams
+    epi: EpidemicTrajectory
     curve: SupplyCurve
-    grid: Grid
     scenario: str
-    times: np.ndarray
-    s: np.ndarray
-    i: np.ndarray
-    r: np.ndarray
     x: np.ndarray
     p: np.ndarray
     z: np.ndarray | None = None
@@ -105,7 +101,7 @@ class MarketTrajectory:
     solution: PlateauSolution | None = None
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.p)
 
     def phases(self) -> list[str]:
         """Per-node phase labels for serialization.
@@ -114,7 +110,7 @@ class MarketTrajectory:
         the sell-start time, 'plateau' strictly inside it, and 'post' from
         the node where the plateau closed.
         """
-        n = len(self.times)
+        n = len(self.p)
         if self.scenario != "rational" or self.plateau_start is None:
             return ["na"] * n
         pre = self.plateau_start
@@ -128,10 +124,12 @@ class MarketTrajectory:
 
 
 def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = False):
-    """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump."""
+    """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump;
+    a stage at the floor or dividing by a price <= 0 is a PriceFloorError."""
     gamma, w = params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
-    floor = -kappa * p0
+    floor, two_p0 = -kappa * p0, 2.0 * p0
+    price = "reflected price 2*p0 - P" if mirror else "clearing price"
 
     def rate(t, inf, y):
         x = y[0]
@@ -140,7 +138,10 @@ def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = Fa
                 f"clearing price hit zero at t={t} (x={x})", time=t
             )
         p = p0 + x / kappa
-        return ((-inf * w / (2.0 * p0 - p) if mirror else inf * w / p) - gamma * x,)
+        div = two_p0 - p if mirror else p
+        if div <= 0.0:
+            raise PriceFloorError(f"{price} hit zero at t={t} (x={x})", time=t)
+        return ((-inf * w if mirror else inf * w) / div - gamma * x,)
 
     return coupled_field(params, rate)
 
@@ -193,11 +194,10 @@ def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
     2*p0 - P instead. Where holdings_cannot_raise proves the boom safe
     before the loop, nothing is checked. Otherwise _replay_failed_steps
     checks the steps after the loop, and replays each that reached the
-    price floor or ended non-finite on holdings_field, the coupled field
-    of the same equation, which raises what the coupled step raises. A
-    stage that divides by a price (or reflected price) of exactly zero
-    ends the loop; its step is replayed too, and if no replay raises, the
-    ZeroDivisionError does.
+    price floor, divided by a price (or reflected price) <= 0, or ended
+    non-finite on holdings_field, the coupled field of the same equation,
+    which raises what the coupled step raises. A stage that divides by
+    exactly zero ends the loop; its step is replayed too, and raises.
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
@@ -239,7 +239,8 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     rebuilds each step's stage states x, x2, x3 and x4 from the drives
     with the loop's operations in its order, so they are the loop's to
     the bit, in blocks of BLOCK steps. A step is flagged if a stage is at
-    or below the floor -kappa*p0, or if (S+I)+R + x at its end node is
+    or below the floor -kappa*p0 or divides by a price (reflected, for a
+    slump) that is not positive, or if (S+I)+R + x at its end node is
     non-finite; with cut, the step from the last node in xs, which the
     loop did not finish, is flagged too. Each flagged step is replayed on
     holdings_field (`EpidemicTrajectory.replay`), which raises what the
@@ -253,9 +254,11 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     nodes = np.frombuffer(xs)
     done = len(xs) - 1
 
-    def rate(d, x):
+    def stage(d, x):
+        # the stage's rate, and whether x is at the floor or P (2*p0 - P) <= 0
         p = p0 + x / kappa
-        return (-d * w / (two_p0 - p) if mirror else d * w / p) - gamma * x
+        div = two_p0 - p if mirror else p
+        return (-d * w if mirror else d * w) / div - gamma * x, (x <= floor) | (div <= 0.0)
 
     for a in range(0, done, BLOCK):
         b = min(a + BLOCK, done)
@@ -263,12 +266,12 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
         e = slice(k + a + 1, k + b + 1)
         # a blow-up stays silent, as it is on plain floats
         with np.errstate(all="ignore"):
-            x2 = x + half * rate(d[:, 0], x)
-            x3 = x + half * rate(d[:, 1], x2)
-            x4 = x + dt * rate(d[:, 2], x3)
+            k1, bad1 = stage(d[:, 0], x)
+            k2, bad2 = stage(d[:, 1], x + half * k1)
+            k3, bad3 = stage(d[:, 2], x + half * k2)
+            bad4 = stage(d[:, 3], x + dt * k3)[1]
             total = (epi.s[e] + epi.i[e]) + epi.r[e] + nodes[a + 1:b + 1]
-        bad = ((x <= floor) | (x2 <= floor) | (x3 <= floor) | (x4 <= floor)
-               | ~np.isfinite(total))
+        bad = bad1 | bad2 | bad3 | bad4 | ~np.isfinite(total)
         for j in (a + np.flatnonzero(bad)).tolist():
             epi.replay(field, k + j, (xs[j],))
     if cut:
@@ -278,9 +281,7 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
 def _scenario(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool) -> MarketTrajectory:
     x = np.frombuffer(holdings_pass(curve, epi, 0, 0.0, mirror))
     return MarketTrajectory(
-        params=epi.params, curve=curve, grid=epi.grid,
-        scenario="depression" if mirror else "myopic",
-        times=epi.times, s=epi.s, i=epi.i, r=epi.r,
+        epi=epi, curve=curve, scenario="depression" if mirror else "myopic",
         x=x, p=curve.p0 + x / curve.kappa,
     )
 
@@ -316,14 +317,15 @@ def cohort_holdings_profile(trajectory: MarketTrajectory) -> np.ndarray:
     """Trapezoid of the cohort integral at every node, in one O(n) pass.
 
     Integrates the share-purchase rate of the freshly infected cohort
-    against the exp(-gamma*(t-v)) survival kernel, using the run's params
-    and stored I, S and P; an independent check on the ODE state x, never
-    used by the integrator itself. The recurrence X(t+dt) =
-    exp(-gamma*dt)*X(t) + local trapezoid reproduces the global trapezoid
-    exactly (up to rounding) while staying stable for any gamma*t.
+    against the exp(-gamma*(t-v)) survival kernel, using the params, I
+    and S of the run's SIR pass and the run's P; an independent check on
+    the ODE state x, never used by the integrator itself. The recurrence
+    X(t+dt) = exp(-gamma*dt)*X(t) + local trapezoid reproduces the global
+    trapezoid exactly (up to rounding) while staying stable for any gamma*t.
     """
-    params = trajectory.params
-    rate = params.beta * trajectory.i * trajectory.s * params.endowment
+    epi = trajectory.epi
+    params = epi.params
+    rate = params.beta * epi.i * epi.s * params.endowment
     if trajectory.scenario == "myopic":
         u = rate / trajectory.p
     elif trajectory.scenario == "depression":
@@ -333,7 +335,7 @@ def cohort_holdings_profile(trajectory: MarketTrajectory) -> np.ndarray:
             f"cohort quadrature is defined for myopic and depression runs, "
             f"not '{trajectory.scenario}'"
         )
-    dt = trajectory.grid.dt
+    dt = epi.grid.dt
     decay = math.exp(-params.gamma * dt)
     half = 0.5 * dt
     out = np.empty(len(u))

@@ -81,14 +81,14 @@ def prepare_out_dir(path) -> Path:
 
 
 def _series_table(trajectory: MarketTrajectory, path) -> tuple:
-    cols = (trajectory.times, trajectory.s, trajectory.i, trajectory.r,
-            trajectory.x, trajectory.p)
+    epi = trajectory.epi
+    cols = (epi.times, epi.s, epi.i, epi.r, trajectory.x, trajectory.p)
     return (Path(path), ",".join(_TS_COLUMNS + ("phase",)), ",",
             tuple(np.asarray(c, dtype=float) for c in cols) + (trajectory.phases(),))
 
 
 def _plot_table(trajectory: MarketTrajectory, path) -> tuple:
-    cols = (trajectory.times, trajectory.p, trajectory.i)
+    cols = (trajectory.epi.times, trajectory.p, trajectory.epi.i)
     return (Path(path), "# t P I", " ",
             tuple(np.asarray(c, dtype=float) for c in cols))
 
@@ -165,11 +165,9 @@ def write_timeseries(trajectory: MarketTrajectory, fmt: str, path) -> str:
     if fmt == "csv":
         _write_tables([_series_table(trajectory, path)])
     elif fmt == "json":
-        cols = (trajectory.times, trajectory.s, trajectory.i, trajectory.r,
-                trajectory.x, trajectory.p)
-        payload = {name: [float(v) for v in col]
-                   for name, col in zip(_TS_COLUMNS, cols)}
-        payload["phase"] = trajectory.phases()
+        *_, cols = _series_table(trajectory, path)
+        payload = {name: [float(v) for v in col] for name, col in zip(_TS_COLUMNS, cols)}
+        payload["phase"] = cols[-1]
         with path.open("w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

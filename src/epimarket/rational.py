@@ -36,7 +36,8 @@ myopic market on from there (from node k1+1, after one step on
 its checks after its loop only where `market.holdings_cannot_raise`
 cannot rule them out.
 
-A sweep judges a point on `re_price_head`, the solved path up to its
+Every path holds the SIR pass it ran on (`MarketTrajectory.epi`). A
+sweep judges a point on `re_price_head`, whose x, p, z and h end at the
 closing node: the event timeline and the plateau claims read nothing
 after it. Its unwind runs only for the legs that are written
 (`re_price_path`), or where `market.holdings_cannot_raise` cannot rule
@@ -299,8 +300,8 @@ def simulate_re_given_t1(
     t1 is generically sub-node) and handled with partial realignment
     steps. The plateau phase ends at the first node where h <= 0 or where
     net flow at P* is <= 0, whichever fires first; from that node h is
-    frozen at zero and the price clears on z alone. The trajectory's S, I
-    and R are epi's arrays.
+    frozen at zero and the price clears on z alone. The trajectory holds
+    epi, the pass it ran on.
     """
     grid = epi.grid
     if not (grid.t_start <= t1 < grid.t_end):
@@ -353,9 +354,7 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
                         p0 + z3 / kappa))
     traj = MarketTrajectory(
-        params=params, curve=curve, grid=grid, scenario="rational",
-        times=epi.times,
-        s=epi.s, i=epi.i, r=epi.r,
+        epi=epi, curve=curve, scenario="rational",
         x=z + h, p=p, z=z, h=h,
         t1=t1, t2=diag.time, p_star=p_star,
         plateau_start=k1 + 1, post_start=post_start,
@@ -526,13 +525,11 @@ def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory,
     plateau and the node that closed it, or the whole path when the
     plateau stays open or the unwind could raise.
 
-    Every array is cut to that length; it is all that the event timeline
-    and the plateau claims read. Raises what re_price_path raises.
+    x, p, z and h end where the path does, at post_start + 1 nodes if it
+    stops at the closing node; epi is whole. That is all the event
+    timeline and the plateau claims read. Raises what re_price_path raises.
     """
-    traj = _solved_path(curve, epi, tol, False)
-    n = len(traj.p)
-    return replace(traj, times=traj.times[:n], s=traj.s[:n], i=traj.i[:n],
-                   r=traj.r[:n])
+    return _solved_path(curve, epi, tol, False)
 
 
 def _solved_path(curve, epi, tol, unwind: bool):

@@ -314,7 +314,7 @@ def check_event_convergence(params, curve) -> CheckResult:
         g = Grid(0.0, 300.0, dt)
         epi = epidemic_pass(params, g)
         traj = simulate_myopic(curve, epi)
-        tp.append(refine_peak(traj.times, traj.p)[0])
+        tp.append(refine_peak(epi.times, traj.p)[0])
         t1.append(solve_plateau(curve, epi).t1)
     gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
     g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])

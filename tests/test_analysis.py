@@ -98,10 +98,13 @@ def test_timeline_without_boom(curve):
     assert tl.t_i_star is None and tl.ordering_ok == {}
 
 
-def test_timeline_rejects_mismatched_runs(myopic_run, rational_run):
-    other = replace(myopic_run, params=EpidemicParams(beta=6e-4))
-    with pytest.raises(ConsistencyError):
-        build_timeline(other, rational_run)
+def test_timeline_rejects_mismatched_runs(params, curve, grid, rational_run):
+    # a myopic leg on a pass of other params, or of another grid
+    others = (epidemic_pass(replace(params, beta=6e-4), grid),
+              epidemic_pass(params, Grid(0.0, 300.0, 2e-2)))
+    for epi in others:
+        with pytest.raises(ConsistencyError):
+            build_timeline(simulate_myopic(curve, epi), rational_run)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,8 @@ def test_depression_claims_mirror_the_boom(epidemic_run):
     assert report.all_pass
     # the trough leads sentiment by exactly the boom's lead, by mirror symmetry
     boom = simulate_myopic(deep, epidemic_run)
-    t_trough, _ = refine_peak(bust.times, bust.p, mode="min")
-    t_peak, _ = refine_peak(boom.times, boom.p, mode="max")
+    t_trough, _ = refine_peak(bust.epi.times, bust.p, mode="min")
+    t_peak, _ = refine_peak(boom.epi.times, boom.p, mode="max")
     assert abs(t_trough - t_peak) <= 1e-9
 
 

@@ -1,12 +1,14 @@
 """holdings_pass against the per-stage-checked loop it replaces.
 
 `checked_holdings_pass` below is the holdings pass with every check
-inside its RK4 loop: each stage state is tested against the price floor
-and each step's end node for finiteness, and a failing step is replayed
-on the coupled field at once. The package's pass runs the same loop with
-no check in it, and checks after it, only where `holdings_cannot_raise`
-cannot prove the pass safe. The two must give the same bytes, or raise
-the same exception with the same stage time and message.
+inside its RK4 loop: each stage state is tested against the price floor,
+each stage's divisor (the price, or a slump's reflected price) for
+being positive, and each step's end node for finiteness, and a failing
+step is replayed on the coupled field at once. The package's pass runs
+the same loop with no check in it, and checks after it, only where
+`holdings_cannot_raise` cannot prove the pass safe. The two must give
+the same bytes, or raise the same exception with the same stage time
+and message.
 """
 from __future__ import annotations
 
@@ -37,35 +39,35 @@ DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 
 def checked_holdings_pass(curve, epi, k, x, mirror=False):
-    """holdings_pass with the floor and finiteness checks inside its loop:
-    a stage state at or below -kappa*p0, or a step whose (S+I)+R + x at
-    its end node is non-finite, is replayed on holdings_field at once."""
+    """holdings_pass with the floor, divisor and finiteness checks inside
+    its loop: a stage state at or below -kappa*p0, a stage whose divisor
+    (P for a boom, 2*p0 - P for a slump) is <= 0, or a step whose
+    (S+I)+R + x at its end node is non-finite, is replayed on
+    holdings_field at once."""
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
     field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
     dt = epi.grid.dt
     half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
+
+    def rate(j, x0, d, xs):
+        if xs <= floor:
+            epi.replay(field, j, (x0,))
+        p = p0 + xs / kappa
+        div = two_p0 - p if mirror else p
+        if div <= 0.0:
+            epi.replay(field, j, (x0,))
+        return (-d * w / div if mirror else d * w / div) - gamma * xs
+
     out = array("d", [x])
     for j, d1, d2, d3, d4, total in epi.steps(k):
-        if x <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x / kappa
-        k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
+        k1 = rate(j, x, d1, x)
         x2 = x + half * k1
-        if x2 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x2 / kappa
-        k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
+        k2 = rate(j, x, d2, x2)
         x3 = x + half * k2
-        if x3 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x3 / kappa
-        k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
+        k3 = rate(j, x, d3, x3)
         x4 = x + dt * k3
-        if x4 <= floor:
-            epi.replay(field, j, (x,))
-        p = p0 + x4 / kappa
-        k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
+        k4 = rate(j, x, d4, x4)
         x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         chk = total + x1
         if chk - chk != 0.0:
@@ -76,12 +78,10 @@ def checked_holdings_pass(curve, epi, k, x, mirror=False):
 
 
 def _outcome(fn, *args):
-    """The bytes fn returns, or (type, time, message) of what it raised;
-    a division by zero at a stage above the floor raises ZeroDivisionError
-    on both sides."""
+    """The bytes fn returns, or (type, time, message) of what it raised."""
     try:
         return fn(*args).tobytes()
-    except (SimulationError, ZeroDivisionError) as exc:
+    except SimulationError as exc:
         return type(exc), getattr(exc, "time", None), str(exc)
 
 
@@ -159,6 +159,18 @@ def test_a_stage_price_of_exactly_zero_replays_as_a_floor_error(params):
         want = _outcome(checked_holdings_pass, curve, epi, 3, floor, mirror)
         assert want[0] is PriceFloorError
         assert _outcome(holdings_pass, curve, epi, 3, floor, mirror) == want
+
+
+@pytest.mark.parametrize("x", [10.0, 12.0], ids=["at-the-pole", "above-the-pole"])
+def test_a_slump_from_its_pole_or_above_is_a_price_floor_error(x):
+    # the slump divides by 2*p0 - P: 0 at x = kappa*p0 and negative above,
+    # where the loop raises ZeroDivisionError or runs on, respectively
+    curve = SupplyCurve()
+    epi = epidemic_pass(EpidemicParams(), Grid(0.0, 20.0, 1e-2))
+    want = (PriceFloorError, 0.0,
+            f"reflected price 2*p0 - P hit zero at t=0.0 (x={x})")
+    assert _outcome(holdings_pass, curve, epi, 0, x, True) == want
+    assert _outcome(checked_holdings_pass, curve, epi, 0, x, True) == want
 
 
 def test_negative_drives_are_not_proven(params, curve):

@@ -65,7 +65,7 @@ def test_myopic_boundary_values(curve, myopic_run):
 
 
 def test_myopic_price_peak_values(myopic_run):
-    t_p, p_p = refine_peak(myopic_run.times, myopic_run.p, mode="max")
+    t_p, p_p = refine_peak(myopic_run.epi.times, myopic_run.p, mode="max")
     assert t_p == pytest.approx(19.886189, abs=1e-4)
     assert p_p == pytest.approx(8.474567, abs=1e-4)
 
@@ -77,13 +77,10 @@ def test_myopic_clearing_holds_at_every_node(curve, myopic_run):
 
 
 def test_myopic_embeds_the_pure_epidemic(epidemic_run, myopic_run):
-    # the market never feeds back into the contagion: a run takes its
-    # params and grid from the SIR pass it is given, and its S, I and R
-    # are that pass's arrays
-    assert myopic_run.params is epidemic_run.params
-    assert myopic_run.grid is epidemic_run.grid
-    for name in "sir":
-        assert getattr(myopic_run, name) is getattr(epidemic_run, name), name
+    # the market never feeds back into the contagion: a run holds the SIR
+    # pass it is given, and with it that pass's params, grid, S, I and R
+    assert myopic_run.epi is epidemic_run
+    assert len(myopic_run) == len(epidemic_run.times) == len(myopic_run.x)
 
 
 def test_myopic_without_seed_is_flat(curve):
@@ -104,7 +101,7 @@ def test_myopic_peak_height_falls_with_deeper_markets(epidemic_run):
     peaks = []
     for kappa in (5.0, 10.0, 20.0):
         traj = simulate_myopic(SupplyCurve(kappa=kappa), epidemic_run)
-        peaks.append(refine_peak(traj.times, traj.p, mode="max")[1])
+        peaks.append(refine_peak(traj.epi.times, traj.p, mode="max")[1])
     assert peaks[0] > peaks[1] > peaks[2]
 
 
@@ -118,7 +115,7 @@ def test_quadrature_empty_at_zero(myopic_run):
 
 
 def test_quadrature_matches_state_at_price_peak(grid, myopic_run):
-    t_p, _ = refine_peak(myopic_run.times, myopic_run.p, mode="max")
+    t_p, _ = refine_peak(myopic_run.epi.times, myopic_run.p, mode="max")
     k = int(round(t_p / grid.dt))
     q = float(cohort_holdings_profile(myopic_run)[k])
     x = float(myopic_run.x[k])
@@ -140,8 +137,9 @@ def test_quadrature_no_recovery_limit(curve):
 def test_profile_agrees_with_pointwise_quadrature(params, grid, myopic_run):
     # the recurrence against a global trapezoid of the cohort integral
     prof = cohort_holdings_profile(myopic_run)
-    t = myopic_run.times
-    u = params.beta * myopic_run.i * myopic_run.s * params.endowment / myopic_run.p
+    epi = myopic_run.epi
+    t = epi.times
+    u = params.beta * epi.i * epi.s * params.endowment / myopic_run.p
     for k in (1, 500, 2116, 10000, 30000):
         g = u[: k + 1] * np.exp(-params.gamma * (t[k] - t[: k + 1]))
         q = float(grid.dt * (g.sum() - 0.5 * (g[0] + g[-1])))
@@ -164,7 +162,7 @@ def test_depression_is_the_exact_mirror(epidemic_run):
 def test_depression_trough_and_recovery(epidemic_run):
     deep = SupplyCurve(kappa=400.0)
     bust = simulate_depression(deep, epidemic_run)
-    t_t, p_t = refine_peak(bust.times, bust.p, mode="min")
+    t_t, p_t = refine_peak(bust.epi.times, bust.p, mode="min")
     assert t_t == pytest.approx(20.5475, abs=1e-3)
     assert p_t == pytest.approx(0.224340, abs=1e-4)
     assert p_t > 0.0

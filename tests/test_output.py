@@ -66,13 +66,14 @@ def test_csv_layout(tmp_path, tiny_run):
 def test_csv_round_trip_is_exact(tmp_path, myopic_run):
     write_timeseries(myopic_run, "csv", tmp_path / "m.csv")
     back = read_timeseries_csv(tmp_path / "m.csv")
-    assert np.array_equal(back["t"], myopic_run.times)
-    assert np.array_equal(back["S"], myopic_run.s)
-    assert np.array_equal(back["I"], myopic_run.i)
-    assert np.array_equal(back["R"], myopic_run.r)
+    epi = myopic_run.epi
+    assert np.array_equal(back["t"], epi.times)
+    assert np.array_equal(back["S"], epi.s)
+    assert np.array_equal(back["I"], epi.i)
+    assert np.array_equal(back["R"], epi.r)
     assert np.array_equal(back["X"], myopic_run.x)
     assert np.array_equal(back["P"], myopic_run.p)
-    assert back["phase"] == ["na"] * len(myopic_run.times)
+    assert back["phase"] == ["na"] * len(epi.times)
 
 
 def test_repeated_writes_are_byte_identical(tmp_path, tiny_run):
@@ -191,7 +192,8 @@ def _ref_fmt(v) -> str:
 
 def _reference_csv(traj) -> bytes:
     """The per-row CSV formatting the streamed writer must reproduce."""
-    cols = (traj.times, traj.s, traj.i, traj.r, traj.x, traj.p)
+    epi = traj.epi
+    cols = (epi.times, epi.s, epi.i, epi.r, traj.x, traj.p)
     phases = traj.phases()
     lines = ["t,S,I,R,X,P,phase"]
     for k in range(len(traj)):
@@ -202,13 +204,14 @@ def _reference_csv(traj) -> bytes:
 def _reference_dat(traj) -> bytes:
     lines = ["# t P I"]
     for k in range(len(traj)):
-        lines.append(f"{_ref_fmt(traj.times[k])} {_ref_fmt(traj.p[k])} "
-                     f"{_ref_fmt(traj.i[k])}")
+        lines.append(f"{_ref_fmt(traj.epi.times[k])} {_ref_fmt(traj.p[k])} "
+                     f"{_ref_fmt(traj.epi.i[k])}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _reference_json(traj) -> bytes:
-    cols = (traj.times, traj.s, traj.i, traj.r, traj.x, traj.p)
+    epi = traj.epi
+    cols = (epi.times, epi.s, epi.i, epi.r, traj.x, traj.p)
     payload = {name: [float(v) for v in col]
                for name, col in zip(("t", "S", "I", "R", "X", "P"), cols)}
     payload["phase"] = traj.phases()
@@ -239,11 +242,13 @@ def _check_legs(out, legs, fmt="csv"):
 def _cut_legs(shared_legs, rows):
     """The myopic and depression legs cut to their first rows nodes."""
     (_, myopic), _, (_, depression) = shared_legs
-    # cut the shared SIR columns once, so both legs still hold the same arrays
-    cut = {name: getattr(myopic, name)[:rows] for name in ("times", "s", "i", "r")}
-    legs = [(name, replace(traj, **cut, x=traj.x[:rows], p=traj.p[:rows]))
+    # cut the shared SIR pass once, so both legs still hold the same arrays
+    epi = myopic.epi
+    cut = replace(epi, times=epi.times[:rows], s=epi.s[:rows], i=epi.i[:rows],
+                  r=epi.r[:rows], drives=epi.drives[:rows - 1])
+    legs = [(name, replace(traj, epi=cut, x=traj.x[:rows], p=traj.p[:rows]))
             for name, traj in (("myopic", myopic), ("depression", depression))]
-    assert legs[0][1].s is legs[1][1].s
+    assert legs[0][1].epi is legs[1][1].epi is cut
     return legs
 
 
@@ -263,8 +268,7 @@ def test_streamed_files_match_the_row_reference_at_block_edges(
 
 def test_full_run_with_shared_columns_matches_the_row_reference(tmp_path, shared_legs):
     (_, myopic), (_, rational), (_, depression) = shared_legs
-    assert myopic.times is rational.times is depression.times
-    assert myopic.s is depression.s and myopic.i is depression.i
+    assert myopic.epi is rational.epi is depression.epi
     assert len(myopic) == 30_001
     assert set(rational.phases()) == {"pre", "plateau", "post"}
     _check_legs(tmp_path, shared_legs)

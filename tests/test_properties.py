@@ -93,7 +93,8 @@ def _outcome(fn, *args):
         traj = fn(*args)
     except SimulationError as exc:
         return type(exc), getattr(exc, "time", None), str(exc)
-    return tuple(getattr(traj, name).tobytes() for name in "sirxp")
+    epi = traj.epi
+    return tuple(c.tobytes() for c in (epi.s, epi.i, epi.r, traj.x, traj.p))
 
 
 @DETERMINISTIC

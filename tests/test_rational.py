@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from epimarket import (
     epidemic_pass,
     infection_peak,
     re_price_path,
+    simulate_depression,
     simulate_myopic,
     simulate_re_given_t1,
     solve_plateau,
@@ -170,9 +172,11 @@ def test_rational_sir_is_the_driving_pass(params, curve, bounds):
         runs[label], diag = simulate_re_given_t1(curve, t1, epi)
         assert (diag.time == t1) is (label == "collapse"), label
     for label, traj in runs.items():
+        assert traj.epi is epi, label
         for name in "sir":
-            assert getattr(traj, name) is getattr(epi, name), (label, name)
-            assert np.array_equal(getattr(traj, name), getattr(myopic, name)), (label, name)
+            assert getattr(traj.epi, name) is getattr(epi, name), (label, name)
+            assert np.array_equal(getattr(traj.epi, name),
+                                  getattr(myopic.epi, name)), (label, name)
 
 
 @pytest.mark.parametrize("beta", [5e-4, 1.0], ids=["defaults", "unstable"])
@@ -253,7 +257,7 @@ def test_rational_peak_is_lower(myopic_run, rational_run):
 
 def test_phase_labels_partition_the_path(rational_run):
     labels = rational_run.phases()
-    assert len(labels) == len(rational_run.times)
+    assert len(labels) == len(rational_run.epi.times) == len(rational_run)
     assert labels[0] == "pre"
     assert labels[-1] == "post"
     changes = [
@@ -424,10 +428,34 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
     sol = solve_plateau(curve, epi)
     traj = re_price_path(curve, epi)
     own, _diag = simulate_re_given_t1(curve, sol.t1, epi)
-    for name in ("s", "i", "r", "z", "h", "p"):
+    assert traj.epi is own.epi is epi
+    for name in ("s", "i", "r"):
+        assert getattr(traj.epi, name).tobytes() == getattr(own.epi, name).tobytes(), name
+    for name in ("z", "h", "p"):
         assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
     assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
     assert (traj.t1, traj.t2, traj.p_star) == (own.t1, sol.t2, own.p_star)
+
+
+@pytest.mark.parametrize("leg", [simulate_myopic, simulate_depression, re_price_path,
+                                 rational.re_price_head],
+                         ids=["myopic", "depression", "rational", "head"])
+def test_a_leg_holds_the_sir_pass_it_ran_on(epidemic_run, leg):
+    # kappa=400 keeps the slump above the price floor; the leg keeps no
+    # copy of the pass's params, grid, times, S, I or R
+    traj = leg(SupplyCurve(kappa=400.0), epidemic_run)
+    assert traj.epi is epidemic_run
+    copies = {"params", "grid", "times", "s", "i", "r"}
+    assert not copies & {f.name for f in fields(traj)}
+    assert not any(hasattr(traj, name) for name in copies)
+    n = len(epidemic_run.times)
+    if leg is rational.re_price_head:
+        # the head ends at its closing node; its pass is whole
+        assert traj.post_start < n - 1
+        n = traj.post_start + 1
+    assert len(traj) == len(traj.p) == len(traj.x) == len(traj.phases()) == n
+    if traj.z is not None:
+        assert len(traj.z) == len(traj.h) == n
 
 
 def test_every_pass_reads_its_params_and_grid_from_its_sir_pass():
