@@ -29,10 +29,21 @@ The pass refuses a grid beyond RK4's real-axis stability interval,
 (beta*N + gamma)*dt above RK4_STABILITY, with GridTooCoarseError before
 any step runs; every market and rational pass is driven by it, so none
 steps on such a grid. Inside the interval the pass runs to the grid's
-end unchecked. A reader replays a step whose result is non-finite
-through rk4_step on its own coupled field (`EpidemicTrajectory.replay`),
-which raises exactly what the coupled step raises. Every coupled field
-is `coupled_field`: sir_derivatives with the field's own rates appended.
+end unchecked. Every coupled field is `coupled_field`: the SIR field
+with the field's own rates appended.
+
+A market or rational pass over the drive table checks the variables it
+steps. It replays through rk4_step on its own coupled field
+(`EpidemicTrajectory.replay`) each step that ends with one of them
+non-finite, and the step into the first node with I non-finite
+(`EpidemicTrajectory.i_blowup`), so it raises what the coupled step
+raises: a non-finite drive beta*I*S at a stage makes the pass's own
+rate, and so its end state, non-finite; with the drives finite, only
+gamma*I or beta*I*S - gamma*I can fail, and either makes I non-finite
+at the step's end, and every later drive with it. A replayed step whose
+coupled derivatives are finite stands. S and R need no watch: an S
+turned non-finite by finite drives fails only the next step, through its
+drive, and no rate reads R.
 """
 from __future__ import annotations
 
@@ -94,6 +105,9 @@ class EpidemicParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        # an infinite N makes the step bound (beta*N + gamma)*dt NaN at beta=0
+        if not math.isfinite(self.total):
+            raise ConfigError(f"population n1 + n2 + n3 must be finite, got {self.total}")
 
     @property
     def total(self) -> float:
@@ -110,13 +124,6 @@ class EpidemicParams:
     def booms(self) -> bool:
         """Whether the contagion grows: seeded, with n1 above the threshold."""
         return self.n2 != 0 and self.n1 > self.threshold
-
-
-@dataclass(frozen=True)
-class EpidemicState:
-    s: float
-    i: float
-    r: float
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -141,38 +148,31 @@ class EpidemicTrajectory:
     r: np.ndarray
     drives: np.ndarray
 
-    def state_at(self, k: int) -> EpidemicState:
-        return EpidemicState(float(self.s[k]), float(self.i[k]), float(self.r[k]))
+    def state_at(self, k: int) -> tuple[float, float, float]:
+        """(S, I, R) at node k as floats."""
+        return float(self.s[k]), float(self.i[k]), float(self.r[k])
 
     @cached_property
-    def _totals(self) -> np.ndarray:
-        """(S+I)+R at every node, the first sums of a step's finiteness check."""
-        with np.errstate(all="ignore"):  # a blow-up stays silent
-            return (self.s + self.i) + self.r
+    def i_blowup(self) -> int:
+        """The step into the first node with I non-finite, n_steps if none."""
+        finite = np.isfinite(self.i[1:])
+        return self.grid.n_steps if finite.all() else int(np.argmin(finite))
 
     def steps(self, k: int = 0):
         """The RK4 steps from node k to the end of the grid, for a scalar
         pass over the drive table.
 
-        Yields (j, d1, d2, d3, d4, total) for each step j: the drives
-        beta*I*S at its four stages, and (S+I)+R at the node it ends at.
-        The rational passes check each step in their loops and replay
-        step j through `replay`; `market.holdings_pass` reads the drive
-        table itself, and checks after its loop, if at all.
+        Yields (j, d1, d2, d3, d4) for each step j: the drives beta*I*S at
+        its four stages. `market.holdings_pass` reads the drive table
+        itself.
         """
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
-        return zip(count(k), drives, drives, drives, drives,
-                   memoryview(self._totals)[k + 1:])
+        return zip(count(k), drives, drives, drives, drives)
 
     def replay(self, field, k: int, y: tuple) -> tuple:
         """rk4_step over step k on a coupled field, from the grid's t, S, I
-        and R at node k and the field's own variables y.
-
-        A pass replays a step that reached the price floor or ended
-        non-finite, so the coupled step raises what it raises.
-        """
-        st = self.state_at(k)
-        return rk4_step(field, float(self.times[k]), (st.s, st.i, st.r) + y, self.grid.dt)
+        and R at node k and the field's own variables y."""
+        return rk4_step(field, float(self.times[k]), self.state_at(k) + y, self.grid.dt)
 
 
 @dataclass(frozen=True)
@@ -185,21 +185,19 @@ class InfectionPeak:
     exists: bool
 
 
-def sir_derivatives(state: EpidemicState, params: EpidemicParams) -> tuple[float, float, float]:
-    """(ds, di, dr) flow rates; they sum to zero by construction."""
-    inf = params.beta * state.i * state.s
-    rec = params.gamma * state.i
-    return (-inf, inf - rec, rec)
-
-
 def coupled_field(params: EpidemicParams, rate=None):
-    """sir_derivatives as an rk4_step field on y = (s, i, r, ...), with the
-    tuple rate(t, beta*I*S, y[3:]) of the variables after R appended."""
+    """The SIR field as an rk4_step field on y = (s, i, r, ...): (ds, di,
+    dr) = (-beta*I*S, beta*I*S - gamma*I, gamma*I), which sum to zero by
+    construction, with the tuple rate(t, beta*I*S, y[3:]) of the variables
+    after R appended."""
+    beta, gamma = params.beta, params.gamma
+
     def field(t, y):
-        ds, di, dr = sir_derivatives(EpidemicState(y[0], y[1], y[2]), params)
+        inf = beta * y[1] * y[0]
+        rec = gamma * y[1]
         if rate is None:
-            return (ds, di, dr)
-        return (ds, di, dr) + rate(t, -ds, y[3:])  # -ds is beta*I*S to the bit
+            return (-inf, inf - rec, rec)
+        return (-inf, inf - rec, rec) + rate(t, inf, y[3:])
 
     return field
 

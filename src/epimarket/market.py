@@ -17,12 +17,13 @@ step, with no check in the loop. A boom that `holdings_cannot_raise`
 proves safe before the loop (the myopic leg and the rational unwind on
 a usual pass) is not checked at all; any other pass, every slump among
 them, is checked in numpy after the loop. The coupled (S, I, R, x)
-field of each scenario, sir_derivatives with the x rate appended
+field of each scenario, `coupled_field` with the x rate appended
 (`holdings_field`), remains its definition: a step that reached the
-price floor or a price (reflected, in a slump) <= 0 at a stage, or ended
-non-finite, is replayed through rk4_step on it from the grid's state at
-its start node (`EpidemicTrajectory.replay`), so errors carry the
-coupled step's stage time and message. The rational unwind after the
+price floor or a price (reflected, in a slump) <= 0 at a stage, ended
+with x non-finite, or is the SIR pass's `EpidemicTrajectory.i_blowup`
+is replayed through rk4_step on it from the grid's state at its start
+node (`EpidemicTrajectory.replay`), so errors carry the coupled step's
+stage time and message (see epidemic). The rational unwind after the
 plateau is the euphoric pass restarted from the closing node.
 """
 from __future__ import annotations
@@ -168,11 +169,8 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     1.5*dt*top above x. Every stage thus stays in [-kappa*p0/2,
     x + 3*top*span] over the span left, half the floor's distance inside
     it, which rounding does not close, and every rate D - gamma*x is
-    finite when (1 + gamma) times that bound is. S, I and R stay finite
-    too: a non-finite S or I at a node before the last makes that node's
-    first drive non-finite, and none of the three turns finite again, so
-    finite drives and a finite last node cover every node. (Overflow of
-    sums of finite S, I and R past 1e308 is left out.)
+    finite when (1 + gamma) times that bound is. So are the SIR stage
+    derivatives, where I is finite at every node (see epidemic).
     """
     d = epi.drives[k:]
     dt, gamma = epi.grid.dt, epi.params.gamma
@@ -180,8 +178,8 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
     return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
                 and gamma * dt * dt * top <= curve.kappa * curve.p0
-                and math.isfinite((1.0 + gamma) * bound
-                                  + epi.s[-1] + epi.i[-1] + epi.r[-1]))
+                and math.isfinite((1.0 + gamma) * bound)
+                and epi.i_blowup == epi.grid.n_steps)
 
 
 def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
@@ -240,11 +238,11 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     with the loop's operations in its order, so they are the loop's to
     the bit, in blocks of BLOCK steps. A step is flagged if a stage is at
     or below the floor -kappa*p0 or divides by a price (reflected, for a
-    slump) that is not positive, or if (S+I)+R + x at its end node is
-    non-finite; with cut, the step from the last node in xs, which the
-    loop did not finish, is flagged too. Each flagged step is replayed on
-    holdings_field (`EpidemicTrajectory.replay`), which raises what the
-    coupled step raises; one that raises nothing stands.
+    slump) that is not positive, if x at its end node is non-finite, or
+    if it is `EpidemicTrajectory.i_blowup`; with cut, the step from the
+    last node in xs, which the loop did not finish, is flagged too. Each
+    flagged step is replayed on holdings_field (`EpidemicTrajectory.replay`),
+    which raises what the coupled step raises; one that raises nothing stands.
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
@@ -253,6 +251,7 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     half, two_p0 = 0.5 * dt, 2.0 * p0
     nodes = np.frombuffer(xs)
     done = len(xs) - 1
+    blowup = epi.i_blowup - k
 
     def stage(d, x):
         # the stage's rate, and whether x is at the floor or P (2*p0 - P) <= 0
@@ -263,15 +262,15 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     for a in range(0, done, BLOCK):
         b = min(a + BLOCK, done)
         x, d = nodes[a:b], epi.drives[k + a:k + b]
-        e = slice(k + a + 1, k + b + 1)
         # a blow-up stays silent, as it is on plain floats
         with np.errstate(all="ignore"):
             k1, bad1 = stage(d[:, 0], x)
             k2, bad2 = stage(d[:, 1], x + half * k1)
             k3, bad3 = stage(d[:, 2], x + half * k2)
             bad4 = stage(d[:, 3], x + dt * k3)[1]
-            total = (epi.s[e] + epi.i[e]) + epi.r[e] + nodes[a + 1:b + 1]
-        bad = bad1 | bad2 | bad3 | bad4 | ~np.isfinite(total)
+        bad = bad1 | bad2 | bad3 | bad4 | ~np.isfinite(nodes[a + 1:b + 1])
+        if a <= blowup < b:
+            bad[blowup - a] = True
         for j in (a + np.flatnonzero(bad)).tolist():
             epi.replay(field, k + j, (xs[j],))
     if cut:

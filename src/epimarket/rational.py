@@ -15,10 +15,11 @@ Every function that runs a pass takes the SIR pass it runs on
 (`epidemic_pass`) and reads its params and grid there; only the fields
 and `_flow`, which belong to no pass, take params. Every pass runs over
 that pass's drive table (see epidemic); phase 1 and the plateau stream
-it through `EpidemicTrajectory.steps` as each step's four drives and
-(S+I)+R at its end node, and check each step inside their loops. S, I
-and R are never carried, and a replay reads the grid's state at the
-step's start node (`EpidemicTrajectory.replay`). The accumulation phase
+it through `EpidemicTrajectory.steps` as each step's four drives, and
+check each step's own z and h inside their loops, replaying
+`EpidemicTrajectory.i_blowup` too. S, I and R are never carried, and a
+replay reads the grid's state at the step's start node
+(`EpidemicTrajectory.replay`). The accumulation phase
 (z, h) runs from t=0; the solve's stops at k_f, the first node
 flow-reversed before any scan (h > 0, net flow at its own P* <= 0), and
 its replay reuses those arrays.
@@ -153,19 +154,20 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
     """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
     stop_at_reversal and k_f < upto).
 
-    A stage with z+h at or below the floor -kappa*p0, or a non-finite
-    step, is replayed on the phase-1 field (`EpidemicTrajectory.replay`),
-    which raises what the coupled step raises, as in `market.holdings_pass`.
+    A stage with z+h at or below the floor -kappa*p0, a step that ends
+    with z+h non-finite, and the step `EpidemicTrajectory.i_blowup` are
+    replayed on the phase-1 field (`EpidemicTrajectory.replay`), which
+    raises what the coupled step raises, as in `market.holdings_pass`.
     """
     gamma, w = epi.params.gamma, epi.params.endowment
     p0, kappa = curve.p0, curve.kappa
     field, floor = _phase1_field(epi.params, curve), -kappa * p0
     dt = epi.grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, sixth, blowup = 0.5 * dt, dt / 6.0, epi.i_blowup
     z, h = 0.0, 0.0
     zs, hs = array("d", [z]), array("d", [h])
     add_z, add_h = zs.append, hs.append
-    for k, d1, d2, d3, d4, total in islice(epi.steps(), upto):
+    for k, d1, d2, d3, d4 in islice(epi.steps(), upto):
         x = z + h
         if x <= floor:
             epi.replay(field, k, (z, h))
@@ -194,8 +196,8 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
         kz4 = d4 * w / (p0 + x / kappa) - cure4
         z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
-        chk = total + z1 + h1
-        if chk - chk != 0.0:
+        chk = z1 + h1
+        if chk - chk != 0.0 or k == blowup:
             epi.replay(field, k, (z, h))
         z, h = z1, h1
         add_z(z)
@@ -214,8 +216,8 @@ def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float)
     gamma, w = epi.params.gamma, epi.params.endowment
     field = _phase2_field(epi.params, p_star)
     dt = epi.grid.dt
-    half, sixth = 0.5 * dt, dt / 6.0
-    for j, d1, d2, d3, d4, total in epi.steps(k):
+    half, sixth, blowup = 0.5 * dt, dt / 6.0, epi.i_blowup
+    for j, d1, d2, d3, d4 in epi.steps(k):
         f1 = d1 * w / p_star - gamma * z
         yield j, z, h, f1
         z2 = z + half * f1
@@ -227,13 +229,12 @@ def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float)
         # h's stage rates are -f, so its increment is exactly z's, negated
         dz = sixth * (f1 + 2.0 * (f2 + f3) + f4)
         z1, h1 = z + dz, h - dz
-        chk = total + z1 + h1
-        if chk - chk != 0.0:
+        chk = z1 + h1
+        if chk - chk != 0.0 or j == blowup:
             epi.replay(field, j, (z, h))
         z, h = z1, h1
     n = epi.grid.n_steps
-    st = epi.state_at(n)
-    yield n, z, h, _flow(epi.params, p_star, (st.s, st.i, st.r, z))
+    yield n, z, h, _flow(epi.params, p_star, epi.state_at(n) + (z,))
 
 
 def _node_below(grid: Grid, t: float) -> int:
@@ -267,8 +268,7 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     k1 = _node_below(grid, t1)
     if k1 >= len(zs):
         raise DomainError(f"t1={t1} beyond integrated phase-1 range")
-    st = epi.state_at(k1)
-    y = (st.s, st.i, st.r, zs[k1], hs[k1])
+    y = epi.state_at(k1) + (zs[k1], hs[k1])
     rem = t1 - grid.node(k1)
     if rem > 0.0:
         y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
@@ -366,6 +366,9 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
 # shooting solve
 # ---------------------------------------------------------------------------
 
+# the closure tolerance of solve_plateau by default, and of every solved path
+TOL = 1e-4
+
 
 def _node_diagnosis(curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1: the first event of the path
@@ -396,9 +399,8 @@ def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
                 if j == k1 + 1:
                     t_prev, dt, st_prev = t1, epi.grid.node(j) - t1, y
                 else:
-                    st = epi.state_at(j - 1)
                     t_prev, dt = float(epi.times[j - 1]), epi.grid.dt
-                    st_prev = (st.s, st.i, st.r, z_prev, h_prev)
+                    st_prev = epi.state_at(j - 1) + (z_prev, h_prev)
                 t2, st2 = t_prev + flow_prev / (flow_prev - flow) * dt, st_prev
                 if t2 > t_prev:
                     st2 = rk4_step(_phase2_field(epi.params, p_star), t_prev, st_prev,
@@ -410,7 +412,7 @@ def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
 
 
 def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory,
-                  tol: float = 1e-4) -> PlateauSolution:
+                  tol: float = TOL) -> PlateauSolution:
     """Shoot on t1 over the SIR pass epi until the plateau closes cleanly.
 
     Stage one bisects t1 over grid nodes in [1, k_f] ([1, n-1] if there is
@@ -507,8 +509,7 @@ def _shoot(curve, epi, tol):
     )
 
 
-def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory,
-                  tol: float = 1e-4) -> MarketTrajectory:
+def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:
     """Solved three-phase price path with t1, t2, P* attached as metadata.
 
     t2 in the metadata is the sub-node flow-reversal time from the solve,
@@ -516,11 +517,10 @@ def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory,
     switches at whole nodes. The solve and the replay share the SIR pass
     epi and its phase 1.
     """
-    return _solved_path(curve, epi, tol, True)
+    return _solved_path(curve, epi, True)
 
 
-def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory,
-                  tol: float = 1e-4) -> MarketTrajectory:
+def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:
     """re_price_path up to its closing node post_start: phase 1, the
     plateau and the node that closed it, or the whole path when the
     plateau stays open or the unwind could raise.
@@ -529,10 +529,10 @@ def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory,
     stops at the closing node; epi is whole. That is all the event
     timeline and the plateau claims read. Raises what re_price_path raises.
     """
-    return _solved_path(curve, epi, tol, False)
+    return _solved_path(curve, epi, False)
 
 
-def _solved_path(curve, epi, tol, unwind: bool):
-    sol, zs, hs = _solve(curve, epi, tol)
+def _solved_path(curve, epi, unwind: bool):
+    sol, zs, hs = _solve(curve, epi, TOL)
     traj, _diag = _replay(curve, sol.t1, epi, zs, hs, unwind)
     return replace(traj, t2=sol.t2, solution=sol)

@@ -91,6 +91,23 @@ def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
         assert f"dt <= 2.785/(beta*N + gamma) = {bound}" in err
 
 
+def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
+    # n1 + n3 overflows, so at beta=0 (beta*N + gamma)*dt would be 0*inf,
+    # NaN, and a grid at 1,500 (gamma*dt = 3) would run to an I column that
+    # grows 1.375x per step; at N=1000 the same grid is refused with exit 3
+    grid = "beta=0\ngamma=300\nt_end=5\n"
+    for text, code, says in (("n1=1e308\nn3=1e308\n", 2, "n1 + n2 + n3 must be finite"),
+                             ("", 3, "dt <= 2.785/(beta*N + gamma)")):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text(grid + text)
+        caplog.clear()
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == code
+        [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert says in err
+        assert not (out / "myopic.csv").exists()
+
+
 def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):
     # at the default curve depth the mirrored trough would cross zero, so
     # the depression leg fails; the run keeps its other artifacts and

@@ -12,6 +12,11 @@ the oracle.
 """
 from __future__ import annotations
 
+import sys
+import warnings
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -27,8 +32,10 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
+from epimarket.epidemic import EpidemicTrajectory
 from epimarket.errors import GridTooCoarseError, IntegrationError, PriceFloorError
-from epimarket.market import clearing_price
+from epimarket import rational
+from epimarket.market import clearing_price, holdings_field
 from epimarket.numerics import integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
@@ -320,6 +327,25 @@ def test_depression_floor_error_matches_the_coupled_field(params, grid, epidemic
     assert got[0] is PriceFloorError
 
 
+def _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want, slump_error):
+    """Each leg on epi raises what its coupled fields raise, at the time of
+    the SIR field's error want: its own field reports its own derivatives
+    in the same message, or for the slump, slump_error. The slump runs on
+    a market deep enough that x of order -1e303 stays off the floor, and
+    the rational leg fails in phase 1, before t1=5."""
+    deep = SupplyCurve(kappa=1e306)
+    for got, oracle, error in (
+            ((simulate_myopic, curve, epi), (oracle_market, params, curve, grid),
+             IntegrationError),
+            ((simulate_depression, deep, epi), (oracle_market, params, deep, grid, True),
+             slump_error),
+            ((simulate_re_given_t1, deep, 5.0, epi),
+             (oracle_re_given_t1, params, deep, 5.0, grid), IntegrationError)):
+        want_own = _raised(*oracle)
+        assert want_own[0] is error and want_own[1] == want[1] and want_own != want
+        assert _raised(*got) == want_own
+
+
 def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     # beta*I*S overflows in the first step's second stage, on a grid far
     # beyond RK4's stability interval
@@ -328,21 +354,116 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     assert want[0] is IntegrationError
     _refused(simulate_epidemic, params, grid)
     _refused(epidemic_pass, params, grid)
-    # the market's own field reports its x derivative in the same message
     epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.drives).all()
-    want_x = _raised(oracle_market, params, curve, grid)
-    assert want_x[0] is IntegrationError and want_x != want
-    assert _raised(simulate_myopic, curve, epi) == want_x
+    _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want, IntegrationError)
     # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
-    # the float range still overflows, at t=3.62
+    # the float range still overflows, at t=3.62, where the slump's x
+    # reaches -inf and so the floor
     params = EpidemicParams(beta=2e-306, n1=1e308)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
     assert _raised(simulate_epidemic, params, grid) == want
-    want_x = _raised(oracle_market, params, curve, grid)
-    assert want_x[0] is IntegrationError and want_x != want
-    assert _raised(simulate_myopic, curve, epidemic_pass(params, grid)) == want_x
+    _legs_raise_as_the_coupled_fields(params, grid, curve, epidemic_pass(params, grid), want,
+                                      PriceFloorError)
+
+
+@pytest.mark.parametrize("phase", ["pre", "plateau", "post"])
+def test_a_blow_up_in_each_rational_phase_fails_at_its_step(curve, epidemic_run,
+                                                             rational_run, phase):
+    # S turns infinite at a node in the middle of the phase, and so do the
+    # drives of the step from it: the phase's check of its own variables
+    # (z and h, or x after the plateau) replays that step, and the coupled
+    # step fails at its first stage, at that node
+    labels = rational_run.phases()
+    k = labels.index(phase) + labels.count(phase) // 2
+    s, drives = epidemic_run.s.copy(), epidemic_run.drives.copy()
+    s[k] = drives[k] = np.inf
+    broken = replace(epidemic_run, s=s, drives=drives)
+    with pytest.raises(IntegrationError) as info:
+        simulate_re_given_t1(curve, rational_run.t1, broken)
+    assert info.value.time == float(epidemic_run.times[k])
+
+
+@pytest.mark.parametrize("leg", [
+    pytest.param(simulate_myopic, id="myopic"),
+    pytest.param(simulate_depression, id="depression"),
+    pytest.param(lambda curve, epi: simulate_re_given_t1(curve, 15.0, epi)[0],
+                 id="rational"),
+])
+def test_a_pass_whose_sir_sum_overflows_replays_no_step(leg):
+    # the defaults at kappa=400, every mass scaled by 1e300, with R set to
+    # the largest float: (S+I)+R overflows at every node, while S, I, R,
+    # the drives and the leg's own variables stay finite. No pass sums S,
+    # I and R, and I is finite, so none replays a step or warns, and R,
+    # which no rate reads, changes no leg
+    scale = 1e300
+    params = EpidemicParams(beta=5e-4 / scale, n1=999.0 * scale, n2=scale)
+    curve, grid = SupplyCurve(kappa=400.0 * scale), Grid(0.0, 60.0, 1e-2)
+    own = epidemic_pass(params, grid)
+    epi = replace(own, r=np.full_like(own.r, sys.float_info.max))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite((epi.s + epi.i) + epi.r).any()
+    with mock.patch.object(EpidemicTrajectory, "replay", autospec=True,
+                           side_effect=EpidemicTrajectory.replay) as replay:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = leg(curve, epi)
+        want = leg(curve, own)
+    assert replay.call_count == 0
+    assert np.isfinite(got.x).all()
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.p.tobytes() == want.p.tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 5])
+def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(curve, n_steps):
+    # gamma*dt = 2.78, inside RK4's stability interval: gamma*I overflows
+    # at the first step's fourth stage alone, with every drive 0 at beta=0
+    # and every leg's own variables 0. Each leg replays the step into the
+    # first node with I non-finite, and fails there, as its coupled field
+    # does, also where the grid ends at that node
+    params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
+    grid = Grid(0.0, n_steps * 0.278, 0.278)
+    want = _raised(oracle_epidemic, params, grid)
+    assert want[0] is IntegrationError and want[1] == 0.278
+    assert _raised(simulate_epidemic, params, grid) == want
+    epi = epidemic_pass(params, grid)
+    assert np.isfinite(epi.drives[0]).all() and not np.isfinite(epi.i[1])
+    legs = [((simulate_myopic, curve, epi), (oracle_market, params, curve, grid)),
+            ((simulate_depression, curve, epi), (oracle_market, params, curve, grid, True))]
+    if n_steps > 1:
+        # sold from t1 = 0.3, after node 1: phase 1 runs the failing step
+        legs.append(((simulate_re_given_t1, curve, 0.3, epi),
+                     (oracle_re_given_t1, params, curve, 0.3, grid)))
+    for got, oracle in legs:
+        want_own = _raised(*oracle)
+        assert want_own[0] is IntegrationError and want_own[1] == 0.278
+        assert _raised(*got) == want_own
+
+
+@pytest.mark.parametrize("leg", ["myopic", "depression", "rational"])
+def test_i_turning_non_finite_is_replayed_after_r_did(curve, leg):
+    # R is infinite from node 1, which fails no coupled step, since no rate
+    # reads R. At node 2, I = 1e307 makes gamma*I overflow at the fourth
+    # stage of step 2 alone (beta=0, so every finite drive is 0), and I is
+    # NaN from node 3 on. Every leg replays step 2, the step into the first
+    # node with I non-finite, not step 3, whose NaN drives its own check
+    # would catch at the same time with another message
+    params = EpidemicParams(beta=0.0, gamma=10.0)
+    epi = epidemic_pass(params, Grid(0.0, 5 * 0.278, 0.278))
+    i, r, drives = epi.i.copy(), epi.r.copy(), epi.drives.copy()
+    i[2], i[3:], r[1:], drives[3:] = 1e307, np.nan, np.inf, np.nan
+    broken = replace(epi, i=i, r=r, drives=drives)
+    if leg == "rational":
+        got = (simulate_re_given_t1, curve, 1.2, broken)
+        field, y = rational._phase1_field(params, curve), (0.0, 0.0)
+    else:
+        got = (simulate_myopic if leg == "myopic" else simulate_depression, curve, broken)
+        field, y = holdings_field(params, curve, leg == "depression"), (0.0,)
+    want = _raised(broken.replay, field, 2, y)
+    assert want[1] == float(epi.times[3]) and "nan" not in want[2]
+    assert _raised(*got) == want
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])

@@ -13,7 +13,7 @@ from epimarket import (
     simulate_epidemic,
     steady_state_recovered,
 )
-from epimarket.epidemic import EpidemicState, sir_derivatives
+from epimarket.epidemic import coupled_field
 from epimarket.errors import (
     BoundaryExtremumError,
     ConfigError,
@@ -62,13 +62,20 @@ def test_params_reject_bad_values():
             EpidemicParams(**{name: math.inf})
 
 
+def test_params_reject_a_population_beyond_the_float_range():
+    # each mass is finite, their sum is not
+    with pytest.raises(ConfigError, match=r"n1 \+ n2 \+ n3 must be finite, got inf"):
+        EpidemicParams(beta=0.0, n1=1e308, n3=1e308)
+    assert EpidemicParams(n1=1e308).total == 1e308
+
+
 def test_beta_zero_is_the_uncoupled_limit():
     p = EpidemicParams(beta=0.0)
     assert p.threshold == math.inf
 
 
 def test_derivatives_at_seed_state(params):
-    ds, di, dr = sir_derivatives(EpidemicState(999.0, 1.0, 0.0), params)
+    ds, di, dr = coupled_field(params)(0.0, (999.0, 1.0, 0.0))
     assert ds == pytest.approx(-0.4995, rel=1e-12)
     assert di == pytest.approx(0.3995, rel=1e-12)
     assert dr == pytest.approx(0.1, rel=1e-12)
@@ -76,7 +83,7 @@ def test_derivatives_at_seed_state(params):
 
 
 def test_derivatives_vanish_without_infection(params):
-    assert sir_derivatives(EpidemicState(999.0, 0.0, 1.0), params) == (0.0, 0.0, 0.0)
+    assert coupled_field(params)(0.0, (999.0, 0.0, 1.0)) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

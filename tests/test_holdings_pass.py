@@ -6,9 +6,11 @@ each stage's divisor (the price, or a slump's reflected price) for
 being positive, and each step's end node for finiteness, and a failing
 step is replayed on the coupled field at once. The package's pass runs
 the same loop with no check in it, and checks after it, only where
-`holdings_cannot_raise` cannot prove the pass safe. The two must give
-the same bytes, or raise the same exception with the same stage time
-and message.
+`holdings_cannot_raise` cannot prove the pass safe; it tests x for
+finiteness and replays the step into the first node with I non-finite,
+where the loop here tests (S+I)+R + x. The two must give the same
+bytes, or raise the same exception with the same stage time and
+message.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from epimarket import (
     simulate_myopic,
 )
 from epimarket import market
-from epimarket.errors import GridTooCoarseError, PriceFloorError, SimulationError
+from epimarket.errors import (GridTooCoarseError, IntegrationError, PriceFloorError,
+                              SimulationError)
 from epimarket.market import holdings_cannot_raise, holdings_field, holdings_pass
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -60,7 +63,7 @@ def checked_holdings_pass(curve, epi, k, x, mirror=False):
         return (-d * w / div if mirror else d * w / div) - gamma * xs
 
     out = array("d", [x])
-    for j, d1, d2, d3, d4, total in epi.steps(k):
+    for j, d1, d2, d3, d4 in epi.steps(k):
         k1 = rate(j, x, d1, x)
         x2 = x + half * k1
         k2 = rate(j, x, d2, x2)
@@ -69,7 +72,9 @@ def checked_holdings_pass(curve, epi, k, x, mirror=False):
         x4 = x + dt * k3
         k4 = rate(j, x, d4, x4)
         x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        chk = total + x1
+        # the stricter check: S, I and R at the end node as well
+        s, i, r = epi.state_at(j + 1)
+        chk = (s + i) + r + x1
         if chk - chk != 0.0:
             epi.replay(field, j, (x,))
         x = x1
@@ -182,6 +187,26 @@ def test_negative_drives_are_not_proven(params, curve):
     want = _outcome(checked_holdings_pass, curve, neg, 0, 0.0)
     assert want[0] is PriceFloorError
     assert _outcome(holdings_pass, curve, neg, 0, 0.0) == want
+
+
+def test_a_boom_whose_decay_rate_overflows_is_not_proven(curve):
+    # from x = 1e308 at gamma = 2, gamma*x overflows at the first stage:
+    # every condition of the bound holds but its finiteness
+    epi = epidemic_pass(EpidemicParams(gamma=2.0), Grid(0.0, 1.0, 1e-2))
+    assert not holdings_cannot_raise(curve, epi, 0, 1e308)
+    want = _outcome(checked_holdings_pass, curve, epi, 0, 1e308)
+    assert want[0] is IntegrationError
+    assert _outcome(holdings_pass, curve, epi, 0, 1e308) == want
+
+
+def test_a_boom_whose_i_turns_non_finite_is_not_proven(curve, epidemic_run):
+    # finite drives leave I at a step's end unbounded: gamma*I may
+    # overflow at its fourth stage alone (see epidemic), so a pass through
+    # a node with I non-finite is checked, with every other condition held
+    assert holdings_cannot_raise(curve, epidemic_run, 0, 0.0)
+    i = epidemic_run.i.copy()
+    i[-1] = math.inf
+    assert not holdings_cannot_raise(curve, replace(epidemic_run, i=i), 0, 0.0)
 
 
 def test_proven_passes_run_no_check(params, curve, grid, epidemic_run, forks):

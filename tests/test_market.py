@@ -190,8 +190,7 @@ def _coupled_holdings(params, curve, epi, k, x, mirror):
     from the grid's S, I and R at its start node, to the end of the grid."""
     field = holdings_field(params, curve, mirror)
     for j in range(k, epi.grid.n_steps):
-        st = epi.state_at(j)
-        x = rk4_step(field, float(epi.times[j]), (st.s, st.i, st.r, x), epi.grid.dt)[3]
+        x = rk4_step(field, float(epi.times[j]), epi.state_at(j) + (x,), epi.grid.dt)[3]
     return x
 
 

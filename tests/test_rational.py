@@ -330,8 +330,7 @@ def _full_grid_solve(params, curve, grid, tol, epi):
 def _first_reversed_node(params, curve, epi, zs, hs):
     """k_f by _node_diagnosis's own pre-scan check, or None."""
     for k in range(1, epi.grid.n_steps):
-        st = epi.state_at(k)
-        y = (st.s, st.i, st.r, zs[k], hs[k])
+        y = epi.state_at(k) + (zs[k], hs[k])
         if y[4] > 0.0:
             p_star = clearing_price(y[3] + y[4], curve)
             if rational._flow(params, p_star, y) <= 0.0:
