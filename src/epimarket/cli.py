@@ -12,7 +12,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
 from .analysis import (
     check_propositions,
     default_sweep_axes,
@@ -24,11 +23,11 @@ from .epidemic import epidemic_pass
 from .errors import ConfigError, SimulationError
 from .market import simulate_depression, simulate_myopic
 from .output import (
-    RunReport,
     prepare_out_dir,
     write_legs,
     write_report,
     write_sweep_csv,
+    write_sweep_summary,
     write_timeline_json,
 )
 from .rational import re_price_path
@@ -133,17 +132,8 @@ def _cmd_simulate(args) -> int:
     manifest = [path for pair in zip(series, plots) for path in pair]
     manifest.append(write_timeline_json(timeline, verdicts, out / "timeline.json"))
 
-    report = RunReport(
-        config_echo=serialize_config(cfg),
-        scenario=cfg.scenario,
-        timeline=timeline,
-        verdicts=verdicts,
-        manifest=manifest,
-        engine_version=__version__,
-        duration_s=time.perf_counter() - started,
-        error=error,
-    )
-    write_report(report, out / "report.json")
+    write_report(out / "report.json", serialize_config(cfg), cfg.scenario, manifest,
+                 time.perf_counter() - started, timeline, verdicts, error)
 
     if timeline.boom:
         log.info("infection peak at t=%.4f", timeline.t_i_star)
@@ -170,26 +160,11 @@ def _cmd_sweep(args) -> int:
 
     rows = parameter_sweep(cfg.epidemic_params(), cfg.supply_curve(), cfg.grid(),
                            axes=axes, rational=cfg.scenario != "myopic")
-    manifest = [write_sweep_csv(rows, out / "sweep.csv")]
     summary = summarize_sweep(rows)
-    summary_path = out / "sweep_summary.csv"
-    summary_path.write_text(
-        "metric,value\n"
-        + "".join(f"{k},{v}\n" for k, v in summary.items()),
-        encoding="utf-8",
-    )
-    manifest.append(str(summary_path))
-
-    report = RunReport(
-        config_echo=serialize_config(cfg),
-        scenario=cfg.scenario,
-        timeline=None,
-        verdicts=None,
-        manifest=manifest,
-        engine_version=__version__,
-        duration_s=time.perf_counter() - started,
-    )
-    write_report(report, out / "report.json")
+    manifest = [write_sweep_csv(rows, out / "sweep.csv"),
+                write_sweep_summary(summary, out / "sweep_summary.csv")]
+    write_report(out / "report.json", serialize_config(cfg), cfg.scenario, manifest,
+                 time.perf_counter() - started)
     log.info("swept %d points (%d booms, %d errors)",
              summary["points"], summary["booms"], summary["errors"])
     return 0

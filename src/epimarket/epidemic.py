@@ -317,7 +317,7 @@ def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def steady_state_recovered(params: EpidemicParams, tol: float = 1e-10) -> float:
+def steady_state_recovered(params: EpidemicParams) -> float:
     """Long-run recovered mass R_inf.
 
     Solves R = -(gamma/beta)*ln(N-R) + C_R on the branch where the leftover
@@ -326,9 +326,10 @@ def steady_state_recovered(params: EpidemicParams, tol: float = 1e-10) -> float:
     the threshold for typical parameters). n2=0 short-circuits: nothing ever
     spreads and R stays at n3 exactly.
 
-    tol bounds the equation residual, relative to the population size when
-    that exceeds 1 (near-total outbreaks leave no float with a smaller
-    absolute residual); the returned root is exact to machine resolution.
+    The equation residual is bounded by 1e-10, relative to the population
+    size when that exceeds 1 (near-total outbreaks leave no float with a
+    smaller absolute residual); the returned root is exact to machine
+    resolution.
     """
     if params.n2 == 0:
         return params.n3
@@ -368,7 +369,7 @@ def steady_state_recovered(params: EpidemicParams, tol: float = 1e-10) -> float:
         )
     bracket = Bracket(lo, hi, g_lo, g_hi)
     return find_root_bracketed(g, bracket, tol_x=0.0, max_iter=200,
-                               tol_f=tol * max(1.0, n_total))
+                               tol_f=1e-10 * max(1.0, n_total))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Artifact writers: time series, plot data, timelines, sweep tables.
+"""Artifact writers: time series, plot data, timelines, sweep tables and
+the run report. Every artifact file of the package is written here, and
+every JSON one by `write_json`.
 
 All numbers are written with shortest round-trip precision (repr of the
 Python float), so a write-then-read cycle is bit-exact and two runs with
@@ -28,11 +30,11 @@ import shutil
 import tempfile
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analysis import (
     ORDERING_KEYS,
     ClaimResult,
@@ -73,6 +75,16 @@ def prepare_out_dir(path) -> Path:
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in path
         raise ConfigError(f"cannot use {str(out)!r} as output directory: {exc}") from exc
     return out
+
+
+def write_json(payload, path) -> str:
+    """payload as UTF-8 JSON, indented by 2, with one trailing newline: the
+    format of every JSON artifact."""
+    path = Path(path)
+    with path.open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +180,7 @@ def write_timeseries(trajectory: MarketTrajectory, fmt: str, path) -> str:
         *_, cols = _series_table(trajectory, path)
         payload = {name: [float(v) for v in col] for name, col in zip(_TS_COLUMNS, cols)}
         payload["phase"] = cols[-1]
-        with path.open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(payload, path)
     else:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     return str(path)
@@ -256,11 +266,7 @@ def timeline_payload(timeline: EventTimeline,
 
 def write_timeline_json(timeline: EventTimeline,
                         verdicts: dict[str, ClaimResult] | None, path) -> str:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(timeline_payload(timeline, verdicts), fh, indent=2)
-        fh.write("\n")
-    return str(path)
+    return write_json(timeline_payload(timeline, verdicts), path)
 
 
 def write_sweep_csv(rows: list[SweepResult], path) -> str:
@@ -301,42 +307,36 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
     return str(path)
 
 
+def write_sweep_summary(summary: dict[str, int], path) -> str:
+    """One metric,value row per entry of summarize_sweep's summary."""
+    path = Path(path)
+    path.write_text(
+        "metric,value\n" + "".join(f"{k},{v}\n" for k, v in summary.items()),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # run report
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Provenance for one CLI invocation.
+def write_report(path, config: str, scenario: str, manifest: list[str],
+                 duration_s: float, timeline: EventTimeline | None = None,
+                 verdicts: dict[str, ClaimResult] | None = None,
+                 error: str | None = None) -> str:
+    """Provenance for one CLI invocation, with the package's version.
 
     The manifest lists exactly the data files written. duration_s is the
     only field allowed to differ between identical runs.
     """
-
-    config_echo: str
-    scenario: str
-    timeline: EventTimeline | None
-    verdicts: dict[str, ClaimResult] | None
-    manifest: list[str]
-    engine_version: str
-    duration_s: float
-    error: str | None = None
-
-
-def write_report(report: RunReport, path) -> str:
-    path = Path(path)
-    payload = {
-        "config": report.config_echo,
-        "scenario": report.scenario,
-        "timeline": (None if report.timeline is None
-                     else timeline_payload(report.timeline, report.verdicts)),
-        "manifest": list(report.manifest),
-        "engine_version": report.engine_version,
-        "duration_s": float(report.duration_s),
-        "error": report.error,
-    }
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return str(path)
+    return write_json({
+        "config": config,
+        "scenario": scenario,
+        "timeline": None if timeline is None else timeline_payload(timeline, verdicts),
+        "manifest": list(manifest),
+        "engine_version": __version__,
+        "duration_s": float(duration_s),
+        "error": error,
+    }, path)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -263,6 +263,8 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     flow) as _plateau does: first for t1 itself, as j = k1, then for node
     k1+1, reached by _to_node on the phase-2 field, and every later node
     over the grid's drives. Only t1 is yielded if node k1 is the last.
+    The step to node k1+1 is taken only when that node is asked for, so a
+    plateau that closes at t1 itself never steps the phase-2 field.
     """
     params, grid = epi.params, epi.grid
     k1 = _node_below(grid, t1)
@@ -273,11 +275,13 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     if rem > 0.0:
         y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
     p_star = clearing_price(y[3] + y[4], curve)
-    head = [(k1, y[3], y[4], _flow(params, p_star, y))]
-    if k1 == grid.n_steps:
-        return k1, p_star, y, iter(head)
-    z, h = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
-    return k1, p_star, y, chain(head, _plateau(p_star, epi, k1 + 1, z, h))
+
+    def nodes():
+        yield k1, y[3], y[4], _flow(params, p_star, y)
+        if k1 < grid.n_steps:
+            z, h = _to_node(epi, _phase2_field(params, p_star), t1, k1, y)
+            yield from _plateau(p_star, epi, k1 + 1, z, h)
+    return k1, p_star, y, nodes()
 
 
 def _closing_kind(h: float) -> str:

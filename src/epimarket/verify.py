@@ -44,6 +44,7 @@ from .market import (
 from .numerics import Grid
 from .output import (
     prepare_out_dir,
+    write_json,
     write_legs,
     write_sweep_csv,
     write_timeline_json,
@@ -194,7 +195,9 @@ def check_peak_lead_sweep(rows) -> CheckResult:
     )
 
 
-def check_quadrature(params, curve, myopic) -> CheckResult:
+def check_quadrature(myopic, fine) -> CheckResult:
+    """The cohort quadrature against the holdings of the myopic leg at
+    dt=1e-2 and of the myopic leg at dt=5e-3 (fine)."""
     def max_rel(traj):
         q = cohort_holdings_profile(traj)
         x = traj.x
@@ -202,7 +205,6 @@ def check_quadrature(params, curve, myopic) -> CheckResult:
         return float(np.max(err))
 
     e1 = max_rel(myopic)
-    fine = simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 300.0, 5e-3)))
     e2 = max_rel(fine)
     ratio = e1 / e2 if e2 > 0 else float("inf")
     ok = e1 <= 1e-4 and ratio >= 2.0
@@ -306,16 +308,14 @@ def check_depression(epi) -> CheckResult:
     )
 
 
-def check_event_convergence(params, curve) -> CheckResult:
-    dts = (2e-2, 1e-2, 5e-3)
-    tp = []
-    t1 = []
-    for dt in dts:
-        g = Grid(0.0, 300.0, dt)
-        epi = epidemic_pass(params, g)
-        traj = simulate_myopic(curve, epi)
-        tp.append(refine_peak(epi.times, traj.p)[0])
-        t1.append(solve_plateau(curve, epi).t1)
+def check_event_convergence(curve, myopic, solution, fine) -> CheckResult:
+    """t_P* and t1 at dt=2e-2, 1e-2 and 5e-3: the dt=1e-2 myopic leg and
+    its plateau solution, and the dt=5e-3 myopic leg (fine)."""
+    coarse = simulate_myopic(curve, epidemic_pass(myopic.epi.params,
+                                                  Grid(0.0, 300.0, 2e-2)))
+    tp = [refine_peak(leg.epi.times, leg.p)[0] for leg in (coarse, myopic, fine)]
+    t1 = [solve_plateau(curve, coarse.epi).t1, solution.t1,
+          solve_plateau(curve, fine.epi).t1]
     gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
     g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])
     # shrink-by->=2x; 0 -> 0 (fully grid-stable) satisfies this trivially
@@ -371,6 +371,8 @@ def run_verification(out_dir) -> VerificationReport:
     judged = check_propositions(myopic, rational)
     timeline, claims = judged.timeline, judged.claims
     rows = parameter_sweep(params, curve, grid)
+    # criteria 06 and 12 share the dt=5e-3 myopic leg
+    fine = simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 300.0, 5e-3)))
 
     results = [
         check_conservation(params, epi),
@@ -378,13 +380,13 @@ def run_verification(out_dir) -> VerificationReport:
         check_final_size(params, grid),
         check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
-        check_quadrature(params, curve, myopic),
+        check_quadrature(myopic, fine),
         check_plateau_closure(rational.solution, claims, params, curve),
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, claims, rows),
         check_depression(epi),
-        check_event_convergence(params, curve),
+        check_event_convergence(curve, myopic, rational.solution, fine),
         check_determinism(params, curve, grid, rows, out),
     ]
 
@@ -398,14 +400,7 @@ def run_verification(out_dir) -> VerificationReport:
         str(out / "sweep_recheck.csv"),
     ]
     report = VerificationReport(results=results, artifacts=artifacts)
-    _write_verification_json(report, out / "verification.json")
-    return report
-
-
-def _write_verification_json(report: VerificationReport, path: Path) -> None:
-    import json
-
-    payload = {
+    write_json({
         "ok": report.ok,
         "criteria": [
             {"criterion": r.criterion, "name": r.name,
@@ -414,7 +409,5 @@ def _write_verification_json(report: VerificationReport, path: Path) -> None:
         ],
         # basenames keep the file identical for any artifact directory
         "artifacts": [Path(p).name for p in report.artifacts],
-    }
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    }, out / "verification.json")
+    return report

@@ -442,6 +442,20 @@ def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(curve, n_steps):
         assert _raised(*got) == want_own
 
 
+def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve):
+    # beta=0, so z stays 0 and the net flow at t1 = 0.1, off-node, is 0:
+    # the plateau closes at t1 itself. The unwind then steps the boom field
+    # from t1 to node 1, where gamma*I overflows at the fourth stage, as the
+    # coupled formulation's 4-variable step does; a step of the 5-variable
+    # plateau field to node 1 would fail at the same time with another
+    # message
+    params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
+    grid = Grid(0.0, 0.278, 0.278)
+    want = _raised(oracle_re_given_t1, params, curve, 0.1, grid)
+    assert want[0] is IntegrationError and want[1] == 0.1
+    assert _raised(simulate_re_given_t1, curve, 0.1, epidemic_pass(params, grid)) == want
+
+
 @pytest.mark.parametrize("leg", ["myopic", "depression", "rational"])
 def test_i_turning_non_finite_is_replayed_after_r_did(curve, leg):
     # R is infinite from node 1, which fails no coupled step, since no rate

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import epimarket
 from epimarket import (
     EpidemicParams,
     Grid,
@@ -25,7 +26,6 @@ from epimarket import cli, output
 from epimarket.errors import ConfigError
 from epimarket.output import (
     BLOCK_ROWS,
-    RunReport,
     prepare_out_dir,
     read_timeseries_csv,
     timeline_payload,
@@ -160,17 +160,16 @@ def test_sweep_csv_layout(tmp_path, params, curve, grid):
 
 
 def test_report_payload(tmp_path):
-    report = RunReport(
-        config_echo="beta=0.0005\n",
+    write_report(
+        tmp_path / "report.json",
+        config="beta=0.0005\n",
         scenario="myopic",
+        manifest=["myopic.csv"],
+        duration_s=1.25,
         timeline=None,
         verdicts=None,
-        manifest=["myopic.csv"],
-        engine_version="0.1.0",
-        duration_s=1.25,
         error=None,
     )
-    write_report(report, tmp_path / "report.json")
     payload = json.loads((tmp_path / "report.json").read_text())
     assert list(payload) == [
         "config", "scenario", "timeline", "manifest",
@@ -179,6 +178,7 @@ def test_report_payload(tmp_path):
     assert payload["timeline"] is None
     assert payload["manifest"] == ["myopic.csv"]
     assert payload["error"] is None
+    assert payload["engine_version"] == epimarket.__version__
 
 
 # ---------------------------------------------------------------------------
