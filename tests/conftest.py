@@ -5,6 +5,7 @@ mutates a trajectory (they build modified copies via dataclasses.replace).
 """
 from __future__ import annotations
 
+import hashlib
 import os
 from array import array
 
@@ -116,6 +117,22 @@ def unchecked_pass():
     interval, which epidemic_pass refuses, so a test can drive the market
     passes' floor and blow-up replays there."""
     return _unchecked_pass
+
+
+def _artifact_digest(paths):
+    """sha256 over each file's name, a NUL and its bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(paths, key=lambda path: path.name):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="session")
+def artifact_digest():
+    """artifact_digest(paths): the pin of an artifact set, a sha256 over
+    each file's name, a NUL and its bytes, in name order. A set leaves out
+    report.json, which holds the wall-clock duration."""
+    return _artifact_digest
 
 
 @pytest.fixture

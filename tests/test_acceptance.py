@@ -39,6 +39,18 @@ def second_run(tmp_path_factory):
     return run_verification(tmp_path_factory.mktemp("verify_b"))
 
 
+# sha256 of the eight files a verification run writes (its artifacts and
+# verification.json); the engine's passes are rewritten only byte for byte
+VERIFY_SHA256 = "2fd25f9ff7baf70ac6b9a4d7d81bb5176e2e5443aca5416139da8ebe135e9b19"
+
+
+def _files(report) -> dict[str, Path]:
+    """The files a verification run wrote, by name."""
+    files = {Path(p).name: Path(p) for p in report.artifacts}
+    files["verification.json"] = files["sweep.csv"].parent / "verification.json"
+    return files
+
+
 def _criterion(report, number: int):
     for result in report.results:
         if result.criterion == number:
@@ -112,12 +124,16 @@ def test_criterion_13_determinism(first_run, second_run):
     verdicts_b = [(r.criterion, r.passed) for r in second_run.results]
     assert verdicts_a == verdicts_b
     # and the complete artifact sets must match byte for byte
-    files_a = {Path(p).name: Path(p) for p in first_run.artifacts}
-    files_b = {Path(p).name: Path(p) for p in second_run.artifacts}
-    files_a["verification.json"] = files_a["sweep.csv"].parent / "verification.json"
-    files_b["verification.json"] = files_b["sweep.csv"].parent / "verification.json"
+    files_a, files_b = _files(first_run), _files(second_run)
     assert files_a.keys() == files_b.keys()
     for name in sorted(files_a):
         assert files_a[name].read_bytes() == files_b[name].read_bytes(), (
             f"artifact {name} differs between verification runs"
         )
+
+
+def test_verification_artifacts_have_the_pinned_bytes(first_run, artifact_digest):
+    files = _files(first_run)
+    assert sorted(files) == sorted(p.name for p in files["sweep.csv"].parent.iterdir())
+    assert len(files) == 8
+    assert artifact_digest(files.values()) == VERIFY_SHA256

@@ -60,18 +60,65 @@ def test_simulate_rational_adds_the_second_leg(tmp_path, fast_config):
 # sha256 of the data files `simulate --scenario rational` writes at the
 # defaults; the engine's passes are rewritten only byte for byte
 RATIONAL_DEFAULT_SHA256 = "d726e476899d3264413b2b9c5426011744fe49220f7ec4c6feda322cd50ac670"
+# and of those of `simulate --scenario all` at kappa=400
+ALL_KAPPA_400_SHA256 = "ec912e221240a50ac01a2d619d18d70b354ec6ffbd99b335818ef0c475634b20"
 
 
-def test_simulate_rational_defaults_write_the_pinned_bytes(tmp_path):
+def _data_files(out):
+    """The files a run wrote to out, report.json left out."""
+    return sorted(p for p in out.glob("*") if p.name != "report.json")
+
+
+def test_simulate_rational_defaults_write_the_pinned_bytes(tmp_path, artifact_digest):
     cfg = tmp_path / "rational.cfg"
     cfg.write_text("scenario=rational\n")
     out = tmp_path / "out"
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
-    digest = hashlib.sha256()
-    for path in sorted(out.iterdir()):
-        if path.name != "report.json":  # holds the wall-clock duration
-            digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == RATIONAL_DEFAULT_SHA256
+    assert artifact_digest(_data_files(out)) == RATIONAL_DEFAULT_SHA256
+
+
+FLOOR = "clearing price hit zero at t=7.015 (x=-10.009295841226004)"
+
+
+def _legs(legs, *exts):
+    return [f"{leg}.{ext}" for leg in legs.split() for ext in exts] + ["timeline.json"]
+
+
+# the other default artifact sets (test_simulate_all_writes_one_sir_history_for_every_leg
+# pins --scenario all at kappa=400 in csv): the config text and flags of a
+# run, its exit code, the data files it writes, its ERROR lines and the
+# sha256 of those files
+@pytest.mark.parametrize("config, argv, code, files, errors, sha256", [
+    pytest.param("kappa=400\n", ("simulate", "--scenario", "all", "--format", "json"), 0,
+                 _legs("myopic rational depression", "json", "dat"), [],
+                 "2d7632073656317382b616228b5302437fa280827939464a9938d770a6f52a28",
+                 id="all-kappa-400-json"),
+    pytest.param("kappa=700\n", ("simulate", "--scenario", "depression"), 0,
+                 _legs("myopic depression", "csv", "dat"), [],
+                 "54a4f11e0d0491ee0cc6a19c90107deda9ea6ddd75b75357da7ead14cc990f00",
+                 id="depression-kappa-700"),
+    # the depression leg reaches the price floor: the run keeps the files
+    # of --scenario rational, or writes none where it is the only leg
+    pytest.param("", ("simulate", "--scenario", "all"), 3,
+                 _legs("myopic rational", "csv", "dat"), [f"depression leg failed: {FLOOR}"],
+                 RATIONAL_DEFAULT_SHA256, id="all"),
+    pytest.param("", ("simulate", "--scenario", "depression"), 3, [], [FLOOR],
+                 hashlib.sha256().hexdigest(), id="depression"),
+    pytest.param("", ("sweep",), 0, ["sweep.csv", "sweep_summary.csv"], [],
+                 "d5a1dc8250115e97ebeb31ecf2b3336eaa098a0a97ffdad9b0d4d173162b19fc",
+                 id="sweep"),
+])
+def test_default_artifact_sets_have_the_pinned_bytes(tmp_path, caplog, artifact_digest,
+                                                     config, argv, code, files, errors,
+                                                     sha256):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--config", str(cfg), "--out", str(out)) == code
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == errors
+    written = _data_files(out)
+    assert [p.name for p in written] == sorted(files)
+    assert artifact_digest(written) == sha256
 
 
 def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
@@ -125,7 +172,7 @@ def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):
     assert "price" in report["error"]
 
 
-def test_simulate_all_writes_one_sir_history_for_every_leg(tmp_path):
+def test_simulate_all_writes_one_sir_history_for_every_leg(tmp_path, artifact_digest):
     # S, I and R are one pass per (params, grid); the rational leg reads it
     # as the myopic leg does, so the t, S, I, R columns match byte for byte
     cfgfile = tmp_path / "k400.cfg"
@@ -141,6 +188,7 @@ def test_simulate_all_writes_one_sir_history_for_every_leg(tmp_path):
 
     assert sir_columns("rational.csv") == sir_columns("myopic.csv")
     assert sir_columns("depression.csv") == sir_columns("myopic.csv")
+    assert artifact_digest(_data_files(out)) == ALL_KAPPA_400_SHA256
 
 
 SHORT_OF_PEAK = ("infected maximum sits on the grid boundary (node {}); "
