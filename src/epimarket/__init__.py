@@ -14,7 +14,6 @@ from .epidemic import (
     EpidemicParams,
     epidemic_pass,
     infection_peak,
-    simulate_epidemic,
     steady_state_recovered,
 )
 from .market import (

@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     ConsistencyError,
     DomainError,
-    GridTooCoarseError,
     SimulationError,
 )
 from .market import MarketTrajectory, SupplyCurve, clearing_price, simulate_myopic
@@ -170,10 +169,6 @@ class PropositionReport:
     scenario: str
     claims: dict[str, ClaimResult]
     timeline: EventTimeline
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.status == "pass" for c in self.claims.values())
 
     def counts(self) -> dict[str, int]:
         return claim_counts(self.claims.values())
@@ -430,16 +425,17 @@ def _epidemic_rows(params, grid, items, rational) -> list[SweepResult]:
     then split into one strided share per usable CPU, each share after the
     first in a forked process (`pool.forked`) that reads the pass
     copy-on-write. One usable CPU or one point leaves one share, run here.
-    With no boom there is no pass: every row is NO_BOOM with no claims. A
-    grid the pass refuses (GridTooCoarseError) is the error of every
-    point's row; a point's own run failures are its row's (`_point_result`).
+    With no boom there is no pass: every row is NO_BOOM with no claims. An
+    error of the pass (a grid it refuses, a step that overflows) is the
+    error of every point's row; a point's own run failures are its row's
+    (`_point_result`).
     """
     if not params.booms:
         return [SweepResult(idx, ov, params, curve, NO_BOOM, {}, dt_used=grid.dt)
                 for idx, ov, curve in items]
     try:
         epidemic = epidemic_pass(params, grid)
-    except GridTooCoarseError as exc:
+    except SimulationError as exc:
         return [SweepResult(idx, ov, params, curve, None, None,
                             error=str(exc), dt_used=grid.dt)
                 for idx, ov, curve in items]
@@ -468,8 +464,8 @@ def parameter_sweep(
     pass runs. Points with the same resolved epidemic parameters form one
     group that integrates the SIR pass once; the groups run one after
     another, each group's points on every usable CPU (`_epidemic_rows`),
-    and rows come back in grid order. What only a run can find (a grid
-    the SIR pass refuses, a failed solve, a refinement past
+    and rows come back in grid order. What only a run can find (an error
+    of the SIR pass, a failed solve, a refinement past
     `numerics.MAX_STEPS`) lands in the row's error field.
     """
     if axes is None:

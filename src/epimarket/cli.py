@@ -100,8 +100,8 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     error: str | None = None
 
-    # one SIR pass drives every leg; a blow-up in it surfaces as the
-    # myopic leg's own error, at the step where that leg fails
+    # one SIR pass drives every leg; a blow-up in it fails the run with the
+    # pass's own error, at the stage where its step fails
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)
     rational = None

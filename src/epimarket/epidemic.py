@@ -28,29 +28,30 @@ right, as the loop did.
 The pass refuses a grid beyond RK4's real-axis stability interval,
 (beta*N + gamma)*dt above RK4_STABILITY, with GridTooCoarseError before
 any step runs; every market and rational pass is driven by it, so none
-steps on such a grid. Inside the interval the pass runs to the grid's
-end unchecked. Every coupled field is `coupled_field`: the SIR field
-with the field's own rates appended.
+steps on such a grid. Inside the interval the loop runs to the grid's
+end unchecked. After it, each step that ends with S or I non-finite is
+replayed, in order, through rk4_step on the SIR field
+(`EpidemicTrajectory.replay`), so the pass raises the coupled step's
+IntegrationError, with its stage time. Every coupled field is
+`coupled_field`: the SIR field with the field's own rates appended.
 
-A market or rational pass over the drive table checks the variables it
-steps. It replays through rk4_step on its own coupled field
-(`EpidemicTrajectory.replay`) each step that ends with one of them
-non-finite, and the step into the first node with I non-finite
-(`EpidemicTrajectory.i_blowup`), so it raises what the coupled step
-raises: a non-finite drive beta*I*S at a stage makes the pass's own
-rate, and so its end state, non-finite; with the drives finite, only
-gamma*I or beta*I*S - gamma*I can fail, and either makes I non-finite
-at the step's end, and every later drive with it. A replayed step whose
-coupled derivatives are finite stands. S and R need no watch: an S
-turned non-finite by finite drives fails only the next step, through its
-drive, and no rate reads R.
+So every stage derivative of the SIR field, every drive among them, is
+finite on a pass that returns: a non-finite one leaves S or I non-finite
+at its step's end, and that step's replay raises it. (Finite derivatives
+that sum past the float range leave the step's end node non-finite
+without an error, as the coupled step does; the next step's replay
+raises, so that can happen only in the last step.) A market or rational
+pass over the drive table therefore checks only the variables it steps:
+it replays through rk4_step on its own coupled field each step that ends
+with one of them non-finite, and raises what the coupled step raises,
+which only the pass's own rates can fail. A replayed step whose coupled
+derivatives are finite stands. No rate reads R.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 
 import numpy as np
@@ -152,12 +153,6 @@ class EpidemicTrajectory:
         """(S, I, R) at node k as floats."""
         return float(self.s[k]), float(self.i[k]), float(self.r[k])
 
-    @cached_property
-    def i_blowup(self) -> int:
-        """The step into the first node with I non-finite, n_steps if none."""
-        finite = np.isfinite(self.i[1:])
-        return self.grid.n_steps if finite.all() else int(np.argmin(finite))
-
     def steps(self, k: int = 0):
         """The RK4 steps from node k to the end of the grid, for a scalar
         pass over the drive table.
@@ -209,14 +204,14 @@ BLOCK = 4096
 
 
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
-    """The SIR pass with its drive table, for market passes to run on.
+    """S, I and R over the grid with the drive table, for market passes to
+    run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY. Otherwise it is simulate_epidemic, except that
-    it never raises: a blow-up leaves non-finite values from its step on.
-    A market pass driven by it replays that step through its own coupled
-    field and raises what the coupled step raises, which may be an
-    earlier error of its own.
+    beyond RK4_STABILITY, and IntegrationError with the stage time if a
+    stage derivative is non-finite: each step that ends with S or I
+    non-finite is replayed through rk4_step until one raises
+    (EpidemicTrajectory.replay).
     """
     n = grid.n_steps
     beta, gamma, h = params.beta, params.gamma, grid.dt
@@ -258,7 +253,7 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     r_nodes = np.empty(n + 1)
     r_nodes[0] = params.n3
     # the loop's stage arithmetic again, on the stored S and I; a blow-up
-    # stays silent, as it is on plain floats
+    # stays silent, as it is on plain floats, until its step is replayed
     with np.errstate(all="ignore"):
         for a in range(0, n, BLOCK):
             b = min(a + BLOCK, n)
@@ -284,7 +279,7 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
             r_inc[0] = r_nodes[a]
             r_inc[1:] = sixth * (c1 + 2.0 * (c2 + c3) + c4)
             np.add.accumulate(r_inc, out=r_nodes[a:b + 1])
-    return EpidemicTrajectory(
+    epi = EpidemicTrajectory(
         params=params,
         grid=grid,
         times=grid.times(),
@@ -293,23 +288,15 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         r=r_nodes,
         drives=drives,
     )
-
-
-def simulate_epidemic(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
-    """S, I and R over the grid with the drive table.
-
-    Raises GridTooCoarseError before any step on a grid beyond RK4's
-    stability interval (see epidemic_pass), and IntegrationError with the
-    stage time if a stage derivative is non-finite: each step that ends
-    non-finite is replayed through rk4_step until one raises
-    (EpidemicTrajectory.replay).
-    """
-    epi = epidemic_pass(params, grid)
     field = coupled_field(params)
-    finite = np.isfinite(epi.s[1:]) & np.isfinite(epi.i[1:]) & np.isfinite(epi.r[1:])
+    finite = np.isfinite(s_nodes[1:]) & np.isfinite(i_nodes[1:])
     for k in np.flatnonzero(~finite).tolist():
         epi.replay(field, k, ())
     return epi
+
+
+# the SIR pass under the name the benchmark traces
+simulate_epidemic = epidemic_pass
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,12 @@ a usual pass) is not checked at all; any other pass, every slump among
 them, is checked in numpy after the loop. The coupled (S, I, R, x)
 field of each scenario, `coupled_field` with the x rate appended
 (`holdings_field`), remains its definition: a step that reached the
-price floor or a price (reflected, in a slump) <= 0 at a stage, ended
-with x non-finite, or is the SIR pass's `EpidemicTrajectory.i_blowup`
-is replayed through rk4_step on it from the grid's state at its start
-node (`EpidemicTrajectory.replay`), so errors carry the coupled step's
-stage time and message (see epidemic). The rational unwind after the
-plateau is the euphoric pass restarted from the closing node.
+price floor or a price (reflected, in a slump) <= 0 at a stage, or ended
+with x non-finite, is replayed through rk4_step on it from the grid's
+state at its start node (`EpidemicTrajectory.replay`), so errors carry
+the coupled step's stage time and message (see epidemic). The rational
+unwind after the plateau is the euphoric pass restarted from the closing
+node.
 """
 from __future__ import annotations
 
@@ -169,8 +169,8 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     1.5*dt*top above x. Every stage thus stays in [-kappa*p0/2,
     x + 3*top*span] over the span left, half the floor's distance inside
     it, which rounding does not close, and every rate D - gamma*x is
-    finite when (1 + gamma) times that bound is. So are the SIR stage
-    derivatives, where I is finite at every node (see epidemic).
+    finite when (1 + gamma) times that bound is. The SIR stage derivatives
+    are finite on every pass that epidemic_pass returns (see epidemic).
     """
     d = epi.drives[k:]
     dt, gamma = epi.grid.dt, epi.params.gamma
@@ -178,8 +178,7 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
     return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
                 and gamma * dt * dt * top <= curve.kappa * curve.p0
-                and math.isfinite((1.0 + gamma) * bound)
-                and epi.i_blowup == epi.grid.n_steps)
+                and math.isfinite((1.0 + gamma) * bound))
 
 
 def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
@@ -238,11 +237,11 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     with the loop's operations in its order, so they are the loop's to
     the bit, in blocks of BLOCK steps. A step is flagged if a stage is at
     or below the floor -kappa*p0 or divides by a price (reflected, for a
-    slump) that is not positive, if x at its end node is non-finite, or
-    if it is `EpidemicTrajectory.i_blowup`; with cut, the step from the
-    last node in xs, which the loop did not finish, is flagged too. Each
-    flagged step is replayed on holdings_field (`EpidemicTrajectory.replay`),
-    which raises what the coupled step raises; one that raises nothing stands.
+    slump) that is not positive, or if x at its end node is non-finite;
+    with cut, the step from the last node in xs, which the loop did not
+    finish, is flagged too. Each flagged step is replayed on
+    holdings_field (`EpidemicTrajectory.replay`), which raises what the
+    coupled step raises; one that raises nothing stands.
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
@@ -251,7 +250,6 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     half, two_p0 = 0.5 * dt, 2.0 * p0
     nodes = np.frombuffer(xs)
     done = len(xs) - 1
-    blowup = epi.i_blowup - k
 
     def stage(d, x):
         # the stage's rate, and whether x is at the floor or P (2*p0 - P) <= 0
@@ -269,8 +267,6 @@ def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
             k3, bad3 = stage(d[:, 2], x + half * k2)
             bad4 = stage(d[:, 3], x + dt * k3)[1]
         bad = bad1 | bad2 | bad3 | bad4 | ~np.isfinite(nodes[a + 1:b + 1])
-        if a <= blowup < b:
-            bad[blowup - a] = True
         for j in (a + np.flatnonzero(bad)).tolist():
             epi.replay(field, k + j, (xs[j],))
     if cut:

@@ -16,13 +16,12 @@ Every function that runs a pass takes the SIR pass it runs on
 and `_flow`, which belong to no pass, take params. Every pass runs over
 that pass's drive table (see epidemic); phase 1 and the plateau stream
 it through `EpidemicTrajectory.steps` as each step's four drives, and
-check each step's own z and h inside their loops, replaying
-`EpidemicTrajectory.i_blowup` too. S, I and R are never carried, and a
-replay reads the grid's state at the step's start node
-(`EpidemicTrajectory.replay`). The accumulation phase
-(z, h) runs from t=0; the solve's stops at k_f, the first node
-flow-reversed before any scan (h > 0, net flow at its own P* <= 0), and
-its replay reuses those arrays.
+check each step's own z and h inside their loops. S, I and R are never
+carried, and a replay reads the grid's state at the step's start node
+(`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
+t=0; the solve's stops at k_f, the first node flow-reversed before any
+scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
+arrays.
 
 From a trial t1 in [node(k1), node(k1+1)) the plateau is one scan: an
 rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
@@ -47,8 +46,9 @@ out that the unwind raises, so a head fails as its full path.
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
 the price floor go through them by rk4_step, so each raises what the
-coupled step raises. A grid beyond RK4's stability interval never gets
-here: its SIR pass refuses it before any step (see epidemic).
+coupled step raises. A grid beyond RK4's stability interval, or an SIR
+step that overflows, never gets here: its SIR pass raises first (see
+epidemic).
 """
 from __future__ import annotations
 
@@ -154,16 +154,16 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
     """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
     stop_at_reversal and k_f < upto).
 
-    A stage with z+h at or below the floor -kappa*p0, a step that ends
-    with z+h non-finite, and the step `EpidemicTrajectory.i_blowup` are
-    replayed on the phase-1 field (`EpidemicTrajectory.replay`), which
-    raises what the coupled step raises, as in `market.holdings_pass`.
+    A stage with z+h at or below the floor -kappa*p0 and a step that ends
+    with z+h non-finite are replayed on the phase-1 field
+    (`EpidemicTrajectory.replay`), which raises what the coupled step
+    raises, as in `market.holdings_pass`.
     """
     gamma, w = epi.params.gamma, epi.params.endowment
     p0, kappa = curve.p0, curve.kappa
     field, floor = _phase1_field(epi.params, curve), -kappa * p0
     dt = epi.grid.dt
-    half, sixth, blowup = 0.5 * dt, dt / 6.0, epi.i_blowup
+    half, sixth = 0.5 * dt, dt / 6.0
     z, h = 0.0, 0.0
     zs, hs = array("d", [z]), array("d", [h])
     add_z, add_h = zs.append, hs.append
@@ -197,7 +197,7 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
         z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
         chk = z1 + h1
-        if chk - chk != 0.0 or k == blowup:
+        if chk - chk != 0.0:
             epi.replay(field, k, (z, h))
         z, h = z1, h1
         add_z(z)
@@ -216,7 +216,7 @@ def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float)
     gamma, w = epi.params.gamma, epi.params.endowment
     field = _phase2_field(epi.params, p_star)
     dt = epi.grid.dt
-    half, sixth, blowup = 0.5 * dt, dt / 6.0, epi.i_blowup
+    half, sixth = 0.5 * dt, dt / 6.0
     for j, d1, d2, d3, d4 in epi.steps(k):
         f1 = d1 * w / p_star - gamma * z
         yield j, z, h, f1
@@ -230,7 +230,7 @@ def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float)
         dz = sixth * (f1 + 2.0 * (f2 + f3) + f4)
         z1, h1 = z + dz, h - dz
         chk = z1 + h1
-        if chk - chk != 0.0 or j == blowup:
+        if chk - chk != 0.0:
             epi.replay(field, j, (z, h))
         z, h = z1, h1
     n = epi.grid.n_steps

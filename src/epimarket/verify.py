@@ -31,7 +31,6 @@ from .epidemic import (
     EpidemicParams,
     epidemic_pass,
     infection_peak,
-    simulate_epidemic,
     steady_state_recovered,
 )
 from .errors import PriceFloorError
@@ -83,7 +82,7 @@ class VerificationReport:
 
 
 def _drifts(params: EpidemicParams, dt: float) -> tuple[float, float]:
-    epi = simulate_epidemic(params, Grid(0.0, 300.0, dt))
+    epi = epidemic_pass(params, Grid(0.0, 300.0, dt))
     th = params.threshold
     fi_i = epi.i + epi.s - th * np.log(epi.s)
     fi_r = epi.r + th * np.log(epi.s)
@@ -129,7 +128,7 @@ def _integrate_until_extinct(params, dt: float) -> tuple[float, float]:
     p = params
     t = 0.0
     while t < 4800.0:
-        epi = simulate_epidemic(p, Grid(t, t + 300.0, dt))
+        epi = epidemic_pass(p, Grid(t, t + 300.0, dt))
         t += 300.0
         if float(epi.i[-1]) < 1e-10:
             return float(epi.r[-1]), t
@@ -165,7 +164,7 @@ def check_infection_peak(params, epi) -> CheckResult:
     i_inner = epi.i[1:-1]
     n_max = int(np.sum((i_inner > epi.i[:-2]) & (i_inner >= epi.i[2:])))
     no_peak_params = replace(params, gamma=0.6)  # threshold 1200 > n1
-    short = simulate_epidemic(no_peak_params, Grid(0.0, 50.0, grid.dt))
+    short = epidemic_pass(no_peak_params, Grid(0.0, 50.0, grid.dt))
     no_peak = not infection_peak(no_peak_params, short).exists
     ok = s_err <= 1e-4 * th and n_max == 1 and no_peak
     return CheckResult(

@@ -16,9 +16,9 @@ from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
+    epidemic_pass,
     infection_peak,
     re_price_path,
-    simulate_epidemic,
     simulate_myopic,
     solve_plateau,
 )
@@ -42,7 +42,7 @@ def grid():
 
 @pytest.fixture(scope="session")
 def epidemic_run(params, grid):
-    return simulate_epidemic(params, grid)
+    return epidemic_pass(params, grid)
 
 
 @pytest.fixture(scope="session")
@@ -114,8 +114,9 @@ def _unchecked_pass(params, grid):
 def unchecked_pass():
     """unchecked_pass(params, grid): epidemic_pass's values as one plain
     loop, its oracle. It also runs on a grid beyond RK4's stability
-    interval, which epidemic_pass refuses, so a test can drive the market
-    passes' floor and blow-up replays there."""
+    interval, which epidemic_pass refuses, and on through an overflow, at
+    which epidemic_pass raises, so a test can drive the market passes'
+    floor and blow-up replays there."""
     return _unchecked_pass
 
 

@@ -155,6 +155,19 @@ def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
         assert not (out / "myopic.csv").exists()
 
 
+def test_an_overflow_of_s_and_i_fails_every_leg_with_the_sir_pass_error(tmp_path, caplog):
+    # (beta*N + gamma)*dt = 2.001, inside RK4's stability interval: beta*I*S
+    # overflows at t=3.62, so the SIR pass raises before any leg runs
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("beta=2e-306\nn1=1e308\nt_end=20\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", "all", "--config", str(cfg),
+                   "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "non-finite derivative [inf, -inf, inf] at t=3.62"]
+    assert _data_files(out) == []
+
+
 def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):
     # at the default curve depth the mirrored trough would cross zero, so
     # the depression leg fails; the run keeps its other artifacts and

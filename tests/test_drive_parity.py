@@ -5,8 +5,9 @@ holdings together, as one 4- or 5-variable field through
 integrate_fixed_step / rk4_step. Every market pass of the package reuses
 the SIR stage drives instead, and must agree with it bit for bit, and
 raise the same errors with the same stage time and message. The package
-refuses a grid beyond RK4's stability interval before any step; there
-the market passes run on a drive table built without that check (the
+refuses a grid beyond RK4's stability interval before any step, and its
+SIR pass raises the SIR field's error where S and I overflow; there the
+market passes run on a drive table built without those checks (the
 `unchecked_pass` fixture), so their floor and blow-up replays still face
 the oracle.
 """
@@ -27,15 +28,13 @@ from epimarket import (
     epidemic_pass,
     parameter_sweep,
     simulate_depression,
-    simulate_epidemic,
     simulate_myopic,
     simulate_re_given_t1,
     solve_plateau,
 )
 from epimarket.epidemic import EpidemicTrajectory
 from epimarket.errors import GridTooCoarseError, IntegrationError, PriceFloorError
-from epimarket import rational
-from epimarket.market import clearing_price, holdings_field
+from epimarket.market import clearing_price
 from epimarket.numerics import integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,7 @@ def oracle_epidemic(params, grid):
 
 def _sir_node(params, grid, j):
     """S, I and R at node j: rk4_step's arithmetic on the SIR field, without
-    its finiteness check, since epidemic_pass runs on through a blow-up."""
+    its finiteness check, since an unchecked pass runs on through a blow-up."""
     field, y, h = _sir(params), (params.n1, params.n2, params.n3), grid.dt
     half, sixth = 0.5 * h, h / 6.0
     for _ in range(j):
@@ -228,7 +227,7 @@ def _case(beta, gamma, kappa, bounds):
 @pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
 def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds):
     params, curve, grid = _case(beta, gamma, kappa, bounds)
-    epi = simulate_epidemic(params, grid)
+    epi = epidemic_pass(params, grid)
     rows = oracle_epidemic(params, grid)
     for col, name in enumerate("sir"):
         assert np.array_equal(getattr(epi, name), rows[:, col]), name
@@ -327,22 +326,20 @@ def test_depression_floor_error_matches_the_coupled_field(params, grid, epidemic
     assert got[0] is PriceFloorError
 
 
-def _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want, slump_error):
+def _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want):
     """Each leg on epi raises what its coupled fields raise, at the time of
     the SIR field's error want: its own field reports its own derivatives
-    in the same message, or for the slump, slump_error. The slump runs on
-    a market deep enough that x of order -1e303 stays off the floor, and
-    the rational leg fails in phase 1, before t1=5."""
+    in the same message. The slump runs on a deep market, and the rational
+    leg fails in phase 1, before t1=5."""
     deep = SupplyCurve(kappa=1e306)
-    for got, oracle, error in (
-            ((simulate_myopic, curve, epi), (oracle_market, params, curve, grid),
-             IntegrationError),
-            ((simulate_depression, deep, epi), (oracle_market, params, deep, grid, True),
-             slump_error),
+    for got, oracle in (
+            ((simulate_myopic, curve, epi), (oracle_market, params, curve, grid)),
+            ((simulate_depression, deep, epi), (oracle_market, params, deep, grid, True)),
             ((simulate_re_given_t1, deep, 5.0, epi),
-             (oracle_re_given_t1, params, deep, 5.0, grid), IntegrationError)):
+             (oracle_re_given_t1, params, deep, 5.0, grid))):
         want_own = _raised(*oracle)
-        assert want_own[0] is error and want_own[1] == want[1] and want_own != want
+        assert want_own[0] is IntegrationError and want_own[1] == want[1]
+        assert want_own != want
         assert _raised(*got) == want_own
 
 
@@ -352,20 +349,18 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     params, grid = EpidemicParams(beta=1e300), Grid(0.0, 10.0, 1e-2)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
-    _refused(simulate_epidemic, params, grid)
     _refused(epidemic_pass, params, grid)
     epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.drives).all()
-    _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want, IntegrationError)
+    _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want)
     # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
-    # the float range still overflows, at t=3.62, where the slump's x
-    # reaches -inf and so the floor
+    # the float range still overflows, at t=3.62: the SIR pass raises the
+    # SIR field's error there, so no leg runs on it
     params = EpidemicParams(beta=2e-306, n1=1e308)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError
-    assert _raised(simulate_epidemic, params, grid) == want
-    _legs_raise_as_the_coupled_fields(params, grid, curve, epidemic_pass(params, grid), want,
-                                      PriceFloorError)
+    assert want[2] == "non-finite derivative [inf, -inf, inf] at t=3.62"
+    assert _raised(epidemic_pass, params, grid) == want
 
 
 @pytest.mark.parametrize("phase", ["pre", "plateau", "post"])
@@ -417,67 +412,33 @@ def test_a_pass_whose_sir_sum_overflows_replays_no_step(leg):
 
 
 @pytest.mark.parametrize("n_steps", [1, 5])
-def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(curve, n_steps):
+def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(unchecked_pass, n_steps):
     # gamma*dt = 2.78, inside RK4's stability interval: gamma*I overflows
-    # at the first step's fourth stage alone, with every drive 0 at beta=0
-    # and every leg's own variables 0. Each leg replays the step into the
-    # first node with I non-finite, and fails there, as its coupled field
-    # does, also where the grid ends at that node
+    # at the first step's fourth stage alone, with every drive 0 at beta=0,
+    # so only I shows it. The SIR pass raises the SIR field's error there,
+    # also where the grid ends at that node, so every leg fails with it
     params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
     grid = Grid(0.0, n_steps * 0.278, 0.278)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError and want[1] == 0.278
-    assert _raised(simulate_epidemic, params, grid) == want
-    epi = epidemic_pass(params, grid)
+    epi = unchecked_pass(params, grid)
     assert np.isfinite(epi.drives[0]).all() and not np.isfinite(epi.i[1])
-    legs = [((simulate_myopic, curve, epi), (oracle_market, params, curve, grid)),
-            ((simulate_depression, curve, epi), (oracle_market, params, curve, grid, True))]
-    if n_steps > 1:
-        # sold from t1 = 0.3, after node 1: phase 1 runs the failing step
-        legs.append(((simulate_re_given_t1, curve, 0.3, epi),
-                     (oracle_re_given_t1, params, curve, 0.3, grid)))
-    for got, oracle in legs:
-        want_own = _raised(*oracle)
-        assert want_own[0] is IntegrationError and want_own[1] == 0.278
-        assert _raised(*got) == want_own
+    assert _raised(epidemic_pass, params, grid) == want
 
 
-def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve):
+def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve, unchecked_pass):
     # beta=0, so z stays 0 and the net flow at t1 = 0.1, off-node, is 0:
     # the plateau closes at t1 itself. The unwind then steps the boom field
     # from t1 to node 1, where gamma*I overflows at the fourth stage, as the
     # coupled formulation's 4-variable step does; a step of the 5-variable
     # plateau field to node 1 would fail at the same time with another
-    # message
+    # message. The SIR pass raises at node 1's step itself, so the leg runs
+    # on the unchecked one
     params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
     grid = Grid(0.0, 0.278, 0.278)
     want = _raised(oracle_re_given_t1, params, curve, 0.1, grid)
     assert want[0] is IntegrationError and want[1] == 0.1
-    assert _raised(simulate_re_given_t1, curve, 0.1, epidemic_pass(params, grid)) == want
-
-
-@pytest.mark.parametrize("leg", ["myopic", "depression", "rational"])
-def test_i_turning_non_finite_is_replayed_after_r_did(curve, leg):
-    # R is infinite from node 1, which fails no coupled step, since no rate
-    # reads R. At node 2, I = 1e307 makes gamma*I overflow at the fourth
-    # stage of step 2 alone (beta=0, so every finite drive is 0), and I is
-    # NaN from node 3 on. Every leg replays step 2, the step into the first
-    # node with I non-finite, not step 3, whose NaN drives its own check
-    # would catch at the same time with another message
-    params = EpidemicParams(beta=0.0, gamma=10.0)
-    epi = epidemic_pass(params, Grid(0.0, 5 * 0.278, 0.278))
-    i, r, drives = epi.i.copy(), epi.r.copy(), epi.drives.copy()
-    i[2], i[3:], r[1:], drives[3:] = 1e307, np.nan, np.inf, np.nan
-    broken = replace(epi, i=i, r=r, drives=drives)
-    if leg == "rational":
-        got = (simulate_re_given_t1, curve, 1.2, broken)
-        field, y = rational._phase1_field(params, curve), (0.0, 0.0)
-    else:
-        got = (simulate_myopic if leg == "myopic" else simulate_depression, curve, broken)
-        field, y = holdings_field(params, curve, leg == "depression"), (0.0,)
-    want = _raised(broken.replay, field, 2, y)
-    assert want[1] == float(epi.times[3]) and "nan" not in want[2]
-    assert _raised(*got) == want
+    assert _raised(simulate_re_given_t1, curve, 0.1, unchecked_pass(params, grid)) == want
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])

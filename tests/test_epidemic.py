@@ -9,8 +9,8 @@ import pytest
 from epimarket import (
     EpidemicParams,
     Grid,
+    epidemic_pass,
     infection_peak,
-    simulate_epidemic,
     steady_state_recovered,
 )
 from epimarket.epidemic import coupled_field
@@ -109,7 +109,7 @@ def test_epidemic_dies_out_on_defaults(params, epidemic_run):
 
 def test_no_seed_means_frozen_dynamics():
     p = EpidemicParams(n2=0.0, n1=1000.0)
-    traj = simulate_epidemic(p, Grid(0.0, 50.0, 1e-2))
+    traj = epidemic_pass(p, Grid(0.0, 50.0, 1e-2))
     assert np.all(traj.s == 1000.0)
     assert np.all(traj.i == 0.0)
     assert np.all(traj.r == 0.0)
@@ -118,7 +118,7 @@ def test_no_seed_means_frozen_dynamics():
 def test_beta_zero_decays_exponentially():
     p = EpidemicParams(beta=0.0)
     g = Grid(0.0, 50.0, 1e-2)
-    traj = simulate_epidemic(p, g)
+    traj = epidemic_pass(p, g)
     assert np.all(traj.s == p.n1)
     exact = p.n2 * np.exp(-p.gamma * g.times())
     assert float(np.abs(traj.i - exact).max()) <= 1e-10
@@ -167,7 +167,7 @@ def test_final_size_near_total_outbreak_matches_integration():
     # susceptible mass sits below float resolution next to N
     p = EpidemicParams(beta=1e-2, gamma=0.1)
     r_inf = steady_state_recovered(p)
-    traj = simulate_epidemic(p, Grid(0.0, 300.0, 1e-2))
+    traj = epidemic_pass(p, Grid(0.0, 300.0, 1e-2))
     assert r_inf == pytest.approx(float(traj.r[-1]), abs=1e-4)
     assert r_inf <= p.total
 
@@ -203,7 +203,7 @@ def test_infected_mass_is_unimodal(epidemic_run, peak):
 def test_no_peak_when_threshold_exceeds_population():
     p = EpidemicParams(gamma=0.6)  # gamma/beta = 1200 > n1
     g = Grid(0.0, 50.0, 1e-2)
-    traj = simulate_epidemic(p, g)
+    traj = epidemic_pass(p, g)
     detected = infection_peak(p, traj)
     assert not detected.exists
     assert detected.t_star is None
@@ -212,7 +212,7 @@ def test_no_peak_when_threshold_exceeds_population():
 
 def test_no_peak_without_seed():
     p = EpidemicParams(n2=0.0, n1=1000.0)
-    traj = simulate_epidemic(p, Grid(0.0, 50.0, 1e-2))
+    traj = epidemic_pass(p, Grid(0.0, 50.0, 1e-2))
     assert not infection_peak(p, traj).exists
 
 
@@ -223,6 +223,6 @@ def test_peak_rejects_mismatched_params(params, epidemic_run):
 
 
 def test_peak_on_short_horizon_is_a_boundary_error(params):
-    traj = simulate_epidemic(params, Grid(0.0, 10.0, 1e-2))
+    traj = epidemic_pass(params, Grid(0.0, 10.0, 1e-2))
     with pytest.raises(BoundaryExtremumError):
         infection_peak(params, traj)

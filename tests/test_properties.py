@@ -25,7 +25,6 @@ from epimarket import (
     parameter_sweep,
     re_price_path,
     simulate_depression,
-    simulate_epidemic,
     simulate_myopic,
     simulate_re_given_t1,
     write_sweep_csv,
@@ -143,7 +142,7 @@ def test_population_is_conserved_on_stable_epidemics(n, rate, gamma, dt):
     total = sum(n)
     params = EpidemicParams(beta=rate / (total * dt), gamma=gamma,
                             n1=n[0], n2=n[1], n3=n[2])
-    epi = simulate_epidemic(params, Grid(0.0, 20.0, dt))
+    epi = epidemic_pass(params, Grid(0.0, 20.0, dt))
     drift = np.abs(epi.s + epi.i + epi.r - params.total)
     assert float(drift.max()) <= 1e-8 * params.total
 
