@@ -158,7 +158,6 @@ def build_timeline(
 
 @dataclass(frozen=True)
 class ClaimResult:
-    name: str
     status: str  # pass | fail | inconclusive
     margin: float
     detail: str = ""
@@ -166,7 +165,6 @@ class ClaimResult:
 
 @dataclass(frozen=True)
 class PropositionReport:
-    scenario: str
     claims: dict[str, ClaimResult]
     timeline: EventTimeline
 
@@ -193,8 +191,8 @@ def _interior_extrema(p: np.ndarray, p0: float, mode: str) -> list[int]:
     return [int(k) + 1 for k in np.flatnonzero(hits)]
 
 
-def _claim(name, status, margin, detail=""):
-    return ClaimResult(name=name, status=status, margin=float(margin), detail=detail)
+def _claim(status, margin, detail=""):
+    return ClaimResult(status=status, margin=float(margin), detail=detail)
 
 
 def check_propositions(
@@ -219,7 +217,6 @@ def check_propositions(
     # long-run reversion: P(t_end) back within 1% of the pre-contagion level
     dev = abs(float(myopic.p[-1]) - p0) / p0
     claims["long_run_price_returns"] = _claim(
-        "long_run_price_returns",
         "pass" if dev <= 0.01 else "fail",
         dev,
         f"|P(t_end)-p0|/p0 = {dev:.3e}",
@@ -229,7 +226,6 @@ def check_propositions(
     extrema = _interior_extrema(myopic.p, p0, mode)
     word = "maxima" if mode == "max" else "minima"
     claims["price_unimodal"] = _claim(
-        "price_unimodal",
         "pass" if len(extrema) == 1 else "fail",
         len(extrema),
         f"{len(extrema)} interior {word} beyond the band",
@@ -240,7 +236,6 @@ def check_propositions(
     gap = (timeline.t_i_star - timeline.t_p_star_m
            if timeline.boom else float("nan"))
     claims["price_peak_leads_infection_peak"] = _claim(
-        "price_peak_leads_infection_peak",
         "pass" if v is True else ("inconclusive" if v is None else "fail"),
         gap,
         f"t_I* - t_P* = {gap:.6g} (dt={dt:g})",
@@ -248,8 +243,7 @@ def check_propositions(
 
     if rational is not None:
         claims.update(_rational_claims(myopic, rational, timeline))
-    return PropositionReport(scenario=myopic.scenario, claims=claims,
-                             timeline=timeline)
+    return PropositionReport(claims=claims, timeline=timeline)
 
 
 def _rational_claims(
@@ -273,15 +267,13 @@ def _rational_claims(
         )
         rel = max(stored, implied) / p_star
         claims["plateau_price_constant"] = _claim(
-            "plateau_price_constant",
             "pass" if rel <= 1e-6 else "fail",
             rel,
             f"max relative plateau deviation {rel:.3e} over {hi - lo} nodes",
         )
     else:
         claims["plateau_price_constant"] = _claim(
-            "plateau_price_constant", "inconclusive", float("nan"),
-            "plateau contains no grid nodes",
+            "inconclusive", float("nan"), "plateau contains no grid nodes",
         )
 
     # early-path dominance: rational price at or above myopic up to t1,
@@ -297,7 +289,6 @@ def _rational_claims(
     strict_margin = float(np.min(diff[strict_w])) if np.any(strict_w) else float("nan")
     strict_ok = bool(np.all(diff[strict_w] > 0.0)) if np.any(strict_w) else False
     claims["re_price_dominates_pre_plateau"] = _claim(
-        "re_price_dominates_pre_plateau",
         "pass" if (weak_ok and strict_ok) else "fail",
         strict_margin,
         f"min(P_re - P_m) on (10*dt, t1] = {strict_margin:.3e}",
@@ -306,7 +297,6 @@ def _rational_claims(
     # the pinned plateau price sits strictly below the myopic peak
     margin = timeline.p_star_m - p_star
     claims["re_peak_lower"] = _claim(
-        "re_peak_lower",
         "pass" if margin > 0.0 else "fail",
         margin,
         f"P*_m - P*_re = {margin:.6g}",
@@ -326,7 +316,6 @@ def _rational_claims(
         timeline.t_i_star - timeline.t2,
     )
     claims["event_ordering_chain"] = _claim(
-        "event_ordering_chain",
         status,
         min(gaps),
         "gaps "
@@ -349,7 +338,6 @@ class SweepResult:
     raised. timeline and claims are None exactly when error is set."""
 
     index: int
-    overrides: dict[str, float]
     params: EpidemicParams
     curve: SupplyCurve
     timeline: EventTimeline | None
@@ -389,7 +377,7 @@ def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
             for combo in itertools.product(*(axes[n] for n in names))]
 
 
-def _point_result(curve, epi: EpidemicTrajectory, index, overrides,
+def _point_result(curve, epi: EpidemicTrajectory, index,
                   rational: bool) -> SweepResult:
     """Row of one point on epi, the SIR pass of its params and grid. The
     rational leg is `re_price_head`; each try is judged by
@@ -411,16 +399,16 @@ def _point_result(curve, epi: EpidemicTrajectory, index, overrides,
             refinements += 1
     except (SimulationError, ConfigError) as exc:
         # ConfigError: the halved grid would pass numerics.MAX_STEPS
-        return SweepResult(index, overrides, epi.params, curve, None, None,
+        return SweepResult(index, epi.params, curve, None, None,
                            error=str(exc), refinements=refinements, dt_used=g.dt)
-    return SweepResult(index, overrides, epi.params, curve, report.timeline,
+    return SweepResult(index, epi.params, curve, report.timeline,
                        report.claims, refinements=refinements, dt_used=g.dt)
 
 
 def _epidemic_rows(params, grid, items, rational) -> list[SweepResult]:
     """Rows of the points of one epidemic, so one SIR pass serves all.
 
-    items are the (index, overrides, curve) triples of the points whose
+    items are the (index, curve) pairs of the points whose
     resolved parameters are params. The SIR pass runs here; the points
     then split into one strided share per usable CPU, each share after the
     first in a forked process (`pool.forked`) that reads the pass
@@ -431,18 +419,18 @@ def _epidemic_rows(params, grid, items, rational) -> list[SweepResult]:
     (`_point_result`).
     """
     if not params.booms:
-        return [SweepResult(idx, ov, params, curve, NO_BOOM, {}, dt_used=grid.dt)
-                for idx, ov, curve in items]
+        return [SweepResult(idx, params, curve, NO_BOOM, {}, dt_used=grid.dt)
+                for idx, curve in items]
     try:
         epidemic = epidemic_pass(params, grid)
     except SimulationError as exc:
-        return [SweepResult(idx, ov, params, curve, None, None,
+        return [SweepResult(idx, params, curve, None, None,
                             error=str(exc), dt_used=grid.dt)
-                for idx, ov, curve in items]
+                for idx, curve in items]
 
     def rows_of(share):
-        return [_point_result(curve, epidemic, idx, ov, rational)
-                for idx, ov, curve in share]
+        return [_point_result(curve, epidemic, idx, rational)
+                for idx, curve in share]
 
     procs = min(len(items), usable_cpus())
     return [row for rows in forked(rows_of, [items[c::procs] for c in range(procs)])
@@ -472,11 +460,11 @@ def parameter_sweep(
         axes = default_sweep_axes()
     validate_sweep_axes(axes, base_params, base_curve)
 
-    groups: dict[EpidemicParams, list[tuple[int, dict[str, float], SupplyCurve]]] = {}
+    groups: dict[EpidemicParams, list[tuple[int, SupplyCurve]]] = {}
     for idx, ov in enumerate(grid_points(axes)):
         params = replace(base_params, **{k: v for k, v in ov.items() if k != "kappa"})
         curve = replace(base_curve, **{k: v for k, v in ov.items() if k == "kappa"})
-        groups.setdefault(params, []).append((idx, ov, curve))
+        groups.setdefault(params, []).append((idx, curve))
 
     rows = [row for params, items in groups.items()
             for row in _epidemic_rows(params, grid, items, rational)]

@@ -132,8 +132,8 @@ def _cmd_simulate(args) -> int:
     manifest = [path for pair in zip(series, plots) for path in pair]
     manifest.append(write_timeline_json(timeline, verdicts, out / "timeline.json"))
 
-    write_report(out / "report.json", serialize_config(cfg), cfg.scenario, manifest,
-                 time.perf_counter() - started, timeline, verdicts, error)
+    write_report(out / "report.json", serialize_config(cfg), manifest,
+                 time.perf_counter() - started, error)
 
     if timeline.boom:
         log.info("infection peak at t=%.4f", timeline.t_i_star)
@@ -163,7 +163,7 @@ def _cmd_sweep(args) -> int:
     summary = summarize_sweep(rows)
     manifest = [write_sweep_csv(rows, out / "sweep.csv"),
                 write_sweep_summary(summary, out / "sweep_summary.csv")]
-    write_report(out / "report.json", serialize_config(cfg), cfg.scenario, manifest,
+    write_report(out / "report.json", serialize_config(cfg), manifest,
                  time.perf_counter() - started)
     log.info("swept %d points (%d booms, %d errors)",
              summary["points"], summary["booms"], summary["errors"])

@@ -62,6 +62,7 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     GridTooCoarseError,
+    require_finite,
 )
 from .numerics import (
     Bracket,
@@ -102,10 +103,7 @@ class EpidemicParams:
             raise ConfigError(f"n3 must be >= 0, got {self.n3}")
         if not (self.endowment > 0):
             raise ConfigError(f"endowment must be > 0, got {self.endowment}")
-        for name in ("beta", "gamma", "n1", "n2", "n3", "endowment"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        require_finite(self, ("beta", "gamma", "n1", "n2", "n3", "endowment"))
         # an infinite N makes the step bound (beta*N + gamma)*dt NaN at beta=0
         if not math.isfinite(self.total):
             raise ConfigError(f"population n1 + n2 + n3 must be finite, got {self.total}")

@@ -6,20 +6,21 @@ mistakes, which raise ConfigError instead.
 """
 from __future__ import annotations
 
+import math
+
 
 class SimulationError(Exception):
-    """Base class for all numerical/engine failures."""
-
-
-class IntegrationError(SimulationError):
-    """A derivative evaluation produced a non-finite value.
-
-    Carries the time of the offending stage in ``time``.
-    """
+    """Base class for all numerical/engine failures; ``time`` is the time
+    of the failing stage or step, or None."""
 
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
+
+
+class IntegrationError(SimulationError):
+    """A derivative evaluation produced a non-finite value at the stage
+    time in ``time``."""
 
 
 class BracketError(SimulationError):
@@ -46,10 +47,6 @@ class PriceFloorError(SimulationError):
     curve); the price is never clamped.
     """
 
-    def __init__(self, message: str, time: float | None = None):
-        super().__init__(message)
-        self.time = time
-
 
 class NoPlateauError(SimulationError):
     """No sell-start time produces a plateau (no boom to smooth out)."""
@@ -68,3 +65,11 @@ class BoundaryExtremumError(SimulationError):
 
 class ConfigError(Exception):
     """Invalid configuration text, key, or parameter bound."""
+
+
+def require_finite(obj, names) -> None:
+    """ConfigError naming the first field of obj in names that is not finite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")

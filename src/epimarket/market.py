@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .epidemic import BLOCK, EpidemicParams, EpidemicTrajectory, coupled_field
-from .errors import ConfigError, DomainError, PriceFloorError
+from .errors import ConfigError, DomainError, PriceFloorError, require_finite
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -55,10 +55,7 @@ class SupplyCurve:
             raise ConfigError(f"p0 must be > 0, got {self.p0}")
         if not (self.kappa > 0):
             raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        for name in ("p0", "kappa"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        require_finite(self, ("p0", "kappa"))
 
 
 def clearing_price(x: float, curve: SupplyCurve) -> float:

@@ -22,6 +22,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     IntegrationError,
+    require_finite,
 )
 
 Field = Callable[[float, tuple], tuple]
@@ -57,10 +58,7 @@ class Grid:
             raise ConfigError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
-        for name in ("t_start", "t_end", "dt"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        require_finite(self, ("t_start", "t_end", "dt"))
         span = (self.t_end - self.t_start) / self.dt
         if not span <= MAX_STEPS:
             raise ConfigError(

@@ -250,9 +250,9 @@ def _f(v) -> float | None:
     return None if v is None else float(v)
 
 
-def timeline_payload(timeline: EventTimeline,
-                     verdicts: dict[str, ClaimResult] | None) -> dict:
-    return {
+def write_timeline_json(timeline: EventTimeline,
+                        verdicts: dict[str, ClaimResult] | None, path) -> str:
+    return write_json({
         "t_i_star": _f(timeline.t_i_star),
         "t_p_star_m": _f(timeline.t_p_star_m),
         "p_star_m": _f(timeline.p_star_m),
@@ -261,12 +261,7 @@ def timeline_payload(timeline: EventTimeline,
         "p_star_re": _f(timeline.p_star_re),
         "ordering_ok": dict(timeline.ordering_ok),
         "verdicts": {name: c.status for name, c in (verdicts or {}).items()},
-    }
-
-
-def write_timeline_json(timeline: EventTimeline,
-                        verdicts: dict[str, ClaimResult] | None, path) -> str:
-    return write_json(timeline_payload(timeline, verdicts), path)
+    }, path)
 
 
 def write_sweep_csv(rows: list[SweepResult], path) -> str:
@@ -322,9 +317,7 @@ def write_sweep_summary(summary: dict[str, int], path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_report(path, config: str, scenario: str, manifest: list[str],
-                 duration_s: float, timeline: EventTimeline | None = None,
-                 verdicts: dict[str, ClaimResult] | None = None,
+def write_report(path, config: str, manifest: list[str], duration_s: float,
                  error: str | None = None) -> str:
     """Provenance for one CLI invocation, with the package's version.
 
@@ -333,8 +326,6 @@ def write_report(path, config: str, scenario: str, manifest: list[str],
     """
     return write_json({
         "config": config,
-        "scenario": scenario,
-        "timeline": None if timeline is None else timeline_payload(timeline, verdicts),
         "manifest": list(manifest),
         "engine_version": __version__,
         "duration_s": float(duration_s),

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from epimarket import cli
+from epimarket.config import parse_config, with_overrides
 from epimarket.verify import CheckResult, VerificationReport
 
 FAST = "t_end=80\ndt=0.02\n"
@@ -38,7 +39,7 @@ def test_simulate_myopic_writes_artifacts(tmp_path, fast_config):
     assert not (out / "rational.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["error"] is None
-    assert report["scenario"] == "myopic"
+    assert "scenario=myopic" in report["config"].splitlines()
     assert len(report["manifest"]) == 3
 
 
@@ -249,6 +250,24 @@ def test_cli_flags_override_the_config_file(tmp_path, fast_config):
     assert "dt=0.05" in report["config"]
     lines = (out / "myopic.csv").read_text().splitlines()
     assert len(lines) == 1 + 60 * 20 + 1  # header + nodes for dt=0.05
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", "kappa=400\ngamma=0.12\n"),
+    ("sweep", "kappa=400\ngamma=0.12\nsweep.kappa=300,400\n"),
+])
+def test_the_report_echoes_the_config_of_the_run(tmp_path, command, text):
+    # the echo is the report's one record of the scenario and every key
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text(text)
+    out = str(tmp_path / "o")
+    code = run_cli(command, "--config", str(cfgfile), "--scenario", "rational",
+                   "--dt", "0.05", "--horizon", "60", "--format", "json", "--out", out)
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert parse_config(report["config"]) == with_overrides(
+        parse_config(text), scenario="rational", dt=0.05, t_end=60.0,
+        format="json", out_dir=out)
 
 
 # ---------------------------------------------------------------------------

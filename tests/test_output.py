@@ -28,7 +28,6 @@ from epimarket.output import (
     BLOCK_ROWS,
     prepare_out_dir,
     read_timeseries_csv,
-    timeline_payload,
     write_legs,
     write_plot_dat,
     write_report,
@@ -125,7 +124,7 @@ def test_timeline_json_payload(tmp_path, myopic_run, rational_run):
     assert payload["t1"] == tl.t1
     assert payload["ordering_ok"]["t2_lt_t_i_star"] is True
     assert payload["verdicts"]["re_peak_lower"] == "pass"
-    assert timeline_payload(tl, verdicts) == payload
+    assert payload["verdicts"] == {name: c.status for name, c in verdicts.items()}
 
 
 def test_sweep_csv_layout(tmp_path, params, curve, grid):
@@ -163,19 +162,14 @@ def test_report_payload(tmp_path):
     write_report(
         tmp_path / "report.json",
         config="beta=0.0005\n",
-        scenario="myopic",
         manifest=["myopic.csv"],
         duration_s=1.25,
-        timeline=None,
-        verdicts=None,
-        error=None,
     )
     payload = json.loads((tmp_path / "report.json").read_text())
     assert list(payload) == [
-        "config", "scenario", "timeline", "manifest",
-        "engine_version", "duration_s", "error",
+        "config", "manifest", "engine_version", "duration_s", "error",
     ]
-    assert payload["timeline"] is None
+    assert payload["config"] == "beta=0.0005\n"
     assert payload["manifest"] == ["myopic.csv"]
     assert payload["error"] is None
     assert payload["engine_version"] == epimarket.__version__

@@ -128,6 +128,17 @@ def test_off_grid_start_is_rejected(curve, grid, epidemic_run):
         simulate_re_given_t1(curve, grid.t_end, epidemic_run)
 
 
+def test_a_start_outside_the_grid_is_refused_by_name(curve):
+    epi = epidemic_pass(EpidemicParams(), Grid(0.0, 50.0, 1e-2))
+    for t1 in (-0.01, 50.0, math.nan, math.inf):
+        with pytest.raises(DomainError) as info:
+            simulate_re_given_t1(curve, t1, epi)
+        assert str(info.value) == f"t1={t1} outside the grid [0.0, 50.0)"
+    # a start inside the last step runs
+    _, diag = simulate_re_given_t1(curve, 49.995, epi)
+    assert diag.kind == "flow-reversed"
+
+
 def test_node_below_places_every_node_on_itself(grid):
     for k in range(grid.n_steps):
         assert rational._node_below(grid, grid.node(k)) == k
