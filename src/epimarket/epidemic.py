@@ -156,8 +156,8 @@ class EpidemicTrajectory:
         pass over the drive table.
 
         Yields (j, d1, d2, d3, d4) for each step j: the drives beta*I*S at
-        its four stages. `market.holdings_pass` reads the drive table
-        itself.
+        its four stages. `market.holdings_pass`'s loop with no check
+        reads the drive table itself.
         """
         drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
         return zip(count(k), drives, drives, drives, drives)
@@ -195,9 +195,8 @@ def coupled_field(params: EpidemicParams, rate=None):
     return field
 
 
-# steps per block of the numpy rebuilds after the SIR loop and after a
-# holdings pass (market): bounds their temporaries, so a pass's peak
-# memory stays that of its arrays
+# steps per block of the numpy rebuild after the SIR loop: bounds its
+# temporaries, so a pass's peak memory stays that of its arrays
 BLOCK = 4096
 
 

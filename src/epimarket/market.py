@@ -13,18 +13,17 @@ run on (`epidemic_pass`) and read their params and grid there; the leg
 they return holds it (`MarketTrajectory.epi`), which is where its S, I
 and R are read, and keeps only x and p of its own. They run x alone, as
 a scalar RK4 pass over the pass's drive table, four stage drives per
-step, with no check in the loop. A boom that `holdings_cannot_raise`
-proves safe before the loop (the myopic leg and the rational unwind on
-a usual pass) is not checked at all; any other pass, every slump among
-them, is checked in numpy after the loop. The coupled (S, I, R, x)
-field of each scenario, `coupled_field` with the x rate appended
-(`holdings_field`), remains its definition: a step that reached the
-price floor or a price (reflected, in a slump) <= 0 at a stage, or ended
-with x non-finite, is replayed through rk4_step on it from the grid's
-state at its start node (`EpidemicTrajectory.replay`), so errors carry
-the coupled step's stage time and message (see epidemic). The rational
-unwind after the plateau is the euphoric pass restarted from the closing
-node.
+step. A boom that `holdings_cannot_raise` proves safe before the loop
+(the myopic leg and the rational unwind on a usual pass) runs in a loop
+with no check; any other pass, every slump among them, is checked in
+its loop (`_checked_pass`). The coupled (S, I, R, x) field of each
+scenario, `coupled_field` with the x rate appended (`holdings_field`),
+remains its definition: a step that reaches the price floor or a price
+(reflected, in a slump) <= 0 at a stage, or ends with x non-finite, is
+replayed through rk4_step on it from the grid's state at its start node
+(`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
+time and message (see epidemic). The rational unwind after the plateau
+is the euphoric pass restarted from the closing node.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .epidemic import BLOCK, EpidemicParams, EpidemicTrajectory, coupled_field
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
 from .errors import ConfigError, DomainError, PriceFloorError, require_finite
 
 if TYPE_CHECKING:
@@ -183,91 +182,84 @@ def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
     """x at node k and at each node after, from holdings x at node k.
 
     Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
-    stage drives of epi's steps from node k, one loop with no check in
-    it; mirror=True divides minus the drive by the reflected price
-    2*p0 - P instead. Where holdings_cannot_raise proves the boom safe
-    before the loop, nothing is checked. Otherwise _replay_failed_steps
-    checks the steps after the loop, and replays each that reached the
-    price floor, divided by a price (or reflected price) <= 0, or ended
-    non-finite on holdings_field, the coupled field of the same equation,
-    which raises what the coupled step raises. A stage that divides by
-    exactly zero ends the loop; its step is replayed too, and raises.
+    stage drives of epi's steps from node k; mirror=True divides minus the
+    drive by the reflected price 2*p0 - P instead. A boom that
+    holdings_cannot_raise proves safe runs in a loop with no check, since
+    every stage clears at P >= p0/2 > 0; every other pass, every slump
+    among them, is _checked_pass, the same arithmetic checked in its loop.
     """
+    if mirror or not holdings_cannot_raise(curve, epi, k, x):
+        return _checked_pass(curve, epi, k, x, mirror)
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
     dt = epi.grid.dt
-    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
-    proven = not mirror and holdings_cannot_raise(curve, epi, k, x)
+    half, sixth = 0.5 * dt, dt / 6.0
     out = array("d", [x])
     add = out.append
     d = iter(memoryview(epi.drives.reshape(-1))[4 * k:])
-    try:
-        for d1, d2, d3, d4 in zip(d, d, d, d):
-            p = p0 + x / kappa
-            k1 = (-d1 * w / (two_p0 - p) if mirror else d1 * w / p) - gamma * x
-            x2 = x + half * k1
-            p = p0 + x2 / kappa
-            k2 = (-d2 * w / (two_p0 - p) if mirror else d2 * w / p) - gamma * x2
-            x3 = x + half * k2
-            p = p0 + x3 / kappa
-            k3 = (-d3 * w / (two_p0 - p) if mirror else d3 * w / p) - gamma * x3
-            x4 = x + dt * k3
-            p = p0 + x4 / kappa
-            k4 = (-d4 * w / (two_p0 - p) if mirror else d4 * w / p) - gamma * x4
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            add(x)
-    except ZeroDivisionError:
-        _replay_failed_steps(curve, epi, k, out, mirror, cut=True)
-        raise
-    if not proven:
-        _replay_failed_steps(curve, epi, k, out, mirror, cut=False)
+    for d1, d2, d3, d4 in zip(d, d, d, d):
+        k1 = d1 * w / (p0 + x / kappa) - gamma * x
+        x2 = x + half * k1
+        k2 = d2 * w / (p0 + x2 / kappa) - gamma * x2
+        x3 = x + half * k2
+        k3 = d3 * w / (p0 + x3 / kappa) - gamma * x3
+        x4 = x + dt * k3
+        k4 = d4 * w / (p0 + x4 / kappa) - gamma * x4
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        add(x)
     return out
 
 
-def _replay_failed_steps(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
-                         xs: array, mirror: bool, cut: bool) -> None:
-    """Replay, in order, each step of holdings_pass from node k that
-    reached the price floor or ended non-finite.
+def _checked_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
+                  mirror: bool) -> array:
+    """holdings_pass with its checks in the loop.
 
-    xs holds x at node k and at every node the pass reached. numpy
-    rebuilds each step's stage states x, x2, x3 and x4 from the drives
-    with the loop's operations in its order, so they are the loop's to
-    the bit, in blocks of BLOCK steps. A step is flagged if a stage is at
-    or below the floor -kappa*p0 or divides by a price (reflected, for a
-    slump) that is not positive, or if x at its end node is non-finite;
-    with cut, the step from the last node in xs, which the loop did not
-    finish, is flagged too. Each flagged step is replayed on
-    holdings_field (`EpidemicTrajectory.replay`), which raises what the
-    coupled step raises; one that raises nothing stands.
+    Each stage state is tested against the floor -kappa*p0, and its
+    divisor (P, or 2*p0 - P in a slump) for <= 0, before it divides, and
+    each step's end x for finiteness; a step that fails one is replayed on
+    holdings_field (`EpidemicTrajectory.replay`) at once, as in
+    `rational._accumulate`, and raises what the coupled step raises. One
+    that raises nothing stands.
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
     field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
     dt = epi.grid.dt
-    half, two_p0 = 0.5 * dt, 2.0 * p0
-    nodes = np.frombuffer(xs)
-    done = len(xs) - 1
-
-    def stage(d, x):
-        # the stage's rate, and whether x is at the floor or P (2*p0 - P) <= 0
+    half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
+    # -d*w in a slump: negating either factor rounds the same
+    w = -w if mirror else w
+    out = array("d", [x])
+    add = out.append
+    for j, d1, d2, d3, d4 in epi.steps(k):
         p = p0 + x / kappa
         div = two_p0 - p if mirror else p
-        return (-d * w if mirror else d * w) / div - gamma * x, (x <= floor) | (div <= 0.0)
-
-    for a in range(0, done, BLOCK):
-        b = min(a + BLOCK, done)
-        x, d = nodes[a:b], epi.drives[k + a:k + b]
-        # a blow-up stays silent, as it is on plain floats
-        with np.errstate(all="ignore"):
-            k1, bad1 = stage(d[:, 0], x)
-            k2, bad2 = stage(d[:, 1], x + half * k1)
-            k3, bad3 = stage(d[:, 2], x + half * k2)
-            bad4 = stage(d[:, 3], x + dt * k3)[1]
-        bad = bad1 | bad2 | bad3 | bad4 | ~np.isfinite(nodes[a + 1:b + 1])
-        for j in (a + np.flatnonzero(bad)).tolist():
-            epi.replay(field, k + j, (xs[j],))
-    if cut:
-        epi.replay(field, k + done, (xs[done],))
+        if x <= floor or div <= 0.0:
+            epi.replay(field, j, (x,))
+        k1 = d1 * w / div - gamma * x
+        x2 = x + half * k1
+        p = p0 + x2 / kappa
+        div = two_p0 - p if mirror else p
+        if x2 <= floor or div <= 0.0:
+            epi.replay(field, j, (x,))
+        k2 = d2 * w / div - gamma * x2
+        x3 = x + half * k2
+        p = p0 + x3 / kappa
+        div = two_p0 - p if mirror else p
+        if x3 <= floor or div <= 0.0:
+            epi.replay(field, j, (x,))
+        k3 = d3 * w / div - gamma * x3
+        x4 = x + dt * k3
+        p = p0 + x4 / kappa
+        div = two_p0 - p if mirror else p
+        if x4 <= floor or div <= 0.0:
+            epi.replay(field, j, (x,))
+        k4 = d4 * w / div - gamma * x4
+        x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if x1 - x1 != 0.0:
+            epi.replay(field, j, (x,))
+        x = x1
+        add(x)
+    return out
 
 
 def _scenario(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool) -> MarketTrajectory:

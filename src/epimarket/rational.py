@@ -33,7 +33,7 @@ to the flow reversal, and the unwind starts at the closing node: h is
 gone, the price clears on z alone, and `market.holdings_pass` runs the
 myopic market on from there (from node k1+1, after one step on
 `market.holdings_field`, if the plateau collapses at t1 itself), with
-its checks after its loop only where `market.holdings_cannot_raise`
+its checks in its loop only where `market.holdings_cannot_raise`
 cannot rule them out.
 
 Every path holds the SIR pass it ran on (`MarketTrajectory.epi`). A

@@ -35,7 +35,6 @@ from .epidemic import (
 )
 from .errors import PriceFloorError
 from .market import (
-    SupplyCurve,
     cohort_holdings_profile,
     simulate_depression,
     simulate_myopic,
@@ -81,8 +80,8 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _drifts(params: EpidemicParams, dt: float) -> tuple[float, float]:
-    epi = epidemic_pass(params, Grid(0.0, 300.0, dt))
+def _drifts(params: EpidemicParams, grid: Grid) -> tuple[float, float]:
+    epi = epidemic_pass(params, grid)
     th = params.threshold
     fi_i = epi.i + epi.s - th * np.log(epi.s)
     fi_r = epi.r + th * np.log(epi.s)
@@ -98,8 +97,9 @@ def check_conservation(params, epi) -> CheckResult:
                        f"max |S+I+R-N| = {err:.3e}, tol {tol:.3e}")
 
 
-def check_first_integrals(params) -> CheckResult:
-    """Drift bound at dt=1e-3, convergence order on dt=4e-2 -> 2e-2.
+def check_first_integrals(params, grid) -> CheckResult:
+    """Drift bound at dt=1e-3, convergence order on dt=4e-2 -> 2e-2, each
+    over the run's span.
 
     At dt=1e-3 RK4's truncation drift (~1e-14) is below one ulp of S, so
     the drift there is roundoff and no halving ratio can be read off it.
@@ -108,9 +108,9 @@ def check_first_integrals(params) -> CheckResult:
     least 8x (order >= 3), where RK4 gives 16x and a second-order method 4x.
     """
     tol = 1e-6 * params.total
-    di, dr = _drifts(params, 1e-3)
-    ci, cr = _drifts(params, 4e-2)
-    fi, fr = _drifts(params, 2e-2)
+    di, dr = _drifts(params, replace(grid, dt=1e-3))
+    ci, cr = _drifts(params, replace(grid, dt=4e-2))
+    fi, fr = _drifts(params, replace(grid, dt=2e-2))
     ratio_i = ci / fi if fi > 0 else float("inf")
     ratio_r = cr / fr if fr > 0 else float("inf")
     small = di <= tol and dr <= tol
@@ -195,8 +195,8 @@ def check_peak_lead_sweep(rows) -> CheckResult:
 
 
 def check_quadrature(myopic, fine) -> CheckResult:
-    """The cohort quadrature against the holdings of the myopic leg at
-    dt=1e-2 and of the myopic leg at dt=5e-3 (fine)."""
+    """The cohort quadrature against the holdings of the myopic leg on the
+    run's grid and of the myopic leg at half its dt (fine)."""
     def max_rel(traj):
         q = cohort_holdings_profile(traj)
         x = traj.x
@@ -262,7 +262,7 @@ def check_ordering_chain(timeline, claims, rows) -> CheckResult:
     )
 
 
-def check_depression(epi) -> CheckResult:
+def check_depression(curve, epi) -> CheckResult:
     """The depression mirror where it exists, and the floor where it cannot.
 
     simulate_depression admits a path only while the mirrored boom stays
@@ -270,8 +270,8 @@ def check_depression(epi) -> CheckResult:
     ~1.78*p0). At kappa=100 the boom peaks above 2*p0 and the floor guard
     must raise.
     """
-    p0 = 1.0
-    shallow = SupplyCurve(p0=p0, kappa=100.0)
+    p0 = curve.p0
+    shallow = replace(curve, kappa=100.0)
     boom_peak = float(np.max(simulate_myopic(shallow, epi).p)) / p0
     try:
         simulate_depression(shallow, epi)
@@ -282,7 +282,7 @@ def check_depression(epi) -> CheckResult:
     floor_text = (f"kappa=100: boom peak {boom_peak:.3f}*p0, "
                   f"floor guard raised {floors}")
 
-    deep = SupplyCurve(p0=p0, kappa=400.0)
+    deep = replace(curve, kappa=400.0)
     try:
         dep = simulate_depression(deep, epi)
     except PriceFloorError as exc:
@@ -308,10 +308,12 @@ def check_depression(epi) -> CheckResult:
 
 
 def check_event_convergence(curve, myopic, solution, fine) -> CheckResult:
-    """t_P* and t1 at dt=2e-2, 1e-2 and 5e-3: the dt=1e-2 myopic leg and
-    its plateau solution, and the dt=5e-3 myopic leg (fine)."""
+    """t_P* and t1 at 2*dt, dt and dt/2: the myopic leg on the run's grid
+    and its plateau solution, a myopic leg at twice its dt, and the one at
+    half its dt (fine)."""
+    grid = myopic.epi.grid
     coarse = simulate_myopic(curve, epidemic_pass(myopic.epi.params,
-                                                  Grid(0.0, 300.0, 2e-2)))
+                                                  replace(grid, dt=2.0 * grid.dt)))
     tp = [refine_peak(leg.epi.times, leg.p)[0] for leg in (coarse, myopic, fine)]
     t1 = [solve_plateau(curve, coarse.epi).t1, solution.t1,
           solve_plateau(curve, fine.epi).t1]
@@ -370,12 +372,12 @@ def run_verification(out_dir) -> VerificationReport:
     judged = check_propositions(myopic, rational)
     timeline, claims = judged.timeline, judged.claims
     rows = parameter_sweep(params, curve, grid)
-    # criteria 06 and 12 share the dt=5e-3 myopic leg
-    fine = simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 300.0, 5e-3)))
+    # criteria 06 and 12 share the myopic leg at half the run's dt
+    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=0.5 * grid.dt)))
 
     results = [
         check_conservation(params, epi),
-        check_first_integrals(params),
+        check_first_integrals(params, grid),
         check_final_size(params, grid),
         check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
@@ -384,7 +386,7 @@ def run_verification(out_dir) -> VerificationReport:
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, claims, rows),
-        check_depression(epi),
+        check_depression(curve, epi),
         check_event_convergence(curve, myopic, rational.solution, fine),
         check_determinism(params, curve, grid, rows, out),
     ]

@@ -138,8 +138,8 @@ def test_first_integral_value_at_threshold(params, peak):
     assert peak.i_star == pytest.approx(i_max, abs=1e-6)
 
 
-def test_first_integrals_constant_along_trajectory(params):
-    drift_i, drift_r = _drifts(params, 1e-2)
+def test_first_integrals_constant_along_trajectory(params, grid):
+    drift_i, drift_r = _drifts(params, grid)
     assert drift_i <= 1e-6 * N_TOTAL
     assert drift_r <= 1e-6 * N_TOTAL
 

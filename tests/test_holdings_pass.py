@@ -1,15 +1,17 @@
-"""holdings_pass against the per-stage-checked loop it replaces.
+"""holdings_pass against a per-stage-checked loop written apart from it.
 
 `checked_holdings_pass` below is the holdings pass with every check
 inside its RK4 loop: each stage state is tested against the price floor,
 each stage's divisor (the price, or a slump's reflected price) for
 being positive, and each step's end node for finiteness, and a failing
 step is replayed on the coupled field at once. The package's pass runs
-the same loop with no check in it, and checks after it, only where
-`holdings_cannot_raise` cannot prove the pass safe. Both test x alone
-for finiteness: S, I and R are the SIR pass's to check (see epidemic).
-The two must give the same bytes, or raise the same exception with the
-same stage time and message.
+a loop with no check for a boom `holdings_cannot_raise` proves safe,
+and `market._checked_pass`, the same checks in its loop, for every
+other. All of them test x alone for finiteness: S, I and R are the SIR
+pass's to check (see epidemic). holdings_pass and the oracle must give
+the same bytes, or raise the same exception with the same stage time
+and message, and on a proven boom the package's two loops must give the
+same bytes.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from epimarket import (
     simulate_myopic,
 )
 from epimarket import market
+from epimarket.rational import re_price_head
 from epimarket.errors import (GridTooCoarseError, IntegrationError, PriceFloorError,
                               SimulationError)
 from epimarket.market import holdings_cannot_raise, holdings_field, holdings_pass
@@ -150,8 +153,8 @@ def test_holdings_pass_matches_the_checked_loop(unchecked_pass, mirror, log_n, r
 
 
 def test_a_stage_price_of_exactly_zero_replays_as_a_floor_error(params):
-    # p0 + floor/kappa is exactly 0 here, so the check-free loop divides
-    # by zero at the first stage; the replay reports the floor
+    # p0 + floor/kappa is exactly 0 here, so the first stage is at the
+    # floor and divides by zero; the check replays it before it divides
     curve = SupplyCurve(p0=1.0, kappa=10.0)
     floor = -curve.kappa * curve.p0
     assert curve.p0 + floor / curve.kappa == 0.0
@@ -164,8 +167,8 @@ def test_a_stage_price_of_exactly_zero_replays_as_a_floor_error(params):
 
 @pytest.mark.parametrize("x", [10.0, 12.0], ids=["at-the-pole", "above-the-pole"])
 def test_a_slump_from_its_pole_or_above_is_a_price_floor_error(x):
-    # the slump divides by 2*p0 - P: 0 at x = kappa*p0 and negative above,
-    # where the loop raises ZeroDivisionError or runs on, respectively
+    # the slump divides by 2*p0 - P: 0 at x = kappa*p0 and negative above;
+    # the check replays either before the first stage divides
     curve = SupplyCurve()
     epi = epidemic_pass(EpidemicParams(), Grid(0.0, 20.0, 1e-2))
     want = (PriceFloorError, 0.0,
@@ -176,7 +179,7 @@ def test_a_slump_from_its_pole_or_above_is_a_price_floor_error(x):
 
 def test_negative_drives_are_not_proven(params, curve):
     # from x >= 0 the bound needs every drive >= 0: on negated drives the
-    # boom slumps to the floor, which the check after the loop must see
+    # boom slumps to the floor, which the checked loop must see
     epi = epidemic_pass(params, Grid(0.0, 20.0, 0.1))
     neg = replace(epi, drives=-epi.drives)
     assert not holdings_cannot_raise(curve, neg, 0, 0.0)
@@ -198,11 +201,10 @@ def test_a_boom_whose_decay_rate_overflows_is_not_proven(curve):
 def test_proven_passes_run_no_check(params, curve, grid, epidemic_run, forks):
     # the myopic leg, the rational unwind and every sweep point of the
     # benchmark regime (beta 2.5e-4..1e-3, gamma 0.1, kappa 5..20) are
-    # proven up front; a depression pass is checked after its loop
+    # proven up front; a depression pass is checked in its loop
     forks(1)
     assert holdings_cannot_raise(curve, epidemic_run, 0, 0.0)
-    with mock.patch.object(market, "_replay_failed_steps",
-                           wraps=market._replay_failed_steps) as check:
+    with mock.patch.object(market, "_checked_pass", wraps=market._checked_pass) as check:
         simulate_myopic(curve, epidemic_run)
         re_price_path(curve, epidemic_run)
         axes = {"beta": [2.5e-4, 5e-4, 1e-3], "kappa": [5.0, 20.0]}
@@ -212,3 +214,23 @@ def test_proven_passes_run_no_check(params, curve, grid, epidemic_run, forks):
         with pytest.raises(PriceFloorError):
             holdings_pass(curve, epidemic_run, 0, 0.0, mirror=True)
         assert check.call_count == 1
+
+
+def test_the_two_loops_agree_on_proven_booms(curve, epidemic_run, rational_run):
+    # the default myopic leg, the default rational unwind and the myopic
+    # legs and unwinds of the benchmark regime's sweep points (beta
+    # 2.5e-4..1e-3, gamma 0.1, kappa 5..20): the loop with no check and
+    # the checked loop must not drift apart
+    starts = [(curve, epidemic_run, 0, 0.0),
+              (curve, epidemic_run, rational_run.post_start,
+               float(rational_run.x[rational_run.post_start]))]
+    for beta in (2.5e-4, 5e-4, 1e-3):
+        epi = epidemic_pass(EpidemicParams(beta=beta, gamma=0.1), Grid(0.0, 300.0, 1e-2))
+        for kappa in (5.0, 20.0):
+            swept = SupplyCurve(kappa=kappa)
+            head = re_price_head(swept, epi)
+            starts += [(swept, epi, 0, 0.0),
+                       (swept, epi, head.post_start, float(head.x[head.post_start]))]
+    for args in starts:
+        assert holdings_cannot_raise(*args)
+        assert market._checked_pass(*args, False).tobytes() == holdings_pass(*args).tobytes()
