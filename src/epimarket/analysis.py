@@ -413,8 +413,8 @@ def _epidemic_rows(params, grid, items, rational) -> list[SweepResult]:
     then split into one strided share per usable CPU, each share after the
     first in a forked process (`pool.forked`) that reads the pass
     copy-on-write. One usable CPU or one point leaves one share, run here.
-    With no boom there is no pass: every row is NO_BOOM with no claims. An
-    error of the pass (a grid it refuses, a step that overflows) is the
+    With no boom there is no pass: every row is NO_BOOM with no claims. The
+    one error of the pass, a grid beyond RK4's stability interval, is the
     error of every point's row; a point's own run failures are its row's
     (`_point_result`).
     """

@@ -100,8 +100,7 @@ def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     error: str | None = None
 
-    # one SIR pass drives every leg; a blow-up in it fails the run with the
-    # pass's own error, at the stage where its step fails
+    # one SIR pass drives every leg
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)
     rational = None

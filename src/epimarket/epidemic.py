@@ -27,25 +27,12 @@ right, as the loop did.
 
 The pass refuses a grid beyond RK4's real-axis stability interval,
 (beta*N + gamma)*dt above RK4_STABILITY, with GridTooCoarseError before
-any step runs; every market and rational pass is driven by it, so none
-steps on such a grid. Inside the interval the loop runs to the grid's
-end unchecked. After it, each step that ends with S or I non-finite is
-replayed, in order, through rk4_step on the SIR field
-(`EpidemicTrajectory.replay`), so the pass raises the coupled step's
-IntegrationError, with its stage time. Every coupled field is
-`coupled_field`: the SIR field with the field's own rates appended.
-
-So every stage derivative of the SIR field, every drive among them, is
-finite on a pass that returns: a non-finite one leaves S or I non-finite
-at its step's end, and that step's replay raises it. (Finite derivatives
-that sum past the float range leave the step's end node non-finite
-without an error, as the coupled step does; the next step's replay
-raises, so that can happen only in the last step.) A market or rational
-pass over the drive table therefore checks only the variables it steps:
-it replays through rk4_step on its own coupled field each step that ends
-with one of them non-finite, and raises what the coupled step raises,
-which only the pass's own rates can fail. A replayed step whose coupled
-derivatives are finite stands. No rate reads R.
+any step runs, and EpidemicParams a population on which a pass could
+overflow; within both bounds every value of the pass is finite (the
+lemma in EpidemicParams), so it checks nothing. A market or rational
+pass over the drive table checks only the variables it steps, replaying
+a step where one ends non-finite on its own coupled field
+(`coupled_field`: the SIR field, its own rates appended). No rate reads R.
 """
 from __future__ import annotations
 
@@ -73,6 +60,13 @@ from .numerics import (
 )
 
 
+# RK4's stability interval on the negative real axis (Hairer, Norsett and
+# Wanner, Solving ODEs I): a step of size dt is stable on a decay rate
+# lambda only while lambda*dt stays below it
+RK4_STABILITY = 2.785
+STAGE_BOUND = 16.0  # K of the population bound (see EpidemicParams)
+
+
 @dataclass(frozen=True)
 class EpidemicParams:
     """Rates and initial masses of the contagion.
@@ -80,6 +74,27 @@ class EpidemicParams:
     endowment is the currency each newly infected agent brings to the asset
     market; it rides along here because every market scenario needs it next
     to beta and gamma.
+
+    The population N = n1 + n2 + n3 is refused unless K*N and 6*K^2*L*N
+    are finite (K = STAGE_BOUND, L = beta*N + gamma), which keeps every
+    value of an SIR pass finite. Proof: take a node with S, I >= 0 and
+    S + I <= N on a grid epidemic_pass admits, sigma = S/N, iota = I/N,
+    a = beta*N*dt and g = gamma*dt, so a + g <= RK4_STABILITY. RK4's stage
+    k has S*P_k and I*M_k, so the drive beta*I*S*M_k*P_k: P_1 = M_1 = 1,
+    P_{k+1} = 1 - c*a*iota*M_k*P_k and M_{k+1} = 1 + c*(a*sigma*P_k - g)*M_k
+    for c = 1/2, 1/2, 1. With weights w = (1, 2, 2, 1)/6 the next node is
+    S*Q, I*B and R + g*I*C, where Q = 1 - a*iota*sum(w*M*P), B = 1 +
+    sum(w*(a*sigma*P - g)*M) and C = sum(w*M). Over that region Q, B, C >=
+    0 and |P_k|, |M_k|, |Q|, |B| <= K - 1 (tests/test_sir_pass.py proves it
+    by interval branch-and-bound; sampled, Q >= 0.18, B >= 0.27, C >= 1.59e-4
+    and no factor above 13.7). So each node stays in the triangle, as S + I
+    falls by g*I*C; stage values and their changes from the node stay
+    within K*N; drives and rates gamma*I_k within K^2*L*N, a step's sums of
+    them within 6*K^2*L*N, and beta*I_k within K*beta*N (below 6*K^2*L*N if
+    N >= 1/(6*K), else below beta). The stability bound is what keeps
+    C >= 0: at a = 0, g*C = 1 - R(g) for RK4's decay factor R, which
+    exceeds 1 past g = 2.7853. Rounding moves a node by ulps a step, well
+    inside these margins.
     """
 
     beta: float = 5e-4
@@ -104,9 +119,12 @@ class EpidemicParams:
         if not (self.endowment > 0):
             raise ConfigError(f"endowment must be > 0, got {self.endowment}")
         require_finite(self, ("beta", "gamma", "n1", "n2", "n3", "endowment"))
-        # an infinite N makes the step bound (beta*N + gamma)*dt NaN at beta=0
-        if not math.isfinite(self.total):
-            raise ConfigError(f"population n1 + n2 + n3 must be finite, got {self.total}")
+        total, reach = self.total, self.beta * self.total + self.gamma
+        if not (math.isfinite(STAGE_BOUND * total)
+                and math.isfinite(6.0 * STAGE_BOUND**2 * (reach * total))):
+            raise ConfigError(
+                f"population n1 + n2 + n3 = {total:g} lets the SIR pass overflow: K*N "
+                f"and 6*K^2*(beta*N + gamma)*N, K = {STAGE_BOUND:g}, must be finite")
 
     @property
     def total(self) -> float:
@@ -123,12 +141,6 @@ class EpidemicParams:
     def booms(self) -> bool:
         """Whether the contagion grows: seeded, with n1 above the threshold."""
         return self.n2 != 0 and self.n1 > self.threshold
-
-
-# RK4's stability interval on the negative real axis (Hairer, Norsett and
-# Wanner, Solving ODEs I): a step of size dt is stable on a decay rate
-# lambda only while lambda*dt stays below it
-RK4_STABILITY = 2.785
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +217,8 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY, and IntegrationError with the stage time if a
-    stage derivative is non-finite: each step that ends with S or I
-    non-finite is replayed through rk4_step until one raises
-    (EpidemicTrajectory.replay).
+    beyond RK4_STABILITY; on any other grid every value is finite (see
+    EpidemicParams).
     """
     n = grid.n_steps
     beta, gamma, h = params.beta, params.gamma, grid.dt
@@ -249,34 +259,32 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     drives = np.empty((n, 4))
     r_nodes = np.empty(n + 1)
     r_nodes[0] = params.n3
-    # the loop's stage arithmetic again, on the stored S and I; a blow-up
-    # stays silent, as it is on plain floats, until its step is replayed
-    with np.errstate(all="ignore"):
-        for a in range(0, n, BLOCK):
-            b = min(a + BLOCK, n)
-            s, i = s_nodes[a:b], i_nodes[a:b]
-            d1 = beta * i * s
-            c1 = gamma * i
-            s2 = s - half * d1
-            i2 = i + half * (d1 - c1)
-            d2 = beta * i2 * s2
-            c2 = gamma * i2
-            s3 = s - half * d2
-            i3 = i + half * (d2 - c2)
-            d3 = beta * i3 * s3
-            c3 = gamma * i3
-            s4 = s - h * d3
-            i4 = i + h * (d3 - c3)
-            d4 = beta * i4 * s4
-            c4 = gamma * i4
-            block = drives[a:b]
-            block[:, 0], block[:, 1], block[:, 2], block[:, 3] = d1, d2, d3, d4
-            # R(k+1) = R(k) + increment, strictly left to right
-            r_inc = np.empty(b - a + 1)
-            r_inc[0] = r_nodes[a]
-            r_inc[1:] = sixth * (c1 + 2.0 * (c2 + c3) + c4)
-            np.add.accumulate(r_inc, out=r_nodes[a:b + 1])
-    epi = EpidemicTrajectory(
+    # the loop's stage arithmetic again, on the stored S and I
+    for a in range(0, n, BLOCK):
+        b = min(a + BLOCK, n)
+        s, i = s_nodes[a:b], i_nodes[a:b]
+        d1 = beta * i * s
+        c1 = gamma * i
+        s2 = s - half * d1
+        i2 = i + half * (d1 - c1)
+        d2 = beta * i2 * s2
+        c2 = gamma * i2
+        s3 = s - half * d2
+        i3 = i + half * (d2 - c2)
+        d3 = beta * i3 * s3
+        c3 = gamma * i3
+        s4 = s - h * d3
+        i4 = i + h * (d3 - c3)
+        d4 = beta * i4 * s4
+        c4 = gamma * i4
+        block = drives[a:b]
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = d1, d2, d3, d4
+        # R(k+1) = R(k) + increment, strictly left to right
+        r_inc = np.empty(b - a + 1)
+        r_inc[0] = r_nodes[a]
+        r_inc[1:] = sixth * (c1 + 2.0 * (c2 + c3) + c4)
+        np.add.accumulate(r_inc, out=r_nodes[a:b + 1])
+    return EpidemicTrajectory(
         params=params,
         grid=grid,
         times=grid.times(),
@@ -285,11 +293,6 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         r=r_nodes,
         drives=drives,
     )
-    field = coupled_field(params)
-    finite = np.isfinite(s_nodes[1:]) & np.isfinite(i_nodes[1:])
-    for k in np.flatnonzero(~finite).tolist():
-        epi.replay(field, k, ())
-    return epi
 
 
 # the SIR pass under the name the benchmark traces

@@ -44,7 +44,8 @@ class PriceFloorError(SimulationError):
     2*p0 - P) to zero or below.
 
     Signals parameter misconfiguration (the slump is too deep for the supply
-    curve); the price is never clamped.
+    curve); the price is never clamped. A boom's floor is RK4 overshoot, a
+    GridTooCoarseError (`market.boom_price`).
     """
 
 
@@ -54,8 +55,9 @@ class NoPlateauError(SimulationError):
 
 class GridTooCoarseError(SimulationError):
     """The step size is too coarse: the grid lies beyond RK4's stability
-    interval, which the SIR pass refuses before any step runs, or the
-    shooting solve cannot meet tolerance at it. Retry with a smaller dt."""
+    interval, which the SIR pass refuses before any step runs, a boom
+    overshoots its price floor, or the shooting solve cannot meet
+    tolerance at it. Retry with a smaller dt."""
 
 
 class BoundaryExtremumError(SimulationError):

@@ -22,8 +22,9 @@ remains its definition: a step that reaches the price floor or a price
 (reflected, in a slump) <= 0 at a stage, or ends with x non-finite, is
 replayed through rk4_step on it from the grid's state at its start node
 (`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
-time and message (see epidemic). The rational unwind after the plateau
-is the euphoric pass restarted from the closing node.
+time and message (see epidemic); a boom's floor is RK4 overshoot
+(`boom_price`). The rational unwind after the plateau is the
+euphoric pass restarted from the closing node.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field
-from .errors import ConfigError, DomainError, PriceFloorError, require_finite
+from .epidemic import EpidemicTrajectory, coupled_field
+from .errors import (ConfigError, DomainError, GridTooCoarseError, PriceFloorError,
+                     require_finite)
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -120,27 +122,43 @@ class MarketTrajectory:
 # ---------------------------------------------------------------------------
 
 
-def holdings_field(params: EpidemicParams, curve: SupplyCurve, mirror: bool = False):
-    """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump;
-    a stage at the floor or dividing by a price <= 0 is a PriceFloorError."""
-    gamma, w = params.gamma, params.endowment
+def holdings_field(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool = False):
+    """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump on
+    the SIR pass epi; a boom's price is boom_price, and a slump's stage at
+    the floor or dividing by a price <= 0 is a PriceFloorError."""
+    gamma, w = epi.params.gamma, epi.params.endowment
     p0, kappa = curve.p0, curve.kappa
     floor, two_p0 = -kappa * p0, 2.0 * p0
-    price = "reflected price 2*p0 - P" if mirror else "clearing price"
 
     def rate(t, inf, y):
         x = y[0]
-        if x <= floor:
-            raise PriceFloorError(
-                f"clearing price hit zero at t={t} (x={x})", time=t
-            )
-        p = p0 + x / kappa
-        div = two_p0 - p if mirror else p
-        if div <= 0.0:
+        if not mirror:
+            return (inf * w / boom_price(curve, epi, t, x) - gamma * x,)
+        div = two_p0 - (p0 + x / kappa)
+        if x <= floor or div <= 0.0:
+            price = "clearing price" if x <= floor else "reflected price 2*p0 - P"
             raise PriceFloorError(f"{price} hit zero at t={t} (x={x})", time=t)
-        return ((-inf * w if mirror else inf * w) / div - gamma * x,)
+        return (-inf * w / div - gamma * x,)
 
-    return coupled_field(params, rate)
+    return coupled_field(epi.params, rate)
+
+
+def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) -> float:
+    """The clearing price of a boom's holdings x at time t on the SIR pass
+    epi. From x >= 0 a boom's exact holdings (and phase 1's z + h) never
+    fall below 0, so at the floor it is RK4 overshoot: a GridTooCoarseError
+    naming a dt at which holdings_cannot_raise's bound holds."""
+    p = curve.p0 + x / curve.kappa
+    if x > -curve.kappa * curve.p0 and p > 0.0:
+        return p
+    gamma = epi.params.gamma
+    top = float(np.max(epi.drives, initial=0.0)) * epi.params.endowment / curve.p0
+    bound = min(1.0 / gamma, math.sqrt(curve.kappa * curve.p0 / gamma) / math.sqrt(top)
+                if top > 0.0 else math.inf)
+    raise GridTooCoarseError(
+        f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 overshoot at "
+        f"dt={epi.grid.dt}; use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= "
+        f"kappa*p0, top = max drive*w/p0 = {top:.4g}, every drive >= 0)", time=t)
 
 
 def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
@@ -223,7 +241,7 @@ def _checked_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
     """
     w, gamma = epi.params.endowment, epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
-    field, floor = holdings_field(epi.params, curve, mirror), -kappa * p0
+    field, floor = holdings_field(curve, epi, mirror), -kappa * p0
     dt = epi.grid.dt
     half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
     # -d*w in a slump: negating either factor rounds the same

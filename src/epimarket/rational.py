@@ -12,8 +12,8 @@ the signed leftover inventory at the flow reversal. Sub-node states come
 from single partial RK4 steps, so the whole solve stays deterministic.
 
 Every function that runs a pass takes the SIR pass it runs on
-(`epidemic_pass`) and reads its params and grid there; only the fields
-and `_flow`, which belong to no pass, take params. Every pass runs over
+(`epidemic_pass`) and reads its params and grid there; only the plateau
+field and `_flow`, which belong to no pass, take params. Every pass runs over
 that pass's drive table (see epidemic); phase 1 and the plateau stream
 it through `EpidemicTrajectory.steps` as each step's four drives, and
 check each step's own z and h inside their loops. S, I and R are never
@@ -46,9 +46,9 @@ out that the unwind raises, so a head fails as its full path.
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
 the price floor go through them by rk4_step, so each raises what the
-coupled step raises. A grid beyond RK4's stability interval, or an SIR
-step that overflows, never gets here: its SIR pass raises first (see
-epidemic).
+coupled step raises; phase 1 at the floor, or a price at t1 that cannot
+clear, is a boom's RK4 overshoot (`market.boom_price`). A grid
+beyond RK4's stability interval never gets here (see epidemic).
 """
 from __future__ import annotations
 
@@ -60,9 +60,8 @@ import numpy as np
 
 from .epidemic import (EpidemicParams, EpidemicTrajectory, coupled_field,
                        infection_peak)
-from .errors import (DomainError, GridTooCoarseError, NoPlateauError, PriceFloorError,
-                     SimulationError)
-from .market import (MarketTrajectory, SupplyCurve, clearing_price,
+from .errors import DomainError, GridTooCoarseError, NoPlateauError, SimulationError
+from .market import (MarketTrajectory, SupplyCurve, boom_price,
                      holdings_cannot_raise, holdings_field, holdings_pass)
 from .numerics import Grid, rk4_step
 
@@ -109,22 +108,15 @@ class _Closure:
 # ---------------------------------------------------------------------------
 
 
-def _phase1_field(params: EpidemicParams, curve: SupplyCurve):
-    gamma, w = params.gamma, params.endowment
-    p0, kappa = curve.p0, curve.kappa
-    floor = -kappa * p0
+def _phase1_field(curve: SupplyCurve, epi: EpidemicTrajectory):
+    gamma, w = epi.params.gamma, epi.params.endowment
 
     def rate(t, inf, y):
         z, h = y
-        x = z + h
-        if x <= floor:
-            raise PriceFloorError(
-                f"clearing price hit zero at t={t} (x={x})", time=t
-            )
         cure = gamma * z
-        return (inf * w / (p0 + x / kappa) - cure, cure)
+        return (inf * w / boom_price(curve, epi, t, z + h) - cure, cure)
 
-    return coupled_field(params, rate)
+    return coupled_field(epi.params, rate)
 
 
 def _phase2_field(params: EpidemicParams, p_star: float):
@@ -161,7 +153,7 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
     """
     gamma, w = epi.params.gamma, epi.params.endowment
     p0, kappa = curve.p0, curve.kappa
-    field, floor = _phase1_field(epi.params, curve), -kappa * p0
+    field, floor = _phase1_field(curve, epi), -kappa * p0
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     z, h = 0.0, 0.0
@@ -273,8 +265,8 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     y = epi.state_at(k1) + (zs[k1], hs[k1])
     rem = t1 - grid.node(k1)
     if rem > 0.0:
-        y = rk4_step(_phase1_field(params, curve), grid.node(k1), y, rem)
-    p_star = clearing_price(y[3] + y[4], curve)
+        y = rk4_step(_phase1_field(curve, epi), grid.node(k1), y, rem)
+    p_star = boom_price(curve, epi, t1, y[3] + y[4])
 
     def nodes():
         yield k1, y[3], y[4], _flow(params, p_star, y)
@@ -339,7 +331,7 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
         else:
             # the plateau collapsed at t1 itself; unwind from node k1+1
             post_start, t2 = k1 + 1, t1
-            x = (_to_node(epi, holdings_field(params, curve), t1, k1, y[:4])[0]
+            x = (_to_node(epi, holdings_field(curve, epi), t1, k1, y[:4])[0]
                  if k1 < grid.n_steps else None)
         diag = PlateauDiagnosis(_closing_kind(h), t2, h, flow)
         if x is not None:

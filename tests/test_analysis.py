@@ -27,6 +27,7 @@ from epimarket.errors import (
     ConsistencyError,
     DomainError,
 )
+from test_drive_parity import POPULATION_REFUSAL
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +269,20 @@ def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch)
 
 
 def test_an_overflowing_sir_pass_fails_only_the_rows_of_its_epidemic(params, curve):
-    # beta=2e-306: at n1=1e308 beta*I*S overflows at t=3.62, and the SIR
-    # pass's error is the error of each row of that epidemic; at n1=999
-    # the contagion never grows, so those rows run, with no boom
-    rows = parameter_sweep(replace(params, beta=2e-306), curve, Grid(0.0, 20.0, 1e-2),
-                           axes={"n1": [1e308, 999.0], "kappa": [10.0, 400.0]})
-    assert [r.params.n1 for r in rows] == [1e308, 1e308, 999.0, 999.0]
-    for row in rows[:2]:
-        assert row.timeline is None
-        assert row.error == "non-finite derivative [inf, -inf, inf] at t=3.62"
-    for row in rows[2:]:
+    # beta=2e-306: at n1=1e308 beta*I*S would overflow at t=3.62, so that
+    # axis value is refused with the population bound, as n1=1e308 given
+    # as a plain key is, before any pass runs; at n1=999 the contagion
+    # never grows, so those rows run, with no boom
+    low = replace(params, beta=2e-306)
+    grid = Grid(0.0, 20.0, 1e-2)
+    with pytest.raises(ConfigError) as info:
+        parameter_sweep(low, curve, grid, axes={"n1": [1e308, 999.0], "kappa": [10.0, 400.0]})
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+308")
+    rows = parameter_sweep(low, curve, grid, axes={"n1": [999.0], "kappa": [10.0, 400.0]})
+    for row in rows:
         assert row.error is None
         assert not row.timeline.boom
-    assert summarize_sweep(rows)["errors"] == 2
+    assert summarize_sweep(rows)["errors"] == 0
 
 
 def test_sweep_rejects_bad_requests(params, curve, grid):

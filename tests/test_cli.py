@@ -10,6 +10,7 @@ import pytest
 from epimarket import cli
 from epimarket.config import parse_config, with_overrides
 from epimarket.verify import CheckResult, VerificationReport
+from test_drive_parity import POPULATION_REFUSAL
 
 FAST = "t_end=80\ndt=0.02\n"
 
@@ -144,7 +145,8 @@ def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
     # NaN, and a grid at 1,500 (gamma*dt = 3) would run to an I column that
     # grows 1.375x per step; at N=1000 the same grid is refused with exit 3
     grid = "beta=0\ngamma=300\nt_end=5\n"
-    for text, code, says in (("n1=1e308\nn3=1e308\n", 2, "n1 + n2 + n3 must be finite"),
+    for text, code, says in (("n1=1e308\nn3=1e308\n", 2,
+                              POPULATION_REFUSAL.format(n="inf")),
                              ("", 3, "dt <= 2.785/(beta*N + gamma)")):
         cfg = tmp_path / "big.cfg"
         cfg.write_text(grid + text)
@@ -157,15 +159,32 @@ def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
 
 
 def test_an_overflow_of_s_and_i_fails_every_leg_with_the_sir_pass_error(tmp_path, caplog):
-    # (beta*N + gamma)*dt = 2.001, inside RK4's stability interval: beta*I*S
-    # overflows at t=3.62, so the SIR pass raises before any leg runs
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text("beta=2e-306\nn1=1e308\nt_end=20\n")
+    # (beta*N + gamma)*dt = 2.001, inside RK4's stability interval, but
+    # beta*I*S would overflow at t=3.62: the population is refused with
+    # exit 2 before any pass runs, by simulate and by a sweep over n1
+    for text, command in (("n1=1e308\n", ["simulate", "--scenario", "all"]),
+                          ("sweep.n1=1e308,999\n", ["sweep"])):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("beta=2e-306\nt_end=20\n" + text)
+        out = tmp_path / command[0]
+        caplog.clear()
+        assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 2
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            POPULATION_REFUSAL.format(n="1e+308")]
+        assert _data_files(out) == []
+
+
+def test_a_boom_that_overshoots_its_floor_names_the_dt_that_holds_it(tmp_path, caplog):
+    # drives near 2.5e300 carry the myopic leg's first mid-step stage below
+    # the floor: a grid error, exit 3, whose ERROR line advises a dt
+    cfg = tmp_path / "overshoot.cfg"
+    cfg.write_text("beta=1e-299\nn1=1e300\nn2=1e297\nt_end=20\ndt=0.1\n")
     out = tmp_path / "out"
-    assert run_cli("simulate", "--scenario", "all", "--config", str(cfg),
+    assert run_cli("simulate", "--scenario", "myopic", "--config", str(cfg),
                    "--out", str(out)) == 3
-    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
-        "non-finite derivative [inf, -inf, inf] at t=3.62"]
+    [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert err.startswith("clearing price hit zero at t=0.05 ")
+    assert "; use dt <= 6.363e-150 (" in err
     assert _data_files(out) == []
 
 

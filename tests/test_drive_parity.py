@@ -4,12 +4,15 @@ The oracle below integrates each scenario the direct way: S, I, R and the
 holdings together, as one 4- or 5-variable field through
 integrate_fixed_step / rk4_step. Every market pass of the package reuses
 the SIR stage drives instead, and must agree with it bit for bit, and
-raise the same errors with the same stage time and message. The package
-refuses a grid beyond RK4's stability interval before any step, and its
-SIR pass raises the SIR field's error where S and I overflow; there the
-market passes run on a drive table built without those checks (the
-`unchecked_pass` fixture), so their floor and blow-up replays still face
-the oracle.
+raise the same errors with the same stage time and message. A boom's
+stage at the price floor is RK4 overshoot, a GridTooCoarseError whose
+message goes on to advise a dt, which no coupled step knows; the
+comparison stops before that advice. The package refuses a grid beyond
+RK4's stability interval before any step, and a population whose SIR
+pass could overflow when its params are built; on a refused grid the
+market passes run on a drive table built without that check (the
+`unchecked_pass` fixture), so their floor and blow-up replays still
+face the oracle.
 """
 from __future__ import annotations
 
@@ -33,8 +36,7 @@ from epimarket import (
     solve_plateau,
 )
 from epimarket.epidemic import EpidemicTrajectory
-from epimarket.errors import GridTooCoarseError, IntegrationError, PriceFloorError
-from epimarket.market import clearing_price
+from epimarket.errors import ConfigError, GridTooCoarseError, IntegrationError, PriceFloorError
 from epimarket.numerics import integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
@@ -54,13 +56,22 @@ def _sir(params):
     return field
 
 
-def _boom_field(params, curve, mirror):
+def _overshoot(t, x, dt):
+    """A boom's holdings at the floor: RK4 overshoot on a grid of step dt."""
+    return GridTooCoarseError(
+        f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 overshoot at dt={dt}",
+        time=t)
+
+
+def _boom_field(params, curve, mirror, dt):
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     floor = -kappa * p0
 
     def field(t, y):
         s, i, r, x = y
+        if x <= floor and not mirror:
+            raise _overshoot(t, x, dt)
         if x <= floor:
             raise PriceFloorError(
                 f"clearing price hit zero at t={t} (x={x})", time=t
@@ -96,12 +107,12 @@ def _sir_node(params, grid, j):
 
 
 def oracle_market(params, curve, grid, mirror=False):
-    rows = integrate_fixed_step(_boom_field(params, curve, mirror),
+    rows = integrate_fixed_step(_boom_field(params, curve, mirror, grid.dt),
                                 (params.n1, params.n2, params.n3, 0.0), grid)
     return rows, curve.p0 + rows[:, 3] / curve.kappa
 
 
-def _phase_fields(params, curve, p_star=None):
+def _phase_fields(params, curve, dt, p_star=None):
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     floor = -kappa * p0
@@ -109,9 +120,7 @@ def _phase_fields(params, curve, p_star=None):
     def phase1(t, y):
         s, i, r, z, h = y
         if z + h <= floor:
-            raise PriceFloorError(
-                f"clearing price hit zero at t={t} (x={z + h})", time=t
-            )
+            raise _overshoot(t, z + h, dt)
         p = p0 + (z + h) / kappa
         inf = beta * i * s
         rec = gamma * i
@@ -126,7 +135,7 @@ def _phase_fields(params, curve, p_star=None):
         return (-inf, inf - rec, rec, flow, -flow)
 
     # after the plateau: the boom on z alone
-    return phase1, phase2, _boom_field(params, curve, False)
+    return phase1, phase2, _boom_field(params, curve, False, dt)
 
 
 def oracle_re_given_t1(params, curve, t1, grid):
@@ -136,13 +145,14 @@ def oracle_re_given_t1(params, curve, t1, grid):
     Phase 1 runs node to node up to k1, node(k1) <= t1 < node(k1+1), and
     one step on to t1. One step carries the state from t1 to node k1+1,
     where S, I and R are set to the grid's coupled SIR values; every later
-    step is exactly dt long. Phases 1 and 3 raise PriceFloorError at the
-    first stage whose holdings reach -kappa*p0, as the boom field does.
+    step is exactly dt long. Phases 1 and 3 raise the boom's overshoot
+    error at the first stage whose holdings reach -kappa*p0, as the boom
+    field does, and so does a price at t1 that cannot clear.
     """
     beta, gamma, w = params.beta, params.gamma, params.endowment
     p0, kappa = curve.p0, curve.kappa
     n, dt = grid.n_steps, grid.dt
-    f1, _, f3 = _phase_fields(params, curve)
+    f1, _, f3 = _phase_fields(params, curve, dt)
     k1 = max(k for k in range(n + 1) if grid.node(k) <= t1)
     y = (params.n1, params.n2, params.n3, 0.0, 0.0)
     nodes = [y]
@@ -152,8 +162,10 @@ def oracle_re_given_t1(params, curve, t1, grid):
     st1 = nodes[k1]
     if t1 - grid.node(k1) > 0.0:
         st1 = rk4_step(f1, grid.node(k1), st1, t1 - grid.node(k1))
-    p_star = clearing_price(st1[3] + st1[4], curve)
-    f2 = _phase_fields(params, curve, p_star)[1]
+    if st1[3] + st1[4] <= -kappa * p0:
+        raise _overshoot(t1, st1[3] + st1[4], dt)
+    p_star = p0 + (st1[3] + st1[4]) / kappa
+    f2 = _phase_fields(params, curve, dt, p_star)[1]
 
     def step(field, j, st):
         """The state at node j from st at the previous node, or at t1."""
@@ -307,9 +319,16 @@ def test_open_plateau_matches_the_coupled_fields():
 
 
 def _raised(fn, *args):
-    with pytest.raises((IntegrationError, PriceFloorError)) as exc:
+    """(type, time, message) of what fn raises, the message cut before the
+    dt a boom's overshoot error advises."""
+    with pytest.raises((IntegrationError, PriceFloorError, GridTooCoarseError)) as exc:
         fn(*args)
-    return type(exc.value), exc.value.time, str(exc.value)
+    return type(exc.value), exc.value.time, str(exc.value).partition("; use dt <= ")[0]
+
+
+# the ConfigError of a population whose SIR pass could overflow, n its N
+POPULATION_REFUSAL = ("population n1 + n2 + n3 = {n} lets the SIR pass overflow: "
+                      "K*N and 6*K^2*(beta*N + gamma)*N, K = 16, must be finite")
 
 
 def _refused(fn, *args):
@@ -346,21 +365,19 @@ def _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want):
 def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     # beta*I*S overflows in the first step's second stage, on a grid far
     # beyond RK4's stability interval
-    params, grid = EpidemicParams(beta=1e300), Grid(0.0, 10.0, 1e-2)
+    params, grid = EpidemicParams(beta=1e290), Grid(0.0, 10.0, 1e-2)
     want = _raised(oracle_epidemic, params, grid)
-    assert want[0] is IntegrationError
+    assert want[0] is IntegrationError and want[1] == 0.005
     _refused(epidemic_pass, params, grid)
     epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.drives).all()
     _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want)
     # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
-    # the float range still overflows, at t=3.62: the SIR pass raises the
-    # SIR field's error there, so no leg runs on it
-    params = EpidemicParams(beta=2e-306, n1=1e308)
-    want = _raised(oracle_epidemic, params, grid)
-    assert want[0] is IntegrationError
-    assert want[2] == "non-finite derivative [inf, -inf, inf] at t=3.62"
-    assert _raised(epidemic_pass, params, grid) == want
+    # the float range would overflow at t=3.62: it is refused up front,
+    # so no SIR pass and no leg runs on it
+    with pytest.raises(ConfigError) as info:
+        EpidemicParams(beta=2e-306, n1=1e308)
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+308")
 
 
 @pytest.mark.parametrize("phase", ["pre", "plateau", "post"])
@@ -412,45 +429,51 @@ def test_a_pass_whose_sir_sum_overflows_replays_no_step(leg):
 
 
 @pytest.mark.parametrize("n_steps", [1, 5])
-def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(unchecked_pass, n_steps):
-    # gamma*dt = 2.78, inside RK4's stability interval: gamma*I overflows
-    # at the first step's fourth stage alone, with every drive 0 at beta=0,
-    # so only I shows it. The SIR pass raises the SIR field's error there,
-    # also where the grid ends at that node, so every leg fails with it
-    params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
+def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(n_steps):
+    # gamma*dt = 2.78, inside RK4's stability interval, at beta=0: gamma*I
+    # alone would overflow at n2=1e307, at the first step's fourth stage.
+    # The refusal's rate is beta*N + gamma, so it refuses that population
+    # before any leg runs, and one 1e4 times smaller runs, I finite and
+    # decaying at every node, with the coupled field's values
+    with pytest.raises(ConfigError) as info:
+        EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+307")
+    params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e303)
     grid = Grid(0.0, n_steps * 0.278, 0.278)
-    want = _raised(oracle_epidemic, params, grid)
-    assert want[0] is IntegrationError and want[1] == 0.278
-    epi = unchecked_pass(params, grid)
-    assert np.isfinite(epi.drives[0]).all() and not np.isfinite(epi.i[1])
-    assert _raised(epidemic_pass, params, grid) == want
+    epi = epidemic_pass(params, grid)
+    assert np.array_equal(epi.i, oracle_epidemic(params, grid)[:, 1])
+    assert (np.diff(epi.i) < 0.0).all() and np.isfinite(epi.drives).all()
 
 
 def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve, unchecked_pass):
-    # beta=0, so z stays 0 and the net flow at t1 = 0.1, off-node, is 0:
-    # the plateau closes at t1 itself. The unwind then steps the boom field
-    # from t1 to node 1, where gamma*I overflows at the fourth stage, as the
-    # coupled formulation's 4-variable step does; a step of the 5-variable
-    # plateau field to node 1 would fail at the same time with another
-    # message. The SIR pass raises at node 1's step itself, so the leg runs
-    # on the unchecked one
-    params = EpidemicParams(beta=0.0, gamma=10.0, n2=1e307)
-    grid = Grid(0.0, 0.278, 0.278)
-    want = _raised(oracle_re_given_t1, params, curve, 0.1, grid)
-    assert want[0] is IntegrationError and want[1] == 0.1
-    assert _raised(simulate_re_given_t1, curve, 0.1, unchecked_pass(params, grid)) == want
+    # beta=0, so z stays 0, on one step of dt=30 far beyond RK4's stability
+    # interval (gamma*dt = 60): the partial step to t1 = 20 ends with I
+    # overflowing, though none of its stage derivatives does, so the net
+    # flow at t1 is not positive and the plateau closes at t1 itself. The
+    # unwind then steps the boom field from t1 to node 1 and fails at its
+    # first stage, as the coupled formulation's 4-variable step does; a
+    # step of the 5-variable plateau field would fail at the same time
+    # with five entries. The package refuses the grid, so the leg runs on
+    # the unchecked pass
+    params = EpidemicParams(beta=0.0, gamma=2.0, n2=3e303)
+    grid = Grid(0.0, 30.0, 30.0)
+    want = _raised(oracle_re_given_t1, params, curve, 20.0, grid)
+    assert want == (IntegrationError, 20.0, "non-finite derivative [nan, nan, inf, nan] at t=20.0")
+    _refused(epidemic_pass, params, grid)
+    assert _raised(simulate_re_given_t1, curve, 20.0, unchecked_pass(params, grid)) == want
 
 
 @pytest.mark.parametrize("mirror", [False, True], ids=["myopic", "depression"])
 def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, mirror):
     # beta*N*dt = 50: the price floor binds in the first steps, long before
     # S and I overflow, and the coupled step reports the floor: at a node
-    # for the boom, at a mid-step stage (t=0.005) for the slump. The
-    # package refuses the grid; on the unchecked drives it replays the floor
+    # for the boom, as overshoot, at a mid-step stage (t=0.005) for the
+    # slump. The package refuses the grid; on the unchecked drives it
+    # replays the floor
     params, grid = EpidemicParams(beta=5.0), Grid(0.0, 30.0, 1e-2)
     simulate = simulate_depression if mirror else simulate_myopic
     want = _raised(oracle_market, params, curve, grid, mirror)
-    assert want[0] is PriceFloorError
+    assert want[0] is (PriceFloorError if mirror else GridTooCoarseError)
     assert (want[1] == 0.005) is mirror
     _refused(epidemic_pass, params, grid)
     assert _raised(simulate, curve, unchecked_pass(params, grid)) == want
@@ -458,7 +481,8 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
 
 # beta*N*dt = 5 and 10, far beyond RK4's stability interval: the package
 # refuses the grid, and on the unchecked drives, which turn negative
-# within a few steps, every leg reaches the price floor.
+# within a few steps, every leg reaches the price floor, the boom and the
+# rational leg as overshoot.
 # The rational leg does so in phase 1 (before t1; at t=0.0625 inside the
 # partial step from node 6 to an off-node t1=0.065), or in the unwind:
 # after a plateau absorbed at t=0.05, or after one that collapsed at t1
@@ -477,10 +501,10 @@ def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, 
     epi = unchecked_pass(params, grid)
     for mirror, simulate in ((False, simulate_myopic), (True, simulate_depression)):
         want = _raised(oracle_market, params, curve, grid, mirror)
-        assert want[0] is PriceFloorError
+        assert want[0] is (PriceFloorError if mirror else GridTooCoarseError)
         assert _raised(simulate, curve, epi) == want
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
-    assert want[0] is PriceFloorError
+    assert want[0] is GridTooCoarseError
     assert _raised(simulate_re_given_t1, curve, t1, epi) == want
     _refused(epidemic_pass, params, grid)
     assert (want[1] < t1) is in_phase_1
@@ -488,8 +512,8 @@ def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, 
 
 # beta*N*dt = 50 and 40: the partial step from node 0 to an off-node t1
 # passes its stages' floor checks but ends below the floor, so the price
-# at t1 cannot clear; that error carries no time. The package refuses the
-# grid; on the unchecked drives the price at t1 fails as the oracle's
+# at t1 cannot clear: overshoot, at t1. The package refuses the grid; on
+# the unchecked drives the price at t1 fails as the oracle's
 @pytest.mark.parametrize("beta,t1,dt,kappa", [
     pytest.param(5.0, 0.005, 1e-2, 10.0, id="beta-5"),
     *(pytest.param(2.0, 0.015, 2e-2, kappa, id=f"beta-2-kappa-{kappa:g}")
@@ -499,7 +523,7 @@ def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(unchecked_pass
                                                                  t1, dt, kappa):
     params, curve, grid = EpidemicParams(beta=beta), SupplyCurve(kappa=kappa), Grid(0.0, 20.0, dt)
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
-    assert want[0] is PriceFloorError and want[1] is None
+    assert want[0] is GridTooCoarseError and want[1] == t1
     _refused(epidemic_pass, params, grid)
     epi = unchecked_pass(params, grid)
     assert _raised(simulate_re_given_t1, curve, t1, epi) == want

@@ -19,7 +19,8 @@ from epimarket.errors import (
     ConfigError,
     ConsistencyError,
 )
-from epimarket.verify import _drifts
+from epimarket.verify import _drifts, _integrate_until_extinct
+from test_drive_parity import POPULATION_REFUSAL
 
 N_TOTAL = 1000.0
 
@@ -64,9 +65,20 @@ def test_params_reject_bad_values():
 
 def test_params_reject_a_population_beyond_the_float_range():
     # each mass is finite, their sum is not
-    with pytest.raises(ConfigError, match=r"n1 \+ n2 \+ n3 must be finite, got inf"):
+    with pytest.raises(ConfigError) as info:
         EpidemicParams(beta=0.0, n1=1e308, n3=1e308)
-    assert EpidemicParams(n1=1e308).total == 1e308
+    assert str(info.value) == POPULATION_REFUSAL.format(n="inf")
+    # K*N overflows alone: 6*K^2*(beta*N + gamma)*N is 1.5e301
+    with pytest.raises(ConfigError) as info:
+        EpidemicParams(beta=0.0, gamma=1e-10, n1=1e308)
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+308")
+    # 6*K^2*(beta*N + gamma)*N overflows on its gamma*N alone
+    with pytest.raises(ConfigError) as info:
+        EpidemicParams(beta=0.0, gamma=1e10, n1=1e300)
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+300")
+    # inside both: K*N = 1.6e307, and 6*K^2*(beta*N + gamma)*N = 1.5e307
+    assert EpidemicParams(beta=0.0, gamma=1e-10, n1=1e307).total == 1e307
+    assert EpidemicParams(beta=0.0, gamma=1e10, n1=1e294).total == 1e294
 
 
 def test_beta_zero_is_the_uncoupled_limit():
@@ -151,6 +163,16 @@ def test_first_integrals_constant_along_trajectory(params, grid):
 
 def test_final_size_on_defaults(params):
     assert steady_state_recovered(params) == pytest.approx(993.03007544, abs=1e-7)
+
+
+def test_the_extinction_oracle_steps_the_runs_own_span(params):
+    # criterion 03's oracle runs chunks as long as the run's grid, at its
+    # dt, for at most 16: I falls below 1e-10 at the fourth 100-unit
+    # chunk's end, and is still above it at the sixteenth 10-unit one
+    r_end, t_end = _integrate_until_extinct(params, Grid(0.0, 100.0, 1e-2))
+    assert t_end == 400.0
+    assert r_end == pytest.approx(steady_state_recovered(params), rel=1e-12)
+    assert _integrate_until_extinct(params, Grid(0.0, 10.0, 0.05))[1] == 160.0
 
 
 def test_final_size_without_seed_is_exact():

@@ -15,7 +15,7 @@ from epimarket import (
     simulate_myopic,
 )
 from epimarket.analysis import refine_peak
-from epimarket.errors import ConfigError, PriceFloorError
+from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError
 from epimarket.market import holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
 
@@ -180,15 +180,15 @@ def test_depression_floors_in_shallow_markets(epidemic_run):
 
 
 def _floor_error(fn, *args):
-    with pytest.raises(PriceFloorError) as info:
+    with pytest.raises((PriceFloorError, GridTooCoarseError)) as info:
         fn(*args)
-    return info.value.time, str(info.value)
+    return type(info.value), info.value.time, str(info.value)
 
 
-def _coupled_holdings(params, curve, epi, k, x, mirror):
+def _coupled_holdings(curve, epi, k, x, mirror):
     """The coupled (s, i, r, x) steps of holdings_field from node k, each
     from the grid's S, I and R at its start node, to the end of the grid."""
-    field = holdings_field(params, curve, mirror)
+    field = holdings_field(curve, epi, mirror)
     for j in range(k, epi.grid.n_steps):
         x = rk4_step(field, float(epi.times[j]), epi.state_at(j) + (x,), epi.grid.dt)[3]
     return x
@@ -196,14 +196,16 @@ def _coupled_holdings(params, curve, epi, k, x, mirror):
 
 @pytest.mark.parametrize("mirror", [False, True])
 def test_holdings_pass_raises_at_the_floor(params, curve, mirror):
-    # from the floor at node k the replay is of step k itself, at its time
+    # from the floor at node k the replay is of step k itself, at its time;
+    # a boom's floor is the grid's
     g = Grid(5.0, 6.0, 0.1)
     epi = epidemic_pass(params, g)
     floor = -curve.kappa * curve.p0
     for k in (0, 4):
         got = _floor_error(holdings_pass, curve, epi, k, floor, mirror)
-        assert got == _floor_error(_coupled_holdings, params, curve, epi, k, floor, mirror)
-        assert got[0] == epi.times[k]
+        assert got == _floor_error(_coupled_holdings, curve, epi, k, floor, mirror)
+        assert got[0] is (PriceFloorError if mirror else GridTooCoarseError)
+        assert got[1] == epi.times[k]
     assert epi.times[0] == g.t_start
 
 
@@ -214,8 +216,28 @@ def test_holdings_pass_from_a_later_node_raises_steps_on(params, curve):
     g = Grid(0.0, 20.0, 0.1)
     epi = epidemic_pass(params, g)
     got = _floor_error(holdings_pass, curve, epi, 100, -4.0, True)
-    assert got == _floor_error(_coupled_holdings, params, curve, epi, 100, -4.0, True)
-    assert epi.times[104] < got[0] < epi.times[105]
+    assert got == _floor_error(_coupled_holdings, curve, epi, 100, -4.0, True)
+    assert epi.times[104] < got[1] < epi.times[105]
+
+
+def test_a_boom_at_its_floor_is_the_grids_fault(curve):
+    # a population of 1e300 inside both SIR bounds, beta*N*dt = 1.0: drives
+    # near 2.5e300 carry the boom's first mid-step stage far below the
+    # floor. From 0 the exact holdings never fall below 0, so that is RK4
+    # overshoot, and the error names the dt at which holdings_cannot_raise's
+    # bound holds on these drives: sqrt(kappa*p0/(gamma*top)). The slump on
+    # the same pass keeps the model's floor
+    epi = epidemic_pass(EpidemicParams(beta=1e-299, n1=1e300, n2=1e297), Grid(0.0, 20.0, 0.1))
+    with pytest.raises(GridTooCoarseError) as info:
+        simulate_myopic(curve, epi)
+    assert info.value.time == 0.05
+    assert str(info.value) == (
+        "clearing price hit zero at t=0.05 (x=-2.5000000000000005e+294) in a boom: "
+        "RK4 overshoot at dt=0.1; use dt <= 6.363e-150 (gamma*dt <= 1, "
+        "gamma*dt^2*top <= kappa*p0, top = max drive*w/p0 = 2.47e+300, every "
+        "drive >= 0)")
+    with pytest.raises(PriceFloorError, match=r"^clearing price hit zero at t=0\.05 "):
+        simulate_depression(curve, epi)
 
 
 def test_depression_without_seed_is_flat(curve):
