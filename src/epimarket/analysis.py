@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     SimulationError,
 )
-from .market import MarketTrajectory, SupplyCurve, clearing_price, simulate_myopic
+from .market import MarketTrajectory, SupplyCurve, simulate_myopic
 from .numerics import Grid, parabolic_vertex
 from .pool import forked, usable_cpus
 from .rational import re_price_head
@@ -261,10 +261,10 @@ def _rational_claims(
     # implied by holdings, so a corrupted column cannot slip through
     if hi > lo:
         stored = np.max(np.abs(rational.p[lo:hi] - p_star))
-        implied = max(
-            abs(clearing_price(float(x), rational.curve) - p_star)
-            for x in rational.x[lo:hi]
-        )
+        # clearing_price's arithmetic on every node: none reaches the floor,
+        # since z + h is conserved at phi* >= 0 there and P* > 0 was checked
+        curve = rational.curve
+        implied = np.max(np.abs(curve.p0 + rational.x[lo:hi] / curve.kappa - p_star))
         rel = max(stored, implied) / p_star
         claims["plateau_price_constant"] = _claim(
             "pass" if rel <= 1e-6 else "fail",

@@ -4,35 +4,41 @@ Susceptible agents catch the sentiment from infected ones at rate beta*I*S
 and drop out at rate gamma. The module carries the implicit final-size
 equation for the long-run recovered mass, which follows from the
 recovered first integral R + (gamma/beta)*ln(S), and sub-grid refinement
-of the infection peak.
+of the infection peak. Each newly infected agent spends the endowment w,
+so the market buys at the demand beta*I*S*w (`EpidemicParams.demand`).
 
 The market never feeds back into the contagion, so S, I and R are
-integrated once per (params, grid). That pass keeps a drive table: for
-every RK4 step, the drive beta*I*S at each of the four stages. Every
-market pass on the same grid (market, rational) replays those drives as
-a scalar RK4 pass of its own holdings, and its S, I and R are this
-pass's arrays. A rational path leaves the nodes only around its
-sell-start time t1: the steps to t1 and on to the next node go through
-its coupled fields, and from that node on it reads the grid's S, I and
-R again.
+integrated once per (params, grid), with a demand table: the demand at
+the four stages of every RK4 step. Every market pass on the grid
+(market, rational) replays it as a scalar RK4 pass of its own holdings,
+multiplying by w nowhere, and reads S, I and R from this pass; a
+rational path leaves the nodes only around its sell-start time t1,
+through its coupled fields.
 
 The pass is rk4_step's arithmetic on the SIR field, written out on plain
 floats, so every value matches a fixed-step RK4 run bit for bit. Its
-Python loop steps only S and I, since no stage of a step reads R. Every
-stage of step k depends only on S and I at node k, so afterwards numpy
-rebuilds the drive table, the recovery terms gamma*I and R from the
-stored nodes, with the same operations in the same order; R is
-np.add.accumulate over its increments, which adds strictly left to
-right, as the loop did.
+Python loop steps only S and I, since no stage reads R. Every stage of
+step k depends only on S and I at node k, so afterwards numpy rebuilds
+the stage drives d = beta*I*S, the recovery terms gamma*I and R from the
+stored nodes with the same operations in the same order, and writes
+D = d*w to the table; R is np.add.accumulate over its increments, which
+adds strictly left to right, as the loop did. Each market value keeps
+the bits it had when the passes formed d*w themselves: numpy's product
+rounds as Python's does; a slump's -D is d*(-w), as negation is exact;
+max(D) = max(d)*w for w > 0, as rounding to nearest is monotone, so a
+bound's top = max(D)/p0 is max(d)*w/p0; and min(D) >= 0 is the
+condition holdings_cannot_raise's proof needs, as the loop it clears
+reads D.
 
 The pass refuses a grid beyond RK4's real-axis stability interval,
 (beta*N + gamma)*dt above RK4_STABILITY, with GridTooCoarseError before
 any step runs, and EpidemicParams a population on which a pass could
-overflow; within both bounds every value of the pass is finite (the
-lemma in EpidemicParams), so it checks nothing. A market or rational
-pass over the drive table checks only the variables it steps, replaying
-a step where one ends non-finite on its own coupled field
-(`coupled_field`: the SIR field, its own rates appended). No rate reads R.
+overflow; within both bounds every S, I, R and drive is finite (the
+lemma in EpidemicParams), so it checks nothing. A demand overflows only
+for a huge w. A market or rational pass checks only the variables it
+steps, replaying a step where one ends non-finite on its own coupled
+field (`coupled_field`: the SIR field, its own rates appended). No rate
+reads R.
 """
 from __future__ import annotations
 
@@ -40,24 +46,13 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import count
+from operator import neg
 
 import numpy as np
 
-from .errors import (
-    BoundaryExtremumError,
-    ConfigError,
-    ConsistencyError,
-    ConvergenceError,
-    GridTooCoarseError,
-    require_finite,
-)
-from .numerics import (
-    Bracket,
-    Grid,
-    find_root_bracketed,
-    parabolic_vertex,
-    rk4_step,
-)
+from .errors import (BoundaryExtremumError, ConfigError, ConsistencyError, ConvergenceError,
+                     GridTooCoarseError, require_finite)
+from .numerics import Bracket, Grid, find_root_bracketed, parabolic_vertex, rk4_step
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -71,9 +66,8 @@ STAGE_BOUND = 16.0  # K of the population bound (see EpidemicParams)
 class EpidemicParams:
     """Rates and initial masses of the contagion.
 
-    endowment is the currency each newly infected agent brings to the asset
-    market; it rides along here because every market scenario needs it next
-    to beta and gamma.
+    endowment is the currency w each newly infected agent spends on the
+    asset, so the market buys at demand(S, I) = beta*I*S*w.
 
     The population N = n1 + n2 + n3 is refused unless K*N and 6*K^2*L*N
     are finite (K = STAGE_BOUND, L = beta*N + gamma), which keeps every
@@ -130,6 +124,15 @@ class EpidemicParams:
     def total(self) -> float:
         return self.n1 + self.n2 + self.n3
 
+    def demand(self, s: float, i: float) -> float:
+        """The market's buying rate beta*I*S*w at S = s and I = i."""
+        return self.beta * i * s * self.endowment
+
+    @property
+    def demand_text(self) -> str:
+        """The demand's formula with this w, for error messages."""
+        return f"beta*I*S*w, w = {self.endowment:g}"
+
     @property
     def threshold(self) -> float:
         """gamma/beta: infections grow only while S exceeds this mass."""
@@ -147,8 +150,8 @@ class EpidemicParams:
 class EpidemicTrajectory:
     """S, I and R at the grid's nodes.
 
-    drives is the (n_steps, 4) table of beta*I*S at the four RK4 stages of
-    each step.
+    demand is the (n_steps, 4) table of the demand beta*I*S*w at the four
+    RK4 stages of each step.
     """
 
     params: EpidemicParams
@@ -157,22 +160,23 @@ class EpidemicTrajectory:
     s: np.ndarray
     i: np.ndarray
     r: np.ndarray
-    drives: np.ndarray
+    demand: np.ndarray
 
     def state_at(self, k: int) -> tuple[float, float, float]:
         """(S, I, R) at node k as floats."""
         return float(self.s[k]), float(self.i[k]), float(self.r[k])
 
-    def steps(self, k: int = 0):
+    def steps(self, k: int = 0, negate: bool = False):
         """The RK4 steps from node k to the end of the grid, for a scalar
-        pass over the drive table.
+        pass over the demand table.
 
-        Yields (j, d1, d2, d3, d4) for each step j: the drives beta*I*S at
-        its four stages. `market.holdings_pass`'s loop with no check
-        reads the drive table itself.
+        Yields (j, d1, d2, d3, d4) for each step j: the demands at its four
+        stages, negated if negate (a slump's). `market.holdings_pass`'s
+        loop with no check reads the table itself.
         """
-        drives = iter(memoryview(self.drives.reshape(-1))[4 * k:])
-        return zip(count(k), drives, drives, drives, drives)
+        d = memoryview(self.demand.reshape(-1))[4 * k:]
+        d = map(neg, d) if negate else iter(d)
+        return zip(count(k), d, d, d, d)
 
     def replay(self, field, k: int, y: tuple) -> tuple:
         """rk4_step over step k on a coupled field, from the grid's t, S, I
@@ -193,8 +197,8 @@ class InfectionPeak:
 def coupled_field(params: EpidemicParams, rate=None):
     """The SIR field as an rk4_step field on y = (s, i, r, ...): (ds, di,
     dr) = (-beta*I*S, beta*I*S - gamma*I, gamma*I), which sum to zero by
-    construction, with the tuple rate(t, beta*I*S, y[3:]) of the variables
-    after R appended."""
+    construction, with the tuple rate(t, demand, y[3:]) of the variables
+    after R appended, demand = params.demand(S, I)."""
     beta, gamma = params.beta, params.gamma
 
     def field(t, y):
@@ -202,7 +206,7 @@ def coupled_field(params: EpidemicParams, rate=None):
         rec = gamma * y[1]
         if rate is None:
             return (-inf, inf - rec, rec)
-        return (-inf, inf - rec, rec) + rate(t, inf, y[3:])
+        return (-inf, inf - rec, rec) + rate(t, params.demand(y[0], y[1]), y[3:])
 
     return field
 
@@ -213,15 +217,15 @@ BLOCK = 4096
 
 
 def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
-    """S, I and R over the grid with the drive table, for market passes to
-    run on.
+    """S, I and R over the grid with the demand table, for market passes
+    to run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY; on any other grid every value is finite (see
-    EpidemicParams).
+    beyond RK4_STABILITY; on any other grid S, I, R and every drive are
+    finite (see EpidemicParams).
     """
     n = grid.n_steps
-    beta, gamma, h = params.beta, params.gamma, grid.dt
+    beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     rate = beta * params.total + gamma
     if rate * h > RK4_STABILITY:
         raise GridTooCoarseError(
@@ -256,7 +260,7 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         s_arr[k] = s
         i_arr[k] = i
     s_nodes, i_nodes = np.frombuffer(s_arr), np.frombuffer(i_arr)
-    drives = np.empty((n, 4))
+    demand = np.empty((n, 4))
     r_nodes = np.empty(n + 1)
     r_nodes[0] = params.n3
     # the loop's stage arithmetic again, on the stored S and I
@@ -277,22 +281,16 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
         i4 = i + h * (d3 - c3)
         d4 = beta * i4 * s4
         c4 = gamma * i4
-        block = drives[a:b]
-        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = d1, d2, d3, d4
+        with np.errstate(over="ignore"):  # d*w may overflow for a huge w
+            for j, d in enumerate((d1, d2, d3, d4)):
+                np.multiply(d, w, out=demand[a:b, j])
         # R(k+1) = R(k) + increment, strictly left to right
         r_inc = np.empty(b - a + 1)
         r_inc[0] = r_nodes[a]
         r_inc[1:] = sixth * (c1 + 2.0 * (c2 + c3) + c4)
         np.add.accumulate(r_inc, out=r_nodes[a:b + 1])
-    return EpidemicTrajectory(
-        params=params,
-        grid=grid,
-        times=grid.times(),
-        s=s_nodes,
-        i=i_nodes,
-        r=r_nodes,
-        drives=drives,
-    )
+    return EpidemicTrajectory(params=params, grid=grid, times=grid.times(), s=s_nodes,
+                              i=i_nodes, r=r_nodes, demand=demand)
 
 
 # the SIR pass under the name the benchmark traces

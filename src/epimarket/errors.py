@@ -57,7 +57,7 @@ class GridTooCoarseError(SimulationError):
     """The step size is too coarse: the grid lies beyond RK4's stability
     interval, which the SIR pass refuses before any step runs, a boom
     overshoots its price floor, or the shooting solve cannot meet
-    tolerance at it. Retry with a smaller dt."""
+    tolerance at it. Retry with a smaller dt, unless the message says none helps."""
 
 
 class BoundaryExtremumError(SimulationError):

@@ -1,30 +1,30 @@
 """Asset market driven by the contagion.
 
-Newly infected agents spend their endowment on shares at the going price;
-recovered agents liquidate at rate gamma. Aggregate speculative holdings x
-clear against an exogenous linear supply curve, so the price is an exact
-closed-form function of x. The euphoric scenario integrates the holdings
-ODE directly; the depressive scenario is its exact sign-mirror; a
-trapezoid quadrature of the underlying cohort integral serves as an
-independent oracle for the state variable.
+Newly infected agents spend their currency w on shares at the going
+price, the demand beta*I*S*w; recovered agents liquidate at rate gamma.
+Aggregate speculative holdings x clear against an exogenous linear supply
+curve, so the price is an exact closed-form function of x. The euphoric
+scenario integrates the holdings ODE directly; the depressive scenario
+is its exact sign-mirror; a trapezoid quadrature of the underlying
+cohort integral serves as an independent oracle for the state variable.
 
 Both scenarios, and holdings_pass under them, take the SIR pass they
 run on (`epidemic_pass`) and read their params and grid there; the leg
 they return holds it (`MarketTrajectory.epi`), which is where its S, I
 and R are read, and keeps only x and p of its own. They run x alone, as
-a scalar RK4 pass over the pass's drive table, four stage drives per
-step. A boom that `holdings_cannot_raise` proves safe before the loop
-(the myopic leg and the rational unwind on a usual pass) runs in a loop
-with no check; any other pass, every slump among them, is checked in
-its loop (`_checked_pass`). The coupled (S, I, R, x) field of each
-scenario, `coupled_field` with the x rate appended (`holdings_field`),
-remains its definition: a step that reaches the price floor or a price
-(reflected, in a slump) <= 0 at a stage, or ends with x non-finite, is
-replayed through rk4_step on it from the grid's state at its start node
-(`EpidemicTrajectory.replay`), so errors carry the coupled step's stage
-time and message (see epidemic); a boom's floor is RK4 overshoot
-(`boom_price`). The rational unwind after the plateau is the
-euphoric pass restarted from the closing node.
+a scalar RK4 pass over the pass's demand table, four stage demands per
+step (negated in a slump). A boom that `holdings_cannot_raise` proves
+safe before the loop (the myopic leg and the rational unwind on a usual
+pass) runs in a loop with no check; any other pass, every slump among
+them, is checked in its loop (`_checked_pass`). The coupled (S, I, R,
+x) field of each scenario, `coupled_field` with the x rate appended
+(`holdings_field`), remains its definition: a step that reaches the
+price floor or a price (reflected, in a slump) <= 0 at a stage, or ends
+with x non-finite, is replayed through rk4_step on it from the grid's
+state at its start node (`EpidemicTrajectory.replay`), so errors carry
+the coupled step's stage time and message (see epidemic); a boom's floor
+is RK4 overshoot (`boom_price`). The rational unwind after the plateau
+is the euphoric pass restarted from the closing node.
 """
 from __future__ import annotations
 
@@ -36,8 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .epidemic import EpidemicTrajectory, coupled_field
-from .errors import (ConfigError, DomainError, GridTooCoarseError, PriceFloorError,
-                     require_finite)
+from .errors import ConfigError, DomainError, GridTooCoarseError, PriceFloorError, require_finite
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -126,19 +125,18 @@ def holdings_field(curve: SupplyCurve, epi: EpidemicTrajectory, mirror: bool = F
     """The coupled (s, i, r, x) field of a boom (mirror=False) or a slump on
     the SIR pass epi; a boom's price is boom_price, and a slump's stage at
     the floor or dividing by a price <= 0 is a PriceFloorError."""
-    gamma, w = epi.params.gamma, epi.params.endowment
-    p0, kappa = curve.p0, curve.kappa
+    gamma, p0, kappa = epi.params.gamma, curve.p0, curve.kappa
     floor, two_p0 = -kappa * p0, 2.0 * p0
 
-    def rate(t, inf, y):
+    def rate(t, dem, y):
         x = y[0]
         if not mirror:
-            return (inf * w / boom_price(curve, epi, t, x) - gamma * x,)
+            return (dem / boom_price(curve, epi, t, x) - gamma * x,)
         div = two_p0 - (p0 + x / kappa)
         if x <= floor or div <= 0.0:
             price = "clearing price" if x <= floor else "reflected price 2*p0 - P"
             raise PriceFloorError(f"{price} hit zero at t={t} (x={x})", time=t)
-        return (-inf * w / div - gamma * x,)
+        return (-dem / div - gamma * x,)
 
     return coupled_field(epi.params, rate)
 
@@ -147,29 +145,34 @@ def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) 
     """The clearing price of a boom's holdings x at time t on the SIR pass
     epi. From x >= 0 a boom's exact holdings (and phase 1's z + h) never
     fall below 0, so at the floor it is RK4 overshoot: a GridTooCoarseError
-    naming a dt at which holdings_cannot_raise's bound holds."""
+    naming a dt at which holdings_cannot_raise's bound holds, or the demand
+    where that bound's top overflows, which no dt meets."""
     p = curve.p0 + x / curve.kappa
     if x > -curve.kappa * curve.p0 and p > 0.0:
         return p
     gamma = epi.params.gamma
-    top = float(np.max(epi.drives, initial=0.0)) * epi.params.endowment / curve.p0
-    bound = min(1.0 / gamma, math.sqrt(curve.kappa * curve.p0 / gamma) / math.sqrt(top)
-                if top > 0.0 else math.inf)
-    raise GridTooCoarseError(
-        f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 overshoot at "
-        f"dt={epi.grid.dt}; use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= "
-        f"kappa*p0, top = max drive*w/p0 = {top:.4g}, every drive >= 0)", time=t)
+    top = float(np.max(epi.demand, initial=0.0)) / curve.p0
+    if math.isfinite(top):
+        bound = min(1.0 / gamma, math.sqrt(curve.kappa * curve.p0 / gamma) / math.sqrt(top)
+                    if top > 0.0 else math.inf)
+        advice = (f"use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
+                  f"top = max demand/p0 = {top:.4g}, every demand >= 0)")
+    else:
+        advice = ("no dt meets gamma*dt^2*top <= kappa*p0, as top = max demand/p0 "
+                  f"overflows for the demand {epi.params.demand_text}")
+    raise GridTooCoarseError(f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 "
+                             f"overshoot at dt={epi.grid.dt}; {advice}", time=t)
 
 
 def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
                           x: float) -> bool:
     """True if the boom's holdings_pass (mirror=False) from holdings x at
-    node k, over the grid's drives from there, can neither reach the price
+    node k, over the grid's demands from there, can neither reach the price
     floor nor go non-finite.
 
-    Write a = gamma*dt, D = d*w/P for a stage's drive d and price P, and
-    top = max(d)*w/p0 over the steps. RK4 on dx = D - gamma*x is affine
-    in x and the four D's:
+    Write a = gamma*dt, D = d/P for a stage's demand d (the table's entry)
+    and price P, and top = max(d)/p0 over the steps. RK4 on dx = D - gamma*x
+    is affine in x and the four D's:
         x2 = (1 - a/2)*x + dt/2*D1
         x3 = (1 - a/2 + a^2/4)*x - a*dt/4*D1 + dt/2*D2
         x4 = (1 - a + a^2/2 - a^3/4)*x + a^2*dt/4*D1 - a*dt/2*D2 + dt*D3
@@ -186,9 +189,9 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     finite when (1 + gamma) times that bound is. The SIR stage derivatives
     are finite on every pass that epidemic_pass returns (see epidemic).
     """
-    d = epi.drives[k:]
+    d = epi.demand[k:]
     dt, gamma = epi.grid.dt, epi.params.gamma
-    top = float(np.max(d, initial=0.0)) * epi.params.endowment / curve.p0
+    top = float(np.max(d, initial=0.0)) / curve.p0
     bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
     return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
                 and gamma * dt * dt * top <= curve.kappa * curve.p0
@@ -199,30 +202,29 @@ def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
                   mirror: bool = False) -> array:
     """x at node k and at each node after, from holdings x at node k.
 
-    Scalar RK4 of dx = drive*w/P - gamma*x with P = p0 + x/kappa over the
-    stage drives of epi's steps from node k; mirror=True divides minus the
-    drive by the reflected price 2*p0 - P instead. A boom that
+    Scalar RK4 of dx = demand/P - gamma*x with P = p0 + x/kappa over the
+    stage demands of epi's steps from node k; mirror=True divides minus the
+    demand by the reflected price 2*p0 - P instead. A boom that
     holdings_cannot_raise proves safe runs in a loop with no check, since
     every stage clears at P >= p0/2 > 0; every other pass, every slump
     among them, is _checked_pass, the same arithmetic checked in its loop.
     """
     if mirror or not holdings_cannot_raise(curve, epi, k, x):
         return _checked_pass(curve, epi, k, x, mirror)
-    w, gamma = epi.params.endowment, epi.params.gamma
-    p0, kappa = curve.p0, curve.kappa
+    gamma, p0, kappa = epi.params.gamma, curve.p0, curve.kappa
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     out = array("d", [x])
     add = out.append
-    d = iter(memoryview(epi.drives.reshape(-1))[4 * k:])
+    d = iter(memoryview(epi.demand.reshape(-1))[4 * k:])
     for d1, d2, d3, d4 in zip(d, d, d, d):
-        k1 = d1 * w / (p0 + x / kappa) - gamma * x
+        k1 = d1 / (p0 + x / kappa) - gamma * x
         x2 = x + half * k1
-        k2 = d2 * w / (p0 + x2 / kappa) - gamma * x2
+        k2 = d2 / (p0 + x2 / kappa) - gamma * x2
         x3 = x + half * k2
-        k3 = d3 * w / (p0 + x3 / kappa) - gamma * x3
+        k3 = d3 / (p0 + x3 / kappa) - gamma * x3
         x4 = x + dt * k3
-        k4 = d4 * w / (p0 + x4 / kappa) - gamma * x4
+        k4 = d4 / (p0 + x4 / kappa) - gamma * x4
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         add(x)
     return out
@@ -237,41 +239,38 @@ def _checked_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,
     each step's end x for finiteness; a step that fails one is replayed on
     holdings_field (`EpidemicTrajectory.replay`) at once, as in
     `rational._accumulate`, and raises what the coupled step raises. One
-    that raises nothing stands.
+    that raises nothing stands. A slump reads the negated demands.
     """
-    w, gamma = epi.params.endowment, epi.params.gamma
-    p0, kappa = curve.p0, curve.kappa
+    gamma, p0, kappa = epi.params.gamma, curve.p0, curve.kappa
     field, floor = holdings_field(curve, epi, mirror), -kappa * p0
     dt = epi.grid.dt
     half, sixth, two_p0 = 0.5 * dt, dt / 6.0, 2.0 * p0
-    # -d*w in a slump: negating either factor rounds the same
-    w = -w if mirror else w
     out = array("d", [x])
     add = out.append
-    for j, d1, d2, d3, d4 in epi.steps(k):
+    for j, d1, d2, d3, d4 in epi.steps(k, negate=mirror):
         p = p0 + x / kappa
         div = two_p0 - p if mirror else p
         if x <= floor or div <= 0.0:
             epi.replay(field, j, (x,))
-        k1 = d1 * w / div - gamma * x
+        k1 = d1 / div - gamma * x
         x2 = x + half * k1
         p = p0 + x2 / kappa
         div = two_p0 - p if mirror else p
         if x2 <= floor or div <= 0.0:
             epi.replay(field, j, (x,))
-        k2 = d2 * w / div - gamma * x2
+        k2 = d2 / div - gamma * x2
         x3 = x + half * k2
         p = p0 + x3 / kappa
         div = two_p0 - p if mirror else p
         if x3 <= floor or div <= 0.0:
             epi.replay(field, j, (x,))
-        k3 = d3 * w / div - gamma * x3
+        k3 = d3 / div - gamma * x3
         x4 = x + dt * k3
         p = p0 + x4 / kappa
         div = two_p0 - p if mirror else p
         if x4 <= floor or div <= 0.0:
             epi.replay(field, j, (x,))
-        k4 = d4 * w / div - gamma * x4
+        k4 = d4 / div - gamma * x4
         x1 = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if x1 - x1 != 0.0:
             epi.replay(field, j, (x,))

@@ -13,11 +13,12 @@ from single partial RK4 steps, so the whole solve stays deterministic.
 
 Every function that runs a pass takes the SIR pass it runs on
 (`epidemic_pass`) and reads its params and grid there; only the plateau
-field and `_flow`, which belong to no pass, take params. Every pass runs over
-that pass's drive table (see epidemic); phase 1 and the plateau stream
-it through `EpidemicTrajectory.steps` as each step's four drives, and
-check each step's own z and h inside their loops. S, I and R are never
-carried, and a replay reads the grid's state at the step's start node
+field and `_flow`, which belong to no pass, take params. Every pass runs
+over that pass's demand table beta*I*S*w (see epidemic), so none
+multiplies by w; phase 1 and the plateau stream it through
+`EpidemicTrajectory.steps` as each step's four demands, and check each
+step's own z and h inside their loops. S, I and R are never carried, and
+a replay reads the grid's state at the step's start node
 (`EpidemicTrajectory.replay`). The accumulation phase (z, h) runs from
 t=0; the solve's stops at k_f, the first node flow-reversed before any
 scan (h > 0, net flow at its own P* <= 0), and its replay reuses those
@@ -26,7 +27,7 @@ arrays.
 From a trial t1 in [node(k1), node(k1+1)) the plateau is one scan: an
 rk4_step on the phase-1 field from node k1 reaches an off-node t1, one on
 the phase-2 field carries it to node k1+1, and z and h run on over the
-grid's drives, so S, I and R are the grid's arrays; the net flow at a
+grid's demands, so S, I and R are the grid's arrays; the net flow at a
 node is the first stage rate of the step from it. Stage one's node
 diagnosis stops the scan at its first event, stage two's closure runs it
 to the flow reversal, and the unwind starts at the closing node: h is
@@ -58,8 +59,7 @@ from itertools import islice
 
 import numpy as np
 
-from .epidemic import (EpidemicParams, EpidemicTrajectory, coupled_field,
-                       infection_peak)
+from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, infection_peak
 from .errors import DomainError, GridTooCoarseError, NoPlateauError, SimulationError
 from .market import (MarketTrajectory, SupplyCurve, boom_price,
                      holdings_cannot_raise, holdings_field, holdings_pass)
@@ -109,22 +109,22 @@ class _Closure:
 
 
 def _phase1_field(curve: SupplyCurve, epi: EpidemicTrajectory):
-    gamma, w = epi.params.gamma, epi.params.endowment
+    gamma = epi.params.gamma
 
-    def rate(t, inf, y):
+    def rate(t, dem, y):
         z, h = y
         cure = gamma * z
-        return (inf * w / boom_price(curve, epi, t, z + h) - cure, cure)
+        return (dem / boom_price(curve, epi, t, z + h) - cure, cure)
 
     return coupled_field(epi.params, rate)
 
 
 def _phase2_field(params: EpidemicParams, p_star: float):
-    gamma, w = params.gamma, params.endowment
+    gamma = params.gamma
 
-    def rate(t, inf, y):
+    def rate(t, dem, y):
         # z and h exchange at exactly opposite rates: z+h is conserved
-        flow = inf * w / p_star - gamma * y[0]
+        flow = dem / p_star - gamma * y[0]
         return (flow, -flow)
 
     return coupled_field(params, rate)
@@ -132,18 +132,17 @@ def _phase2_field(params: EpidemicParams, p_star: float):
 
 def _flow(params: EpidemicParams, p_star: float, y: tuple) -> float:
     """Net buying beta*I*S*w/P* - gamma*z at y = (s, i, r, z, ...)."""
-    return (params.beta * y[1] * y[0] * params.endowment / p_star
-            - params.gamma * y[3])
+    return params.demand(y[0], y[1]) / p_star - params.gamma * y[3]
 
 
 # ---------------------------------------------------------------------------
-# scalar passes over stage drives
+# scalar passes over stage demands
 # ---------------------------------------------------------------------------
 
 
 def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
                 stop_at_reversal: bool = False) -> tuple[array, array]:
-    """Phase-1 z and h over the grid's drives at nodes 0..upto (0..k_f if
+    """Phase-1 z and h over the grid's demands at nodes 0..upto (0..k_f if
     stop_at_reversal and k_f < upto).
 
     A stage with z+h at or below the floor -kappa*p0 and a step that ends
@@ -151,8 +150,7 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
     (`EpidemicTrajectory.replay`), which raises what the coupled step
     raises, as in `market.holdings_pass`.
     """
-    gamma, w = epi.params.gamma, epi.params.endowment
-    p0, kappa = curve.p0, curve.kappa
+    gamma, p0, kappa = epi.params.gamma, curve.p0, curve.kappa
     field, floor = _phase1_field(curve, epi), -kappa * p0
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
@@ -164,7 +162,7 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
         if x <= floor:
             epi.replay(field, k, (z, h))
         cure1 = gamma * z
-        kz1 = d1 * w / (p0 + x / kappa) - cure1
+        kz1 = d1 / (p0 + x / kappa) - cure1
         # kz1 is _flow at this node's own P*, to the bit
         if kz1 <= 0.0 and h > 0.0 and stop_at_reversal:
             break
@@ -173,19 +171,19 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
         if x <= floor:
             epi.replay(field, k, (z, h))
         cure2 = gamma * z2
-        kz2 = d2 * w / (p0 + x / kappa) - cure2
+        kz2 = d2 / (p0 + x / kappa) - cure2
         z3, h3 = z + half * kz2, h + half * cure2
         x = z3 + h3
         if x <= floor:
             epi.replay(field, k, (z, h))
         cure3 = gamma * z3
-        kz3 = d3 * w / (p0 + x / kappa) - cure3
+        kz3 = d3 / (p0 + x / kappa) - cure3
         z4, h4 = z + dt * kz3, h + dt * cure3
         x = z4 + h4
         if x <= floor:
             epi.replay(field, k, (z, h))
         cure4 = gamma * z4
-        kz4 = d4 * w / (p0 + x / kappa) - cure4
+        kz4 = d4 / (p0 + x / kappa) - cure4
         z1 = z + sixth * (kz1 + 2.0 * (kz2 + kz3) + kz4)
         h1 = h + sixth * (cure1 + 2.0 * (cure2 + cure3) + cure4)
         chk = z1 + h1
@@ -200,24 +198,24 @@ def _accumulate(curve: SupplyCurve, epi: EpidemicTrajectory, upto: int,
 def _plateau(p_star: float, epi: EpidemicTrajectory, k: int, z: float, h: float):
     """The plateau at pinned price p_star from z and h at node k.
 
-    Scalar RK4 of z and h over the drives of epi's steps from node k.
+    Scalar RK4 of z and h over the demands of epi's steps from node k.
     Yields (j, z, h, flow) for each node j from k to the grid's end, with
     the net flow beta*I*S*w/P* - gamma*z there, before stepping on from it:
     a step's first stage rate is the flow at its start node, to the bit.
     """
-    gamma, w = epi.params.gamma, epi.params.endowment
+    gamma = epi.params.gamma
     field = _phase2_field(epi.params, p_star)
     dt = epi.grid.dt
     half, sixth = 0.5 * dt, dt / 6.0
     for j, d1, d2, d3, d4 in epi.steps(k):
-        f1 = d1 * w / p_star - gamma * z
+        f1 = d1 / p_star - gamma * z
         yield j, z, h, f1
         z2 = z + half * f1
-        f2 = d2 * w / p_star - gamma * z2
+        f2 = d2 / p_star - gamma * z2
         z3 = z + half * f2
-        f3 = d3 * w / p_star - gamma * z3
+        f3 = d3 / p_star - gamma * z3
         z4 = z + dt * f3
-        f4 = d4 * w / p_star - gamma * z4
+        f4 = d4 / p_star - gamma * z4
         # h's stage rates are -f, so its increment is exactly z's, negated
         dz = sixth * (f1 + 2.0 * (f2 + f3) + f4)
         z1, h1 = z + dz, h - dz
@@ -254,7 +252,7 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     h) comes from one partial step from node k1. nodes yields (j, z, h,
     flow) as _plateau does: first for t1 itself, as j = k1, then for node
     k1+1, reached by _to_node on the phase-2 field, and every later node
-    over the grid's drives. Only t1 is yielded if node k1 is the last.
+    over the grid's demands. Only t1 is yielded if node k1 is the last.
     The step to node k1+1 is taken only when that node is asked for, so a
     plateau that closes at t1 itself never steps the phase-2 field.
     """

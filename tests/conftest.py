@@ -66,16 +66,17 @@ def rational_run(curve, epidemic_run):
 
 
 def _unchecked_pass(params, grid):
-    """The SIR pass as one Python loop that also writes the drive table and
-    steps R, with no stability check and no finiteness check."""
+    """The SIR pass as one Python loop that also writes the demand table
+    beta*I*S*w and steps R, with no stability check and no finiteness
+    check."""
     n = grid.n_steps
-    beta, gamma, h = params.beta, params.gamma, grid.dt
+    beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     half, sixth = 0.5 * h, h / 6.0
     s, i, r = params.n1, params.n2, params.n3
     s_arr = array("d", [s]) * (n + 1)
     i_arr = array("d", [i]) * (n + 1)
     r_arr = array("d", [r]) * (n + 1)
-    drives = array("d", [0.0]) * (4 * n)
+    demand = array("d", [0.0]) * (4 * n)
     j = 0
     for k in range(1, n + 1):
         d1 = beta * i * s
@@ -98,15 +99,15 @@ def _unchecked_pass(params, grid):
         s_arr[k] = s
         i_arr[k] = i
         r_arr[k] = r
-        drives[j] = d1
-        drives[j + 1] = d2
-        drives[j + 2] = d3
-        drives[j + 3] = d4
+        demand[j] = d1 * w
+        demand[j + 1] = d2 * w
+        demand[j + 2] = d3 * w
+        demand[j + 3] = d4 * w
         j += 4
     return EpidemicTrajectory(
         params=params, grid=grid, times=grid.times(), s=np.frombuffer(s_arr),
         i=np.frombuffer(i_arr), r=np.frombuffer(r_arr),
-        drives=np.frombuffer(drives).reshape(n, 4),
+        demand=np.frombuffer(demand).reshape(n, 4),
     )
 
 

@@ -109,6 +109,16 @@ def _legs(legs, *exts):
     pytest.param("", ("sweep",), 0, ["sweep.csv", "sweep_summary.csv"], [],
                  "d5a1dc8250115e97ebeb31ecf2b3336eaa098a0a97ffdad9b0d4d173162b19fc",
                  id="sweep"),
+    # an endowment w != 1, where d*w != d: every market value reads w
+    # through the demand table, and a misplaced product by w would show
+    pytest.param("endowment=2.5\nkappa=1000\n", ("simulate", "--scenario", "all"), 0,
+                 _legs("myopic rational depression", "csv", "dat"), [],
+                 "f3f3a2fa5518b143bd4964b78219a75c33979cee0c35ca7745f202321f9f5651",
+                 id="all-endowment-2.5-kappa-1000"),
+    pytest.param("endowment=0.4\nkappa=400\n", ("simulate", "--scenario", "all"), 0,
+                 _legs("myopic rational depression", "csv", "dat"), [],
+                 "ee778bf319d8138c31ae71b251aad89ec13e8962f2812085d6a55ceae8baea50",
+                 id="all-endowment-0.4-kappa-400"),
 ])
 def test_default_artifact_sets_have_the_pinned_bytes(tmp_path, caplog, artifact_digest,
                                                      config, argv, code, files, errors,
@@ -186,6 +196,26 @@ def test_a_boom_that_overshoots_its_floor_names_the_dt_that_holds_it(tmp_path, c
     assert err.startswith("clearing price hit zero at t=0.05 ")
     assert "; use dt <= 6.363e-150 (" in err
     assert _data_files(out) == []
+
+
+def test_a_boom_whose_demand_overflows_names_the_demand_and_no_dt(tmp_path, caplog):
+    # at endowment=5e307 the demand beta*I*S*w overflows, so top = max
+    # demand/p0 is inf and no dt meets the bound: exit 3, and the ERROR line
+    # names the demand with its w, and no dt
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("endowment=5e307\nt_end=50\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", "myopic", "--config", str(cfg),
+                   "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "clearing price hit zero at t=0.005 (x=-6.243750000000001e+301) in a boom: RK4 "
+        "overshoot at dt=0.01; no dt meets gamma*dt^2*top <= kappa*p0, as top = max "
+        "demand/p0 overflows for the demand beta*I*S*w, w = 5e+307"]
+    assert _data_files(out) == []
+    # no up-front bound on w: a huge w whose demand stays finite still runs
+    cfg.write_text("endowment=1e303\nkappa=1e308\nt_end=50\n")
+    assert run_cli("simulate", "--scenario", "all", "--config", str(cfg),
+                   "--out", str(tmp_path / "huge_w")) == 0
 
 
 def test_simulate_all_reports_the_floored_depression_leg(tmp_path, fast_config):

@@ -1,21 +1,23 @@
-"""The drive-table passes against the coupled-field formulation they replace.
+"""The demand-table passes against the coupled-field formulation they replace.
 
 The oracle below integrates each scenario the direct way: S, I, R and the
 holdings together, as one 4- or 5-variable field through
-integrate_fixed_step / rk4_step. Every market pass of the package reuses
-the SIR stage drives instead, and must agree with it bit for bit, and
-raise the same errors with the same stage time and message. A boom's
-stage at the price floor is RK4 overshoot, a GridTooCoarseError whose
-message goes on to advise a dt, which no coupled step knows; the
+integrate_fixed_step / rk4_step, forming beta*I*S*w from S and I itself.
+Every market pass of the package reuses the SIR pass's stage demands
+instead, and must agree with it bit for bit, and raise the same errors
+with the same stage time and message. A boom's stage at the price floor
+is RK4 overshoot, a GridTooCoarseError whose message goes on to advise
+a dt (or to say that none helps), which no coupled step knows; the
 comparison stops before that advice. The package refuses a grid beyond
 RK4's stability interval before any step, and a population whose SIR
 pass could overflow when its params are built; on a refused grid the
-market passes run on a drive table built without that check (the
+market passes run on a demand table built without that check (the
 `unchecked_pass` fixture), so their floor and blow-up replays still
 face the oracle.
 """
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -215,14 +217,17 @@ def oracle_re_given_t1(params, curve, t1, grid):
 # bit parity
 # ---------------------------------------------------------------------------
 
-# (beta, gamma, kappa, grid): the defaults, two more epidemics, a finer
-# step, and a grid that starts off zero, as criterion 03's chained grids do
+# (beta, gamma, kappa, grid, endowment): the defaults, two more
+# epidemics, a finer step, a grid that starts off zero, as criterion 03's
+# chained grids do, and an endowment w != 1, where a misplaced product by w
+# would show
 POINTS = [
-    pytest.param(5e-4, 0.1, 10.0, (0.0, 300.0, 1e-2), id="defaults"),
-    pytest.param(1e-3, 0.05, 5.0, (0.0, 120.0, 1e-2), id="fast-epidemic"),
-    pytest.param(2.5e-4, 0.1, 20.0, (0.0, 120.0, 1e-2), id="slow-epidemic"),
-    pytest.param(5e-4, 0.1, 10.0, (0.0, 120.0, 5e-3), id="dt-5e-3"),
-    pytest.param(5e-4, 0.1, 10.0, (7.5, 127.5, 1e-2), id="t_start-7.5"),
+    pytest.param(5e-4, 0.1, 10.0, (0.0, 300.0, 1e-2), 1.0, id="defaults"),
+    pytest.param(1e-3, 0.05, 5.0, (0.0, 120.0, 1e-2), 1.0, id="fast-epidemic"),
+    pytest.param(2.5e-4, 0.1, 20.0, (0.0, 120.0, 1e-2), 1.0, id="slow-epidemic"),
+    pytest.param(5e-4, 0.1, 10.0, (0.0, 120.0, 5e-3), 1.0, id="dt-5e-3"),
+    pytest.param(5e-4, 0.1, 10.0, (7.5, 127.5, 1e-2), 1.0, id="t_start-7.5"),
+    pytest.param(5e-4, 0.1, 10.0, (0.0, 120.0, 1e-2), 0.4, id="endowment-0.4"),
 ]
 
 
@@ -231,19 +236,19 @@ def _column(traj, name):
     return getattr(traj.epi if name in ("s", "i", "r") else traj, name)
 
 
-def _case(beta, gamma, kappa, bounds):
-    return (EpidemicParams(beta=beta, gamma=gamma), SupplyCurve(kappa=kappa),
+def _case(beta, gamma, kappa, bounds, w):
+    return (EpidemicParams(beta=beta, gamma=gamma, endowment=w), SupplyCurve(kappa=kappa),
             Grid(*bounds))
 
 
-@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
-def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds):
-    params, curve, grid = _case(beta, gamma, kappa, bounds)
+@pytest.mark.parametrize("beta,gamma,kappa,bounds,w", POINTS)
+def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds, w):
+    params, curve, grid = _case(beta, gamma, kappa, bounds, w)
     epi = epidemic_pass(params, grid)
     rows = oracle_epidemic(params, grid)
     for col, name in enumerate("sir"):
         assert np.array_equal(getattr(epi, name), rows[:, col]), name
-    assert epi.drives.shape == (grid.n_steps, 4)
+    assert epi.demand.shape == (grid.n_steps, 4)
 
     rows, p = oracle_market(params, curve, grid)
     traj = simulate_myopic(curve, epi)
@@ -252,9 +257,9 @@ def test_epidemic_and_myopic_match_the_coupled_fields(beta, gamma, kappa, bounds
     assert np.array_equal(traj.p, p)
 
 
-@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
-def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds):
-    params, _curve, grid = _case(beta, gamma, kappa, bounds)
+@pytest.mark.parametrize("beta,gamma,kappa,bounds,w", POINTS)
+def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds, w):
+    params, _curve, grid = _case(beta, gamma, kappa, bounds, w)
     deep = SupplyCurve(kappa=400.0)
     epi = epidemic_pass(params, grid)
     if beta * params.n1 / gamma > 6.0:
@@ -270,9 +275,9 @@ def test_depression_matches_the_coupled_field(beta, gamma, kappa, bounds):
     assert np.array_equal(traj.p, p)
 
 
-@pytest.mark.parametrize("beta,gamma,kappa,bounds", POINTS)
-def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds):
-    params, curve, grid = _case(beta, gamma, kappa, bounds)
+@pytest.mark.parametrize("beta,gamma,kappa,bounds,w", POINTS)
+def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds, w):
+    params, curve, grid = _case(beta, gamma, kappa, bounds, w)
     epi = epidemic_pass(params, grid)
     t1 = solve_plateau(curve, epi).t1
     k = int(round((t1 - grid.t_start) / grid.dt))
@@ -320,10 +325,11 @@ def test_open_plateau_matches_the_coupled_fields():
 
 def _raised(fn, *args):
     """(type, time, message) of what fn raises, the message cut before the
-    dt a boom's overshoot error advises."""
+    dt a boom's overshoot error advises, or its word that no dt helps."""
     with pytest.raises((IntegrationError, PriceFloorError, GridTooCoarseError)) as exc:
         fn(*args)
-    return type(exc.value), exc.value.time, str(exc.value).partition("; use dt <= ")[0]
+    return (type(exc.value), exc.value.time,
+            re.split("; use dt <= |; no dt meets ", str(exc.value))[0])
 
 
 # the ConfigError of a population whose SIR pass could overflow, n its N
@@ -370,7 +376,7 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     assert want[0] is IntegrationError and want[1] == 0.005
     _refused(epidemic_pass, params, grid)
     epi = unchecked_pass(params, grid)
-    assert not np.isfinite(epi.drives).all()
+    assert not np.isfinite(epi.demand).all()
     _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want)
     # inside the interval ((beta*N + gamma)*dt = 2.001) a population near
     # the float range would overflow at t=3.62: it is refused up front,
@@ -384,14 +390,14 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
 def test_a_blow_up_in_each_rational_phase_fails_at_its_step(curve, epidemic_run,
                                                              rational_run, phase):
     # S turns infinite at a node in the middle of the phase, and so do the
-    # drives of the step from it: the phase's check of its own variables
+    # demands of the step from it: the phase's check of its own variables
     # (z and h, or x after the plateau) replays that step, and the coupled
     # step fails at its first stage, at that node
     labels = rational_run.phases()
     k = labels.index(phase) + labels.count(phase) // 2
-    s, drives = epidemic_run.s.copy(), epidemic_run.drives.copy()
-    s[k] = drives[k] = np.inf
-    broken = replace(epidemic_run, s=s, drives=drives)
+    s, demand = epidemic_run.s.copy(), epidemic_run.demand.copy()
+    s[k] = demand[k] = np.inf
+    broken = replace(epidemic_run, s=s, demand=demand)
     with pytest.raises(IntegrationError) as info:
         simulate_re_given_t1(curve, rational_run.t1, broken)
     assert info.value.time == float(epidemic_run.times[k])
@@ -406,7 +412,7 @@ def test_a_blow_up_in_each_rational_phase_fails_at_its_step(curve, epidemic_run,
 def test_a_pass_whose_sir_sum_overflows_replays_no_step(leg):
     # the defaults at kappa=400, every mass scaled by 1e300, with R set to
     # the largest float: (S+I)+R overflows at every node, while S, I, R,
-    # the drives and the leg's own variables stay finite. No pass sums S,
+    # the demands and the leg's own variables stay finite. No pass sums S,
     # I and R, and I is finite, so none replays a step or warns, and R,
     # which no rate reads, changes no leg
     scale = 1e300
@@ -442,7 +448,7 @@ def test_gamma_i_overflowing_alone_fails_every_leg_at_its_stage(n_steps):
     grid = Grid(0.0, n_steps * 0.278, 0.278)
     epi = epidemic_pass(params, grid)
     assert np.array_equal(epi.i, oracle_epidemic(params, grid)[:, 1])
-    assert (np.diff(epi.i) < 0.0).all() and np.isfinite(epi.drives).all()
+    assert (np.diff(epi.i) < 0.0).all() and np.isfinite(epi.demand).all()
 
 
 def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve, unchecked_pass):
@@ -468,7 +474,7 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
     # beta*N*dt = 50: the price floor binds in the first steps, long before
     # S and I overflow, and the coupled step reports the floor: at a node
     # for the boom, as overshoot, at a mid-step stage (t=0.005) for the
-    # slump. The package refuses the grid; on the unchecked drives it
+    # slump. The package refuses the grid; on the unchecked demands it
     # replays the floor
     params, grid = EpidemicParams(beta=5.0), Grid(0.0, 30.0, 1e-2)
     simulate = simulate_depression if mirror else simulate_myopic
@@ -480,7 +486,7 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
 
 
 # beta*N*dt = 5 and 10, far beyond RK4's stability interval: the package
-# refuses the grid, and on the unchecked drives, which turn negative
+# refuses the grid, and on the unchecked demands, which turn negative
 # within a few steps, every leg reaches the price floor, the boom and the
 # rational leg as overshoot.
 # The rational leg does so in phase 1 (before t1; at t=0.0625 inside the
@@ -513,7 +519,7 @@ def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, 
 # beta*N*dt = 50 and 40: the partial step from node 0 to an off-node t1
 # passes its stages' floor checks but ends below the floor, so the price
 # at t1 cannot clear: overshoot, at t1. The package refuses the grid; on
-# the unchecked drives the price at t1 fails as the oracle's
+# the unchecked demands the price at t1 fails as the oracle's
 @pytest.mark.parametrize("beta,t1,dt,kappa", [
     pytest.param(5.0, 0.005, 1e-2, 10.0, id="beta-5"),
     *(pytest.param(2.0, 0.015, 2e-2, kappa, id=f"beta-2-kappa-{kappa:g}")

@@ -1,17 +1,18 @@
 """holdings_pass against a per-stage-checked loop written apart from it.
 
 `checked_holdings_pass` below is the holdings pass with every check
-inside its RK4 loop: each stage state is tested against the price floor,
-each stage's divisor (the price, or a slump's reflected price) for
-being positive, and each step's end node for finiteness, and a failing
-step is replayed on the coupled field at once. The package's pass runs
-a loop with no check for a boom `holdings_cannot_raise` proves safe,
-and `market._checked_pass`, the same checks in its loop, for every
-other. All of them test x alone for finiteness: S, I and R are finite
-on every SIR pass (see epidemic). holdings_pass and the oracle must give
-the same bytes, or raise the same exception with the same stage time
-and message, and on a proven boom the package's two loops must give the
-same bytes.
+inside its RK4 loop, over stage demands beta*I*S*w it forms from S and I
+itself, not from the pass's demand table: each stage state is tested
+against the price floor, each stage's divisor (the price, or a slump's
+reflected price) for being positive, and each step's end node for
+finiteness, and a failing step is replayed on the coupled field at once.
+The package's pass runs a loop with no check for a boom
+`holdings_cannot_raise` proves safe, and `market._checked_pass`, the
+same checks in its loop, for every other. All of them test x alone for
+finiteness: S, I and R are finite on every SIR pass (see epidemic).
+holdings_pass and the oracle must give the same bytes, or raise the
+same exception with the same stage time and message, and on a proven
+boom the package's two loops must give the same bytes.
 """
 from __future__ import annotations
 
@@ -43,12 +44,33 @@ from epimarket.market import holdings_cannot_raise, holdings_field, holdings_pas
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 
-def checked_holdings_pass(curve, epi, k, x, mirror=False):
+def stage_demands(epi, k, negated=False):
+    """(j, D1, D2, D3, D4) for each step j from node k: beta*I*S*w at its
+    four RK4 stages (negated if negated), formed from S and I at node j
+    as the SIR pass's loop forms its stages."""
+    beta, gamma, w = epi.params.beta, epi.params.gamma, epi.params.endowment
+    dt = epi.grid.dt
+    half = 0.5 * dt
+    for j in range(k, epi.grid.n_steps):
+        s, i = epi.s[j].item(), epi.i[j].item()
+        d1 = beta * i * s
+        s2, i2 = s - half * d1, i + half * (d1 - gamma * i)
+        d2 = beta * i2 * s2
+        s3, i3 = s - half * d2, i + half * (d2 - gamma * i2)
+        d3 = beta * i3 * s3
+        s4, i4 = s - dt * d3, i + dt * (d3 - gamma * i3)
+        d4 = beta * i4 * s4
+        demands = (d1 * w, d2 * w, d3 * w, d4 * w)
+        yield (j, *(-d for d in demands)) if negated else (j, *demands)
+
+
+def checked_holdings_pass(curve, epi, k, x, mirror=False, negated=False):
     """holdings_pass with the floor, divisor and finiteness checks inside
     its loop: a stage state at or below -kappa*p0, a stage whose divisor
     (P for a boom, 2*p0 - P for a slump) is <= 0, or a step that ends
-    with x non-finite, is replayed on holdings_field at once."""
-    w, gamma = epi.params.endowment, epi.params.gamma
+    with x non-finite, is replayed on holdings_field at once. Its demands
+    are stage_demands(epi, k, negated)."""
+    gamma = epi.params.gamma
     p0, kappa = curve.p0, curve.kappa
     field, floor = holdings_field(curve, epi, mirror), -kappa * p0
     dt = epi.grid.dt
@@ -61,10 +83,10 @@ def checked_holdings_pass(curve, epi, k, x, mirror=False):
         div = two_p0 - p if mirror else p
         if div <= 0.0:
             epi.replay(field, j, (x0,))
-        return (-d * w / div if mirror else d * w / div) - gamma * xs
+        return (-d if mirror else d) / div - gamma * xs
 
     out = array("d", [x])
-    for j, d1, d2, d3, d4 in epi.steps(k):
+    for j, d1, d2, d3, d4 in stage_demands(epi, k, negated):
         k1 = rate(j, x, d1, x)
         x2 = x + half * k1
         k2 = rate(j, x, d2, x2)
@@ -121,7 +143,7 @@ def _start(draw, curve):
     mirror=st.booleans(),
     log_n=st.one_of(st.sampled_from((3.0, 300.0)), st.floats(0.0, 300.0)),
     # beta*N*dt; 0 is beta=0. Above 2.785 the package refuses the grid, and
-    # the drives are the unchecked pass's
+    # S and I are the unchecked pass's
     rate=st.one_of(st.just(0.0), st.floats(1e-3, 8.0)),
     gamma=st.floats(min_value=1e-2, max_value=2.0),
     dt=st.sampled_from((1e-2, 0.1, 0.25)),
@@ -180,14 +202,26 @@ def test_a_slump_from_its_pole_or_above_is_a_price_floor_error(x):
 
 
 def test_negative_drives_are_not_proven(params, curve):
-    # from x >= 0 the bound needs every drive >= 0: on negated drives the
+    # from x >= 0 the bound needs every demand >= 0: on negated demands the
     # boom slumps to the floor, which the checked loop must see
     epi = epidemic_pass(params, Grid(0.0, 20.0, 0.1))
-    neg = replace(epi, drives=-epi.drives)
+    neg = replace(epi, demand=-epi.demand)
     assert not holdings_cannot_raise(curve, neg, 0, 0.0)
-    want = _outcome(checked_holdings_pass, curve, neg, 0, 0.0)
+    want = _outcome(checked_holdings_pass, curve, neg, 0, 0.0, False, True)
     assert want[0] is GridTooCoarseError
     assert _outcome(holdings_pass, curve, neg, 0, 0.0) == want
+
+
+def test_the_bound_reads_the_demand_table_at_its_edge():
+    # at w = 2.5 the bound's top is max(demand)/p0, with w applied once, in
+    # the table: a kappa at which gamma*dt^2*top equals kappa*p0 exactly is
+    # proven, and one a float below it is not
+    epi = epidemic_pass(EpidemicParams(endowment=2.5), Grid(0.0, 300.0, 1e-2))
+    gamma, dt = epi.params.gamma, epi.grid.dt
+    edge = gamma * dt * dt * float(epi.demand.max())  # p0 = 1
+    assert holdings_cannot_raise(SupplyCurve(kappa=edge), epi, 0, 0.0)
+    below = SupplyCurve(kappa=math.nextafter(edge, 0.0))
+    assert not holdings_cannot_raise(below, epi, 0, 0.0)
 
 
 def test_a_boom_whose_decay_rate_overflows_is_not_proven(curve):

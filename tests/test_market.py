@@ -234,10 +234,25 @@ def test_a_boom_at_its_floor_is_the_grids_fault(curve):
     assert str(info.value) == (
         "clearing price hit zero at t=0.05 (x=-2.5000000000000005e+294) in a boom: "
         "RK4 overshoot at dt=0.1; use dt <= 6.363e-150 (gamma*dt <= 1, "
-        "gamma*dt^2*top <= kappa*p0, top = max drive*w/p0 = 2.47e+300, every "
-        "drive >= 0)")
+        "gamma*dt^2*top <= kappa*p0, top = max demand/p0 = 2.47e+300, every "
+        "demand >= 0)")
     with pytest.raises(PriceFloorError, match=r"^clearing price hit zero at t=0\.05 "):
         simulate_depression(curve, epi)
+
+
+def test_a_boom_whose_demand_overflows_advises_no_dt(curve):
+    # at w = 5e307 the demand table overflows from the first steps on, so
+    # top = max demand/p0 is inf: no dt meets holdings_cannot_raise's
+    # bound, and the error names the demand and its w in place of a dt
+    epi = epidemic_pass(EpidemicParams(endowment=5e307), Grid(0.0, 50.0, 1e-2))
+    assert not np.isfinite(epi.demand).all()
+    with pytest.raises(GridTooCoarseError) as info:
+        simulate_myopic(curve, epi)
+    assert info.value.time == 0.005
+    assert str(info.value) == (
+        "clearing price hit zero at t=0.005 (x=-6.243750000000001e+301) in a boom: RK4 "
+        "overshoot at dt=0.01; no dt meets gamma*dt^2*top <= kappa*p0, as top = max "
+        "demand/p0 overflows for the demand beta*I*S*w, w = 5e+307")
 
 
 def test_depression_without_seed_is_flat(curve):

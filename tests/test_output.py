@@ -240,7 +240,7 @@ def _cut_legs(shared_legs, rows):
     # cut the shared SIR pass once, so both legs still hold the same arrays
     epi = myopic.epi
     cut = replace(epi, times=epi.times[:rows], s=epi.s[:rows], i=epi.i[:rows],
-                  r=epi.r[:rows], drives=epi.drives[:rows - 1])
+                  r=epi.r[:rows], demand=epi.demand[:rows - 1])
     legs = [(name, replace(traj, epi=cut, x=traj.x[:rows], p=traj.p[:rows]))
             for name, traj in (("myopic", myopic), ("depression", depression))]
     assert legs[0][1].epi is legs[1][1].epi is cut

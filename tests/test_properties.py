@@ -118,7 +118,7 @@ def test_shared_pass_gives_the_same_run_or_error(beta, gamma, dt, kappa, mirror)
         assert "use dt <= 2.785/(beta*N + gamma)" in run[2]
         return
     epi = epidemic_pass(params, grid)
-    assert epi.drives.shape == (_STEPS, 4)
+    assert epi.demand.shape == (_STEPS, 4)
     assert len(epi.s) == len(epi.i) == len(epi.r) == _STEPS + 1
     run = _outcome(simulate, curve, epi)
     if isinstance(run[0], bytes):
@@ -219,7 +219,7 @@ def test_sweep_csv_bytes_match_each_point_swept_alone(tmp_path_factory, axes):
 
 # about half the draws of beta lie in the sweep's range; the rest reach 1,
 # where beta*N*dt is up to 20, far beyond RK4's stability interval: the
-# package refuses those grids, and on their unchecked drives, which turn
+# package refuses those grids, and on their unchecked demands, which turn
 # negative, legs reach the price floor
 _HEAD_GRIDS = (Grid(0.0, 20.0, 1e-2), _SWEEP)
 _HEAD_LOG_BETA = st.one_of(st.floats(min_value=-3.6, max_value=-3.0),

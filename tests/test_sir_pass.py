@@ -1,8 +1,8 @@
 """epidemic_pass against the loop it replaces.
 
-The oracle is the SIR pass as one Python loop that also writes the drive
+The oracle is the SIR pass as one Python loop that also writes the demand
 table and steps R (the `unchecked_pass` fixture, conftest.py). The
-package's loop steps only S and I, and numpy rebuilds the drives and R
+package's loop steps only S and I, and numpy rebuilds the demands and R
 after it, in blocks of epidemic.BLOCK steps. The two must agree byte for
 byte, also across block edges, off t=0 and at a fine step, and the
 rebuild must raise no floating-point warning. A grid beyond RK4's
@@ -31,7 +31,7 @@ B = epidemic.BLOCK
 
 
 def _bytes(epi):
-    return tuple(a.tobytes() for a in (epi.s, epi.i, epi.r, epi.drives))
+    return tuple(a.tobytes() for a in (epi.s, epi.i, epi.r, epi.demand))
 
 
 # (beta, gamma, n1, t_start, n_steps, dt)
@@ -71,7 +71,7 @@ def test_sir_pass_matches_its_loop_oracle(unchecked_pass, beta, gamma, n1, t_sta
         warnings.simplefilter("error")
         epi = epidemic_pass(params, grid)
     assert _bytes(epi) == _bytes(oracle)
-    assert epi.drives.shape == (n, 4)
+    assert epi.demand.shape == (n, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -199,5 +199,5 @@ def test_a_pass_inside_both_bounds_stays_in_its_triangle(unchecked_pass, reach, 
     top = params.total * (1.0 + 1e-9)
     for column in (epi.s, epi.i):
         assert ((0.0 <= column) & (column <= top)).all()
-    assert np.isfinite(epi.r).all() and np.isfinite(epi.drives).all()
+    assert np.isfinite(epi.r).all() and np.isfinite(epi.demand).all()
     assert _bytes(epi) == _bytes(unchecked_pass(params, grid))
