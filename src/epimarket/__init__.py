@@ -18,7 +18,6 @@ from .epidemic import (
 )
 from .market import (
     SupplyCurve,
-    clearing_price,
     cohort_holdings_profile,
     simulate_depression,
     simulate_myopic,

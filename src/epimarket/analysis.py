@@ -98,11 +98,14 @@ class EventTimeline:
     t2: float | None
     p_star_re: float | None
     ordering_ok: dict[str, bool | None]
-    boom: bool = True
+
+    @property
+    def boom(self) -> bool:
+        return self.t_i_star is not None
 
 
 # the timeline of every point whose contagion never grows
-NO_BOOM = EventTimeline(None, None, None, None, None, None, {}, boom=False)
+NO_BOOM = EventTimeline(None, None, None, None, None, None, {})
 
 
 def _strict(a: float, b: float, dt: float) -> bool | None:
@@ -147,7 +150,7 @@ def build_timeline(
     return EventTimeline(
         t_i_star=peak.t_star, t_p_star_m=t_p, p_star_m=p_p,
         t1=t1, t2=t2, p_star_re=p_star_re,
-        ordering_ok=verdicts, boom=True,
+        ordering_ok=verdicts,
     )
 
 
@@ -261,7 +264,7 @@ def _rational_claims(
     # implied by holdings, so a corrupted column cannot slip through
     if hi > lo:
         stored = np.max(np.abs(rational.p[lo:hi] - p_star))
-        # clearing_price's arithmetic on every node: none reaches the floor,
+        # the clearing price p0 + x/kappa on every node: none reaches the floor,
         # since z + h is conserved at phi* >= 0 there and P* > 0 was checked
         curve = rational.curve
         implied = np.max(np.abs(curve.p0 + rational.x[lo:hi] / curve.kappa - p_star))

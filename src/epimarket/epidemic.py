@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (BoundaryExtremumError, ConfigError, ConsistencyError, ConvergenceError,
                      GridTooCoarseError, require_finite)
-from .numerics import Bracket, Grid, find_root_bracketed, parabolic_vertex, rk4_step
+from .numerics import MAX_STEPS, Bracket, Grid, find_root_bracketed, parabolic_vertex, rk4_step
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -191,21 +191,22 @@ class InfectionPeak:
     t_star: float | None
     s_star: float | None
     i_star: float | None
-    exists: bool
+
+    @property
+    def exists(self) -> bool:
+        return self.t_star is not None
 
 
-def coupled_field(params: EpidemicParams, rate=None):
-    """The SIR field as an rk4_step field on y = (s, i, r, ...): (ds, di,
-    dr) = (-beta*I*S, beta*I*S - gamma*I, gamma*I), which sum to zero by
-    construction, with the tuple rate(t, demand, y[3:]) of the variables
+def coupled_field(params: EpidemicParams, rate):
+    """A coupled rk4_step field on y = (s, i, r, ...): the SIR field (ds,
+    di, dr) = (-beta*I*S, beta*I*S - gamma*I, gamma*I), which sums to zero
+    by construction, with the tuple rate(t, demand, y[3:]) of the variables
     after R appended, demand = params.demand(S, I)."""
     beta, gamma = params.beta, params.gamma
 
     def field(t, y):
         inf = beta * y[1] * y[0]
         rec = gamma * y[1]
-        if rate is None:
-            return (-inf, inf - rec, rec)
         return (-inf, inf - rec, rec) + rate(t, params.demand(y[0], y[1]), y[3:])
 
     return field
@@ -221,18 +222,29 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     to run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY; on any other grid S, I, R and every drive are
-    finite (see EpidemicParams).
+    beyond RK4_STABILITY. Its message advises the dt bound where the finest
+    grid Grid admits over the span, span/MAX_STEPS, meets it, and else names
+    the input bound that fails and the longest span that grid runs. On any
+    other grid S, I, R and every drive are finite (see EpidemicParams).
     """
     n = grid.n_steps
     beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     rate = beta * params.total + gamma
     if rate * h > RK4_STABILITY:
+        span = grid.t_end - grid.t_start
+        finest = rate * span / MAX_STEPS  # (beta*N + gamma)*dt on the finest grid
+        if finest > RK4_STABILITY:
+            advice = (f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS"
+                      f" = {finest:.4g} > {RK4_STABILITY} for span = "
+                      f"{span:g} and MAX_STEPS = {MAX_STEPS}: the finest grid runs a span "
+                      f"of at most {RK4_STABILITY * MAX_STEPS / rate:.4g}")
+        else:
+            advice = (f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
+                      f"{RK4_STABILITY / rate:.4g}")
         raise GridTooCoarseError(
             f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = "
             f"{rate * h:.4g} lies beyond its stability interval of about "
-            f"{RK4_STABILITY}; use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
-            f"{RK4_STABILITY / rate:.4g}"
+            f"{RK4_STABILITY}; {advice}"
         )
     half, sixth = 0.5 * h, h / 6.0
     s, i = params.n1, params.n2
@@ -372,7 +384,7 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")
     if not params.booms:
-        return InfectionPeak(t_star=None, s_star=None, i_star=None, exists=False)
+        return InfectionPeak(t_star=None, s_star=None, i_star=None)
 
     i_arr = trajectory.i
     k = int(np.argmax(i_arr))
@@ -393,4 +405,4 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     c1 = (s1 - s0) / (t1v - t0)
     c2 = ((s2 - s1) / (t2v - t1v) - c1) / (t2v - t0)
     s_star = s0 + c1 * (t_star - t0) + c2 * (t_star - t0) * (t_star - t1v)
-    return InfectionPeak(t_star=t_star, s_star=s_star, i_star=i_star, exists=True)
+    return InfectionPeak(t_star=t_star, s_star=s_star, i_star=i_star)

@@ -40,8 +40,8 @@ class ConsistencyError(SimulationError):
 
 
 class PriceFloorError(SimulationError):
-    """Holdings drove the clearing price (or a slump's reflected price
-    2*p0 - P) to zero or below.
+    """A slump's holdings drove the clearing price (or its reflected price
+    2*p0 - P) to zero or below (`market.holdings_field`).
 
     Signals parameter misconfiguration (the slump is too deep for the supply
     curve); the price is never clamped. A boom's floor is RK4 overshoot, a
@@ -57,7 +57,8 @@ class GridTooCoarseError(SimulationError):
     """The step size is too coarse: the grid lies beyond RK4's stability
     interval, which the SIR pass refuses before any step runs, a boom
     overshoots its price floor, or the shooting solve cannot meet
-    tolerance at it. Retry with a smaller dt, unless the message says none helps."""
+    tolerance at it. Retry with a smaller dt, unless the message says that
+    none helps: no dt, or no grid of at most MAX_STEPS steps over the span."""
 
 
 class BoundaryExtremumError(SimulationError):

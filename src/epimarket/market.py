@@ -58,19 +58,6 @@ class SupplyCurve:
         require_finite(self, ("p0", "kappa"))
 
 
-def clearing_price(x: float, curve: SupplyCurve) -> float:
-    """Price at which supply absorbs holdings x; exact inverse of the
-    linear curve. Holdings at or below -kappa*p0 would need a zero or
-    negative price, which is a parameter misconfiguration, never clamped.
-    """
-    if x <= -curve.kappa * curve.p0:
-        raise PriceFloorError(
-            f"holdings x={x} drive the clearing price to or below zero "
-            f"(floor at x={-curve.kappa * curve.p0})"
-        )
-    return curve.p0 + x / curve.kappa
-
-
 @dataclass(frozen=True, eq=False)
 class MarketTrajectory:
     """Node-aligned market history on epi, the SIR pass it ran on, whose

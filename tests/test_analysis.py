@@ -27,7 +27,7 @@ from epimarket.errors import (
     ConsistencyError,
     DomainError,
 )
-from test_drive_parity import POPULATION_REFUSAL
+from test_drive_parity import POPULATION_REFUSAL, assert_sir_refusal
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,6 @@ def test_timeline_driven_claims_follow_the_verdicts(monkeypatch, myopic_run,
             "t2_lt_t_i_star": False,
             "t_p_star_m_lt_t_i_star": None,
         },
-        boom=True,
     )
     monkeypatch.setattr(analysis, "build_timeline", lambda *legs: fake)
     report = check_propositions(myopic_run, rational_run)
@@ -252,20 +251,23 @@ def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch)
                            axes={"beta": [2.5e-4], "gamma": [0.2]})
     assert rows[0].timeline is None
     assert "limit of 40000" in rows[0].error
-    # a grid beyond RK4's stability interval names the step bound
-    rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2), axes={"beta": [5.0]})
+    # at the real MAX_STEPS, a grid beyond RK4's stability interval names
+    # the step bound
+    monkeypatch.undo()
+    stiff = Grid(0.0, 30.0, 1e-2)
+    rows = parameter_sweep(params, curve, stiff, axes={"beta": [5.0]})
     assert rows[0].timeline is None
-    assert "dt <= 2.785/(beta*N + gamma)" in rows[0].error
+    assert_sir_refusal(rows[0].params, stiff, rows[0].error)
     # also at (beta*N + gamma)*dt = 3.0 and 4.0, where every step would
     # succeed and the beta=0.4 row would fail the peak-lead claims; each
     # row keeps its point's parameters
-    rows = parameter_sweep(params, curve, Grid(0.0, 30.0, 1e-2),
+    rows = parameter_sweep(params, curve, stiff,
                            axes={"beta": [0.3, 0.4], "kappa": [10.0]},
                            rational=False)
     assert [(r.params.beta, r.curve.kappa) for r in rows] == [(0.3, 10.0), (0.4, 10.0)]
     for row in rows:
         assert row.timeline is None
-        assert "dt <= 2.785/(beta*N + gamma)" in row.error
+        assert_sir_refusal(row.params, stiff, row.error)
 
 
 def test_an_overflowing_sir_pass_fails_only_the_rows_of_its_epidemic(params, curve):

@@ -11,6 +11,7 @@ from epimarket import cli
 from epimarket.config import parse_config, with_overrides
 from epimarket.verify import CheckResult, VerificationReport
 from test_drive_parity import POPULATION_REFUSAL
+from test_sir_pass import BETA_1000_REFUSAL
 
 FAST = "t_end=80\ndt=0.02\n"
 
@@ -148,6 +149,18 @@ def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
         assert code == 3
         [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert f"dt <= 2.785/(beta*N + gamma) = {bound}" in err
+
+
+def test_a_stiff_input_no_allowed_grid_runs_advises_no_dt(tmp_path, caplog):
+    # at beta=1000 the bound dt <= 2.785e-06 needs 1.08e8 steps over
+    # [0, 300], a grid the CLI refuses with exit 2: no dt is advised
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("beta=1000\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        BETA_1000_REFUSAL]
+    assert _data_files(out) == []
 
 
 def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):

@@ -17,6 +17,7 @@ face the oracle.
 """
 from __future__ import annotations
 
+import math
 import re
 import sys
 import warnings
@@ -37,9 +38,9 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket.epidemic import EpidemicTrajectory
+from epimarket.epidemic import RK4_STABILITY, EpidemicTrajectory
 from epimarket.errors import ConfigError, GridTooCoarseError, IntegrationError, PriceFloorError
-from epimarket.numerics import integrate_fixed_step, rk4_step
+from epimarket.numerics import MAX_STEPS, integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
 # oracle: the coupled fields
@@ -337,10 +338,37 @@ POPULATION_REFUSAL = ("population n1 + n2 + n3 = {n} lets the SIR pass overflow:
                       "K*N and 6*K^2*(beta*N + gamma)*N, K = 16, must be finite")
 
 
-def _refused(fn, *args):
-    """fn refuses the grid before any step, naming the step bound."""
-    with pytest.raises(GridTooCoarseError, match=r"use dt <= 2\.785/\(beta\*N \+ gamma\)"):
-        fn(*args)
+def assert_sir_refusal(params, grid, message):
+    """message is epidemic_pass's refusal of grid. Where the finest grid
+    Grid admits over the span, span/MAX_STEPS, meets the step bound, it
+    advises the bound, and Grid admits some dt' at or below the advised
+    dt; elsewhere it names the input bound that fails and advises no dt."""
+    rate = params.beta * params.total + params.gamma
+    span = grid.t_end - grid.t_start
+    head = (f"dt={grid.dt} is too coarse for RK4: (beta*N + gamma)*dt = "
+            f"{rate * grid.dt:.4g} lies beyond its stability interval of about 2.785; ")
+    if rate * span / MAX_STEPS > RK4_STABILITY:
+        assert message == head + (
+            f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS = "
+            f"{rate * span / MAX_STEPS:.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
+            f"10000000: the finest grid runs a span of at most "
+            f"{RK4_STABILITY * MAX_STEPS / rate:.4g}")
+        assert "dt <= " not in message
+        return
+    assert message.startswith(head + "use dt <= 2.785/(beta*N + gamma) = ")
+    advised = float(message.rsplit(" = ", 1)[1])
+    n = math.ceil(span / advised)
+    while span / n > advised:
+        n += 1
+    assert Grid(grid.t_start, grid.t_end, span / n).n_steps == n
+
+
+def assert_refused(params, grid):
+    """epidemic_pass refuses the grid before any step, as
+    assert_sir_refusal says."""
+    with pytest.raises(GridTooCoarseError) as exc:
+        epidemic_pass(params, grid)
+    assert_sir_refusal(params, grid, str(exc.value))
 
 
 def test_depression_floor_error_matches_the_coupled_field(params, grid, epidemic_run):
@@ -374,7 +402,7 @@ def test_sir_blow_up_error_matches_the_coupled_fields(curve, unchecked_pass):
     params, grid = EpidemicParams(beta=1e290), Grid(0.0, 10.0, 1e-2)
     want = _raised(oracle_epidemic, params, grid)
     assert want[0] is IntegrationError and want[1] == 0.005
-    _refused(epidemic_pass, params, grid)
+    assert_refused(params, grid)
     epi = unchecked_pass(params, grid)
     assert not np.isfinite(epi.demand).all()
     _legs_raise_as_the_coupled_fields(params, grid, curve, epi, want)
@@ -465,7 +493,7 @@ def test_a_plateau_closed_at_t1_never_steps_the_plateau_field(curve, unchecked_p
     grid = Grid(0.0, 30.0, 30.0)
     want = _raised(oracle_re_given_t1, params, curve, 20.0, grid)
     assert want == (IntegrationError, 20.0, "non-finite derivative [nan, nan, inf, nan] at t=20.0")
-    _refused(epidemic_pass, params, grid)
+    assert_refused(params, grid)
     assert _raised(simulate_re_given_t1, curve, 20.0, unchecked_pass(params, grid)) == want
 
 
@@ -481,7 +509,7 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
     want = _raised(oracle_market, params, curve, grid, mirror)
     assert want[0] is (PriceFloorError if mirror else GridTooCoarseError)
     assert (want[1] == 0.005) is mirror
-    _refused(epidemic_pass, params, grid)
+    assert_refused(params, grid)
     assert _raised(simulate, curve, unchecked_pass(params, grid)) == want
 
 
@@ -512,7 +540,7 @@ def test_floor_errors_match_the_coupled_fields(curve, unchecked_pass, beta, t1, 
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is GridTooCoarseError
     assert _raised(simulate_re_given_t1, curve, t1, epi) == want
-    _refused(epidemic_pass, params, grid)
+    assert_refused(params, grid)
     assert (want[1] < t1) is in_phase_1
 
 
@@ -530,7 +558,7 @@ def test_a_price_at_t1_below_the_floor_matches_the_coupled_fields(unchecked_pass
     params, curve, grid = EpidemicParams(beta=beta), SupplyCurve(kappa=kappa), Grid(0.0, 20.0, dt)
     want = _raised(oracle_re_given_t1, params, curve, t1, grid)
     assert want[0] is GridTooCoarseError and want[1] == t1
-    _refused(epidemic_pass, params, grid)
+    assert_refused(params, grid)
     epi = unchecked_pass(params, grid)
     assert _raised(simulate_re_given_t1, curve, t1, epi) == want
 

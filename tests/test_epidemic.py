@@ -87,7 +87,7 @@ def test_beta_zero_is_the_uncoupled_limit():
 
 
 def test_derivatives_at_seed_state(params):
-    ds, di, dr = coupled_field(params)(0.0, (999.0, 1.0, 0.0))
+    ds, di, dr = coupled_field(params, lambda t, d, y: ())(0.0, (999.0, 1.0, 0.0))
     assert ds == pytest.approx(-0.4995, rel=1e-12)
     assert di == pytest.approx(0.3995, rel=1e-12)
     assert dr == pytest.approx(0.1, rel=1e-12)
@@ -95,7 +95,7 @@ def test_derivatives_at_seed_state(params):
 
 
 def test_derivatives_vanish_without_infection(params):
-    assert coupled_field(params)(0.0, (999.0, 0.0, 1.0)) == (0.0, 0.0, 0.0)
+    assert coupled_field(params, lambda t, d, y: ())(0.0, (999.0, 0.0, 1.0)) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

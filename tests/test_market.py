@@ -8,7 +8,6 @@ from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
-    clearing_price,
     cohort_holdings_profile,
     epidemic_pass,
     simulate_depression,
@@ -21,7 +20,7 @@ from epimarket.numerics import rk4_step
 
 
 # ---------------------------------------------------------------------------
-# supply curve and clearing
+# supply curve
 # ---------------------------------------------------------------------------
 
 
@@ -33,24 +32,6 @@ def test_curve_rejects_bad_values():
     for name in ("p0", "kappa"):
         with pytest.raises(ConfigError, match="finite"):
             SupplyCurve(**{name: float("inf")})
-
-
-def test_clearing_price_inverts_the_curve(curve):
-    assert clearing_price(0.0, curve) == 1.0
-    assert clearing_price(5.0, curve) == pytest.approx(1.5, rel=1e-12)
-    assert clearing_price(-5.0, curve) == pytest.approx(0.5, rel=1e-12)
-    for p in (0.2, 1.0, 3.7, 25.0):
-        assert clearing_price(curve.kappa * (p - curve.p0), curve) == pytest.approx(
-            p, rel=1e-9
-        )
-
-
-def test_clearing_price_floor(curve):
-    with pytest.raises(PriceFloorError):
-        clearing_price(-10.0, curve)  # exactly -kappa*p0
-    with pytest.raises(PriceFloorError):
-        clearing_price(-11.0, curve)
-    assert clearing_price(-9.99, curve) > 0.0
 
 
 # ---------------------------------------------------------------------------

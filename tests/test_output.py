@@ -36,6 +36,7 @@ from epimarket.output import (
     write_timeline_json,
     write_timeseries,
 )
+from test_drive_parity import assert_sir_refusal
 
 TIMELINE_KEYS = [
     "t_i_star", "t_p_star_m", "p_star_m", "t1", "t2", "p_star_re",
@@ -149,7 +150,7 @@ def test_sweep_csv_layout(tmp_path, params, curve, grid):
     assert no_boom[5] == "false"
     refused = lines[2].split(",")
     assert refused[1] == "5.0"
-    assert "dt <= 2.785/(beta*N + gamma)" in refused[-1]
+    assert_sir_refusal(replace(params, beta=5.0), grid, refused[-1])
     commas = lines[3].split(",")
     assert commas[-1] == "non-finite derivative [inf; -inf] at t=0.5"
 

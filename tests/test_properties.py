@@ -33,6 +33,7 @@ from epimarket import analysis, cli, rational
 from epimarket.config import ScenarioConfig, parse_config, serialize_config
 from epimarket.epidemic import RK4_STABILITY
 from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError, SimulationError
+from test_drive_parity import assert_sir_refusal
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -115,7 +116,7 @@ def test_shared_pass_gives_the_same_run_or_error(beta, gamma, dt, kappa, mirror)
     if (beta * params.total + gamma) * dt > RK4_STABILITY:
         run = _outcome(lambda: simulate(curve, epidemic_pass(params, grid)))
         assert run[0] is GridTooCoarseError
-        assert "use dt <= 2.785/(beta*N + gamma)" in run[2]
+        assert_sir_refusal(params, grid, run[2])
         return
     epi = epidemic_pass(params, grid)
     assert epi.demand.shape == (_STEPS, 4)

@@ -23,7 +23,7 @@ from epimarket import (
 from epimarket import analysis, rational
 from epimarket.errors import (BoundaryExtremumError, DomainError, GridTooCoarseError,
                               NoPlateauError, SimulationError)
-from epimarket.market import clearing_price, holdings_cannot_raise, holdings_pass
+from epimarket.market import holdings_cannot_raise, holdings_pass
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _first_reversed_node(params, curve, epi, zs, hs):
     for k in range(1, epi.grid.n_steps):
         y = epi.state_at(k) + (zs[k], hs[k])
         if y[4] > 0.0:
-            p_star = clearing_price(y[3] + y[4], curve)
+            p_star = curve.p0 + (y[3] + y[4]) / curve.kappa
             if rational._flow(params, p_star, y) <= 0.0:
                 return k
     return None

@@ -20,12 +20,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epimarket import EpidemicParams, Grid, epidemic, epidemic_pass
 from epimarket.errors import ConfigError, GridTooCoarseError
-from test_drive_parity import POPULATION_REFUSAL
+from epimarket.numerics import MAX_STEPS
+from test_drive_parity import POPULATION_REFUSAL, assert_refused
 
 B = epidemic.BLOCK
 
@@ -63,8 +64,7 @@ def test_sir_pass_matches_its_loop_oracle(unchecked_pass, beta, gamma, n1, t_sta
     grid = Grid(t_start, t_start + n * dt, dt)
     assert grid.n_steps == n
     if (beta * params.total + gamma) * dt > epidemic.RK4_STABILITY:
-        with pytest.raises(GridTooCoarseError, match=r"use dt <= 2\.785/\(beta\*N"):
-            epidemic_pass(params, grid)
+        assert_refused(params, grid)
         return
     oracle = unchecked_pass(params, grid)
     with warnings.catch_warnings():
@@ -72,6 +72,38 @@ def test_sir_pass_matches_its_loop_oracle(unchecked_pass, beta, gamma, n1, t_sta
         epi = epidemic_pass(params, grid)
     assert _bytes(epi) == _bytes(oracle)
     assert epi.demand.shape == (n, 4)
+
+
+# the exact refusal where no allowed grid is stable: (beta*N + gamma)*dt
+# = 2.785 needs 1.08e8 steps over [0, 300], past MAX_STEPS
+BETA_1000_REFUSAL = (
+    "dt=0.01 is too coarse for RK4: (beta*N + gamma)*dt = 1e+04 lies beyond its "
+    "stability interval of about 2.785; no allowed grid runs this input, as "
+    "(beta*N + gamma)*span/MAX_STEPS = 30 > 2.785 for span = 300 and MAX_STEPS = "
+    "10000000: the finest grid runs a span of at most 27.85")
+
+
+def test_a_refusal_no_allowed_grid_can_meet_advises_no_dt():
+    with pytest.raises(GridTooCoarseError) as exc:
+        epidemic_pass(EpidemicParams(beta=1000.0), Grid(0.0, 300.0, 1e-2))
+    assert str(exc.value) == BETA_1000_REFUSAL
+    # just inside the span it names, the finest grid is admitted and stable
+    finest = Grid(0.0, 27.84, 27.84 / MAX_STEPS)
+    assert (1000.0 * 1000.0 + 0.1) * finest.dt <= epidemic.RK4_STABILITY
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    beta=st.floats(min_value=-3.0, max_value=12.0).map(lambda e: 10.0 ** e),
+    n1=st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0 ** e),
+    gamma=st.floats(min_value=1e-3, max_value=10.0),
+    dt=st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0 ** e),
+    n=st.integers(min_value=1, max_value=10**4),
+)
+def test_every_refusal_advises_a_grid_that_runs_or_no_dt(beta, n1, gamma, dt, n):
+    params, grid = EpidemicParams(beta=beta, gamma=gamma, n1=n1), Grid(0.0, n * dt, dt)
+    assume((beta * params.total + gamma) * dt > epidemic.RK4_STABILITY)
+    assert_refused(params, grid)
 
 
 # ---------------------------------------------------------------------------
