@@ -52,7 +52,8 @@ import numpy as np
 
 from .errors import (BoundaryExtremumError, ConfigError, ConsistencyError, ConvergenceError,
                      GridTooCoarseError, require_finite)
-from .numerics import MAX_STEPS, Bracket, Grid, find_root_bracketed, parabolic_vertex, rk4_step
+from .numerics import (Bracket, Grid, advisable, find_root_bracketed, no_grid_steps,
+                       parabolic_vertex, rk4_step)
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -186,11 +187,11 @@ class EpidemicTrajectory:
 
 @dataclass(frozen=True)
 class InfectionPeak:
-    """Refined interior maximum of the infected mass, if one exists."""
+    """Refined time of the interior maximum of the infected mass, and S
+    there, if one exists."""
 
     t_star: float | None
     s_star: float | None
-    i_star: float | None
 
     @property
     def exists(self) -> bool:
@@ -222,25 +223,22 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     to run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY. Its message advises the dt bound where the finest
-    grid Grid admits over the span, span/MAX_STEPS, meets it, and else names
-    the input bound that fails and the longest span that grid runs. On any
-    other grid S, I, R and every drive are finite (see EpidemicParams).
+    beyond RK4_STABILITY. Its message advises the dt bound where some grid
+    Grid admits over the span meets it, and else names the input bound that
+    fails on the finest one and the longest span a grid at the bound runs
+    (`numerics.no_grid_steps`). On any other grid S, I, R and every drive
+    are finite (see EpidemicParams).
     """
     n = grid.n_steps
     beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     rate = beta * params.total + gamma
     if rate * h > RK4_STABILITY:
-        span = grid.t_end - grid.t_start
-        finest = rate * span / MAX_STEPS  # (beta*N + gamma)*dt on the finest grid
-        if finest > RK4_STABILITY:
-            advice = (f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS"
-                      f" = {finest:.4g} > {RK4_STABILITY} for span = "
-                      f"{span:g} and MAX_STEPS = {MAX_STEPS}: the finest grid runs a span "
-                      f"of at most {RK4_STABILITY * MAX_STEPS / rate:.4g}")
-        else:
-            advice = (f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = "
-                      f"{RK4_STABILITY / rate:.4g}")
+        bound = RK4_STABILITY / rate
+        advice = no_grid_steps(
+            grid.t_end - grid.t_start, advisable(bound),
+            lambda finest: (f"no allowed grid runs this input, as (beta*N + gamma)*"
+                            f"span/MAX_STEPS = {rate * finest:.4g} > {RK4_STABILITY}")
+        ) or f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = {bound:.4g}"
         raise GridTooCoarseError(
             f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = "
             f"{rate * h:.4g} lies beyond its stability interval of about "
@@ -365,8 +363,7 @@ def steady_state_recovered(params: EpidemicParams) -> float:
             f"g(lo)={g_lo}, g(hi)={g_hi}"
         )
     bracket = Bracket(lo, hi, g_lo, g_hi)
-    return find_root_bracketed(g, bracket, tol_x=0.0, max_iter=200,
-                               tol_f=1e-10 * max(1.0, n_total))
+    return find_root_bracketed(g, bracket, 1e-10 * max(1.0, n_total))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +381,7 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     if trajectory.params != params:
         raise ConsistencyError("trajectory was produced with different parameters")
     if not params.booms:
-        return InfectionPeak(t_star=None, s_star=None, i_star=None)
+        return InfectionPeak(t_star=None, s_star=None)
 
     i_arr = trajectory.i
     k = int(np.argmax(i_arr))
@@ -394,15 +391,15 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
             f"the horizon is too short to contain the peak"
         )
     t = trajectory.times
-    t_star, i_star = parabolic_vertex(
+    t_star = parabolic_vertex(
         float(t[k - 1]), float(i_arr[k - 1]),
         float(t[k]), float(i_arr[k]),
         float(t[k + 1]), float(i_arr[k + 1]),
-    )
+    )[0]
     # quadratic (Newton-form) interpolation of S at the refined time
     s0, s1, s2 = float(trajectory.s[k - 1]), float(trajectory.s[k]), float(trajectory.s[k + 1])
     t0, t1v, t2v = float(t[k - 1]), float(t[k]), float(t[k + 1])
     c1 = (s1 - s0) / (t1v - t0)
     c2 = ((s2 - s1) / (t2v - t1v) - c1) / (t2v - t0)
     s_star = s0 + c1 * (t_star - t0) + c2 * (t_star - t0) * (t_star - t1v)
-    return InfectionPeak(t_star=t_star, s_star=s_star, i_star=i_star)
+    return InfectionPeak(t_star=t_star, s_star=s_star)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .epidemic import EpidemicTrajectory, coupled_field
 from .errors import ConfigError, DomainError, GridTooCoarseError, PriceFloorError, require_finite
+from .numerics import advisable, no_grid_steps
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -63,12 +64,14 @@ class MarketTrajectory:
     """Node-aligned market history on epi, the SIR pass it ran on, whose
     params, grid, times, S, I and R it reads.
 
-    x is total speculative holdings; for the rational scenario it splits
-    into z (held by the currently infected) and h (held by cured agents
-    waiting out the plateau), and the plateau metadata t1/t2/p_star plus
-    the two phase-boundary node indices are populated; a solved path
-    (`re_price_path`) also carries its PlateauSolution as solution. Its
-    length is that of p: a head (`re_price_head`) ends before epi does.
+    x is total speculative holdings (on a rational path, the sum z + h of
+    the holdings of the currently infected and of the cured agents waiting
+    out the plateau, which the path keeps only as that sum), and for the
+    rational scenario the plateau metadata t1/t2/p_star plus the two
+    phase-boundary node indices are populated; a solved path
+    (`re_price_path`) also carries its PlateauSolution as solution. x and p
+    run over every node of epi, except on a head (`re_price_head`), which
+    ends before epi does.
     """
 
     epi: EpidemicTrajectory
@@ -76,17 +79,12 @@ class MarketTrajectory:
     scenario: str
     x: np.ndarray
     p: np.ndarray
-    z: np.ndarray | None = None
-    h: np.ndarray | None = None
     t1: float | None = None
     t2: float | None = None
     p_star: float | None = None
     plateau_start: int | None = None
     post_start: int | None = None
     solution: PlateauSolution | None = None
-
-    def __len__(self) -> int:
-        return len(self.p)
 
     def phases(self) -> list[str]:
         """Per-node phase labels for serialization.
@@ -132,18 +130,31 @@ def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) 
     """The clearing price of a boom's holdings x at time t on the SIR pass
     epi. From x >= 0 a boom's exact holdings (and phase 1's z + h) never
     fall below 0, so at the floor it is RK4 overshoot: a GridTooCoarseError
-    naming a dt at which holdings_cannot_raise's bound holds, or the demand
-    where that bound's top overflows, which no dt meets."""
+    naming a dt at which holdings_cannot_raise's bound holds, or, where no
+    grid Grid admits over the span meets it, the bound that fails on the
+    finest one (`numerics.no_grid_steps`), or the demand where that bound's
+    top overflows, which no dt meets."""
     p = curve.p0 + x / curve.kappa
     if x > -curve.kappa * curve.p0 and p > 0.0:
         return p
-    gamma = epi.params.gamma
+    gamma, kp = epi.params.gamma, curve.kappa * curve.p0
     top = float(np.max(epi.demand, initial=0.0)) / curve.p0
     if math.isfinite(top):
-        bound = min(1.0 / gamma, math.sqrt(curve.kappa * curve.p0 / gamma) / math.sqrt(top)
+        bound = min(1.0 / gamma, math.sqrt(kp / gamma) / math.sqrt(top)
                     if top > 0.0 else math.inf)
-        advice = (f"use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
-                  f"top = max demand/p0 = {top:.4g}, every demand >= 0)")
+
+        def failing(finest):
+            if gamma * finest > 1.0:
+                return (f"no allowed grid runs this input, as gamma*span/MAX_STEPS = "
+                        f"{gamma * finest:.4g} > 1")
+            return (f"no allowed grid runs this input, as gamma*(span/MAX_STEPS)^2*top = "
+                    f"{gamma * finest * finest * top:.4g} > kappa*p0 = {kp:.4g} "
+                    f"(top = max demand/p0 = {top:.4g})")
+
+        advice = no_grid_steps(epi.grid.t_end - epi.grid.t_start, advisable(bound),
+                               failing) or (
+            f"use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
+            f"top = max demand/p0 = {top:.4g}, every demand >= 0)")
     else:
         advice = ("no dt meets gamma*dt^2*top <= kappa*p0, as top = max demand/p0 "
                   f"overflows for the demand {epi.params.demand_text}")

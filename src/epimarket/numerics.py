@@ -2,7 +2,9 @@
 
 Fixed-step classical RK4 over tuples of floats, bracketed scalar root
 finding (bisection with secant acceleration), and the three-point
-parabola used for sub-grid extremum refinement.
+parabola used for sub-grid extremum refinement. MAX_STEPS caps every
+grid, and no_grid_steps tells each refusal that would advise a step
+whether a grid within that cap can take it.
 
 Everything here is a pure function of its inputs and bit-deterministic:
 identical inputs give identical outputs, with no adaptivity and no hidden
@@ -31,6 +33,27 @@ Field = Callable[[float, tuple], tuple]
 # arrays and the drive table, so this bounds one pass near 600 MB; the
 # largest grid the package builds itself has 300,000 steps.
 MAX_STEPS = 10**7
+
+
+def advisable(bound: float) -> float:
+    """The step bound a refusal advises as `dt <= {bound:.4g}`, counted at
+    the lower of bound and that print, so every step at or below it meets
+    both."""
+    return min(bound, float(f"{bound:.4g}"))
+
+
+def no_grid_steps(span: float, dt: float, failing: Callable[[float], str]) -> str | None:
+    """None where some Grid over span steps at dt or finer, as the finest
+    one, of step span/MAX_STEPS, does. Else the words a refusal gives in
+    place of advising dt: failing(finest), the bound that fails at that
+    finest step, the span and MAX_STEPS, and the longest span a grid of
+    step dt runs, dt*MAX_STEPS. MAX_STEPS is read at call time, as Grid
+    reads it."""
+    finest = span / MAX_STEPS
+    if finest <= dt:
+        return None
+    return (f"{failing(finest)} for span = {span:g} and MAX_STEPS = {MAX_STEPS}: "
+            f"the finest grid runs a span of at most {dt * MAX_STEPS:.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,29 +189,25 @@ def integrate_fixed_step(field: Field, y0: Sequence[float], grid: Grid) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol_x: float = 1e-12,
-    max_iter: int = 100,
-    *,
-    tol_f: float = 0.0,
-) -> float:
+# bisection and secant steps find_root_bracketed takes before it gives up
+MAX_ITER = 200
+
+
+def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol_f: float) -> float:
     """Root of f inside the bracket.
 
     Bisection guarantees progress; a secant step is tried on alternate
     iterations and used only when it lands strictly inside the current
-    bracket. Returns once the bracket width is <= tol_x (or |f| <= tol_f
-    when tol_f > 0). The returned point never leaves [lo, hi].
+    bracket. Returns an endpoint where f is 0, a point where |f| <= tol_f
+    (tol_f >= 0), or the endpoint with the smaller |f| once no float lies
+    strictly inside the bracket, so never a point outside [lo, hi].
     """
     lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
         return hi
-    for it in range(max_iter):
-        if hi - lo <= tol_x:
-            return lo if abs(f_lo) <= abs(f_hi) else hi
+    for it in range(MAX_ITER):
         if it % 2 == 1 and f_hi != f_lo:
             x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
             if not (lo < x < hi):
@@ -199,14 +218,14 @@ def find_root_bracketed(
             # no representable point strictly inside: machine resolution
             return lo if abs(f_lo) <= abs(f_hi) else hi
         fx = f(x)
-        if fx == 0.0 or (tol_f > 0.0 and abs(fx) <= tol_f):
+        if abs(fx) <= tol_f:
             return x
         if (fx > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, fx
         else:
             hi, f_hi = x, fx
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (bracket [{lo}, {hi}])"
+        f"no convergence in {MAX_ITER} iterations (bracket [{lo}, {hi}])"
     )
 
 

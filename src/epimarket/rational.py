@@ -37,12 +37,13 @@ myopic market on from there (from node k1+1, after one step on
 its checks in its loop only where `market.holdings_cannot_raise`
 cannot rule them out.
 
-Every path holds the SIR pass it ran on (`MarketTrajectory.epi`). A
-sweep judges a point on `re_price_head`, whose x, p, z and h end at the
-closing node: the event timeline and the plateau claims read nothing
-after it. Its unwind runs only for the legs that are written
-(`re_price_path`), or where `market.holdings_cannot_raise` cannot rule
-out that the unwind raises, so a head fails as its full path.
+Every path holds the SIR pass it ran on (`MarketTrajectory.epi`), and
+keeps x = z + h, not its parts. A sweep judges a point on
+`re_price_head`, whose x and p end at the closing node: the event
+timeline and the plateau claims read nothing after it. Its unwind runs
+only for the legs that are written (`re_price_path`), or where
+`market.holdings_cannot_raise` cannot rule out that the unwind raises,
+so a head fails as its full path.
 
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
@@ -63,7 +64,7 @@ from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, infecti
 from .errors import DomainError, GridTooCoarseError, NoPlateauError, SimulationError
 from .market import (MarketTrajectory, SupplyCurve, boom_price,
                      holdings_cannot_raise, holdings_field, holdings_pass)
-from .numerics import Grid, rk4_step
+from .numerics import Grid, no_grid_steps, rk4_step
 
 
 @dataclass(frozen=True)
@@ -348,8 +349,7 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
                         p0 + z3 / kappa))
     traj = MarketTrajectory(
-        epi=epi, curve=curve, scenario="rational",
-        x=z + h, p=p, z=z, h=h,
+        epi=epi, curve=curve, scenario="rational", x=z + h, p=p,
         t1=t1, t2=diag.time, p_star=p_star,
         plateau_start=k1 + 1, post_start=post_start,
     )
@@ -360,7 +360,7 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
 # shooting solve
 # ---------------------------------------------------------------------------
 
-# the closure tolerance of solve_plateau by default, and of every solved path
+# the closure tolerance of every plateau solve
 TOL = 1e-4
 
 
@@ -405,37 +405,50 @@ def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
     return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, h_prev)
 
 
-def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory,
-                  tol: float = TOL) -> PlateauSolution:
+def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory) -> PlateauSolution:
     """Shoot on t1 over the SIR pass epi until the plateau closes cleanly.
 
     Stage one bisects t1 over grid nodes in [1, k_f] ([1, n-1] if there is
     no k_f; past z's one peak every node is flow-reversed) on the
     event-order sign from the plateau scan. Stage two bisects continuously
     inside the final one-node bracket on the leftover-inventory defect
-    until both closure residuals sit within half the requested tolerance:
-    |h(t2)| <= 0.5*tol*phi(P*) and |flow(t2)| <= 0.5*tol*gamma*phi(P*).
+    until both closure residuals sit within half the tolerance TOL:
+    |h(t2)| <= 0.5*TOL*phi(P*) and |flow(t2)| <= 0.5*TOL*gamma*phi(P*).
     iterations counts stage-one diagnoses plus stage-two closures. A
     failed solve on a horizon that ends before the infection peak raises
     infection_peak's BoundaryExtremumError.
     """
-    return _solve(curve, epi, tol)[0]
+    return _solve(curve, epi)[0]
 
 
-def _solve(curve, epi, tol):
+def _solve(curve, epi):
     """solve_plateau, and the phase-1 z and h it scanned (nodes 0..k_f).
 
     No dt can help a solve on a horizon that ends before the infection
     peak, so a failure there is infection_peak's.
     """
     try:
-        return _shoot(curve, epi, tol)
+        return _shoot(curve, epi)
     except SimulationError:
         infection_peak(epi.params, epi)
         raise
 
 
-def _shoot(curve, epi, tol):
+def _retry(grid: Grid, horizon: bool = False) -> str:
+    """A failed shooting's advice: retry with dt/2, or, where no Grid over
+    the span steps at dt/2 (`numerics.no_grid_steps`), why none does; and
+    extend the horizon, if horizon."""
+    half = 0.5 * grid.dt
+    why = no_grid_steps(
+        grid.t_end - grid.t_start, half,
+        lambda finest: (f"no allowed grid halves dt over this span, as span/MAX_STEPS = "
+                        f"{finest:.4g} > dt/2 = {half:.4g}"))
+    if why is None:
+        return "retry with dt/2 or extend the horizon" if horizon else "retry with dt/2"
+    return f"{why}; extend the horizon" if horizon else why
+
+
+def _shoot(curve, epi):
     params, grid = epi.params, epi.grid
     if not params.booms:
         raise NoPlateauError(
@@ -459,7 +472,7 @@ def _shoot(curve, epi, tol):
         )
     if kind_lo != "absorbed" or kind_hi != "flow-reversed":
         raise GridTooCoarseError(
-            "event order is not monotone in t1 at this resolution; retry with dt/2"
+            f"event order is not monotone in t1 at this resolution; {_retry(grid)}"
         )
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2
@@ -470,8 +483,7 @@ def _shoot(curve, epi, tol):
             hi_k = mid
         else:
             raise GridTooCoarseError(
-                "plateau never closed before the horizon end; retry with dt/2 "
-                "or extend the horizon"
+                f"plateau never closed before the horizon end; {_retry(grid, True)}"
             )
 
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
@@ -481,10 +493,10 @@ def _shoot(curve, epi, tol):
         evals += 1
         if not c.found:
             raise GridTooCoarseError(
-                "flow never reversed before the horizon end; retry with dt/2"
+                f"flow never reversed before the horizon end; {_retry(grid)}"
             )
-        if (abs(c.residual_absorption) <= 0.5 * tol * c.phi_star
-                and abs(c.residual_flow) <= 0.5 * tol * params.gamma * c.phi_star):
+        if (abs(c.residual_absorption) <= 0.5 * TOL * c.phi_star
+                and abs(c.residual_flow) <= 0.5 * TOL * params.gamma * c.phi_star):
             return PlateauSolution(
                 t1=t_mid, t2=c.t2, p_star=c.p_star,
                 residual_flow=c.residual_flow,
@@ -498,8 +510,8 @@ def _shoot(curve, epi, tol):
         if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
             break
     raise GridTooCoarseError(
-        f"plateau closure residuals did not reach tol={tol} at dt={grid.dt}; "
-        f"retry with dt/2"
+        f"plateau closure residuals did not reach tol={TOL} at dt={grid.dt}; "
+        f"{_retry(grid)}"
     )
 
 
@@ -519,14 +531,14 @@ def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajecto
     plateau and the node that closed it, or the whole path when the
     plateau stays open or the unwind could raise.
 
-    x, p, z and h end where the path does, at post_start + 1 nodes if it
-    stops at the closing node; epi is whole. That is all the event
-    timeline and the plateau claims read. Raises what re_price_path raises.
+    x and p end where the path does, at post_start + 1 nodes if it stops
+    at the closing node; epi is whole. That is all the event timeline and
+    the plateau claims read. Raises what re_price_path raises.
     """
     return _solved_path(curve, epi, False)
 
 
 def _solved_path(curve, epi, unwind: bool):
-    sol, zs, hs = _solve(curve, epi, TOL)
+    sol, zs, hs = _solve(curve, epi)
     traj, _diag = _replay(curve, sol.t1, epi, zs, hs, unwind)
     return replace(traj, t2=sol.t2, solution=sol)

@@ -10,7 +10,7 @@ import pytest
 from epimarket import cli
 from epimarket.config import parse_config, with_overrides
 from epimarket.verify import CheckResult, VerificationReport
-from test_drive_parity import POPULATION_REFUSAL
+from test_drive_parity import POPULATION_REFUSAL, PR21_BOOM_REFUSAL
 from test_sir_pass import BETA_1000_REFUSAL
 
 FAST = "t_end=80\ndt=0.02\n"
@@ -198,16 +198,33 @@ def test_an_overflow_of_s_and_i_fails_every_leg_with_the_sir_pass_error(tmp_path
 
 
 def test_a_boom_that_overshoots_its_floor_names_the_dt_that_holds_it(tmp_path, caplog):
-    # drives near 2.5e300 carry the myopic leg's first mid-step stage below
-    # the floor: a grid error, exit 3, whose ERROR line advises a dt
+    # drives near 6e6 carry the myopic leg's first mid-step stage below the
+    # floor: a grid error, exit 3, whose ERROR line advises a dt that the
+    # CLI then runs
     cfg = tmp_path / "overshoot.cfg"
-    cfg.write_text("beta=1e-299\nn1=1e300\nn2=1e297\nt_end=20\ndt=0.1\n")
+    cfg.write_text("beta=2e-5\nn1=1e6\nn2=1e5\nt_end=20\ndt=0.1\n")
     out = tmp_path / "out"
     assert run_cli("simulate", "--scenario", "myopic", "--config", str(cfg),
                    "--out", str(out)) == 3
     [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert err.startswith("clearing price hit zero at t=0.05 ")
-    assert "; use dt <= 6.363e-150 (" in err
+    assert "; use dt <= 0.004076 (" in err
+    assert _data_files(out) == []
+    assert run_cli("simulate", "--scenario", "myopic", "--config", str(cfg), "--dt", "0.004",
+                   "--out", str(tmp_path / "fine")) == 0
+
+
+def test_a_boom_no_allowed_grid_holds_advises_no_dt(tmp_path, caplog):
+    # drives near 2.5e300 against kappa*p0 = 10: the overshoot bound holds
+    # at dt <= 6.363e-150, about 3e150 steps over [0, 20], so the ERROR
+    # line names the bound that fails on the finest grid and no dt
+    cfg = tmp_path / "overshoot.cfg"
+    cfg.write_text("beta=1e-299\nn1=1e300\nn2=1e297\nt_end=20\ndt=0.1\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", "myopic", "--config", str(cfg),
+                   "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        PR21_BOOM_REFUSAL]
     assert _data_files(out) == []
 
 

@@ -38,6 +38,7 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
+from epimarket import rational
 from epimarket.epidemic import RK4_STABILITY, EpidemicTrajectory
 from epimarket.errors import ConfigError, GridTooCoarseError, IntegrationError, PriceFloorError
 from epimarket.numerics import MAX_STEPS, integrate_fixed_step, rk4_step
@@ -232,6 +233,24 @@ POINTS = [
 ]
 
 
+def held(curve, traj):
+    """z and h of a rational path at its nodes, which the path keeps only as
+    their sum x: phase 1's and the plateau scan's up to its closing node,
+    as rational._replay reads them, and z = x, h = 0 from there."""
+    epi, k1 = traj.epi, traj.plateau_start - 1
+    post = len(traj.p) if traj.post_start is None else traj.post_start
+    zs, hs = rational._accumulate(curve, epi, k1)
+    z, h = list(zs), list(hs)
+    for j, zj, hj, _flow in rational._scan(curve, epi, zs, hs, traj.t1)[3]:
+        if j >= post:
+            break
+        if j > k1:
+            z.append(zj)
+            h.append(hj)
+    return (np.concatenate((z, traj.x[post:])),
+            np.concatenate((h, np.zeros(len(traj.p) - post))))
+
+
 def _column(traj, name):
     """A leg's column: S, I and R are its SIR pass's, the rest its own."""
     return getattr(traj.epi if name in ("s", "i", "r") else traj, name)
@@ -301,8 +320,10 @@ def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds, w)
         traj, diag = simulate_re_given_t1(curve, trial, epi)
         assert diag.kind == kind, label
         closings.add((kind, diag.time == trial))
-        for col, name in enumerate("sirzh"):
+        for col, name in enumerate("sir"):
             assert np.array_equal(_column(traj, name), cols[:, col]), (label, name)
+        z, h = held(curve, traj)
+        assert np.array_equal(z, cols[:, 3]) and np.array_equal(h, cols[:, 4]), label
         assert np.array_equal(traj.x, cols[:, 3] + cols[:, 4]), label
         assert np.array_equal(traj.p, cols[:, 5]), label
     assert closings == {("absorbed", False), ("flow-reversed", False),
@@ -315,8 +336,11 @@ def test_open_plateau_matches_the_coupled_fields():
     cols, kind = oracle_re_given_t1(params, curve, 14.005, grid)
     traj, diag = simulate_re_given_t1(curve, 14.005, epidemic_pass(params, grid))
     assert kind == diag.kind == "open"
-    for col, name in enumerate("sirzhp"):
+    for col, name in enumerate("sir"):
         assert np.array_equal(_column(traj, name), cols[:, col]), name
+    z, h = held(curve, traj)
+    assert np.array_equal(z, cols[:, 3]) and np.array_equal(h, cols[:, 4])
+    assert np.array_equal(traj.p, cols[:, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -326,41 +350,67 @@ def test_open_plateau_matches_the_coupled_fields():
 
 def _raised(fn, *args):
     """(type, time, message) of what fn raises, the message cut before the
-    dt a boom's overshoot error advises, or its word that no dt helps."""
+    dt a boom's overshoot error advises, or its word that no dt or no
+    allowed grid helps."""
     with pytest.raises((IntegrationError, PriceFloorError, GridTooCoarseError)) as exc:
         fn(*args)
     return (type(exc.value), exc.value.time,
-            re.split("; use dt <= |; no dt meets ", str(exc.value))[0])
+            re.split("; use dt <= |; no dt meets |; no allowed grid runs ", str(exc.value))[0])
 
 
 # the ConfigError of a population whose SIR pass could overflow, n its N
 POPULATION_REFUSAL = ("population n1 + n2 + n3 = {n} lets the SIR pass overflow: "
                       "K*N and 6*K^2*(beta*N + gamma)*N, K = 16, must be finite")
 
+# the myopic leg's refusal of beta=1e-299, n1=1e300, n2=1e297 on [0, 20] at
+# dt=0.1: its overshoot bound holds at dt <= 6.363e-150, about 3e150 steps
+# over the span, so no allowed grid meets it
+PR21_BOOM_REFUSAL = (
+    "clearing price hit zero at t=0.05 (x=-2.5000000000000005e+294) in a boom: RK4 "
+    "overshoot at dt=0.1; no allowed grid runs this input, as "
+    "gamma*(span/MAX_STEPS)^2*top = 9.88e+287 > kappa*p0 = 10 (top = max demand/p0 = "
+    "2.47e+300) for span = 20 and MAX_STEPS = 10000000: the finest grid runs a span of "
+    "at most 6.363e-143")
 
-def assert_sir_refusal(params, grid, message):
-    """message is epidemic_pass's refusal of grid. Where the finest grid
-    Grid admits over the span, span/MAX_STEPS, meets the step bound, it
-    advises the bound, and Grid admits some dt' at or below the advised
-    dt; elsewhere it names the input bound that fails and advises no dt."""
-    rate = params.beta * params.total + params.gamma
+
+def assert_advice_runs(grid, message):
+    """message is a GridTooCoarseError's on grid. If it advises `dt <= d`,
+    Grid admits some dt' <= d over the span; if it advises dt/2, Grid
+    admits dt/2. Any other names no dt."""
     span = grid.t_end - grid.t_start
-    head = (f"dt={grid.dt} is too coarse for RK4: (beta*N + gamma)*dt = "
-            f"{rate * grid.dt:.4g} lies beyond its stability interval of about 2.785; ")
-    if rate * span / MAX_STEPS > RK4_STABILITY:
-        assert message == head + (
-            f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS = "
-            f"{rate * span / MAX_STEPS:.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
-            f"10000000: the finest grid runs a span of at most "
-            f"{RK4_STABILITY * MAX_STEPS / rate:.4g}")
-        assert "dt <= " not in message
+    if "retry with dt/2" in message:
+        assert Grid(grid.t_start, grid.t_end, 0.5 * grid.dt).n_steps == 2 * grid.n_steps
         return
-    assert message.startswith(head + "use dt <= 2.785/(beta*N + gamma) = ")
-    advised = float(message.rsplit(" = ", 1)[1])
+    advice = re.search(r"use dt <= (?:2\.785/\(beta\*N \+ gamma\) = )?([^ ]+)", message)
+    if advice is None:
+        assert "dt <= " not in message and "retry" not in message
+        return
+    advised = float(advice[1])
     n = math.ceil(span / advised)
     while span / n > advised:
         n += 1
     assert Grid(grid.t_start, grid.t_end, span / n).n_steps == n
+
+
+def assert_sir_refusal(params, grid, message):
+    """message is epidemic_pass's refusal of grid. Where some grid Grid
+    admits over the span meets the step bound, as it prints, it advises
+    the bound; elsewhere it names the input bound that fails on the finest
+    grid, span/MAX_STEPS, and advises no dt. Either way assert_advice_runs."""
+    assert_advice_runs(grid, message)
+    rate = params.beta * params.total + params.gamma
+    span = grid.t_end - grid.t_start
+    head = (f"dt={grid.dt} is too coarse for RK4: (beta*N + gamma)*dt = "
+            f"{rate * grid.dt:.4g} lies beyond its stability interval of about 2.785; ")
+    bound = RK4_STABILITY / rate
+    advised = min(bound, float(f"{bound:.4g}"))
+    if span / MAX_STEPS > advised:
+        assert message == head + (
+            f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS = "
+            f"{rate * (span / MAX_STEPS):.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
+            f"10000000: the finest grid runs a span of at most {advised * MAX_STEPS:.4g}")
+    else:
+        assert message == head + f"use dt <= 2.785/(beta*N + gamma) = {bound:.4g}"
 
 
 def assert_refused(params, grid):

@@ -1,8 +1,12 @@
 """Supply curve, clearing, the euphoric and depressive scenarios, quadrature."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epimarket import (
     EpidemicParams,
@@ -13,10 +17,12 @@ from epimarket import (
     simulate_depression,
     simulate_myopic,
 )
+from epimarket import numerics
 from epimarket.analysis import refine_peak
 from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError
 from epimarket.market import holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
+from test_drive_parity import PR21_BOOM_REFUSAL, assert_advice_runs
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +67,7 @@ def test_myopic_embeds_the_pure_epidemic(epidemic_run, myopic_run):
     # the market never feeds back into the contagion: a run holds the SIR
     # pass it is given, and with it that pass's params, grid, S, I and R
     assert myopic_run.epi is epidemic_run
-    assert len(myopic_run) == len(epidemic_run.times) == len(myopic_run.x)
+    assert len(myopic_run.p) == len(epidemic_run.times) == len(myopic_run.x)
 
 
 def test_myopic_without_seed_is_flat(curve):
@@ -205,20 +211,63 @@ def test_a_boom_at_its_floor_is_the_grids_fault(curve):
     # a population of 1e300 inside both SIR bounds, beta*N*dt = 1.0: drives
     # near 2.5e300 carry the boom's first mid-step stage far below the
     # floor. From 0 the exact holdings never fall below 0, so that is RK4
-    # overshoot, and the error names the dt at which holdings_cannot_raise's
-    # bound holds on these drives: sqrt(kappa*p0/(gamma*top)). The slump on
-    # the same pass keeps the model's floor
+    # overshoot. holdings_cannot_raise's bound holds on these drives at dt
+    # <= sqrt(kappa*p0/(gamma*top)) = 6.363e-150, about 3e150 steps over
+    # the span, so no allowed grid meets it: the error names the bound that
+    # fails on the finest grid, span/MAX_STEPS, and advises no dt. The
+    # slump on the same pass keeps the model's floor
     epi = epidemic_pass(EpidemicParams(beta=1e-299, n1=1e300, n2=1e297), Grid(0.0, 20.0, 0.1))
     with pytest.raises(GridTooCoarseError) as info:
         simulate_myopic(curve, epi)
     assert info.value.time == 0.05
-    assert str(info.value) == (
-        "clearing price hit zero at t=0.05 (x=-2.5000000000000005e+294) in a boom: "
-        "RK4 overshoot at dt=0.1; use dt <= 6.363e-150 (gamma*dt <= 1, "
-        "gamma*dt^2*top <= kappa*p0, top = max demand/p0 = 2.47e+300, every "
-        "demand >= 0)")
+    assert str(info.value) == PR21_BOOM_REFUSAL
     with pytest.raises(PriceFloorError, match=r"^clearing price hit zero at t=0\.05 "):
         simulate_depression(curve, epi)
+
+
+def test_a_boom_whose_bound_a_grid_meets_names_its_dt(curve):
+    # drives near 6e6 against kappa*p0 = 10: the bound holds at dt <=
+    # 0.004076, 4,907 steps over the span, and a grid at dt = 0.004 runs
+    params = EpidemicParams(beta=2e-5, n1=1e6, n2=1e5)
+    with pytest.raises(GridTooCoarseError) as info:
+        simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 20.0, 0.1)))
+    assert str(info.value) == (
+        "clearing price hit zero at t=0.05 (x=-482.04679532046794) in a boom: RK4 "
+        "overshoot at dt=0.1; use dt <= 0.004076 (gamma*dt <= 1, gamma*dt^2*top <= "
+        "kappa*p0, top = max demand/p0 = 6.019e+06, every demand >= 0)")
+    assert simulate_myopic(curve, epidemic_pass(params, Grid(0.0, 20.0, 0.004))).p.min() > 0.0
+
+
+def _log(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    size=st.one_of(_log(3.0, 12.0), _log(12.0, 290.0)), share=_log(-3.0, -0.3),
+    decay=st.one_of(_log(-3.0, 0.0), st.floats(min_value=1.0, max_value=2.7)),
+    reach=st.floats(min_value=0.01, max_value=1.0), p0=_log(-1.0, 1.0),
+    kappa=_log(-1.0, 3.0), dt=st.sampled_from((1e-2, 0.1, 1.0)),
+    n=st.integers(min_value=20, max_value=200),
+    spare=st.one_of(st.none(), st.floats(min_value=1.0, max_value=4.0)),
+)
+def test_every_boom_refusal_advises_a_grid_that_runs_or_no_dt(size, share, decay, reach, p0,
+                                                              kappa, dt, n, spare):
+    # stiff booms on grids the SIR pass admits: gamma*dt = decay and beta*N*dt
+    # a share reach of what the stability interval leaves, so the holdings
+    # pass overshoots its floor where gamma*dt^2*max demand/p0 is large
+    # against kappa*p0. With spare set, the step limit is at most spare
+    # times the grid's steps, so the finest grid may miss either bound
+    n2 = share * size
+    beta = reach * (2.78 - decay) / ((size + n2) * dt)
+    params, grid = EpidemicParams(beta=beta, gamma=decay / dt, n1=size, n2=n2), Grid(0.0, n * dt, dt)
+    limit = numerics.MAX_STEPS if spare is None else max(n, int(n * spare))
+    with mock.patch.object(numerics, "MAX_STEPS", limit):
+        epi = epidemic_pass(params, grid)
+        try:
+            simulate_myopic(SupplyCurve(p0=p0, kappa=kappa), epi)
+        except GridTooCoarseError as exc:
+            assert_advice_runs(grid, str(exc))
 
 
 def test_a_boom_whose_demand_overflows_advises_no_dt(curve):

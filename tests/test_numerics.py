@@ -111,31 +111,29 @@ def test_bracket_rejects_same_sign_and_bad_order():
 
 def test_find_root_quadratic():
     f = lambda x: x * x - 4.0
-    root = find_root_bracketed(f, Bracket(0.0, 5.0, f(0.0), f(5.0)), tol_x=1e-10)
+    root = find_root_bracketed(f, Bracket(0.0, 5.0, f(0.0), f(5.0)), 1e-10)
     assert root == pytest.approx(2.0, abs=1e-9)
 
 
 def test_find_root_hits_exact_zero_at_midpoint():
     f = lambda x: x
-    root = find_root_bracketed(f, Bracket(-1.0, 1.0, f(-1.0), f(1.0)))
+    root = find_root_bracketed(f, Bracket(-1.0, 1.0, f(-1.0), f(1.0)), 0.0)
     assert root == 0.0
 
 
 def test_find_root_respects_residual_tolerance():
     f = lambda x: x * x * x - 8.0
-    root = find_root_bracketed(
-        f, Bracket(0.0, 5.0, f(0.0), f(5.0)), tol_x=0.0, tol_f=1e-9
-    )
+    root = find_root_bracketed(f, Bracket(0.0, 5.0, f(0.0), f(5.0)), 1e-9)
     assert abs(f(root)) <= 1e-9
 
 
 def test_find_root_survives_bracket_at_machine_resolution():
     # adjacent floats with an unattainable residual target: the finder
-    # must return the better endpoint instead of spinning to max_iter
+    # must return the better endpoint instead of spinning to MAX_ITER
     lo = 1.0
     hi = math.nextafter(1.0, 2.0)
     f = lambda x: -2e-3 if x <= lo else 1e-3
-    root = find_root_bracketed(f, Bracket(lo, hi, f(lo), f(hi)), tol_x=0.0, tol_f=1e-12)
+    root = find_root_bracketed(f, Bracket(lo, hi, f(lo), f(hi)), 1e-12)
     assert root == hi  # the endpoint with the smaller residual
 
 

@@ -192,14 +192,14 @@ def _reference_csv(traj) -> bytes:
     cols = (epi.times, epi.s, epi.i, epi.r, traj.x, traj.p)
     phases = traj.phases()
     lines = ["t,S,I,R,X,P,phase"]
-    for k in range(len(traj)):
+    for k in range(len(traj.p)):
         lines.append(",".join(_ref_fmt(c[k]) for c in cols) + f",{phases[k]}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _reference_dat(traj) -> bytes:
     lines = ["# t P I"]
-    for k in range(len(traj)):
+    for k in range(len(traj.p)):
         lines.append(f"{_ref_fmt(traj.epi.times[k])} {_ref_fmt(traj.p[k])} "
                      f"{_ref_fmt(traj.epi.i[k])}")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -265,7 +265,7 @@ def test_streamed_files_match_the_row_reference_at_block_edges(
 def test_full_run_with_shared_columns_matches_the_row_reference(tmp_path, shared_legs):
     (_, myopic), (_, rational), (_, depression) = shared_legs
     assert myopic.epi is rational.epi is depression.epi
-    assert len(myopic) == 30_001
+    assert len(myopic.p) == 30_001
     assert set(rational.phases()) == {"pre", "plateau", "post"}
     _check_legs(tmp_path, shared_legs)
 

@@ -20,10 +20,11 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket import analysis, rational
-from epimarket.errors import (BoundaryExtremumError, DomainError, GridTooCoarseError,
-                              NoPlateauError, SimulationError)
+from epimarket import analysis, numerics, rational
+from epimarket.errors import (BoundaryExtremumError, ConfigError, DomainError,
+                              GridTooCoarseError, NoPlateauError, SimulationError)
 from epimarket.market import holdings_cannot_raise, holdings_pass
+from test_drive_parity import held
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +90,11 @@ def test_path_boundary_values(curve, rational_run):
     assert abs(float(rational_run.p[-1]) - curve.p0) <= 0.01 * curve.p0
 
 
-def test_split_holdings_stay_nonnegative(rational_run):
-    assert float(rational_run.z.min()) >= 0.0
-    assert float(rational_run.h.min()) >= 0.0
-    assert float(np.abs(rational_run.z + rational_run.h - rational_run.x).max()) <= 1e-9
+def test_split_holdings_stay_nonnegative(curve, rational_run):
+    z, h = held(curve, rational_run)
+    assert float(z.min()) >= 0.0
+    assert float(h.min()) >= 0.0
+    assert np.array_equal(z + h, rational_run.x)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +160,7 @@ def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
     traj, diag = simulate_re_given_t1(curve, t1, epi)
     assert diag.kind == kind
     assert traj.phases() == ["pre"] * (n + 1)
-    assert len(traj.z) == len(traj.h) == len(traj.p) == n + 1
+    assert len(traj.x) == len(traj.p) == n + 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +228,32 @@ def test_no_plateau_below_threshold(curve, grid):
         solve_plateau(curve, epidemic_pass(EpidemicParams(gamma=0.6), grid))
 
 
-def test_unreachable_tolerance_blames_the_grid(params, curve):
+def test_unreachable_tolerance_blames_the_grid(params, curve, monkeypatch):
     epi = epidemic_pass(params, Grid(0.0, 300.0, 2e-2))
+    monkeypatch.setattr(rational, "TOL", 1e-9)
     with pytest.raises(GridTooCoarseError):
-        solve_plateau(curve, epi, tol=1e-9)
+        solve_plateau(curve, epi)
+
+
+def test_a_retry_no_allowed_grid_takes_advises_no_dt_over_the_span(curve, monkeypatch):
+    # the closure misses tol at dt=0.05 and meets it at dt=0.025; with the
+    # limit at 8,000 steps no grid over [0, 300] halves dt, so the error
+    # names the longest span dt/2 runs in place of the retry
+    epi = epidemic_pass(EpidemicParams(beta=1e-3, gamma=0.05), Grid(0.0, 300.0, 0.05))
+    with pytest.raises(GridTooCoarseError) as info:
+        re_price_path(curve, epi)
+    assert str(info.value) == ("plateau closure residuals did not reach tol=0.0001 at "
+                               "dt=0.05; retry with dt/2")
+    assert re_price_path(curve, epidemic_pass(epi.params, Grid(0.0, 300.0, 0.025))).t1 == 7.96875
+    monkeypatch.setattr(numerics, "MAX_STEPS", 8000)
+    with pytest.raises(GridTooCoarseError) as info:
+        re_price_path(curve, epi)
+    assert str(info.value) == (
+        "plateau closure residuals did not reach tol=0.0001 at dt=0.05; no allowed grid "
+        "halves dt over this span, as span/MAX_STEPS = 0.0375 > dt/2 = 0.025 for span = "
+        "300 and MAX_STEPS = 8000: the finest grid runs a span of at most 200")
+    with pytest.raises(ConfigError, match="exceeds the limit of 8000"):
+        Grid(0.0, 300.0, 0.025)
 
 
 @pytest.mark.parametrize("t_end", [10.0, 19.0, 20.0])
@@ -268,7 +292,7 @@ def test_rational_peak_is_lower(myopic_run, rational_run):
 
 def test_phase_labels_partition_the_path(rational_run):
     labels = rational_run.phases()
-    assert len(labels) == len(rational_run.epi.times) == len(rational_run)
+    assert len(labels) == len(rational_run.epi.times) == len(rational_run.p)
     assert labels[0] == "pre"
     assert labels[-1] == "post"
     changes = [
@@ -353,13 +377,13 @@ def _fields(sol):
     return sol.t1, sol.t2, sol.p_star, sol.residual_flow, sol.residual_absorption
 
 
-def _solved(curve, epi, tol):
-    return _fields(solve_plateau(curve, epi, tol))
+def _solved(curve, epi):
+    return _fields(solve_plateau(curve, epi))
 
 
-def _shot(curve, epi, tol):
+def _shot(curve, epi):
     """The shooting alone, before a failure is checked against the horizon."""
-    return _fields(rational._shoot(curve, epi, tol)[0])
+    return _fields(rational._shoot(curve, epi)[0])
 
 
 def _outcome(fn, *args):
@@ -390,19 +414,21 @@ _ORACLE_ROWS = [
 
 
 @pytest.mark.parametrize("dt, t_end, beta, gamma, row", _ORACLE_ROWS)
-def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row):
+def test_solve_matches_the_full_grid_oracle(dt, t_end, beta, gamma, row, monkeypatch):
     params = EpidemicParams(beta=beta, gamma=gamma)
     grid = Grid(0.0, t_end, dt)
     epi = epidemic_pass(params, grid)
     for kappa, tol in row:
         curve = SupplyCurve(kappa=kappa)
+        # the solve's tolerance is rational.TOL; a row at another one patches it
+        monkeypatch.setattr(rational, "TOL", tol)
         expected = _outcome(_full_grid_solve, params, curve, grid, tol, epi)
-        assert _outcome(_shot, curve, epi, tol) == expected, (kappa, tol)
+        assert _outcome(_shot, curve, epi) == expected, (kappa, tol)
         # a failed solve raises infection_peak's error, if it has one
         peak = _outcome(infection_peak, params, epi)
         if isinstance(expected[0], type) and isinstance(peak, tuple):
             expected = peak
-        assert _outcome(_solved, curve, epi, tol) == expected, (kappa, tol)
+        assert _outcome(_solved, curve, epi) == expected, (kappa, tol)
         # the solve's scan is the full scan's prefix up to k_f
         zs, hs = rational._accumulate(curve, epi, grid.n_steps,
                                       stop_at_reversal=True)
@@ -441,7 +467,7 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
     assert traj.epi is own.epi is epi
     for name in ("s", "i", "r"):
         assert getattr(traj.epi, name).tobytes() == getattr(own.epi, name).tobytes(), name
-    for name in ("z", "h", "p"):
+    for name in ("x", "p"):
         assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
     assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
     assert (traj.t1, traj.t2, traj.p_star) == (own.t1, sol.t2, own.p_star)
@@ -463,9 +489,7 @@ def test_a_leg_holds_the_sir_pass_it_ran_on(epidemic_run, leg):
         # the head ends at its closing node; its pass is whole
         assert traj.post_start < n - 1
         n = traj.post_start + 1
-    assert len(traj) == len(traj.p) == len(traj.x) == len(traj.phases()) == n
-    if traj.z is not None:
-        assert len(traj.z) == len(traj.h) == n
+    assert len(traj.p) == len(traj.x) == len(traj.phases()) == n
 
 
 def test_every_pass_reads_its_params_and_grid_from_its_sir_pass():
