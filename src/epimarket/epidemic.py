@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import (BoundaryExtremumError, ConfigError, ConsistencyError, ConvergenceError,
                      GridTooCoarseError, require_finite)
-from .numerics import (Bracket, Grid, advisable, find_root_bracketed, no_grid_steps,
+from .numerics import (Bracket, Grid, advised_dt, find_root_bracketed, newton_parabola,
                        parabolic_vertex, rk4_step)
 
 
@@ -223,26 +223,27 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     to run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY. Its message advises the dt bound where some grid
-    Grid admits over the span meets it, and else names the input bound that
-    fails on the finest one and the longest span a grid at the bound runs
-    (`numerics.no_grid_steps`). On any other grid S, I, R and every drive
-    are finite (see EpidemicParams).
+    beyond RK4_STABILITY. Its message advises the largest 4-digit dt that
+    meets the bound where some grid Grid admits over the span steps at it,
+    and else names the input bound that fails on the finest one and the
+    longest span a grid at the bound runs (`numerics.advised_dt`). On any
+    other grid S, I, R and every drive are finite (see EpidemicParams).
     """
     n = grid.n_steps
     beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     rate = beta * params.total + gamma
     if rate * h > RK4_STABILITY:
-        bound = RK4_STABILITY / rate
-        advice = no_grid_steps(
-            grid.t_end - grid.t_start, advisable(bound),
+        dt, none_runs = advised_dt(
+            grid.t_end - grid.t_start, RK4_STABILITY / rate,
+            lambda d: rate * d <= RK4_STABILITY,
             lambda finest: (f"no allowed grid runs this input, as (beta*N + gamma)*"
-                            f"span/MAX_STEPS = {rate * finest:.4g} > {RK4_STABILITY}")
-        ) or f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = {bound:.4g}"
+                            f"span/MAX_STEPS = {rate * finest:.4g} > {RK4_STABILITY}"))
+        advice = none_runs or f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = {dt}"
+        # 4 digits, or as many more as the product needs to read above the limit
+        digits = next(k for k in count(4) if float(f"{rate * h:.{k}g}") > RK4_STABILITY)
         raise GridTooCoarseError(
-            f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = "
-            f"{rate * h:.4g} lies beyond its stability interval of about "
-            f"{RK4_STABILITY}; {advice}"
+            f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = {rate * h:.{digits}g} "
+            f"lies beyond its stability interval of about {RK4_STABILITY}; {advice}"
         )
     half, sixth = 0.5 * h, h / 6.0
     s, i = params.n1, params.n2
@@ -390,16 +391,8 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
             f"infected maximum sits on the grid boundary (node {k}); "
             f"the horizon is too short to contain the peak"
         )
-    t = trajectory.times
-    t_star = parabolic_vertex(
-        float(t[k - 1]), float(i_arr[k - 1]),
-        float(t[k]), float(i_arr[k]),
-        float(t[k + 1]), float(i_arr[k + 1]),
-    )[0]
-    # quadratic (Newton-form) interpolation of S at the refined time
-    s0, s1, s2 = float(trajectory.s[k - 1]), float(trajectory.s[k]), float(trajectory.s[k + 1])
-    t0, t1v, t2v = float(t[k - 1]), float(t[k]), float(t[k + 1])
-    c1 = (s1 - s0) / (t1v - t0)
-    c2 = ((s2 - s1) / (t2v - t1v) - c1) / (t2v - t0)
-    s_star = s0 + c1 * (t_star - t0) + c2 * (t_star - t0) * (t_star - t1v)
-    return InfectionPeak(t_star=t_star, s_star=s_star)
+    t, nodes = trajectory.times, (k - 1, k, k + 1)
+    t_star = parabolic_vertex(*(float(col[j]) for j in nodes for col in (t, i_arr)))[0]
+    # S at the refined time, on the parabola through its three nodes
+    s_at = newton_parabola(*(float(col[j]) for j in nodes for col in (t, trajectory.s)))[2]
+    return InfectionPeak(t_star=t_star, s_star=s_at(t_star))

@@ -57,7 +57,8 @@ class GridTooCoarseError(SimulationError):
     """The step size is too coarse: the grid lies beyond RK4's stability
     interval, which the SIR pass refuses before any step runs, a boom
     overshoots its price floor, or the shooting solve cannot meet
-    tolerance at it. Retry at the dt the message advises, unless it says
+    tolerance at it. Retry at the dt the message advises, which itself
+    passes the check that refused (`numerics.advised_dt`), unless it says
     that none helps: no dt, or no grid of at most MAX_STEPS steps over the
     span (`numerics.no_grid_steps`), for the SIR pass, a boom and the
     shooting's dt/2 alike."""

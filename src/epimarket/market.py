@@ -37,7 +37,7 @@ import numpy as np
 
 from .epidemic import EpidemicTrajectory, coupled_field
 from .errors import ConfigError, DomainError, GridTooCoarseError, PriceFloorError, require_finite
-from .numerics import advisable, no_grid_steps
+from .numerics import advised_dt
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -130,10 +130,10 @@ def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) 
     """The clearing price of a boom's holdings x at time t on the SIR pass
     epi. From x >= 0 a boom's exact holdings (and phase 1's z + h) never
     fall below 0, so at the floor it is RK4 overshoot: a GridTooCoarseError
-    naming a dt at which holdings_cannot_raise's bound holds, or, where no
-    grid Grid admits over the span meets it, the bound that fails on the
-    finest one (`numerics.no_grid_steps`), or the demand where that bound's
-    top overflows, which no dt meets."""
+    naming the largest 4-digit dt at which holdings_cannot_raise's step
+    bound holds, or, where no grid Grid admits over the span steps at it,
+    the bound that fails on the finest one (`numerics.advised_dt`), or the
+    demand where that bound's top overflows, which no dt meets."""
     p = curve.p0 + x / curve.kappa
     if x > -curve.kappa * curve.p0 and p > 0.0:
         return p
@@ -151,9 +151,10 @@ def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) 
                     f"{gamma * finest * finest * top:.4g} > kappa*p0 = {kp:.4g} "
                     f"(top = max demand/p0 = {top:.4g})")
 
-        advice = no_grid_steps(epi.grid.t_end - epi.grid.t_start, advisable(bound),
-                               failing) or (
-            f"use dt <= {bound:.4g} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
+        dt, none_runs = advised_dt(epi.grid.t_end - epi.grid.t_start, bound,
+                                   lambda d: _step_holds(gamma, d, top, kp), failing)
+        advice = none_runs or (
+            f"use dt <= {dt} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
             f"top = max demand/p0 = {top:.4g}, every demand >= 0)")
     else:
         advice = ("no dt meets gamma*dt^2*top <= kappa*p0, as top = max demand/p0 "
@@ -188,12 +189,17 @@ def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,
     are finite on every pass that epidemic_pass returns (see epidemic).
     """
     d = epi.demand[k:]
-    dt, gamma = epi.grid.dt, epi.params.gamma
+    gamma = epi.params.gamma
     top = float(np.max(d, initial=0.0)) / curve.p0
     bound = x + 3.0 * top * (epi.grid.t_end - epi.grid.node(k))
-    return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0 and gamma * dt <= 1.0
-                and gamma * dt * dt * top <= curve.kappa * curve.p0
+    return bool(x >= 0.0 and np.min(d, initial=0.0) >= 0.0
+                and _step_holds(gamma, epi.grid.dt, top, curve.kappa * curve.p0)
                 and math.isfinite((1.0 + gamma) * bound))
+
+
+def _step_holds(gamma: float, dt: float, top: float, kp: float) -> bool:
+    """holdings_cannot_raise's step bound, which boom_price advises."""
+    return gamma * dt <= 1.0 and gamma * dt * dt * top <= kp
 
 
 def holdings_pass(curve: SupplyCurve, epi: EpidemicTrajectory, k: int, x: float,

@@ -4,7 +4,9 @@ Fixed-step classical RK4 over tuples of floats, bracketed scalar root
 finding (bisection with secant acceleration), and the three-point
 parabola used for sub-grid extremum refinement. MAX_STEPS caps every
 grid, and no_grid_steps tells each refusal that would advise a step
-whether a grid within that cap can take it.
+whether a grid within that cap can take it. A refusal of a step bound
+prints the dt that advised_dt returns, the one number it checks: no other
+module rounds or formats an advised dt.
 
 Everything here is a pure function of its inputs and bit-deterministic:
 identical inputs give identical outputs, with no adaptivity and no hidden
@@ -35,25 +37,34 @@ Field = Callable[[float, tuple], tuple]
 MAX_STEPS = 10**7
 
 
-def advisable(bound: float) -> float:
-    """The step bound a refusal advises as `dt <= {bound:.4g}`, counted at
-    the lower of bound and that print, so every step at or below it meets
-    both."""
-    return min(bound, float(f"{bound:.4g}"))
+def advised_dt(span: float, bound: float, holds: Callable[[float], bool],
+               failing: Callable[[float], str]) -> tuple[str, str | None]:
+    """The printed dt a refusal of a step beyond bound advises: the largest
+    of at most 4 significant digits at which holds, the refusal's own
+    check, passes (bound rounded down, one unit lower where the check's
+    product rounds above its limit). With it, no_grid_steps's words where
+    no Grid over span steps at that dt, else None."""
+    import decimal  # only a refusal needs it; at module level it costs every run 0.3 MB
+    four = decimal.Context(prec=4, rounding=decimal.ROUND_FLOOR)
+    d = four.create_decimal(bound)
+    while not holds(float(d)):
+        d = four.next_minus(d)
+    return f"{float(d):.4g}", no_grid_steps(span, float(d), bound, failing)
 
 
-def no_grid_steps(span: float, dt: float, failing: Callable[[float], str]) -> str | None:
+def no_grid_steps(span: float, dt: float, bound: float,
+                  failing: Callable[[float], str]) -> str | None:
     """None where some Grid over span steps at dt or finer, as the finest
     one, of step span/MAX_STEPS, does. Else the words a refusal gives in
     place of advising dt: failing(finest), the bound that fails at that
-    finest step, the span and MAX_STEPS, and the longest span a grid of
-    step dt runs, dt*MAX_STEPS. MAX_STEPS is read at call time, as Grid
-    reads it."""
+    finest step, the span and MAX_STEPS, and the longest span a grid at the
+    step bound runs, bound*MAX_STEPS. MAX_STEPS is read at call time, as
+    Grid reads it."""
     finest = span / MAX_STEPS
     if finest <= dt:
         return None
     return (f"{failing(finest)} for span = {span:g} and MAX_STEPS = {MAX_STEPS}: "
-            f"the finest grid runs a span of at most {dt * MAX_STEPS:.4g}")
+            f"the finest grid runs a span of at most {bound * MAX_STEPS:.4g}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +240,15 @@ def find_root_bracketed(f: Callable[[float], float], bracket: Bracket, tol_f: fl
     )
 
 
+def newton_parabola(x0: float, y0: float, x1: float, y1: float, x2: float,
+                    y2: float) -> tuple[float, float, Callable[[float], float]]:
+    """The parabola through three points in Newton form: its divided
+    differences c1 and c2, and at(x) = y0 + c1*(x - x0) + c2*(x - x0)*(x - x1)."""
+    c1 = (y1 - y0) / (x1 - x0)
+    c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
+    return c1, c2, lambda x: y0 + c1 * (x - x0) + c2 * (x - x0) * (x - x1)
+
+
 def parabolic_vertex(
     x0: float, y0: float, x1: float, y1: float, x2: float, y2: float
 ) -> tuple[float, float]:
@@ -236,10 +256,8 @@ def parabolic_vertex(
 
     Degenerate (collinear) samples return the middle point unchanged.
     """
-    c1 = (y1 - y0) / (x1 - x0)
-    c2 = ((y2 - y1) / (x2 - x1) - c1) / (x2 - x0)
+    c1, c2, at = newton_parabola(x0, y0, x1, y1, x2, y2)
     if c2 == 0.0:
         return x1, y1
     xv = 0.5 * (x0 + x1) - 0.5 * c1 / c2
-    yv = y0 + c1 * (xv - x0) + c2 * (xv - x0) * (xv - x1)
-    return xv, yv
+    return xv, at(xv)

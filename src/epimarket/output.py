@@ -1,6 +1,8 @@
 """Artifact writers: time series, plot data, timelines, sweep tables and
 the run report. Every artifact file of the package is written here, and
-every JSON one by `write_json`.
+every JSON one in `write_json`'s format: the small ones by `write_json`,
+the time series as the same bytes from json's C encoder, with each
+column a leg shares with another encoded once.
 
 All numbers are written with shortest round-trip precision (repr of the
 Python float), so a write-then-read cycle is bit-exact and two runs with
@@ -177,13 +179,31 @@ def write_timeseries(trajectory: MarketTrajectory, fmt: str, path) -> str:
     if fmt == "csv":
         _write_tables([_series_table(trajectory, path)])
     elif fmt == "json":
-        *_, cols = _series_table(trajectory, path)
-        payload = {name: [float(v) for v in col] for name, col in zip(_TS_COLUMNS, cols)}
-        payload["phase"] = cols[-1]
-        write_json(payload, path)
+        _write_json_series(trajectory, path, {})
     else:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     return str(path)
+
+
+def _write_json_series(trajectory: MarketTrajectory, path: Path, encoded: dict) -> None:
+    """The JSON time series with write_json's bytes, each column through
+    json's C encoder (json.dump runs it only without indent) with indent=2's
+    separators. encoded holds each float column's text by array identity,
+    with the array, so no other array takes that id while encoded lives,
+    and legs that share a column encode it once."""
+    def items(values):
+        return json.dumps(values, separators=(",\n    ", ": "))[1:-1]
+
+    *_, cols = _series_table(trajectory, path)
+    texts = []
+    for col in cols[:-1]:
+        if id(col) not in encoded:
+            encoded[id(col)] = col, items(col.tolist())
+        texts.append(encoded[id(col)][1])
+    texts.append(items(cols[-1]))
+    body = ",\n".join(f'  "{name}": [\n    {text}\n  ]'
+                      for name, text in zip(_TS_COLUMNS + ("phase",), texts))
+    path.write_text(f"{{\n{body}\n}}\n", encoding="utf-8")
 
 
 def read_timeseries_csv(path) -> dict[str, object]:
@@ -227,14 +247,16 @@ def write_legs(legs, fmt: str, out_dir) -> tuple[list[str], list[str]]:
     leg order.
     """
     out = Path(out_dir)
-    tables, series, plots = [], [], []
+    tables, series, plots, encoded = [], [], [], {}
     for name, trajectory in legs:
         path = out / f"{name}.{fmt}"
         if fmt == "csv":
             tables.append(_series_table(trajectory, path))
-            series.append(str(path))
+        elif fmt == "json":
+            _write_json_series(trajectory, path, encoded)
         else:
-            series.append(write_timeseries(trajectory, fmt, path))
+            write_timeseries(trajectory, fmt, path)
+        series.append(str(path))
         tables.append(_plot_table(trajectory, out / f"{name}.dat"))
         plots.append(str(out / f"{name}.dat"))
     _write_tables(tables)

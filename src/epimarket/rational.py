@@ -440,7 +440,7 @@ def _retry(grid: Grid, horizon: bool = False) -> str:
     extend the horizon, if horizon."""
     half = 0.5 * grid.dt
     why = no_grid_steps(
-        grid.t_end - grid.t_start, half,
+        grid.t_end - grid.t_start, half, half,
         lambda finest: (f"no allowed grid halves dt over this span, as span/MAX_STEPS = "
                         f"{finest:.4g} > dt/2 = {half:.4g}"))
     if why is None:

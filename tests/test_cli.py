@@ -137,10 +137,11 @@ def test_default_artifact_sets_have_the_pinned_bytes(tmp_path, caplog, artifact_
 def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
     # (beta*N + gamma)*dt beyond RK4's stability interval is refused before
     # any step: at 50, and at 4.0, where every step of the myopic run would
-    # succeed, with a peak price 2.6 times the converged one
-    for text, argv, bound in (("beta=5\n", [], "0.000557"),
+    # succeed, with a peak price 2.6 times the converged one; the advice is
+    # the bound rounded down to 4 digits
+    for text, argv, bound in (("beta=5\n", [], "0.0005569"),
                               ("beta=0.4\nt_end=50\n", ["--scenario", "myopic"],
-                               "0.006961")):
+                               "0.00696")):
         cfg = tmp_path / "stiff.cfg"
         cfg.write_text(text)
         caplog.clear()
@@ -148,7 +149,7 @@ def test_stiff_grid_names_the_step_bound(tmp_path, caplog):
                        "--out", str(tmp_path / "out"))
         assert code == 3
         [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert f"dt <= 2.785/(beta*N + gamma) = {bound}" in err
+        assert err.endswith(f"; use dt <= 2.785/(beta*N + gamma) = {bound}")
 
 
 def test_a_stiff_input_no_allowed_grid_runs_advises_no_dt(tmp_path, caplog):

@@ -22,6 +22,7 @@ import re
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Context, Decimal
 from unittest import mock
 
 import numpy as np
@@ -38,10 +39,10 @@ from epimarket import (
     simulate_re_given_t1,
     solve_plateau,
 )
-from epimarket import rational
+from epimarket import numerics, rational
 from epimarket.epidemic import RK4_STABILITY, EpidemicTrajectory
 from epimarket.errors import ConfigError, GridTooCoarseError, IntegrationError, PriceFloorError
-from epimarket.numerics import MAX_STEPS, integrate_fixed_step, rk4_step
+from epimarket.numerics import integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
 # oracle: the coupled fields
@@ -373,6 +374,23 @@ PR21_BOOM_REFUSAL = (
     "at most 6.363e-143")
 
 
+def advised_dt(message):
+    """The dt that message advises as `use dt <= d`, as printed, or None."""
+    advice = re.search(r"use dt <= (?:2\.785/\(beta\*N \+ gamma\) = )?([^ ]+)", message)
+    return None if advice is None else advice[1]
+
+
+def largest_advice(bound, holds):
+    """The largest dt of at most 4 significant digits at or below bound at
+    which holds, printed as a refusal prints it: bound's 4-digit print,
+    stepped down one unit of its last digit while it lies above bound or
+    fails holds."""
+    d = Decimal(f"{bound:.3e}")
+    while d > Decimal(bound) or not holds(float(d)):
+        d = Context(prec=4).next_minus(d)
+    return f"{float(d):.4g}"
+
+
 def assert_advice_runs(grid, message):
     """message is a GridTooCoarseError's on grid. If it advises `dt <= d`,
     Grid admits some dt' <= d over the span; if it advises dt/2, Grid
@@ -381,11 +399,11 @@ def assert_advice_runs(grid, message):
     if "retry with dt/2" in message:
         assert Grid(grid.t_start, grid.t_end, 0.5 * grid.dt).n_steps == 2 * grid.n_steps
         return
-    advice = re.search(r"use dt <= (?:2\.785/\(beta\*N \+ gamma\) = )?([^ ]+)", message)
-    if advice is None:
+    text = advised_dt(message)
+    if text is None:
         assert "dt <= " not in message and "retry" not in message
         return
-    advised = float(advice[1])
+    advised = float(text)
     n = math.ceil(span / advised)
     while span / n > advised:
         n += 1
@@ -394,23 +412,28 @@ def assert_advice_runs(grid, message):
 
 def assert_sir_refusal(params, grid, message):
     """message is epidemic_pass's refusal of grid. Where some grid Grid
-    admits over the span meets the step bound, as it prints, it advises
-    the bound; elsewhere it names the input bound that fails on the finest
-    grid, span/MAX_STEPS, and advises no dt. Either way assert_advice_runs."""
+    admits over the span steps at the largest 4-digit dt that meets the
+    step bound, it advises that dt, and (beta*N + gamma)*dt <= 2.785 at
+    the dt it prints; elsewhere it names the input bound that fails on the
+    finest grid, span/MAX_STEPS, and advises no dt. The product that
+    refuses grid reads above 2.785. Either way assert_advice_runs."""
     assert_advice_runs(grid, message)
     rate = params.beta * params.total + params.gamma
-    span = grid.t_end - grid.t_start
+    span, limit = grid.t_end - grid.t_start, numerics.MAX_STEPS
+    digits = next(k for k in range(4, 18) if float(f"{rate * grid.dt:.{k}g}") > 2.785)
     head = (f"dt={grid.dt} is too coarse for RK4: (beta*N + gamma)*dt = "
-            f"{rate * grid.dt:.4g} lies beyond its stability interval of about 2.785; ")
+            f"{rate * grid.dt:.{digits}g} lies beyond its stability interval of about "
+            "2.785; ")
     bound = RK4_STABILITY / rate
-    advised = min(bound, float(f"{bound:.4g}"))
-    if span / MAX_STEPS > advised:
+    advised = largest_advice(bound, lambda d: rate * d <= RK4_STABILITY)
+    if span / limit > float(advised):
         assert message == head + (
             f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS = "
-            f"{rate * (span / MAX_STEPS):.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
-            f"10000000: the finest grid runs a span of at most {advised * MAX_STEPS:.4g}")
+            f"{rate * (span / limit):.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
+            f"{limit}: the finest grid runs a span of at most {bound * limit:.4g}")
     else:
-        assert message == head + f"use dt <= 2.785/(beta*N + gamma) = {bound:.4g}"
+        assert message == head + f"use dt <= 2.785/(beta*N + gamma) = {advised}"
+        assert rate * float(advised_dt(message)) <= RK4_STABILITY
 
 
 def assert_refused(params, grid):

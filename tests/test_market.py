@@ -1,6 +1,7 @@
 """Supply curve, clearing, the euphoric and depressive scenarios, quadrature."""
 from __future__ import annotations
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from epimarket.analysis import refine_peak
 from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError
 from epimarket.market import holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
-from test_drive_parity import PR21_BOOM_REFUSAL, assert_advice_runs
+from test_drive_parity import PR21_BOOM_REFUSAL, advised_dt, assert_advice_runs, largest_advice
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +269,17 @@ def test_every_boom_refusal_advises_a_grid_that_runs_or_no_dt(size, share, decay
             simulate_myopic(SupplyCurve(p0=p0, kappa=kappa), epi)
         except GridTooCoarseError as exc:
             assert_advice_runs(grid, str(exc))
+            # the printed dt is the largest 4-digit one that meets
+            # holdings_cannot_raise's bound, which it meets itself
+            gamma, top = params.gamma, float(np.max(epi.demand)) / p0
+            assert math.isfinite(top) and top > 0.0
+            holds = lambda d: gamma * d <= 1.0 and gamma * d * d * top <= kappa * p0
+            bound = min(1.0 / gamma, math.sqrt(kappa * p0 / gamma) / math.sqrt(top))
+            text, advised = advised_dt(str(exc)), largest_advice(bound, holds)
+            if n * dt / limit > float(advised):
+                assert text is None
+            else:
+                assert text == advised and holds(float(text))
 
 
 def test_a_boom_whose_demand_overflows_advises_no_dt(curve):

@@ -19,6 +19,7 @@ from epimarket import (
     check_propositions,
     epidemic_pass,
     parameter_sweep,
+    re_price_path,
     simulate_depression,
     simulate_myopic,
 )
@@ -272,6 +273,20 @@ def test_full_run_with_shared_columns_matches_the_row_reference(tmp_path, shared
 
 def test_json_legs_are_unchanged(tmp_path, shared_legs):
     _check_legs(tmp_path, _cut_legs(shared_legs, 2 * BLOCK_ROWS + 1), fmt="json")
+
+
+def test_json_series_has_the_bytes_of_json_dump_with_indent(tmp_path, curve):
+    # a short rational leg holds all three phase labels; the writer
+    # assembles the text json's pure-Python indent encoder would write
+    leg = re_price_path(curve, epidemic_pass(EpidemicParams(), Grid(0.0, 40.0, 0.1)))
+    assert set(leg.phases()) == {"pre", "plateau", "post"}
+    epi = leg.epi
+    payload = {name: col.tolist() for name, col in
+               zip(("t", "S", "I", "R", "X", "P"), (epi.times, epi.s, epi.i, epi.r, leg.x, leg.p))}
+    payload["phase"] = leg.phases()
+    write_timeseries(leg, "json", tmp_path / "rational.json")
+    assert (tmp_path / "rational.json").read_bytes() == (
+        json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def test_streamed_writer_closes_every_file_when_it_raises(tmp_path, monkeypatch,

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epimarket import EpidemicParams, Grid, epidemic, epidemic_pass
+from epimarket import EpidemicParams, Grid, epidemic, epidemic_pass, numerics
 from epimarket.errors import ConfigError, GridTooCoarseError
 from epimarket.numerics import MAX_STEPS
 from test_drive_parity import POPULATION_REFUSAL, assert_refused
@@ -92,6 +93,15 @@ def test_a_refusal_no_allowed_grid_can_meet_advises_no_dt():
     assert (1000.0 * 1000.0 + 0.1) * finest.dt <= epidemic.RK4_STABILITY
 
 
+def test_no_dt_is_advised_where_the_finest_grid_steps_above_it():
+    # beta=5 advises 0.0005569; over [0, 5569.5] the finest grid steps at
+    # 0.00055695, inside the bound 0.00055699 but above that dt, which Grid
+    # would refuse over the span
+    with pytest.raises(GridTooCoarseError) as exc:
+        epidemic_pass(EpidemicParams(beta=5.0), Grid(0.0, 5569.5, 0.01))
+    assert "dt <= " not in str(exc.value)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
     beta=st.floats(min_value=-3.0, max_value=12.0).map(lambda e: 10.0 ** e),
@@ -99,11 +109,38 @@ def test_a_refusal_no_allowed_grid_can_meet_advises_no_dt():
     gamma=st.floats(min_value=1e-3, max_value=10.0),
     dt=st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0 ** e),
     n=st.integers(min_value=1, max_value=10**4),
+    spare=st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)),
 )
-def test_every_refusal_advises_a_grid_that_runs_or_no_dt(beta, n1, gamma, dt, n):
+def test_every_refusal_advises_a_grid_that_runs_or_no_dt(beta, n1, gamma, dt, n, spare):
+    # the printed dt itself meets the bound (assert_sir_refusal); with spare
+    # set, the step limit is at most spare times the grid's steps, so the
+    # finest grid may miss the advised dt
     params, grid = EpidemicParams(beta=beta, gamma=gamma, n1=n1), Grid(0.0, n * dt, dt)
     assume((beta * params.total + gamma) * dt > epidemic.RK4_STABILITY)
-    assert_refused(params, grid)
+    limit = MAX_STEPS if spare is None else max(n, int(n * spare))
+    with mock.patch.object(numerics, "MAX_STEPS", limit):
+        assert_refused(params, grid)
+
+
+def test_the_advised_dt_runs_where_its_nearest_print_is_refused():
+    # beta=5's bound is 0.00055699 and beta=0.4's 0.0069608: their prints
+    # rounded to nearest, 0.000557 and 0.006961, lie above them, so the
+    # advice is the bound rounded down, and the product at 0.000557 reads
+    # above 2.785
+    with pytest.raises(GridTooCoarseError) as exc:
+        epidemic_pass(EpidemicParams(beta=5.0), Grid(0.0, 0.557, 0.000557))
+    assert str(exc.value) == (
+        "dt=0.000557 is too coarse for RK4: (beta*N + gamma)*dt = 2.7851 lies beyond its "
+        "stability interval of about 2.785; use dt <= 2.785/(beta*N + gamma) = 0.0005569")
+    for beta, grid in ((5.0, Grid(0.0, 0.5569, 0.0005569)), (0.4, Grid(0.0, 6.96, 0.00696))):
+        assert epidemic_pass(EpidemicParams(beta=beta), grid).s.shape == (1001,)
+    # a bound of 4 digits whose product rounds above 2.785 at that print:
+    # the advice is one unit of the last digit lower
+    rate = epidemic.RK4_STABILITY / 0.001087
+    assert epidemic.RK4_STABILITY / rate == 0.001087 and rate * 0.001087 > 2.785
+    with pytest.raises(GridTooCoarseError) as exc:
+        epidemic_pass(EpidemicParams(beta=0.0, gamma=rate), Grid(0.0, 1.0, 0.01))
+    assert str(exc.value).endswith("; use dt <= 2.785/(beta*N + gamma) = 0.001086")
 
 
 # ---------------------------------------------------------------------------
