@@ -50,8 +50,9 @@ from operator import neg
 
 import numpy as np
 
-from .errors import (BoundaryExtremumError, ConfigError, ConsistencyError, ConvergenceError,
-                     GridTooCoarseError, require_finite)
+from . import numerics
+from .errors import (STABILITY, BoundaryExtremumError, ConfigError, ConsistencyError,
+                     ConvergenceError, GridTooCoarseError, require_finite)
 from .numerics import (Bracket, Grid, advised_dt, find_root_bracketed, newton_parabola,
                        parabolic_vertex, rk4_step)
 
@@ -223,28 +224,20 @@ def epidemic_pass(params: EpidemicParams, grid: Grid) -> EpidemicTrajectory:
     to run on.
 
     Raises GridTooCoarseError before any step if (beta*N + gamma)*dt lies
-    beyond RK4_STABILITY. Its message advises the largest 4-digit dt that
-    meets the bound where some grid Grid admits over the span steps at it,
-    and else names the input bound that fails on the finest one and the
-    longest span a grid at the bound runs (`numerics.advised_dt`). On any
-    other grid S, I, R and every drive are finite (see EpidemicParams).
+    beyond RK4_STABILITY, advising the largest 4-digit dt that meets the
+    bound where some grid Grid admits over the span steps at it
+    (`numerics.advised_dt`; the error's fields say the rest). On any other
+    grid S, I, R and every drive are finite (see EpidemicParams).
     """
     n = grid.n_steps
     beta, gamma, w, h = params.beta, params.gamma, params.endowment, grid.dt
     rate = beta * params.total + gamma
     if rate * h > RK4_STABILITY:
-        dt, none_runs = advised_dt(
-            grid.t_end - grid.t_start, RK4_STABILITY / rate,
-            lambda d: rate * d <= RK4_STABILITY,
-            lambda finest: (f"no allowed grid runs this input, as (beta*N + gamma)*"
-                            f"span/MAX_STEPS = {rate * finest:.4g} > {RK4_STABILITY}"))
-        advice = none_runs or f"use dt <= {RK4_STABILITY}/(beta*N + gamma) = {dt}"
-        # 4 digits, or as many more as the product needs to read above the limit
-        digits = next(k for k in count(4) if float(f"{rate * h:.{k}g}") > RK4_STABILITY)
+        span, steps, bound = grid.t_end - grid.t_start, numerics.MAX_STEPS, RK4_STABILITY / rate
         raise GridTooCoarseError(
-            f"dt={h} is too coarse for RK4: (beta*N + gamma)*dt = {rate * h:.{digits}g} "
-            f"lies beyond its stability interval of about {RK4_STABILITY}; {advice}"
-        )
+            f"dt={h} is too coarse for RK4", STABILITY, rate * h, RK4_STABILITY,
+            advised_dt(bound, lambda d: rate * d <= RK4_STABILITY),
+            span=span, steps=steps, bound=bound, at_finest=rate * (span / steps))
     half, sixth = 0.5 * h, h / 6.0
     s, i = params.n1, params.n2
     # allocated at full size: growing them step by step fragments the heap

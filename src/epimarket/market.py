@@ -36,8 +36,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .epidemic import EpidemicTrajectory, coupled_field
-from .errors import ConfigError, DomainError, GridTooCoarseError, PriceFloorError, require_finite
-from .numerics import advised_dt
+from . import numerics
+from .errors import (DECAY, OVERSHOOT, ConfigError, DomainError, GridTooCoarseError,
+                     PriceFloorError, require_finite)
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -130,37 +131,29 @@ def boom_price(curve: SupplyCurve, epi: EpidemicTrajectory, t: float, x: float) 
     """The clearing price of a boom's holdings x at time t on the SIR pass
     epi. From x >= 0 a boom's exact holdings (and phase 1's z + h) never
     fall below 0, so at the floor it is RK4 overshoot: a GridTooCoarseError
-    naming the largest 4-digit dt at which holdings_cannot_raise's step
-    bound holds, or, where no grid Grid admits over the span steps at it,
-    the bound that fails on the finest one (`numerics.advised_dt`), or the
-    demand where that bound's top overflows, which no dt meets."""
+    advising the largest 4-digit dt at which holdings_cannot_raise's step
+    bound holds (`numerics.advised_dt`), or, where that bound's top
+    overflows, naming the demand, which no dt meets."""
     p = curve.p0 + x / curve.kappa
     if x > -curve.kappa * curve.p0 and p > 0.0:
         return p
-    gamma, kp = epi.params.gamma, curve.kappa * curve.p0
+    gamma, kp, dt = epi.params.gamma, curve.kappa * curve.p0, epi.grid.dt
     top = float(np.max(epi.demand, initial=0.0)) / curve.p0
-    if math.isfinite(top):
-        bound = min(1.0 / gamma, math.sqrt(kp / gamma) / math.sqrt(top)
-                    if top > 0.0 else math.inf)
-
-        def failing(finest):
-            if gamma * finest > 1.0:
-                return (f"no allowed grid runs this input, as gamma*span/MAX_STEPS = "
-                        f"{gamma * finest:.4g} > 1")
-            return (f"no allowed grid runs this input, as gamma*(span/MAX_STEPS)^2*top = "
-                    f"{gamma * finest * finest * top:.4g} > kappa*p0 = {kp:.4g} "
-                    f"(top = max demand/p0 = {top:.4g})")
-
-        dt, none_runs = advised_dt(epi.grid.t_end - epi.grid.t_start, bound,
-                                   lambda d: _step_holds(gamma, d, top, kp), failing)
-        advice = none_runs or (
-            f"use dt <= {dt} (gamma*dt <= 1, gamma*dt^2*top <= kappa*p0, "
-            f"top = max demand/p0 = {top:.4g}, every demand >= 0)")
-    else:
-        advice = ("no dt meets gamma*dt^2*top <= kappa*p0, as top = max demand/p0 "
-                  f"overflows for the demand {epi.params.demand_text}")
-    raise GridTooCoarseError(f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 "
-                             f"overshoot at dt={epi.grid.dt}; {advice}", time=t)
+    cause = f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 overshoot at dt={dt}"
+    if not math.isfinite(top):
+        raise GridTooCoarseError(cause, OVERSHOOT, math.inf, kp, None,
+                                 demand=epi.params.demand_text, time=t)
+    bound = min(1.0 / gamma, math.sqrt(kp / gamma) / math.sqrt(top) if top > 0.0 else math.inf)
+    span, steps = epi.grid.t_end - epi.grid.t_start, numerics.MAX_STEPS
+    finest = span / steps
+    # the check named fails at the finest step where one does, else its bound binds
+    decay = (bound == 1.0 / gamma if _step_holds(gamma, finest, top, kp)
+             else gamma * finest > 1.0)
+    check, limit, at = ((DECAY, 1.0, lambda d: gamma * d) if decay else
+                        (OVERSHOOT, kp, lambda d: gamma * d * d * top))
+    advised = numerics.advised_dt(bound, lambda d: _step_holds(gamma, d, top, kp))
+    raise GridTooCoarseError(cause, check, at(dt), limit, advised, span=span, steps=steps,
+                             bound=bound, at_finest=at(finest), top=top, time=t)
 
 
 def holdings_cannot_raise(curve: SupplyCurve, epi: EpidemicTrajectory, k: int,

@@ -3,10 +3,10 @@
 Fixed-step classical RK4 over tuples of floats, bracketed scalar root
 finding (bisection with secant acceleration), and the three-point
 parabola used for sub-grid extremum refinement. MAX_STEPS caps every
-grid, and no_grid_steps tells each refusal that would advise a step
-whether a grid within that cap can take it. A refusal of a step bound
-prints the dt that advised_dt returns, the one number it checks: no other
-module rounds or formats an advised dt.
+grid, and a refusal of a step bound advises the dt that advised_dt
+returns, the one number it checks: no other module rounds an advised dt.
+numerics builds no prose for a refusal: GridTooCoarseError prints it from
+its fields (`errors`).
 
 Everything here is a pure function of its inputs and bit-deterministic:
 identical inputs give identical outputs, with no adaptivity and no hidden
@@ -37,34 +37,17 @@ Field = Callable[[float, tuple], tuple]
 MAX_STEPS = 10**7
 
 
-def advised_dt(span: float, bound: float, holds: Callable[[float], bool],
-               failing: Callable[[float], str]) -> tuple[str, str | None]:
-    """The printed dt a refusal of a step beyond bound advises: the largest
-    of at most 4 significant digits at which holds, the refusal's own
-    check, passes (bound rounded down, one unit lower where the check's
-    product rounds above its limit). With it, no_grid_steps's words where
-    no Grid over span steps at that dt, else None."""
+def advised_dt(bound: float, holds: Callable[[float], bool]) -> float:
+    """The dt a refusal of a step beyond bound advises: the largest of at
+    most 4 significant digits at which holds, the refusal's own check,
+    passes (bound rounded down, one unit lower where the check's product
+    rounds above its limit)."""
     import decimal  # only a refusal needs it; at module level it costs every run 0.3 MB
     four = decimal.Context(prec=4, rounding=decimal.ROUND_FLOOR)
     d = four.create_decimal(bound)
     while not holds(float(d)):
         d = four.next_minus(d)
-    return f"{float(d):.4g}", no_grid_steps(span, float(d), bound, failing)
-
-
-def no_grid_steps(span: float, dt: float, bound: float,
-                  failing: Callable[[float], str]) -> str | None:
-    """None where some Grid over span steps at dt or finer, as the finest
-    one, of step span/MAX_STEPS, does. Else the words a refusal gives in
-    place of advising dt: failing(finest), the bound that fails at that
-    finest step, the span and MAX_STEPS, and the longest span a grid at the
-    step bound runs, bound*MAX_STEPS. MAX_STEPS is read at call time, as
-    Grid reads it."""
-    finest = span / MAX_STEPS
-    if finest <= dt:
-        return None
-    return (f"{failing(finest)} for span = {span:g} and MAX_STEPS = {MAX_STEPS}: "
-            f"the finest grid runs a span of at most {bound * MAX_STEPS:.4g}")
+    return float(d)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +77,8 @@ class Grid:
             )
         require_finite(self, ("t_start", "t_end", "dt"))
         span = (self.t_end - self.t_start) / self.dt
-        if not span <= MAX_STEPS:
+        # compared as a refusal compares it, so the finest grid it names runs
+        if not (self.t_end - self.t_start) / MAX_STEPS <= self.dt:
             raise ConfigError(
                 f"grid of {span:.10g} steps exceeds the limit of {MAX_STEPS}; "
                 f"use a larger dt or a shorter span"

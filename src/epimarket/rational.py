@@ -60,11 +60,12 @@ from itertools import islice
 
 import numpy as np
 
+from . import numerics
 from .epidemic import EpidemicParams, EpidemicTrajectory, coupled_field, infection_peak
-from .errors import DomainError, GridTooCoarseError, NoPlateauError, SimulationError
+from .errors import HALVED, DomainError, GridTooCoarseError, NoPlateauError, SimulationError
 from .market import (MarketTrajectory, SupplyCurve, boom_price,
                      holdings_cannot_raise, holdings_field, holdings_pass)
-from .numerics import Grid, no_grid_steps, rk4_step
+from .numerics import Grid, rk4_step
 
 
 @dataclass(frozen=True)
@@ -434,18 +435,12 @@ def _solve(curve, epi):
         raise
 
 
-def _retry(grid: Grid, horizon: bool = False) -> str:
-    """A failed shooting's advice: retry with dt/2, or, where no Grid over
-    the span steps at dt/2 (`numerics.no_grid_steps`), why none does; and
-    extend the horizon, if horizon."""
-    half = 0.5 * grid.dt
-    why = no_grid_steps(
-        grid.t_end - grid.t_start, half, half,
-        lambda finest: (f"no allowed grid halves dt over this span, as span/MAX_STEPS = "
-                        f"{finest:.4g} > dt/2 = {half:.4g}"))
-    if why is None:
-        return "retry with dt/2 or extend the horizon" if horizon else "retry with dt/2"
-    return f"{why}; extend the horizon" if horizon else why
+def _retry(cause: str, grid: Grid, horizon: bool = False) -> GridTooCoarseError:
+    """A failed shooting's refusal: retry with dt/2, where a Grid over the
+    span steps at it, and extend the horizon, if horizon."""
+    half, span, steps = 0.5 * grid.dt, grid.t_end - grid.t_start, numerics.MAX_STEPS
+    return GridTooCoarseError(cause, HALVED, grid.dt, half, half, span=span, steps=steps,
+                              bound=half, at_finest=span / steps, horizon=horizon)
 
 
 def _shoot(curve, epi):
@@ -471,9 +466,7 @@ def _shoot(curve, epi):
             f"no sign change to shoot on"
         )
     if kind_lo != "absorbed" or kind_hi != "flow-reversed":
-        raise GridTooCoarseError(
-            f"event order is not monotone in t1 at this resolution; {_retry(grid)}"
-        )
+        raise _retry("event order is not monotone in t1 at this resolution", grid)
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2
         kind = diag(mid)
@@ -482,9 +475,7 @@ def _shoot(curve, epi):
         elif kind == "flow-reversed":
             hi_k = mid
         else:
-            raise GridTooCoarseError(
-                f"plateau never closed before the horizon end; {_retry(grid, True)}"
-            )
+            raise _retry("plateau never closed before the horizon end", grid, True)
 
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
@@ -492,9 +483,7 @@ def _shoot(curve, epi):
         c = _closure_at(curve, epi, zs, hs, t_mid)
         evals += 1
         if not c.found:
-            raise GridTooCoarseError(
-                f"flow never reversed before the horizon end; {_retry(grid)}"
-            )
+            raise _retry("flow never reversed before the horizon end", grid)
         if (abs(c.residual_absorption) <= 0.5 * TOL * c.phi_star
                 and abs(c.residual_flow) <= 0.5 * TOL * params.gamma * c.phi_star):
             return PlateauSolution(
@@ -509,10 +498,7 @@ def _shoot(curve, epi):
             t_lo = t_mid
         if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
             break
-    raise GridTooCoarseError(
-        f"plateau closure residuals did not reach tol={TOL} at dt={grid.dt}; "
-        f"{_retry(grid)}"
-    )
+    raise _retry(f"plateau closure residuals did not reach tol={TOL} at dt={grid.dt}", grid)
 
 
 def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:

@@ -11,7 +11,7 @@ from epimarket import cli
 from epimarket.config import parse_config, with_overrides
 from epimarket.verify import CheckResult, VerificationReport
 from test_drive_parity import POPULATION_REFUSAL, PR21_BOOM_REFUSAL
-from test_sir_pass import BETA_1000_REFUSAL
+from test_sir_pass import BETA_1000_REFUSAL, BETA_5_BAND_REFUSAL
 
 FAST = "t_end=80\ndt=0.02\n"
 
@@ -161,6 +161,19 @@ def test_a_stiff_input_no_allowed_grid_runs_advises_no_dt(tmp_path, caplog):
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
         BETA_1000_REFUSAL]
+    assert _data_files(out) == []
+
+
+def test_a_stiff_input_only_grids_finer_than_4_digits_run_advises_no_dt(tmp_path, caplog):
+    # at beta=5 over [0, 5569.5] the finest grid meets the bound but steps
+    # above its advised 4-digit dt: exit 3, the comparison that says so and
+    # no dt
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("beta=5\nt_end=5569.5\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        BETA_5_BAND_REFUSAL]
     assert _data_files(out) == []
 
 

@@ -22,7 +22,6 @@ import re
 import sys
 import warnings
 from dataclasses import replace
-from decimal import Context, Decimal
 from unittest import mock
 
 import numpy as np
@@ -41,7 +40,8 @@ from epimarket import (
 )
 from epimarket import numerics, rational
 from epimarket.epidemic import RK4_STABILITY, EpidemicTrajectory
-from epimarket.errors import ConfigError, GridTooCoarseError, IntegrationError, PriceFloorError
+from epimarket.errors import (HALVED, OVERSHOOT, STABILITY, ConfigError, GridTooCoarseError,
+                              IntegrationError, PriceFloorError)
 from epimarket.numerics import integrate_fixed_step, rk4_step
 
 # ---------------------------------------------------------------------------
@@ -62,10 +62,11 @@ def _sir(params):
 
 
 def _overshoot(t, x, dt):
-    """A boom's holdings at the floor: RK4 overshoot on a grid of step dt."""
+    """A boom's holdings at the floor: RK4 overshoot on a grid of step dt.
+    The oracle derives no step bound: _raised compares the cause alone."""
     return GridTooCoarseError(
         f"clearing price hit zero at t={t} (x={x}) in a boom: RK4 overshoot at dt={dt}",
-        time=t)
+        OVERSHOOT, math.nan, math.nan, None, time=t)
 
 
 def _boom_field(params, curve, mirror, dt):
@@ -350,13 +351,13 @@ def test_open_plateau_matches_the_coupled_fields():
 
 
 def _raised(fn, *args):
-    """(type, time, message) of what fn raises, the message cut before the
-    dt a boom's overshoot error advises, or its word that no dt or no
-    allowed grid helps."""
+    """(type, time, message) of what fn raises, a GridTooCoarseError's
+    message its cause alone, before the dt it advises or its word that no
+    dt or no allowed grid helps."""
     with pytest.raises((IntegrationError, PriceFloorError, GridTooCoarseError)) as exc:
         fn(*args)
-    return (type(exc.value), exc.value.time,
-            re.split("; use dt <= |; no dt meets |; no allowed grid runs ", str(exc.value))[0])
+    err = exc.value
+    return type(err), err.time, err.cause if isinstance(err, GridTooCoarseError) else str(err)
 
 
 # the ConfigError of a population whose SIR pass could overflow, n its N
@@ -374,74 +375,70 @@ PR21_BOOM_REFUSAL = (
     "at most 6.363e-143")
 
 
-def advised_dt(message):
-    """The dt that message advises as `use dt <= d`, as printed, or None."""
-    advice = re.search(r"use dt <= (?:2\.785/\(beta\*N \+ gamma\) = )?([^ ]+)", message)
-    return None if advice is None else advice[1]
+def assert_inequalities_hold(text):
+    """Every inequality a refusal prints reads true with its sides read
+    back as floats: a value beyond the stability interval, each `a > b`,
+    and the longest span `at most L` below the printed span."""
+    pairs = re.findall(r"= (\S+) lies beyond its stability interval of about (\S+);", text)
+    pairs += re.findall(r"= (\S+) > (?:\S+ = )?([^\s;]+)", text)
+    pairs += re.findall(r"for span = (\S+) and MAX_STEPS = \d+: the finest grid runs a span "
+                        r"of at most ([^\s;]+)", text)
+    for big, small in pairs:
+        assert float(big) > float(small), (big, small, text)
+    return len(pairs)
 
 
-def largest_advice(bound, holds):
-    """The largest dt of at most 4 significant digits at or below bound at
-    which holds, printed as a refusal prints it: bound's 4-digit print,
-    stepped down one unit of its last digit while it lies above bound or
-    fails holds."""
-    d = Decimal(f"{bound:.3e}")
-    while d > Decimal(bound) or not holds(float(d)):
-        d = Context(prec=4).next_minus(d)
-    return f"{float(d):.4g}"
-
-
-def assert_advice_runs(grid, message):
-    """message is a GridTooCoarseError's on grid. If it advises `dt <= d`,
-    Grid admits some dt' <= d over the span; if it advises dt/2, Grid
-    admits dt/2. Any other names no dt."""
+def assert_advice_runs(grid, exc):
+    """exc is a GridTooCoarseError on grid, and every inequality it prints
+    holds. Where it advises a dt, its finest step lying at or below
+    exc.advised, the text prints that float, and Grid admits some dt' <= it
+    over the span (dt/2 itself for the shooting). Elsewhere it names no dt."""
+    text = str(exc)
+    assert_inequalities_hold(text)
+    if exc.advised is None or exc.finest > exc.advised:
+        assert "dt <= " not in text and "retry" not in text
+        return
+    if exc.check == HALVED:
+        assert "retry with dt/2" in text and exc.advised == 0.5 * grid.dt
+        assert Grid(grid.t_start, grid.t_end, exc.advised).n_steps == 2 * grid.n_steps
+        return
+    printed = f"{exc.advised:.4g}"
+    assert float(printed) == exc.advised
+    assert f"; use dt <= {printed} (" in text or text.endswith(f"(beta*N + gamma) = {printed}")
     span = grid.t_end - grid.t_start
-    if "retry with dt/2" in message:
-        assert Grid(grid.t_start, grid.t_end, 0.5 * grid.dt).n_steps == 2 * grid.n_steps
-        return
-    text = advised_dt(message)
-    if text is None:
-        assert "dt <= " not in message and "retry" not in message
-        return
-    advised = float(text)
-    n = math.ceil(span / advised)
-    while span / n > advised:
+    n = math.ceil(span / exc.advised)
+    while n > 1 and span / (n - 1) <= exc.advised:
+        n -= 1
+    while span / n > exc.advised:
         n += 1
     assert Grid(grid.t_start, grid.t_end, span / n).n_steps == n
 
 
-def assert_sir_refusal(params, grid, message):
-    """message is epidemic_pass's refusal of grid. Where some grid Grid
-    admits over the span steps at the largest 4-digit dt that meets the
-    step bound, it advises that dt, and (beta*N + gamma)*dt <= 2.785 at
-    the dt it prints; elsewhere it names the input bound that fails on the
-    finest grid, span/MAX_STEPS, and advises no dt. The product that
-    refuses grid reads above 2.785. Either way assert_advice_runs."""
-    assert_advice_runs(grid, message)
-    rate = params.beta * params.total + params.gamma
-    span, limit = grid.t_end - grid.t_start, numerics.MAX_STEPS
-    digits = next(k for k in range(4, 18) if float(f"{rate * grid.dt:.{k}g}") > 2.785)
-    head = (f"dt={grid.dt} is too coarse for RK4: (beta*N + gamma)*dt = "
-            f"{rate * grid.dt:.{digits}g} lies beyond its stability interval of about "
-            "2.785; ")
-    bound = RK4_STABILITY / rate
-    advised = largest_advice(bound, lambda d: rate * d <= RK4_STABILITY)
-    if span / limit > float(advised):
-        assert message == head + (
-            f"no allowed grid runs this input, as (beta*N + gamma)*span/MAX_STEPS = "
-            f"{rate * (span / limit):.4g} > 2.785 for span = {span:g} and MAX_STEPS = "
-            f"{limit}: the finest grid runs a span of at most {bound * limit:.4g}")
-    else:
-        assert message == head + f"use dt <= 2.785/(beta*N + gamma) = {advised}"
-        assert rate * float(advised_dt(message)) <= RK4_STABILITY
-
-
 def assert_refused(params, grid):
-    """epidemic_pass refuses the grid before any step, as
-    assert_sir_refusal says."""
-    with pytest.raises(GridTooCoarseError) as exc:
+    """epidemic_pass's GridTooCoarseError on grid, raised before any step.
+    Its fields hold the check (beta*N + gamma)*dt beyond 2.785 at dt, an
+    advised dt of at most 4 digits at or below the bound that passes it,
+    and the span, the finest step and the check there under
+    numerics.MAX_STEPS as read at the call; assert_advice_runs."""
+    with pytest.raises(GridTooCoarseError) as info:
         epidemic_pass(params, grid)
-    assert_sir_refusal(params, grid, str(exc.value))
+    exc = info.value
+    rate = params.beta * params.total + params.gamma
+    assert (exc.check, exc.value, exc.limit) == (STABILITY, rate * grid.dt, RK4_STABILITY)
+    assert exc.value > exc.limit
+    assert exc.advised <= RK4_STABILITY / rate and rate * exc.advised <= RK4_STABILITY
+    assert float(f"{exc.advised:.4g}") == exc.advised
+    span, limit = grid.t_end - grid.t_start, numerics.MAX_STEPS
+    assert (exc.span, exc.steps, exc.finest) == (span, limit, span / limit)
+    assert exc.at_finest == rate * exc.finest
+    assert_advice_runs(grid, exc)
+    return exc
+
+
+def assert_sir_refusal(params, grid, message):
+    """message is the text of epidemic_pass's refusal of grid (as a sweep
+    row or a CSV cell holds it), whose fields assert_refused checks."""
+    assert message == str(assert_refused(params, grid))
 
 
 def test_depression_floor_error_matches_the_coupled_field(params, grid, epidemic_run):

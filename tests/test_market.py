@@ -21,9 +21,9 @@ from epimarket import (
 from epimarket import numerics
 from epimarket.analysis import refine_peak
 from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError
-from epimarket.market import holdings_field, holdings_pass
+from epimarket.market import boom_price, holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
-from test_drive_parity import PR21_BOOM_REFUSAL, advised_dt, assert_advice_runs, largest_advice
+from test_drive_parity import PR21_BOOM_REFUSAL, assert_advice_runs
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +268,37 @@ def test_every_boom_refusal_advises_a_grid_that_runs_or_no_dt(size, share, decay
         try:
             simulate_myopic(SupplyCurve(p0=p0, kappa=kappa), epi)
         except GridTooCoarseError as exc:
-            assert_advice_runs(grid, str(exc))
-            # the printed dt is the largest 4-digit one that meets
-            # holdings_cannot_raise's bound, which it meets itself
+            assert_advice_runs(grid, exc)
+            # the advised dt has at most 4 digits and meets holdings_cannot_raise's
+            # bound; where the finest step lies above it, none is advised
+            # (assert_advice_runs)
             gamma, top = params.gamma, float(np.max(epi.demand)) / p0
-            assert math.isfinite(top) and top > 0.0
-            holds = lambda d: gamma * d <= 1.0 and gamma * d * d * top <= kappa * p0
+            assert math.isfinite(top) and top > 0.0 and exc.top == top
             bound = min(1.0 / gamma, math.sqrt(kappa * p0 / gamma) / math.sqrt(top))
-            text, advised = advised_dt(str(exc)), largest_advice(bound, holds)
-            if n * dt / limit > float(advised):
-                assert text is None
-            else:
-                assert text == advised and holds(float(text))
+            assert exc.advised <= bound and float(f"{exc.advised:.4g}") == exc.advised
+            assert gamma * exc.advised <= 1.0
+            assert gamma * exc.advised * exc.advised * top <= kappa * p0
+            assert exc.finest == n * dt / limit
+
+
+def test_a_boom_whose_finest_grid_steps_above_the_advised_dt_advises_none(curve):
+    # with the limit at 10 steps, the finest grid over [0, 33.3331] steps at
+    # 3.33331: gamma*dt <= 1 holds there, but the step lies above the
+    # advised 3.333, the bound 1/gamma rounded down. That grid runs, so the
+    # error advises no dt and says no "no allowed grid"; each side of its
+    # comparison is printed apart from the other, and true
+    params = EpidemicParams(beta=1e-5, gamma=0.3)
+    with mock.patch.object(numerics, "MAX_STEPS", 10):
+        epi = epidemic_pass(params, Grid(0.0, 33.3331, 3.33331))
+        with pytest.raises(GridTooCoarseError) as info:
+            boom_price(curve, epi, 0.0, -20.0)
+    assert str(info.value) == (
+        "clearing price hit zero at t=0.0 (x=-20.0) in a boom: RK4 overshoot at dt=3.33331; "
+        "no dt is advised, as the finest grid steps above the largest 4-digit dt that meets "
+        "the bound: span/MAX_STEPS = 3.3333 > 3.333 for span = 33.3331 and MAX_STEPS = 10")
+    exc = info.value
+    assert (exc.check, exc.advised, exc.finest) == ("gamma*dt", 3.333, 3.33331)
+    assert exc.at_finest <= 1.0 and exc.time == 0.0
 
 
 def test_a_boom_whose_demand_overflows_advises_no_dt(curve):

@@ -256,6 +256,30 @@ def test_a_retry_no_allowed_grid_takes_advises_no_dt_over_the_span(curve, monkey
         Grid(0.0, 300.0, 0.025)
 
 
+def test_each_retry_text_reads_true():
+    # dt/2 = 0.025 against span/MAX_STEPS = 0.0250001 over [0, 250001]:
+    # both sides, and the longest span against the span, are printed with
+    # the digits that tell them apart
+    grid = Grid(0.0, 250001.0, 0.05)
+    assert str(rational._retry("flow never reversed before the horizon end", grid, True)) == (
+        "flow never reversed before the horizon end; no allowed grid halves dt over this "
+        "span, as span/MAX_STEPS = 0.0250001 > dt/2 = 0.025 for span = 250001 and "
+        "MAX_STEPS = 10000000: the finest grid runs a span of at most 250000; extend the "
+        "horizon")
+    # where a grid steps at dt/2, the shooting's four causes read as before
+    grid = Grid(0.0, 300.0, 0.05)
+    for cause, horizon, advice in (
+            ("event order is not monotone in t1 at this resolution", False, "retry with dt/2"),
+            ("plateau never closed before the horizon end", True,
+             "retry with dt/2 or extend the horizon"),
+            ("flow never reversed before the horizon end", False, "retry with dt/2"),
+            ("plateau closure residuals did not reach tol=0.0001 at dt=0.05", False,
+             "retry with dt/2")):
+        exc = rational._retry(cause, grid, horizon)
+        assert str(exc) == f"{cause}; {advice}"
+        assert (exc.check, exc.value, exc.limit, exc.advised) == ("dt", 0.05, 0.025, 0.025)
+
+
 @pytest.mark.parametrize("t_end", [10.0, 19.0, 20.0])
 def test_horizon_short_of_the_infection_peak_blames_the_horizon(params, curve, t_end):
     # I still rises at the horizon end (its peak is at t = 21.159), so no
@@ -308,7 +332,8 @@ def test_phase_labels_partition_the_path(rational_run):
 
 def _full_grid_solve(params, curve, grid, tol, epi):
     """The solve with phase 1 accumulated over all n steps and stage one
-    bracketed on [1, n-1]: (t1, t2, P*, residual_flow, residual_absorption)."""
+    bracketed on [1, n-1]: (t1, t2, P*, residual_flow, residual_absorption),
+    or the shooting's refusal, as rational._retry records it."""
     n = grid.n_steps
     zs, hs = rational._accumulate(curve, epi, n)
     assert len(zs) == n + 1
@@ -324,9 +349,7 @@ def _full_grid_solve(params, curve, grid, tol, epi):
             f"no sign change to shoot on"
         )
     if kind_lo != "absorbed" or kind_hi != "flow-reversed":
-        raise GridTooCoarseError(
-            "event order is not monotone in t1 at this resolution; retry with dt/2"
-        )
+        raise rational._retry("event order is not monotone in t1 at this resolution", grid)
     while hi_k - lo_k > 1:
         mid = (lo_k + hi_k) // 2
         kind = diag(mid)
@@ -335,18 +358,13 @@ def _full_grid_solve(params, curve, grid, tol, epi):
         elif kind == "flow-reversed":
             hi_k = mid
         else:
-            raise GridTooCoarseError(
-                "plateau never closed before the horizon end; retry with dt/2 "
-                "or extend the horizon"
-            )
+            raise rational._retry("plateau never closed before the horizon end", grid, True)
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
         c = rational._closure_at(curve, epi, zs, hs, t_mid)
         if not c.found:
-            raise GridTooCoarseError(
-                "flow never reversed before the horizon end; retry with dt/2"
-            )
+            raise rational._retry("flow never reversed before the horizon end", grid)
         if (abs(c.residual_absorption) <= 0.5 * tol * c.phi_star
                 and abs(c.residual_flow) <= 0.5 * tol * params.gamma * c.phi_star):
             return (t_mid, c.t2, c.p_star, c.residual_flow, c.residual_absorption)
@@ -356,10 +374,8 @@ def _full_grid_solve(params, curve, grid, tol, epi):
             t_lo = t_mid
         if t_hi - t_lo <= 1e-13 * max(1.0, t_hi):
             break
-    raise GridTooCoarseError(
-        f"plateau closure residuals did not reach tol={tol} at dt={grid.dt}; "
-        f"retry with dt/2"
-    )
+    raise rational._retry(f"plateau closure residuals did not reach tol={tol} at dt={grid.dt}",
+                          grid)
 
 
 def _first_reversed_node(params, curve, epi, zs, hs):

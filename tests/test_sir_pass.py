@@ -93,13 +93,25 @@ def test_a_refusal_no_allowed_grid_can_meet_advises_no_dt():
     assert (1000.0 * 1000.0 + 0.1) * finest.dt <= epidemic.RK4_STABILITY
 
 
+# beta=5 advises 0.0005569; over [0, 5569.5] the finest grid steps at
+# 0.00055695, inside the bound 0.00055699 but above that dt, which Grid
+# would refuse over the span. The finest grid runs, so no dt is advised
+# and no "no allowed grid" is said, and its comparison reads true
+BETA_5_BAND_REFUSAL = (
+    "dt=0.01 is too coarse for RK4: (beta*N + gamma)*dt = 50 lies beyond its stability "
+    "interval of about 2.785; no dt is advised, as the finest grid steps above the largest "
+    "4-digit dt that meets the bound: span/MAX_STEPS = 0.00055695 > 0.0005569 for span = "
+    "5569.5 and MAX_STEPS = 10000000")
+
+
 def test_no_dt_is_advised_where_the_finest_grid_steps_above_it():
-    # beta=5 advises 0.0005569; over [0, 5569.5] the finest grid steps at
-    # 0.00055695, inside the bound 0.00055699 but above that dt, which Grid
-    # would refuse over the span
-    with pytest.raises(GridTooCoarseError) as exc:
-        epidemic_pass(EpidemicParams(beta=5.0), Grid(0.0, 5569.5, 0.01))
-    assert "dt <= " not in str(exc.value)
+    exc = assert_refused(EpidemicParams(beta=5.0), Grid(0.0, 5569.5, 0.01))
+    assert str(exc) == BETA_5_BAND_REFUSAL
+    assert exc.advised < exc.finest and exc.at_finest <= epidemic.RK4_STABILITY
+    finest = Grid(0.0, 5569.5, exc.finest)
+    assert finest.n_steps == MAX_STEPS
+    assert epidemic_pass(EpidemicParams(beta=5.0), Grid(0.0, 5.5695, exc.finest)).s.shape == (
+        10001,)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -112,7 +124,7 @@ def test_no_dt_is_advised_where_the_finest_grid_steps_above_it():
     spare=st.one_of(st.none(), st.floats(min_value=1.0, max_value=1e4)),
 )
 def test_every_refusal_advises_a_grid_that_runs_or_no_dt(beta, n1, gamma, dt, n, spare):
-    # the printed dt itself meets the bound (assert_sir_refusal); with spare
+    # the advised dt itself meets the bound (assert_refused); with spare
     # set, the step limit is at most spare times the grid's steps, so the
     # finest grid may miss the advised dt
     params, grid = EpidemicParams(beta=beta, gamma=gamma, n1=n1), Grid(0.0, n * dt, dt)
