@@ -25,14 +25,13 @@ from .epidemic import (
     infection_peak,
 )
 from .errors import (
-    BoundaryExtremumError,
     ConfigError,
     ConsistencyError,
     DomainError,
     SimulationError,
 )
 from .market import MarketTrajectory, SupplyCurve, simulate_myopic
-from .numerics import Grid, parabolic_vertex
+from .numerics import Grid, refine_max
 from .pool import forked, usable_cpus
 from .rational import re_price_head
 
@@ -51,10 +50,10 @@ ORDERING_KEYS = (
 
 
 def refine_peak(times, values, mode: str = "max") -> tuple[float, float]:
-    """Parabolic refinement of the discrete extremum of a sampled series.
-
-    Fits the vertex through the extremal node and its two neighbors; the
-    returned time lies within one sample spacing of the discrete arg-ext.
+    """Parabolic refinement of the discrete extremum of a sampled series
+    (`numerics.refine_max`; a minimum is the maximum of -values, negated
+    back): the vertex through the extremal node and its two neighbors,
+    within one sample spacing of the discrete arg-ext.
     """
     if mode not in ("max", "min"):
         raise DomainError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -64,15 +63,12 @@ def refine_peak(times, values, mode: str = "max") -> tuple[float, float]:
         raise DomainError("times and values must be 1-d arrays of equal length")
     if ts.size < 3:
         raise DomainError(f"need at least 3 samples, got {ts.size}")
-    k = int(np.argmax(vs)) if mode == "max" else int(np.argmin(vs))
-    if k == 0 or k == ts.size - 1:
-        raise BoundaryExtremumError(
-            f"discrete {mode} sits on the boundary (node {k}); "
-            f"no interior extremum to refine"
-        )
-    tv, vv = parabolic_vertex(ts[k - 1], vs[k - 1], ts[k], vs[k],
-                              ts[k + 1], vs[k + 1])
-    return float(tv), float(vv)
+    if not (np.diff(ts) > 0.0).all():
+        raise DomainError("times must be strictly increasing")
+    sign = 1.0 if mode == "max" else -1.0
+    _k, tv, vv = refine_max(ts, sign * vs, f"discrete {mode} sits on the boundary (node {{k}}); "
+                            "no interior extremum to refine")
+    return tv, sign * vv
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +180,11 @@ def claim_counts(claims) -> dict[str, int]:
 
 
 def _interior_extrema(p: np.ndarray, p0: float, mode: str) -> list[int]:
-    # strict-left, weak-right turning points beyond a 1e-6 relative band
-    if mode == "max":
-        thr = p0 * (1.0 + 1e-6)
-        hits = (p[1:-1] > p[:-2]) & (p[1:-1] >= p[2:]) & (p[1:-1] > thr)
-    else:
-        thr = p0 * (1.0 - 1e-6)
-        hits = (p[1:-1] < p[:-2]) & (p[1:-1] <= p[2:]) & (p[1:-1] < thr)
+    # strict-left, weak-right turning points beyond a 1e-6 relative band;
+    # a minimum of p is a maximum of -p, beyond the band negated
+    sign = 1.0 if mode == "max" else -1.0
+    q, thr = sign * p, sign * (p0 * (1.0 + sign * 1e-6))
+    hits = (q[1:-1] > q[:-2]) & (q[1:-1] >= q[2:]) & (q[1:-1] > thr)
     return [int(k) + 1 for k in np.flatnonzero(hits)]
 
 

@@ -51,10 +51,10 @@ from operator import neg
 import numpy as np
 
 from . import numerics
-from .errors import (STABILITY, BoundaryExtremumError, ConfigError, ConsistencyError,
-                     ConvergenceError, GridTooCoarseError, require_finite)
+from .errors import (STABILITY, ConfigError, ConsistencyError, ConvergenceError,
+                     GridTooCoarseError, require_finite)
 from .numerics import (Bracket, Grid, advised_dt, find_root_bracketed, newton_parabola,
-                       parabolic_vertex, rk4_step)
+                       refine_max, rk4_step)
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -366,7 +366,7 @@ def steady_state_recovered(params: EpidemicParams) -> float:
 
 
 def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> InfectionPeak:
-    """Sub-grid refinement of the interior maximum of I.
+    """Sub-grid refinement of the interior maximum of I (`numerics.refine_max`).
 
     A peak exists only when the initial susceptible mass exceeds
     gamma/beta and some infection is seeded (n2 > 0); otherwise I never
@@ -377,15 +377,9 @@ def infection_peak(params: EpidemicParams, trajectory: EpidemicTrajectory) -> In
     if not params.booms:
         return InfectionPeak(t_star=None, s_star=None)
 
-    i_arr = trajectory.i
-    k = int(np.argmax(i_arr))
-    if k == 0 or k == len(i_arr) - 1:
-        raise BoundaryExtremumError(
-            f"infected maximum sits on the grid boundary (node {k}); "
-            f"the horizon is too short to contain the peak"
-        )
-    t, nodes = trajectory.times, (k - 1, k, k + 1)
-    t_star = parabolic_vertex(*(float(col[j]) for j in nodes for col in (t, i_arr)))[0]
-    # S at the refined time, on the parabola through its three nodes
-    s_at = newton_parabola(*(float(col[j]) for j in nodes for col in (t, trajectory.s)))[2]
+    t, s = trajectory.times, trajectory.s
+    k, t_star, _i = refine_max(t, trajectory.i, "infected maximum sits on the grid boundary "
+                               "(node {k}); the horizon is too short to contain the peak")
+    # S at the refined time, on the parabola through the same three nodes
+    s_at = newton_parabola(*(float(col[j]) for j in (k - 1, k, k + 1) for col in (t, s)))[2]
     return InfectionPeak(t_star=t_star, s_star=s_at(t_star))

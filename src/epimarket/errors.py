@@ -63,7 +63,8 @@ def _digits(a: float, b: float) -> int:
     return next((k for k in range(4, 17) if float(f"{a:.{k}g}") > float(f"{b:.{k}g}")), 17)
 
 
-def _apart(a: float, b: float) -> tuple[str, str]:
+def apart(a: float, b: float) -> tuple[str, str]:
+    """a > b printed at the digits of _digits, so the printed sides read a > b."""
     k = _digits(a, b)
     return f"{a:.{k}g}", f"{b:.{k}g}"
 
@@ -107,7 +108,7 @@ class GridTooCoarseError(SimulationError):
     def __str__(self) -> str:
         text = self.cause
         if self.check == STABILITY:
-            value, limit = _apart(self.value, self.limit)
+            value, limit = apart(self.value, self.limit)
             text += (f": {self.check} = {value} lies beyond its stability interval of "
                      f"about {limit}")
         if self.advised is None:
@@ -122,11 +123,11 @@ class GridTooCoarseError(SimulationError):
             return (f"{text}; use dt <= {self.advised:.4g} ({DECAY} <= 1, {OVERSHOOT} <= "
                     f"kappa*p0, top = max demand/p0 = {self.top:.4g}, every demand >= 0)")
         if self.at_finest <= self.limit:
-            finest, advised = _apart(self.finest, self.advised)
+            finest, advised = apart(self.finest, self.advised)
             return (f"{text}; no dt is advised, as the finest grid steps above the largest "
                     f"4-digit dt that meets the bound: span/MAX_STEPS = {finest} > {advised} "
                     f"for span = {self.span:g} and MAX_STEPS = {self.steps}")
-        at, limit = _apart(self.at_finest, self.limit)
+        at, limit = apart(self.at_finest, self.limit)
         # no grid meeting the check runs span, though bound*steps may round up to it
         longest = min(self.longest, math.nextafter(self.span, 0.0))
         k = _digits(self.span, longest)  # the span at no fewer digits than elsewhere

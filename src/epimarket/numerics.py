@@ -1,10 +1,10 @@
 """Shared numerical kernels.
 
 Fixed-step classical RK4 over tuples of floats, bracketed scalar root
-finding (bisection with secant acceleration), and the three-point
-parabola used for sub-grid extremum refinement. MAX_STEPS caps every
-grid, and a refusal of a step bound advises the dt that advised_dt
-returns, the one number it checks: no other module rounds an advised dt.
+finding (bisection with secant acceleration), and refine_max, the one
+sub-grid extremum refinement. MAX_STEPS caps every grid, and a refusal
+of a step bound advises the dt that advised_dt returns, the one number
+it checks: no other module rounds an advised dt.
 numerics builds no prose for a refusal: GridTooCoarseError prints it from
 its fields (`errors`).
 
@@ -21,11 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    BoundaryExtremumError,
     BracketError,
     ConfigError,
     ConvergenceError,
     DomainError,
     IntegrationError,
+    apart,
     require_finite,
 )
 
@@ -61,7 +63,8 @@ class Grid:
 
     The span must be an integer number of steps to within 1e-9 relative;
     anything else is a configuration mistake, not a rounding problem to
-    paper over. At most MAX_STEPS steps.
+    paper over. At most MAX_STEPS steps, as span/MAX_STEPS <= dt in floats
+    (a span that rounds above MAX_STEPS*dt is refused at MAX_STEPS steps).
     """
 
     t_start: float
@@ -76,13 +79,15 @@ class Grid:
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
         require_finite(self, ("t_start", "t_end", "dt"))
-        span = (self.t_end - self.t_start) / self.dt
+        width = self.t_end - self.t_start
         # compared as a refusal compares it, so the finest grid it names runs
-        if not (self.t_end - self.t_start) / MAX_STEPS <= self.dt:
+        if not width / MAX_STEPS <= self.dt:
+            finest, dt = apart(width / MAX_STEPS, self.dt)
             raise ConfigError(
-                f"grid of {span:.10g} steps exceeds the limit of {MAX_STEPS}; "
-                f"use a larger dt or a shorter span"
+                f"dt is finer than the limit of {MAX_STEPS} steps allows, as span/MAX_STEPS "
+                f"= {finest} > dt = {dt} for span = {width}; use a larger dt or a shorter span"
             )
+        span = width / self.dt
         if abs(span - round(span)) > 1e-9 * max(1.0, abs(span)):
             raise ConfigError(
                 f"grid span {self.t_end - self.t_start} is not an integral "
@@ -233,15 +238,17 @@ def newton_parabola(x0: float, y0: float, x1: float, y1: float, x2: float,
     return c1, c2, lambda x: y0 + c1 * (x - x0) + c2 * (x - x0) * (x - x1)
 
 
-def parabolic_vertex(
-    x0: float, y0: float, x1: float, y1: float, x2: float, y2: float
-) -> tuple[float, float]:
-    """Vertex (x, y) of the parabola through three points.
-
-    Degenerate (collinear) samples return the middle point unchanged.
-    """
+def refine_max(x, y, boundary: str) -> tuple[int, float, float]:
+    """Node k = np.argmax(y) and the vertex (x, y) of the parabola through
+    nodes k-1, k and k+1 of samples y at nodes x, node k itself if they are
+    collinear; k at an end raises BoundaryExtremumError(boundary.format(k=k)).
+    A minimum is the maximum of -y, negated back, to the bit."""
+    k = int(np.argmax(y))
+    if k == 0 or k == len(y) - 1:
+        raise BoundaryExtremumError(boundary.format(k=k))
+    (x0, y0), (x1, y1), (x2, y2) = ((float(x[j]), float(y[j])) for j in (k - 1, k, k + 1))
     c1, c2, at = newton_parabola(x0, y0, x1, y1, x2, y2)
     if c2 == 0.0:
-        return x1, y1
+        return k, x1, y1
     xv = 0.5 * (x0 + x1) - 0.5 * c1 / c2
-    return xv, at(xv)
+    return k, xv, at(xv)

@@ -93,18 +93,6 @@ class PlateauSolution:
     iterations: int
 
 
-@dataclass(frozen=True)
-class _Closure:
-    """Diagnostics of one plateau integration at a trial t1."""
-
-    found: bool
-    t2: float
-    p_star: float
-    phi_star: float
-    residual_flow: float
-    residual_absorption: float
-
-
 # ---------------------------------------------------------------------------
 # phase fields
 # ---------------------------------------------------------------------------
@@ -375,8 +363,9 @@ def _node_diagnosis(curve, epi, zs, hs, k1) -> str:
     return "open"
 
 
-def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
-    """Integrate the plateau from t1 to the net-flow zero crossing.
+def _closure_at(curve, epi, zs, hs, t1: float) -> tuple[PlateauSolution | None, float]:
+    """The plateau from t1 closed at the net-flow zero crossing, with
+    iterations 0, or None if the flow never reverses; and phi(P*) at t1.
 
     The (s, i, z) dynamics at pinned P* do not depend on h, so the scan
     runs past h <= 0 if needed; the signed leftover h at the crossing is
@@ -400,10 +389,10 @@ def _closure_at(curve, epi, zs, hs, t1: float) -> _Closure:
                 if t2 > t_prev:
                     st2 = rk4_step(_phase2_field(epi.params, p_star), t_prev, st_prev,
                                    t2 - t_prev)
-            return _Closure(True, t2, p_star, phi_star, _flow(epi.params, p_star, st2),
-                            st2[4])
+            return (PlateauSolution(t1, t2, p_star, _flow(epi.params, p_star, st2), st2[4], 0),
+                    phi_star)
         z_prev, h_prev, flow_prev = z, h, flow
-    return _Closure(False, epi.grid.t_end, p_star, phi_star, flow_prev, h_prev)
+    return None, phi_star
 
 
 def solve_plateau(curve: SupplyCurve, epi: EpidemicTrajectory) -> PlateauSolution:
@@ -480,18 +469,13 @@ def _shoot(curve, epi):
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        c = _closure_at(curve, epi, zs, hs, t_mid)
+        c, phi_star = _closure_at(curve, epi, zs, hs, t_mid)
         evals += 1
-        if not c.found:
+        if c is None:
             raise _retry("flow never reversed before the horizon end", grid)
-        if (abs(c.residual_absorption) <= 0.5 * TOL * c.phi_star
-                and abs(c.residual_flow) <= 0.5 * TOL * params.gamma * c.phi_star):
-            return PlateauSolution(
-                t1=t_mid, t2=c.t2, p_star=c.p_star,
-                residual_flow=c.residual_flow,
-                residual_absorption=c.residual_absorption,
-                iterations=evals,
-            ), zs, hs
+        if (abs(c.residual_absorption) <= 0.5 * TOL * phi_star
+                and abs(c.residual_flow) <= 0.5 * TOL * params.gamma * phi_star):
+            return replace(c, iterations=evals), zs, hs
         if c.residual_absorption > 0.0:
             t_hi = t_mid
         else:

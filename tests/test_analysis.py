@@ -27,6 +27,7 @@ from epimarket.errors import (
     ConsistencyError,
     DomainError,
 )
+from epimarket.numerics import newton_parabola
 from test_drive_parity import POPULATION_REFUSAL, assert_sir_refusal
 
 
@@ -50,6 +51,32 @@ def test_refine_peak_off_node_vertex():
     assert v_v == pytest.approx(2.0, abs=1e-12)
 
 
+def _fitted_min(ts, vs):
+    """The vertex through the discrete minimum and its two neighbours,
+    fitted on the values themselves, as refine_peak once fitted a trough."""
+    k = int(np.argmin(vs))
+    c1, c2, at = newton_parabola(*(float(col[j]) for j in (k - 1, k, k + 1)
+                                   for col in (ts, vs)))
+    if c2 == 0.0:
+        return float(ts[k]), float(vs[k])
+    tv = 0.5 * (float(ts[k - 1]) + float(ts[k])) - 0.5 * c1 / c2
+    return tv, at(tv)
+
+
+def test_a_trough_is_the_negated_peak_of_minus_the_series_bit_for_bit(epidemic_run):
+    rng = np.random.default_rng(37)
+    bust = simulate_depression(SupplyCurve(kappa=400.0), epidemic_run)
+    series = [(bust.epi.times, bust.p)]
+    series += [(np.cumsum(rng.uniform(0.01, 1.0, 40)), rng.normal(size=40)) for _ in range(200)]
+    for ts, vs in series:
+        if int(np.argmin(vs)) in (0, len(vs) - 1):
+            continue
+        t_max, v_max = refine_peak(ts, -vs, mode="max")
+        trough = refine_peak(ts, vs, mode="min")
+        for got in (trough, _fitted_min(ts, vs)):
+            assert [x.hex() for x in got] == [t_max.hex(), (-v_max).hex()]
+
+
 def test_refine_peak_input_validation():
     with pytest.raises(DomainError):
         refine_peak([0.0, 1.0], [1.0, 2.0])
@@ -57,6 +84,10 @@ def test_refine_peak_input_validation():
         refine_peak([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], mode="extremum")
     with pytest.raises(BoundaryExtremumError):
         refine_peak([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    # a repeated or falling time would divide by a zero or negative spacing
+    for ts in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, float("nan"), 2.0]):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            refine_peak(ts, [0.0, 2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +187,15 @@ def test_unimodal_checker_rejects_a_double_bump(myopic_run):
     p_bad[25000] += 1.0  # second hump far from the true peak
     report = check_propositions(replace(myopic_run, p=p_bad))
     assert report.claims["price_unimodal"].status == "fail"
+
+
+def test_unimodality_counts_a_turn_only_beyond_the_band_on_its_own_side():
+    # a peak must rise above p0*(1 + 1e-6), a trough fall below p0*(1 - 1e-6)
+    p0 = 5.0
+    for mode, side in (("max", 1.0), ("min", -1.0)):
+        for depth, count in ((5e-7, 0), (2e-6, 1), (-2e-6, 0)):
+            p = np.array([p0, p0 * (1.0 + side * depth), p0])
+            assert len(analysis._interior_extrema(p, p0, mode)) == count, (mode, depth)
 
 
 def test_plateau_checker_rejects_a_wobble(myopic_run, rational_run):

@@ -14,7 +14,7 @@ from epimarket import (
     steady_state_recovered,
 )
 from epimarket.epidemic import coupled_field
-from epimarket.numerics import parabolic_vertex
+from epimarket.numerics import refine_max
 from epimarket.errors import (
     BoundaryExtremumError,
     ConfigError,
@@ -30,9 +30,7 @@ def _i_star(epi):
     """The pass's refined infected maximum: the vertex of the parabola
     through I at the three nodes around its largest, as infection_peak
     refines t_star."""
-    k = int(np.argmax(epi.i))
-    return parabolic_vertex(*(float(col[j]) for j in (k - 1, k, k + 1)
-                              for col in (epi.times, epi.i)))[1]
+    return refine_max(epi.times, epi.i, "infected maximum at node {k}")[2]
 
 
 # ---------------------------------------------------------------------------

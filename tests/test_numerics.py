@@ -1,4 +1,4 @@
-"""Grid, RK4 stepper, bracketed root finding, parabolic vertex."""
+"""Grid, RK4 stepper, bracketed root finding, extremum refinement."""
 from __future__ import annotations
 
 import math
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from epimarket.errors import (
+    BoundaryExtremumError,
     BracketError,
     ConfigError,
     IntegrationError,
@@ -17,7 +18,7 @@ from epimarket.numerics import (
     Grid,
     find_root_bracketed,
     integrate_fixed_step,
-    parabolic_vertex,
+    refine_max,
     rk4_step,
 )
 
@@ -138,17 +139,29 @@ def test_find_root_survives_bracket_at_machine_resolution():
 
 
 # ---------------------------------------------------------------------------
-# parabolic vertex
+# extremum refinement
 # ---------------------------------------------------------------------------
 
 
-def test_parabolic_vertex_recovers_exact_parabola():
+def test_refine_max_recovers_exact_parabola():
     f = lambda x: -((x - 3.0) ** 2) + 5.0
-    xv, yv = parabolic_vertex(2.0, f(2.0), 3.5, f(3.5), 4.0, f(4.0))
+    xs = [0.5, 2.0, 3.5, 4.0, 6.0]
+    k, xv, yv = refine_max(xs, [f(x) for x in xs], "unused")
+    assert k == 2
     assert xv == pytest.approx(3.0, abs=1e-12)
     assert yv == pytest.approx(5.0, abs=1e-12)
 
 
-def test_parabolic_vertex_degenerate_line_returns_middle():
-    xv, yv = parabolic_vertex(0.0, 1.0, 1.0, 2.0, 2.0, 3.0)
-    assert (xv, yv) == (1.0, 2.0)
+def test_refine_max_collinear_nodes_return_the_middle_node():
+    # a maximum strictly above its left neighbour is collinear with its
+    # two neighbours only where the divided differences underflow to 0
+    k, xv, yv = refine_max(np.array([0.0, 10.0, 20.0]), np.array([0.0, 5e-324, 0.0]), "")
+    assert (k, xv, yv) == (1, 10.0, 5e-324)
+    assert type(xv) is float and type(yv) is float
+
+
+def test_refine_max_refuses_an_end_node_with_its_callers_text():
+    for ys, k in (([3.0, 2.0, 1.0], 0), ([1.0, 2.0, 3.0], 2)):
+        with pytest.raises(BoundaryExtremumError) as info:
+            refine_max([0.0, 1.0, 2.0], ys, "peak at node {k}")
+        assert str(info.value) == f"peak at node {k}"

@@ -252,7 +252,8 @@ def test_a_retry_no_allowed_grid_takes_advises_no_dt_over_the_span(curve, monkey
         "plateau closure residuals did not reach tol=0.0001 at dt=0.05; no allowed grid "
         "halves dt over this span, as span/MAX_STEPS = 0.0375 > dt/2 = 0.025 for span = "
         "300 and MAX_STEPS = 8000: the finest grid runs a span of at most 200")
-    with pytest.raises(ConfigError, match="exceeds the limit of 8000"):
+    with pytest.raises(ConfigError, match=r"limit of 8000 steps allows, as span/MAX_STEPS = "
+                                          r"0\.0375 > dt = 0\.025 for span = 300\.0;"):
         Grid(0.0, 300.0, 0.025)
 
 
@@ -362,11 +363,12 @@ def _full_grid_solve(params, curve, grid, tol, epi):
     t_lo, t_hi = grid.node(lo_k), grid.node(hi_k)
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        c = rational._closure_at(curve, epi, zs, hs, t_mid)
-        if not c.found:
+        c, phi_star = rational._closure_at(curve, epi, zs, hs, t_mid)
+        if c is None:
             raise rational._retry("flow never reversed before the horizon end", grid)
-        if (abs(c.residual_absorption) <= 0.5 * tol * c.phi_star
-                and abs(c.residual_flow) <= 0.5 * tol * params.gamma * c.phi_star):
+        if (abs(c.residual_absorption) <= 0.5 * tol * phi_star
+                and abs(c.residual_flow) <= 0.5 * tol * params.gamma * phi_star):
+            assert c.t1 == t_mid
             return (t_mid, c.t2, c.p_star, c.residual_flow, c.residual_absorption)
         if c.residual_absorption > 0.0:
             t_hi = t_mid

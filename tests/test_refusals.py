@@ -12,6 +12,10 @@ step is drawn near the step bound, so the finest grid may step inside the
 bound but above the advised 4-digit dt. No drawn grid runs a large pass:
 every refusal comes before its first step, or after a pass of at most
 1,000 steps.
+
+Grid's own refusal of a dt finer than MAX_STEPS steps allows reads true
+too: a span built as n*dt at n = MAX_STEPS may round above MAX_STEPS*dt,
+and Grid refuses it by the comparison it prints.
 """
 from __future__ import annotations
 
@@ -21,9 +25,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from epimarket import EpidemicParams, Grid, SupplyCurve, epidemic_pass, numerics, rational
+from epimarket import EpidemicParams, Grid, SupplyCurve, cli, epidemic_pass, numerics, rational
 from epimarket.epidemic import RK4_STABILITY
-from epimarket.errors import STABILITY, GridTooCoarseError
+from epimarket.errors import STABILITY, ConfigError, GridTooCoarseError
 from epimarket.market import boom_price
 from test_drive_parity import assert_advice_runs, assert_inequalities_hold, assert_refused
 
@@ -106,3 +110,33 @@ def test_every_shooting_refusal_reads_true(dt, near, n, horizon):
         _assert_reads_true(grid, exc)
     assert exc.advised == 0.5 * dt
     assert str(exc).endswith("extend the horizon") is horizon
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(dt=_log(-9.0, 3.0), limit=st.integers(min_value=2, max_value=10**7),
+       off=st.sampled_from((-1, 0, 1)))
+def test_every_grid_refusal_reads_true(dt, limit, off):
+    # n*dt at n = MAX_STEPS may round an ulp above MAX_STEPS*dt: Grid
+    # refuses that span, and its text prints the comparison it made
+    n = limit + off
+    with mock.patch.object(numerics, "MAX_STEPS", limit):
+        if n * dt / limit <= dt:
+            assert off < 1 and Grid(0.0, n * dt, dt).n_steps == n
+            return
+        assert off > -1
+        with pytest.raises(ConfigError) as info:
+            Grid(0.0, n * dt, dt)
+    assert assert_inequalities_hold(str(info.value)) == 1
+
+
+def test_the_cli_refuses_a_max_steps_grid_whose_span_rounds_above_it(tmp_path, caplog):
+    # 4.9/MAX_STEPS rounds above 4.9e-7, so Grid refuses the grid of
+    # exactly MAX_STEPS steps: exit 2 with the comparison, read true
+    cfg = tmp_path / "max_steps.cfg"
+    cfg.write_text("t_end=4.9\ndt=4.9e-7\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        "dt is finer than the limit of 10000000 steps allows, as span/MAX_STEPS = "
+        "4.900000000000001e-07 > dt = 4.9e-07 for span = 4.9; use a larger dt or a shorter span"]
+    assert not out.exists()
