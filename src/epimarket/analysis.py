@@ -65,6 +65,8 @@ def refine_peak(times, values, mode: str = "max") -> tuple[float, float]:
         raise DomainError(f"need at least 3 samples, got {ts.size}")
     if not (np.diff(ts) > 0.0).all():
         raise DomainError("times must be strictly increasing")
+    if not np.isfinite(vs).all():
+        raise DomainError("values must be finite")
     sign = 1.0 if mode == "max" else -1.0
     _k, tv, vv = refine_max(ts, sign * vs, f"discrete {mode} sits on the boundary (node {{k}}); "
                             "no interior extremum to refine")
@@ -138,7 +140,8 @@ def build_timeline(
     verdicts: dict[str, bool | None] = {}
     t1 = t2 = p_star_re = None
     if rational is not None:
-        t1, t2, p_star_re = rational.t1, rational.t2, rational.p_star
+        plateau = rational.plateau
+        t1, t2, p_star_re = plateau.t1, plateau.t2, plateau.p_star
         verdicts["t1_lt_t_p_star_m"] = _strict(t1, t_p, dt)
         verdicts["t_p_star_m_lt_t2"] = _strict(t_p, t2, dt)
         verdicts["t2_lt_t_i_star"] = _strict(t2, peak.t_star, dt)
@@ -250,7 +253,7 @@ def _rational_claims(
 ) -> dict[str, ClaimResult]:
     claims: dict[str, ClaimResult] = {}
     dt = rational.epi.grid.dt
-    p_star = rational.p_star
+    p_star = rational.plateau.p_star
     lo = rational.plateau_start
     hi = rational.post_start if rational.post_start is not None else len(rational.p)
 
@@ -277,7 +280,7 @@ def _rational_claims(
     # strictly so once a short startup transient (10 steps) has passed
     # a sweep's rational path may end at its closing node (re_price_head)
     n = len(rational.p)
-    t1 = rational.t1
+    t1 = rational.plateau.t1
     times = rational.epi.times[:n]
     in_window = (times > 0.0) & (times <= t1)
     strict_w = (times > 10.0 * dt) & (times <= t1)

@@ -67,12 +67,13 @@ class MarketTrajectory:
 
     x is total speculative holdings (on a rational path, the sum z + h of
     the holdings of the currently infected and of the cured agents waiting
-    out the plateau, which the path keeps only as that sum), and for the
-    rational scenario the plateau metadata t1/t2/p_star plus the two
-    phase-boundary node indices are populated; a solved path
-    (`re_price_path`) also carries its PlateauSolution as solution. x and p
-    run over every node of epi, except on a head (`re_price_head`), which
-    ends before epi does.
+    out the plateau, which the path keeps only as that sum). A rational
+    path also holds its two phase-boundary node indices and its one
+    plateau record, whose t1, t2 and P* it keeps no copy of: the solve's
+    PlateauSolution on a solved path (`re_price_path`), the closing scan
+    entry's on a trial one (`simulate_re_given_t1`). x and p run over
+    every node of epi, except on a head (`re_price_head`), which ends
+    before epi does.
     """
 
     epi: EpidemicTrajectory
@@ -80,12 +81,9 @@ class MarketTrajectory:
     scenario: str
     x: np.ndarray
     p: np.ndarray
-    t1: float | None = None
-    t2: float | None = None
-    p_star: float | None = None
     plateau_start: int | None = None
     post_start: int | None = None
-    solution: PlateauSolution | None = None
+    plateau: PlateauSolution | None = None
 
     def phases(self) -> list[str]:
         """Per-node phase labels for serialization.

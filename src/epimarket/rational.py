@@ -38,12 +38,14 @@ its checks in its loop only where `market.holdings_cannot_raise`
 cannot rule them out.
 
 Every path holds the SIR pass it ran on (`MarketTrajectory.epi`), and
-keeps x = z + h, not its parts. A sweep judges a point on
-`re_price_head`, whose x and p end at the closing node: the event
-timeline and the plateau claims read nothing after it. Its unwind runs
-only for the legs that are written (`re_price_path`), or where
-`market.holdings_cannot_raise` cannot rule out that the unwind raises,
-so a head fails as its full path.
+keeps x = z + h, not its parts, and one plateau record, a
+PlateauSolution (`MarketTrajectory.plateau`): the solve's own on a
+solved path, the closing scan entry's on a trial path from a given t1.
+A sweep judges a point on `re_price_head`, whose x and p end at the
+closing node: the event timeline and the plateau claims read nothing
+after it. Its unwind runs only for the legs that are written
+(`re_price_path`), or where `market.holdings_cannot_raise` cannot rule
+out that the unwind raises, so a head fails as its full path.
 
 The phase-1 and phase-2 fields (`coupled_field`) define those phases:
 partial steps, replays of non-finite steps and, in phase 1, of stages at
@@ -69,22 +71,19 @@ from .numerics import Grid, rk4_step
 
 
 @dataclass(frozen=True)
-class PlateauDiagnosis:
-    """Which event ended the plateau scan, and when.
+class PlateauSolution:
+    """A plateau: its sell-start time t1, its close t2 and its pinned price
+    P*, with the waiting stock h (residual_absorption) and the net flow
+    (residual_flow) at the close.
 
-    kind is 'absorbed' (waiting inventory ran out first), 'flow-reversed'
-    (net buying at P* turned negative first) or 'open' (neither happened
-    before the horizon end).
+    A solve's record closes at the sub-node flow reversal, and iterations
+    counts its evaluations. A trial leg's record (simulate_re_given_t1),
+    with iterations 0, closes at the first scan entry where h <= 0
+    (absorbed) or else the net flow is <= 0 (flow-reversed): at t1 itself
+    on a collapse, at that node otherwise, and at the horizon end, with
+    both values still positive, while the plateau stays open.
     """
 
-    kind: str
-    time: float
-    h_value: float
-    flow_value: float
-
-
-@dataclass(frozen=True)
-class PlateauSolution:
     t1: float
     t2: float
     p_star: float
@@ -264,20 +263,13 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     return k1, p_star, y, nodes()
 
 
-def _closing_kind(h: float) -> str:
-    """The event that closed the plateau at a scan entry where h <= 0 or
-    the net flow is <= 0."""
-    return "absorbed" if h <= 0.0 else "flow-reversed"
-
-
 # ---------------------------------------------------------------------------
 # single-shot simulation at a given t1
 # ---------------------------------------------------------------------------
 
 
-def simulate_re_given_t1(
-    curve: SupplyCurve, t1: float, epi: EpidemicTrajectory,
-) -> tuple[MarketTrajectory, PlateauDiagnosis]:
+def simulate_re_given_t1(curve: SupplyCurve, t1: float,
+                         epi: EpidemicTrajectory) -> MarketTrajectory:
     """Three-phase trajectory for a trial sell-start time t1, on the SIR pass epi.
 
     t1 is normally a grid node; off-node values are accepted (the solved
@@ -285,7 +277,8 @@ def simulate_re_given_t1(
     steps. The plateau phase ends at the first node where h <= 0 or where
     net flow at P* is <= 0, whichever fires first; from that node h is
     frozen at zero and the price clears on z alone. The trajectory holds
-    epi, the pass it ran on.
+    epi, the pass it ran on, and its plateau record, whose signs tell
+    which event closed it (see PlateauSolution).
     """
     grid = epi.grid
     if not (grid.t_start <= t1 < grid.t_end):
@@ -297,11 +290,13 @@ def simulate_re_given_t1(
 def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     """simulate_re_given_t1 from phase-1 z and h at nodes 0..k1 or beyond.
 
-    With unwind=False the path ends at the closing node post_start, unless
-    the unwind after it could raise (see market.holdings_cannot_raise): then it
-    runs, so the head fails exactly where the full path does.
+    The leg's plateau record is its closing scan entry's (see
+    PlateauSolution). With unwind=False the path ends at the closing node
+    post_start, unless the unwind after it could raise (see
+    market.holdings_cannot_raise): then it runs, so the head fails exactly
+    where the full path does.
     """
-    params, grid = epi.params, epi.grid
+    grid = epi.grid
     p0, kappa = curve.p0, curve.kappa
     k1, p_star, y, nodes = _scan(curve, epi, zs, hs, t1)
     # the scan's first entry is t1 itself, not a node: dropped below
@@ -321,14 +316,14 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
             post_start, t2 = k1 + 1, t1
             x = (_to_node(epi, holdings_field(curve, epi), t1, k1, y[:4])[0]
                  if k1 < grid.n_steps else None)
-        diag = PlateauDiagnosis(_closing_kind(h), t2, h, flow)
         if x is not None:
             head = not unwind and holdings_cannot_raise(curve, epi, post_start, x)
             z_post = (array("d", [x]) if head
                       else holdings_pass(curve, epi, post_start, x))
         break
     else:
-        diag = PlateauDiagnosis("open", grid.t_end, h, flow)
+        t2 = grid.t_end
+    plateau = PlateauSolution(t1, t2, p_star, flow, h, 0)
 
     z1, h1 = np.frombuffer(zs)[:k1 + 1], np.frombuffer(hs)[:k1 + 1]
     zp = np.frombuffer(z_plateau)[1:]
@@ -337,12 +332,11 @@ def _replay(curve, t1: float, epi, zs, hs, unwind: bool = True):
     h = np.concatenate((h1, np.frombuffer(h_plateau)[1:], np.zeros(len(z3))))
     p = np.concatenate((p0 + (z1 + h1) / kappa, np.full(len(zp), p_star),
                         p0 + z3 / kappa))
-    traj = MarketTrajectory(
+    return MarketTrajectory(
         epi=epi, curve=curve, scenario="rational", x=z + h, p=p,
-        t1=t1, t2=diag.time, p_star=p_star,
         plateau_start=k1 + 1, post_start=post_start,
+        plateau=plateau,
     )
-    return traj, diag
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +349,12 @@ TOL = 1e-4
 
 def _node_diagnosis(curve, epi, zs, hs, k1) -> str:
     """Event order for t1 at grid node k1: the first event of the path
-    simulate_re_given_t1 takes from there, or 'open'."""
+    simulate_re_given_t1 takes from there, 'absorbed' where h <= 0 and
+    'flow-reversed' where h > 0 >= the net flow, or 'open'."""
     _k1, _p_star, _y, nodes = _scan(curve, epi, zs, hs, epi.grid.node(k1))
     for _j, _z, h, flow in nodes:
         if h <= 0.0 or flow <= 0.0:
-            return _closing_kind(h)
+            return "absorbed" if h <= 0.0 else "flow-reversed"
     return "open"
 
 
@@ -486,12 +481,12 @@ def _shoot(curve, epi):
 
 
 def re_price_path(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajectory:
-    """Solved three-phase price path with t1, t2, P* attached as metadata.
+    """Solved three-phase price path, whose plateau record is the solve's
+    own PlateauSolution.
 
-    t2 in the metadata is the sub-node flow-reversal time from the solve,
-    whose PlateauSolution is attached as solution; the phase column
-    switches at whole nodes. The solve and the replay share the SIR pass
-    epi and its phase 1.
+    Its t2 is the sub-node flow-reversal time from the solve; the phase
+    column switches at whole nodes. The solve and the replay share the SIR
+    pass epi and its phase 1.
     """
     return _solved_path(curve, epi, True)
 
@@ -510,5 +505,4 @@ def re_price_head(curve: SupplyCurve, epi: EpidemicTrajectory) -> MarketTrajecto
 
 def _solved_path(curve, epi, unwind: bool):
     sol, zs, hs = _solve(curve, epi)
-    traj, _diag = _replay(curve, sol.t1, epi, zs, hs, unwind)
-    return replace(traj, t2=sol.t2, solution=sol)
+    return replace(_replay(curve, sol.t1, epi, zs, hs, unwind), plateau=sol)

@@ -381,12 +381,12 @@ def run_verification(out_dir) -> VerificationReport:
         check_infection_peak(params, epi),
         check_peak_lead_sweep(rows),
         check_quadrature(myopic, fine),
-        check_plateau_closure(rational.solution, claims, params, curve),
+        check_plateau_closure(rational.plateau, claims, params, curve),
         check_re_dominance(claims),
         check_re_lower_peak(claims, rows),
         check_ordering_chain(timeline, claims, rows),
         check_depression(curve, epi),
-        check_event_convergence(curve, myopic, rational.solution, fine),
+        check_event_convergence(curve, myopic, rational.plateau, fine),
         check_determinism(params, curve, grid, rows, out),
     ]
 

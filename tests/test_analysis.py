@@ -90,6 +90,17 @@ def test_refine_peak_input_validation():
             refine_peak(ts, [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("mode", ["max", "min"])
+def test_refine_peak_refuses_non_finite_values(mode):
+    # a NaN hides from the argmax or drops the finite extremum, and an
+    # infinite value makes the parabola's vertex NaN: each used to give (nan, nan)
+    nan, inf = float("nan"), float("inf")
+    for vs in ([0.0, nan, 1.0, 0.0], [0.0, 2.0, nan, 0.0], [0.0, inf, 1.0, 0.0],
+               [0.0, -inf, 1.0, 0.0]):
+        with pytest.raises(DomainError, match="values must be finite"):
+            refine_peak([0.0, 1.0, 2.0, 3.0], vs, mode)
+
+
 # ---------------------------------------------------------------------------
 # timeline assembly
 # ---------------------------------------------------------------------------

@@ -235,6 +235,16 @@ POINTS = [
 ]
 
 
+def closing_kind(traj) -> str:
+    """The event that closed a rational leg's plateau, read off the signs in
+    its record: 'absorbed' where h <= 0, 'flow-reversed' where h > 0 >= the
+    net flow, and 'open' where both are still positive."""
+    plateau = traj.plateau
+    if plateau.residual_absorption <= 0.0:
+        return "absorbed"
+    return "flow-reversed" if plateau.residual_flow <= 0.0 else "open"
+
+
 def held(curve, traj):
     """z and h of a rational path at its nodes, which the path keeps only as
     their sum x: phase 1's and the plateau scan's up to its closing node,
@@ -243,7 +253,7 @@ def held(curve, traj):
     post = len(traj.p) if traj.post_start is None else traj.post_start
     zs, hs = rational._accumulate(curve, epi, k1)
     z, h = list(zs), list(hs)
-    for j, zj, hj, _flow in rational._scan(curve, epi, zs, hs, traj.t1)[3]:
+    for j, zj, hj, _flow in rational._scan(curve, epi, zs, hs, traj.plateau.t1)[3]:
         if j >= post:
             break
         if j > k1:
@@ -319,9 +329,9 @@ def test_rational_path_matches_the_coupled_fields(beta, gamma, kappa, bounds, w)
     closings = set()
     for label, trial in trials.items():
         cols, kind = oracle_re_given_t1(params, curve, trial, grid)
-        traj, diag = simulate_re_given_t1(curve, trial, epi)
-        assert diag.kind == kind, label
-        closings.add((kind, diag.time == trial))
+        traj = simulate_re_given_t1(curve, trial, epi)
+        assert closing_kind(traj) == kind, label
+        closings.add((kind, traj.plateau.t2 == trial))
         for col, name in enumerate("sir"):
             assert np.array_equal(_column(traj, name), cols[:, col]), (label, name)
         z, h = held(curve, traj)
@@ -336,8 +346,9 @@ def test_open_plateau_matches_the_coupled_fields():
     # the horizon ends while the plateau is still open
     params, curve, grid = EpidemicParams(), SupplyCurve(), Grid(0.0, 16.0, 1e-2)
     cols, kind = oracle_re_given_t1(params, curve, 14.005, grid)
-    traj, diag = simulate_re_given_t1(curve, 14.005, epidemic_pass(params, grid))
-    assert kind == diag.kind == "open"
+    traj = simulate_re_given_t1(curve, 14.005, epidemic_pass(params, grid))
+    assert kind == closing_kind(traj) == "open"
+    assert traj.plateau.t2 == grid.t_end
     for col, name in enumerate("sir"):
         assert np.array_equal(_column(traj, name), cols[:, col]), name
     z, h = held(curve, traj)
@@ -497,15 +508,14 @@ def test_a_blow_up_in_each_rational_phase_fails_at_its_step(curve, epidemic_run,
     s[k] = demand[k] = np.inf
     broken = replace(epidemic_run, s=s, demand=demand)
     with pytest.raises(IntegrationError) as info:
-        simulate_re_given_t1(curve, rational_run.t1, broken)
+        simulate_re_given_t1(curve, rational_run.plateau.t1, broken)
     assert info.value.time == float(epidemic_run.times[k])
 
 
 @pytest.mark.parametrize("leg", [
     pytest.param(simulate_myopic, id="myopic"),
     pytest.param(simulate_depression, id="depression"),
-    pytest.param(lambda curve, epi: simulate_re_given_t1(curve, 15.0, epi)[0],
-                 id="rational"),
+    pytest.param(lambda curve, epi: simulate_re_given_t1(curve, 15.0, epi), id="rational"),
 ])
 def test_a_pass_whose_sir_sum_overflows_replays_no_step(leg):
     # the defaults at kappa=400, every mass scaled by 1e300, with R set to

@@ -15,7 +15,7 @@ A read is an attribute load of that name, or a string constant equal to
 it, as config.serialize_config and errors.require_finite read fields
 through getattr. Allowed are the attribute names that the benchmark
 harness (benchmarks/workloads.py and benchmarks/tracing.py) and the
-README's library examples spell, and the fields of PLATEAU_DIAGNOSIS.
+README's library examples spell.
 """
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ from test_bench_names import BENCH, COUNTED, SPANNED, _workload_names
 from test_readme import _library_blocks
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "epimarket"
-
-# only simulate_re_given_t1 returns a PlateauDiagnosis, and only the
-# benchmark keeps that function; both go together (ROADMAP item 3)
-PLATEAU_DIAGNOSIS = {"rational.PlateauDiagnosis.kind", "rational.PlateauDiagnosis.h_value",
-                     "rational.PlateauDiagnosis.flow_value"}
 
 
 def _spelled(node: ast.AST) -> Counter:
@@ -82,14 +77,14 @@ def _members(cls: ast.ClassDef):
 def unread_members(package: Path, allowed: set[str]) -> list[str]:
     """module.Class.member of each member of a class in package, dunders
     aside, that no package code outside its own definition reads, less the
-    member names in allowed and the module.Class.member entries in it."""
+    member names in allowed."""
     trees = _trees(package)
     everywhere = sum(map(_read, trees.values()), Counter())
     return [f"{module}.{cls.name}.{name}" for module, tree in trees.items()
             for cls in tree.body if isinstance(cls, ast.ClassDef)
             for name, node in _members(cls)
             if not (name.startswith("__") and name.endswith("__"))
-            and name not in allowed and f"{module}.{cls.name}.{name}" not in allowed
+            and name not in allowed
             and everywhere[name] == _read(node)[name]]
 
 
@@ -104,7 +99,7 @@ def test_every_definition_has_a_caller_in_the_package():
 
 
 def test_every_member_is_read_in_the_package():
-    allowed = set(PLATEAU_DIAGNOSIS)
+    allowed: set[str] = set()
     for name in ("workloads.py", "tracing.py"):
         allowed |= _attributes((BENCH / name).read_text(encoding="utf-8"))
     for block in _library_blocks():

@@ -24,7 +24,7 @@ from epimarket import analysis, numerics, rational
 from epimarket.errors import (BoundaryExtremumError, ConfigError, DomainError,
                               GridTooCoarseError, NoPlateauError, SimulationError)
 from epimarket.market import holdings_cannot_raise, holdings_pass
-from test_drive_parity import held
+from test_drive_parity import closing_kind, held
 
 
 # ---------------------------------------------------------------------------
@@ -48,28 +48,40 @@ def test_solution_residuals_within_tolerance(curve, plateau):
 
 def test_path_metadata_matches_solution(plateau, rational_run):
     assert rational_run.scenario == "rational"
-    assert rational_run.t1 == plateau.t1
-    assert rational_run.t2 == plateau.t2
-    assert rational_run.p_star == plateau.p_star
+    assert rational_run.plateau.t1 == plateau.t1
+    assert rational_run.plateau.t2 == plateau.t2
+    assert rational_run.plateau.p_star == plateau.p_star
 
 
 def test_solved_path_carries_its_solution(plateau, rational_run):
-    assert rational_run.solution == plateau
+    assert rational_run.plateau == plateau
 
 
 def test_trial_path_carries_no_solution(curve, epidemic_run, plateau):
-    traj, _diag = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
-    assert traj.solution is None
+    traj = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
+    assert traj.plateau.iterations == 0
+    assert traj.plateau != plateau
+
+
+def test_every_rational_leg_holds_one_plateau_record(curve, epidemic_run):
+    # a solved leg holds the solve's own record; a trial leg's is its
+    # scan's, with no iterations
+    sol = solve_plateau(curve, epidemic_run)
+    path, head = re_price_path(curve, epidemic_run), rational.re_price_head(curve, epidemic_run)
+    assert path.plateau == head.plateau == sol
+    trial = simulate_re_given_t1(curve, sol.t1, epidemic_run)
+    assert trial.plateau.iterations == 0 < sol.iterations
 
 
 def test_plateau_price_is_flat(curve, rational_run):
     k1, k2 = rational_run.plateau_start, rational_run.post_start
     assert k1 is not None and k2 is not None and k2 > k1
     seg_p = rational_run.p[k1:k2]
-    assert float(np.abs(seg_p - rational_run.p_star).max()) == 0.0
+    assert float(np.abs(seg_p - rational_run.plateau.p_star).max()) == 0.0
     # holdings stay consistent with the pinned price through clearing
     implied = curve.p0 + rational_run.x[k1:k2] / curve.kappa
-    rel = np.abs(implied - rational_run.p_star) / rational_run.p_star
+    p_star = rational_run.plateau.p_star
+    rel = np.abs(implied - p_star) / p_star
     assert float(rel.max()) <= 1e-6
 
 
@@ -103,24 +115,24 @@ def test_split_holdings_stay_nonnegative(curve, rational_run):
 
 
 def test_early_start_absorbs_immediately(curve, grid, epidemic_run):
-    traj, diag = simulate_re_given_t1(curve, grid.node(1), epidemic_run)
-    assert diag.kind == "absorbed"
-    assert diag.time <= grid.node(5)
+    traj = simulate_re_given_t1(curve, grid.node(1), epidemic_run)
+    assert closing_kind(traj) == "absorbed"
+    assert traj.plateau.t2 <= grid.node(5)
     assert traj.scenario == "rational"
 
 
 def test_late_start_reverses_flow_with_inventory_left(curve, grid, epidemic_run, peak):
     t1 = grid.node(int(round(2.0 * peak.t_star / grid.dt)))
-    _, diag = simulate_re_given_t1(curve, t1, epidemic_run)
-    assert diag.kind == "flow-reversed"
-    assert diag.h_value > 0.0
-    assert diag.flow_value <= 0.0
+    traj = simulate_re_given_t1(curve, t1, epidemic_run)
+    assert closing_kind(traj) == "flow-reversed"
+    assert traj.plateau.residual_absorption > 0.0
+    assert traj.plateau.residual_flow <= 0.0
 
 
 def test_solved_start_closes_both_events_together(curve, grid, epidemic_run, plateau):
-    _, diag = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
-    assert diag.kind in ("absorbed", "flow-reversed")
-    assert abs(diag.time - plateau.t2) <= 5.0 * grid.dt
+    traj = simulate_re_given_t1(curve, plateau.t1, epidemic_run)
+    assert closing_kind(traj) in ("absorbed", "flow-reversed")
+    assert abs(traj.plateau.t2 - plateau.t2) <= 5.0 * grid.dt
 
 
 def test_off_grid_start_is_rejected(curve, grid, epidemic_run):
@@ -137,8 +149,7 @@ def test_a_start_outside_the_grid_is_refused_by_name(curve):
             simulate_re_given_t1(curve, t1, epi)
         assert str(info.value) == f"t1={t1} outside the grid [0.0, 50.0)"
     # a start inside the last step runs
-    _, diag = simulate_re_given_t1(curve, 49.995, epi)
-    assert diag.kind == "flow-reversed"
+    assert closing_kind(simulate_re_given_t1(curve, 49.995, epi)) == "flow-reversed"
 
 
 def test_node_below_places_every_node_on_itself(grid):
@@ -157,8 +168,8 @@ def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
     assert grid.node(n) < t1 < grid.t_end
     assert rational._node_below(grid, t1) == n
     epi = epidemic_pass(EpidemicParams(beta=beta), grid)
-    traj, diag = simulate_re_given_t1(curve, t1, epi)
-    assert diag.kind == kind
+    traj = simulate_re_given_t1(curve, t1, epi)
+    assert closing_kind(traj) == kind
     assert traj.phases() == ["pre"] * (n + 1)
     assert len(traj.x) == len(traj.p) == n + 1
 
@@ -175,15 +186,15 @@ def test_rational_sir_is_the_driving_pass(params, curve, bounds):
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)
     solved = re_price_path(curve, epi)
-    k = rational._node_below(grid, solved.t1)
+    k = rational._node_below(grid, solved.plateau.t1)
     t_peak = float(epi.times[int(np.argmax(epi.i))])
     late = grid.node(int(round((2.0 * t_peak - grid.t_start) / grid.dt)))
     trials = {"on-node": grid.node(k), "off-node": grid.node(k) + 0.37 * grid.dt,
               "collapse": late}
     runs = {"solved": solved}
     for label, t1 in trials.items():
-        runs[label], diag = simulate_re_given_t1(curve, t1, epi)
-        assert (diag.time == t1) is (label == "collapse"), label
+        runs[label] = simulate_re_given_t1(curve, t1, epi)
+        assert (runs[label].plateau.t2 == t1) is (label == "collapse"), label
     for label, traj in runs.items():
         assert traj.epi is epi, label
         for name in "sir":
@@ -244,7 +255,8 @@ def test_a_retry_no_allowed_grid_takes_advises_no_dt_over_the_span(curve, monkey
         re_price_path(curve, epi)
     assert str(info.value) == ("plateau closure residuals did not reach tol=0.0001 at "
                                "dt=0.05; retry with dt/2")
-    assert re_price_path(curve, epidemic_pass(epi.params, Grid(0.0, 300.0, 0.025))).t1 == 7.96875
+    fine = epidemic_pass(epi.params, Grid(0.0, 300.0, 0.025))
+    assert re_price_path(curve, fine).plateau.t1 == 7.96875
     monkeypatch.setattr(numerics, "MAX_STEPS", 8000)
     with pytest.raises(GridTooCoarseError) as info:
         re_price_path(curve, epi)
@@ -295,8 +307,9 @@ def test_solve_that_closes_before_the_infection_peak_is_kept(params, curve):
     epi = epidemic_pass(params, Grid(0.0, 21.0, 1e-2))
     with pytest.raises(BoundaryExtremumError):
         infection_peak(params, epi)
-    for solve in (re_price_path, rational.re_price_head, solve_plateau):
-        assert solve(curve, epi).t1 == 14.8640625
+    assert re_price_path(curve, epi).plateau.t1 == 14.8640625
+    assert rational.re_price_head(curve, epi).plateau.t1 == 14.8640625
+    assert solve_plateau(curve, epi).t1 == 14.8640625
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +325,7 @@ def test_rational_price_dominates_before_the_plateau(grid, myopic_run, rational_
 
 
 def test_rational_peak_is_lower(myopic_run, rational_run):
-    assert rational_run.p_star < float(myopic_run.p.max())
+    assert rational_run.plateau.p_star < float(myopic_run.p.max())
 
 
 def test_phase_labels_partition_the_path(rational_run):
@@ -468,9 +481,9 @@ def test_stage_one_reads_the_written_path(beta, gamma, kappa):
     k_f = len(zs) - 1
     kinds = set()
     for k in range(1, k_f + 1):
-        _traj, diag = rational._replay(curve, grid.node(k), epi, zs, hs)
-        assert rational._node_diagnosis(curve, epi, zs, hs, k) == diag.kind, k
-        kinds.add(diag.kind)
+        kind = closing_kind(rational._replay(curve, grid.node(k), epi, zs, hs))
+        assert rational._node_diagnosis(curve, epi, zs, hs, k) == kind, k
+        kinds.add(kind)
     assert kinds == {"absorbed", "flow-reversed"}
 
 
@@ -481,14 +494,15 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
     epi = epidemic_pass(params, grid)
     sol = solve_plateau(curve, epi)
     traj = re_price_path(curve, epi)
-    own, _diag = simulate_re_given_t1(curve, sol.t1, epi)
+    own = simulate_re_given_t1(curve, sol.t1, epi)
     assert traj.epi is own.epi is epi
     for name in ("s", "i", "r"):
         assert getattr(traj.epi, name).tobytes() == getattr(own.epi, name).tobytes(), name
     for name in ("x", "p"):
         assert getattr(traj, name).tobytes() == getattr(own, name).tobytes(), name
     assert (traj.plateau_start, traj.post_start) == (own.plateau_start, own.post_start)
-    assert (traj.t1, traj.t2, traj.p_star) == (own.t1, sol.t2, own.p_star)
+    assert traj.plateau == sol
+    assert (own.plateau.t1, own.plateau.p_star) == (sol.t1, sol.p_star)
 
 
 @pytest.mark.parametrize("leg", [simulate_myopic, simulate_depression, re_price_path,
@@ -496,10 +510,11 @@ def test_price_path_replays_from_the_solves_phase_one(params, kappa, dt):
                          ids=["myopic", "depression", "rational", "head"])
 def test_a_leg_holds_the_sir_pass_it_ran_on(epidemic_run, leg):
     # kappa=400 keeps the slump above the price floor; the leg keeps no
-    # copy of the pass's params, grid, times, S, I or R
+    # copy of the pass's params, grid, times, S, I or R, nor of its plateau
+    # record's t1, t2 or P*
     traj = leg(SupplyCurve(kappa=400.0), epidemic_run)
     assert traj.epi is epidemic_run
-    copies = {"params", "grid", "times", "s", "i", "r"}
+    copies = {"params", "grid", "times", "s", "i", "r", "t1", "t2", "p_star", "solution"}
     assert not copies & {f.name for f in fields(traj)}
     assert not any(hasattr(traj, name) for name in copies)
     n = len(epidemic_run.times)
