@@ -205,9 +205,12 @@ def check_propositions(
     claims are the mirror image (trough instead of peak). Plateau and
     comparison claims are judged only when a rational trajectory is given.
     The verdicts read the run's own event timeline (`build_timeline`),
-    which the report carries. Inputs are never mutated.
+    which the report carries; a run with no boom has no claims, as its
+    sweep row has none. Inputs are never mutated.
     """
     timeline = build_timeline(myopic, rational)
+    if not timeline.boom:
+        return PropositionReport(claims={}, timeline=timeline)
     p0 = myopic.curve.p0
     dt = myopic.epi.grid.dt
     depression = myopic.scenario == "depression"

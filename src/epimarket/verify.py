@@ -5,8 +5,10 @@ the final-size equation, the infection peak, the boom peak lead, the
 kernel-vs-state oracle, plateau closure, pre-plateau dominance, the lower
 rational peak, the event ordering chain, the depression mirror, event-time
 convergence under grid refinement, and determinism (the sweep against
-each point swept alone). Each check returns a verdict with measured
-numbers and asserts nothing; callers (CLI and tests) surface failures.
+each point swept alone). Each check reads the run it judges (its SIR
+pass, legs, claims or sweep rows, and their params, grid and curve) and
+returns (passed, detail), asserting nothing; `run_verification` numbers
+and names the checks in one table, and callers surface failures.
 
 All artifacts written by a verification run are deterministic byte-for-
 byte: numbers use shortest round-trip formatting and no timestamps are
@@ -14,7 +16,7 @@ embedded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from .analysis import (
     grid_points,
     parameter_sweep,
     refine_peak,
+    summarize_sweep,
 )
 from .config import ScenarioConfig
 from .epidemic import (
@@ -89,17 +92,16 @@ def _drifts(params: EpidemicParams, grid: Grid) -> tuple[float, float]:
             float(np.max(np.abs(fi_r - fi_r[0]))))
 
 
-def check_conservation(params, epi) -> CheckResult:
-    total = params.total
+def check_conservation(epi) -> tuple[bool, str]:
+    total = epi.params.total
     err = float(np.max(np.abs(epi.s + epi.i + epi.r - total)))
     tol = 1e-8 * total
-    return CheckResult(1, "conservation", err <= tol,
-                       f"max |S+I+R-N| = {err:.3e}, tol {tol:.3e}")
+    return err <= tol, f"max |S+I+R-N| = {err:.3e}, tol {tol:.3e}"
 
 
-def check_first_integrals(params, grid) -> CheckResult:
+def check_first_integrals(epi) -> tuple[bool, str]:
     """Drift bound at dt=1e-3, convergence order on dt=4e-2 -> 2e-2, each
-    over the run's span.
+    over the span of the pass.
 
     At dt=1e-3 RK4's truncation drift (~1e-14) is below one ulp of S, so
     the drift there is roundoff and no halving ratio can be read off it.
@@ -107,19 +109,18 @@ def check_first_integrals(params, grid) -> CheckResult:
     (~1e-8, about 100x the roundoff level): a halving must shrink it at
     least 8x (order >= 3), where RK4 gives 16x and a second-order method 4x.
     """
-    tol = 1e-6 * params.total
-    di, dr = _drifts(params, replace(grid, dt=1e-3))
-    ci, cr = _drifts(params, replace(grid, dt=4e-2))
-    fi, fr = _drifts(params, replace(grid, dt=2e-2))
+    tol = 1e-6 * epi.params.total
+    di, dr = _drifts(epi.params, replace(epi.grid, dt=1e-3))
+    ci, cr = _drifts(epi.params, replace(epi.grid, dt=4e-2))
+    fi, fr = _drifts(epi.params, replace(epi.grid, dt=2e-2))
     ratio_i = ci / fi if fi > 0 else float("inf")
     ratio_r = cr / fr if fr > 0 else float("inf")
     small = di <= tol and dr <= tol
     shrinks = ratio_i >= 8.0 and ratio_r >= 8.0
-    return CheckResult(
-        2, "first_integrals", small and shrinks,
+    return small and shrinks, (
         f"drifts at dt=1e-3: {di:.3e}/{dr:.3e} (tol {tol:.3e}); "
         f"drifts at dt=4e-2 -> 2e-2: {ci:.3e}/{cr:.3e} -> {fi:.3e}/{fr:.3e}, "
-        f"halving ratios {ratio_i:.2f}/{ratio_r:.2f} (need >= 8)",
+        f"halving ratios {ratio_i:.2f}/{ratio_r:.2f} (need >= 8)"
     )
 
 
@@ -137,63 +138,55 @@ def _integrate_until_extinct(params, grid) -> tuple[float, float]:
     return r, epi.grid.t_end
 
 
-def check_final_size(params, grid) -> CheckResult:
+def check_final_size(epi) -> tuple[bool, str]:
     worst = 0.0
     horizon = 0.0
     betas = [2.5e-4, 5e-4, 1e-3]
     gammas = [0.05, 0.1, 0.2]
-    points = [params] + [replace(params, beta=b, gamma=g)
-                         for b in betas for g in gammas]
+    points = [epi.params] + [replace(epi.params, beta=b, gamma=g)
+                             for b in betas for g in gammas]
     for p in points:
         r_inf = steady_state_recovered(p)
-        r_end, t_end = _integrate_until_extinct(p, grid)
+        r_end, t_end = _integrate_until_extinct(p, epi.grid)
         rel = abs(r_end - r_inf) / r_inf
         worst = max(worst, rel)
         horizon = max(horizon, t_end)
-    return CheckResult(3, "final_size", worst <= 1e-5,
-                       f"worst relative gap over {len(points)} points = "
-                       f"{worst:.3e}, tol 1e-05 (horizons up to t={horizon:.0f})")
+    return worst <= 1e-5, (f"worst relative gap over {len(points)} points = "
+                           f"{worst:.3e}, tol 1e-05 (horizons up to t={horizon:.0f})")
 
 
-def check_infection_peak(params, epi) -> CheckResult:
-    grid = epi.grid
+def check_infection_peak(epi) -> tuple[bool, str]:
+    params = epi.params
     peak = infection_peak(params, epi)
     th = params.threshold
     s_err = abs(peak.s_star - th)
     i_inner = epi.i[1:-1]
     n_max = int(np.sum((i_inner > epi.i[:-2]) & (i_inner >= epi.i[2:])))
-    no_peak_params = replace(params, gamma=0.6)  # threshold 1200 > n1
-    short = epidemic_pass(no_peak_params, Grid(0.0, 50.0, grid.dt))
+    no_peak_params = replace(params, gamma=1.2 * params.beta * params.n1)  # threshold 1.2*n1
+    short = epidemic_pass(no_peak_params, Grid(0.0, 50.0, epi.grid.dt))
     no_peak = not infection_peak(no_peak_params, short).exists
     ok = s_err <= 1e-4 * th and n_max == 1 and no_peak
-    return CheckResult(
-        4, "infection_peak", ok,
-        f"|S(t_I*)-gamma/beta| = {s_err:.3e} (tol {1e-4 * th:.3e}); "
-        f"{n_max} interior maxima; no-peak detected: {no_peak}",
+    return ok, (f"|S(t_I*)-gamma/beta| = {s_err:.3e} (tol {1e-4 * th:.3e}); "
+                f"{n_max} interior maxima; no-peak detected: {no_peak}")
+
+
+def _on_sweep_booms(rows, name) -> bool:
+    # the boom rows are those that judged claims: no boom, no claims
+    return all(row.claims[name].status == "pass" for row in rows if row.claims)
+
+
+def check_boom_shape(rows) -> tuple[bool, str]:
+    booms = summarize_sweep(rows)["booms"]
+    lead, rever, unimod = (_on_sweep_booms(rows, name) for name in (
+        "price_peak_leads_infection_peak", "long_run_price_returns", "price_unimodal"))
+    ok = booms >= 9 and lead and rever and unimod
+    return ok, (
+        f"{booms} boom points: peak-lead {lead}, "
+        f"long-run reversion {rever}, unimodal {unimod}"
     )
 
 
-def _boom_rows(rows):
-    return [r for r in rows if r.error is None and r.timeline is not None
-            and r.timeline.boom]
-
-
-def check_peak_lead_sweep(rows) -> CheckResult:
-    booms = _boom_rows(rows)
-    lead = all(r.claims["price_peak_leads_infection_peak"].status == "pass"
-               for r in booms)
-    rever = all(r.claims["long_run_price_returns"].status == "pass"
-                for r in booms)
-    unimod = all(r.claims["price_unimodal"].status == "pass" for r in booms)
-    ok = len(booms) >= 9 and lead and rever and unimod
-    return CheckResult(
-        5, "myopic_boom_shape", ok,
-        f"{len(booms)} boom points: peak-lead {lead}, "
-        f"long-run reversion {rever}, unimodal {unimod}",
-    )
-
-
-def check_quadrature(myopic, fine) -> CheckResult:
+def check_quadrature(myopic, fine) -> tuple[bool, str]:
     """The cohort quadrature against the holdings of the myopic leg on the
     run's grid and of the myopic leg at half its dt (fine)."""
     def max_rel(traj):
@@ -206,62 +199,53 @@ def check_quadrature(myopic, fine) -> CheckResult:
     e2 = max_rel(fine)
     ratio = e1 / e2 if e2 > 0 else float("inf")
     ok = e1 <= 1e-4 and ratio >= 2.0
-    return CheckResult(
-        6, "kernel_ode_agreement", ok,
+    return ok, (
         f"max rel err {e1:.3e} at dt={myopic.epi.grid.dt:g} (tol 1e-04); "
-        f"refinement ratio {ratio:.2f} (need >= 2)",
+        f"refinement ratio {ratio:.2f} (need >= 2)"
     )
 
 
-def check_plateau_closure(sol, claims, params, curve) -> CheckResult:
+def check_plateau_closure(rational, claims) -> tuple[bool, str]:
+    sol, curve = rational.plateau, rational.curve
     phi = curve.kappa * (sol.p_star - curve.p0)
     h_ok = abs(sol.residual_absorption) <= 1e-4 * phi
-    gamma = params.gamma
+    gamma = rational.epi.params.gamma
     flow_ok = abs(sol.residual_flow) <= 1e-4 * gamma * phi
     const = claims["plateau_price_constant"]
     ok = h_ok and flow_ok and const.status == "pass"
-    return CheckResult(
-        7, "plateau_closure", ok,
+    return ok, (
         f"|h(t2)| = {abs(sol.residual_absorption):.3e} (tol {1e-4 * phi:.3e}); "
         f"|flow(t2)| = {abs(sol.residual_flow):.3e} "
         f"(tol {1e-4 * gamma * phi:.3e}); "
-        f"plateau deviation {const.margin:.3e} rel (tol 1e-06)",
+        f"plateau deviation {const.margin:.3e} rel (tol 1e-06)"
     )
 
 
-def check_re_dominance(claims) -> CheckResult:
-    c = claims["re_price_dominates_pre_plateau"]
-    return CheckResult(
-        8, "re_dominates_pre_plateau", c.status == "pass",
-        f"{c.detail}",
-    )
+def check_claim(claims, name) -> tuple[bool, str]:
+    """The run's own verdict on claim name, in its own words."""
+    return claims[name].status == "pass", claims[name].detail
 
 
-def check_re_lower_peak(claims, rows) -> CheckResult:
-    c = claims["re_peak_lower"]
-    sweep_ok = all(r.claims["re_peak_lower"].status == "pass"
-                   for r in _boom_rows(rows))
-    return CheckResult(
-        9, "re_peak_lower", c.status == "pass" and sweep_ok,
-        f"defaults: {c.detail}; holds on all sweep booms: {sweep_ok}",
-    )
+def check_re_lower_peak(claims, rows) -> tuple[bool, str]:
+    ok, detail = check_claim(claims, "re_peak_lower")
+    sweep_ok = _on_sweep_booms(rows, "re_peak_lower")
+    return ok and sweep_ok, f"defaults: {detail}; holds on all sweep booms: {sweep_ok}"
 
 
-def check_ordering_chain(timeline, claims, rows) -> CheckResult:
-    default_ok = claims["event_ordering_chain"].status == "pass"
-    sweep_ok = all(r.claims["event_ordering_chain"].status == "pass"
-                   for r in _boom_rows(rows))
+def check_ordering_chain(judged, rows) -> tuple[bool, str]:
+    timeline = judged.timeline
+    default_ok, _ = check_claim(judged.claims, "event_ordering_chain")
+    sweep_ok = _on_sweep_booms(rows, "event_ordering_chain")
     gaps = (timeline.t_p_star_m - timeline.t1,
             timeline.t2 - timeline.t_p_star_m,
             timeline.t_i_star - timeline.t2)
-    return CheckResult(
-        10, "event_ordering_chain", default_ok and sweep_ok,
+    return default_ok and sweep_ok, (
         f"defaults gaps {gaps[0]:.3f}/{gaps[1]:.3f}/{gaps[2]:.3f} "
-        f"(each > dt); holds on sweep: {sweep_ok}",
+        f"(each > dt); holds on sweep: {sweep_ok}"
     )
 
 
-def check_depression(curve, epi) -> CheckResult:
+def check_depression(myopic) -> tuple[bool, str]:
     """The depression mirror where it exists, and the floor where it cannot.
 
     simulate_depression admits a path only while the mirrored boom stays
@@ -269,6 +253,7 @@ def check_depression(curve, epi) -> CheckResult:
     ~1.78*p0). At kappa=100 the boom peaks above 2*p0 and the floor guard
     must raise.
     """
+    curve, epi = myopic.curve, myopic.epi
     p0 = curve.p0
     shallow = replace(curve, kappa=100.0)
     boom_peak = float(np.max(simulate_myopic(shallow, epi).p)) / p0
@@ -285,36 +270,32 @@ def check_depression(curve, epi) -> CheckResult:
     try:
         dep = simulate_depression(deep, epi)
     except PriceFloorError as exc:
-        return CheckResult(
-            11, "depression_mirror", False,
-            f"kappa=400: price path hit the floor: {exc}; {floor_text}",
-        )
+        return False, f"kappa=400: price path hit the floor: {exc}; {floor_text}"
     boom = simulate_myopic(deep, epi)
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
-    report = check_propositions(dep)
-    trough_leads = report.claims["price_peak_leads_infection_peak"].status == "pass"
-    reverts = report.claims["long_run_price_returns"].status == "pass"
-    u_shape = report.claims["price_unimodal"].status == "pass"
-    ok = (report.timeline.boom and trough_leads and reverts and u_shape
+    claims = check_propositions(dep).claims  # none where there is no boom
+    trough_leads, reverts, u_shape = (
+        name in claims and check_claim(claims, name)[0] for name in (
+            "price_peak_leads_infection_peak", "long_run_price_returns", "price_unimodal"))
+    ok = (trough_leads and reverts and u_shape
           and mirror_err <= 1e-12 and floor_ok)
-    return CheckResult(
-        11, "depression_mirror", ok,
+    return ok, (
         f"kappa=400: trough {float(np.min(dep.p)):.4f}, "
         f"|P_dep - (2*p0 - P_boom)| = {mirror_err:.1e} (tol 1e-12), "
         f"trough leads {trough_leads}, reverts {reverts}, U-shape {u_shape}; "
-        f"{floor_text}",
+        f"{floor_text}"
     )
 
 
-def check_event_convergence(curve, myopic, solution, fine) -> CheckResult:
+def check_event_convergence(myopic, rational, fine) -> tuple[bool, str]:
     """t_P* and t1 at 2*dt, dt and dt/2: the myopic leg on the run's grid
-    and its plateau solution, a myopic leg at twice its dt, and the one at
-    half its dt (fine)."""
-    grid = myopic.epi.grid
+    and the rational leg's plateau, a myopic leg at twice its dt, and the
+    one at half its dt (fine)."""
+    curve, grid = myopic.curve, myopic.epi.grid
     coarse = simulate_myopic(curve, epidemic_pass(myopic.epi.params,
                                                   replace(grid, dt=2.0 * grid.dt)))
     tp = [refine_peak(leg.epi.times, leg.p)[0] for leg in (coarse, myopic, fine)]
-    t1 = [solve_plateau(curve, coarse.epi).t1, solution.t1,
+    t1 = [solve_plateau(curve, coarse.epi).t1, rational.plateau.t1,
           solve_plateau(curve, fine.epi).t1]
     gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
     g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])
@@ -326,18 +307,15 @@ def check_event_convergence(curve, myopic, solution, fine) -> CheckResult:
         if a == 0.0 and b == 0.0:
             return "identical across refinements"
         return f"gaps {a:.2e} -> {b:.2e}"
-    return CheckResult(
-        12, "event_time_convergence", ok_p and ok_1,
-        f"t_P* {_describe(gp1, gp2)}; t1 {_describe(g11, g12)}; "
-        f"each gap must at least halve",
-    )
+    return ok_p and ok_1, (f"t_P* {_describe(gp1, gp2)}; t1 {_describe(g11, g12)}; "
+                           f"each gap must at least halve")
 
 
-def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
+def check_determinism(myopic, rows, out: Path) -> tuple[bool, str]:
     """The sweep against each point swept alone on its own SIR pass, which
     a point leaking into the pass its epidemic group shares fails."""
     alone = [
-        replace(parameter_sweep(params, curve, grid,
+        replace(parameter_sweep(myopic.epi.params, myopic.curve, myopic.epi.grid,
                                 axes={k: [v] for k, v in point.items()})[0],
                 index=index)
         for index, point in enumerate(grid_points(default_sweep_axes()))
@@ -347,10 +325,7 @@ def check_determinism(params, curve, grid, rows, out: Path) -> CheckResult:
     write_sweep_csv(rows, p1)
     write_sweep_csv(alone, p2)
     same = p1.read_bytes() == p2.read_bytes()
-    return CheckResult(
-        13, "determinism", same,
-        f"sweep rows identical to each of {len(alone)} points swept alone: {same}",
-    )
+    return same, f"sweep rows identical to each of {len(alone)} points swept alone: {same}"
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +346,26 @@ def run_verification(out_dir) -> VerificationReport:
     judged = check_propositions(myopic, rational)
     timeline, claims = judged.timeline, judged.claims
     rows = parameter_sweep(params, curve, grid)
-    # criteria 06 and 12 share the myopic leg at half the run's dt
+    # the myopic leg at half the run's dt, which two criteria share
     fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=0.5 * grid.dt)))
 
-    results = [
-        check_conservation(params, epi),
-        check_first_integrals(params, grid),
-        check_final_size(params, grid),
-        check_infection_peak(params, epi),
-        check_peak_lead_sweep(rows),
-        check_quadrature(myopic, fine),
-        check_plateau_closure(rational.plateau, claims, params, curve),
-        check_re_dominance(claims),
-        check_re_lower_peak(claims, rows),
-        check_ordering_chain(timeline, claims, rows),
-        check_depression(curve, epi),
-        check_event_convergence(curve, myopic, rational.plateau, fine),
-        check_determinism(params, curve, grid, rows, out),
-    ]
+    battery = (
+        (1, "conservation", check_conservation, epi),
+        (2, "first_integrals", check_first_integrals, epi),
+        (3, "final_size", check_final_size, epi),
+        (4, "infection_peak", check_infection_peak, epi),
+        (5, "myopic_boom_shape", check_boom_shape, rows),
+        (6, "kernel_ode_agreement", check_quadrature, myopic, fine),
+        (7, "plateau_closure", check_plateau_closure, rational, claims),
+        (8, "re_dominates_pre_plateau", check_claim, claims, "re_price_dominates_pre_plateau"),
+        (9, "re_peak_lower", check_re_lower_peak, claims, rows),
+        (10, "event_ordering_chain", check_ordering_chain, judged, rows),
+        (11, "depression_mirror", check_depression, myopic),
+        (12, "event_time_convergence", check_event_convergence, myopic, rational, fine),
+        (13, "determinism", check_determinism, myopic, rows, out),
+    )
+    results = [CheckResult(number, name, *check(*judges))
+               for number, name, check, *judges in battery]
 
     series, plots = write_legs([("myopic", myopic), ("rational", rational)],
                                "csv", out)
@@ -402,11 +379,7 @@ def run_verification(out_dir) -> VerificationReport:
     report = VerificationReport(results=results, artifacts=artifacts)
     write_json({
         "ok": report.ok,
-        "criteria": [
-            {"criterion": r.criterion, "name": r.name,
-             "passed": r.passed, "detail": r.detail}
-            for r in report.results
-        ],
+        "criteria": [asdict(r) for r in report.results],
         # basenames keep the file identical for any artifact directory
         "artifacts": [Path(p).name for p in report.artifacts],
     }, out / "verification.json")

@@ -22,10 +22,21 @@ Two criteria test a property only where the numbers can show it:
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from epimarket import (
+    EpidemicParams,
+    Grid,
+    SupplyCurve,
+    check_propositions,
+    epidemic_pass,
+    re_price_path,
+    simulate_myopic,
+)
+from epimarket import verify
 from epimarket.verify import run_verification
 
 
@@ -137,3 +148,54 @@ def test_verification_artifacts_have_the_pinned_bytes(first_run, artifact_digest
     assert sorted(files) == sorted(p.name for p in files["sweep.csv"].parent.iterdir())
     assert len(files) == 8
     assert artifact_digest(files.values()) == VERIFY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the criteria that judge one run, on a run off the defaults
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def off_defaults():
+    """The verdicts and details of the criteria that judge one run, by
+    number, at beta=7e-4, gamma=0.15, kappa=20: each handed the run's SIR
+    pass, legs, claims and myopic leg at half the dt, as run_verification
+    hands them the defaults' run."""
+    params, curve = EpidemicParams(beta=7e-4, gamma=0.15), SupplyCurve(kappa=20.0)
+    grid = Grid(0.0, 300.0, 1e-2)
+    epi = epidemic_pass(params, grid)
+    myopic, rational = simulate_myopic(curve, epi), re_price_path(curve, epi)
+    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
+    return {
+        1: verify.check_conservation(epi),
+        # the no-peak probe is gamma = 1.2*beta*n1: a fixed gamma=0.6 has
+        # threshold 857 < n1 at this beta, peaks, and failed the criterion
+        4: verify.check_infection_peak(epi),
+        6: verify.check_quadrature(myopic, fine),
+        7: verify.check_plateau_closure(rational, check_propositions(myopic, rational).claims),
+        11: verify.check_depression(myopic),
+        12: verify.check_event_convergence(myopic, rational, fine),
+    }
+
+
+@pytest.mark.parametrize("number", [1, 4, 6, 7, 11, 12])
+def test_a_criterion_passes_on_the_run_it_is_handed(off_defaults, number):
+    passed, detail = off_defaults[number]
+    print(f"criterion {number:02d}: {detail}")
+    assert passed, detail
+
+
+def test_plateau_closure_tolerances_are_the_runs_own(off_defaults):
+    # 1e-4*phi and 1e-4*gamma*phi, phi = kappa*(P* - p0) at kappa=20 and
+    # gamma=0.15, not the defaults' kappa and gamma
+    _passed, detail = off_defaults[7]
+    assert "(tol 9.218e-03)" in detail
+    assert "(tol 1.383e-03)" in detail
+
+
+def test_the_depression_mirror_fails_a_run_with_no_boom():
+    # n2=0: no claims are judged, so none of the shape checks can pass
+    epi = epidemic_pass(EpidemicParams(n2=0.0), Grid(0.0, 300.0, 1e-2))
+    passed, detail = verify.check_depression(simulate_myopic(SupplyCurve(), epi))
+    assert not passed
+    assert "trough leads False, reverts False, U-shape False" in detail

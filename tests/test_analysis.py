@@ -295,6 +295,24 @@ def test_sweep_marks_no_boom_points(params, curve, grid):
     assert rows[0].claims == {}
 
 
+@pytest.mark.parametrize("no_boom", [
+    pytest.param({"n2": 0.0}, id="unseeded"),
+    pytest.param({"gamma": 0.6}, id="threshold-above-n1"),
+])
+def test_a_run_with_no_boom_judges_no_claims(params, curve, no_boom):
+    # the contagion never grows, so a myopic or depression leg has no
+    # boom to time and no claim to judge, as its sweep row has none
+    point = replace(params, **no_boom)
+    epi = epidemic_pass(point, Grid(0.0, 50.0, 1e-2))
+    row, = parameter_sweep(point, curve, epi.grid, axes={"kappa": [curve.kappa]},
+                           rational=False)
+    assert row.claims == {}
+    for leg in (simulate_myopic(curve, epi), simulate_depression(curve, epi)):
+        report = check_propositions(leg)
+        assert not report.timeline.boom
+        assert report.claims == row.claims
+
+
 def test_sweep_carries_per_point_errors_in_row(params, curve, grid, monkeypatch):
     # this point is inconclusive at dt=1e-2; halving dt would pass the cap
     monkeypatch.setattr(numerics, "MAX_STEPS", 40_000)

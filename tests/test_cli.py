@@ -60,6 +60,19 @@ def test_simulate_rational_adds_the_second_leg(tmp_path, fast_config):
     assert timeline["verdicts"]["re_peak_lower"] == "pass"
 
 
+@pytest.mark.parametrize("scenario", ["myopic", "depression"])
+def test_simulate_without_a_boom_writes_no_verdicts(tmp_path, scenario):
+    # n2=0: the contagion is never seeded and the price never leaves p0
+    cfg = tmp_path / "no_boom.cfg"
+    cfg.write_text("n2=0\nt_end=50\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", scenario, "--config", str(cfg),
+                   "--out", str(out)) == 0
+    timeline = json.loads((out / "timeline.json").read_text())
+    assert timeline["t_i_star"] is None
+    assert timeline["verdicts"] == {}
+
+
 # sha256 of the data files `simulate --scenario rational` writes at the
 # defaults; the engine's passes are rewritten only byte for byte
 RATIONAL_DEFAULT_SHA256 = "d726e476899d3264413b2b9c5426011744fe49220f7ec4c6feda322cd50ac670"
