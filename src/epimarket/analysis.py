@@ -123,13 +123,20 @@ def build_timeline(
     The infection peak is the one of myopic's own SIR pass. With only
     the first trajectory the chain reduces to t_P* < t_I*. A
     depression-mode trajectory is timed on its trough instead of a peak.
+    A rational leg is judged only beside the myopic leg of its own curve,
+    params and grid; given alone or in any other pair, it raises
+    ConsistencyError.
     """
     epi = myopic.epi
-    if rational is not None:
-        if rational.epi.params != epi.params or rational.epi.grid != epi.grid:
-            raise ConsistencyError(
-                "trajectories were produced under different params or grids"
-            )
+    if rational is None:
+        paired = myopic.scenario != "rational"
+    else:
+        paired = ((myopic.scenario, rational.scenario) == ("myopic", "rational")
+                  and (rational.curve, rational.epi.params, rational.epi.grid)
+                  == (myopic.curve, epi.params, epi.grid))
+    if not paired:
+        raise ConsistencyError("a rational leg is judged only beside the myopic leg "
+                               "of its own curve, params and grid")
     peak = infection_peak(epi.params, epi)
     if not peak.exists:
         return NO_BOOM
@@ -203,7 +210,8 @@ def check_propositions(
 
     The first trajectory may be a boom or a depression run; depression
     claims are the mirror image (trough instead of peak). Plateau and
-    comparison claims are judged only when a rational trajectory is given.
+    comparison claims are judged only when a rational trajectory is given
+    beside its myopic leg (`build_timeline`).
     The verdicts read the run's own event timeline (`build_timeline`),
     which the report carries; a run with no boom has no claims, as its
     sweep row has none. Inputs are never mutated.
@@ -236,8 +244,7 @@ def check_propositions(
 
     # price extremum leads the infection peak (trough in depression mode)
     v = timeline.ordering_ok.get("t_p_star_m_lt_t_i_star")
-    gap = (timeline.t_i_star - timeline.t_p_star_m
-           if timeline.boom else float("nan"))
+    gap = timeline.t_i_star - timeline.t_p_star_m
     claims["price_peak_leads_infection_peak"] = _claim(
         "pass" if v is True else ("inconclusive" if v is None else "fail"),
         gap,

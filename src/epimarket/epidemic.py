@@ -1,9 +1,10 @@
 """SIR contagion core.
 
 Susceptible agents catch the sentiment from infected ones at rate beta*I*S
-and drop out at rate gamma. The module carries the implicit final-size
-equation for the long-run recovered mass, which follows from the
-recovered first integral R + (gamma/beta)*ln(S), and sub-grid refinement
+and drop out at rate gamma. The module carries the final size, the
+long-run recovered mass, which the recovered first integral R +
+(gamma/beta)*ln(S) fixes as the one root of a convex equation in the
+susceptible mass lost, solved by Newton's method, and sub-grid refinement
 of the infection peak. Each newly infected agent spends the endowment w,
 so the market buys at the demand beta*I*S*w (`EpidemicParams.demand`).
 
@@ -51,10 +52,9 @@ from operator import neg
 import numpy as np
 
 from . import numerics
-from .errors import (STABILITY, ConfigError, ConsistencyError, ConvergenceError,
-                     GridTooCoarseError, require_finite)
-from .numerics import (Bracket, Grid, advised_dt, find_root_bracketed, newton_parabola,
-                       refine_max, rk4_step)
+from .errors import (STABILITY, ConfigError, ConsistencyError, GridTooCoarseError,
+                     require_finite)
+from .numerics import Grid, advised_dt, newton_parabola, refine_max, rk4_step
 
 
 # RK4's stability interval on the negative real axis (Hairer, Norsett and
@@ -307,57 +307,31 @@ simulate_epidemic = epidemic_pass
 
 
 def steady_state_recovered(params: EpidemicParams) -> float:
-    """Long-run recovered mass R_inf.
+    """Long-run recovered mass R_inf = n3 + n2 + u, where u is the
+    susceptible mass the outbreak takes.
 
-    Solves R = -(gamma/beta)*ln(N-R) + C_R on the branch where the leftover
-    susceptible mass N-R sits below gamma/beta (the branch the dynamics
-    actually reach; the implicit equation has a second, spurious root above
-    the threshold for typical parameters). n2=0 short-circuits: nothing ever
-    spreads and R stays at n3 exactly.
-
-    The equation residual is bounded by 1e-10, relative to the population
-    size when that exceeds 1 (near-total outbreaks leave no float with a
-    smaller absolute residual); the returned root is exact to machine
-    resolution.
+    R + (gamma/beta)*ln(S) is conserved and I dies out, so u is a root of
+    k(u) = u + n1*expm1(-(u + n2)*beta/gamma). k is convex, and for n2,
+    beta > 0, k(0) < 0 <= k(n1) = n1*exp(-(n1 + n2)*beta/gamma), so k has
+    exactly one root in [0, n1]; its other root lies below -n2, where
+    k = -n2. Newton's method from u = n1, where k >= 0 and k rises, stays
+    above the root of a convex k and falls onto it; it stops at the first
+    step that does not fall (a slope rounded to <= 0 takes no step) or
+    that leaves [0, u). At beta = 0, k(u) = u and the first step lands on
+    its root u = 0. n2 = 0 returns n3: nothing ever spreads, although at
+    R0 > 1 the equation also has the epidemic root.
     """
     if params.n2 == 0:
         return params.n3
-    if params.beta == 0:
-        # nothing spreads; the seed infection simply recovers
-        return params.n3 + params.n2
-    n_total = params.total
-    gb = params.threshold
-    # the recovered first integral R + (gamma/beta)*ln(S) at the initial state
-    c_r = params.n3 + gb * math.log(params.n1)
-
-    def g(r: float) -> float:
-        return r + gb * math.log(n_total - r) - c_r
-
-    lo = max(n_total - gb, params.n3)
-    hi = n_total * (1.0 - 1e-12)
-    g_lo, g_hi = g(lo), g(hi)
-    # g is strictly decreasing on [lo, hi]; a valid bracket has g_lo >= 0 >= g_hi
-    if g_lo == 0.0:
-        return lo
-    if g_hi > 0.0:
-        # near-total outbreak: the leftover susceptible mass is below the
-        # bracket's floor of 1e-12*N, where ln(N-R) has no resolution left.
-        # Solve the same relation for that mass directly via the fixed
-        # point s = exp((C_R - N + s)/(gamma/beta)); contraction rate s/gb.
-        s = 0.0
-        for _ in range(100):
-            s_next = math.exp((c_r - n_total + s) / gb)
-            if s_next == s:
-                break
-            s = s_next
-        return n_total - s
-    if g_lo < 0.0:
-        raise ConvergenceError(
-            f"no bracket for the final-size root on [{lo}, {hi}]: "
-            f"g(lo)={g_lo}, g(hi)={g_hi}"
-        )
-    bracket = Bracket(lo, hi, g_lo, g_hi)
-    return find_root_bracketed(g, bracket, 1e-10 * max(1.0, n_total))
+    n1, n2, beta, gamma = params.n1, params.n2, params.beta, params.gamma
+    u = n1
+    while True:
+        x = (u + n2) * beta / gamma
+        slope = 1.0 - n1 * beta * math.exp(-x) / gamma
+        step = (u + n1 * math.expm1(-x)) / slope if slope > 0.0 else 0.0
+        if not 0.0 <= u - step < u:
+            return params.n3 + n2 + u
+        u -= step
 
 
 # ---------------------------------------------------------------------------

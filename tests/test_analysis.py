@@ -14,6 +14,7 @@ from epimarket import (
     check_propositions,
     epidemic_pass,
     parameter_sweep,
+    re_price_path,
     refine_peak,
     simulate_depression,
     simulate_myopic,
@@ -148,6 +149,24 @@ def test_timeline_rejects_mismatched_runs(params, curve, grid, rational_run):
     for epi in others:
         with pytest.raises(ConsistencyError):
             build_timeline(simulate_myopic(curve, epi), rational_run)
+
+
+@pytest.mark.parametrize("legs", ["other-curve", "myopic-pair", "rational-alone",
+                                  "depression-beside"])
+def test_propositions_refuse_legs_that_do_not_belong_together(
+        epidemic_run, myopic_run, rational_run, legs):
+    # a rational leg is judged only beside the myopic leg of its own curve:
+    # P* of one curve against another's myopic peak, or a myopic leg read
+    # as rational, would judge numbers that belong to no run
+    pair = {
+        "other-curve": (myopic_run, re_price_path(SupplyCurve(kappa=400.0), epidemic_run)),
+        "myopic-pair": (myopic_run, myopic_run),
+        "rational-alone": (rational_run,),
+        "depression-beside": (simulate_depression(SupplyCurve(kappa=400.0), epidemic_run),
+                              rational_run),
+    }[legs]
+    with pytest.raises(ConsistencyError, match="beside the myopic leg"):
+        check_propositions(*pair)
 
 
 # ---------------------------------------------------------------------------

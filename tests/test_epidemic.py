@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -200,6 +201,40 @@ def test_final_size_near_total_outbreak_matches_integration():
     traj = epidemic_pass(p, Grid(0.0, 300.0, 1e-2))
     assert r_inf == pytest.approx(float(traj.r[-1]), abs=1e-4)
     assert r_inf <= p.total
+
+
+def _final_size_reference(p: EpidemicParams) -> Decimal:
+    """n3 + n2 + u at 50 digits, u the root in [0, n1] of u + n1*expm1(-(u +
+    n2)*beta/gamma), found by bisection on the float inputs' exact values."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n1, n2, rate = Decimal(p.n1), Decimal(p.n2), Decimal(p.beta) / Decimal(p.gamma)
+        lo, hi = Decimal(0), n1
+        while hi - lo > n1 * Decimal("1e-40"):
+            mid = (lo + hi) / 2
+            if mid + n1 * ((-(mid + n2) * rate).exp() - 1) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return Decimal(p.n3) + n2 + lo
+
+
+def test_final_size_matches_a_decimal_reference(params):
+    # criterion 03's ten points: the oracle must sit far below the gap it
+    # judges RK4 by
+    points = [params] + [EpidemicParams(beta=b, gamma=g)
+                         for b in (2.5e-4, 5e-4, 1e-3) for g in (0.05, 0.1, 0.2)]
+    for p in points:
+        ref = _final_size_reference(p)
+        assert abs(Decimal(steady_state_recovered(p)) - ref) <= Decimal("1e-14") * ref, p
+
+
+def test_final_size_near_the_threshold():
+    # R0 = n1*beta/gamma = 0.998 with a seed of 1.9e-7: the root sits where
+    # a long SIR pass ends (R = 1.1181923214708295e-04 over [0, 1e5])
+    p = EpidemicParams(beta=0.0021964505971129667, gamma=0.3686724491329531,
+                       n1=167.5650469711399, n2=1.8932870300402187e-07)
+    assert steady_state_recovered(p) == pytest.approx(1.1181923214708992e-04, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from epimarket import (
     simulate_depression,
     simulate_myopic,
     simulate_re_given_t1,
+    steady_state_recovered,
     write_sweep_csv,
 )
 from epimarket import analysis, cli, rational
@@ -313,16 +314,23 @@ def _any_parameters(draw):
 @settings(DETERMINISTIC, max_examples=300)
 @given(values=_any_parameters())
 def test_any_parameters_run_or_raise_from_errors(values):
-    # every leg, the propositions on them and a one-point sweep, with numpy
-    # warnings as errors: nothing may escape as another exception, such as
-    # a ZeroDivisionError from a holdings pass, or warn
+    # the final size, every leg, the propositions on them and a one-point
+    # sweep, with numpy warnings as errors: nothing may escape as another
+    # exception, such as a ZeroDivisionError from a holdings pass, or warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             cfg = ScenarioConfig(**values)
             params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
+        except ConfigError:
+            return
+        # finite, between what is recovered or infected and the whole
+        # population, as a value of R the pass could reach
+        r_inf, low = _run(steady_state_recovered, params), params.n3 + params.n2
+        assert isinstance(r_inf, tuple) or low <= r_inf <= low + params.n1, r_inf
+        try:
             epi = epidemic_pass(params, grid)
-        except (ConfigError, SimulationError):
+        except SimulationError:
             return
         myopic = _run(simulate_myopic, curve, epi)
         rational = _run(re_price_path, curve, epi)
