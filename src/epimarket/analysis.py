@@ -361,12 +361,20 @@ def default_sweep_axes() -> dict[str, list[float]]:
     return {"beta": [2.5e-4, 5e-4, 1e-3], "kappa": [5.0, 10.0, 20.0]}
 
 
+def assign(parts, changes: dict) -> list:
+    """Each dataclass of parts, re-validated, with the keys of changes that
+    are its fields replaced. A run's model objects (EpidemicParams,
+    SupplyCurve, Grid) share no field name, so each key sets one of them."""
+    return [replace(part, **{k: v for k, v in changes.items() if k in part.__dataclass_fields__})
+            for part in parts]
+
+
 def validate_sweep_axes(axes: dict[str, list[float]], params: EpidemicParams,
                         curve: SupplyCurve) -> None:
     """ConfigError unless each axis is a sweepable parameter with values,
-    each of which its key's own object accepts: `replace(params, gamma=v)`,
-    or `replace(curve, kappa=v)` for kappa. A bad value is refused here,
-    with the domain's message, as the same value given as a plain key is.
+    each of which its key's own object accepts (`assign`). A bad value is
+    refused here, with the domain's message, as the same value given as a
+    plain key is.
     """
     for name, values in axes.items():
         if name not in _SWEEPABLE:
@@ -375,9 +383,8 @@ def validate_sweep_axes(axes: dict[str, list[float]], params: EpidemicParams,
             )
         if not values:
             raise ConfigError(f"sweep axis {name!r} has no values")
-        owner = curve if name == "kappa" else params
         for value in values:
-            replace(owner, **{name: value})
+            assign((params, curve), {name: value})
 
 
 def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:
@@ -472,8 +479,7 @@ def parameter_sweep(
 
     groups: dict[EpidemicParams, list[tuple[int, SupplyCurve]]] = {}
     for idx, ov in enumerate(grid_points(axes)):
-        params = replace(base_params, **{k: v for k, v in ov.items() if k != "kappa"})
-        curve = replace(base_curve, **{k: v for k, v in ov.items() if k == "kappa"})
+        params, curve = assign((base_params, base_curve), ov)
         groups.setdefault(params, []).append((idx, curve))
 
     rows = [row for params, items in groups.items()

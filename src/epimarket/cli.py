@@ -12,13 +12,15 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import (
-    check_propositions,
-    default_sweep_axes,
-    parameter_sweep,
-    summarize_sweep,
+from .analysis import check_propositions, parameter_sweep, summarize_sweep
+from .config import (
+    FORMATS,
+    SCENARIOS,
+    ScenarioConfig,
+    parse_config,
+    serialize_config,
+    with_overrides,
 )
-from .config import ScenarioConfig, parse_config, serialize_config, with_overrides
 from .epidemic import epidemic_pass
 from .errors import ConfigError, SimulationError
 from .market import simulate_depression, simulate_myopic
@@ -46,13 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="config file (key=value lines or JSON object)")
-    common.add_argument("--scenario",
-                        choices=("myopic", "rational", "depression", "all"),
+    common.add_argument("--scenario", choices=SCENARIOS,
                         help="which price mechanism(s) to run")
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--dt", type=float, help="integration step")
     common.add_argument("--horizon", type=float, help="end time t_end")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=FORMATS,
                         help="time-series file format")
 
     sub.add_parser("simulate", parents=[common],
@@ -96,26 +97,25 @@ def _load_config(args) -> ScenarioConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     out = prepare_out_dir(cfg.out_dir)
-    params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
     started = time.perf_counter()
     error: str | None = None
 
     # one SIR pass drives every leg
-    epi = epidemic_pass(params, grid)
-    myopic = simulate_myopic(curve, epi)
+    epi = epidemic_pass(cfg.params, cfg.grid)
+    myopic = simulate_myopic(cfg.curve, epi)
     rational = None
     if cfg.scenario in ("rational", "all"):
-        rational = re_price_path(curve, epi)
+        rational = re_price_path(cfg.curve, epi)
     # judged before the depression leg runs and any file is written, so a
     # horizon that ends before the infection peak fails on that alone
     judged = check_propositions(myopic, rational)
     depression = None
     if cfg.scenario == "depression":
-        depression = simulate_depression(curve, epi)
+        depression = simulate_depression(cfg.curve, epi)
         judged = check_propositions(depression)
     elif cfg.scenario == "all":
         try:
-            depression = simulate_depression(curve, epi)
+            depression = simulate_depression(cfg.curve, epi)
         except SimulationError as exc:
             # record the failed leg but keep the artifacts that exist
             error = str(exc)
@@ -154,11 +154,10 @@ def _cmd_sweep(args) -> int:
     if cfg.scenario == "depression":
         raise ConfigError("sweep supports the myopic and rational scenarios")
     out = prepare_out_dir(cfg.out_dir)
-    axes = cfg.sweep_axes() or default_sweep_axes()
     started = time.perf_counter()
 
-    rows = parameter_sweep(cfg.epidemic_params(), cfg.supply_curve(), cfg.grid(),
-                           axes=axes, rational=cfg.scenario != "myopic")
+    rows = parameter_sweep(cfg.params, cfg.curve, cfg.grid,
+                           axes=cfg.sweep or None, rational=cfg.scenario != "myopic")
     summary = summarize_sweep(rows)
     manifest = [write_sweep_csv(rows, out / "sweep.csv"),
                 write_sweep_summary(summary, out / "sweep_summary.csv")]

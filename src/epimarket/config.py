@@ -1,5 +1,8 @@
 """Run configuration: parsing, validation, and round-trip serialization.
 
+A config holds the run's EpidemicParams, SupplyCurve and Grid (from t=0).
+The numeric keys are their fields, and each key sets the object whose
+field it is (`analysis.assign`), whose own checks then hold it.
 Two input syntaxes share one key set: plain ``key=value`` lines (blank
 lines and ``#`` comments allowed) or a single JSON object. Sweep axes are
 ``sweep.<param>=v1,v2,...`` lines, or a nested ``"sweep"`` object in JSON.
@@ -11,47 +14,42 @@ is refused with the same message as ``gamma=-1``, before any run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
-from .analysis import validate_sweep_axes
+from .analysis import assign, validate_sweep_axes
 from .epidemic import EpidemicParams
 from .errors import ConfigError
 from .market import SupplyCurve
 from .numerics import Grid
 
-_FLOAT_KEYS = ("beta", "gamma", "n1", "n2", "n3", "endowment",
-               "p0", "kappa", "t_end", "dt")
+# the numeric keys are the fields of the run's three model objects, in
+# their order; a run's grid starts at t=0, so t_start is not a key
+_FLOAT_KEYS = tuple(f.name for part in (EpidemicParams, SupplyCurve, Grid)
+                    for f in fields(part) if f.name != "t_start")
 _STR_KEYS = ("scenario", "out_dir", "format")
-_SCENARIOS = ("myopic", "rational", "depression", "all")
-_FORMATS = ("csv", "json")
+SCENARIOS = ("myopic", "rational", "depression", "all")
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    beta: float = EpidemicParams.beta
-    gamma: float = EpidemicParams.gamma
-    n1: float = EpidemicParams.n1
-    n2: float = EpidemicParams.n2
-    n3: float = EpidemicParams.n3
-    endowment: float = EpidemicParams.endowment
-    p0: float = SupplyCurve.p0
-    kappa: float = SupplyCurve.kappa
-    t_end: float = 300.0
-    dt: float = 1e-2
+    params: EpidemicParams = EpidemicParams()
+    curve: SupplyCurve = SupplyCurve()
+    grid: Grid = Grid(0.0, 300.0, 1e-2)
     scenario: str = "myopic"
     out_dir: str = "out"
     format: str = "csv"
     sweep: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in _SCENARIOS:
+        if self.scenario not in SCENARIOS:
             raise ConfigError(
-                f"scenario must be one of {', '.join(_SCENARIOS)}, "
+                f"scenario must be one of {', '.join(SCENARIOS)}, "
                 f"got {self.scenario!r}"
             )
-        if self.format not in _FORMATS:
+        if self.format not in FORMATS:
             raise ConfigError(
-                f"format must be one of {', '.join(_FORMATS)}, got {self.format!r}"
+                f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
             )
         # serialize_config writes it raw on a line that parsing strips
         if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
@@ -59,24 +57,11 @@ class ScenarioConfig:
                 f"out_dir must be one line without leading or trailing "
                 f"whitespace, got {self.out_dir!r}"
             )
-        # constructing the domain objects enforces every numeric invariant,
-        # and each sweep axis value is held to its own key's
-        validate_sweep_axes(self.sweep, self.epidemic_params(), self.supply_curve())
-        self.grid()
-
-    def epidemic_params(self) -> EpidemicParams:
-        return EpidemicParams(beta=self.beta, gamma=self.gamma,
-                              n1=self.n1, n2=self.n2, n3=self.n3,
-                              endowment=self.endowment)
-
-    def supply_curve(self) -> SupplyCurve:
-        return SupplyCurve(p0=self.p0, kappa=self.kappa)
-
-    def grid(self) -> Grid:
-        return Grid(t_start=0.0, t_end=self.t_end, dt=self.dt)
-
-    def sweep_axes(self) -> dict[str, list[float]]:
-        return {k: list(v) for k, v in self.sweep.items()}
+        # no key sets t_start, so serialize_config writes none
+        if self.grid.t_start != 0.0:
+            raise ConfigError(f"a run's grid starts at t=0, got t_start={self.grid.t_start}")
+        # each sweep axis value is held to its own key's invariants
+        validate_sweep_axes(self.sweep, self.params, self.curve)
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +78,7 @@ def parse_config(text: str) -> ScenarioConfig:
         data = _from_json(text)
     else:
         data = _from_lines(text)
-    try:
-        return ScenarioConfig(**data)
-    except TypeError as exc:  # unexpected kwarg slipping through
-        raise ConfigError(str(exc)) from exc
+    return with_overrides(ScenarioConfig(), **data)
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -122,8 +104,8 @@ def _from_json(text: str) -> dict:
         raise ConfigError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ConfigError("config JSON must be a single object")
-    data: dict = {}
     sweep: dict[str, list[float]] = {}
+    data: dict = {"sweep": sweep}
     for key, value in obj.items():
         if key == "sweep":
             if not isinstance(value, dict):
@@ -142,8 +124,6 @@ def _from_json(text: str) -> dict:
             data[key] = value
         else:
             raise ConfigError(f"unknown config key {key!r}")
-    if sweep:
-        data["sweep"] = sweep
     return data
 
 
@@ -167,8 +147,8 @@ def _number_list(key: str, value) -> list[float]:
 
 
 def _from_lines(text: str) -> dict:
-    data: dict = {}
     sweep: dict[str, list[float]] = {}
+    data: dict = {"sweep": sweep}
     seen: set[str] = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -210,8 +190,6 @@ def _from_lines(text: str) -> dict:
             data[key] = value
         else:
             raise ConfigError(f"line {ln}, column 1: unknown config key {key!r}")
-    if sweep:
-        data["sweep"] = sweep
     return data
 
 
@@ -222,7 +200,9 @@ def _from_lines(text: str) -> dict:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical key=value form; parse_config round-trips it exactly."""
-    lines = [f"{key}={getattr(config, key)!r}" for key in _FLOAT_KEYS]
+    lines = [f"{f.name}={getattr(part, f.name)!r}"
+             for part in (config.params, config.curve, config.grid)
+             for f in fields(part) if f.name in _FLOAT_KEYS]
     lines += [f"{key}={getattr(config, key)}" for key in _STR_KEYS]
     for param in sorted(config.sweep):
         joined = ",".join(repr(v) for v in config.sweep[param])
@@ -231,6 +211,10 @@ def serialize_config(config: ScenarioConfig) -> str:
 
 
 def with_overrides(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Apply non-None overrides and re-validate the result."""
+    """Apply non-None overrides and re-validate the result. A numeric key
+    replaces the field of the model object it belongs to (`assign`), which
+    validates it; any other key is the config's own field."""
     effective = {k: v for k, v in changes.items() if v is not None}
-    return replace(config, **effective)
+    params, curve, grid = assign((config.params, config.curve, config.grid), effective)
+    own = {k: v for k, v in effective.items() if k not in _FLOAT_KEYS}
+    return replace(config, params=params, curve=curve, grid=grid, **own)

@@ -143,8 +143,9 @@ def check_final_size(epi) -> tuple[bool, str]:
     horizon = 0.0
     betas = [2.5e-4, 5e-4, 1e-3]
     gammas = [0.05, 0.1, 0.2]
-    points = [epi.params] + [replace(epi.params, beta=b, gamma=g)
-                             for b in betas for g in gammas]
+    # the run's params first, then each grid point it does not repeat
+    points = list(dict.fromkeys([epi.params] + [replace(epi.params, beta=b, gamma=g)
+                                                for b in betas for g in gammas]))
     for p in points:
         r_inf = steady_state_recovered(p)
         r_end, t_end = _integrate_until_extinct(p, epi.grid)
@@ -338,7 +339,7 @@ def run_verification(out_dir) -> VerificationReport:
     artifact set."""
     out = prepare_out_dir(out_dir)
     cfg = ScenarioConfig()
-    params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
+    params, curve, grid = cfg.params, cfg.curve, cfg.grid
 
     epi = epidemic_pass(params, grid)
     myopic = simulate_myopic(curve, epi)

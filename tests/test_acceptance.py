@@ -52,7 +52,7 @@ def second_run(tmp_path_factory):
 
 # sha256 of the eight files a verification run writes (its artifacts and
 # verification.json); the engine's passes are rewritten only byte for byte
-VERIFY_SHA256 = "d969638e580f72e1d251d3915318234c1feb27846c71d594a4c4229f3faf2e54"
+VERIFY_SHA256 = "144bed3d431bf975e739caec43948d955a7ba9eb05804954a73e026a3a53f04a"
 
 
 def _files(report) -> dict[str, Path]:
@@ -168,6 +168,7 @@ def off_defaults():
     fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
     return {
         1: verify.check_conservation(epi),
+        3: verify.check_final_size(epi),
         # the no-peak probe is gamma = 1.2*beta*n1: a fixed gamma=0.6 has
         # threshold 857 < n1 at this beta, peaks, and failed the criterion
         4: verify.check_infection_peak(epi),
@@ -178,11 +179,18 @@ def off_defaults():
     }
 
 
-@pytest.mark.parametrize("number", [1, 4, 6, 7, 11, 12])
+@pytest.mark.parametrize("number", [1, 3, 4, 6, 7, 11, 12])
 def test_a_criterion_passes_on_the_run_it_is_handed(off_defaults, number):
     passed, detail = off_defaults[number]
     print(f"criterion {number:02d}: {detail}")
     assert passed, detail
+
+
+def test_final_size_judges_each_distinct_point_once(first_run, off_defaults):
+    # the defaults' beta=5e-4, gamma=0.1 is a point of the 3x3 grid, and
+    # beta=7e-4, gamma=0.15 is not
+    assert "over 9 points" in _criterion(first_run, 3).detail
+    assert "over 10 points" in off_defaults[3][1]
 
 
 def test_plateau_closure_tolerances_are_the_runs_own(off_defaults):

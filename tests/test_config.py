@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -14,6 +15,7 @@ from epimarket.config import (
 from epimarket.epidemic import EpidemicParams
 from epimarket.errors import ConfigError
 from epimarket.market import SupplyCurve
+from epimarket.numerics import Grid
 
 
 # ---------------------------------------------------------------------------
@@ -23,25 +25,40 @@ from epimarket.market import SupplyCurve
 
 def test_defaults_are_the_reference_point():
     cfg = ScenarioConfig()
-    assert cfg.beta == 5e-4
-    assert cfg.gamma == 0.1
+    assert cfg.params.beta == 5e-4
+    assert cfg.params.gamma == 0.1
     assert cfg.scenario == "myopic"
     assert cfg.format == "csv"
-    p = cfg.epidemic_params()
+    p = cfg.params
     assert (p.beta, p.gamma, p.n1, p.n2, p.n3) == (5e-4, 0.1, 999.0, 1.0, 0.0)
-    c = cfg.supply_curve()
+    c = cfg.curve
     assert (c.p0, c.kappa) == (1.0, 10.0)
-    g = cfg.grid()
+    g = cfg.grid
     assert (g.t_start, g.t_end, g.dt) == (0.0, 300.0, 1e-2)
-    assert cfg.epidemic_params() == EpidemicParams()
-    assert cfg.supply_curve() == SupplyCurve()
+    assert cfg.params == EpidemicParams()
+    assert cfg.curve == SupplyCurve()
+
+
+def test_default_config_serializes_to_the_reference_text():
+    # the config echo of every default run's report.json
+    assert serialize_config(ScenarioConfig()) == (
+        "beta=0.0005\ngamma=0.1\nn1=999.0\nn2=1.0\nn3=0.0\nendowment=1.0\n"
+        "p0=1.0\nkappa=10.0\nt_end=300.0\ndt=0.01\n"
+        "scenario=myopic\nout_dir=out\nformat=csv\n"
+    )
+
+
+def test_model_objects_share_no_field_name():
+    # a key sets the one object whose field it is (analysis.assign)
+    names = [f.name for part in (EpidemicParams, SupplyCurve, Grid) for f in fields(part)]
+    assert len(names) == len(set(names))
 
 
 def test_validation_happens_at_construction():
     with pytest.raises(ConfigError):
-        ScenarioConfig(gamma=-0.1)
+        with_overrides(ScenarioConfig(), gamma=-0.1)
     with pytest.raises(ConfigError):
-        ScenarioConfig(dt=0.0)
+        with_overrides(ScenarioConfig(), dt=0.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(scenario="bogus")
     with pytest.raises(ConfigError):
@@ -57,11 +74,21 @@ def test_validation_happens_at_construction():
         ScenarioConfig(sweep={"n1": [0.0]})
 
 
-def test_sweep_axes_returns_a_copy():
-    cfg = ScenarioConfig(sweep={"kappa": [5.0, 10.0]})
-    axes = cfg.sweep_axes()
-    axes["kappa"].append(99.0)
-    assert cfg.sweep_axes() == {"kappa": [5.0, 10.0]}
+def test_a_grid_that_does_not_start_at_zero_is_refused():
+    # no key carries t_start, so such a config could not round-trip
+    with pytest.raises(ConfigError, match="a run's grid starts at t=0, got t_start=1.0"):
+        ScenarioConfig(grid=Grid(1.0, 300.0, 1e-2))
+
+
+@pytest.mark.parametrize("text", [
+    "gamma=-1\nscenario=bogus\n",
+    '{"scenario": "bogus", "gamma": -1}',
+], ids=["key=value", "json"])
+def test_a_model_key_is_judged_before_the_config_fields(text):
+    # two bad keys: the model objects' own checks run first, then the
+    # config's scenario, format, out_dir and sweep axes
+    with pytest.raises(ConfigError, match=r"^gamma must be > 0, got -1\.0$"):
+        parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +103,14 @@ def test_empty_text_parses_to_defaults():
 
 def test_key_value_overrides():
     cfg = parse_config("beta = 1e-3\nscenario = rational\ndt = 0.02\n")
-    assert cfg.beta == 1e-3
+    assert cfg.params.beta == 1e-3
     assert cfg.scenario == "rational"
-    assert cfg.dt == 0.02
+    assert cfg.grid.dt == 0.02
 
 
 def test_sweep_lines_parse_to_axes():
     cfg = parse_config("sweep.kappa = 5, 10, 20\nsweep.beta = 2.5e-4, 5e-4\n")
-    assert cfg.sweep_axes() == {
+    assert cfg.sweep == {
         "kappa": [5.0, 10.0, 20.0],
         "beta": [2.5e-4, 5e-4],
     }
@@ -109,14 +136,14 @@ def test_parse_errors_carry_positions():
 
 def test_json_object_form():
     cfg = parse_config('{"beta": 1e-3, "scenario": "all", "sweep": {"kappa": [5, 10]}}')
-    assert cfg.beta == 1e-3
+    assert cfg.params.beta == 1e-3
     assert cfg.scenario == "all"
-    assert cfg.sweep_axes() == {"kappa": [5.0, 10.0]}
+    assert cfg.sweep == {"kappa": [5.0, 10.0]}
 
 
 def test_json_flat_sweep_keys():
     cfg = parse_config('{"sweep.kappa": [5, 10]}')
-    assert cfg.sweep_axes() == {"kappa": [5.0, 10.0]}
+    assert cfg.sweep == {"kappa": [5.0, 10.0]}
 
 
 def test_json_rejects_bad_input():
@@ -165,8 +192,8 @@ def test_json_integer_beyond_float_range_is_inf(text, message):
 
 
 def test_serialize_parse_round_trip():
-    cfg = ScenarioConfig(
-        beta=2.5e-4, kappa=20.0, scenario="rational", t_end=150.0,
+    cfg = with_overrides(
+        ScenarioConfig(), beta=2.5e-4, kappa=20.0, scenario="rational", t_end=150.0,
         sweep={"kappa": [5.0, 10.0], "beta": [1e-3]},
     )
     assert parse_config(serialize_config(cfg)) == cfg
@@ -187,16 +214,16 @@ def test_out_dir_round_trips(out_dir):
 
 
 def test_serialized_floats_survive_exactly():
-    cfg = ScenarioConfig(beta=1.0000000000000002e-3)
+    cfg = with_overrides(ScenarioConfig(), beta=1.0000000000000002e-3)
     again = parse_config(serialize_config(cfg))
-    assert again.beta == cfg.beta
+    assert again.params.beta == cfg.params.beta
 
 
 def test_with_overrides_applies_only_given_fields():
     cfg = ScenarioConfig()
     out = with_overrides(cfg, scenario="rational", dt=None, t_end=100.0)
     assert out.scenario == "rational"
-    assert out.dt == cfg.dt
-    assert out.t_end == 100.0
+    assert out.grid.dt == cfg.grid.dt
+    assert out.grid.t_end == 100.0
     with pytest.raises(ConfigError):
         with_overrides(cfg, dt=-1.0)

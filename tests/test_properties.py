@@ -8,6 +8,7 @@ run draws the same examples each time.
 """
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -31,7 +32,7 @@ from epimarket import (
     write_sweep_csv,
 )
 from epimarket import analysis, cli, rational
-from epimarket.config import ScenarioConfig, parse_config, serialize_config
+from epimarket.config import ScenarioConfig, parse_config, serialize_config, with_overrides
 from epimarket.epidemic import RK4_STABILITY
 from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError, SimulationError
 from test_drive_parity import assert_sir_refusal
@@ -47,7 +48,7 @@ _positive = st.floats(min_value=1e-6, max_value=1e6)
 
 
 @st.composite
-def _configs(draw):
+def _config_keys(draw):
     dt = draw(st.floats(min_value=1e-3, max_value=1.0))
     kwargs = dict(
         beta=draw(st.floats(min_value=0.0, max_value=1e6)),
@@ -69,15 +70,19 @@ def _configs(draw):
         )),
     )
     try:
-        return ScenarioConfig(**kwargs)
+        with_overrides(ScenarioConfig(), **kwargs)
     except ConfigError:
         assume(False)
+    return kwargs
 
 
 @DETERMINISTIC
-@given(_configs())
-def test_config_survives_serialize_and_parse(cfg):
+@given(_config_keys())
+def test_config_survives_serialize_and_parse(keys):
+    cfg = with_overrides(ScenarioConfig(), **keys)
     assert parse_config(serialize_config(cfg)) == cfg
+    # the same keys as one JSON object, "sweep" nested, set the same config
+    assert parse_config(json.dumps(keys)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +325,8 @@ def test_any_parameters_run_or_raise_from_errors(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            cfg = ScenarioConfig(**values)
-            params, curve, grid = cfg.epidemic_params(), cfg.supply_curve(), cfg.grid()
+            cfg = with_overrides(ScenarioConfig(), **values)
+            params, curve, grid = cfg.params, cfg.curve, cfg.grid
         except ConfigError:
             return
         # finite, between what is recovered or infected and the whole
