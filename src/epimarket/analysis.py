@@ -35,13 +35,16 @@ from .numerics import Grid, refine_max
 from .pool import forked, usable_cpus
 from .rational import re_price_head
 
-# verdict keys of the event chain t1 < t_P* < t2 < t_I*, in table order
-ORDERING_KEYS = (
-    "t1_lt_t_p_star_m",
-    "t_p_star_m_lt_t2",
-    "t2_lt_t_i_star",
-    "t_p_star_m_lt_t_i_star",
-)
+# each ordering verdict's key and the two EventTimeline times it orders,
+# (earlier, later); the event chain t1 < t_P* < t2 < t_I* is the first three
+ORDERING_LINKS = {
+    "t1_lt_t_p_star_m": ("t1", "t_p_star_m"),
+    "t_p_star_m_lt_t2": ("t_p_star_m", "t2"),
+    "t2_lt_t_i_star": ("t2", "t_i_star"),
+    "t_p_star_m_lt_t_i_star": ("t_p_star_m", "t_i_star"),
+}
+ORDERING_KEYS = tuple(ORDERING_LINKS)
+EVENT_CHAIN = ORDERING_KEYS[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +85,11 @@ def refine_peak(times, values, mode: str = "max") -> tuple[float, float]:
 class EventTimeline:
     """Refined event times and strictness verdicts for one parameter point.
 
-    ordering_ok maps each inequality of the chain t1 < t_P* < t2 < t_I*
-    to True (strict at grid resolution), False (violated) or None
-    (gap below one grid step: inconclusive). Plateau fields are None when
-    the rational scenario was not run; all fields are None when there is
-    no boom to time.
+    ordering_ok maps the key of each link of ORDERING_LINKS whose two
+    times are set to True (strict at grid resolution), False (violated)
+    or None (gap below one grid step: inconclusive). Plateau fields are
+    None when the rational scenario was not run; all fields are None when
+    there is no boom to time.
     """
 
     t_i_star: float | None
@@ -100,6 +103,11 @@ class EventTimeline:
     @property
     def boom(self) -> bool:
         return self.t_i_star is not None
+
+    def gap(self, key: str) -> float:
+        """Later minus earlier time of the ordering link key."""
+        earlier, later = ORDERING_LINKS[key]
+        return getattr(self, later) - getattr(self, earlier)
 
 
 # the timeline of every point whose contagion never grows
@@ -144,20 +152,19 @@ def build_timeline(
     dt = epi.grid.dt
     mode = "min" if myopic.scenario == "depression" else "max"
     t_p, p_p = refine_peak(epi.times, myopic.p, mode)
-    verdicts: dict[str, bool | None] = {}
     t1 = t2 = p_star_re = None
     if rational is not None:
         plateau = rational.plateau
         t1, t2, p_star_re = plateau.t1, plateau.t2, plateau.p_star
-        verdicts["t1_lt_t_p_star_m"] = _strict(t1, t_p, dt)
-        verdicts["t_p_star_m_lt_t2"] = _strict(t_p, t2, dt)
-        verdicts["t2_lt_t_i_star"] = _strict(t2, peak.t_star, dt)
-    verdicts["t_p_star_m_lt_t_i_star"] = _strict(t_p, peak.t_star, dt)
-    return EventTimeline(
+    timeline = EventTimeline(
         t_i_star=peak.t_star, t_p_star_m=t_p, p_star_m=p_p,
-        t1=t1, t2=t2, p_star_re=p_star_re,
-        ordering_ok=verdicts,
+        t1=t1, t2=t2, p_star_re=p_star_re, ordering_ok={},
     )
+    for key, times in ORDERING_LINKS.items():
+        earlier, later = (getattr(timeline, name) for name in times)
+        if earlier is not None and later is not None:
+            timeline.ordering_ok[key] = _strict(earlier, later, dt)
+    return timeline
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +209,14 @@ def _claim(status, margin, detail=""):
     return ClaimResult(status=status, margin=float(margin), detail=detail)
 
 
+def _verdict_status(verdicts) -> str:
+    """pass if every ordering verdict is True, fail if any is False, else
+    inconclusive."""
+    verdicts = set(verdicts)
+    return ("pass" if verdicts <= {True} else
+            "fail" if False in verdicts else "inconclusive")
+
+
 def check_propositions(
     myopic: MarketTrajectory,
     rational: MarketTrajectory | None = None,
@@ -243,10 +258,10 @@ def check_propositions(
     )
 
     # price extremum leads the infection peak (trough in depression mode)
-    v = timeline.ordering_ok.get("t_p_star_m_lt_t_i_star")
-    gap = timeline.t_i_star - timeline.t_p_star_m
+    lead = "t_p_star_m_lt_t_i_star"
+    gap = timeline.gap(lead)
     claims["price_peak_leads_infection_peak"] = _claim(
-        "pass" if v is True else ("inconclusive" if v is None else "fail"),
+        _verdict_status([timeline.ordering_ok[lead]]),
         gap,
         f"t_I* - t_P* = {gap:.6g} (dt={dt:g})",
     )
@@ -313,20 +328,9 @@ def _rational_claims(
     )
 
     # full event chain t1 < t_P* < t2 < t_I*, strict at grid resolution
-    verdicts = [timeline.ordering_ok[k] for k in ORDERING_KEYS]
-    if all(v is True for v in verdicts):
-        status = "pass"
-    elif any(v is False for v in verdicts):
-        status = "fail"
-    else:
-        status = "inconclusive"
-    gaps = (
-        timeline.t_p_star_m - timeline.t1,
-        timeline.t2 - timeline.t_p_star_m,
-        timeline.t_i_star - timeline.t2,
-    )
+    gaps = [timeline.gap(k) for k in EVENT_CHAIN]
     claims["event_ordering_chain"] = _claim(
-        status,
+        _verdict_status(timeline.ordering_ok.values()),
         min(gaps),
         "gaps "
         + ", ".join(f"{g:.4g}" for g in gaps)
@@ -372,9 +376,10 @@ def assign(parts, changes: dict) -> list:
 def validate_sweep_axes(axes: dict[str, list[float]], params: EpidemicParams,
                         curve: SupplyCurve) -> None:
     """ConfigError unless each axis is a sweepable parameter with values,
-    each of which its key's own object accepts (`assign`). A bad value is
-    refused here, with the domain's message, as the same value given as a
-    plain key is.
+    each of which its key's own object accepts (`assign`), and unless each
+    grid point's values pass together (a population bound can fail on a
+    point alone). A bad value is refused here, with the domain's message,
+    as the same value given as a plain key is.
     """
     for name, values in axes.items():
         if name not in _SWEEPABLE:
@@ -385,6 +390,8 @@ def validate_sweep_axes(axes: dict[str, list[float]], params: EpidemicParams,
             raise ConfigError(f"sweep axis {name!r} has no values")
         for value in values:
             assign((params, curve), {name: value})
+    for point in grid_points(axes):
+        assign((params, curve), point)
 
 
 def grid_points(axes: dict[str, list[float]]) -> list[dict[str, float]]:

@@ -32,6 +32,7 @@ import shutil
 import tempfile
 from array import array
 from contextlib import ExitStack
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +64,8 @@ def _opt(v) -> str:
     return "" if v is None else _fmt(v)
 
 
-def _verdict_cell(v: bool | None) -> str:
-    if v is None:
-        return ""
-    return "true" if v else "false"
+# a sweep.csv cell of a flag or an ordering verdict (None: inconclusive)
+_BOOL_CELLS = {True: "true", False: "false", None: ""}
 
 
 def prepare_out_dir(path) -> Path:
@@ -268,20 +267,15 @@ def write_legs(legs, fmt: str, out_dir) -> tuple[list[str], list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _f(v) -> float | None:
-    return None if v is None else float(v)
+# the timeline's times and prices, in field order (its verdicts: ORDERING_KEYS)
+_EVENT_COLUMNS = [f.name for f in fields(EventTimeline) if f.name != "ordering_ok"]
 
 
 def write_timeline_json(timeline: EventTimeline,
                         verdicts: dict[str, ClaimResult] | None, path) -> str:
+    """The timeline's own fields, in field order, and each claim's status."""
     return write_json({
-        "t_i_star": _f(timeline.t_i_star),
-        "t_p_star_m": _f(timeline.t_p_star_m),
-        "p_star_m": _f(timeline.p_star_m),
-        "t1": _f(timeline.t1),
-        "t2": _f(timeline.t2),
-        "p_star_re": _f(timeline.p_star_re),
-        "ordering_ok": dict(timeline.ordering_ok),
+        **asdict(timeline),
         "verdicts": {name: c.status for name, c in (verdicts or {}).items()},
     }, path)
 
@@ -289,13 +283,9 @@ def write_timeline_json(timeline: EventTimeline,
 def write_sweep_csv(rows: list[SweepResult], path) -> str:
     """One row per grid point with effective parameters and verdicts."""
     path = Path(path)
-    header = (
-        ["index", "beta", "gamma", "n1", "kappa", "boom",
-         "t_i_star", "t_p_star_m", "p_star_m", "t1", "t2", "p_star_re"]
-        + list(ORDERING_KEYS)
-        + ["claims_pass", "claims_fail", "claims_inconclusive",
-           "refinements", "dt_used", "error"]
-    )
+    header = ["index", "beta", "gamma", "n1", "kappa", "boom", *_EVENT_COLUMNS,
+              *ORDERING_KEYS, "claims_pass", "claims_fail", "claims_inconclusive",
+              "refinements", "dt_used", "error"]
     lines = [",".join(header)]
     for row in rows:
         tl = row.timeline
@@ -305,20 +295,15 @@ def write_sweep_csv(rows: list[SweepResult], path) -> str:
             _fmt(row.params.n1), _fmt(row.curve.kappa),
         ]
         if row.error is not None:
-            cells += [""] * (7 + len(ORDERING_KEYS))
-            cells += ["", "", ""]
+            # blank up to the refinements column
+            cells += [""] * (len(header) - len(cells) - 3)
         else:
-            cells.append("true" if tl.boom else "false")
-            cells += [_opt(tl.t_i_star), _opt(tl.t_p_star_m), _opt(tl.p_star_m),
-                      _opt(tl.t1), _opt(tl.t2), _opt(tl.p_star_re)]
-            cells += [_verdict_cell(tl.ordering_ok.get(k))
-                      for k in ORDERING_KEYS]
-            counts = claim_counts(row.claims.values())
-            cells += [str(n) for n in counts.values()]
-        cells.append(str(row.refinements))
-        cells.append(_fmt(row.dt_used))
+            cells.append(_BOOL_CELLS[tl.boom])
+            cells += [_opt(getattr(tl, name)) for name in _EVENT_COLUMNS]
+            cells += [_BOOL_CELLS[tl.ordering_ok.get(k)] for k in ORDERING_KEYS]
+            cells += [str(n) for n in claim_counts(row.claims.values()).values()]
         err = "" if row.error is None else row.error.replace(",", ";").replace("\n", " ")
-        cells.append(err)
+        cells += [str(row.refinements), _fmt(row.dt_used), err]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    EVENT_CHAIN,
     check_propositions,
     default_sweep_axes,
     grid_points,
@@ -234,15 +235,11 @@ def check_re_lower_peak(claims, rows) -> tuple[bool, str]:
 
 
 def check_ordering_chain(judged, rows) -> tuple[bool, str]:
-    timeline = judged.timeline
     default_ok, _ = check_claim(judged.claims, "event_ordering_chain")
     sweep_ok = _on_sweep_booms(rows, "event_ordering_chain")
-    gaps = (timeline.t_p_star_m - timeline.t1,
-            timeline.t2 - timeline.t_p_star_m,
-            timeline.t_i_star - timeline.t2)
+    gaps = "/".join(f"{judged.timeline.gap(k):.3f}" for k in EVENT_CHAIN)
     return default_ok and sweep_ok, (
-        f"defaults gaps {gaps[0]:.3f}/{gaps[1]:.3f}/{gaps[2]:.3f} "
-        f"(each > dt); holds on sweep: {sweep_ok}"
+        f"defaults gaps {gaps} (each > dt); holds on sweep: {sweep_ok}"
     )
 
 

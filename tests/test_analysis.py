@@ -243,24 +243,42 @@ def test_dominance_checker_rejects_an_undercut(myopic_run, rational_run):
     assert report.claims["re_price_dominates_pre_plateau"].status == "fail"
 
 
+# the four ordering verdicts, in table order, and the statuses they give
+# the peak-lead claim (its one link, the last) and the chain (all four):
+# True on every link passes, a False fails over any None, else inconclusive
+@pytest.mark.parametrize("verdicts, lead, chain", [
+    pytest.param((True, True, False, None), "inconclusive", "fail",
+                 id="lead-inconclusive-chain-fail"),
+    pytest.param((True, True, True, True), "pass", "pass",
+                 id="lead-pass-chain-pass"),
+    pytest.param((True, None, True, False), "fail", "fail",
+                 id="lead-fail-chain-fail"),
+    pytest.param((None, True, True, True), "pass", "inconclusive",
+                 id="lead-pass-chain-inconclusive"),
+    pytest.param((True, None, None, None), "inconclusive", "inconclusive",
+                 id="lead-inconclusive-chain-inconclusive"),
+    pytest.param((False, None, True, True), "pass", "fail",
+                 id="lead-pass-chain-fail"),
+])
 def test_timeline_driven_claims_follow_the_verdicts(monkeypatch, myopic_run,
-                                                    rational_run):
+                                                    rational_run, verdicts, lead, chain):
     fake = EventTimeline(
         t_i_star=21.0, t_p_star_m=19.9, p_star_m=7.0,
         t1=14.9, t2=20.5, p_star_re=8.0,  # "peak" above the myopic one
-        ordering_ok={
-            "t1_lt_t_p_star_m": True,
-            "t_p_star_m_lt_t2": True,
-            "t2_lt_t_i_star": False,
-            "t_p_star_m_lt_t_i_star": None,
-        },
+        ordering_ok=dict(zip(analysis.ORDERING_KEYS, verdicts)),
     )
     monkeypatch.setattr(analysis, "build_timeline", lambda *legs: fake)
     report = check_propositions(myopic_run, rational_run)
     assert report.timeline is fake
-    assert report.claims["price_peak_leads_infection_peak"].status == "inconclusive"
+    assert report.claims["price_peak_leads_infection_peak"].status == lead
     assert report.claims["re_peak_lower"].status == "fail"
-    assert report.claims["event_ordering_chain"].status == "fail"
+    assert report.claims["event_ordering_chain"].status == chain
+    # the margins and details read the gaps of the fake's own times
+    assert report.claims["price_peak_leads_infection_peak"].margin == 21.0 - 19.9
+    assert report.claims["event_ordering_chain"].margin == min(
+        19.9 - 14.9, 20.5 - 19.9, 21.0 - 20.5)
+    assert report.claims["event_ordering_chain"].detail.startswith(
+        f"gaps {19.9 - 14.9:.4g}, {20.5 - 19.9:.4g}, {21.0 - 20.5:.4g} (dt=")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from epimarket import cli
 from epimarket.config import parse_config, with_overrides
+from epimarket.errors import ConfigError
 from epimarket.verify import CheckResult, VerificationReport
 from test_drive_parity import POPULATION_REFUSAL, PR21_BOOM_REFUSAL
 from test_sir_pass import BETA_1000_REFUSAL, BETA_5_BAND_REFUSAL
@@ -565,6 +566,23 @@ def test_sweep_rejects_the_depression_scenario(tmp_path, fast_config, caplog):
     [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert "myopic and rational" in err
     assert not (tmp_path / "sw").exists()
+
+
+def test_a_sweep_point_whose_values_break_a_bound_together_is_refused(tmp_path, caplog):
+    # beta=1e290 and n1=1e9 each pass their own key's bounds, but the
+    # point that pairs them would let its SIR pass overflow: the config is
+    # refused before any pass runs, and no output directory is made
+    text = "sweep.beta=1e290\nsweep.n1=1e9\nt_end=10\n"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == POPULATION_REFUSAL.format(n="1e+09")
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "outdir"
+    assert run_cli("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        POPULATION_REFUSAL.format(n="1e+09")]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ run draws the same examples each time.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -344,6 +345,89 @@ def test_any_parameters_run_or_raise_from_errors(values):
             _run(check_propositions, myopic,
                  None if isinstance(rational, tuple) else rational)
         _run(parameter_sweep, params, curve, grid, {"beta": [params.beta]})
+
+
+# ---------------------------------------------------------------------------
+# exact scaling laws on the judged run
+# ---------------------------------------------------------------------------
+
+# A power of two c = 2^m scales every float exactly, and RK4's arithmetic
+# commutes with it, so each law holds bit for bit or not at all:
+#  (a) beta/c and n1, n2, n3, kappa times c scale S, I, R, the demand and
+#      the holdings by c and leave every time, price, verdict and claim;
+#  (b) beta and gamma times c on a grid of dt/c and t_end/c take the same
+#      steps on times over c: every time (a claim's margin too, where it
+#      is a gap) scales by 1/c, and every price, verdict and status stays.
+# Under (b) a claim's detail is not expected to hold: it prints its dt=
+# (and the peak-lead and chain claims their gaps), which scale.
+_SCALED_GRID = Grid(0.0, 300.0, 1e-2)
+_GAP_MARGINS = ("price_peak_leads_infection_peak", "event_ordering_chain")
+_REGIME = dict(
+    log_beta=st.floats(min_value=math.log10(2.5e-4), max_value=-3.0),
+    gamma=st.floats(min_value=0.05, max_value=0.2),
+    log_kappa=st.floats(min_value=math.log10(5.0), max_value=math.log10(20.0)),
+    m=st.integers(-8, 8),
+)
+
+
+def _judged(params, curve, grid):
+    """The myopic and rational legs of one run and their report."""
+    epi = epidemic_pass(params, grid)
+    legs = (simulate_myopic(curve, epi), re_price_path(curve, epi))
+    return legs, check_propositions(*legs)
+
+
+def _claim_bits(claims, scale=None):
+    """Each claim's status, margin (its gap margins times scale) and detail,
+    bit for bit; with a scale the detail is left out."""
+    return {name: (c.status, (c.margin * scale if scale and name in _GAP_MARGINS
+                              else c.margin).hex(), None if scale else c.detail)
+            for name, c in claims.items()}
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(**_REGIME)
+def test_population_scaled_by_a_power_of_two_gives_the_same_judged_run(
+        log_beta, gamma, log_kappa, m):
+    c = 2.0 ** m
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=10.0 ** log_kappa)
+    legs, report = _judged(params, curve, _SCALED_GRID)
+    scaled_legs, scaled = _judged(
+        replace(params, beta=params.beta / c, n1=params.n1 * c, n2=params.n2 * c,
+                n3=params.n3 * c),
+        replace(curve, kappa=curve.kappa * c), _SCALED_GRID)
+    for leg, twin in zip(legs, scaled_legs):
+        assert twin.p.tobytes() == leg.p.tobytes()
+        assert (twin.x / c).tobytes() == leg.x.tobytes()
+        for name in ("s", "i", "r", "demand"):
+            assert (getattr(twin.epi, name) / c).tobytes() == getattr(leg.epi, name).tobytes()
+    assert repr(scaled.timeline) == repr(report.timeline)
+    assert _claim_bits(scaled.claims) == _claim_bits(report.claims)
+
+
+@settings(DETERMINISTIC, max_examples=12)
+@given(**_REGIME)
+def test_rates_and_grid_scaled_by_a_power_of_two_scale_every_time(
+        log_beta, gamma, log_kappa, m):
+    c = 2.0 ** m
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=10.0 ** log_kappa)
+    legs, report = _judged(params, curve, _SCALED_GRID)
+    g = _SCALED_GRID
+    scaled_legs, scaled = _judged(
+        replace(params, beta=params.beta * c, gamma=params.gamma * c), curve,
+        Grid(g.t_start, g.t_end / c, g.dt / c))
+    for leg, twin in zip(legs, scaled_legs):
+        assert (twin.epi.times * c).tobytes() == leg.epi.times.tobytes()
+        for name in ("p", "x"):
+            assert getattr(twin, name).tobytes() == getattr(leg, name).tobytes(), name
+    tl, twin_tl = report.timeline, scaled.timeline
+    for name in ("t_i_star", "t_p_star_m", "t1", "t2"):
+        assert getattr(twin_tl, name) * c == getattr(tl, name), name
+    assert (twin_tl.p_star_m, twin_tl.p_star_re) == (tl.p_star_m, tl.p_star_re)
+    assert twin_tl.ordering_ok == tl.ordering_ok
+    assert _claim_bits(scaled.claims, c) == _claim_bits(report.claims, 1.0)
 
 
 # ---------------------------------------------------------------------------
