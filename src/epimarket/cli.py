@@ -96,7 +96,6 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    out = prepare_out_dir(cfg.out_dir)
     started = time.perf_counter()
     error: str | None = None
 
@@ -104,7 +103,8 @@ def _cmd_simulate(args) -> int:
     epi = epidemic_pass(cfg.params, cfg.grid)
     myopic = simulate_myopic(cfg.curve, epi)
     rational = None
-    if cfg.scenario in ("rational", "all"):
+    # with no boom there is no plateau to solve, as in a sweep row
+    if cfg.scenario in ("rational", "all") and cfg.params.booms:
         rational = re_price_path(cfg.curve, epi)
     # judged before the depression leg runs and any file is written, so a
     # horizon that ends before the infection peak fails on that alone
@@ -125,6 +125,8 @@ def _cmd_simulate(args) -> int:
         for name, claim in check_propositions(depression).claims.items():
             verdicts[f"depression_{name}"] = claim
 
+    # made only now, so a refused run leaves no directory behind
+    out = prepare_out_dir(cfg.out_dir)
     legs = [("myopic", myopic), ("rational", rational), ("depression", depression)]
     series, plots = write_legs([leg for leg in legs if leg[1] is not None],
                                cfg.format, out)

@@ -42,15 +42,11 @@ class ScenarioConfig:
     sweep: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"scenario must be one of {', '.join(SCENARIOS)}, "
-                f"got {self.scenario!r}"
-            )
-        if self.format not in FORMATS:
-            raise ConfigError(
-                f"format must be one of {', '.join(FORMATS)}, got {self.format!r}"
-            )
+        for name, choices in (("scenario", SCENARIOS), ("format", FORMATS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ConfigError(
+                    f"{name} must be one of {', '.join(choices)}, got {value!r}")
         # serialize_config writes it raw on a line that parsing strips
         if self.out_dir != self.out_dir.strip() or len(self.out_dir.splitlines()) > 1:
             raise ConfigError(

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import numerics
 from .errors import (STABILITY, ConfigError, ConsistencyError, GridTooCoarseError,
-                     require_finite)
+                     require_signs)
 from .numerics import Grid, advised_dt, newton_parabola, refine_max, rk4_step
 
 
@@ -102,19 +102,7 @@ class EpidemicParams:
 
     def __post_init__(self):
         # beta=0 is admitted as the uncoupled limit: pure recovery decay
-        if not (self.beta >= 0):
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
-        if not (self.gamma > 0):
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if not (self.n1 > 0):
-            raise ConfigError(f"n1 must be > 0, got {self.n1}")
-        if not (self.n2 >= 0):
-            raise ConfigError(f"n2 must be >= 0, got {self.n2}")
-        if not (self.n3 >= 0):
-            raise ConfigError(f"n3 must be >= 0, got {self.n3}")
-        if not (self.endowment > 0):
-            raise ConfigError(f"endowment must be > 0, got {self.endowment}")
-        require_finite(self, ("beta", "gamma", "n1", "n2", "n3", "endowment"))
+        require_signs(self, beta=">=", gamma=">", n1=">", n2=">=", n3=">=", endowment=">")
         total, reach = self.total, self.beta * self.total + self.gamma
         if not (math.isfinite(STAGE_BOUND * total)
                 and math.isfinite(6.0 * STAGE_BOUND**2 * (reach * total))):

@@ -156,3 +156,13 @@ def require_finite(obj, names) -> None:
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def require_signs(obj, **signs) -> None:
+    """ConfigError naming the first field of obj, in the order of signs, that
+    is not > 0 or >= 0 as its sign says, then the first that is not finite."""
+    for name, sign in signs.items():
+        value = getattr(obj, name)
+        if not (value > 0 if sign == ">" else value >= 0):
+            raise ConfigError(f"{name} must be {sign} 0, got {value}")
+    require_finite(obj, signs)

@@ -37,8 +37,8 @@ import numpy as np
 
 from .epidemic import EpidemicTrajectory, coupled_field
 from . import numerics
-from .errors import (DECAY, OVERSHOOT, ConfigError, DomainError, GridTooCoarseError,
-                     PriceFloorError, require_finite)
+from .errors import (DECAY, OVERSHOOT, DomainError, GridTooCoarseError, PriceFloorError,
+                     require_signs)
 
 if TYPE_CHECKING:
     from .rational import PlateauSolution
@@ -53,11 +53,7 @@ class SupplyCurve:
     kappa: float = 10.0
 
     def __post_init__(self):
-        if not (self.p0 > 0):
-            raise ConfigError(f"p0 must be > 0, got {self.p0}")
-        if not (self.kappa > 0):
-            raise ConfigError(f"kappa must be > 0, got {self.kappa}")
-        require_finite(self, ("p0", "kappa"))
+        require_signs(self, p0=">", kappa=">")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +89,7 @@ class MarketTrajectory:
         the node where the plateau closed.
         """
         n = len(self.p)
-        if self.scenario != "rational" or self.plateau_start is None:
+        if self.scenario != "rational":
             return ["na"] * n
         pre = self.plateau_start
         post = self.post_start if self.post_start is not None else n
@@ -319,18 +315,12 @@ def cohort_holdings_profile(trajectory: MarketTrajectory) -> np.ndarray:
     X(t+dt) = exp(-gamma*dt)*X(t) + local trapezoid reproduces the global
     trapezoid exactly (up to rounding) while staying stable for any gamma*t.
     """
+    if trajectory.scenario != "myopic":
+        raise DomainError(
+            f"cohort quadrature is defined for myopic runs, not '{trajectory.scenario}'")
     epi = trajectory.epi
     params = epi.params
-    rate = params.beta * epi.i * epi.s * params.endowment
-    if trajectory.scenario == "myopic":
-        u = rate / trajectory.p
-    elif trajectory.scenario == "depression":
-        u = -rate / (2.0 * trajectory.curve.p0 - trajectory.p)
-    else:
-        raise DomainError(
-            f"cohort quadrature is defined for myopic and depression runs, "
-            f"not '{trajectory.scenario}'"
-        )
+    u = params.beta * epi.i * epi.s * params.endowment / trajectory.p
     dt = epi.grid.dt
     decay = math.exp(-params.gamma * dt)
     half = 0.5 * dt

@@ -271,12 +271,12 @@ def write_legs(legs, fmt: str, out_dir) -> tuple[list[str], list[str]]:
 _EVENT_COLUMNS = [f.name for f in fields(EventTimeline) if f.name != "ordering_ok"]
 
 
-def write_timeline_json(timeline: EventTimeline,
-                        verdicts: dict[str, ClaimResult] | None, path) -> str:
+def write_timeline_json(timeline: EventTimeline, verdicts: dict[str, ClaimResult],
+                        path) -> str:
     """The timeline's own fields, in field order, and each claim's status."""
     return write_json({
         **asdict(timeline),
-        "verdicts": {name: c.status for name, c in (verdicts or {}).items()},
+        "verdicts": {name: c.status for name, c in verdicts.items()},
     }, path)
 
 

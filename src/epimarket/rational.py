@@ -247,8 +247,6 @@ def _scan(curve: SupplyCurve, epi: EpidemicTrajectory, zs: array, hs: array, t1:
     """
     params, grid = epi.params, epi.grid
     k1 = _node_below(grid, t1)
-    if k1 >= len(zs):
-        raise DomainError(f"t1={t1} beyond integrated phase-1 range")
     y = epi.state_at(k1) + (zs[k1], hs[k1])
     rem = t1 - grid.node(k1)
     if rem > 0.0:

@@ -61,9 +61,14 @@ def test_simulate_rational_adds_the_second_leg(tmp_path, fast_config):
     assert timeline["verdicts"]["re_peak_lower"] == "pass"
 
 
-@pytest.mark.parametrize("scenario", ["myopic", "depression"])
-def test_simulate_without_a_boom_writes_no_verdicts(tmp_path, scenario):
-    # n2=0: the contagion is never seeded and the price never leaves p0
+@pytest.mark.parametrize("scenario, legs", [
+    ("myopic", ["myopic"]), ("depression", ["depression", "myopic"]),
+    ("rational", ["myopic"]), ("all", ["depression", "myopic"])],
+    ids=["myopic", "depression", "rational", "all"])
+def test_simulate_without_a_boom_writes_no_verdicts(tmp_path, scenario, legs):
+    # n2=0: the contagion is never seeded and the price never leaves p0;
+    # with no plateau to solve, no rational leg is written, as a sweep row
+    # of the same point has no claims
     cfg = tmp_path / "no_boom.cfg"
     cfg.write_text("n2=0\nt_end=50\n")
     out = tmp_path / "out"
@@ -72,6 +77,20 @@ def test_simulate_without_a_boom_writes_no_verdicts(tmp_path, scenario):
     timeline = json.loads((out / "timeline.json").read_text())
     assert timeline["t_i_star"] is None
     assert timeline["verdicts"] == {}
+    assert sorted(p.stem for p in out.glob("*.csv")) == legs
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("beta=5\n", []),  # a stiff grid, refused by the SIR pass
+    ("", ["--horizon", "10", "--scenario", "rational"]),  # the peak lies past the horizon
+], ids=["stiff_grid", "peak_past_horizon"])
+def test_a_refused_simulate_leaves_no_output_directory(tmp_path, caplog, text, flags):
+    cfg = tmp_path / "refused.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out), *flags) == 3
+    assert len([r for r in caplog.records if r.levelname == "ERROR"]) == 1
+    assert not out.exists()
 
 
 # sha256 of the data files `simulate --scenario rational` writes at the
@@ -188,7 +207,7 @@ def test_a_stiff_input_only_grids_finer_than_4_digits_run_advises_no_dt(tmp_path
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
         BETA_5_BAND_REFUSAL]
-    assert _data_files(out) == []
+    assert not out.exists()
 
 
 def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
@@ -206,7 +225,7 @@ def test_a_population_beyond_the_float_range_is_a_usage_error(tmp_path, caplog):
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == code
         [err] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert says in err
-        assert not (out / "myopic.csv").exists()
+        assert not out.exists()
 
 
 def test_an_overflow_of_s_and_i_fails_every_leg_with_the_sir_pass_error(tmp_path, caplog):
@@ -222,7 +241,7 @@ def test_an_overflow_of_s_and_i_fails_every_leg_with_the_sir_pass_error(tmp_path
         assert run_cli(*command, "--config", str(cfg), "--out", str(out)) == 2
         assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
             POPULATION_REFUSAL.format(n="1e+308")]
-        assert _data_files(out) == []
+        assert not out.exists()
 
 
 def test_a_boom_that_overshoots_its_floor_names_the_dt_that_holds_it(tmp_path, caplog):
@@ -412,14 +431,14 @@ def test_infinite_grid_flag_is_a_usage_error(tmp_path, flag):
     # inf used to overflow (horizon) or build a 0-step grid (dt)
     out = tmp_path / "o"
     assert run_cli("simulate", "--out", str(out), flag, "inf") == 2
-    assert not (out / "myopic.csv").exists()
+    assert not out.exists()
 
 
 def test_grid_above_the_step_cap_is_a_usage_error(tmp_path):
     # 1e302 steps used to overflow while allocating the SIR arrays
     out = tmp_path / "o"
     assert run_cli("simulate", "--out", str(out), "--horizon", "1e300") == 2
-    assert not (out / "myopic.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("out", [" x", "x ", "a\nb"])

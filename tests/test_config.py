@@ -74,6 +74,39 @@ def test_validation_happens_at_construction():
         ScenarioConfig(sweep={"n1": [0.0]})
 
 
+# every signed field of the model values, with the sign errors.require_signs
+# holds it to
+_SIGNS = [(EpidemicParams, "beta", ">="), (EpidemicParams, "gamma", ">"),
+          (EpidemicParams, "n1", ">"), (EpidemicParams, "n2", ">="),
+          (EpidemicParams, "n3", ">="), (EpidemicParams, "endowment", ">"),
+          (SupplyCurve, "p0", ">"), (SupplyCurve, "kappa", ">")]
+
+
+@pytest.mark.parametrize("cls, name, sign", _SIGNS, ids=[name for _, name, _ in _SIGNS])
+@pytest.mark.parametrize("value", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_a_signed_field_is_refused_for_its_sign_then_as_not_finite(cls, name, sign, value):
+    if sign == ">=" and value == 0.0:
+        assert getattr(cls(**{name: value}), name) == 0.0  # -0.0 too
+        return
+    says = (f"{name} must be finite, got inf" if value == math.inf
+            else f"{name} must be {sign} 0, got {value}")
+    with pytest.raises(ConfigError) as info:
+        cls(**{name: value})
+    assert str(info.value) == says
+
+
+@pytest.mark.parametrize("cls, bad, says", [
+    (EpidemicParams, dict(beta=math.inf, endowment=-1.0), "endowment must be > 0, got -1.0"),
+    (SupplyCurve, dict(p0=math.inf, kappa=0.0), "kappa must be > 0, got 0.0"),
+], ids=["EpidemicParams", "SupplyCurve"])
+def test_every_sign_is_judged_before_any_finiteness(cls, bad, says):
+    # the first field is infinite with the right sign, the second has the
+    # wrong sign: the second is named
+    with pytest.raises(ConfigError) as info:
+        cls(**bad)
+    assert str(info.value) == says
+
+
 def test_a_grid_that_does_not_start_at_zero_is_refused():
     # no key carries t_start, so such a config could not round-trip
     with pytest.raises(ConfigError, match="a run's grid starts at t=0, got t_start=1.0"):

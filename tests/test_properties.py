@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import fields, replace
 from unittest import mock
@@ -370,6 +371,19 @@ _REGIME = dict(
 )
 
 
+def _law_a(params, curve, c):
+    """The run of law (a): beta/c, and n1, n2, n3 and kappa times c."""
+    return (replace(params, beta=params.beta / c, n1=params.n1 * c, n2=params.n2 * c,
+                    n3=params.n3 * c), replace(curve, kappa=curve.kappa * c))
+
+
+def _law_b(params, c):
+    """The run of law (b): beta and gamma times c, on dt/c up to t_end/c."""
+    g = _SCALED_GRID
+    return (replace(params, beta=params.beta * c, gamma=params.gamma * c),
+            Grid(g.t_start, g.t_end / c, g.dt / c))
+
+
 def _judged(params, curve, grid):
     """The myopic and rational legs of one run and their report."""
     epi = epidemic_pass(params, grid)
@@ -393,10 +407,7 @@ def test_population_scaled_by_a_power_of_two_gives_the_same_judged_run(
     params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
     curve = SupplyCurve(kappa=10.0 ** log_kappa)
     legs, report = _judged(params, curve, _SCALED_GRID)
-    scaled_legs, scaled = _judged(
-        replace(params, beta=params.beta / c, n1=params.n1 * c, n2=params.n2 * c,
-                n3=params.n3 * c),
-        replace(curve, kappa=curve.kappa * c), _SCALED_GRID)
+    scaled_legs, scaled = _judged(*_law_a(params, curve, c), _SCALED_GRID)
     for leg, twin in zip(legs, scaled_legs):
         assert twin.p.tobytes() == leg.p.tobytes()
         assert (twin.x / c).tobytes() == leg.x.tobytes()
@@ -404,6 +415,10 @@ def test_population_scaled_by_a_power_of_two_gives_the_same_judged_run(
             assert (getattr(twin.epi, name) / c).tobytes() == getattr(leg.epi, name).tobytes()
     assert repr(scaled.timeline) == repr(report.timeline)
     assert _claim_bits(scaled.claims) == _claim_bits(report.claims)
+    # the plateau record: its times and price stay, its stock and flow scale
+    plateau, twin = legs[1].plateau, scaled_legs[1].plateau
+    assert replace(twin, residual_flow=twin.residual_flow / c,
+                   residual_absorption=twin.residual_absorption / c) == plateau
 
 
 @settings(DETERMINISTIC, max_examples=12)
@@ -414,10 +429,8 @@ def test_rates_and_grid_scaled_by_a_power_of_two_scale_every_time(
     params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
     curve = SupplyCurve(kappa=10.0 ** log_kappa)
     legs, report = _judged(params, curve, _SCALED_GRID)
-    g = _SCALED_GRID
-    scaled_legs, scaled = _judged(
-        replace(params, beta=params.beta * c, gamma=params.gamma * c), curve,
-        Grid(g.t_start, g.t_end / c, g.dt / c))
+    scaled_params, scaled_grid = _law_b(params, c)
+    scaled_legs, scaled = _judged(scaled_params, curve, scaled_grid)
     for leg, twin in zip(legs, scaled_legs):
         assert (twin.epi.times * c).tobytes() == leg.epi.times.tobytes()
         for name in ("p", "x"):
@@ -428,6 +441,74 @@ def test_rates_and_grid_scaled_by_a_power_of_two_scale_every_time(
     assert (twin_tl.p_star_m, twin_tl.p_star_re) == (tl.p_star_m, tl.p_star_re)
     assert twin_tl.ordering_ok == tl.ordering_ok
     assert _claim_bits(scaled.claims, c) == _claim_bits(report.claims, 1.0)
+    # the plateau record: its times scale by 1/c, its flow, a rate, by c
+    plateau, twin = legs[1].plateau, scaled_legs[1].plateau
+    assert replace(twin, t1=twin.t1 * c, t2=twin.t2 * c,
+                   residual_flow=twin.residual_flow / c) == plateau
+
+
+def _slump(params, curve, grid):
+    """The depression leg of one run and its report, or its floor refusal."""
+    try:
+        leg = simulate_depression(curve, epidemic_pass(params, grid))
+    except PriceFloorError as exc:
+        return exc, None
+    return leg, check_propositions(leg)
+
+
+def _floor_refusal(exc, t_scale, x_scale):
+    """A floor refusal's type and text, its t and x read back and scaled."""
+    price, t, x = re.fullmatch(r"(.*) hit zero at t=(\S+) \(x=(\S+)\)", str(exc)).groups()
+    return type(exc), price, float(t) * t_scale, float(x) * x_scale, exc.time * t_scale
+
+
+# kappa up to 800, so some draws clear the floor (3 of the 12) and the rest meet it
+@settings(DETERMINISTIC, max_examples=12)
+@given(**dict(_REGIME, log_kappa=st.floats(min_value=math.log10(5.0),
+                                           max_value=math.log10(800.0))))
+def test_a_depression_leg_keeps_both_laws(log_beta, gamma, log_kappa, m):
+    # a leg that runs keeps each law as a boom does; a floor refusal keeps
+    # its type and time, its x scaled by c under (a) and its time by 1/c
+    # under (b)
+    c = 2.0 ** m
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=10.0 ** log_kappa)
+    leg, report = _slump(params, curve, _SCALED_GRID)
+    by_a, report_a = _slump(*_law_a(params, curve, c), _SCALED_GRID)
+    b_params, b_grid = _law_b(params, c)
+    by_b, report_b = _slump(b_params, curve, b_grid)
+    if report is None:
+        assert _floor_refusal(by_a, 1.0, 1.0 / c) == _floor_refusal(leg, 1.0, 1.0)
+        assert _floor_refusal(by_b, c, 1.0) == _floor_refusal(leg, 1.0, 1.0)
+        return
+    assert by_a.p.tobytes() == leg.p.tobytes()
+    assert (by_a.x / c).tobytes() == leg.x.tobytes()
+    assert repr(report_a.timeline) == repr(report.timeline)
+    assert _claim_bits(report_a.claims) == _claim_bits(report.claims)
+    assert (by_b.epi.times * c).tobytes() == leg.epi.times.tobytes()
+    assert (by_b.p.tobytes(), by_b.x.tobytes()) == (leg.p.tobytes(), leg.x.tobytes())
+    tl, twin = report.timeline, report_b.timeline
+    assert (twin.t_i_star * c, twin.t_p_star_m * c) == (tl.t_i_star, tl.t_p_star_m)
+    assert (twin.p_star_m, twin.ordering_ok) == (tl.p_star_m, tl.ordering_ok)
+    assert _claim_bits(report_b.claims, c) == _claim_bits(report.claims, 1.0)
+
+
+@settings(DETERMINISTIC, max_examples=8)
+@given(**_REGIME)
+def test_a_one_group_sweep_row_keeps_law_a(log_beta, gamma, log_kappa, m):
+    # the sweep's rational head, refinement and row carry law (a) too
+    c = 2.0 ** m
+    params = EpidemicParams(beta=10.0 ** log_beta, gamma=gamma)
+    curve = SupplyCurve(kappa=10.0 ** log_kappa)
+    [row] = parameter_sweep(params, curve, _SCALED_GRID, {"beta": [params.beta]})
+    scaled_params, scaled_curve = _law_a(params, curve, c)
+    [twin] = parameter_sweep(scaled_params, scaled_curve, _SCALED_GRID,
+                             {"beta": [scaled_params.beta]})
+    assert (twin.params, twin.curve) == (scaled_params, scaled_curve)
+    assert repr(twin.timeline) == repr(row.timeline)
+    assert _claim_bits(twin.claims) == _claim_bits(row.claims)
+    assert (twin.error, twin.refinements, twin.dt_used) == (
+        row.error, row.refinements, row.dt_used)
 
 
 # ---------------------------------------------------------------------------
