@@ -4,12 +4,13 @@ Everything here is read-only over trajectories: refine discrete extrema,
 assemble the event timeline (t1 < t_P* < t2 < t_I*) from the legs and the
 SIR pass each holds (`MarketTrajectory.epi`), judge the headline
 claims (long-run reversion, unimodal price, peak ordering, plateau
-constancy, pre-plateau dominance, lower rational peak), and sweep those
-verdicts over a parameter grid, rows in grid order. A sweep integrates
-each epidemic's SIR pass once, then runs that group's points on every
-usable CPU: one strided share per process, the shares after the first in
-forked children that read the pass copy-on-write and pickle their rows
-back. The rows do not depend on the number of processes.
+constancy, pre-plateau dominance, lower rational peak) of one scenario's
+legs (`judge_run`, which the CLI and the verification battery share),
+and sweep those verdicts over a parameter grid, rows in grid order. A
+sweep integrates each epidemic's SIR pass once, then runs that group's
+points on every usable CPU: one strided share per process, the shares
+after the first in forked children that read the pass copy-on-write and
+pickle their rows back. The rows do not depend on the number of processes.
 """
 from __future__ import annotations
 
@@ -30,10 +31,10 @@ from .errors import (
     DomainError,
     SimulationError,
 )
-from .market import MarketTrajectory, SupplyCurve, simulate_myopic
+from .market import MarketTrajectory, SupplyCurve, simulate_depression, simulate_myopic
 from .numerics import Grid, refine_max
 from .pool import forked, usable_cpus
-from .rational import re_price_head
+from .rational import re_price_head, re_price_path
 
 # each ordering verdict's key and the two EventTimeline times it orders,
 # (earlier, later); the event chain t1 < t_P* < t2 < t_I* is the first three
@@ -337,6 +338,39 @@ def _rational_claims(
         + f" (dt={dt:g})",
     )
     return claims
+
+
+def judge_run(curve: SupplyCurve, epi: EpidemicTrajectory, scenario: str) -> tuple[
+        list[tuple[str, MarketTrajectory]], PropositionReport, SimulationError | None]:
+    """scenario's legs on the SIR pass epi as (name, leg) pairs in written
+    order, the run's PropositionReport, and a failed depression leg's error.
+
+    The myopic leg always runs, the rational one only where the contagion
+    booms (no boom, no plateau, as in a sweep row), and both are judged
+    before the depression leg runs. Under depression that leg is judged
+    alone; under all its claims join as depression_<name>, and its failure
+    is returned while the other legs stand.
+    """
+    legs = [("myopic", simulate_myopic(curve, epi))]
+    if scenario in ("rational", "all") and epi.params.booms:
+        legs.append(("rational", re_price_path(curve, epi)))
+    report = check_propositions(*(leg for _name, leg in legs))
+    error = None
+    if scenario == "depression":
+        depression = simulate_depression(curve, epi)
+        legs.append(("depression", depression))
+        report = check_propositions(depression)
+    elif scenario == "all":
+        try:
+            depression = simulate_depression(curve, epi)
+        except SimulationError as exc:
+            error = exc
+        else:
+            legs.append(("depression", depression))
+            claims = check_propositions(depression).claims
+            report = replace(report, claims={**report.claims, **{
+                f"depression_{name}": claim for name, claim in claims.items()}})
+    return legs, report, error
 
 
 # ---------------------------------------------------------------------------

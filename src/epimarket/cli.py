@@ -12,7 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import check_propositions, parameter_sweep, summarize_sweep
+from .analysis import judge_run, parameter_sweep, summarize_sweep
 from .config import (
     FORMATS,
     SCENARIOS,
@@ -23,7 +23,6 @@ from .config import (
 )
 from .epidemic import epidemic_pass
 from .errors import ConfigError, SimulationError
-from .market import simulate_depression, simulate_myopic
 from .output import (
     prepare_out_dir,
     write_legs,
@@ -32,7 +31,6 @@ from .output import (
     write_sweep_summary,
     write_timeline_json,
 )
-from .rational import re_price_path
 from .verify import run_verification
 
 log = logging.getLogger("epimarket")
@@ -97,44 +95,22 @@ def _load_config(args) -> ScenarioConfig:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
     started = time.perf_counter()
-    error: str | None = None
-
-    # one SIR pass drives every leg
-    epi = epidemic_pass(cfg.params, cfg.grid)
-    myopic = simulate_myopic(cfg.curve, epi)
-    rational = None
-    # with no boom there is no plateau to solve, as in a sweep row
-    if cfg.scenario in ("rational", "all") and cfg.params.booms:
-        rational = re_price_path(cfg.curve, epi)
-    # judged before the depression leg runs and any file is written, so a
-    # horizon that ends before the infection peak fails on that alone
-    judged = check_propositions(myopic, rational)
-    depression = None
-    if cfg.scenario == "depression":
-        depression = simulate_depression(cfg.curve, epi)
-        judged = check_propositions(depression)
-    elif cfg.scenario == "all":
-        try:
-            depression = simulate_depression(cfg.curve, epi)
-        except SimulationError as exc:
-            # record the failed leg but keep the artifacts that exist
-            error = str(exc)
-            log.error("depression leg failed: %s", exc)
-    timeline, verdicts = judged.timeline, dict(judged.claims)
-    if cfg.scenario == "all" and depression is not None:
-        for name, claim in check_propositions(depression).claims.items():
-            verdicts[f"depression_{name}"] = claim
+    # one SIR pass drives every leg, judged before any file is written
+    legs, judged, error = judge_run(cfg.curve, epidemic_pass(cfg.params, cfg.grid),
+                                    cfg.scenario)
+    if error is not None:
+        # the failed leg is recorded, and the artifacts that exist are kept
+        log.error("depression leg failed: %s", error)
+    timeline = judged.timeline
 
     # made only now, so a refused run leaves no directory behind
     out = prepare_out_dir(cfg.out_dir)
-    legs = [("myopic", myopic), ("rational", rational), ("depression", depression)]
-    series, plots = write_legs([leg for leg in legs if leg[1] is not None],
-                               cfg.format, out)
+    series, plots = write_legs(legs, cfg.format, out)
     manifest = [path for pair in zip(series, plots) for path in pair]
-    manifest.append(write_timeline_json(timeline, verdicts, out / "timeline.json"))
+    manifest.append(write_timeline_json(timeline, judged.claims, out / "timeline.json"))
 
     write_report(out / "report.json", serialize_config(cfg), manifest,
-                 time.perf_counter() - started, error)
+                 time.perf_counter() - started, None if error is None else str(error))
 
     if timeline.boom:
         log.info("infection peak at t=%.4f", timeline.t_i_star)
@@ -171,13 +147,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verification(args.out)
-    for line in report.lines():
-        log.info("%s", line)
-    if report.ok:
-        log.info("all %d checks passed", len(report.results))
+    results = run_verification(args.out)
+    for result in results:
+        log.info("%s", result.line())
+    failed = [r.criterion for r in results if not r.passed]
+    if not failed:
+        log.info("all %d checks passed", len(results))
         return 0
-    failed = [r.criterion for r in report.results if not r.passed]
     log.error("failed criteria: %s", ", ".join(str(c) for c in failed))
     return 1
 

@@ -68,9 +68,10 @@ class ScenarioConfig:
 def parse_config(text: str) -> ScenarioConfig:
     """Build a validated config from key=value lines or a JSON object.
 
-    Empty input yields the defaults.
+    Text that opens a JSON object or array is JSON, so an array is refused
+    as one; empty input yields the defaults.
     """
-    if text.lstrip().startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         data = _from_json(text)
     else:
         data = _from_lines(text)

@@ -8,7 +8,8 @@ convergence under grid refinement, and determinism (the sweep against
 each point swept alone). Each check reads the run it judges (its SIR
 pass, legs, claims or sweep rows, and their params, grid and curve) and
 returns (passed, detail), asserting nothing; `run_verification` numbers
-and names the checks in one table, and callers surface failures.
+and names the checks in one table, hands them the run `analysis.judge_run`
+builds and judges, and returns their results for callers to surface.
 
 All artifacts written by a verification run are deterministic byte-for-
 byte: numbers use shortest round-trip formatting and no timestamps are
@@ -26,6 +27,7 @@ from .analysis import (
     check_propositions,
     default_sweep_axes,
     grid_points,
+    judge_run,
     parameter_sweep,
     refine_peak,
     summarize_sweep,
@@ -51,7 +53,7 @@ from .output import (
     write_sweep_csv,
     write_timeline_json,
 )
-from .rational import re_price_path, solve_plateau
+from .rational import solve_plateau
 
 
 @dataclass(frozen=True)
@@ -64,19 +66,6 @@ class CheckResult:
     def line(self) -> str:
         word = "PASS" if self.passed else "FAIL"
         return f"criterion {self.criterion:02d} {self.name}: {word} [{self.detail}]"
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    results: list[CheckResult]
-    artifacts: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +320,18 @@ def check_determinism(myopic, rows, out: Path) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def run_verification(out_dir) -> VerificationReport:
-    """Run all thirteen checks at the CLI's defaults and write the
-    artifact set."""
+def run_verification(out_dir) -> list[CheckResult]:
+    """Run all thirteen checks on the rational run at the CLI's defaults
+    (`judge_run`), write the artifact set and verification.json, and
+    return the results in criterion order."""
     out = prepare_out_dir(out_dir)
     cfg = ScenarioConfig()
     params, curve, grid = cfg.params, cfg.curve, cfg.grid
 
     epi = epidemic_pass(params, grid)
-    myopic = simulate_myopic(curve, epi)
-    rational = re_price_path(curve, epi)
-    judged = check_propositions(myopic, rational)
-    timeline, claims = judged.timeline, judged.claims
+    legs, judged, _error = judge_run(curve, epi, "rational")
+    (_, myopic), (_, rational) = legs
+    claims = judged.claims
     rows = parameter_sweep(params, curve, grid)
     # the myopic leg at half the run's dt, which two criteria share
     fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=0.5 * grid.dt)))
@@ -365,20 +354,13 @@ def run_verification(out_dir) -> VerificationReport:
     results = [CheckResult(number, name, *check(*judges))
                for number, name, check, *judges in battery]
 
-    series, plots = write_legs([("myopic", myopic), ("rational", rational)],
-                               "csv", out)
-    artifacts = [
-        *series,
-        *plots,
-        write_timeline_json(timeline, claims, out / "timeline.json"),
-        str(out / "sweep.csv"),
-        str(out / "sweep_recheck.csv"),
-    ]
-    report = VerificationReport(results=results, artifacts=artifacts)
+    series, plots = write_legs(legs, "csv", out)
+    timeline = write_timeline_json(judged.timeline, claims, out / "timeline.json")
     write_json({
-        "ok": report.ok,
-        "criteria": [asdict(r) for r in report.results],
+        "ok": all(r.passed for r in results),
+        "criteria": [asdict(r) for r in results],
         # basenames keep the file identical for any artifact directory
-        "artifacts": [Path(p).name for p in report.artifacts],
+        "artifacts": [Path(p).name for p in (*series, *plots, timeline)]
+                     + ["sweep.csv", "sweep_recheck.csv"],
     }, out / "verification.json")
-    return report
+    return results

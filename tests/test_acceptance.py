@@ -22,8 +22,10 @@ Two criteria test a property only where the numbers can show it:
 """
 from __future__ import annotations
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -31,23 +33,30 @@ from epimarket import (
     EpidemicParams,
     Grid,
     SupplyCurve,
-    check_propositions,
     epidemic_pass,
-    re_price_path,
     simulate_myopic,
 )
 from epimarket import verify
-from epimarket.verify import run_verification
+from epimarket.analysis import judge_run
+from epimarket.verify import CheckResult, run_verification
+
+
+class VerifyRun(NamedTuple):
+    """The directory a verification run wrote and the results it returned."""
+    out: Path
+    results: list[CheckResult]
 
 
 @pytest.fixture(scope="module")
 def first_run(tmp_path_factory):
-    return run_verification(tmp_path_factory.mktemp("verify_a"))
+    out = tmp_path_factory.mktemp("verify_a")
+    return VerifyRun(out, run_verification(out))
 
 
 @pytest.fixture(scope="module")
 def second_run(tmp_path_factory):
-    return run_verification(tmp_path_factory.mktemp("verify_b"))
+    out = tmp_path_factory.mktemp("verify_b")
+    return VerifyRun(out, run_verification(out))
 
 
 # sha256 of the eight files a verification run writes (its artifacts and
@@ -55,11 +64,12 @@ def second_run(tmp_path_factory):
 VERIFY_SHA256 = "144bed3d431bf975e739caec43948d955a7ba9eb05804954a73e026a3a53f04a"
 
 
-def _files(report) -> dict[str, Path]:
-    """The files a verification run wrote, by name."""
-    files = {Path(p).name: Path(p) for p in report.artifacts}
-    files["verification.json"] = files["sweep.csv"].parent / "verification.json"
-    return files
+def _files(run) -> dict[str, Path]:
+    """The files a verification run wrote, by name: the artifacts its
+    verification.json lists, and verification.json."""
+    listing = run.out / "verification.json"
+    names = json.loads(listing.read_text(encoding="utf-8"))["artifacts"]
+    return {**{name: run.out / name for name in names}, "verification.json": listing}
 
 
 def _criterion(report, number: int):
@@ -148,6 +158,10 @@ def test_verification_artifacts_have_the_pinned_bytes(first_run, artifact_digest
     assert sorted(files) == sorted(p.name for p in files["sweep.csv"].parent.iterdir())
     assert len(files) == 8
     assert artifact_digest(files.values()) == VERIFY_SHA256
+    # verification.json records the results run_verification returned
+    record = json.loads(files["verification.json"].read_text(encoding="utf-8"))
+    assert record["criteria"] == [asdict(r) for r in first_run.results]
+    assert record["ok"] is all(r.passed for r in first_run.results)
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +173,13 @@ def test_verification_artifacts_have_the_pinned_bytes(first_run, artifact_digest
 def off_defaults():
     """The verdicts and details of the criteria that judge one run, by
     number, at beta=7e-4, gamma=0.15, kappa=20: each handed the run's SIR
-    pass, legs, claims and myopic leg at half the dt, as run_verification
-    hands them the defaults' run."""
+    pass, the legs and claims judge_run gives and the myopic leg at half
+    the dt, as run_verification hands them the defaults' run."""
     params, curve = EpidemicParams(beta=7e-4, gamma=0.15), SupplyCurve(kappa=20.0)
     grid = Grid(0.0, 300.0, 1e-2)
     epi = epidemic_pass(params, grid)
-    myopic, rational = simulate_myopic(curve, epi), re_price_path(curve, epi)
+    legs, judged, _error = judge_run(curve, epi, "rational")
+    (_, myopic), (_, rational) = legs
     fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
     return {
         1: verify.check_conservation(epi),
@@ -173,7 +188,7 @@ def off_defaults():
         # threshold 857 < n1 at this beta, peaks, and failed the criterion
         4: verify.check_infection_peak(epi),
         6: verify.check_quadrature(myopic, fine),
-        7: verify.check_plateau_closure(rational, check_propositions(myopic, rational).claims),
+        7: verify.check_plateau_closure(rational, judged.claims),
         11: verify.check_depression(myopic),
         12: verify.check_event_convergence(myopic, rational, fine),
     }

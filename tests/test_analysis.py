@@ -1,6 +1,7 @@
 """Event timeline, proposition checkers, parameter sweeps."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,15 +19,17 @@ from epimarket import (
     refine_peak,
     simulate_depression,
     simulate_myopic,
+    simulate_re_given_t1,
     summarize_sweep,
 )
 from epimarket import analysis, numerics
-from epimarket.analysis import EventTimeline, _strict, default_sweep_axes
+from epimarket.analysis import EventTimeline, _strict, default_sweep_axes, judge_run
 from epimarket.errors import (
     BoundaryExtremumError,
     ConfigError,
     ConsistencyError,
     DomainError,
+    PriceFloorError,
 )
 from epimarket.numerics import newton_parabola
 from test_drive_parity import POPULATION_REFUSAL, assert_sir_refusal
@@ -236,6 +239,17 @@ def test_plateau_checker_rejects_a_wobble(myopic_run, rational_run):
     assert report.claims["plateau_price_constant"].status == "fail"
 
 
+def test_a_plateau_that_holds_no_grid_node_is_inconclusive(curve, epidemic_run, myopic_run):
+    # from t1 = 40 the net flow is already reversed, so the plateau closes
+    # at t1 itself, before any node: its constancy cannot be judged
+    leg = simulate_re_given_t1(curve, 40.0, epidemic_run)
+    assert leg.plateau.t2 == 40.0 and leg.post_start == leg.plateau_start
+    claim = check_propositions(myopic_run, leg).claims["plateau_price_constant"]
+    assert claim.status == "inconclusive"
+    assert math.isnan(claim.margin)
+    assert claim.detail == "plateau contains no grid nodes"
+
+
 def test_dominance_checker_rejects_an_undercut(myopic_run, rational_run):
     p_bad = rational_run.p.copy()
     p_bad[50:100] = myopic_run.p[50:100] - 1e-6
@@ -279,6 +293,53 @@ def test_timeline_driven_claims_follow_the_verdicts(monkeypatch, myopic_run,
         19.9 - 14.9, 20.5 - 19.9, 21.0 - 20.5)
     assert report.claims["event_ordering_chain"].detail.startswith(
         f"gaps {19.9 - 14.9:.4g}, {20.5 - 19.9:.4g}, {21.0 - 20.5:.4g} (dt=")
+
+
+# ---------------------------------------------------------------------------
+# one scenario's run
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scenario, names", [
+    ("myopic", ["myopic"]),
+    ("rational", ["myopic", "rational"]),
+    ("depression", ["myopic", "depression"]),
+    ("all", ["myopic", "rational", "depression"]),
+])
+def test_judge_run_runs_and_judges_each_scenarios_legs(epidemic_run, scenario, names):
+    # at kappa=400 the slump clears its floor, so every leg runs
+    curve = SupplyCurve(kappa=400.0)
+    legs, report, error = judge_run(curve, epidemic_run, scenario)
+    assert [name for name, _leg in legs] == names and error is None
+    run = dict(legs)
+    boom = check_propositions(run["myopic"], run.get("rational"))
+    if scenario == "depression":
+        boom = check_propositions(run["depression"])
+    claims = dict(boom.claims)
+    if scenario == "all":
+        claims.update({f"depression_{name}": claim for name, claim
+                       in check_propositions(run["depression"]).claims.items()})
+    assert report.claims == claims
+    assert report.timeline == boom.timeline
+
+
+def test_judge_run_keeps_the_other_legs_of_a_failed_depression(curve, epidemic_run):
+    # at kappa=10 the slump hits its floor: under all the failure is
+    # returned beside the boom's legs and claims, and under depression raised
+    legs, report, error = judge_run(curve, epidemic_run, "all")
+    assert [name for name, _leg in legs] == ["myopic", "rational"]
+    assert type(error) is PriceFloorError
+    assert str(error) == "clearing price hit zero at t=7.015 (x=-10.009295841226004)"
+    assert report == check_propositions(*(leg for _name, leg in legs))
+    with pytest.raises(PriceFloorError, match=r"^clearing price hit zero at t=7\.015 "):
+        judge_run(curve, epidemic_run, "depression")
+
+
+def test_judge_run_runs_no_rational_leg_without_a_boom(params, curve):
+    epi = epidemic_pass(replace(params, n2=0.0), Grid(0.0, 50.0, 1e-2))
+    legs, report, error = judge_run(curve, epi, "rational")
+    assert [name for name, _leg in legs] == ["myopic"]
+    assert (report.claims, report.timeline.boom, error) == ({}, False, None)
 
 
 # ---------------------------------------------------------------------------

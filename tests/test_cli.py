@@ -10,7 +10,7 @@ import pytest
 from epimarket import cli
 from epimarket.config import parse_config, with_overrides
 from epimarket.errors import ConfigError
-from epimarket.verify import CheckResult, VerificationReport
+from epimarket.verify import CheckResult
 from test_drive_parity import POPULATION_REFUSAL, PR21_BOOM_REFUSAL
 from test_sir_pass import BETA_1000_REFUSAL, BETA_5_BAND_REFUSAL
 
@@ -609,11 +609,8 @@ def test_a_sweep_point_whose_values_break_a_bound_together_is_refused(tmp_path, 
 # ---------------------------------------------------------------------------
 
 
-def _fake_report(ok: bool) -> VerificationReport:
-    return VerificationReport(
-        results=[CheckResult(criterion=1, name="stub", passed=ok, detail="")],
-        artifacts=[],
-    )
+def _fake_report(ok: bool) -> list[CheckResult]:
+    return [CheckResult(criterion=1, name="stub", passed=ok, detail="")]
 
 
 def test_verify_exit_codes(monkeypatch, tmp_path):

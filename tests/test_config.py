@@ -200,6 +200,20 @@ def test_json_rejects_bad_input():
         parse_config('{"sweep": {"kappa": [5]}, "sweep.kappa": [20]}')
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "config JSON must be a single object"),
+    ('{"sweep": [1]}', '"sweep" must be an object of param -> list'),
+    ('{"sweep.beta": [1e-4, true]}', "sweep axis 'sweep.beta': expected numbers, got True"),
+    ('{"sweep": {"beta": [1e-4, "x"]}}', "sweep axis 'beta': expected numbers, got 'x'"),
+], ids=["array", "sweep-not-an-object", "flat-axis-bool", "nested-axis-string"])
+def test_json_refusals_name_their_rule(text, message):
+    # an array used to be read as key=value lines: "line 1, column 7:
+    # expected key=value"
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
 def test_json_nested_too_deeply_is_a_config_error():
     # the decoder used to escape as a RecursionError traceback
     depth = 200_000

@@ -20,7 +20,7 @@ from epimarket import (
 )
 from epimarket import numerics
 from epimarket.analysis import refine_peak
-from epimarket.errors import ConfigError, GridTooCoarseError, PriceFloorError
+from epimarket.errors import ConfigError, DomainError, GridTooCoarseError, PriceFloorError
 from epimarket.market import boom_price, holdings_field, holdings_pass
 from epimarket.numerics import rk4_step
 from test_drive_parity import PR21_BOOM_REFUSAL, assert_advice_runs
@@ -108,6 +108,16 @@ def test_quadrature_matches_state_at_price_peak(grid, myopic_run):
     q = float(cohort_holdings_profile(myopic_run)[k])
     x = float(myopic_run.x[k])
     assert q == pytest.approx(x, rel=1e-4)
+
+
+def test_quadrature_refuses_a_leg_that_is_not_myopic(epidemic_run, rational_run):
+    # the oracle integrates a boom's cohorts; a slump or a plateau has none
+    slump = simulate_depression(SupplyCurve(kappa=400.0), epidemic_run)
+    for leg in (slump, rational_run):
+        with pytest.raises(DomainError) as info:
+            cohort_holdings_profile(leg)
+        assert str(info.value) == (
+            f"cohort quadrature is defined for myopic runs, not '{leg.scenario}'")
 
 
 def test_quadrature_no_recovery_limit(curve):

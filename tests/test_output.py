@@ -289,6 +289,13 @@ def test_json_series_has_the_bytes_of_json_dump_with_indent(tmp_path, curve):
         json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
+def test_an_unknown_format_is_refused_before_any_file_is_written(tmp_path, tiny_run):
+    with pytest.raises(ConfigError) as info:
+        write_legs([("myopic", tiny_run)], "xml", tmp_path)
+    assert str(info.value) == "format must be 'csv' or 'json', got 'xml'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_streamed_writer_closes_every_file_when_it_raises(tmp_path, monkeypatch,
                                                           tiny_run):
     opened = []

@@ -16,6 +16,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -509,6 +510,72 @@ def test_a_one_group_sweep_row_keeps_law_a(log_beta, gamma, log_kappa, m):
     assert _claim_bits(twin.claims) == _claim_bits(row.claims)
     assert (twin.error, twin.refinements, twin.dt_used) == (
         row.error, row.refinements, row.dt_used)
+
+
+# every m of the draws above, for the refusals, which are cheap to take
+_EVERY_M = range(-8, 9)
+
+
+def _refusal(fn, *args) -> GridTooCoarseError:
+    with pytest.raises(GridTooCoarseError) as info:
+        fn(*args)
+    return info.value
+
+
+def _record(exc):
+    """Every field of a refusal, bit for bit (a NaN equal to a NaN)."""
+    return {name: repr(value) for name, value in vars(exc).items()}
+
+
+@pytest.mark.parametrize("beta", [5.0, 0.4, 1000.0])
+def test_a_stability_refusal_keeps_law_a(beta):
+    # (beta*N + gamma)*dt is unchanged, so is every field and the text
+    params, curve = EpidemicParams(beta=beta), SupplyCurve()
+    exc = _refusal(epidemic_pass, params, _SCALED_GRID)
+    for m in _EVERY_M:
+        scaled_params, _curve = _law_a(params, curve, 2.0 ** m)
+        twin = _refusal(epidemic_pass, scaled_params, _SCALED_GRID)
+        assert (_record(twin), str(twin)) == (_record(exc), str(exc)), m
+
+
+def test_a_boom_overshoot_refusal_keeps_law_a():
+    # the holdings, top = max demand/p0 and kappa*p0 scale by c, so both
+    # sides of the check do and the advised dt stays. The bound on dt,
+    # sqrt(kappa*p0/gamma)/sqrt(top), takes sqrt(c), exact only at even m:
+    # longest = bound*MAX_STEPS is where the law does not hold bit for bit
+    params = EpidemicParams(beta=2e-5, n1=1e6, n2=1e5)
+    curve, grid = SupplyCurve(), Grid(0.0, 20.0, 0.1)
+    exc = _refusal(simulate_myopic, curve, epidemic_pass(params, grid))
+    x = float(re.search(r"\(x=(\S+)\)", exc.cause)[1])
+    for m in _EVERY_M:
+        c = 2.0 ** m
+        scaled_params, scaled_curve = _law_a(params, curve, c)
+        twin = _refusal(simulate_myopic, scaled_curve, epidemic_pass(scaled_params, grid))
+        assert ((twin.check, twin.advised, twin.finest, twin.time)
+                == (exc.check, exc.advised, exc.finest, exc.time)), m
+        assert ((twin.value, twin.limit, twin.top, twin.at_finest)
+                == (exc.value * c, exc.limit * c, exc.top * c, exc.at_finest * c)), m
+        assert twin.cause == exc.cause.replace(f"x={x}", f"x={x * c}"), m
+        assert str(twin) == str(exc).replace(exc.cause, twin.cause).replace(
+            f"{exc.top:.4g}", f"{twin.top:.4g}"), m
+        if m % 2 == 0:
+            assert twin.longest == exc.longest, m
+        else:
+            assert math.isclose(twin.longest, exc.longest, rel_tol=2.0 ** -51), m
+
+
+def test_a_shooting_refusal_keeps_law_a():
+    # the closure's residuals and their tolerances, TOL*phi(P*), scale by
+    # c, so the solve fails where it failed, with every field and the text
+    params, curve = EpidemicParams(beta=1e-3, gamma=0.05), SupplyCurve()
+    grid = Grid(0.0, 300.0, 0.05)
+    exc = _refusal(re_price_path, curve, epidemic_pass(params, grid))
+    assert str(exc) == ("plateau closure residuals did not reach tol=0.0001 at dt=0.05; "
+                        "retry with dt/2")
+    for m in _EVERY_M:
+        scaled_params, scaled_curve = _law_a(params, curve, 2.0 ** m)
+        twin = _refusal(re_price_path, scaled_curve, epidemic_pass(scaled_params, grid))
+        assert (_record(twin), str(twin)) == (_record(exc), str(exc)), m
 
 
 # ---------------------------------------------------------------------------

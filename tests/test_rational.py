@@ -174,6 +174,30 @@ def test_start_past_the_last_node_holds_no_plateau_node(curve, beta, kind):
     assert len(traj.x) == len(traj.p) == n + 1
 
 
+def test_a_flow_that_reverses_inside_the_first_partial_step_closes_before_its_node(
+        curve, grid, epidemic_run):
+    # t1 = 19.265 lies in [node(1926), node(1927)), and the net flow turns
+    # before node 1927: the crossing is placed inside the partial phase-2
+    # step from t1, not at t1 itself and not past the node
+    zs, hs = rational._accumulate(curve, epidemic_run, grid.n_steps, stop_at_reversal=True)
+    t1 = 19.265
+    k1 = rational._node_below(grid, t1)
+    closure, _phi_star = rational._closure_at(curve, epidemic_run, zs, hs, t1)
+    assert k1 == 1926
+    assert t1 < closure.t2 < grid.node(k1 + 1)
+    assert (closure.t1, closure.iterations) == (t1, 0)
+
+
+def test_a_flow_that_never_reverses_closes_no_plateau(params, curve):
+    # on [0, 16] the plateau from t1 = 14.865 still buys at the horizon end
+    grid = Grid(0.0, 16.0, 1e-2)
+    epi = epidemic_pass(params, grid)
+    zs, hs = rational._accumulate(curve, epi, grid.n_steps, stop_at_reversal=True)
+    closure, phi_star = rational._closure_at(curve, epi, zs, hs, 14.865)
+    assert closure is None
+    assert phi_star > 0.0
+
+
 # ---------------------------------------------------------------------------
 # S, I and R of a rational path are the driving pass's
 # ---------------------------------------------------------------------------
