@@ -4,8 +4,8 @@ A config holds the run's EpidemicParams, SupplyCurve and Grid (from t=0).
 The numeric keys are their fields, and each key sets the object whose
 field it is (`analysis.assign`), whose own checks then hold it.
 Two input syntaxes share one key set: plain ``key=value`` lines (blank
-lines and ``#`` comments allowed) or a single JSON object. Sweep axes are
-``sweep.<param>=v1,v2,...`` lines, or a nested ``"sweep"`` object in JSON.
+lines and ``#`` comments allowed) or a single JSON object. A sweep axis is
+the key ``sweep.<param>``: ``sweep.kappa=5,10`` or ``"sweep.kappa": [5, 10]``.
 Unknown keys, duplicates, bad numbers, and out-of-range values all raise
 ConfigError; line/column positions are reported where the syntax has them.
 A sweep axis value obeys the bounds of its key, so ``sweep.gamma=-1,0.1``
@@ -104,13 +104,8 @@ def _from_json(text: str) -> dict:
     sweep: dict[str, list[float]] = {}
     data: dict = {"sweep": sweep}
     for key, value in obj.items():
-        if key == "sweep":
-            if not isinstance(value, dict):
-                raise ConfigError('"sweep" must be an object of param -> list')
-            for param, vals in value.items():
-                _add_axis(sweep, param, _number_list(param, vals))
-        elif key.startswith("sweep."):
-            _add_axis(sweep, key[len("sweep."):], _number_list(key, value))
+        if key.startswith("sweep."):
+            sweep[key[len("sweep."):]] = _number_list(key, value)
         elif key in _FLOAT_KEYS:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"key {key!r}: expected a number, got {value!r}")
@@ -122,14 +117,6 @@ def _from_json(text: str) -> dict:
         else:
             raise ConfigError(f"unknown config key {key!r}")
     return data
-
-
-def _add_axis(sweep: dict[str, list[float]], param: str, vals: list[float]) -> None:
-    if param in sweep:
-        raise ConfigError(
-            f'sweep axis {param!r} is given both in "sweep" and as "sweep.{param}"'
-        )
-    sweep[param] = vals
 
 
 def _number_list(key: str, value) -> list[float]:

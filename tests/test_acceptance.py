@@ -19,6 +19,9 @@ Two criteria test a property only where the numbers can show it:
   and node-for-node mirror checks (error <= 1e-12) therefore run at
   kappa=400, where the boom peaks at ~1.78*p0. At kappa=100 the boom
   peaks at ~2.99*p0 and the price-floor guard must raise.
+
+Criteria 01, 06, 07, 11 and 12 are also handed the defaults' run with one
+number broken, and each must fail it and name the breach.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ from epimarket import (
 )
 from epimarket import verify
 from epimarket.analysis import judge_run
+from epimarket.epidemic import EpidemicTrajectory
+from epimarket.market import MarketTrajectory
 from epimarket.verify import CheckResult, run_verification
 
 
@@ -222,3 +227,61 @@ def test_the_depression_mirror_fails_a_run_with_no_boom():
     passed, detail = verify.check_depression(simulate_myopic(SupplyCurve(), epi))
     assert not passed
     assert "trough leads False, reverts False, U-shape False" in detail
+
+
+# ---------------------------------------------------------------------------
+# a criterion turns red on a run broken in its own number
+# ---------------------------------------------------------------------------
+
+
+class DefaultRun(NamedTuple):
+    """The defaults' run as run_verification hands it to the criteria."""
+    epi: EpidemicTrajectory
+    myopic: MarketTrajectory
+    rational: MarketTrajectory
+    claims: dict
+    fine: MarketTrajectory
+
+
+@pytest.fixture(scope="module")
+def defaults():
+    params, curve, grid = EpidemicParams(), SupplyCurve(), Grid(0.0, 300.0, 1e-2)
+    epi = epidemic_pass(params, grid)
+    legs, judged, _error = judge_run(curve, epi, "rational")
+    (_, myopic), (_, rational) = legs
+    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
+    return DefaultRun(epi, myopic, rational, judged.claims, fine)
+
+
+def _with_plateau(leg, **changes):
+    return replace(leg, plateau=replace(leg.plateau, **changes))
+
+
+# each criterion handed the defaults' run with one number broken, and the
+# words its detail must name the breach in; criterion 03 integrates its own
+# points from the pass's params and grid, so no broken run turns it red
+BROKEN = {
+    1: (lambda d: verify.check_conservation(replace(d.epi, r=d.epi.r + 1e-3)),
+        "max |S+I+R-N| = 1.000e-03"),
+    6: (lambda d: verify.check_quadrature(replace(d.myopic, x=d.myopic.x * (1 + 1e-3)), d.fine),
+        "max rel err 9.991e-04"),
+    7: (lambda d: verify.check_plateau_closure(
+            _with_plateau(d.rational, residual_absorption=1.0), d.claims),
+        "|h(t2)| = 1.000e+00"),
+    # beta=1e-3, gamma=0.05 drives the slump at kappa=400 through its floor
+    11: (lambda d: verify.check_depression(simulate_myopic(
+            d.myopic.curve, epidemic_pass(EpidemicParams(beta=1e-3, gamma=0.05), d.epi.grid))),
+         "kappa=400: price path hit the floor"),
+    12: (lambda d: verify.check_event_convergence(
+            d.myopic, _with_plateau(d.rational, t1=d.rational.plateau.t1 + 1e-9), d.fine),
+         "t1 gaps 1.00e-09 -> 1.00e-09"),
+}
+
+
+@pytest.mark.parametrize("number", sorted(BROKEN))
+def test_a_criterion_fails_a_run_broken_in_its_number(defaults, number):
+    check, words = BROKEN[number]
+    passed, detail = check(defaults)
+    print(f"criterion {number:02d}: {detail}")
+    assert passed is False
+    assert words in detail

@@ -88,6 +88,12 @@ def test_refine_peak_input_validation():
         refine_peak([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], mode="extremum")
     with pytest.raises(BoundaryExtremumError):
         refine_peak([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+    # times and values must pair up node for node on one axis
+    for ts, vs in (([0.0, 1.0, 2.0], [1.0, 2.0, 1.0, 0.0]),
+                   ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 1.0]])):
+        with pytest.raises(DomainError) as info:
+            refine_peak(ts, vs)
+        assert str(info.value) == "times and values must be 1-d arrays of equal length"
     # a repeated or falling time would divide by a zero or negative spacing
     for ts in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, float("nan"), 2.0]):
         with pytest.raises(DomainError, match="strictly increasing"):

@@ -168,7 +168,7 @@ def test_parse_errors_carry_positions():
 
 
 def test_json_object_form():
-    cfg = parse_config('{"beta": 1e-3, "scenario": "all", "sweep": {"kappa": [5, 10]}}')
+    cfg = parse_config('{"beta": 1e-3, "scenario": "all", "sweep.kappa": [5, 10]}')
     assert cfg.params.beta == 1e-3
     assert cfg.scenario == "all"
     assert cfg.sweep == {"kappa": [5.0, 10.0]}
@@ -187,28 +187,28 @@ def test_json_rejects_bad_input():
     with pytest.raises(ConfigError):
         parse_config('{"unknown_key": 1}')
     with pytest.raises(ConfigError):
-        parse_config('{"sweep": {"kappa": []}}')
+        parse_config('{"sweep.kappa": []}')
     with pytest.raises(ConfigError):
         parse_config('{"scenario": 3}')
-    # a key given twice is refused, as in the key=value form, also inside
-    # "sweep", and so is an axis given both in "sweep" and as "sweep.<name>"
+    # a key given twice is refused, as in the key=value form, a sweep axis
+    # included
     with pytest.raises(ConfigError, match="duplicate key 'beta'"):
         parse_config('{"beta": 1e-3, "beta": 5e-4, "t_end": 50, "scenario": "myopic"}')
-    with pytest.raises(ConfigError, match="duplicate key 'kappa'"):
-        parse_config('{"sweep": {"kappa": [5], "kappa": [20]}}')
-    with pytest.raises(ConfigError, match="sweep axis 'kappa' is given both"):
-        parse_config('{"sweep": {"kappa": [5]}, "sweep.kappa": [20]}')
+    with pytest.raises(ConfigError, match="duplicate key 'sweep.kappa'"):
+        parse_config('{"sweep.kappa": [5], "sweep.kappa": [20]}')
 
 
 @pytest.mark.parametrize("text, message", [
     ("[1, 2]", "config JSON must be a single object"),
-    ('{"sweep": [1]}', '"sweep" must be an object of param -> list'),
+    ('{"sweep.kappa": 1}', "sweep axis 'sweep.kappa': expected a non-empty list"),
     ('{"sweep.beta": [1e-4, true]}', "sweep axis 'sweep.beta': expected numbers, got True"),
-    ('{"sweep": {"beta": [1e-4, "x"]}}', "sweep axis 'beta': expected numbers, got 'x'"),
-], ids=["array", "sweep-not-an-object", "flat-axis-bool", "nested-axis-string"])
+    ('{"sweep.beta": [1e-4, "x"]}', "sweep axis 'sweep.beta': expected numbers, got 'x'"),
+    ('{"sweep": {"kappa": [5]}}', "unknown config key 'sweep'"),
+], ids=["array", "axis-not-a-list", "flat-axis-bool", "flat-axis-string", "nested-sweep-object"])
 def test_json_refusals_name_their_rule(text, message):
     # an array used to be read as key=value lines: "line 1, column 7:
-    # expected key=value"
+    # expected key=value"; a sweep axis is its sweep.<param> key in either
+    # syntax, so a nested "sweep" object is an unknown key, as sweep=... is
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == message
@@ -224,7 +224,7 @@ def test_json_nested_too_deeply_is_a_config_error():
 @pytest.mark.parametrize("text, message", [
     ('{"beta": 1' + "0" * 5000 + "}", "beta must be finite, got inf"),
     ('{"beta": 1' + "0" * 400 + "}", "beta must be finite, got inf"),
-    ('{"sweep": {"kappa": [1' + "0" * 400 + "]}}", "kappa must be finite, got inf"),
+    ('{"sweep.kappa": [1' + "0" * 400 + "]}", "kappa must be finite, got inf"),
 ], ids=["5000-digits", "401-digits", "sweep-axis"])
 def test_json_integer_beyond_float_range_is_inf(text, message):
     # int() used to escape as ValueError past 4300 digits, float() as

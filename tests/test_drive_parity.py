@@ -593,15 +593,18 @@ def test_floor_before_blow_up_matches_the_coupled_field(curve, unchecked_pass, m
     assert _raised(simulate, curve, unchecked_pass(params, grid)) == want
 
 
-# beta*N*dt = 5 and 10, far beyond RK4's stability interval: the package
-# refuses the grid, and on the unchecked demands, which turn negative
-# within a few steps, every leg reaches the price floor, the boom and the
-# rational leg as overshoot.
+# beta*N*dt = 5, 10 and 20, far beyond RK4's stability interval: the
+# package refuses the grid, and on the unchecked demands, which turn
+# negative within a few steps, every leg reaches the price floor, the boom
+# and the rational leg as overshoot.
 # The rational leg does so in phase 1 (before t1; at t=0.0625 inside the
-# partial step from node 6 to an off-node t1=0.065), or in the unwind:
-# after a plateau absorbed at t=0.05, or after one that collapsed at t1
+# partial step from node 6 to an off-node t1=0.065; at t=0.1, where a step
+# that passed its stages' floor checks ended below the floor and the next
+# step's first stage finds it), or in the unwind: after a plateau absorbed
+# at t=0.05, or after one that collapsed at t1
 FLOOR_POINTS = [
     pytest.param(0.5, 0.5, (0.0, 20.0, 1e-2), True, id="phase-1"),
+    pytest.param(0.2, 1.95, (0.0, 2.0, 0.1), True, id="phase-1-step-end"),
     pytest.param(0.5, 0.065, (0.0, 20.0, 1e-2), True, id="partial-step-to-t1"),
     pytest.param(0.5, 0.02, (0.0, 30.0, 1e-2), False, id="unwind-after-plateau"),
     pytest.param(1.0, 0.0, (0.0, 30.0, 1e-2), False, id="unwind-after-collapse"),

@@ -78,6 +78,18 @@ def test_csv_round_trip_is_exact(tmp_path, myopic_run):
     assert back["phase"] == ["na"] * len(epi.times)
 
 
+def test_read_skips_blank_lines(tmp_path, tiny_run):
+    # a blank line, as an editor may leave between rows or at the end,
+    # is no row
+    write_timeseries(tiny_run, "csv", tmp_path / "run.csv")
+    header, *rows = (tmp_path / "run.csv").read_text().splitlines()
+    (tmp_path / "gaps.csv").write_text("\n".join([header, rows[0], "", *rows[1:], "", ""]))
+    back = read_timeseries_csv(tmp_path / "gaps.csv")
+    assert np.array_equal(back["t"], tiny_run.epi.times)
+    assert np.array_equal(back["P"], tiny_run.p)
+    assert back["phase"] == ["na"] * len(rows)
+
+
 def test_repeated_writes_are_byte_identical(tmp_path, tiny_run):
     write_timeseries(tiny_run, "csv", tmp_path / "a.csv")
     write_timeseries(tiny_run, "csv", tmp_path / "b.csv")

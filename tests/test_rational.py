@@ -327,6 +327,20 @@ def test_horizon_short_of_the_infection_peak_blames_the_horizon(params, curve, t
             solve(curve, epi)
 
 
+def test_a_flow_that_reverses_past_the_horizon_in_stage_two_blames_the_horizon(params):
+    # at kappa=7 on [0, 20.53] the flow of both bracketing nodes' plateaus
+    # turns by the horizon end, but that of a t1 between them only after
+    # it; the horizon ends before the infection peak, as it must where t2
+    # is before the peak, so the failed solve names the horizon
+    curve = SupplyCurve(kappa=7.0)
+    epi = epidemic_pass(params, Grid(0.0, 20.53, 1e-2))
+    with pytest.raises(GridTooCoarseError) as info:
+        rational._shoot(curve, epi)
+    assert info.value.cause == "flow never reversed before the horizon end"
+    with pytest.raises(BoundaryExtremumError, match="horizon is too short"):
+        solve_plateau(curve, epi)
+
+
 def test_solve_that_closes_before_the_infection_peak_is_kept(params, curve):
     epi = epidemic_pass(params, Grid(0.0, 21.0, 1e-2))
     with pytest.raises(BoundaryExtremumError):
