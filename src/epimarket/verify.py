@@ -24,7 +24,6 @@ import numpy as np
 
 from .analysis import (
     EVENT_CHAIN,
-    check_propositions,
     default_sweep_axes,
     grid_points,
     judge_run,
@@ -161,6 +160,10 @@ def check_infection_peak(epi) -> tuple[bool, str]:
                 f"{n_max} interior maxima; no-peak detected: {no_peak}")
 
 
+# the claims a one-leg run is judged on, a boom's or its depression mirror's
+SHAPE_CLAIMS = ("price_peak_leads_infection_peak", "long_run_price_returns", "price_unimodal")
+
+
 def _on_sweep_booms(rows, name) -> bool:
     # the boom rows are those that judged claims: no boom, no claims
     return all(row.claims[name].status == "pass" for row in rows if row.claims)
@@ -168,8 +171,7 @@ def _on_sweep_booms(rows, name) -> bool:
 
 def check_boom_shape(rows) -> tuple[bool, str]:
     booms = summarize_sweep(rows)["booms"]
-    lead, rever, unimod = (_on_sweep_booms(rows, name) for name in (
-        "price_peak_leads_infection_peak", "long_run_price_returns", "price_unimodal"))
+    lead, rever, unimod = (_on_sweep_booms(rows, name) for name in SHAPE_CLAIMS)
     ok = booms >= 9 and lead and rever and unimod
     return ok, (
         f"{booms} boom points: peak-lead {lead}, "
@@ -236,9 +238,9 @@ def check_depression(myopic) -> tuple[bool, str]:
     """The depression mirror where it exists, and the floor where it cannot.
 
     simulate_depression admits a path only while the mirrored boom stays
-    below 2*p0, so the shape and mirror checks run at kappa=400 (boom peak
-    ~1.78*p0). At kappa=100 the boom peaks above 2*p0 and the floor guard
-    must raise.
+    below 2*p0, so the shape and mirror checks judge the depression run at
+    kappa=400 (`judge_run`; boom peak ~1.78*p0). At kappa=100 the boom
+    peaks above 2*p0 and the floor guard must raise.
     """
     curve, epi = myopic.curve, myopic.epi
     p0 = curve.p0
@@ -253,17 +255,15 @@ def check_depression(myopic) -> tuple[bool, str]:
     floor_text = (f"kappa=100: boom peak {boom_peak:.3f}*p0, "
                   f"floor guard raised {floors}")
 
-    deep = replace(curve, kappa=400.0)
     try:
-        dep = simulate_depression(deep, epi)
+        legs, judged, _error = judge_run(replace(curve, kappa=400.0), epi, "depression")
     except PriceFloorError as exc:
         return False, f"kappa=400: price path hit the floor: {exc}; {floor_text}"
-    boom = simulate_myopic(deep, epi)
+    (_, boom), (_, dep) = legs
     mirror_err = float(np.max(np.abs(dep.p - (2.0 * p0 - boom.p))))
-    claims = check_propositions(dep).claims  # none where there is no boom
+    claims = judged.claims  # none where there is no boom
     trough_leads, reverts, u_shape = (
-        name in claims and check_claim(claims, name)[0] for name in (
-            "price_peak_leads_infection_peak", "long_run_price_returns", "price_unimodal"))
+        name in claims and check_claim(claims, name)[0] for name in SHAPE_CLAIMS)
     ok = (trough_leads and reverts and u_shape
           and mirror_err <= 1e-12 and floor_ok)
     return ok, (

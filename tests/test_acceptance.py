@@ -20,8 +20,10 @@ Two criteria test a property only where the numbers can show it:
   kappa=400, where the boom peaks at ~1.78*p0. At kappa=100 the boom
   peaks at ~2.99*p0 and the price-floor guard must raise.
 
-Criteria 01, 06, 07, 11 and 12 are also handed the defaults' run with one
-number broken, and each must fail it and name the breach.
+Every criterion but 02 and 03 is also handed the defaults' run with one
+number broken, and each must fail it and name the breach. Criteria 02 and
+03 step their own passes from the run's params and grid, so a run broken
+in its arrays passes them; a test shows that.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from epimarket import (
@@ -40,7 +43,13 @@ from epimarket import (
     simulate_myopic,
 )
 from epimarket import verify
-from epimarket.analysis import judge_run
+from epimarket.analysis import (
+    PropositionReport,
+    SweepResult,
+    check_propositions,
+    judge_run,
+    parameter_sweep,
+)
 from epimarket.epidemic import EpidemicTrajectory
 from epimarket.market import MarketTrajectory
 from epimarket.verify import CheckResult, run_verification
@@ -235,53 +244,115 @@ def test_the_depression_mirror_fails_a_run_with_no_boom():
 
 
 class DefaultRun(NamedTuple):
-    """The defaults' run as run_verification hands it to the criteria."""
+    """The defaults' run as run_verification hands it to the criteria, with
+    the directory criterion 13 writes its two sweep files to."""
     epi: EpidemicTrajectory
     myopic: MarketTrajectory
     rational: MarketTrajectory
-    claims: dict
+    judged: PropositionReport
     fine: MarketTrajectory
+    rows: list[SweepResult]
+    out: Path
 
 
 @pytest.fixture(scope="module")
-def defaults():
+def defaults(tmp_path_factory):
     params, curve, grid = EpidemicParams(), SupplyCurve(), Grid(0.0, 300.0, 1e-2)
     epi = epidemic_pass(params, grid)
     legs, judged, _error = judge_run(curve, epi, "rational")
     (_, myopic), (_, rational) = legs
     fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
-    return DefaultRun(epi, myopic, rational, judged.claims, fine)
+    rows = parameter_sweep(params, curve, grid)
+    return DefaultRun(epi, myopic, rational, judged, fine, rows,
+                      tmp_path_factory.mktemp("broken"))
 
 
 def _with_plateau(leg, **changes):
     return replace(leg, plateau=replace(leg.plateau, **changes))
 
 
+def _doubled_at(values, k):
+    out = values.copy()
+    out[k] *= 2.0
+    return out
+
+
+def _unimodal_failed(rows):
+    """rows with the first row's price_unimodal claim turned to fail."""
+    first = rows[0]
+    claim = replace(first.claims["price_unimodal"], status="fail")
+    return [replace(first, claims={**first.claims, "price_unimodal": claim}), *rows[1:]]
+
+
 # each criterion handed the defaults' run with one number broken, and the
-# words its detail must name the breach in; criterion 03 integrates its own
-# points from the pass's params and grid, so no broken run turns it red
+# words its detail must name the breach in; a compound criterion has one
+# case per part (6-ratio, 12-t_p_star). Criteria 02 and 03 step their own
+# passes from the pass's params and grid, so no broken run turns them red
+# (test_a_criterion_stepping_its_own_passes_passes_a_broken_run)
 BROKEN = {
-    1: (lambda d: verify.check_conservation(replace(d.epi, r=d.epi.r + 1e-3)),
-        "max |S+I+R-N| = 1.000e-03"),
-    6: (lambda d: verify.check_quadrature(replace(d.myopic, x=d.myopic.x * (1 + 1e-3)), d.fine),
-        "max rel err 9.991e-04"),
-    7: (lambda d: verify.check_plateau_closure(
-            _with_plateau(d.rational, residual_absorption=1.0), d.claims),
-        "|h(t2)| = 1.000e+00"),
+    "1": (lambda d: verify.check_conservation(replace(d.epi, r=d.epi.r + 1e-3)),
+          "max |S+I+R-N| = 1.000e-03"),
+    # I doubled at t=200, long after the peak, where it still decays
+    "4": (lambda d: verify.check_infection_peak(replace(d.epi, i=_doubled_at(d.epi.i, 20000))),
+          "2 interior maxima"),
+    "5": (lambda d: verify.check_boom_shape(_unimodal_failed(d.rows)), "unimodal False"),
+    "6": (lambda d: verify.check_quadrature(replace(d.myopic, x=d.myopic.x * (1 + 1e-3)), d.fine),
+          "max rel err 9.991e-04"),
+    "6-ratio": (lambda d: verify.check_quadrature(d.myopic, replace(d.fine, x=d.fine.x * (1 + 1e-3))),
+                "refinement ratio 0.00 (need >= 2)"),
+    "7": (lambda d: verify.check_plateau_closure(
+              _with_plateau(d.rational, residual_absorption=1.0), d.judged.claims),
+          "|h(t2)| = 1.000e+00"),
+    # the rational leg priced 1e-3 lower, below the myopic leg before t1
+    "8": (lambda d: verify.check_claim(
+              check_propositions(d.myopic, replace(d.rational, p=d.rational.p - 1e-3)).claims,
+              "re_price_dominates_pre_plateau"),
+          "min(P_re - P_m) on (10*dt, t1] = -9.696e-04"),
+    # the plateau's P* 1.0 higher, above the myopic peak
+    "9": (lambda d: verify.check_re_lower_peak(check_propositions(
+              d.myopic, _with_plateau(d.rational, p_star=d.rational.plateau.p_star + 1.0)).claims,
+              d.rows),
+          "defaults: P*_m - P*_re = -0.474639"),
+    # t1 moved 5.5 later, past t_P* (5.022 after it) but before t2
+    "10": (lambda d: verify.check_ordering_chain(check_propositions(
+               d.myopic, _with_plateau(d.rational, t1=d.rational.plateau.t1 + 5.5)), d.rows),
+           "defaults gaps -0.478/0.649/0.624"),
     # beta=1e-3, gamma=0.05 drives the slump at kappa=400 through its floor
-    11: (lambda d: verify.check_depression(simulate_myopic(
-            d.myopic.curve, epidemic_pass(EpidemicParams(beta=1e-3, gamma=0.05), d.epi.grid))),
-         "kappa=400: price path hit the floor"),
-    12: (lambda d: verify.check_event_convergence(
-            d.myopic, _with_plateau(d.rational, t1=d.rational.plateau.t1 + 1e-9), d.fine),
-         "t1 gaps 1.00e-09 -> 1.00e-09"),
+    "11": (lambda d: verify.check_depression(simulate_myopic(
+               d.myopic.curve, epidemic_pass(EpidemicParams(beta=1e-3, gamma=0.05), d.epi.grid))),
+           "kappa=400: price path hit the floor"),
+    "12": (lambda d: verify.check_event_convergence(
+               d.myopic, _with_plateau(d.rational, t1=d.rational.plateau.t1 + 1e-9), d.fine),
+           "t1 gaps 1.00e-09 -> 1.00e-09"),
+    # the fine leg's price one node late, so its t_P* moves by its dt
+    "12-t_p_star": (lambda d: verify.check_event_convergence(
+                        d.myopic, d.rational, replace(d.fine, p=np.roll(d.fine.p, 1))),
+                    "t_P* gaps 7.08e-06 -> 5.00e-03"),
+    "13": (lambda d: verify.check_determinism(d.myopic, _unimodal_failed(d.rows), d.out),
+           "identical to each of 9 points swept alone: False"),
 }
 
 
-@pytest.mark.parametrize("number", sorted(BROKEN))
-def test_a_criterion_fails_a_run_broken_in_its_number(defaults, number):
-    check, words = BROKEN[number]
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_a_criterion_fails_a_run_broken_in_its_number(defaults, case):
+    check, words = BROKEN[case]
     passed, detail = check(defaults)
-    print(f"criterion {number:02d}: {detail}")
+    print(f"criterion {case}: {detail}")
     assert passed is False
     assert words in detail
+
+
+@pytest.mark.parametrize("check", [verify.check_first_integrals, verify.check_final_size],
+                         ids=["02", "03"])
+def test_a_criterion_stepping_its_own_passes_passes_a_broken_run(defaults, check):
+    """Criteria 02 and 03 read only the pass's params and grid: handed a
+    pass stepped at a gamma 1% off but labelled with the default params,
+    each still passes, as they judge the integrator, not the run. A change
+    that makes either judge the run's arrays fails this test; its case then
+    belongs in BROKEN."""
+    params = defaults.epi.params
+    off = epidemic_pass(replace(params, gamma=1.01 * params.gamma), defaults.epi.grid)
+    assert abs(float(np.max(off.i)) - float(np.max(defaults.epi.i))) > 1.0
+    passed, detail = check(replace(off, params=params))
+    print(detail)
+    assert passed, detail
