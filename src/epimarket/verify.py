@@ -6,10 +6,11 @@ kernel-vs-state oracle, plateau closure, pre-plateau dominance, the lower
 rational peak, the event ordering chain, the depression mirror, event-time
 convergence under grid refinement, and determinism (the sweep against
 each point swept alone). Each check reads the run it judges (its SIR
-pass, legs, claims or sweep rows, and their params, grid and curve) and
-returns (passed, detail), asserting nothing; `run_verification` numbers
-and names the checks in one table, hands them the run `analysis.judge_run`
-builds and judges, and returns their results for callers to surface.
+pass, legs, claims, timelines or sweep rows, and their params, grid and
+curve) and returns (passed, detail), asserting nothing; `run_verification`
+numbers and names the checks in one table, hands them the run
+`analysis.judge_run` builds and judges, at dt and at 2*dt and dt/2, and
+returns their results for callers to surface.
 
 All artifacts written by a verification run are deterministic byte-for-
 byte: numbers use shortest round-trip formatting and no timestamps are
@@ -28,7 +29,6 @@ from .analysis import (
     grid_points,
     judge_run,
     parameter_sweep,
-    refine_peak,
     summarize_sweep,
 )
 from .config import ScenarioConfig
@@ -52,7 +52,6 @@ from .output import (
     write_sweep_csv,
     write_timeline_json,
 )
-from .rational import solve_plateau
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,18 @@ def check_first_integrals(epi) -> tuple[bool, str]:
     )
 
 
-def _integrate_until_extinct(params, grid) -> tuple[float, float]:
+def _integrate_until_extinct(epi) -> tuple[float, float]:
     """R and the time at the first chunk end where I < 1e-10 (long-horizon
-    oracle), over at most 16 chunks as long as the run's grid, at its dt."""
-    p, span = params, grid.t_end - grid.t_start
-    for k in range(16):
-        start = grid.t_start + k * span
-        epi = epidemic_pass(p, Grid(start, start + span, grid.dt))
+    oracle): the pass epi, then at most 15 chunks as long as it, at its dt."""
+    t0, span = epi.grid.t_start, epi.grid.t_end - epi.grid.t_start
+    for k in range(1, 16):
         s, i, r = epi.state_at(-1)
         if i < 1e-10:
             break
-        p = replace(p, n1=s, n2=i, n3=r)  # the next chunk starts from this end state
-    return r, epi.grid.t_end
+        start = t0 + k * span  # the next chunk starts from this end state
+        epi = epidemic_pass(replace(epi.params, n1=s, n2=i, n3=r),
+                            Grid(start, start + span, epi.grid.dt))
+    return epi.state_at(-1)[2], epi.grid.t_end
 
 
 def check_final_size(epi) -> tuple[bool, str]:
@@ -132,12 +131,14 @@ def check_final_size(epi) -> tuple[bool, str]:
     horizon = 0.0
     betas = [2.5e-4, 5e-4, 1e-3]
     gammas = [0.05, 0.1, 0.2]
-    # the run's params first, then each grid point it does not repeat
+    # the run's params first, on the run's own pass, then each grid point it
+    # does not repeat, each on a new pass
     points = list(dict.fromkeys([epi.params] + [replace(epi.params, beta=b, gamma=g)
                                                 for b in betas for g in gammas]))
     for p in points:
         r_inf = steady_state_recovered(p)
-        r_end, t_end = _integrate_until_extinct(p, epi.grid)
+        run = epi if p == epi.params else epidemic_pass(p, epi.grid)
+        r_end, t_end = _integrate_until_extinct(run)
         rel = abs(r_end - r_inf) / r_inf
         worst = max(worst, rel)
         horizon = max(horizon, t_end)
@@ -274,18 +275,11 @@ def check_depression(myopic) -> tuple[bool, str]:
     )
 
 
-def check_event_convergence(myopic, rational, fine) -> tuple[bool, str]:
-    """t_P* and t1 at 2*dt, dt and dt/2: the myopic leg on the run's grid
-    and the rational leg's plateau, a myopic leg at twice its dt, and the
-    one at half its dt (fine)."""
-    curve, grid = myopic.curve, myopic.epi.grid
-    coarse = simulate_myopic(curve, epidemic_pass(myopic.epi.params,
-                                                  replace(grid, dt=2.0 * grid.dt)))
-    tp = [refine_peak(leg.epi.times, leg.p)[0] for leg in (coarse, myopic, fine)]
-    t1 = [solve_plateau(curve, coarse.epi).t1, rational.plateau.t1,
-          solve_plateau(curve, fine.epi).t1]
-    gp1, gp2 = abs(tp[0] - tp[1]), abs(tp[1] - tp[2])
-    g11, g12 = abs(t1[0] - t1[1]), abs(t1[1] - t1[2])
+def check_event_convergence(coarse, run, fine) -> tuple[bool, str]:
+    """t_P* and t1 read off the timelines of the run judged at 2*dt
+    (coarse), dt (run) and dt/2 (fine)."""
+    gp1, gp2 = abs(coarse.t_p_star_m - run.t_p_star_m), abs(run.t_p_star_m - fine.t_p_star_m)
+    g11, g12 = abs(coarse.t1 - run.t1), abs(run.t1 - fine.t1)
     # shrink-by->=2x; 0 -> 0 (fully grid-stable) satisfies this trivially
     ok_p = 2.0 * gp2 <= gp1
     ok_1 = 2.0 * g12 <= g11
@@ -333,8 +327,11 @@ def run_verification(out_dir) -> list[CheckResult]:
     (_, myopic), (_, rational) = legs
     claims = judged.claims
     rows = parameter_sweep(params, curve, grid)
-    # the myopic leg at half the run's dt, which two criteria share
-    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=0.5 * grid.dt)))
+    # the run judged again at twice and at half its dt
+    (_, coarse, _), (fine_legs, fine, _) = (
+        judge_run(curve, epidemic_pass(params, replace(grid, dt=f * grid.dt)), "rational")
+        for f in (2.0, 0.5))
+    (_, fine_myopic), _ = fine_legs
 
     battery = (
         (1, "conservation", check_conservation, epi),
@@ -342,13 +339,14 @@ def run_verification(out_dir) -> list[CheckResult]:
         (3, "final_size", check_final_size, epi),
         (4, "infection_peak", check_infection_peak, epi),
         (5, "myopic_boom_shape", check_boom_shape, rows),
-        (6, "kernel_ode_agreement", check_quadrature, myopic, fine),
+        (6, "kernel_ode_agreement", check_quadrature, myopic, fine_myopic),
         (7, "plateau_closure", check_plateau_closure, rational, claims),
         (8, "re_dominates_pre_plateau", check_claim, claims, "re_price_dominates_pre_plateau"),
         (9, "re_peak_lower", check_re_lower_peak, claims, rows),
         (10, "event_ordering_chain", check_ordering_chain, judged, rows),
         (11, "depression_mirror", check_depression, myopic),
-        (12, "event_time_convergence", check_event_convergence, myopic, rational, fine),
+        (12, "event_time_convergence", check_event_convergence,
+         coarse.timeline, judged.timeline, fine.timeline),
         (13, "determinism", check_determinism, myopic, rows, out),
     )
     results = [CheckResult(number, name, *check(*judges))

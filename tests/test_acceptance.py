@@ -20,10 +20,10 @@ Two criteria test a property only where the numbers can show it:
   kappa=400, where the boom peaks at ~1.78*p0. At kappa=100 the boom
   peaks at ~2.99*p0 and the price-floor guard must raise.
 
-Every criterion but 02 and 03 is also handed the defaults' run with one
-number broken, and each must fail it and name the breach. Criteria 02 and
-03 step their own passes from the run's params and grid, so a run broken
-in its arrays passes them; a test shows that.
+Every criterion but 02 is also handed the defaults' run with one number
+broken, and each must fail it and name the breach. Criterion 02 steps its
+own passes from the run's params and grid, so a run broken in its arrays
+passes it; a test shows that.
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from epimarket import (
 )
 from epimarket import verify
 from epimarket.analysis import (
+    EventTimeline,
     PropositionReport,
     SweepResult,
     check_propositions,
@@ -183,28 +184,40 @@ def test_verification_artifacts_have_the_pinned_bytes(first_run, artifact_digest
 # ---------------------------------------------------------------------------
 
 
+def _refined(curve, params, grid):
+    """The rational run judged again at twice and at half grid's dt, as
+    run_verification judges it: the 2*dt and dt/2 timelines and the dt/2
+    run's myopic leg."""
+    (_, coarse, _), (fine_legs, fine, _) = (
+        judge_run(curve, epidemic_pass(params, replace(grid, dt=f * grid.dt)), "rational")
+        for f in (2.0, 0.5))
+    (_, fine_myopic), _ = fine_legs
+    return coarse.timeline, fine.timeline, fine_myopic
+
+
 @pytest.fixture(scope="module")
 def off_defaults():
     """The verdicts and details of the criteria that judge one run, by
     number, at beta=7e-4, gamma=0.15, kappa=20: each handed the run's SIR
-    pass, the legs and claims judge_run gives and the myopic leg at half
-    the dt, as run_verification hands them the defaults' run."""
+    pass, the legs and claims judge_run gives and the runs it judges at
+    twice and at half the dt, as run_verification hands them the
+    defaults' run."""
     params, curve = EpidemicParams(beta=7e-4, gamma=0.15), SupplyCurve(kappa=20.0)
     grid = Grid(0.0, 300.0, 1e-2)
     epi = epidemic_pass(params, grid)
     legs, judged, _error = judge_run(curve, epi, "rational")
     (_, myopic), (_, rational) = legs
-    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
+    coarse, fine, fine_myopic = _refined(curve, params, grid)
     return {
         1: verify.check_conservation(epi),
         3: verify.check_final_size(epi),
         # the no-peak probe is gamma = 1.2*beta*n1: a fixed gamma=0.6 has
         # threshold 857 < n1 at this beta, peaks, and failed the criterion
         4: verify.check_infection_peak(epi),
-        6: verify.check_quadrature(myopic, fine),
+        6: verify.check_quadrature(myopic, fine_myopic),
         7: verify.check_plateau_closure(rational, judged.claims),
         11: verify.check_depression(myopic),
-        12: verify.check_event_convergence(myopic, rational, fine),
+        12: verify.check_event_convergence(coarse, judged.timeline, fine),
     }
 
 
@@ -244,12 +257,15 @@ def test_the_depression_mirror_fails_a_run_with_no_boom():
 
 
 class DefaultRun(NamedTuple):
-    """The defaults' run as run_verification hands it to the criteria, with
-    the directory criterion 13 writes its two sweep files to."""
+    """The defaults' run as run_verification hands it to the criteria (its
+    timelines at 2*dt, dt and dt/2 and the dt/2 run's myopic leg, fine,
+    among them), with the directory criterion 13 writes its two sweep
+    files to."""
     epi: EpidemicTrajectory
     myopic: MarketTrajectory
     rational: MarketTrajectory
     judged: PropositionReport
+    timelines: tuple[EventTimeline, EventTimeline, EventTimeline]
     fine: MarketTrajectory
     rows: list[SweepResult]
     out: Path
@@ -261,14 +277,30 @@ def defaults(tmp_path_factory):
     epi = epidemic_pass(params, grid)
     legs, judged, _error = judge_run(curve, epi, "rational")
     (_, myopic), (_, rational) = legs
-    fine = simulate_myopic(curve, epidemic_pass(params, replace(grid, dt=5e-3)))
+    coarse, fine, fine_myopic = _refined(curve, params, grid)
     rows = parameter_sweep(params, curve, grid)
-    return DefaultRun(epi, myopic, rational, judged, fine, rows,
-                      tmp_path_factory.mktemp("broken"))
+    return DefaultRun(epi, myopic, rational, judged, (coarse, judged.timeline, fine),
+                      fine_myopic, rows, tmp_path_factory.mktemp("broken"))
 
 
 def _with_plateau(leg, **changes):
     return replace(leg, plateau=replace(leg.plateau, **changes))
+
+
+def _gamma_off(d):
+    """The defaults' pass stepped at a gamma 1% off, labelled with the
+    default params."""
+    params = d.epi.params
+    off = epidemic_pass(replace(params, gamma=1.01 * params.gamma), d.epi.grid)
+    assert abs(float(np.max(off.i)) - float(np.max(d.epi.i))) > 1.0
+    return replace(off, params=params)
+
+
+def _timelines_with(d, k, **changes):
+    """The run's timelines at 2*dt, dt and dt/2 with the k-th changed."""
+    timelines = list(d.timelines)
+    timelines[k] = replace(timelines[k], **changes)
+    return timelines
 
 
 def _doubled_at(values, k):
@@ -286,12 +318,15 @@ def _unimodal_failed(rows):
 
 # each criterion handed the defaults' run with one number broken, and the
 # words its detail must name the breach in; a compound criterion has one
-# case per part (6-ratio, 12-t_p_star). Criteria 02 and 03 step their own
-# passes from the pass's params and grid, so no broken run turns them red
+# case per part (6-ratio, 12-t_p_star). Criterion 02 steps its own passes
+# from the pass's params and grid, so no broken run turns it red
 # (test_a_criterion_stepping_its_own_passes_passes_a_broken_run)
 BROKEN = {
     "1": (lambda d: verify.check_conservation(replace(d.epi, r=d.epi.r + 1e-3)),
           "max |S+I+R-N| = 1.000e-03"),
+    # criterion 03 continues the run's own pass at the run's point
+    "3": (lambda d: verify.check_final_size(_gamma_off(d)),
+          "worst relative gap over 9 points = 3.670e-04"),
     # I doubled at t=200, long after the peak, where it still decays
     "4": (lambda d: verify.check_infection_peak(replace(d.epi, i=_doubled_at(d.epi.i, 20000))),
           "2 interior maxima"),
@@ -322,11 +357,12 @@ BROKEN = {
                d.myopic.curve, epidemic_pass(EpidemicParams(beta=1e-3, gamma=0.05), d.epi.grid))),
            "kappa=400: price path hit the floor"),
     "12": (lambda d: verify.check_event_convergence(
-               d.myopic, _with_plateau(d.rational, t1=d.rational.plateau.t1 + 1e-9), d.fine),
+               *_timelines_with(d, 1, t1=d.timelines[1].t1 + 1e-9)),
            "t1 gaps 1.00e-09 -> 1.00e-09"),
-    # the fine leg's price one node late, so its t_P* moves by its dt
+    # the fine run's t_P* one node, its dt, late
     "12-t_p_star": (lambda d: verify.check_event_convergence(
-                        d.myopic, d.rational, replace(d.fine, p=np.roll(d.fine.p, 1))),
+                        *_timelines_with(d, 2, t_p_star_m=d.timelines[2].t_p_star_m
+                                         + d.fine.epi.grid.dt)),
                     "t_P* gaps 7.08e-06 -> 5.00e-03"),
     "13": (lambda d: verify.check_determinism(d.myopic, _unimodal_failed(d.rows), d.out),
            "identical to each of 9 points swept alone: False"),
@@ -342,17 +378,13 @@ def test_a_criterion_fails_a_run_broken_in_its_number(defaults, case):
     assert words in detail
 
 
-@pytest.mark.parametrize("check", [verify.check_first_integrals, verify.check_final_size],
-                         ids=["02", "03"])
+@pytest.mark.parametrize("check", [verify.check_first_integrals], ids=["02"])
 def test_a_criterion_stepping_its_own_passes_passes_a_broken_run(defaults, check):
-    """Criteria 02 and 03 read only the pass's params and grid: handed a
-    pass stepped at a gamma 1% off but labelled with the default params,
-    each still passes, as they judge the integrator, not the run. A change
-    that makes either judge the run's arrays fails this test; its case then
-    belongs in BROKEN."""
-    params = defaults.epi.params
-    off = epidemic_pass(replace(params, gamma=1.01 * params.gamma), defaults.epi.grid)
-    assert abs(float(np.max(off.i)) - float(np.max(defaults.epi.i))) > 1.0
-    passed, detail = check(replace(off, params=params))
+    """Criterion 02 reads only the pass's params and grid: handed a pass
+    stepped at a gamma 1% off but labelled with the default params, it
+    still passes, as it judges the integrator, not the run. A change that
+    makes it judge the run's arrays fails this test; its case then belongs
+    in BROKEN."""
+    passed, detail = check(_gamma_off(defaults))
     print(detail)
     assert passed, detail

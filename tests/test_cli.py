@@ -12,6 +12,7 @@ from epimarket.config import parse_config, with_overrides
 from epimarket.errors import ConfigError
 from epimarket.verify import CheckResult
 from test_drive_parity import POPULATION_REFUSAL, PR21_BOOM_REFUSAL
+from test_rational import STAGE_ONE_REFUSAL
 from test_sir_pass import BETA_1000_REFUSAL, BETA_5_BAND_REFUSAL
 
 FAST = "t_end=80\ndt=0.02\n"
@@ -207,6 +208,20 @@ def test_a_stiff_input_only_grids_finer_than_4_digits_run_advises_no_dt(tmp_path
     assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 3
     assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
         BETA_5_BAND_REFUSAL]
+    assert not out.exists()
+
+
+def test_a_stage_one_refusal_reaches_the_cli(tmp_path, caplog):
+    # the shooting's node bisection refuses a horizon past the infection
+    # peak (test_rational.STAGE_ONE_REFUSAL): exit 3, that one ERROR line
+    # and no output directory
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("beta=2e-4\ngamma=0.199\nkappa=5.5\nt_end=23.28\ndt=0.02\n")
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--scenario", "rational", "--config", str(cfg),
+                   "--out", str(out)) == 3
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+        STAGE_ONE_REFUSAL]
     assert not out.exists()
 
 

@@ -175,13 +175,14 @@ def test_final_size_on_defaults(params):
 
 
 def test_the_extinction_oracle_steps_the_runs_own_span(params):
-    # criterion 03's oracle runs chunks as long as the run's grid, at its
-    # dt, for at most 16: I falls below 1e-10 at the fourth 100-unit
-    # chunk's end, and is still above it at the sixteenth 10-unit one
-    r_end, t_end = _integrate_until_extinct(params, Grid(0.0, 100.0, 1e-2))
+    # criterion 03's oracle continues the pass it is handed in chunks as
+    # long as its grid, at its dt, for at most 16 in all: I falls below
+    # 1e-10 at the fourth 100-unit chunk's end, and is still above it at
+    # the sixteenth 10-unit one
+    r_end, t_end = _integrate_until_extinct(epidemic_pass(params, Grid(0.0, 100.0, 1e-2)))
     assert t_end == 400.0
     assert r_end == pytest.approx(steady_state_recovered(params), rel=1e-12)
-    assert _integrate_until_extinct(params, Grid(0.0, 10.0, 0.05))[1] == 160.0
+    assert _integrate_until_extinct(epidemic_pass(params, Grid(0.0, 10.0, 0.05)))[1] == 160.0
 
 
 def test_final_size_without_seed_is_exact():

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -339,6 +339,36 @@ def test_a_flow_that_reverses_past_the_horizon_in_stage_two_blames_the_horizon(p
     assert info.value.cause == "flow never reversed before the horizon end"
     with pytest.raises(BoundaryExtremumError, match="horizon is too short"):
         solve_plateau(curve, epi)
+
+
+# beta=2e-4, gamma=0.199 (R0 about 1.005, outside the paper's regime) at
+# kappa=5.5 on [0, 23.28]: the infection peak, t_I* = 19.9536, lies inside
+# the horizon, but stage one's node bisection meets a node whose plateau
+# never closes by the horizon end, a refusal no horizon check replaces
+STAGE_ONE_PARAMS = EpidemicParams(beta=2e-4, gamma=0.199)
+STAGE_ONE_CURVE = SupplyCurve(kappa=5.5)
+STAGE_ONE_GRID = Grid(0.0, 23.28, 0.02)
+STAGE_ONE_REFUSAL = ("plateau never closed before the horizon end; "
+                     "retry with dt/2 or extend the horizon")
+
+
+def test_a_stage_one_refusal_past_the_infection_peak_reaches_every_solver():
+    epi = epidemic_pass(STAGE_ONE_PARAMS, STAGE_ONE_GRID)
+    assert infection_peak(STAGE_ONE_PARAMS, epi).t_star == pytest.approx(19.9536, abs=1e-4)
+    for solve in (solve_plateau, re_price_path, rational.re_price_head):
+        with pytest.raises(GridTooCoarseError) as info:
+            solve(STAGE_ONE_CURVE, epi)
+        assert str(info.value) == STAGE_ONE_REFUSAL
+
+
+def test_the_stage_one_refusal_point_solves_over_a_long_horizon():
+    # over [0, 300] the same point closes its plateau after the infection
+    # peak (t2 = 30.43 > t_I* = 19.95), so the refusal above is the horizon's
+    epi = epidemic_pass(STAGE_ONE_PARAMS, replace(STAGE_ONE_GRID, t_end=300.0))
+    sol = solve_plateau(STAGE_ONE_CURVE, epi)
+    assert sol.t1 == 4.675625
+    assert sol.t2 == pytest.approx(30.4345, abs=1e-4)
+    assert sol.t2 > infection_peak(STAGE_ONE_PARAMS, epi).t_star
 
 
 def test_solve_that_closes_before_the_infection_peak_is_kept(params, curve):
